@@ -327,40 +327,6 @@ BM_DseStreamed(benchmark::State &state)
 }
 BENCHMARK(BM_DseStreamed)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The Figure 5 matrix with N configs advanced in lockstep per
-// BatchedFabric task (--batch N) vs the scalar streamed pipeline
-// (Arg 0), both cold and at hardware concurrency. Batching trades
-// per-cell task dispatch for one fused task per (config group,
-// workload); the win shows up on multi-core hosts where fewer, larger
-// tasks keep the pool fed — on a single-CPU host expect parity or a
-// small cache-locality penalty (docs/batched_sim.md).
-void
-BM_Fig5MatrixBatched(benchmark::State &state)
-{
-    const auto suite = allWorkloads(WorkloadSizes::small());
-    const auto configs = figure5Configs();
-    CycleRunOptions options;
-    options.batch = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        const CycleMatrix matrix = runCycleMatrixStreamed(
-            suite, configs, options, 0, CycleMatrixSink{});
-        benchmark::DoNotOptimize(matrix.runs.data());
-        state.counters["runs"] = static_cast<double>(matrix.runs.size());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(suite.size()) *
-                            static_cast<std::int64_t>(configs.size()));
-    state.SetLabel(options.batch > 1
-                       ? "batch " + std::to_string(options.batch)
-                       : "scalar");
-}
-BENCHMARK(BM_Fig5MatrixBatched)
-    ->Arg(0)
-    ->Arg(8)
-    ->Arg(24)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 } // namespace
 
 // BENCHMARK_MAIN() expanded so the build-type cross-check runs before

@@ -186,32 +186,6 @@ SimCache::getOrCompute(const Digest128 &key,
 }
 
 std::optional<std::string>
-SimCache::lookup(const Digest128 &key)
-{
-    std::lock_guard lock(mutex_);
-    ++stats_.lookups;
-    if (auto it = entries_.find(key); it != entries_.end()) {
-        ++stats_.hits;
-        return it->second;
-    }
-    ++stats_.misses;
-    return std::nullopt;
-}
-
-void
-SimCache::verifyHit(const Digest128 &key, const std::string &cached,
-                    const std::string &fresh)
-{
-    fatalIf(fresh != cached, "cache verify failed for key ", key.hex(),
-            ": cached payload (", cached.size(),
-            " bytes) differs from a fresh computation (", fresh.size(),
-            " bytes); the key schema is missing an input or the "
-            "cache file is stale");
-    std::lock_guard lock(mutex_);
-    ++stats_.verifiedHits;
-}
-
-std::optional<std::string>
 SimCache::peek(const Digest128 &key) const
 {
     std::lock_guard lock(mutex_);

@@ -103,31 +103,6 @@ class SimCache
     /** Lookup without computing or counting a cache lookup. */
     std::optional<std::string> peek(const Digest128 &key) const;
 
-    /**
-     * Counted probe for callers that compute outside the cache — the
-     * batched sweep path (workloads/runner.cc) probes every lane of a
-     * batch up front, simulates the misses together in one
-     * BatchedFabric, then put()s the fresh payloads. Counts exactly
-     * one lookup and one hit or miss, preserving the
-     * hits + misses + coalesced == lookups identity (the batched
-     * matrix never issues the same key twice, so there is no
-     * single-flight leg; the miss is counted here, at claim, whether
-     * or not a put() follows — mirroring a leader whose computation
-     * throws). Verify-hits mode does not recompute here: the caller
-     * simulates the hit lanes too and calls verifyHit().
-     */
-    std::optional<std::string> lookup(const Digest128 &key);
-
-    /**
-     * Compare a fresh recomputation against the payload a lookup()
-     * hit returned, completing the verify-hits contract on the
-     * batched path: FatalError on any byte difference (same failure
-     * and message as getOrCompute verification), otherwise counts a
-     * verified hit.
-     */
-    void verifyHit(const Digest128 &key, const std::string &cached,
-                   const std::string &fresh);
-
     /** Insert or overwrite an entry directly. */
     void put(const Digest128 &key, std::string payload);
 

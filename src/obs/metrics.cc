@@ -191,13 +191,11 @@ checkPe(Checker &check, const JsonValue &pe, const std::string &where)
  * A "resolution" block (run-level or the sweep aggregate). The
  * identity is the resolution cache's exhaustive partition: every
  * trigger resolution is either an incremental skip (memoized verdict
- * still valid) or a full resolve. @p bitplanes additionally requires
- * the SoA kernel's "bitplane_ops" counter (sweep aggregate only —
- * host-side, not part of the per-run architectural identity).
+ * still valid) or a full resolve.
  */
 void
 checkResolution(Checker &check, const JsonValue &resolution,
-                const std::string &where, bool bitplanes)
+                const std::string &where)
 {
     if (!resolution.isObject()) {
         check.fail(where, "must be an object");
@@ -208,10 +206,6 @@ checkResolution(Checker &check, const JsonValue &resolution,
         check.number(resolution, where, "triggers_resolved", resolved);
     ok &= check.number(resolution, where, "incremental_skips", skips);
     ok &= check.number(resolution, where, "full_resolves", fulls);
-    if (bitplanes) {
-        double planeOps = 0;
-        check.number(resolution, where, "bitplane_ops", planeOps);
-    }
     if (ok && skips + fulls != resolved) {
         check.fail(where, "incremental_skips + full_resolves (" +
                               std::to_string(skips + fulls) +
@@ -284,7 +278,7 @@ checkRun(Checker &check, const JsonValue &run, const std::string &where)
     }
 
     if (const JsonValue *resolution = run.find("resolution"))
-        checkResolution(check, *resolution, where + ".resolution", false);
+        checkResolution(check, *resolution, where + ".resolution");
 }
 
 // The optional root "cache" block (SimCache::statsJson). Lookups are
@@ -318,15 +312,9 @@ checkCacheStats(Checker &check, const JsonValue &cache)
         check.fail(where, "verified_hits exceeds hits");
 }
 
-// The optional root "sweep" block: the batched lockstep accounting
-// ("batch", batchStatsJson) and/or the trigger-resolution aggregate
-// ("resolution"). The batch identities are the runner's lane
-// classification: every lane is a hit or a miss (no cache = all
-// misses), every miss simulates (verify-mode hits re-simulate too, so
-// simulated can exceed misses but never lanes), only hit lanes verify,
-// and only simulated lanes can be cancelled. A batch block with
-// "auto_disabled" true records a request that fell back to scalar
-// (`--jobs 1`): its width/group counters are legitimately zero.
+// The optional root "sweep" block: the trigger-resolution aggregate
+// over every matrix cell ("resolution"), held to the same identity as
+// each run's entry. An empty sweep block says nothing and is rejected.
 void
 checkSweepStats(Checker &check, const JsonValue &sweep)
 {
@@ -335,70 +323,9 @@ checkSweepStats(Checker &check, const JsonValue &sweep)
         check.fail(where, "must be an object");
         return;
     }
-    const JsonValue *batch = sweep.find("batch");
-    const JsonValue *resolution = sweep.find("resolution");
-    if (batch == nullptr && resolution == nullptr) {
-        check.fail(where, "missing both \"batch\" and \"resolution\" "
-                          "(an empty sweep block says nothing)");
-        return;
-    }
-    if (resolution != nullptr)
-        checkResolution(check, *resolution, where + ".resolution", true);
-    if (batch == nullptr)
-        return;
-    const std::string bwhere = where + ".batch";
-    if (!batch->isObject()) {
-        check.fail(bwhere, "must be an object");
-        return;
-    }
-    bool autoDisabled = false;
-    if (const JsonValue *flag = batch->find("auto_disabled")) {
-        if (flag->kind() != JsonValue::Kind::Bool)
-            check.fail(bwhere, "\"auto_disabled\" must be a boolean");
-        else
-            autoDisabled = flag->boolean();
-    }
-    double width = 0, groups = 0, lanes = 0, hits = 0, misses = 0;
-    double simulated = 0, verified = 0, cancelled = 0;
-    bool ok = check.number(*batch, bwhere, "width", width);
-    ok &= check.number(*batch, bwhere, "groups", groups);
-    ok &= check.number(*batch, bwhere, "lanes", lanes);
-    ok &= check.number(*batch, bwhere, "hits", hits);
-    ok &= check.number(*batch, bwhere, "misses", misses);
-    ok &= check.number(*batch, bwhere, "simulated", simulated);
-    ok &= check.number(*batch, bwhere, "verified", verified);
-    ok &= check.number(*batch, bwhere, "cancelled", cancelled);
-    if (!ok)
-        return;
-    if (autoDisabled) {
-        // Scalar fallback: nothing batched, so every counter is zero.
-        if (width != 0 || groups != 0 || lanes != 0)
-            check.fail(bwhere, "auto_disabled batch must report zero "
-                               "width/groups/lanes");
-        return;
-    }
-    if (width < 1)
-        check.fail(bwhere, "width must be at least 1");
-    if (groups < 1)
-        check.fail(bwhere, "groups must be at least 1");
-    if (lanes < groups)
-        check.fail(bwhere, "lanes below groups (every group has at "
-                           "least one lane)");
-    if (hits + misses != lanes) {
-        check.fail(bwhere, "hits + misses (" +
-                               std::to_string(hits + misses) +
-                               ") != lanes (" + std::to_string(lanes) +
-                               ")");
-    }
-    if (simulated < misses)
-        check.fail(bwhere, "simulated below misses (every miss lane "
-                           "simulates)");
-    if (simulated > lanes)
-        check.fail(bwhere, "simulated exceeds lanes");
-    if (verified > hits)
-        check.fail(bwhere, "verified exceeds hits");
-    if (cancelled > simulated)
-        check.fail(bwhere, "cancelled exceeds simulated");
+    if (const JsonValue *resolution =
+            check.require(sweep, where, "resolution"))
+        checkResolution(check, *resolution, where + ".resolution");
 }
 
 // The optional root "server" block (Server::serverStatsJson). The

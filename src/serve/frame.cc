@@ -6,6 +6,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace tia {
@@ -189,25 +190,37 @@ writeFrame(int fd, std::string_view payload, std::string *error)
         static_cast<unsigned char>((size >> 24) & 0xff),
     };
 
-    const auto sendAll = [&](const char *data, std::size_t bytes) {
-        std::size_t sent = 0;
-        while (sent < bytes) {
-            const ssize_t n =
-                ::send(fd, data + sent, bytes - sent, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return false;
-            }
-            sent += static_cast<std::size_t>(n);
+    // Header and payload leave in one gathered write. Two send() calls
+    // would let Nagle hold the payload until the peer ACKs the 4-byte
+    // prefix, and a delayed ACK then stalls every TCP frame ~40 ms.
+    struct iovec iov[2];
+    iov[0].iov_base = header;
+    iov[0].iov_len = sizeof(header);
+    iov[1].iov_base = const_cast<char *>(payload.data());
+    iov[1].iov_len = payload.size();
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    while (msg.msg_iovlen > 0) {
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return fail(std::strerror(errno));
         }
-        return true;
-    };
-
-    if (!sendAll(reinterpret_cast<const char *>(header), sizeof(header)))
-        return fail(std::strerror(errno));
-    if (!sendAll(payload.data(), payload.size()))
-        return fail(std::strerror(errno));
+        // Partial write: drop the fully sent entries, trim the next.
+        std::size_t sent = static_cast<std::size_t>(n);
+        while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+            sent -= msg.msg_iov->iov_len;
+            ++msg.msg_iov;
+            --msg.msg_iovlen;
+        }
+        if (msg.msg_iovlen > 0) {
+            msg.msg_iov->iov_base =
+                static_cast<char *>(msg.msg_iov->iov_base) + sent;
+            msg.msg_iov->iov_len -= sent;
+        }
+    }
     return true;
 }
 

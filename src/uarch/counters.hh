@@ -104,14 +104,12 @@ struct PerfCounters
 };
 
 /**
- * Host-side trigger-resolution accounting (docs/batched_sim.md): how
+ * Host-side trigger-resolution accounting (uarch/pipelined_pe.hh): how
  * many scheduler verdicts were computed in full (queue status words +
- * descriptor scan) versus replayed from the dirty-queue incremental
- * cache. Not an attribution bucket — architectural results are
- * bit-identical whichever way a verdict was obtained — so this lives
- * outside PerfCounters and its cycles identity. A verdict resolved by
- * the batched SoA bitplane kernel counts as a full resolve on the lane
- * that consumed it, keeping scalar and batched counts identical.
+ * descriptor scan) versus replayed from the memoized wait verdict. Not
+ * an attribution bucket — architectural results are bit-identical
+ * whichever way a verdict was obtained — so this lives outside
+ * PerfCounters and its cycles identity.
  */
 struct ResolutionStats
 {

@@ -57,41 +57,36 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         if (injector_)
             pipelined->setFaultInjector(injector_, pe);
 
-        // The resolution cache rides on these wake subscriptions; arm
-        // it only when every scheduler-status change is guaranteed to
+        // The verdict memo rides on these wake subscriptions; arm it
+        // only when every scheduler-status change is guaranteed to
         // produce a queue event (fault stuck-status windows are not).
         pipelined->setResolutionCacheEnabled(injector_ == nullptr);
 
         // Wake/invalidate subscriptions: the channels whose status can
-        // turn one of this PE's triggers eligible, with the PE-side
-        // port bits so a dirty channel invalidates exactly those bits
-        // of the PE's memoized status. A channel no trigger references
-        // never changes the scheduler's verdict.
-        auto subscribe = [&](int ch, std::uint32_t in_bit,
-                             std::uint32_t out_bit) {
+        // turn one of this PE's triggers eligible. A channel no trigger
+        // references never changes the scheduler's verdict.
+        auto subscribe = [&](int ch) {
             auto &watchers = channelPes_[ch];
             // PEs are processed one at a time, so this PE's entry — if
             // any — is the last one pushed.
-            if (watchers.empty() || watchers.back().pe != pe) {
-                watchers.push_back({pe, 0, 0});
+            if (watchers.empty() || watchers.back() != pe) {
+                watchers.push_back(pe);
                 peChannels_[pe].push_back(static_cast<unsigned>(ch));
             }
-            watchers.back().inPorts |= in_bit;
-            watchers.back().outPorts |= out_bit;
         };
         const std::uint32_t in_mask = pipelined->watchedInputs();
         for (unsigned port = 0; port < config_.params.numInputQueues;
              ++port) {
             const int ch = config_.inputChannel[pe][port];
             if (ch != kUnbound && (in_mask & (std::uint32_t{1} << port)))
-                subscribe(ch, std::uint32_t{1} << port, 0);
+                subscribe(ch);
         }
         const std::uint32_t out_mask = pipelined->watchedOutputs();
         for (unsigned port = 0; port < config_.params.numOutputQueues;
              ++port) {
             const int ch = config_.outputChannel[pe][port];
             if (ch != kUnbound && (out_mask & (std::uint32_t{1} << port)))
-                subscribe(ch, 0, std::uint32_t{1} << port);
+                subscribe(ch);
         }
 
         pes_.push_back(std::move(pipelined));
@@ -102,7 +97,6 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         activePes_.push_back(pe);
     asleep_.assign(config_.numPes, false);
     sleepSince_.assign(config_.numPes, 0);
-    retiredAtWork_.assign(config_.numPes, 0);
 
     for (const auto &spec : config_.readPorts) {
         readPorts_.push_back(std::make_unique<MemoryReadPort>(
@@ -192,38 +186,25 @@ CycleFabric::setIdleSleepEnabled(bool enabled)
     }
 }
 
-[[gnu::always_inline]] inline void
-CycleFabric::beginCycleEventsImpl()
+void
+CycleFabric::step()
 {
     if (injector_)
         injector_->beginCycle(now_);
 
     // Channels touched last cycle take a fresh occupancy snapshot, and
     // their activity — architecturally visible from this cycle on —
-    // wakes any parked watcher and marks the bound ports stale in the
-    // watcher's resolution cache. Untouched channels already satisfy
-    // snapshotSize() == size() and popsThisCycle() == 0.
+    // wakes any parked watcher and drops the watcher's memoized trigger
+    // verdict. Untouched channels already satisfy snapshotSize() ==
+    // size() and popsThisCycle() == 0.
     for (unsigned ch : events_.dirtyChannels()) {
         channels_[ch]->beginCycle();
-        for (const ChannelWatcher &watcher : channelPes_[ch]) {
-            pes_[watcher.pe]->noteQueuesDirty(watcher.inPorts,
-                                              watcher.outPorts);
-            wakePe(watcher.pe);
+        for (const unsigned pe : channelPes_[ch]) {
+            pes_[pe]->noteQueuesDirty();
+            wakePe(pe);
         }
     }
     events_.clearDirty();
-}
-
-void
-CycleFabric::beginCycleEvents()
-{
-    beginCycleEventsImpl();
-}
-
-void
-CycleFabric::step()
-{
-    beginCycleEventsImpl();
 
     // Step the active PEs; retire halted ones and park provably idle
     // ones (swap-remove — order within a cycle is unobservable because
@@ -258,52 +239,6 @@ CycleFabric::step()
         ++i;
     }
 
-    endCycleEventsImpl();
-}
-
-void
-CycleFabric::stepPeWork()
-{
-    for (const unsigned index : activePes_) {
-        retiredAtWork_[index] = pes_[index]->counters().retired;
-        pes_[index]->stepWork();
-    }
-}
-
-void
-CycleFabric::stepPeIssue()
-{
-    // Same bookkeeping as the fused loop in step(), with the retired
-    // delta spanning both halves (a writeback can retire in either).
-    activeBusyPes_ = 0;
-    for (std::size_t i = 0; i < activePes_.size();) {
-        const unsigned index = activePes_[i];
-        PipelinedPe &pe = *pes_[index];
-        pe.stepIssue();
-        totalRetired_ += pe.counters().retired - retiredAtWork_[index];
-        ++stepsExecuted_;
-        sleepSince_[index] = now_;
-        if (pe.halted()) {
-            ++haltedPes_;
-            activePes_[i] = activePes_.back();
-            activePes_.pop_back();
-            continue;
-        }
-        if (sleepEnabled_ && pe.canSleep()) {
-            parkCandidates_.push_back(index);
-            activePes_[i] = activePes_.back();
-            activePes_.pop_back();
-            continue;
-        }
-        if (pe.busy())
-            ++activeBusyPes_;
-        ++i;
-    }
-}
-
-[[gnu::always_inline]] inline void
-CycleFabric::endCycleEventsImpl()
-{
     for (auto &port : readPorts_)
         port->step(now_);
     for (auto &port : writePorts_)
@@ -345,12 +280,6 @@ CycleFabric::endCycleEventsImpl()
     ++now_;
 }
 
-void
-CycleFabric::endCycleEvents()
-{
-    endCycleEventsImpl();
-}
-
 bool
 CycleFabric::anyActivity() const
 {
@@ -369,76 +298,57 @@ CycleFabric::anyActivity() const
     return false;
 }
 
-CycleFabric::RunCursor::RunCursor(CycleFabric &fabric,
-                                  const FabricRunOptions &options)
-    : fabric_(fabric), options_(options),
-      lastRetired_(fabric.totalRetired_),
-      lastEvents_(fabric.events_.progressEvents()),
-      lastActivity_(fabric.now_), lastProgress_(fabric.now_),
-      // First poll happens immediately: a job cancelled while queued
-      // returns before simulating a single cycle.
-      nextStopCheck_(fabric.now_)
-{
-}
-
-std::optional<RunStatus>
-CycleFabric::RunCursor::beginAdvance()
-{
-    CycleFabric &f = fabric_;
-    if (f.now_ >= options_.maxCycles) {
-        f.flushSleepDebt();
-        f.report_ = classifyStepLimit(f.now_ - lastProgress_,
-                                      options_.quiescenceWindow);
-        return f.report_.classification;
-    }
-    if (options_.stop.possible() && f.now_ >= nextStopCheck_) {
-        if (const char *why = options_.stop.why()) {
-            f.flushSleepDebt();
-            f.report_ = HangReport{};
-            f.report_.classification = RunStatus::Cancelled;
-            f.report_.summary = std::string("cancelled (") + why +
-                                ") after " + std::to_string(f.now_) +
-                                " cycle(s)";
-            return RunStatus::Cancelled;
-        }
-        nextStopCheck_ = f.now_ + options_.stopCheckInterval;
-    }
-    if (f.haltedPes_ == f.pes_.size()) {
-        f.report_ = HangReport{};
-        f.report_.classification = RunStatus::Halted;
-        f.report_.summary = "halted: every PE retired a halt";
-        f.flushSleepDebt();
-        return RunStatus::Halted;
-    }
-    return std::nullopt;
-}
-
-std::optional<RunStatus>
-CycleFabric::RunCursor::finishAdvance()
-{
-    CycleFabric &f = fabric_;
-    if (f.events_.progressEvents() != lastEvents_) {
-        lastEvents_ = f.events_.progressEvents();
-        lastProgress_ = f.now_;
-    }
-    if (f.totalRetired_ != lastRetired_ || f.anyActivity()) {
-        lastRetired_ = f.totalRetired_;
-        lastActivity_ = f.now_;
-    } else if (f.now_ - lastActivity_ >= options_.quiescenceWindow) {
-        f.flushSleepDebt();
-        f.report_ = f.diagnoseQuiescence();
-        return f.report_.classification;
-    }
-    return std::nullopt;
-}
-
 RunStatus
 CycleFabric::run(const FabricRunOptions &options)
 {
-    RunCursor cursor(*this, options);
+    std::uint64_t last_retired = totalRetired_;
+    std::uint64_t last_events = events_.progressEvents();
+    Cycle last_activity = now_;
+    Cycle last_progress = now_;
+    // First poll happens immediately: a job cancelled while queued
+    // returns before simulating a single cycle.
+    Cycle next_stop_check = now_;
     for (;;) {
-        if (const auto status = cursor.advance())
-            return *status;
+        if (now_ >= options.maxCycles) {
+            flushSleepDebt();
+            report_ = classifyStepLimit(now_ - last_progress,
+                                        options.quiescenceWindow);
+            return report_.classification;
+        }
+        if (options.stop.possible() && now_ >= next_stop_check) {
+            if (const char *why = options.stop.why()) {
+                flushSleepDebt();
+                report_ = HangReport{};
+                report_.classification = RunStatus::Cancelled;
+                report_.summary = std::string("cancelled (") + why +
+                                  ") after " + std::to_string(now_) +
+                                  " cycle(s)";
+                return RunStatus::Cancelled;
+            }
+            next_stop_check = now_ + options.stopCheckInterval;
+        }
+        if (haltedPes_ == pes_.size()) {
+            report_ = HangReport{};
+            report_.classification = RunStatus::Halted;
+            report_.summary = "halted: every PE retired a halt";
+            flushSleepDebt();
+            return RunStatus::Halted;
+        }
+
+        step();
+
+        if (events_.progressEvents() != last_events) {
+            last_events = events_.progressEvents();
+            last_progress = now_;
+        }
+        if (totalRetired_ != last_retired || anyActivity()) {
+            last_retired = totalRetired_;
+            last_activity = now_;
+        } else if (now_ - last_activity >= options.quiescenceWindow) {
+            flushSleepDebt();
+            report_ = diagnoseQuiescence();
+            return report_.classification;
+        }
     }
 }
 

@@ -88,38 +88,6 @@ PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
         usedInputs_ |= desc.inputNeed;
         usedOutputs_ |= desc.outputNeed;
     }
-
-    // Resolution-cache dependence maps: which descriptors must be
-    // re-evaluated when a given queue's status bit changes. Every tag
-    // check's queue is already folded into inputNeed by the compiler
-    // (scheduler.hh), so inputNeed/outputNeed are the full queue
-    // dependence sets. The memo masks are single words; stores beyond
-    // 64 slots simply never arm the cache (setResolutionCacheEnabled).
-    inQueueDescs_.assign(params_.numInputQueues, 0);
-    outQueueDescs_.assign(params_.numOutputQueues, 0);
-    if (triggerDescs_.size() <= 64) {
-        for (std::size_t i = 0; i < triggerDescs_.size(); ++i) {
-            const TriggerDesc &desc = triggerDescs_[i];
-            if (!desc.valid)
-                continue;
-            const std::uint64_t bit = std::uint64_t{1} << i;
-            for (std::uint32_t rest = desc.inputNeed; rest != 0;
-                 rest &= rest - 1) {
-                inQueueDescs_[std::countr_zero(rest)] |= bit;
-            }
-            for (std::uint32_t rest = desc.outputNeed; rest != 0;
-                 rest &= rest - 1) {
-                outQueueDescs_[std::countr_zero(rest)] |= bit;
-            }
-            // Seed against the zeroed memo: descriptors with no queue
-            // dependences are constantly queue-eligible and are never
-            // revisited by refreshResolutionInputs.
-            if (queueConditionsHold(desc, statusWords_))
-                queueOkMask_ |= bit;
-        }
-    }
-    dirtyInputs_ = usedInputs_;
-    dirtyOutputs_ = usedOutputs_;
 }
 
 void
@@ -335,7 +303,6 @@ PipelinedPe::flushSpeculative()
                     "enqueue accounting underflow on flush");
             --pendingEnq_[inst.dst.index];
             // The flushed enqueue frees scheduler-visible space.
-            dirtyOutputs_ |= std::uint32_t{1} << inst.dst.index;
             resolutionValid_ = false;
         }
         ++counters_.quashed;
@@ -456,54 +423,6 @@ PipelinedPe::doWriteback(InFlight &entry)
     }
 }
 
-void
-PipelinedPe::refreshResolutionInputs()
-{
-    // Re-derive status bits only for queues marked dirty since the
-    // last refresh, then re-evaluate only the descriptors depending on
-    // a queue whose bits were re-derived. Queues outside the watched
-    // sets have no descriptor depending on them.
-    const std::uint32_t in = dirtyInputs_ & usedInputs_;
-    const std::uint32_t out = dirtyOutputs_ & usedOutputs_;
-    if ((in | out) == 0)
-        return;
-    dirtyInputs_ = 0;
-    dirtyOutputs_ = 0;
-
-    std::uint64_t affected = 0;
-    for (std::uint32_t rest = in; rest != 0; rest &= rest - 1) {
-        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
-        const std::uint32_t bit = std::uint32_t{1} << q;
-        if (schedInputOccupancy(q) == 0) {
-            statusWords_.inputReady &= ~bit;
-        } else {
-            const auto tag = schedInputHeadTag(q);
-            panicIf(!tag.has_value(),
-                    "effectively non-empty queue without a peekable head");
-            statusWords_.inputReady |= bit;
-            statusWords_.headTag[q] = *tag;
-        }
-        affected |= inQueueDescs_[q];
-    }
-    for (std::uint32_t rest = out; rest != 0; rest &= rest - 1) {
-        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
-        const std::uint32_t bit = std::uint32_t{1} << q;
-        if (schedOutputHasSpace(q))
-            statusWords_.outputSpace |= bit;
-        else
-            statusWords_.outputSpace &= ~bit;
-        affected |= outQueueDescs_[q];
-    }
-    for (std::uint64_t rest = affected; rest != 0; rest &= rest - 1) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(rest));
-        const std::uint64_t bit = std::uint64_t{1} << i;
-        if (queueConditionsHold(triggerDescs_[i], statusWords_))
-            queueOkMask_ |= bit;
-        else
-            queueOkMask_ &= ~bit;
-    }
-}
-
 [[gnu::always_inline]] inline ScheduleResult
 PipelinedPe::resolveTriggers()
 {
@@ -512,41 +431,21 @@ PipelinedPe::resolveTriggers()
         return scheduleReference();
     }
     if (resolutionValid_) {
-        // A kernel-seeded verdict's first consumption accounts as the
-        // full resolve the scalar path would have performed here; a
-        // seeded *fire* verdict is consumed exactly once (mirroring
-        // the no-fire caching policy below).
-        if (resolutionSeededFull_) [[unlikely]] {
-            resolutionSeededFull_ = false;
-            ++resolution_.fullResolves;
-            if (cachedResolution_.outcome == ScheduleOutcome::Fire)
-                resolutionValid_ = false;
-        } else {
-            ++resolution_.incrementalSkips;
-        }
+        ++resolution_.incrementalSkips;
         return cachedResolution_;
     }
     ++resolution_.fullResolves;
-    // Full resolve through stack-local status words, exactly the
-    // pre-cache path: for the handful of queues a PE watches this
-    // recompute beats the per-queue memo walk (the memo's value is
-    // the lane-parallel gather in BatchedFabric, not scalar reuse),
-    // and the result is bit-equal to both by the fast-path pinning
-    // tests. Only wait verdicts (no trigger / blocked on a pending
-    // predicate) are memoized: a fire changes its own resolution
-    // inputs at issue more often than not, so caching it buys a skip
-    // only in the rare self-invariant-fire loop while costing a dead
-    // store on every ordinary fire. With fire verdicts never cached,
-    // every fire comes from a full resolve, and the remaining
-    // invalidation sources are queue events, predicate commits,
-    // speculation repair, and external mutation.
+    // Only wait verdicts (no trigger / blocked on a pending predicate)
+    // are memoized: a fire changes its own resolution inputs at issue
+    // more often than not, so caching it would buy a skip only in the
+    // rare self-invariant-fire loop while costing a dead store on
+    // every ordinary fire.
     const ScheduleResult result = schedule(
         triggerDescs_, preds_, pendingPredMask_, computeStatusWords());
     if (resolutionCacheEnabled_ &&
         result.outcome != ScheduleOutcome::Fire) {
         cachedResolution_ = result;
         resolutionValid_ = true;
-        resolutionSeededFull_ = false;
     }
     return result;
 }
@@ -650,31 +549,12 @@ PipelinedPe::issue()
         }
     }
 
-    std::uint32_t dirty_in = 0;
-    for (auto q : inst.dequeues) {
+    for (auto q : inst.dequeues)
         ++pendingDeq_[q];
-        dirty_in |= std::uint32_t{1} << q;
-    }
-    std::uint32_t dirty_out = 0;
-    if (inst.enqueues()) {
+    if (inst.enqueues())
         ++pendingEnq_[inst.dst.index];
-        dirty_out = std::uint32_t{1} << inst.dst.index;
-    }
     if (opInfo(inst.op).isHalt)
         haltIssued_ = true;
-
-    // No cached verdict can survive a fire: fires only come from full
-    // resolves (fire verdicts are never cached, and a cached wait
-    // verdict cannot fire), so resolutionValid_ is already false here.
-    // The pending dequeue/enqueue accounting above did change this
-    // PE's scheduler view of those ports, though — mark them stale for
-    // the batched kernel's memo gather, which is the only consumer of
-    // the per-queue dirty masks. The pop and push performed later in
-    // decode/writeback preserve this cycle's view by the
-    // pending-accounting symmetry (the channel event re-dirties the
-    // port for the next cycle).
-    dirtyInputs_ |= dirty_in;
-    dirtyOutputs_ |= dirty_out;
 
     // Segment-0 work happens in the issue cycle.
     if (segD() == 0) {
@@ -686,13 +566,11 @@ PipelinedPe::issue()
         doWriteback(*slots_[0]);
 }
 
-// The two step halves live in always-inline impls so the fused
-// scalar step() compiles to the same single-body loop it was before
-// the split, while the exported stepWork()/stepIssue() pair keeps the
-// staged entry points the batched SoA kernel needs.
-[[gnu::always_inline]] inline void
-PipelinedPe::stepWorkImpl()
+void
+PipelinedPe::step()
 {
+    if (halted_)
+        return;
     ++counters_.cycles;
     idleCycle_ = false;
 
@@ -714,17 +592,7 @@ PipelinedPe::stepWorkImpl()
         if (!slot.didD && !dataHazardFor(*slot.inst, slot.id))
             doDecode(slot);
     }
-}
 
-void
-PipelinedPe::stepWork()
-{
-    stepWorkImpl();
-}
-
-[[gnu::always_inline]] inline void
-PipelinedPe::stepIssueImpl()
-{
     // (b) Trigger phase: issue (or attribute the lost cycle).
     issue();
 
@@ -743,7 +611,6 @@ PipelinedPe::stepIssueImpl()
     // (c) Advance. Retire writeback-complete instructions, then move
     // everything whose segment work is done and whose next slot is
     // free — walking only the occupied slots, oldest first.
-    const unsigned last = lastSeg();
     const std::uint8_t last_bit = static_cast<std::uint8_t>(1u << last);
     if ((occupied_ & last_bit) != 0 && slots_[last]->didD) {
         slots_[last].reset();
@@ -780,21 +647,6 @@ PipelinedPe::stepIssueImpl()
         resolutionValid_ = false;
     }
     squashIssueThisCycle_ = false;
-}
-
-void
-PipelinedPe::stepIssue()
-{
-    stepIssueImpl();
-}
-
-void
-PipelinedPe::step()
-{
-    if (halted_)
-        return;
-    stepWorkImpl();
-    stepIssueImpl();
 }
 
 } // namespace tia

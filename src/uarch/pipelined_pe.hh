@@ -130,23 +130,8 @@ class PipelinedPe
     /** Diagnose what (if anything) this PE is blocked on. */
     PeWaitInfo queueWaits() const;
 
-    /**
-     * Advance one clock cycle. No-op once halted. Defined out of line
-     * so the fused scalar path compiles both halves into one body —
-     * the un-fused header version measurably slowed the hot loop.
-     */
+    /** Advance one clock cycle. No-op once halted. */
     void step();
-
-    /**
-     * The two halves of step(), exposed so BatchedFabric can run its
-     * SoA trigger-resolution kernel between every lane's work pass and
-     * issue phase (docs/batched_sim.md). Callers must pair them, in
-     * order, and must not call either on a halted PE; a halt retiring
-     * inside stepWork() still requires the matching stepIssue() —
-     * exactly what the fused step() does.
-     */
-    void stepWork();
-    void stepIssue();
 
     /**
      * True when stepping this PE again with unchanged queue status
@@ -183,91 +168,47 @@ class PipelinedPe
     /** Output queues referenced by any trigger (bit per port). */
     std::uint32_t watchedOutputs() const { return usedOutputs_; }
 
-    // ----- Incremental trigger-resolution cache ------------------------
+    // ----- Trigger-verdict memo ---------------------------------------
     //
-    // With the cache armed (CycleFabric arms it when no fault injector
-    // is installed — stuck-status fault windows open without queue
-    // events), the PE memoizes its per-queue scheduler status words and
-    // the last trigger verdict, and only re-resolves when a watched
-    // queue or a predicate input changed. Every invalidation source is
-    // a queue event (fabric-notified via noteQueuesDirty) or a PE-local
-    // state change (issue/writeback/commit sites). Dirty-tracking
-    // invariants are documented in docs/batched_sim.md.
+    // With the memo armed, a trigger resolution that found nothing to
+    // fire (no trigger, or blocked on a pending predicate) is replayed
+    // on later cycles instead of recomputed until one of its inputs
+    // changes. Fire verdicts are never memoized: a fire changes its own
+    // resolution inputs at issue more often than not. The verdict is
+    // dropped by every event that can change a resolution input:
+    //
+    //  - a push or pop on a channel bound to a watched port, reported
+    //    by the owning fabric at the start of the next cycle
+    //    (noteQueuesDirty);
+    //  - a datapath predicate write committing at the clock edge (the
+    //    predicate value and the pending-write mask both change);
+    //  - misprediction repair, which restores the predicate state and
+    //    flushes speculative enqueues (freeing scheduler-visible
+    //    output space);
+    //  - external mutation through setPreds().
+    //
+    // Issue, decode and writeback need no invalidation of their own: a
+    // fire always comes from a full resolve, and the pending-dequeue /
+    // pending-enqueue accounting keeps the scheduler's view of a queue
+    // unchanged across the pop or push that later performs it (the
+    // channel event then invalidates for the next cycle).
 
     /**
-     * Arm or disarm the resolution cache. Disarmed (the default —
-     * standalone PEs have no fabric feeding them queue-dirty events)
-     * every resolution recomputes status words in full, exactly the
-     * pre-cache behaviour. Arming is refused for instruction stores
-     * beyond 64 slots (the memo masks are one word).
+     * Arm or disarm the verdict memo. Disarmed (the default —
+     * standalone PEs have no fabric reporting queue events) every
+     * resolution is computed in full. CycleFabric arms it whenever no
+     * fault injector is installed: stuck-status fault windows open and
+     * close without queue events.
      */
     void
     setResolutionCacheEnabled(bool enabled)
     {
-        resolutionCacheEnabled_ = enabled && triggerDescs_.size() <= 64;
-        resolutionValid_ = false;
-        dirtyInputs_ = usedInputs_;
-        dirtyOutputs_ = usedOutputs_;
-    }
-
-    /** True when the cache is armed (and the store fits the masks). */
-    bool resolutionCacheArmed() const { return resolutionCacheEnabled_; }
-
-    /**
-     * Fabric notification that watched queues changed: marks their
-     * status bits stale and drops the memoized verdict. @p inputs /
-     * @p outputs are this PE's port bits bound to the dirty channel.
-     */
-    void
-    noteQueuesDirty(std::uint32_t inputs, std::uint32_t outputs)
-    {
-        dirtyInputs_ |= inputs;
-        dirtyOutputs_ |= outputs;
+        resolutionCacheEnabled_ = enabled;
         resolutionValid_ = false;
     }
 
-    /** True while the memoized verdict is consumable as-is. */
-    bool resolutionValid() const { return resolutionValid_; }
-
-    /**
-     * Refresh the memoized status words / per-descriptor queue-
-     * condition mask from the dirty-queue masks (no-op when clean).
-     * The batched kernel calls this before gathering a lane's status
-     * bits; the scalar path runs it lazily inside resolution.
-     */
-    void refreshResolutionInputs();
-
-    /**
-     * Install a verdict computed by the batched SoA kernel from this
-     * PE's own (refreshed) status bits. Consumed exactly like a
-     * self-computed verdict; the first consumption counts as a full
-     * resolve so scalar and batched ResolutionStats stay identical.
-     */
-    void
-    seedResolution(ScheduleResult result)
-    {
-        cachedResolution_ = result;
-        resolutionValid_ = true;
-        resolutionSeededFull_ = true;
-    }
-
-    /** Memoized scheduler status (valid after refreshResolutionInputs). */
-    const QueueStatusWords &statusWords() const { return statusWords_; }
-
-    /** Bit i: descriptor i's queue conditions hold in statusWords(). */
-    std::uint64_t queueOkMask() const { return queueOkMask_; }
-
-    /** Compiled trigger descriptors (batched-kernel compilation). */
-    const std::vector<TriggerDesc> &triggerDescs() const
-    {
-        return triggerDescs_;
-    }
-
-    /** Predicates with in-flight unresolved datapath writes. */
-    std::uint64_t pendingPredMask() const { return pendingPredMask_; }
-
-    /** Whether trigger resolution goes through the reference scheduler. */
-    bool usesReferenceScheduler() const { return referenceScheduler_; }
+    /** Fabric notification that a watched queue changed. */
+    void noteQueuesDirty() { resolutionValid_ = false; }
 
     /** Host-side resolution accounting (counters.hh). */
     const ResolutionStats &resolutionStats() const { return resolution_; }
@@ -290,10 +231,6 @@ class PipelinedPe
 
   private:
     friend class CycleQueueView;
-
-    /** Always-inline bodies shared by step() and stepWork/stepIssue. */
-    void stepWorkImpl();
-    void stepIssueImpl();
 
     /** One instruction in flight. */
     struct InFlight
@@ -341,10 +278,9 @@ class PipelinedPe
     QueueStatusWords computeStatusWords() const;
 
     /**
-     * Trigger resolution with caching and accounting: replay the
-     * memoized verdict when still valid, otherwise resolve (through
-     * the memo when armed, the plain mask path or the reference
-     * scheduler when not) and memoize.
+     * Trigger resolution with accounting: replay the memoized verdict
+     * when still valid, otherwise resolve in full (mask fast path or
+     * reference scheduler) and memoize a wait verdict when armed.
      */
     ScheduleResult resolveTriggers();
 
@@ -467,24 +403,11 @@ class PipelinedPe
 
     PerfCounters counters_;
 
-    // Incremental trigger-resolution cache (see the public API block).
+    // Trigger-verdict memo (see the public API block).
     bool resolutionCacheEnabled_ = false;
     /** cachedResolution_ is a replayable verdict. */
     bool resolutionValid_ = false;
-    /** Verdict was installed by the batched kernel, not yet consumed. */
-    bool resolutionSeededFull_ = false;
     ScheduleResult cachedResolution_;
-    /** Watched queues whose memoized status bits are stale (bit/port). */
-    std::uint32_t dirtyInputs_ = 0;
-    std::uint32_t dirtyOutputs_ = 0;
-    /** Bit i: descriptor i's queue conditions hold in statusWords_. */
-    std::uint64_t queueOkMask_ = 0;
-    /** Memoized scheduler status, refreshed per dirty-queue masks. */
-    QueueStatusWords statusWords_{};
-    /** Input queue -> descriptors whose conditions read it (bit/slot). */
-    std::vector<std::uint64_t> inQueueDescs_;
-    /** Output queue -> descriptors whose conditions read it. */
-    std::vector<std::uint64_t> outQueueDescs_;
     ResolutionStats resolution_;
 
     // Observability (optional, non-owning). Last on purpose: keeps

@@ -1,9 +1,5 @@
 #include "workloads/runner.hh"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <memory>
 #include <optional>
 
 #include "cache/run_cache.hh"
@@ -12,7 +8,6 @@
 #include "exec/pipeline.hh"
 #include "exec/sweep.hh"
 #include "obs/metrics.hh"
-#include "uarch/batched_fabric.hh"
 #include "uarch/cycle_fabric.hh"
 
 namespace tia {
@@ -132,9 +127,9 @@ runCycle(const Workload &workload, const PeConfig &uarch,
 namespace {
 
 /**
- * Post-run extraction shared by the scalar and batched paths: collect
- * the hang diagnosis, counters, memory validation and (for injected
- * runs) the fault-outcome classification from a finished fabric.
+ * Post-run extraction: collect the hang diagnosis, counters, memory
+ * validation and (for injected runs) the fault-outcome classification
+ * from a finished fabric.
  * @p trap_message is the FatalError text when an injected run
  * escalated to an architectural trap (@p trapped).
  */
@@ -241,180 +236,6 @@ runCycleUncached(const Workload &workload, const PeConfig &uarch,
 
 } // namespace
 
-BatchRunResult
-runCycleBatch(const Workload &workload,
-              const std::vector<PeConfig> &uarchs,
-              const CycleRunOptions &options)
-{
-    fatalIf(options.trace != nullptr,
-            "runCycleBatch cannot trace: one sink cannot replay "
-            "interleaved lanes — keep traced runs scalar");
-
-    BatchRunResult result;
-    BatchStats &stats = result.stats;
-    stats.width = uarchs.size();
-    stats.groups = 1;
-    stats.lanes = uarchs.size();
-    result.runs.resize(uarchs.size());
-
-    // Per-lane cache probe, mirroring the scalar runCycle dispatch:
-    // hit lanes decode without simulating (verify mode re-simulates
-    // them in the batch and byte-compares afterwards), undecodable
-    // persisted payloads degrade to a recompute-and-overwrite miss.
-    // No single-flight leg: a matrix never issues the same key twice.
-    SimCache *cache = options.cache;
-    std::vector<Digest128> keys(uarchs.size());
-    std::vector<std::string> cached(uarchs.size());
-    std::vector<std::uint8_t> verify(uarchs.size(), 0);
-    std::vector<std::size_t> sim_lanes;
-    sim_lanes.reserve(uarchs.size());
-    for (std::size_t l = 0; l < uarchs.size(); ++l) {
-        if (cache == nullptr) {
-            ++stats.misses;
-            sim_lanes.push_back(l);
-            continue;
-        }
-        keys[l] = workloadRunKey(workload, uarchs[l], options);
-        std::optional<std::string> payload = cache->lookup(keys[l]);
-        if (!payload) {
-            ++stats.misses;
-            sim_lanes.push_back(l);
-            continue;
-        }
-        if (std::optional<WorkloadRun> run = decodeWorkloadRun(*payload)) {
-            ++stats.hits;
-            result.runs[l] = std::move(*run);
-            if (cache->verifyHits()) {
-                cached[l] = std::move(*payload);
-                verify[l] = 1;
-                sim_lanes.push_back(l);
-            }
-            continue;
-        }
-        cache->erase(keys[l]);
-        ++stats.misses;
-        sim_lanes.push_back(l);
-    }
-    if (sim_lanes.empty())
-        return result;
-    stats.simulated = sim_lanes.size();
-
-    std::vector<std::unique_ptr<FaultInjector>> injectors;
-    std::vector<FaultInjector *> injector_ptrs;
-    std::vector<PeConfig> lanes;
-    lanes.reserve(sim_lanes.size());
-    const bool inject =
-        options.faults != nullptr && !options.faults->empty();
-    for (const std::size_t l : sim_lanes) {
-        lanes.push_back(uarchs[l]);
-        if (inject) {
-            injectors.push_back(
-                std::make_unique<FaultInjector>(*options.faults));
-            injector_ptrs.push_back(injectors.back().get());
-        } else {
-            injector_ptrs.push_back(nullptr);
-        }
-    }
-
-    BatchedFabric batch(workload.config, workload.program, lanes,
-                        injector_ptrs);
-    for (unsigned b = 0; b < batch.numLanes(); ++b) {
-        workload.preload(batch.lane(b).memory());
-        if (options.referenceScheduler)
-            batch.lane(b).setUseReferenceScheduler(true);
-    }
-    const FabricRunOptions fabric_options{options.maxCycles,
-                                          options.quiescenceWindow,
-                                          options.stop,
-                                          options.stopCheckInterval};
-    const std::vector<BatchedLaneOutcome> outcomes =
-        batch.run(fabric_options);
-    stats.bitplaneOps = batch.bitplaneOps();
-
-    for (std::size_t b = 0; b < sim_lanes.size(); ++b) {
-        const std::size_t l = sim_lanes[b];
-        WorkloadRun fresh =
-            collectRun(batch.lane(static_cast<unsigned>(b)), workload,
-                       options, injector_ptrs[b], outcomes[b].status,
-                       outcomes[b].trapped, outcomes[b].trapMessage);
-        if (fresh.status == RunStatus::Cancelled) {
-            // A cancelled lane is never cached, and a cancelled
-            // verification returns the fresh cancelled run — exactly
-            // the scalar CancelledRun semantics.
-            ++stats.cancelled;
-            result.runs[l] = std::move(fresh);
-            continue;
-        }
-        if (cache == nullptr) {
-            result.runs[l] = std::move(fresh);
-            continue;
-        }
-        if (verify[l]) {
-            cache->verifyHit(keys[l], cached[l],
-                             encodeWorkloadRun(fresh));
-            ++stats.verified;
-            // result.runs[l] keeps the decoded hit; verifyHit just
-            // proved the bytes identical.
-            continue;
-        }
-        cache->put(keys[l], encodeWorkloadRun(fresh));
-        result.runs[l] = std::move(fresh);
-    }
-    return result;
-}
-
-std::size_t
-maxReasonableBatchWidth()
-{
-    // Lanes are whole fabrics: beyond a few hundred the working set
-    // stops fitting anywhere useful and the SoA planes stop paying for
-    // themselves. 1024 lanes = 16 words per plane, far past any sweep
-    // this repo runs (the full config list is 32).
-    return 1024;
-}
-
-std::size_t
-parseBatchWidth(const std::string &text, const char *what)
-{
-    fatalIf(text.empty(), what, " wants a non-negative integer");
-    for (char c : text) {
-        fatalIf(!std::isdigit(static_cast<unsigned char>(c)), what,
-                " wants a non-negative integer, got \"", text, "\"");
-    }
-    const std::size_t limit = maxReasonableBatchWidth();
-    std::size_t width = 0;
-    try {
-        width = static_cast<std::size_t>(std::stoull(text));
-    } catch (const std::out_of_range &) {
-        width = limit + 1; // clamp below
-    }
-    if (width > limit) {
-        std::fprintf(stderr,
-                     "warning: %s %s exceeds the sane lockstep width; "
-                     "clamping to %zu\n",
-                     what, text.c_str(), limit);
-        return limit;
-    }
-    return width;
-}
-
-JsonValue
-batchStatsJson(const BatchStats &stats)
-{
-    JsonValue batch = JsonValue::object();
-    batch["width"] = static_cast<std::uint64_t>(stats.width);
-    batch["groups"] = static_cast<std::uint64_t>(stats.groups);
-    batch["lanes"] = static_cast<std::uint64_t>(stats.lanes);
-    batch["hits"] = static_cast<std::uint64_t>(stats.hits);
-    batch["misses"] = static_cast<std::uint64_t>(stats.misses);
-    batch["simulated"] = static_cast<std::uint64_t>(stats.simulated);
-    batch["verified"] = static_cast<std::uint64_t>(stats.verified);
-    batch["cancelled"] = static_cast<std::uint64_t>(stats.cancelled);
-    batch["bitplane_ops"] = stats.bitplaneOps;
-    batch["auto_disabled"] = stats.autoDisabled;
-    return batch;
-}
-
 JsonValue
 workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
                    const std::string &workload)
@@ -463,6 +284,19 @@ workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
     return entry;
 }
 
+JsonValue
+sweepMetricsJson(const CycleMatrix &matrix)
+{
+    std::uint64_t skips = 0, fulls = 0;
+    for (const WorkloadRun &run : matrix.runs) {
+        skips += run.resolutionSkips;
+        fulls += run.resolutionFulls;
+    }
+    JsonValue sweep = JsonValue::object();
+    sweep["resolution"] = resolutionMetricsJson(skips, fulls);
+    return sweep;
+}
+
 namespace {
 
 /**
@@ -486,76 +320,6 @@ matrixCellTask(const std::vector<Workload> &workloads,
     };
 }
 
-/**
- * The batched lockstep variant of runCycleMatrixStreamed: the config
- * axis is cut into groups of options.batch lanes, each (group,
- * workload) pair becomes one runCycleBatch pipeline task, and the
- * serial sink re-emits cells in row-major order — a whole group of
- * config rows must land before its first row can sink, so finished
- * workload columns park in a per-group buffer until the group's last
- * column arrives. Everything downstream (sink order, matrix layout,
- * JSON) is bit-identical to the scalar path.
- */
-CycleMatrix
-runCycleMatrixBatched(const std::vector<Workload> &workloads,
-                      const std::vector<PeConfig> &configs,
-                      const CycleRunOptions &options, unsigned jobs,
-                      const CycleMatrixSink &sink)
-{
-    CycleMatrix matrix;
-    matrix.numConfigs = configs.size();
-    matrix.numWorkloads = workloads.size();
-    matrix.runs.reserve(configs.size() * workloads.size());
-
-    const std::size_t width = std::min(options.batch, configs.size());
-    const std::size_t num_workloads = workloads.size();
-    const std::size_t groups = (configs.size() + width - 1) / width;
-    matrix.batch.width = width;
-
-    std::vector<std::vector<WorkloadRun>> pending(num_workloads);
-
-    const SweepPipeline pipeline(jobs);
-    const PipelineResult result = pipeline.run(
-        groups * num_workloads,
-        [&](std::size_t i, const StopToken &cancel) {
-            const std::size_t g = i / num_workloads;
-            const std::size_t w = i % num_workloads;
-            const std::size_t lo = g * width;
-            const std::size_t hi =
-                std::min(lo + width, configs.size());
-            const std::vector<PeConfig> lanes(configs.begin() + lo,
-                                              configs.begin() + hi);
-            CycleRunOptions task = options;
-            task.stop = StopToken::anyOf(options.stop, cancel);
-            return runCycleBatch(workloads[w], lanes, task);
-        },
-        [&](std::size_t i, BatchRunResult &&batch) {
-            const std::size_t g = i / num_workloads;
-            const std::size_t w = i % num_workloads;
-            matrix.batch.groups += batch.stats.groups;
-            matrix.batch.lanes += batch.stats.lanes;
-            matrix.batch.hits += batch.stats.hits;
-            matrix.batch.misses += batch.stats.misses;
-            matrix.batch.simulated += batch.stats.simulated;
-            matrix.batch.verified += batch.stats.verified;
-            matrix.batch.cancelled += batch.stats.cancelled;
-            matrix.batch.bitplaneOps += batch.stats.bitplaneOps;
-            pending[w] = std::move(batch.runs);
-            if (w + 1 < num_workloads)
-                return;
-            for (std::size_t b = 0; b < pending[w].size(); ++b) {
-                for (std::size_t w2 = 0; w2 < num_workloads; ++w2) {
-                    matrix.runs.push_back(std::move(pending[w2][b]));
-                    if (sink)
-                        sink(g * width + b, w2, matrix.runs.back());
-                }
-            }
-        });
-    matrix.jobs = result.jobs;
-    matrix.wallMs = result.wallMs;
-    return matrix;
-}
-
 } // namespace
 
 CycleMatrix
@@ -564,15 +328,6 @@ runCycleMatrixStreamed(const std::vector<Workload> &workloads,
                        const CycleRunOptions &options, unsigned jobs,
                        const CycleMatrixSink &sink)
 {
-    // Batching engages only where it can matter (several configs to
-    // lockstep) and never under a trace sink (per-fabric side effect;
-    // also the cached-dispatch trace bypass must stay scalar).
-    if (options.batch > 1 && options.trace == nullptr &&
-        configs.size() > 1 && !workloads.empty()) {
-        return runCycleMatrixBatched(workloads, configs, options, jobs,
-                                     sink);
-    }
-
     CycleMatrix matrix;
     matrix.numConfigs = configs.size();
     matrix.numWorkloads = workloads.size();

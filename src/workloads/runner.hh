@@ -95,63 +95,7 @@ struct CycleRunOptions
     StopToken stop;
     /** Cycles between stop-token polls when @ref stop is attached. */
     Cycle stopCheckInterval = 4096;
-    /**
-     * Batched lockstep width for the matrix runners (0 or 1 = scalar).
-     * runCycleMatrixStreamed groups the config axis into batches of
-     * this many lanes and advances each batch in lockstep through one
-     * BatchedFabric per (group, workload) task (docs/batched_sim.md).
-     * Results, cache digests and emitted JSON stay bit-identical to
-     * scalar; like the stop fields, not part of the cache key.
-     * Ignored when @ref trace is set — tracing is per-fabric.
-     */
-    std::size_t batch = 0;
 };
-
-/**
- * Host-side accounting for the batched lockstep path (the
- * tia-metrics/v1 "sweep"."batch" block; see batchStatsJson). Lane
- * classification is the batch runner's own: hits + misses == lanes
- * always (without a cache every lane counts as a miss), misses <=
- * simulated (verify-mode hit lanes re-simulate too), verified <= hits,
- * cancelled <= simulated.
- */
-struct BatchStats
-{
-    std::size_t width = 0;     ///< Configured lockstep width (0 = scalar).
-    std::size_t groups = 0;    ///< BatchedFabric executions.
-    std::size_t lanes = 0;     ///< Total lanes across all groups.
-    std::size_t hits = 0;      ///< Lanes satisfied from the SimCache.
-    std::size_t misses = 0;    ///< Lanes that had to simulate.
-    std::size_t simulated = 0; ///< Lanes actually run in a fabric.
-    std::size_t verified = 0;  ///< Hit lanes verified byte-for-byte.
-    std::size_t cancelled = 0; ///< Simulated lanes cut short (uncached).
-    /** 64-bit plane ops performed by the SoA resolution kernel. */
-    std::uint64_t bitplaneOps = 0;
-    /**
-     * True when batching was requested but auto-disabled because the
-     * sweep runs on one worker thread (`--jobs 1`): lockstep lanes
-     * only pay off when groups overlap across workers.
-     */
-    bool autoDisabled = false;
-};
-
-/** The tia-metrics/v1 "sweep"."batch" object for @p stats. */
-JsonValue batchStatsJson(const BatchStats &stats);
-
-/** Hard ceiling parseBatchWidth clamps absurd widths to. */
-std::size_t maxReasonableBatchWidth();
-
-/**
- * Parse a `--batch` command-line value the way ThreadPool::parseJobs
- * parses `--jobs`: anything but a plain non-negative integer is a
- * fatal error (FatalError — tools exit 1), 0 and 1 mean scalar, and a
- * width beyond maxReasonableBatchWidth() (including values too large
- * for the integer type) clamps with a stderr warning instead of
- * silently allocating absurd lane counts. @p what names the flag in
- * diagnostics.
- */
-std::size_t parseBatchWidth(const std::string &text,
-                            const char *what = "--batch");
 
 /** Result of one workload execution. */
 struct WorkloadRun
@@ -184,9 +128,7 @@ struct WorkloadRun
      * memoized verdict (dirty-queue incremental re-resolution) vs.
      * recomputed in full. Skips + fulls covers every resolution the
      * run performed; a run under the reference scheduler recomputes
-     * everything (skips == 0). Kernel-seeded verdicts count as full
-     * resolves when consumed, so batched lanes match scalar runs
-     * bit-for-bit (tests/test_batched_fabric.cc).
+     * everything (skips == 0).
      */
     std::uint64_t resolutionSkips = 0;
     std::uint64_t resolutionFulls = 0;
@@ -210,30 +152,6 @@ WorkloadRun runCycle(const Workload &workload, const PeConfig &uarch,
 WorkloadRun runCycle(const Workload &workload, const PeConfig &uarch,
                      const CycleRunOptions &options);
 
-/** One batched lockstep execution: per-lane runs plus accounting. */
-struct BatchRunResult
-{
-    /** One run per uarch, in the order passed to runCycleBatch. */
-    std::vector<WorkloadRun> runs;
-    /** Accounting for this one group (groups == 1). */
-    BatchStats stats;
-};
-
-/**
- * Run @p workload against every uarch in @p uarchs in lockstep on a
- * BatchedFabric, each lane bit-identical to runCycle of that lane
- * alone (asserted by tests/test_batched_fabric.cc). Cache interaction
- * matches the scalar path per lane: hit lanes decode without
- * simulating (in verify-hits mode they re-simulate in the batch and
- * byte-compare), miss lanes simulate and are stored, cancelled lanes
- * return Cancelled and leave no cache entry, and undecodable persisted
- * payloads degrade to a recompute-and-overwrite miss. Tracing is
- * unsupported here (FatalError); callers keep traced runs scalar.
- */
-BatchRunResult runCycleBatch(const Workload &workload,
-                             const std::vector<PeConfig> &uarchs,
-                             const CycleRunOptions &options);
-
 /**
  * The uarch x workload batch product behind the Figure 5 CPI stacks,
  * run on a SweepEngine. Cell (c, w) is runCycle(workloads[w],
@@ -249,8 +167,6 @@ struct CycleMatrix
     std::size_t numWorkloads = 0;
     unsigned jobs = 1;   ///< Worker threads used.
     double wallMs = 0.0; ///< Wall-clock time of the whole matrix.
-    /** Batched-path accounting (width == 0 when the run was scalar). */
-    BatchStats batch;
 
     const WorkloadRun &
     run(std::size_t config, std::size_t workload) const
@@ -319,6 +235,12 @@ CycleMatrix runCycleMatrixFlat(const std::vector<Workload> &workloads,
  */
 JsonValue workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
                              const std::string &workload);
+
+/**
+ * The tia-metrics/v1 root "sweep" block for a finished matrix: the
+ * trigger-resolution accounting summed over every cell.
+ */
+JsonValue sweepMetricsJson(const CycleMatrix &matrix);
 
 } // namespace tia
 

@@ -313,25 +313,63 @@ TEST(Observability, ValidatorRejectsBrokenCounters)
     EXPECT_TRUE(integrity) << problems.front();
 }
 
-TEST(Observability, ValidatorAcceptsBatchSweepBlock)
+/** Validate a one-run document whose root "sweep" block is @p sweep. */
+std::vector<std::string>
+validateWithSweepBlock(JsonValue sweep)
 {
-    BatchStats stats;
-    stats.width = 8;
-    stats.groups = 4;
-    stats.lanes = 32;
-    stats.hits = 12;
-    stats.misses = 20;
-    stats.simulated = 26; // 20 misses + 6 verify-mode re-simulations
-    stats.verified = 6;
-    stats.cancelled = 2;
     MetricsRegistry registry("test");
     registry.addRun(JsonValue::parse(
         R"({"uarch": "TDX", "status": "halted", "cycles": 0,
             "pes": []})")
                         .value());
-    JsonValue sweep = JsonValue::object();
-    sweep["batch"] = batchStatsJson(stats);
     registry.root()["sweep"] = std::move(sweep);
+    const auto doc = JsonValue::parse(registry.dump());
+    EXPECT_TRUE(doc.has_value());
+    return doc ? validateMetricsDocument(*doc)
+               : std::vector<std::string>{"unparseable"};
+}
+
+bool
+anyProblemMentions(const std::vector<std::string> &problems,
+                   const std::string &needle)
+{
+    for (const std::string &problem : problems) {
+        if (problem.find(needle) != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+TEST(Observability, ValidatorAcceptsSweepResolutionBlock)
+{
+    // The block tia-sweep --metrics writes, built from a real matrix.
+    const std::vector<Workload> suite = {makeGcd(WorkloadSizes::small()),
+                                         makeMean(WorkloadSizes::small())};
+    const std::vector<PeConfig> configs = {allConfigs().front(),
+                                           allConfigs().back()};
+    const CycleMatrix matrix = runCycleMatrix(suite, configs);
+
+    MetricsRegistry registry("tia-sweep");
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            registry.addRun(workloadRunMetrics(matrix.run(c, w),
+                                               configs[c], suite[w].name));
+        }
+    }
+    const JsonValue sweep = sweepMetricsJson(matrix);
+    const JsonValue *resolution = sweep.find("resolution");
+    ASSERT_NE(resolution, nullptr);
+    // Exactly the per-run identity's three counters, nothing else.
+    std::vector<std::string> keys;
+    for (const auto &member : resolution->members())
+        keys.push_back(member.first);
+    EXPECT_EQ(keys, (std::vector<std::string>{"triggers_resolved",
+                                              "incremental_skips",
+                                              "full_resolves"}));
+    ASSERT_NE(resolution->find("incremental_skips"), nullptr);
+    EXPECT_GT(resolution->find("incremental_skips")->number(), 0.0)
+        << "the verdict memo never engaged; the block is vacuous";
+    registry.root()["sweep"] = sweep;
 
     const auto doc = JsonValue::parse(registry.dump());
     ASSERT_TRUE(doc.has_value());
@@ -340,34 +378,29 @@ TEST(Observability, ValidatorAcceptsBatchSweepBlock)
         << "first problem: " << problems.front();
 }
 
-TEST(Observability, ValidatorRejectsBrokenBatchSweepBlock)
+TEST(Observability, ValidatorRejectsBrokenSweepResolutionBlock)
 {
-    // Lanes that are neither hits nor misses violate the batch
-    // runner's classification identity.
-    BatchStats stats;
-    stats.width = 8;
-    stats.groups = 1;
-    stats.lanes = 8;
-    stats.hits = 3;
-    stats.misses = 3;
-    stats.simulated = 3;
-    MetricsRegistry registry("test");
-    registry.addRun(JsonValue::parse(
-        R"({"uarch": "TDX", "status": "halted", "cycles": 0,
-            "pes": []})")
-                        .value());
+    // Skips + fulls must account for every resolution in the aggregate
+    // exactly as in each run's entry.
+    JsonValue resolution = resolutionMetricsJson(5, 7);
+    resolution["triggers_resolved"] = 11;
     JsonValue sweep = JsonValue::object();
-    sweep["batch"] = batchStatsJson(stats);
-    registry.root()["sweep"] = std::move(sweep);
+    sweep["resolution"] = std::move(resolution);
 
-    const auto doc = JsonValue::parse(registry.dump());
-    ASSERT_TRUE(doc.has_value());
-    const auto problems = validateMetricsDocument(*doc);
+    const auto problems = validateWithSweepBlock(std::move(sweep));
     ASSERT_FALSE(problems.empty());
-    bool identity = false;
-    for (const std::string &problem : problems)
-        identity |= problem.find("hits + misses") != std::string::npos;
-    EXPECT_TRUE(identity) << problems.front();
+    EXPECT_TRUE(anyProblemMentions(problems, "sweep.resolution"))
+        << problems.front();
+    EXPECT_TRUE(anyProblemMentions(problems, "triggers_resolved"))
+        << problems.front();
+}
+
+TEST(Observability, ValidatorRejectsEmptySweepBlock)
+{
+    const auto problems = validateWithSweepBlock(JsonValue::object());
+    ASSERT_FALSE(problems.empty());
+    EXPECT_TRUE(anyProblemMentions(problems, "missing \"resolution\""))
+        << problems.front();
 }
 
 TEST(Observability, ValidatorRejectsWrongSchema)

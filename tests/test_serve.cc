@@ -397,6 +397,40 @@ TEST(Serve, SimulateRoundTrip)
     server.hardStop();
 }
 
+TEST(Serve, SequentialTcpRequestsDoNotStallOnDelayedAcks)
+{
+    // A frame sent as two writes (length prefix, then payload) lets
+    // Nagle hold the payload until the peer ACKs the prefix, and the
+    // peer's delayed ACK then adds ~40 ms to every frame. Twenty small
+    // round trips over loopback must stay far below 20 x 40 ms.
+    ServerOptions opt;
+    opt.tcpPort = 0;
+    opt.workers = 2;
+    Server server(opt);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    ASSERT_GT(server.tcpPort(), 0);
+
+    auto client =
+        ServeClient::connectTcp("127.0.0.1", server.tcpPort(), &error);
+    ASSERT_TRUE(client.has_value()) << error;
+    client->setClient("tcp");
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 20; ++i) {
+        const auto resp =
+            client->call("methods", JsonValue::object(), &error);
+        ASSERT_TRUE(resp.has_value()) << error;
+        ASSERT_TRUE(resp->ok) << resp->errorMessage;
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, 400ms)
+        << "20 TCP round trips took "
+        << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+               .count()
+        << " ms";
+    server.hardStop();
+}
+
 TEST(Serve, MalformedJsonPoisonsOneFrameOnly)
 {
     const std::string socket = socketPath("badjson");

@@ -116,14 +116,25 @@ TEST(SweepPipeline, TaskFailureCancelsTokenAwareSiblings)
     // Token-aware siblings park on the fail-fast token; if the first
     // exception did not fire it, they would spin out the full 5 s
     // deadline and the test would time out instead of finishing fast.
+    // Task 0 throws only once a sibling is running: a failure stops
+    // the generator, so on a loaded host task 0 could otherwise fail
+    // before any sibling was even submitted.
     const SweepPipeline pipeline(4);
     std::atomic<unsigned> cancelled{0};
+    std::atomic<unsigned> started{0};
     try {
         pipeline.run(
             8,
             [&](std::size_t i, StopToken cancel) -> int {
-                if (i == 0)
+                if (i == 0) {
+                    const auto give_up = std::chrono::steady_clock::now() +
+                                         std::chrono::seconds(5);
+                    while (started.load() == 0 &&
+                           std::chrono::steady_clock::now() < give_up)
+                        std::this_thread::yield();
                     throw std::runtime_error("boom");
+                }
+                started.fetch_add(1);
                 const auto deadline =
                     std::chrono::steady_clock::now() +
                     std::chrono::seconds(5);

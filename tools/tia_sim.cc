@@ -17,16 +17,6 @@
  *                      (default: hardware concurrency). Results are
  *                      printed in list order and are bit-identical to
  *                      a serial sweep.
- *   --batch N          batched lockstep simulation for multi-uarch
- *                      sweeps: advance N microarchitectures per
- *                      BatchedFabric in lockstep (docs/batched_sim.md).
- *                      Reports are bit-identical to the scalar sweep
- *                      (the --stats host-time line uses the lockstep
- *                      group's wall time). Default off. Junk values
- *                      are fatal and absurd widths clamp with a
- *                      warning (parseBatchWidth); --jobs 1 disables
- *                      batching with a stderr note and an
- *                      "auto_disabled" flag in --metrics.
  *   --pes N            fabric size (default: as many PEs as the
  *                      program targets)
  *   --connect A.O:B.I  wire PE A output O to PE B input I (repeat)
@@ -89,7 +79,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -107,10 +96,8 @@
 #include "obs/metrics.hh"
 #include "sim/fault.hh"
 #include "sim/functional.hh"
-#include "uarch/batched_fabric.hh"
 #include "uarch/cycle_fabric.hh"
 #include "uarch/fabric_metrics.hh"
-#include "workloads/runner.hh" // parseBatchWidth, BatchStats
 
 namespace {
 
@@ -194,7 +181,6 @@ struct Options
     std::string uarch = "functional";
     unsigned pes = 0;
     unsigned jobs = 0; ///< Sweep workers; 0 = hardware concurrency.
-    std::size_t batch = 0; ///< Lockstep width (0/1 = scalar sweep).
     std::vector<std::array<unsigned long, 4>> connects;
     std::vector<std::array<unsigned long, 3>> readPorts;
     std::vector<std::array<unsigned long, 3>> writePorts;
@@ -463,121 +449,6 @@ run(const Options &opt)
     // parallel sweep, assembled in list order afterwards.
     std::vector<JsonValue> metricsRuns(uarchs.size());
 
-    // Everything printed for one finished run, shared by the scalar
-    // and batched sweeps so a batched report is byte-identical by
-    // construction. @p chrome / @p ring are the scalar path's trace
-    // sinks (nullptr in a batched sweep, which cannot trace).
-    auto renderReport = [&](CycleFabric &fabric, const PeConfig &uarch,
-                            RunStatus status, FaultInjector *injector,
-                            double host_seconds, ChromeTraceSink *chrome,
-                            BinaryRingSink *ring) -> RunReport {
-        std::string text;
-        appendf(text, "%s simulation: %s after %llu cycles\n",
-                uarch.name().c_str(), runStatusName(status),
-                static_cast<unsigned long long>(fabric.now()));
-        const HangReport &report = fabric.hangReport();
-        if (!report.summary.empty())
-            appendf(text, "  %s\n", report.summary.c_str());
-        if (opt.watchdog) {
-            for (const auto &line : report.waitChain)
-                appendf(text, "  %s\n", line.c_str());
-            for (const auto &agent : report.blockedAgents)
-                appendf(text, "  blocked: %s\n", agent.c_str());
-        }
-        for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-            std::string label = "PE " + std::to_string(pe);
-            printCounters(text, label.c_str(), fabric.pe(pe).counters());
-        }
-        if (injector != nullptr) {
-            appendf(text, "fault injection (%s):\n%s",
-                    injector->plan().toString().c_str(),
-                    injector->stats().summary().c_str());
-        }
-        if (opt.stats) {
-            const FabricStepStats steps = fabric.stepStats();
-            const std::uint64_t total =
-                steps.peStepsExecuted + steps.peStepsSkipped;
-            if (cache) {
-                // Host wall time is not a function of the inputs; a
-                // cached report must render identically to a fresh
-                // one, so the header degrades to a deterministic line.
-                appendf(text, "sim stats:\n");
-            } else {
-                appendf(text,
-                        "host stats: %.3f ms wall, %.0f simulated "
-                        "cycles/s\n",
-                        host_seconds * 1e3,
-                        host_seconds > 0.0
-                            ? static_cast<double>(fabric.now()) /
-                                  host_seconds
-                            : 0.0);
-            }
-            appendf(text,
-                    "  PE steps: %llu executed, %llu skipped while "
-                    "asleep (%.1f%%)\n",
-                    static_cast<unsigned long long>(steps.peStepsExecuted),
-                    static_cast<unsigned long long>(steps.peStepsSkipped),
-                    total > 0
-                        ? 100.0 * static_cast<double>(steps.peStepsSkipped) /
-                              static_cast<double>(total)
-                        : 0.0);
-            const ResolutionStats resolution = fabric.resolutionStats();
-            const std::uint64_t resolved = resolution.triggersResolved();
-            appendf(text,
-                    "  trigger resolutions: %llu incremental skip(s), "
-                    "%llu full (%.1f%% skipped)\n",
-                    static_cast<unsigned long long>(
-                        resolution.incrementalSkips),
-                    static_cast<unsigned long long>(
-                        resolution.fullResolves),
-                    resolved > 0
-                        ? 100.0 *
-                              static_cast<double>(
-                                  resolution.incrementalSkips) /
-                              static_cast<double>(resolved)
-                        : 0.0);
-        }
-        if (chrome != nullptr) {
-            fatalIf(!chrome->writeTo(opt.tracePath), "cannot write ",
-                    opt.tracePath);
-            appendf(text, "trace: %s\n", opt.tracePath.c_str());
-        }
-        if (ring != nullptr) {
-            fatalIf(!ring->writeTo(opt.traceBinaryPath), "cannot write ",
-                    opt.traceBinaryPath);
-            appendf(text,
-                    "binary trace: %s (%llu records stored, %llu "
-                    "dropped)\n",
-                    opt.traceBinaryPath.c_str(),
-                    static_cast<unsigned long long>(ring->size()),
-                    static_cast<unsigned long long>(ring->dropped()));
-        }
-        RunReport result;
-        if (!opt.metricsPath.empty()) {
-            JsonValue entry = fabricRunMetrics(fabric, uarch, status);
-            if (injector != nullptr) {
-                JsonValue faults = JsonValue::object();
-                faults["plan"] = injector->plan().toString();
-                faults["total_fired"] = injector->stats().totalFired();
-                JsonValue lines = JsonValue::array();
-                for (const auto &line : injector->stats().lines) {
-                    JsonValue item = JsonValue::object();
-                    item["name"] = line.name;
-                    item["fired"] = line.fired;
-                    item["declined"] = line.declined;
-                    lines.push(std::move(item));
-                }
-                faults["lines"] = std::move(lines);
-                entry["faults"] = std::move(faults);
-            }
-            result.metricsJson = entry.dump();
-        }
-        dump(text, fabric.memory());
-        result.code = exitCode(status);
-        result.text = std::move(text);
-        return result;
-    };
-
     // One task per microarchitecture; each owns its fabric and
     // injector, so the sweep result does not depend on --jobs.
     auto simulateFresh = [&](std::size_t index) -> RunReport {
@@ -626,10 +497,111 @@ run(const Options &opt)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - host_start)
                 .count();
-        return renderReport(fabric, uarch, status,
-                            injector ? &*injector : nullptr,
-                            host_seconds, chrome ? &*chrome : nullptr,
-                            ring ? &*ring : nullptr);
+        std::string text;
+        appendf(text, "%s simulation: %s after %llu cycles\n",
+                uarch.name().c_str(), runStatusName(status),
+                static_cast<unsigned long long>(fabric.now()));
+        const HangReport &report = fabric.hangReport();
+        if (!report.summary.empty())
+            appendf(text, "  %s\n", report.summary.c_str());
+        if (opt.watchdog) {
+            for (const auto &line : report.waitChain)
+                appendf(text, "  %s\n", line.c_str());
+            for (const auto &agent : report.blockedAgents)
+                appendf(text, "  blocked: %s\n", agent.c_str());
+        }
+        for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
+            std::string label = "PE " + std::to_string(pe);
+            printCounters(text, label.c_str(), fabric.pe(pe).counters());
+        }
+        if (injector) {
+            appendf(text, "fault injection (%s):\n%s",
+                    injector->plan().toString().c_str(),
+                    injector->stats().summary().c_str());
+        }
+        if (opt.stats) {
+            const FabricStepStats steps = fabric.stepStats();
+            const std::uint64_t total =
+                steps.peStepsExecuted + steps.peStepsSkipped;
+            if (cache) {
+                // Host wall time is not a function of the inputs; a
+                // cached report must render identically to a fresh
+                // one, so the header degrades to a deterministic line.
+                appendf(text, "sim stats:\n");
+            } else {
+                appendf(text,
+                        "host stats: %.3f ms wall, %.0f simulated "
+                        "cycles/s\n",
+                        host_seconds * 1e3,
+                        host_seconds > 0.0
+                            ? static_cast<double>(fabric.now()) /
+                                  host_seconds
+                            : 0.0);
+            }
+            appendf(text,
+                    "  PE steps: %llu executed, %llu skipped while "
+                    "asleep (%.1f%%)\n",
+                    static_cast<unsigned long long>(steps.peStepsExecuted),
+                    static_cast<unsigned long long>(steps.peStepsSkipped),
+                    total > 0
+                        ? 100.0 * static_cast<double>(steps.peStepsSkipped) /
+                              static_cast<double>(total)
+                        : 0.0);
+            const ResolutionStats resolution = fabric.resolutionStats();
+            const std::uint64_t resolved = resolution.triggersResolved();
+            appendf(text,
+                    "  trigger resolutions: %llu incremental skip(s), "
+                    "%llu full (%.1f%% skipped)\n",
+                    static_cast<unsigned long long>(
+                        resolution.incrementalSkips),
+                    static_cast<unsigned long long>(
+                        resolution.fullResolves),
+                    resolved > 0
+                        ? 100.0 *
+                              static_cast<double>(
+                                  resolution.incrementalSkips) /
+                              static_cast<double>(resolved)
+                        : 0.0);
+        }
+        if (chrome) {
+            fatalIf(!chrome->writeTo(opt.tracePath), "cannot write ",
+                    opt.tracePath);
+            appendf(text, "trace: %s\n", opt.tracePath.c_str());
+        }
+        if (ring) {
+            fatalIf(!ring->writeTo(opt.traceBinaryPath), "cannot write ",
+                    opt.traceBinaryPath);
+            appendf(text,
+                    "binary trace: %s (%llu records stored, %llu "
+                    "dropped)\n",
+                    opt.traceBinaryPath.c_str(),
+                    static_cast<unsigned long long>(ring->size()),
+                    static_cast<unsigned long long>(ring->dropped()));
+        }
+        RunReport result;
+        if (!opt.metricsPath.empty()) {
+            JsonValue entry = fabricRunMetrics(fabric, uarch, status);
+            if (injector) {
+                JsonValue faults = JsonValue::object();
+                faults["plan"] = injector->plan().toString();
+                faults["total_fired"] = injector->stats().totalFired();
+                JsonValue lines = JsonValue::array();
+                for (const auto &line : injector->stats().lines) {
+                    JsonValue item = JsonValue::object();
+                    item["name"] = line.name;
+                    item["fired"] = line.fired;
+                    item["declined"] = line.declined;
+                    lines.push(std::move(item));
+                }
+                faults["lines"] = std::move(lines);
+                entry["faults"] = std::move(faults);
+            }
+            result.metricsJson = entry.dump();
+        }
+        dump(text, fabric.memory());
+        result.code = exitCode(status);
+        result.text = std::move(text);
+        return result;
     };
 
     // Cached dispatch around the fresh simulation; the metrics entry
@@ -664,145 +636,9 @@ run(const Options &opt)
         return std::make_pair(report.code, std::move(report.text));
     };
 
-    std::vector<std::pair<int, std::string>> results;
-    unsigned sweep_jobs = 1;
-    double sweep_wall_ms = 0.0;
-    // Lockstep lanes only pay off when groups overlap across worker
-    // threads; an explicit --jobs 1 sweep falls back to scalar with a
-    // note (and an "auto_disabled" flag in the metrics document).
-    bool batch_auto_disabled = false;
-    std::size_t batch = opt.batch;
-    if (batch > 1 && uarchs.size() > 1 && opt.jobs == 1) {
-        std::fprintf(stderr,
-                     "tia-sim: --batch %zu disabled: one worker "
-                     "thread (--jobs 1) gains nothing from lockstep "
-                     "batching; running scalar\n",
-                     batch);
-        batch = 0;
-        batch_auto_disabled = true;
-    }
-    // --trace is already rejected for multi-uarch sweeps, so the
-    // batched path never has to reconcile a trace sink with lockstep.
-    if (batch > 1 && uarchs.size() > 1) {
-        const std::size_t width = std::min(batch, uarchs.size());
-        const std::size_t groups = (uarchs.size() + width - 1) / width;
-        auto runGroup = [&](std::size_t g) {
-            const std::size_t lo = g * width;
-            const std::size_t hi = std::min(lo + width, uarchs.size());
-            const std::size_t n = hi - lo;
-            std::vector<RunReport> reports(n);
-            std::vector<Digest128> keys(n);
-            std::vector<std::string> cached(n);
-            std::vector<std::uint8_t> verify(n, 0);
-            std::vector<std::size_t> sim_lanes;
-            for (std::size_t l = 0; l < n; ++l) {
-                if (!cache) {
-                    sim_lanes.push_back(l);
-                    continue;
-                }
-                keys[l] = reportKey(uarchs[lo + l]);
-                std::optional<std::string> payload =
-                    cache->lookup(keys[l]);
-                if (!payload) {
-                    sim_lanes.push_back(l);
-                    continue;
-                }
-                if (auto decoded = decodeRunReport(*payload)) {
-                    reports[l] = std::move(*decoded);
-                    if (cache->verifyHits()) {
-                        cached[l] = std::move(*payload);
-                        verify[l] = 1;
-                        sim_lanes.push_back(l);
-                    }
-                    continue;
-                }
-                cache->erase(keys[l]);
-                sim_lanes.push_back(l);
-            }
-            if (!sim_lanes.empty()) {
-                std::vector<PeConfig> lanes;
-                std::vector<std::unique_ptr<FaultInjector>> injectors;
-                std::vector<FaultInjector *> injector_ptrs;
-                lanes.reserve(sim_lanes.size());
-                for (const std::size_t l : sim_lanes) {
-                    lanes.push_back(uarchs[lo + l]);
-                    if (plan) {
-                        injectors.push_back(
-                            std::make_unique<FaultInjector>(*plan));
-                        injector_ptrs.push_back(injectors.back().get());
-                    } else {
-                        injector_ptrs.push_back(nullptr);
-                    }
-                }
-                BatchedFabric fabric(config, program, lanes,
-                                     injector_ptrs);
-                for (unsigned b = 0; b < fabric.numLanes(); ++b)
-                    preload(fabric.lane(b).memory());
-                const auto host_start = std::chrono::steady_clock::now();
-                FabricRunOptions runOptions;
-                runOptions.maxCycles = opt.maxCycles;
-                runOptions.quiescenceWindow = opt.quiescenceWindow;
-                const auto outcomes = fabric.run(runOptions);
-                const double host_seconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - host_start)
-                        .count();
-                for (std::size_t b = 0; b < sim_lanes.size(); ++b) {
-                    // The scalar sweep has no trap harness — an
-                    // injected run's FatalError aborts the tool — so
-                    // a trapped lane rethrows, preserving exit
-                    // semantics and the original message.
-                    fatalIf(outcomes[b].trapped,
-                            outcomes[b].trapMessage);
-                    const std::size_t l = sim_lanes[b];
-                    RunReport fresh = renderReport(
-                        fabric.lane(static_cast<unsigned>(b)),
-                        uarchs[lo + l], outcomes[b].status,
-                        injector_ptrs[b], host_seconds, nullptr,
-                        nullptr);
-                    if (cache && verify[l]) {
-                        cache->verifyHit(keys[l], cached[l],
-                                         encodeRunReport(fresh));
-                    } else {
-                        if (cache)
-                            cache->put(keys[l], encodeRunReport(fresh));
-                        reports[l] = std::move(fresh);
-                    }
-                }
-            }
-            std::vector<std::pair<int, std::string>> out;
-            out.reserve(n);
-            for (std::size_t l = 0; l < n; ++l) {
-                if (!opt.metricsPath.empty() &&
-                    !reports[l].metricsJson.empty()) {
-                    std::string parse_error;
-                    auto entry = JsonValue::parse(reports[l].metricsJson,
-                                                  &parse_error);
-                    fatalIf(!entry.has_value(),
-                            "corrupt cached metrics entry: ",
-                            parse_error);
-                    metricsRuns[lo + l] = std::move(*entry);
-                }
-                out.emplace_back(reports[l].code,
-                                 std::move(reports[l].text));
-            }
-            return out;
-        };
-        const SweepEngine engine(opt.jobs);
-        auto sweep = engine.map(groups, runGroup);
-        for (auto &group : sweep.values) {
-            for (auto &report : group)
-                results.push_back(std::move(report));
-        }
-        sweep_jobs = sweep.jobs;
-        sweep_wall_ms = sweep.wallMs;
-    } else {
-        const SweepEngine engine(uarchs.size() == 1 ? 1 : opt.jobs);
-        auto sweep = engine.map(uarchs.size(), simulate);
-        results = std::move(sweep.values);
-        sweep_jobs = sweep.jobs;
-        sweep_wall_ms = sweep.wallMs;
-    }
+    const SweepEngine engine(uarchs.size() == 1 ? 1 : opt.jobs);
+    auto sweep = engine.map(uarchs.size(), simulate);
+    const auto &results = sweep.values;
 
     if (cache) {
         std::string save_error;
@@ -822,20 +658,13 @@ run(const Options &opt)
     if (uarchs.size() > 1) {
         std::printf("\nswept %zu microarchitectures on %u worker "
                     "thread(s) in %.1f ms\n",
-                    uarchs.size(), sweep_jobs, sweep_wall_ms);
+                    uarchs.size(), sweep.jobs, sweep.wallMs);
     }
     if (!opt.metricsPath.empty()) {
         MetricsRegistry registry("tia-sim");
         registry.root()["program"] = opt.program;
         for (auto &entry : metricsRuns)
             registry.addRun(std::move(entry));
-        if (batch_auto_disabled) {
-            BatchStats stats;
-            stats.autoDisabled = true;
-            JsonValue sweep = JsonValue::object();
-            sweep["batch"] = batchStatsJson(stats);
-            registry.root()["sweep"] = std::move(sweep);
-        }
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
                 opt.metricsPath);
         std::printf("metrics: %s\n", opt.metricsPath.c_str());
@@ -864,8 +693,6 @@ main(int argc, char **argv)
                 opt.pes = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
-            } else if (arg == "--batch") {
-                opt.batch = parseBatchWidth(next());
             } else if (arg == "--connect") {
                 const auto v = numbers(next(), ".:");
                 fatalIf(v.size() != 4, "--connect wants A.O:B.I");

@@ -18,16 +18,6 @@
  * Options:
  *   --jobs N     worker threads (default: hardware concurrency;
  *                absurd values are clamped with a warning)
- *   --batch N    batched lockstep simulation: advance N uarch configs
- *                of each workload in lockstep per BatchedFabric task
- *                (docs/batched_sim.md). Output is byte-identical to
- *                scalar; per-batch stats go to stderr and the
- *                --metrics "sweep" block. Default off; ignored by
- *                --flat (the scalar reference barrier). Junk values
- *                are fatal, absurd widths clamp with a warning
- *                (parseBatchWidth), and one worker thread (--jobs 1)
- *                auto-disables batching with a stderr note and
- *                "auto_disabled": true in the metrics batch block.
  *   --small      reduced workload sizes (fast smoke pass)
  *   --configs X  "all" (default), "fig5", or a comma-separated list
  *                of microarchitecture names
@@ -93,7 +83,6 @@ using namespace tia;
 struct Options
 {
     unsigned jobs = 0; ///< 0 = hardware concurrency.
-    std::size_t batch = 0; ///< Lockstep width (0/1 = scalar).
     bool small = false;
     bool suiteCpi = false;
     bool dse = true;
@@ -172,20 +161,6 @@ run(const Options &opt)
             "without a warm tier)");
     std::optional<SimCache> cache;
     CycleRunOptions run_options;
-    run_options.batch = opt.batch;
-    // Lockstep lanes only pay off when groups overlap across worker
-    // threads; on a single worker the batch just serializes with
-    // extra bookkeeping, so fall back to scalar and say so.
-    bool batch_auto_disabled = false;
-    if (opt.batch > 1 && jobs == 1) {
-        std::fprintf(stderr,
-                     "tia-sweep: --batch %zu disabled: one worker "
-                     "thread (--jobs 1) gains nothing from lockstep "
-                     "batching; running scalar\n",
-                     opt.batch);
-        run_options.batch = 0;
-        batch_auto_disabled = true;
-    }
     if (!opt.cachePath.empty()) {
         cache.emplace();
         cache->setVerifyHits(opt.cacheVerify);
@@ -519,20 +494,7 @@ run(const Options &opt)
         registry.root()["sizes"] = opt.small ? "small" : "full";
         if (cache)
             registry.root()["cache"] = cache->statsJson();
-        JsonValue sweep = JsonValue::object();
-        std::uint64_t skips = 0, fulls = 0;
-        for (const WorkloadRun &run : matrix.runs) {
-            skips += run.resolutionSkips;
-            fulls += run.resolutionFulls;
-        }
-        JsonValue resolution = resolutionMetricsJson(skips, fulls);
-        resolution["bitplane_ops"] = matrix.batch.bitplaneOps;
-        sweep["resolution"] = std::move(resolution);
-        if (matrix.batch.width > 0 || batch_auto_disabled) {
-            matrix.batch.autoDisabled = batch_auto_disabled;
-            sweep["batch"] = batchStatsJson(matrix.batch);
-        }
-        registry.root()["sweep"] = std::move(sweep);
+        registry.root()["sweep"] = sweepMetricsJson(matrix);
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
                 opt.metricsPath);
     }
@@ -550,19 +512,6 @@ run(const Options &opt)
                  "thread(s), CPI matrix %.1f ms\n",
                  configs.size(), suite.size(), matrix.jobs,
                  matrix.wallMs);
-    if (matrix.batch.width > 0) {
-        std::fprintf(stderr,
-                     "tia-sweep: batch width %zu: %zu group(s), %zu "
-                     "lane(s), %zu hit(s), %zu miss(es), %zu "
-                     "simulated, %zu verified, %zu cancelled, "
-                     "%llu bitplane op(s)\n",
-                     matrix.batch.width, matrix.batch.groups,
-                     matrix.batch.lanes, matrix.batch.hits,
-                     matrix.batch.misses, matrix.batch.simulated,
-                     matrix.batch.verified, matrix.batch.cancelled,
-                     static_cast<unsigned long long>(
-                         matrix.batch.bitplaneOps));
-    }
     if (cache)
         std::fprintf(stderr, "tia-sweep: %s\n",
                      cache->statsSummary().c_str());
@@ -584,8 +533,6 @@ main(int argc, char **argv)
             };
             if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
-            } else if (arg == "--batch") {
-                opt.batch = parseBatchWidth(next());
             } else if (arg == "--small") {
                 opt.small = true;
             } else if (arg == "--suite-cpi") {
