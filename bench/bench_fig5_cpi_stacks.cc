@@ -36,7 +36,7 @@ main()
     bench::BenchCache cache;
     std::vector<CpiStack> stacks(configs.size());
     bool failed = false;
-    const CycleMatrix matrix = runCycleMatrixStreamed(
+    const CycleMatrix matrix = runCycleMatrix(
         suite, configs, cache.options(), bench::benchJobs(),
         [&](std::size_t c, std::size_t w, const WorkloadRun &run) {
             if (!run.ok()) {

@@ -184,7 +184,7 @@ BM_EncodeDecode(benchmark::State &state)
 }
 BENCHMARK(BM_EncodeDecode);
 
-// The Figure 5 matrix product on the sweep engine. Arg is the jobs
+// The Figure 5 matrix product on the sweep pipeline. Arg is the jobs
 // count (0 = hardware concurrency); compare the Arg(1) serial
 // reference against Arg(0) for the parallel wall-clock speedup on
 // multi-core hosts.
@@ -256,7 +256,7 @@ BENCHMARK(BM_Fig5MatrixSweepCached)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The full 32-config DSE enumeration, serial vs parallel.
+// The full 32-config DSE enumeration on the serial reference loop.
 void
 BM_DseEnumerate(benchmark::State &state)
 {
@@ -264,51 +264,16 @@ BM_DseEnumerate(benchmark::State &state)
     for (const PeConfig &config : allConfigs())
         table[config.name()] = 1.5;
     const DesignSpace dse(std::move(table));
-    const unsigned jobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        const auto points = dse.enumerateParallel(jobs);
+        const auto points = dse.enumerate();
         benchmark::DoNotOptimize(points.data());
         state.counters["points"] = static_cast<double>(points.size());
     }
 }
-BENCHMARK(BM_DseEnumerate)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_DseEnumerate)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The Figure 5 matrix on the streaming pipeline vs the flat barrier
-// (both at hardware concurrency). Arg 0 = pipeline, Arg 1 = flat; the
-// delta is the pipeline's win from overlapping the in-order sink with
-// simulation (plus the cost of its windowed hand-off).
-void
-BM_Fig5MatrixPipelined(benchmark::State &state)
-{
-    const auto suite = allWorkloads(WorkloadSizes::small());
-    const auto configs = figure5Configs();
-    const bool flat = state.range(0) != 0;
-    for (auto _ : state) {
-        const CycleMatrix matrix =
-            flat ? runCycleMatrixFlat(suite, configs, {}, 0)
-                 : runCycleMatrixStreamed(suite, configs, {}, 0,
-                                          CycleMatrixSink{});
-        benchmark::DoNotOptimize(matrix.runs.data());
-        state.counters["runs"] = static_cast<double>(matrix.runs.size());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(suite.size()) *
-                            static_cast<std::int64_t>(configs.size()));
-    state.SetLabel(flat ? "flat barrier" : "pipeline");
-}
-BENCHMARK(BM_Fig5MatrixPipelined)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The full 32-config DSE on the streaming pipeline with the
-// incremental Pareto frontier maintained in the sink, vs
-// BM_DseEnumerate Arg(0) (flat barrier + batch frontier afterwards).
+// The full 32-config DSE on the streaming pipeline at hardware
+// concurrency, vs the serial BM_DseEnumerate.
 void
 BM_DseStreamed(benchmark::State &state)
 {

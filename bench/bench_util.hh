@@ -47,7 +47,7 @@ benchJobs()
     const char *jobs = std::getenv("TIA_BENCH_JOBS");
     if (jobs != nullptr)
         return static_cast<unsigned>(std::strtoul(jobs, nullptr, 10));
-    return 0; // SweepEngine: hardware concurrency
+    return 0; // SweepPipeline: hardware concurrency
 }
 
 /**

@@ -13,12 +13,12 @@
  *
  * Three properties matter more than raw hit speed:
  *
- *  - **Single-flight**: when SweepEngine fans a CPI matrix out over N
+ *  - **Single-flight**: when SweepPipeline fans a CPI matrix out over N
  *    threads, several jobs can request the same key before the first
  *    one finishes. Exactly one computes; the rest block on it and
  *    reuse the result (counted as `coalesced`, distinct from hits).
- *    Results are still placed by submission index upstream, so the
- *    engine's determinism guarantee is untouched.
+ *    Results are still sunk in index order upstream, so the
+ *    pipeline's determinism guarantee is untouched.
  *
  *  - **Corruption degrades to a miss, never a crash**: the persistent
  *    tier (TIASIMC1, see docs/simcache.md) checksums every payload and

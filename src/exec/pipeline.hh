@@ -1,29 +1,29 @@
 /**
  * @file
  * SweepPipeline: serial generate → parallel simulate → serial in-order
- * sink, after TBB's parallel_pipeline (SNIPPETS.md Snippet 1).
+ * sink, after TBB's parallel_pipeline (SNIPPETS.md Snippet 1). It is
+ * the one parallel executor behind every sweep surface (the CPI
+ * matrix, the DSE, tia-sim's multi-uarch fan-out and the serve
+ * layer's `sweep` method).
  *
- * SweepEngine::map is a flat job pool with a full-matrix barrier: no
- * consumer sees a result until the last task finishes. The pipeline
- * removes that barrier. The calling thread plays the two serial
- * stages — it submits task indices in order (bounded by an in-flight
- * window, like TBB's token cap) and, between submissions, waits for
- * the *next-in-order* result and hands it to the sink. Aggregation,
- * JSON assembly, Pareto-frontier maintenance and cache-save I/O in
- * the sink therefore overlap simulation instead of trailing it.
+ * The calling thread plays the two serial stages: it submits task
+ * indices in order (bounded by an in-flight window, like TBB's token
+ * cap) and, between submissions, waits for the *next-in-order* result
+ * and hands it to the sink. Aggregation, JSON assembly,
+ * Pareto-frontier maintenance and cache-save I/O in the sink
+ * therefore overlap simulation instead of trailing it.
  *
  * Guarantees, pinned by tests/test_sweep_pipeline.cc:
  *
  *  - **Order**: sink(i, value) is invoked for i = 0, 1, 2, … with no
- *    gaps and no reordering, regardless of completion order. A full
- *    run therefore aggregates exactly like the flat map() — results
- *    are bit-identical for every jobs count.
+ *    gaps and no reordering, regardless of completion order, so
+ *    results are bit-identical for every jobs count.
  *  - **Serial reference**: jobs == 1 degenerates to the plain loop
  *    `for i: sink(i, fn(i))` on the calling thread.
  *  - **Fail-fast**: tasks get a StopToken from an internal fail-fast
- *    source (same convention as SweepEngine::map — fn may be
- *    fn(i) or fn(i, cancel)). The first exception — from a task or
- *    from the sink — stops generation, cancels in-flight siblings,
+ *    source (fn may be fn(i) or fn(i, cancel)). The first exception —
+ *    from a task or from the sink — stops generation, cancels
+ *    in-flight token-aware siblings, skips queued token-less ones,
  *    drains, and is rethrown (the lowest-index one, matching serial
  *    order among tasks that ran). After a failure no further results
  *    are sunk.
@@ -40,6 +40,7 @@
 #ifndef TIA_EXEC_PIPELINE_HH
 #define TIA_EXEC_PIPELINE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -52,10 +53,30 @@
 #include <vector>
 
 #include "exec/stop_token.hh"
-#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 
 namespace tia {
+
+namespace detail {
+
+/** Invoke a sweep task, passing the cancel token when fn accepts it. */
+template <typename Fn>
+auto
+invokeSweepTask(Fn &fn, std::size_t i, const StopToken &cancel)
+{
+    if constexpr (std::is_invocable_v<Fn &, std::size_t, StopToken>)
+        return fn(i, cancel);
+    else
+        return fn(i);
+}
+
+/** Result type of a sweep task (with or without the token parameter). */
+template <typename Fn>
+using SweepTaskResult =
+    decltype(invokeSweepTask(std::declval<Fn &>(), std::size_t{},
+                             std::declval<const StopToken &>()));
+
+} // namespace detail
 
 /** Outcome of one SweepPipeline::run (no values — the sink saw them). */
 struct PipelineResult
@@ -82,9 +103,10 @@ class SweepPipeline
      * Run the pipeline over [0, count): evaluate @p fn on the worker
      * pool and deliver each result to @p sink (called as
      * sink(i, T&&)) strictly in index order, overlapped with later
-     * tasks. @p fn follows the SweepEngine task conventions (pure
-     * function of i, optional StopToken parameter). @p sink runs on
-     * the calling thread only.
+     * tasks. @p fn must be a pure function of i, safe to call
+     * concurrently for distinct indices, and may take a second
+     * StopToken parameter for fail-fast cancellation (see the file
+     * comment). @p sink runs on the calling thread only.
      *
      * @param generatorStop optional token observed between
      *        submissions: once fired, no further indices are
@@ -125,10 +147,18 @@ class SweepPipeline
             return result;
         }
 
-        // In-flight window: enough tokens to keep every worker busy
-        // while the caller sinks, small enough to bound live results.
+        // In-flight window: how far the generator may run ahead of the
+        // sink. It counts buffered results, not worker slots. It must
+        // exceed the number of cells that finish while the oldest one
+        // is still running, or one long head cell (gcd on a 4-stage
+        // pipeline runs ~823k cycles) idles every other worker. On a
+        // 4-vCPU host a cold --jobs 4 paper sweep took a median
+        // 1.7-1.8 s with a window of 8 (2 * jobs) and 0.95-1.1 s with
+        // 32, 64 or 128, for the same CPU time (docs/perf.md). It must
+        // stay bounded, because it is also how far workers run past a
+        // generatorStop early exit.
         const std::size_t window =
-            std::max<std::size_t>(2 * result.jobs, 4);
+            std::max<std::size_t>(16 * result.jobs, 64);
 
         struct Slot
         {

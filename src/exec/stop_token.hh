@@ -5,7 +5,7 @@
  * A StopSource owns a cancellation flag plus an optional wall-clock
  * deadline; StopTokens are cheap copyable views of it. The hot loops
  * that honor cancellation (CycleFabric::run, and through it every
- * runCycle / runCycleMatrix job on the SweepEngine pool) poll
+ * runCycle / runCycleMatrix job on the SweepPipeline pool) poll
  * stopRequested() at cycle-batch granularity, so a deadline-expired or
  * client-abandoned simulation frees its worker thread within a few
  * thousand simulated cycles instead of running out its full budget —

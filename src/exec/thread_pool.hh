@@ -1,14 +1,14 @@
 /**
  * @file
- * A minimal fixed-size thread pool for the sweep engine.
+ * A minimal fixed-size thread pool for the sweep pipeline.
  *
  * The paper's batch artifacts (the Figure 5 CPI matrix, the >4,000
  * point design-space exploration) are embarrassingly parallel: every
  * cell constructs its own fabric and injector, so tasks share no
  * mutable state and the pool needs no more than a work queue. The
  * pool is deliberately small and boring — submission order is the
- * only ordering guarantee callers get, and SweepEngine layers
- * deterministic result placement on top.
+ * only ordering guarantee callers get, and SweepPipeline
+ * (exec/pipeline.hh) layers in-order result delivery on top.
  */
 
 #ifndef TIA_EXEC_THREAD_POOL_HH
@@ -43,7 +43,7 @@ class ThreadPool
 
     /**
      * Enqueue @p task. Tasks must not throw — wrap fallible work and
-     * capture the exception (SweepEngine does this per slot).
+     * capture the exception (SweepPipeline does this per slot).
      */
     void submit(std::function<void()> task);
 

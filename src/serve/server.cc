@@ -1030,7 +1030,7 @@ Server::handleSweep(const JsonValue &params, Job &job)
     std::size_t cancelledCells = 0;
     JsonValue cells = JsonValue::array();
     JsonValue row = JsonValue::array();
-    const CycleMatrix matrix = runCycleMatrixStreamed(
+    const CycleMatrix matrix = runCycleMatrix(
         workloads, configs, options, 1,
         [&](std::size_t, std::size_t w, const WorkloadRun &run) {
             if (run.status == RunStatus::Cancelled)

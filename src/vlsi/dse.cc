@@ -5,7 +5,6 @@
 
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
-#include "exec/sweep.hh"
 #include "vlsi/pareto.hh"
 #include "vlsi/timing.hh"
 
@@ -104,7 +103,7 @@ DesignSpace::gridSize(const std::vector<PeConfig> &configs) const
 std::vector<DesignPoint>
 DesignSpace::enumerate(const std::vector<PeConfig> &configs) const
 {
-    return enumerateParallel(1, configs);
+    return enumerateStreamed(1, configs).points;
 }
 
 namespace {
@@ -136,36 +135,6 @@ dseShards(const std::vector<PeConfig> &configs)
 }
 
 } // namespace
-
-std::vector<DesignPoint>
-DesignSpace::enumerateParallel(unsigned jobs,
-                               const std::vector<PeConfig> &configs) const
-{
-    const std::vector<DseShard> shards = dseShards(configs);
-
-    const SweepEngine engine(jobs);
-    auto sweep = engine.map(shards.size(), [&](std::size_t i) {
-        const DseShard &shard = shards[i];
-        std::vector<DesignPoint> points;
-        const double fmax =
-            maxFrequencyMhz(*shard.config, shard.vdd, shard.vt, tech_);
-        for (double f : frequencyGridMhz(shard.vt, shard.vdd)) {
-            if (f > fmax)
-                break;
-            points.push_back(
-                evaluate(*shard.config, shard.vt, shard.vdd, f));
-        }
-        return points;
-    });
-
-    std::vector<DesignPoint> points;
-    for (std::vector<DesignPoint> &shard_points : sweep.values) {
-        points.insert(points.end(),
-                      std::make_move_iterator(shard_points.begin()),
-                      std::make_move_iterator(shard_points.end()));
-    }
-    return points;
-}
 
 DseStreamResult
 DesignSpace::enumerateStreamed(unsigned jobs,

@@ -117,25 +117,15 @@ class DesignSpace
     enumerate(const std::vector<PeConfig> &configs = allConfigs()) const;
 
     /**
-     * enumerate() fanned out over a SweepEngine, sharded by
-     * (config, vt, vdd); point order and values are element-wise
-     * identical to the serial enumerate().
-     * @param jobs worker threads (0 = hardware concurrency).
-     */
-    std::vector<DesignPoint>
-    enumerateParallel(unsigned jobs,
-                      const std::vector<PeConfig> &configs =
-                          allConfigs()) const;
-
-    /**
-     * enumerateParallel on the streaming SweepPipeline
-     * (exec/pipeline.hh) with an incremental Pareto frontier
-     * (vlsi/pareto.hh) maintained in the in-order sink. Point order
-     * and values are element-wise identical to enumerate() when the
-     * full grid runs; with DseStreamOptions::stableWindow set, the
+     * enumerate() on the streaming SweepPipeline (exec/pipeline.hh),
+     * sharded by (config, vt, vdd), with an incremental Pareto
+     * frontier (vlsi/pareto.hh) maintained in the in-order sink. Point
+     * order and values are element-wise identical to enumerate() when
+     * the full grid runs; with DseStreamOptions::stableWindow set, the
      * enumeration may stop early and @ref DseStreamResult::points
      * holds a contiguous shard prefix of the serial order (the
      * frontier is exact for the points evaluated).
+     * @param jobs worker threads (0 = hardware concurrency).
      */
     DseStreamResult
     enumerateStreamed(unsigned jobs,

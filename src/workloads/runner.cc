@@ -6,7 +6,6 @@
 #include "cache/simcache.hh"
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
-#include "exec/sweep.hh"
 #include "obs/metrics.hh"
 #include "uarch/cycle_fabric.hh"
 
@@ -297,46 +296,29 @@ sweepMetricsJson(const CycleMatrix &matrix)
     return sweep;
 }
 
-namespace {
-
-/**
- * The shared cell task: cell i = (c, w) in row-major order, run with
- * the caller's options plus the engine's fail-fast cancel token merged
- * into the stop token, so one cell's exception cancels its siblings
- * within a few thousand simulated cycles.
- */
-auto
-matrixCellTask(const std::vector<Workload> &workloads,
-               const std::vector<PeConfig> &configs,
-               const CycleRunOptions &options)
-{
-    return [&workloads, &configs, &options](std::size_t i,
-                                            const StopToken &cancel) {
-        const std::size_t c = i / workloads.size();
-        const std::size_t w = i % workloads.size();
-        CycleRunOptions task = options;
-        task.stop = StopToken::anyOf(options.stop, cancel);
-        return runCycle(workloads[w], configs[c], task);
-    };
-}
-
-} // namespace
-
 CycleMatrix
-runCycleMatrixStreamed(const std::vector<Workload> &workloads,
-                       const std::vector<PeConfig> &configs,
-                       const CycleRunOptions &options, unsigned jobs,
-                       const CycleMatrixSink &sink)
+runCycleMatrix(const std::vector<Workload> &workloads,
+               const std::vector<PeConfig> &configs,
+               const CycleRunOptions &options, unsigned jobs,
+               const CycleMatrixSink &sink)
 {
     CycleMatrix matrix;
     matrix.numConfigs = configs.size();
     matrix.numWorkloads = workloads.size();
     matrix.runs.reserve(configs.size() * workloads.size());
 
+    // Cell i = (c, w) in row-major order. The pipeline's fail-fast
+    // token is merged into the caller's stop token, so one cell's
+    // exception cancels its siblings within a few thousand cycles.
     const SweepPipeline pipeline(jobs);
     const PipelineResult result = pipeline.run(
         configs.size() * workloads.size(),
-        matrixCellTask(workloads, configs, options),
+        [&](std::size_t i, const StopToken &cancel) {
+            CycleRunOptions task = options;
+            task.stop = StopToken::anyOf(options.stop, cancel);
+            return runCycle(workloads[i % workloads.size()],
+                            configs[i / workloads.size()], task);
+        },
         [&](std::size_t i, WorkloadRun &&run) {
             matrix.runs.push_back(std::move(run));
             if (sink) {
@@ -346,33 +328,6 @@ runCycleMatrixStreamed(const std::vector<Workload> &workloads,
         });
     matrix.jobs = result.jobs;
     matrix.wallMs = result.wallMs;
-    return matrix;
-}
-
-CycleMatrix
-runCycleMatrix(const std::vector<Workload> &workloads,
-               const std::vector<PeConfig> &configs,
-               const CycleRunOptions &options, unsigned jobs)
-{
-    return runCycleMatrixStreamed(workloads, configs, options, jobs,
-                                  CycleMatrixSink{});
-}
-
-CycleMatrix
-runCycleMatrixFlat(const std::vector<Workload> &workloads,
-                   const std::vector<PeConfig> &configs,
-                   const CycleRunOptions &options, unsigned jobs)
-{
-    CycleMatrix matrix;
-    matrix.numConfigs = configs.size();
-    matrix.numWorkloads = workloads.size();
-
-    const SweepEngine engine(jobs);
-    auto sweep = engine.map(configs.size() * workloads.size(),
-                            matrixCellTask(workloads, configs, options));
-    matrix.runs = std::move(sweep.values);
-    matrix.jobs = sweep.jobs;
-    matrix.wallMs = sweep.wallMs;
     return matrix;
 }
 

@@ -153,11 +153,11 @@ WorkloadRun runCycle(const Workload &workload, const PeConfig &uarch,
                      const CycleRunOptions &options);
 
 /**
- * The uarch x workload batch product behind the Figure 5 CPI stacks,
- * run on a SweepEngine. Cell (c, w) is runCycle(workloads[w],
- * configs[c], options); every task owns its fabric, fault-injector RNG
- * and counters, so the matrix is element-wise bit-identical for any
- * jobs count (asserted by tests/test_sweep_engine.cc).
+ * The uarch x workload batch product behind the Figure 5 CPI stacks.
+ * Cell (c, w) is runCycle(workloads[w], configs[c], options); every
+ * task owns its fabric, fault-injector RNG and counters, so the matrix
+ * is element-wise bit-identical for any jobs count (asserted by
+ * tests/test_sweep_pipeline.cc).
  */
 struct CycleMatrix
 {
@@ -176,25 +176,9 @@ struct CycleMatrix
 };
 
 /**
- * Run every workload under every microarchitecture.
- *
- * Implemented on the streaming pipeline (exec/pipeline.hh) with a
- * null sink — bit-identical to runCycleMatrixFlat for any jobs count
- * (asserted by tests/test_sweep_pipeline.cc), but a task exception
- * cancels in-flight siblings instead of waiting out the matrix.
- *
- * @param jobs worker threads; 0 = hardware concurrency, 1 = serial
- *             reference loop.
- */
-CycleMatrix runCycleMatrix(const std::vector<Workload> &workloads,
-                           const std::vector<PeConfig> &configs,
-                           const CycleRunOptions &options = {},
-                           unsigned jobs = 1);
-
-/**
- * Streaming consumer for runCycleMatrixStreamed: called strictly in
- * row-major cell order — (0,0), (0,1), … — on the calling thread, as
- * soon as each cell's run is available, while later cells are still
+ * Streaming consumer for runCycleMatrix: called strictly in row-major
+ * cell order — (0,0), (0,1), … — on the calling thread, as soon as
+ * each cell's run is available, while later cells are still
  * simulating. The run reference points at the cell just appended to
  * the matrix being built.
  */
@@ -202,27 +186,22 @@ using CycleMatrixSink = std::function<void(
     std::size_t config, std::size_t workload, const WorkloadRun &run)>;
 
 /**
- * runCycleMatrix through the SweepPipeline: cells stream to @p sink in
+ * Run every workload under every microarchitecture on the
+ * SweepPipeline (exec/pipeline.hh). Cells stream to @p sink in
  * row-major order while the worker pool simulates ahead, so JSON
- * assembly / metrics / cache-save work overlaps simulation instead of
- * trailing the full-matrix barrier. The returned matrix is complete
- * and bit-identical to runCycleMatrixFlat. A sink exception fails the
- * sweep fast (sibling tasks are cancelled) and is rethrown.
+ * assembly / metrics / cache-save work overlaps simulation. The
+ * returned matrix is complete and bit-identical for every jobs count.
+ * A task or sink exception cancels in-flight siblings and is rethrown.
+ *
+ * @param jobs worker threads; 0 = hardware concurrency, 1 = serial
+ *             reference loop.
+ * @param sink optional in-order cell consumer.
  */
-CycleMatrix runCycleMatrixStreamed(const std::vector<Workload> &workloads,
-                                   const std::vector<PeConfig> &configs,
-                                   const CycleRunOptions &options,
-                                   unsigned jobs,
-                                   const CycleMatrixSink &sink);
-
-/**
- * Reference implementation on the flat SweepEngine::map barrier (no
- * streaming); kept for equivalence tests and `tia-sweep --flat`.
- */
-CycleMatrix runCycleMatrixFlat(const std::vector<Workload> &workloads,
-                               const std::vector<PeConfig> &configs,
-                               const CycleRunOptions &options = {},
-                               unsigned jobs = 1);
+CycleMatrix runCycleMatrix(const std::vector<Workload> &workloads,
+                           const std::vector<PeConfig> &configs,
+                           const CycleRunOptions &options = {},
+                           unsigned jobs = 1,
+                           const CycleMatrixSink &sink = {});
 
 /**
  * Build the tia-metrics/v1 run entry for a finished cycle run: status,

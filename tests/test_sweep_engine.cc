@@ -1,20 +1,18 @@
 /**
  * @file
- * The parallel sweep engine: ThreadPool/SweepEngine mechanics, and the
- * PR's headline determinism contract — parallel CPI matrices and
- * parallel DSE enumeration are element-wise identical to their serial
- * counterparts, including under an injected FaultPlan. Also pins the
- * two sweep-correctness fixes: the DSE frequency grid following the
- * sweep's tech model, and the unified default cycle budget.
+ * Sweep determinism outside the pipeline mechanics: ThreadPool basics,
+ * CPI tables and DSE enumeration identical for every jobs count (the
+ * CPI matrix itself is pinned by tests/test_sweep_pipeline.cc). Also
+ * pins the two sweep-correctness fixes: the DSE frequency grid
+ * following the sweep's tech model, and the unified default cycle
+ * budget.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
 
 #include <gtest/gtest.h>
 
-#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "uarch/cycle_fabric.hh"
 #include "vlsi/dse.hh"
@@ -47,81 +45,6 @@ TEST(ThreadPool, DefaultConcurrencyIsPositive)
     EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
 }
 
-TEST(SweepEngine, MapPreservesSubmissionOrder)
-{
-    const SweepEngine parallel(4);
-    const auto sweep =
-        parallel.map(1000, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(sweep.values.size(), 1000u);
-    for (std::size_t i = 0; i < sweep.values.size(); ++i)
-        EXPECT_EQ(sweep.values[i], i * i);
-}
-
-TEST(SweepEngine, SerialAndParallelAgree)
-{
-    auto fn = [](std::size_t i) { return 3 * i + 7; };
-    const auto serial = SweepEngine(1).map(257, fn);
-    const auto parallel = SweepEngine(8).map(257, fn);
-    EXPECT_EQ(serial.values, parallel.values);
-    EXPECT_EQ(serial.jobs, 1u);
-    EXPECT_EQ(parallel.jobs, 8u);
-}
-
-TEST(SweepEngine, UsesNoMoreJobsThanTasks)
-{
-    const auto sweep =
-        SweepEngine(16).map(3, [](std::size_t i) { return i; });
-    EXPECT_EQ(sweep.jobs, 3u);
-    EXPECT_EQ(sweep.values, (std::vector<std::size_t>{0, 1, 2}));
-}
-
-TEST(SweepEngine, RethrowsTheLowestIndexException)
-{
-    const SweepEngine engine(4);
-    try {
-        engine.map(100, [](std::size_t i) -> int {
-            if (i == 17 || i == 80)
-                throw std::runtime_error("task " + std::to_string(i));
-            return 0;
-        });
-        FAIL() << "map() swallowed the task exception";
-    } catch (const std::runtime_error &error) {
-        EXPECT_STREQ(error.what(), "task 17");
-    }
-}
-
-/** Field-by-field equality of two WorkloadRuns (no operator== on
- *  PerfCounters; spell out every counter the figures consume). */
-void
-expectRunsEqual(const WorkloadRun &a, const WorkloadRun &b,
-                const std::string &what)
-{
-    EXPECT_EQ(a.status, b.status) << what;
-    EXPECT_EQ(a.checkError, b.checkError) << what;
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << what;
-    EXPECT_EQ(a.dynamicInstructions, b.dynamicInstructions) << what;
-    EXPECT_EQ(a.hang, b.hang) << what;
-    EXPECT_EQ(a.faultOutcome, b.faultOutcome) << what;
-    EXPECT_EQ(a.faultStats, b.faultStats) << what;
-    EXPECT_EQ(a.worker.cycles, b.worker.cycles) << what;
-    EXPECT_EQ(a.worker.retired, b.worker.retired) << what;
-    EXPECT_EQ(a.worker.quashed, b.worker.quashed) << what;
-    EXPECT_EQ(a.worker.predicateHazard, b.worker.predicateHazard)
-        << what;
-    EXPECT_EQ(a.worker.dataHazard, b.worker.dataHazard) << what;
-    EXPECT_EQ(a.worker.forbidden, b.worker.forbidden) << what;
-    EXPECT_EQ(a.worker.noTrigger, b.worker.noTrigger) << what;
-    EXPECT_EQ(a.worker.predicateWrites, b.worker.predicateWrites)
-        << what;
-    EXPECT_EQ(a.worker.predictions, b.worker.predictions) << what;
-    EXPECT_EQ(a.worker.mispredictions, b.worker.mispredictions) << what;
-    EXPECT_EQ(a.worker.dequeues, b.worker.dequeues) << what;
-    EXPECT_EQ(a.worker.enqueues, b.worker.enqueues) << what;
-    EXPECT_EQ(a.worker.faultsInjected, b.worker.faultsInjected) << what;
-    EXPECT_EQ(a.worker.faultRecoveries, b.worker.faultRecoveries)
-        << what;
-}
-
 std::vector<PeConfig>
 matrixConfigs()
 {
@@ -132,61 +55,7 @@ matrixConfigs()
     };
 }
 
-TEST(SweepEngine, ParallelCpiMatrixMatchesSerial)
-{
-    const auto suite = allWorkloads(WorkloadSizes::small());
-    const auto configs = matrixConfigs();
-
-    const CycleMatrix serial = runCycleMatrix(suite, configs, {}, 1);
-    const CycleMatrix parallel = runCycleMatrix(suite, configs, {}, 4);
-
-    ASSERT_EQ(serial.runs.size(), suite.size() * configs.size());
-    ASSERT_EQ(parallel.runs.size(), serial.runs.size());
-    EXPECT_EQ(parallel.numConfigs, configs.size());
-    EXPECT_EQ(parallel.numWorkloads, suite.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        for (std::size_t w = 0; w < suite.size(); ++w) {
-            expectRunsEqual(serial.run(c, w), parallel.run(c, w),
-                            suite[w].name + " on " + configs[c].name());
-            EXPECT_TRUE(serial.run(c, w).ok())
-                << serial.run(c, w).checkError;
-        }
-    }
-}
-
-TEST(SweepEngine, ParallelCpiMatrixMatchesSerialUnderInjection)
-{
-    // Each task owns its FaultInjector RNG, so a seeded plan replays
-    // bit-identically regardless of how the matrix is scheduled.
-    const FaultPlan plan = FaultPlan::parse(
-        "seed=99;drop:ch0@p0.05;corrupt:ch0@p0.02,mask=0x4;"
-        "mispredict:pe0@p0.1");
-    CycleRunOptions options;
-    options.faults = &plan;
-    options.goldenCrossCheck = true;
-
-    const auto suite = allWorkloads(WorkloadSizes::small());
-    const auto configs = matrixConfigs();
-
-    const CycleMatrix serial =
-        runCycleMatrix(suite, configs, options, 1);
-    const CycleMatrix parallel =
-        runCycleMatrix(suite, configs, options, 4);
-
-    ASSERT_EQ(parallel.runs.size(), serial.runs.size());
-    bool any_fired = false;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        for (std::size_t w = 0; w < suite.size(); ++w) {
-            expectRunsEqual(serial.run(c, w), parallel.run(c, w),
-                            suite[w].name + " on " + configs[c].name());
-            any_fired =
-                any_fired || serial.run(c, w).faultStats.totalFired() > 0;
-        }
-    }
-    EXPECT_TRUE(any_fired) << "the plan never fired; the test is vacuous";
-}
-
-TEST(SweepEngine, ParallelCpiTablesMatchSerial)
+TEST(SweepDeterminism, ParallelCpiTablesMatchSerial)
 {
     const WorkloadSizes sizes = WorkloadSizes::small();
     const auto configs = matrixConfigs();
@@ -196,15 +65,15 @@ TEST(SweepEngine, ParallelCpiTablesMatchSerial)
               suiteAverageCpiTable(sizes, configs, 4));
 }
 
-TEST(SweepEngine, ParallelDseEnumerateMatchesSerial)
+TEST(SweepDeterminism, ParallelDseEnumerateMatchesSerial)
 {
     CpiTable table;
     for (const PeConfig &config : allConfigs())
         table[config.name()] = 1.5;
     const DesignSpace dse(std::move(table));
 
-    const auto serial = dse.enumerate();
-    const auto parallel = dse.enumerateParallel(4);
+    const auto serial = dse.enumerateStreamed(1).points;
+    const auto parallel = dse.enumerateStreamed(4).points;
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -228,7 +97,7 @@ TEST(SweepEngine, ParallelDseEnumerateMatchesSerial)
 // Regression for the frequency-grid bugfix: the near/sub-threshold
 // refinements must follow the sweep's tech model, not a
 // default-constructed one.
-TEST(SweepEngine, FrequencyGridFollowsTheSweepTechModel)
+TEST(DseGrid, FrequencyGridFollowsTheSweepTechModel)
 {
     CpiTable table;
     for (const PeConfig &config : allConfigs())
@@ -266,7 +135,7 @@ TEST(SweepEngine, FrequencyGridFollowsTheSweepTechModel)
 
 // Regression for the unified cycle-budget defaults: the same workload
 // must hang-classify identically from every entry point.
-TEST(SweepEngine, DefaultCycleBudgetsAgreeAcrossEntryPoints)
+TEST(RunBudgets, DefaultCycleBudgetsAgreeAcrossEntryPoints)
 {
     EXPECT_EQ(FabricRunOptions{}.maxCycles, kDefaultMaxCycles);
     EXPECT_EQ(CycleRunOptions{}.maxCycles, kDefaultMaxCycles);

@@ -1,10 +1,11 @@
 /**
  * @file
  * The streaming sweep pipeline (exec/pipeline.hh) and its satellites:
- * in-order sink delivery, bit-identity of the streamed CPI matrix vs
- * the flat SweepEngine::map barrier across jobs counts (clean and
- * fault-injected), fail-fast cancellation of sibling tasks on the
- * first exception, mid-pipeline StopToken cancellation (every slot
+ * in-order sink delivery, a lookahead deep enough that one long head
+ * task does not idle the pool, bit-identity of the CPI matrix vs the
+ * jobs == 1 serial reference (clean and fault-injected), fail-fast
+ * cancellation of sibling tasks on the first exception, mid-pipeline
+ * StopToken cancellation (every slot
  * Cancelled-or-filled, nothing cached), the incremental Pareto
  * frontier vs the batch algorithm (including --incremental early
  * exit), StopToken::anyOf merging, ThreadPool::parseJobs validation,
@@ -14,9 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -31,7 +34,6 @@
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
 #include "exec/stop_token.hh"
-#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "obs/json.hh"
 #include "sim/fault.hh"
@@ -193,67 +195,113 @@ TEST(SweepPipeline, GeneratorStopDeliversAContiguousPrefix)
     EXPECT_LT(result.sunk, 10'000u);
 }
 
-// ---------------------------------------------------------------------
-// SweepEngine fail-fast (satellite bugfix).
-
-TEST(SweepEngineFailFast, TaskFailureCancelsTokenAwareSiblings)
+TEST(SweepPipeline, RethrowsTheLowestIndexException)
 {
-    const SweepEngine engine(4);
-    std::atomic<unsigned> cancelled{0};
+    // Task 40 throws first, while task 5 is running; task 5 throws
+    // only after it. The serial loop would have thrown task 5's
+    // exception, so run() must too.
+    const SweepPipeline pipeline(4);
+    std::atomic<bool> lowStarted{false};
+    std::atomic<bool> highThrew{false};
+    const auto waitFor = [](const std::atomic<bool> &flag) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!flag.load() && std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+    };
     try {
-        engine.map(8, [&](std::size_t i, StopToken cancel) -> int {
-            if (i == 0)
-                throw std::runtime_error("boom");
-            const auto deadline = std::chrono::steady_clock::now() +
-                                  std::chrono::seconds(5);
-            while (!cancel.stopRequested()) {
-                if (std::chrono::steady_clock::now() > deadline)
-                    return 0;
-                std::this_thread::yield();
-            }
-            cancelled.fetch_add(1);
-            return 1;
-        });
-        FAIL() << "map() swallowed the task exception";
+        pipeline.run(
+            64,
+            [&](std::size_t i) -> int {
+                if (i == 40) {
+                    waitFor(lowStarted);
+                    highThrew.store(true);
+                    throw std::runtime_error("task 40");
+                }
+                if (i == 5) {
+                    lowStarted.store(true);
+                    waitFor(highThrew);
+                    throw std::runtime_error("task 5");
+                }
+                return 0;
+            },
+            [](std::size_t, int &&) {});
+        FAIL() << "run() swallowed the task exception";
     } catch (const std::runtime_error &error) {
-        EXPECT_STREQ(error.what(), "boom");
+        EXPECT_STREQ(error.what(), "task 5");
     }
-    EXPECT_GT(cancelled.load(), 0u);
 }
 
-TEST(SweepEngineFailFast, QueuedTokenlessTasksAreSkipped)
+TEST(SweepPipeline, QueuedTokenlessTasksAreSkipped)
 {
     // 2 workers, 64 tasks: task 0 throws immediately, so most of the
     // queued token-less siblings must be skipped, not run.
-    const SweepEngine engine(2);
+    const SweepPipeline pipeline(2);
     std::atomic<unsigned> ran{0};
-    EXPECT_THROW(engine.map(64,
-                            [&](std::size_t i) -> int {
-                                if (i == 0)
-                                    throw std::runtime_error("boom");
-                                std::this_thread::sleep_for(
-                                    std::chrono::milliseconds(1));
-                                ran.fetch_add(1);
-                                return 0;
-                            }),
+    EXPECT_THROW(pipeline.run(
+                     64,
+                     [&](std::size_t i) -> int {
+                         if (i == 0)
+                             throw std::runtime_error("boom");
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(1));
+                         ran.fetch_add(1);
+                         return 0;
+                     },
+                     [](std::size_t, int &&) {}),
                  std::runtime_error);
     EXPECT_LT(ran.load(), 63u)
         << "every queued sibling still ran to completion";
 }
 
-TEST(SweepEngineFailFast, SerialJobsStillThrowImmediately)
+TEST(SweepPipeline, SerialJobsStillThrowImmediately)
 {
-    const SweepEngine engine(1);
+    const SweepPipeline pipeline(1);
     unsigned ran = 0;
-    EXPECT_THROW(engine.map(10,
-                            [&](std::size_t i) -> int {
-                                ++ran;
-                                if (i == 3)
-                                    throw std::runtime_error("boom");
-                                return 0;
-                            }),
+    EXPECT_THROW(pipeline.run(
+                     10,
+                     [&](std::size_t i) -> int {
+                         ++ran;
+                         if (i == 3)
+                             throw std::runtime_error("boom");
+                         return 0;
+                     },
+                     [](std::size_t, int &&) {}),
                  std::runtime_error);
     EXPECT_EQ(ran, 4u);
+}
+
+TEST(SweepPipeline, LongHeadTaskDoesNotIdleThePool)
+{
+    // Task 0 blocks until its 39 siblings have all finished. The sink
+    // cannot advance past task 0, so this only completes if the
+    // generator may run 40 tasks ahead of the sink; a lookahead sized
+    // in worker slots lets a few siblings finish and then idles every
+    // worker until task 0 gives up after 5 s.
+    constexpr std::size_t kTasks = 40;
+    std::mutex mutex;
+    std::condition_variable siblingDone;
+    std::size_t finished = 0;
+    std::size_t sunk = 0;
+    SweepPipeline(4).run(
+        kTasks,
+        [&](std::size_t i) {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (i == 0) {
+                return siblingDone.wait_for(
+                    lock, std::chrono::seconds(5),
+                    [&] { return finished == kTasks - 1; });
+            }
+            ++finished;
+            siblingDone.notify_all();
+            return true;
+        },
+        [&](std::size_t i, bool &&ok) {
+            EXPECT_TRUE(ok) << "task " << i
+                            << " timed out waiting for its siblings";
+            ++sunk;
+        });
+    EXPECT_EQ(sunk, kTasks);
 }
 
 // ---------------------------------------------------------------------
@@ -296,7 +344,7 @@ TEST(StopTokenAnyOf, PropagatesDeadlineWhy)
 }
 
 // ---------------------------------------------------------------------
-// Streamed CPI matrix vs the flat barrier: bit-identity.
+// CPI matrix vs the jobs == 1 serial reference: bit-identity.
 
 std::vector<PeConfig>
 matrixConfigs()
@@ -322,32 +370,34 @@ expectMatricesIdentical(const CycleMatrix &a, const CycleMatrix &b,
     }
 }
 
-TEST(StreamedMatrix, BitIdenticalToFlatAcrossJobsCounts)
+TEST(StreamedMatrix, BitIdenticalToSerialAcrossJobsCounts)
 {
     const auto suite = allWorkloads(WorkloadSizes::small());
     const auto configs = matrixConfigs();
 
-    const CycleMatrix flat = runCycleMatrixFlat(suite, configs, {}, 1);
+    const CycleMatrix serial = runCycleMatrix(suite, configs, {}, 1);
+    for (const WorkloadRun &run : serial.runs)
+        EXPECT_TRUE(run.ok()) << run.checkError;
     for (unsigned jobs : {1u, 2u, 8u}) {
         std::size_t cells = 0;
         std::size_t expect = 0;
-        const CycleMatrix streamed = runCycleMatrixStreamed(
+        const CycleMatrix streamed = runCycleMatrix(
             suite, configs, {}, jobs,
             [&](std::size_t c, std::size_t w, const WorkloadRun &run) {
                 // Row-major in-order delivery, and the sink sees the
                 // same run object the matrix retains.
                 EXPECT_EQ(c * suite.size() + w, expect);
                 ++expect;
-                EXPECT_TRUE(run == flat.run(c, w));
+                EXPECT_TRUE(run == serial.run(c, w));
                 ++cells;
             });
-        expectMatricesIdentical(flat, streamed,
+        expectMatricesIdentical(serial, streamed,
                                 "jobs=" + std::to_string(jobs));
-        EXPECT_EQ(cells, flat.runs.size());
+        EXPECT_EQ(cells, serial.runs.size());
     }
 }
 
-TEST(StreamedMatrix, BitIdenticalToFlatUnderFaultInjection)
+TEST(StreamedMatrix, BitIdenticalToSerialUnderFaultInjection)
 {
     const FaultPlan plan = FaultPlan::parse(
         "seed=99;drop:ch0@p0.05;corrupt:ch0@p0.02,mask=0x4;"
@@ -359,14 +409,15 @@ TEST(StreamedMatrix, BitIdenticalToFlatUnderFaultInjection)
     const auto suite = allWorkloads(WorkloadSizes::small());
     const auto configs = matrixConfigs();
 
-    const CycleMatrix flat =
-        runCycleMatrixFlat(suite, configs, options, 4);
-    const CycleMatrix streamed = runCycleMatrixStreamed(
-        suite, configs, options, 4, CycleMatrixSink{});
-    expectMatricesIdentical(flat, streamed, "fault-injected");
+    // Each task owns its FaultInjector RNG, so a seeded plan replays
+    // bit-identically regardless of how the matrix is scheduled.
+    const CycleMatrix serial = runCycleMatrix(suite, configs, options, 1);
+    const CycleMatrix parallel =
+        runCycleMatrix(suite, configs, options, 4);
+    expectMatricesIdentical(serial, parallel, "fault-injected");
 
     bool any_fired = false;
-    for (const WorkloadRun &run : flat.runs)
+    for (const WorkloadRun &run : serial.runs)
         any_fired = any_fired || run.faultStats.totalFired() > 0;
     EXPECT_TRUE(any_fired) << "the plan never fired; the test is vacuous";
 }
@@ -386,7 +437,7 @@ TEST(StreamedMatrix, MidSweepCancellationFillsEverySlotAndCachesNothing)
     options.cache = &cache;
     options.stop = stop.token();
 
-    const CycleMatrix matrix = runCycleMatrixStreamed(
+    const CycleMatrix matrix = runCycleMatrix(
         suite, configs, options, 1,
         [&](std::size_t c, std::size_t w, const WorkloadRun &) {
             if (c == 0 && w == 0)
@@ -480,7 +531,7 @@ TEST(IncrementalPareto, StreamedDseMatchesBatchFrontier)
         table[config.name()] = 1.5;
     const DesignSpace dse(std::move(table));
 
-    const auto points = dse.enumerateParallel(4);
+    const auto points = dse.enumerate();
     const auto batch = DesignSpace::paretoFrontier(points);
 
     const DseStreamResult stream = dse.enumerateStreamed(4);

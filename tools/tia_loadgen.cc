@@ -20,7 +20,8 @@
  * `deadline` errors); only then may connections die.
  *
  * Options:
- *   --clients N         concurrent connections (default 4)
+ *   --clients N         concurrent connections (default 4; 0 =
+ *                       hardware concurrency)
  *   --requests N        requests per client (default 25)
  *   --workloads A,B     workload names cycled per request
  *                       (default gcd,udiv,mean)
@@ -58,6 +59,7 @@
 #include <vector>
 
 #include "core/logging.hh"
+#include "exec/thread_pool.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
 
@@ -445,7 +447,7 @@ main(int argc, char **argv)
                 opt.spawnBin = next();
                 haveTarget = true;
             } else if (arg == "--clients") {
-                opt.clients = static_cast<unsigned>(std::stoul(next()));
+                opt.clients = ThreadPool::parseJobs(next(), "--clients");
             } else if (arg == "--requests") {
                 opt.requests = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--workloads") {
@@ -469,7 +471,7 @@ main(int argc, char **argv)
             } else if (arg == "--seed") {
                 opt.seed = std::stoull(next());
             } else if (arg == "--workers") {
-                opt.workers = static_cast<unsigned>(std::stoul(next()));
+                opt.workers = ThreadPool::parseJobs(next(), "--workers");
             } else if (arg == "--queue") {
                 opt.queueCapacity = std::stoul(next());
             } else if (arg == "--quota-rps") {

@@ -51,6 +51,7 @@
 #include <string>
 
 #include "core/logging.hh"
+#include "exec/thread_pool.hh"
 #include "serve/server.hh"
 
 namespace {
@@ -93,7 +94,7 @@ main(int argc, char **argv)
             } else if (arg == "--port-file") {
                 portFile = next();
             } else if (arg == "--workers") {
-                opt.workers = static_cast<unsigned>(std::stoul(next()));
+                opt.workers = ThreadPool::parseJobs(next(), "--workers");
             } else if (arg == "--queue") {
                 opt.queueCapacity = std::stoul(next());
             } else if (arg == "--quota-rps") {

@@ -89,7 +89,7 @@
 #include "cache/simcache.hh"
 #include "core/assembler.hh"
 #include "core/logging.hh"
-#include "exec/sweep.hh"
+#include "exec/pipeline.hh"
 #include "exec/thread_pool.hh"
 #include "obs/binary_ring.hh"
 #include "obs/chrome_trace.hh"
@@ -636,9 +636,13 @@ run(const Options &opt)
         return std::make_pair(report.code, std::move(report.text));
     };
 
-    const SweepEngine engine(uarchs.size() == 1 ? 1 : opt.jobs);
-    auto sweep = engine.map(uarchs.size(), simulate);
-    const auto &results = sweep.values;
+    std::vector<std::pair<int, std::string>> results(uarchs.size());
+    const SweepPipeline pipeline(uarchs.size() == 1 ? 1 : opt.jobs);
+    const PipelineResult sweep = pipeline.run(
+        uarchs.size(), simulate,
+        [&](std::size_t i, std::pair<int, std::string> &&result) {
+            results[i] = std::move(result);
+        });
 
     if (cache) {
         std::string save_error;

@@ -9,9 +9,9 @@
  * are still simulating, and the cache save overlaps the DSE phase.
  * Emits one JSON document with the matrix, the attempted/evaluated
  * design-point counts and the energy-delay Pareto frontier. Results
- * are bit-identical for any --jobs value and for --flat vs the
- * pipeline (asserted by the ctest fixtures); the wall_ms fields are
- * the measured sweep times (the speedup evidence on multi-core hosts).
+ * are bit-identical for any --jobs value (asserted by the ctest
+ * fixtures); the wall_ms fields are the measured sweep times (the
+ * speedup evidence on multi-core hosts).
  *
  *   tia-sweep [options]
  *
@@ -24,9 +24,6 @@
  *   --suite-cpi  drive the DSE with suite-average CPI instead of the
  *                paper's bst-only methodology
  *   --no-dse     emit only the CPI matrix
- *   --flat       run on the flat SweepEngine::map barrier instead of
- *                the pipeline (reference implementation; the output
- *                must be byte-identical modulo wall_ms)
  *   --incremental  overlap the DSE with the CPI matrix: each config's
  *                design shards are enumerated in the matrix sink as
  *                soon as its CPI lands (while later rows simulate),
@@ -86,7 +83,6 @@ struct Options
     bool small = false;
     bool suiteCpi = false;
     bool dse = true;
-    bool flat = false;        ///< Reference flat engine, no pipeline.
     bool incremental = false; ///< Stream frontier updates + early exit.
     std::size_t stableWindow = 500;
     std::string configs = "all";
@@ -175,23 +171,21 @@ run(const Options &opt)
     }
 
     // Per-config JSON rows and metrics entries, built cell-by-cell in
-    // the pipeline's in-order sink while later cells simulate. The
-    // --flat path feeds the same builder in the same row-major order
-    // after the barrier, so the two outputs are byte-identical.
+    // the pipeline's in-order sink while later cells simulate.
     MetricsRegistry registry("tia-sweep");
     bool all_ok = true;
     std::vector<std::string> cpiRows(configs.size());
     std::vector<std::string> cycleRows(configs.size());
     std::vector<std::string> statusRows(configs.size());
 
-    // Overlapped DSE (--incremental on the pipeline): each config's
+    // Overlapped DSE (--incremental): each config's
     // design shards are enumerated right here in the sink once its
     // driving CPI lands, so the DSE's compute hides inside the matrix
     // phase instead of trailing it. Shards run in the same
     // config-major order as DesignSpace::enumerateStreamed, so the
     // frontier is identical; the work is speculative and discarded if
     // any cell fails (no "dse" block is emitted then anyway).
-    const bool overlapDse = opt.dse && !opt.flat && opt.incremental;
+    const bool overlapDse = opt.dse && opt.incremental;
     struct OverlapState
     {
         IncrementalPareto pareto;
@@ -287,17 +281,8 @@ run(const Options &opt)
         }
     };
 
-    CycleMatrix matrix;
-    if (opt.flat) {
-        matrix = runCycleMatrixFlat(suite, configs, run_options, jobs);
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            for (std::size_t w = 0; w < suite.size(); ++w)
-                addCell(c, w, matrix.run(c, w));
-        }
-    } else {
-        matrix = runCycleMatrixStreamed(suite, configs, run_options,
-                                        jobs, addCell);
-    }
+    const CycleMatrix matrix =
+        runCycleMatrix(suite, configs, run_options, jobs, addCell);
 
     // Kick the cache save off in the background so its serialization
     // and fsync I/O overlap the DSE phase (a fully warm cache skips
@@ -399,15 +384,7 @@ run(const Options &opt)
         double dse_ms = 0.0;
         std::size_t evaluated = 0;
         std::string incrementalJson;
-        if (opt.flat) {
-            const auto dse_start = std::chrono::steady_clock::now();
-            const auto points = dse.enumerateParallel(jobs, configs);
-            dse_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - dse_start)
-                         .count();
-            frontier = DesignSpace::paretoFrontier(points);
-            evaluated = points.size();
-        } else if (overlapDse) {
+        if (overlapDse) {
             frontier = overlap.pareto.frontier();
             dse_ms = overlap.computeMs;
             evaluated = overlap.evaluated;
@@ -539,8 +516,6 @@ main(int argc, char **argv)
                 opt.suiteCpi = true;
             } else if (arg == "--no-dse") {
                 opt.dse = false;
-            } else if (arg == "--flat") {
-                opt.flat = true;
             } else if (arg == "--incremental") {
                 opt.incremental = true;
             } else if (arg == "--stable-window") {
