@@ -7,9 +7,9 @@
  * can be memoized under a digest of those inputs (cache/serialize.hh
  * defines the canonical byte form, cache/digest.hh the digest). The
  * cache itself is deliberately ignorant of what it stores: entries are
- * opaque byte strings, so one SimCache type serves WorkloadRun records
- * (cache/run_cache.hh), rendered tia-sim reports, and anything a later
- * layer wants to memoize.
+ * opaque byte strings. Its one client today is runCycle's cached
+ * dispatch of WorkloadRun records (cache/run_cache.hh), which
+ * tia-sweep, tia-serve and the bench drivers all go through.
  *
  * Three properties matter more than raw hit speed:
  *

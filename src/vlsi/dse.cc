@@ -167,6 +167,10 @@ DesignSpace::enumerateStreamed(unsigned jobs,
             return points;
         },
         [&](std::size_t, std::vector<DesignPoint> &&shardPoints) {
+            // Shards already in flight when the window closed are
+            // dropped, so the result is the serial prefix at any jobs.
+            if (earlyStop.stopRequested())
+                return;
             bool changed = false;
             for (DesignPoint &point : shardPoints) {
                 if (pareto.add(point)) {
@@ -189,7 +193,7 @@ DesignSpace::enumerateStreamed(unsigned jobs,
 
     result.frontier = pareto.frontier();
     result.frontierUpdates = pareto.updates();
-    result.earlyExit = run.stoppedEarly;
+    result.earlyExit = result.shardsCompleted < result.shardsTotal;
     result.jobs = run.jobs;
     result.wallMs = run.wallMs;
     return result;

@@ -61,15 +61,17 @@ struct DesignPoint
 struct DseStreamOptions
 {
     /**
-     * Early exit: stop generating new shards once this many
-     * consecutive design points have been sunk without changing the
-     * Pareto frontier. 0 disables early exit (the full grid runs).
+     * Early exit: stop once this many consecutive design points have
+     * been sunk without changing the Pareto frontier. The stop lands
+     * on a shard boundary and shards evaluated past it are discarded,
+     * so the result is the serial (jobs == 1) prefix at any jobs.
+     * 0 disables early exit (the full grid runs).
      */
     std::size_t stableWindow = 0;
     /**
-     * Streaming frontier observer, called on the enumerating thread
-     * at most once per completed shard whose points changed the
-     * frontier: (points seen so far, current frontier).
+     * Streaming frontier observer, called on the calling thread at
+     * most once per sunk shard whose points changed the frontier:
+     * (points seen so far, current frontier).
      */
     std::function<void(std::size_t pointsSeen,
                        const std::vector<DesignPoint> &frontier)>
@@ -85,9 +87,9 @@ struct DseStreamResult
     std::vector<DesignPoint> frontier;
     std::size_t frontierUpdates = 0; ///< Points that changed the frontier.
     std::size_t shardsTotal = 0;     ///< (config, vt, vdd) shards in grid.
-    std::size_t shardsCompleted = 0; ///< Shards evaluated (== total unless
+    std::size_t shardsCompleted = 0; ///< Shards sunk (== total unless
                                      ///< earlyExit).
-    bool earlyExit = false; ///< Stopped via stableWindow before the end.
+    bool earlyExit = false; ///< shardsCompleted < shardsTotal.
     unsigned jobs = 1;      ///< Worker threads used.
     double wallMs = 0.0;    ///< Wall-clock time of the enumeration.
 };
@@ -124,7 +126,10 @@ class DesignSpace
      * the full grid runs; with DseStreamOptions::stableWindow set, the
      * enumeration may stop early and @ref DseStreamResult::points
      * holds a contiguous shard prefix of the serial order (the
-     * frontier is exact for the points evaluated).
+     * frontier is exact for the points evaluated). Every field but
+     * jobs and wallMs is the same for any @p jobs, early exit
+     * included. tia-sweep runs both its default and its
+     * --incremental DSE through this one call.
      * @param jobs worker threads (0 = hardware concurrency).
      */
     DseStreamResult

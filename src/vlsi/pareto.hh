@@ -6,10 +6,12 @@
  * delay, then sweep keeping strict energy improvements. That forces
  * the full >4,000-point DSE to finish before the first frontier point
  * exists. IncrementalPareto maintains the same frontier online, one
- * point per add(), so the pipeline's in-order sink can stream frontier
- * updates while later design points are still being evaluated — and
- * stop the generator early once the frontier has been stable for a
- * configurable window (tia-sweep --incremental).
+ * point per add(), so the in-order sink of
+ * DesignSpace::enumerateStreamed can stream frontier updates while
+ * later shards are still being evaluated, and stop once the frontier
+ * has been stable for a configurable window (tia-sweep
+ * --incremental). The stop is decided on the sunk prefix alone, so
+ * the early exit is the same at every --jobs.
  *
  * Equivalence with the batch algorithm (pinned by
  * tests/test_sweep_pipeline.cc): after add()ing every point, in any

@@ -7,9 +7,10 @@
  * cancellation of sibling tasks on the first exception, mid-pipeline
  * StopToken cancellation (every slot
  * Cancelled-or-filled, nothing cached), the incremental Pareto
- * frontier vs the batch algorithm (including --incremental early
- * exit), StopToken::anyOf merging, ThreadPool::parseJobs validation,
- * the SimCache dirty-skip, and the NaN-serializes-as-null pin.
+ * frontier vs the batch algorithm (including a --incremental early
+ * exit that is the same at every jobs count), StopToken::anyOf
+ * merging, ThreadPool::parseJobs validation, the SimCache dirty-skip,
+ * and the NaN-serializes-as-null pin.
  */
 
 #include <atomic>
@@ -591,6 +592,40 @@ TEST(IncrementalPareto, EarlyExitReproducesTheFullRunFrontier)
     EXPECT_LT(early.shardsCompleted, early.shardsTotal);
     EXPECT_GT(updates, 0u);
     expectSameFrontier(full.frontier, early.frontier, "early-exit");
+}
+
+TEST(IncrementalPareto, EarlyExitIsJobsInvariant)
+{
+    // Workers evaluate shards past the stop while the sink catches up;
+    // those must be discarded, or a parallel run reports a longer
+    // prefix (and a different frontier) than the serial one.
+    CpiTable table;
+    for (const PeConfig &config : figure5Configs())
+        table[config.name()] = 1.5;
+    const DesignSpace dse(std::move(table));
+    DseStreamOptions options;
+    options.stableWindow = 50;
+
+    const DseStreamResult serial =
+        dse.enumerateStreamed(1, figure5Configs(), options);
+    const DseStreamResult parallel =
+        dse.enumerateStreamed(4, figure5Configs(), options);
+
+    ASSERT_TRUE(serial.earlyExit) << "window too wide to stop early";
+    EXPECT_TRUE(parallel.earlyExit);
+    EXPECT_EQ(parallel.shardsCompleted, serial.shardsCompleted);
+    EXPECT_EQ(parallel.frontierUpdates, serial.frontierUpdates);
+    ASSERT_EQ(parallel.points.size(), serial.points.size());
+    for (std::size_t i = 0; i < serial.points.size(); ++i) {
+        EXPECT_EQ(serial.points[i].nsPerInstruction,
+                  parallel.points[i].nsPerInstruction)
+            << i;
+        EXPECT_EQ(serial.points[i].pjPerInstruction,
+                  parallel.points[i].pjPerInstruction)
+            << i;
+    }
+    expectSameFrontier(serial.frontier, parallel.frontier,
+                       "jobs 4 vs jobs 1");
 }
 
 // ---------------------------------------------------------------------

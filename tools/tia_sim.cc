@@ -51,19 +51,9 @@
  *                      time, simulated cycles per host second, and how
  *                      many PE steps the idle-sleep optimization
  *                      skipped (cycle-accurate runs only)
- *   --cache FILE       content-addressed result cache (see
- *                      docs/simcache.md): memoize each swept run's
- *                      report under a digest of every input and
- *                      persist it to FILE. Cycle-accurate -u only;
- *                      incompatible with --trace/--trace-binary
- *                      (tracing is a side effect a cached result
- *                      cannot replay). With --stats, the per-run wall
- *                      line is replaced by a deterministic "sim
- *                      stats:" header so cached and fresh runs print
- *                      identical reports; cache hit/miss counts go to
- *                      stderr.
- *   --cache-verify     with --cache: re-simulate every hit and fail
- *                      unless the cached report is bit-identical
+ *
+ * tia-sim always simulates; the result cache (docs/simcache.md) is
+ * reached through tia-sweep --cache and tia-serve --cache.
  *
  * Single-PE programs with no wiring options get the conventional port
  * map automatically: read port on %o0/%i0, write port on %o1/%o2.
@@ -75,6 +65,8 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -84,9 +76,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/digest.hh"
-#include "cache/serialize.hh"
-#include "cache/simcache.hh"
 #include "core/assembler.hh"
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
@@ -149,6 +138,22 @@ numbers(const std::string &text, const std::string &separators)
     return values;
 }
 
+/** Parse a decimal count for @p option. Negative or junk text is an
+ *  error: std::stoul alone would wrap "-1" to ULONG_MAX. */
+unsigned
+parseCount(const char *option, const std::string &text)
+{
+    const bool digits =
+        !text.empty() &&
+        std::all_of(text.begin(), text.end(), [](unsigned char c) {
+            return std::isdigit(c) != 0;
+        });
+    fatalIf(!digits, option, " wants a non-negative integer, got \"",
+            text, "\"");
+    fatalIf(text.size() > 9, option, " ", text, " is out of range");
+    return static_cast<unsigned>(std::stoul(text));
+}
+
 /** Split a comma-separated -u list, trimming surrounding blanks. */
 std::vector<std::string>
 splitUarchList(const std::string &text)
@@ -196,45 +201,7 @@ struct Options
     std::string traceBinaryPath; ///< Binary ring trace output.
     TraceLevel traceLevel = TraceLevel::Events;
     std::string metricsPath;     ///< tia-metrics/v1 JSON output.
-    std::string cachePath;       ///< Persistent result cache file.
-    bool cacheVerify = false;    ///< Re-simulate and compare on hits.
 };
-
-/**
- * One swept run's complete deterministic output: the exit code, the
- * rendered report text and the tia-metrics run entry (as a JSON
- * string; empty when --metrics is off). This is the unit the result
- * cache stores — everything host-time-dependent is kept out of it.
- */
-struct RunReport
-{
-    int code = 1;
-    std::string text;
-    std::string metricsJson;
-};
-
-std::string
-encodeRunReport(const RunReport &report)
-{
-    ByteWriter out;
-    out.u32(static_cast<std::uint32_t>(report.code));
-    out.str(report.text);
-    out.str(report.metricsJson);
-    return out.take();
-}
-
-std::optional<RunReport>
-decodeRunReport(const std::string &payload)
-{
-    ByteReader in(payload);
-    RunReport report;
-    report.code = static_cast<int>(in.u32());
-    report.text = in.str();
-    report.metricsJson = in.str();
-    if (!in.done())
-        return std::nullopt;
-    return report;
-}
 
 /** Map a run status to the tool's documented exit code. */
 int
@@ -319,7 +286,13 @@ run(const Options &opt)
     }
     std::vector<std::vector<Word>> reg_files(pes);
     for (const auto &r : opt.regs) {
-        auto &file = reg_files.at(r[0]);
+        // Range-check before the resize below sizes a vector by R.
+        fatalIf(r[0] >= pes, "--reg ", r[0], ".", r[1], ": PE ", r[0],
+                " is out of range (the fabric has ", pes, " PE(s))");
+        fatalIf(r[1] >= params.numRegs, "--reg ", r[0], ".", r[1],
+                ": register ", r[1], " is out of range (",
+                params.numRegs, " registers per PE)");
+        auto &file = reg_files[r[0]];
         if (file.size() <= r[1])
             file.resize(r[1] + 1, 0);
         file[r[1]] = static_cast<Word>(r[2]);
@@ -357,8 +330,6 @@ run(const Options &opt)
         fatalIf(!opt.metricsPath.empty(),
                 "--metrics requires a cycle-accurate -u "
                 "microarchitecture");
-        fatalIf(!opt.cachePath.empty(),
-                "--cache requires a cycle-accurate -u microarchitecture");
         FunctionalFabric fabric(config, program);
         preload(fabric.memory());
         const RunStatus status = fabric.run(opt.maxCycles);
@@ -395,55 +366,10 @@ run(const Options &opt)
     fatalIf(tracing && uarchs.size() > 1,
             "--trace wants a single -u microarchitecture (traces from a "
             "sweep would interleave)");
-    fatalIf(tracing && !opt.cachePath.empty(),
-            "--cache cannot replay traces; drop --trace/--trace-binary "
-            "or the cache");
-    fatalIf(opt.cacheVerify && opt.cachePath.empty(),
-            "--cache-verify needs --cache (there is nothing to verify "
-            "without a warm tier)");
 
     std::optional<FaultPlan> plan;
     if (!opt.injectPlan.empty())
         plan.emplace(FaultPlan::parse(opt.injectPlan));
-
-    std::optional<SimCache> cache;
-    if (!opt.cachePath.empty()) {
-        cache.emplace();
-        cache->setVerifyHits(opt.cacheVerify);
-        std::string load_error;
-        if (!cache->load(opt.cachePath, &load_error) ||
-            !load_error.empty()) {
-            std::fprintf(stderr, "tia-sim: %s\n", load_error.c_str());
-        }
-    }
-
-    // Cache key for one swept microarchitecture: everything the report
-    // text and metrics entry are a function of.
-    auto reportKey = [&](const PeConfig &uarch) {
-        ByteWriter key;
-        key.u32(kCacheSchemaVersion);
-        key.str("tia.sim-report");
-        serializeProgram(key, program);
-        serializeFabricConfig(key, config);
-        key.u64(opt.mems.size());
-        for (const auto &m : opt.mems) {
-            key.u64(m[0]);
-            key.u64(m[1]);
-        }
-        key.u64(opt.dumps.size());
-        for (const auto &d : opt.dumps) {
-            key.u64(d[0]);
-            key.u64(d[1]);
-        }
-        key.u64(opt.maxCycles);
-        key.u64(opt.quiescenceWindow);
-        key.u8(opt.watchdog ? 1 : 0);
-        key.u8(opt.stats ? 1 : 0);
-        key.u8(opt.metricsPath.empty() ? 0 : 1);
-        serializeFaultPlan(key, plan ? &*plan : nullptr);
-        serializePeConfig(key, uarch);
-        return digest128(key.data());
-    };
 
     // Per-run metrics entries, written by index — safe under a
     // parallel sweep, assembled in list order afterwards.
@@ -451,7 +377,7 @@ run(const Options &opt)
 
     // One task per microarchitecture; each owns its fabric and
     // injector, so the sweep result does not depend on --jobs.
-    auto simulateFresh = [&](std::size_t index) -> RunReport {
+    auto simulate = [&](std::size_t index) {
         const PeConfig &uarch = uarchs[index];
         std::optional<FaultInjector> injector;
         if (plan)
@@ -523,21 +449,13 @@ run(const Options &opt)
             const FabricStepStats steps = fabric.stepStats();
             const std::uint64_t total =
                 steps.peStepsExecuted + steps.peStepsSkipped;
-            if (cache) {
-                // Host wall time is not a function of the inputs; a
-                // cached report must render identically to a fresh
-                // one, so the header degrades to a deterministic line.
-                appendf(text, "sim stats:\n");
-            } else {
-                appendf(text,
-                        "host stats: %.3f ms wall, %.0f simulated "
-                        "cycles/s\n",
-                        host_seconds * 1e3,
-                        host_seconds > 0.0
-                            ? static_cast<double>(fabric.now()) /
-                                  host_seconds
-                            : 0.0);
-            }
+            appendf(text,
+                    "host stats: %.3f ms wall, %.0f simulated "
+                    "cycles/s\n",
+                    host_seconds * 1e3,
+                    host_seconds > 0.0
+                        ? static_cast<double>(fabric.now()) / host_seconds
+                        : 0.0);
             appendf(text,
                     "  PE steps: %llu executed, %llu skipped while "
                     "asleep (%.1f%%)\n",
@@ -578,7 +496,6 @@ run(const Options &opt)
                     static_cast<unsigned long long>(ring->size()),
                     static_cast<unsigned long long>(ring->dropped()));
         }
-        RunReport result;
         if (!opt.metricsPath.empty()) {
             JsonValue entry = fabricRunMetrics(fabric, uarch, status);
             if (injector) {
@@ -596,44 +513,10 @@ run(const Options &opt)
                 faults["lines"] = std::move(lines);
                 entry["faults"] = std::move(faults);
             }
-            result.metricsJson = entry.dump();
+            metricsRuns[index] = std::move(entry);
         }
         dump(text, fabric.memory());
-        result.code = exitCode(status);
-        result.text = std::move(text);
-        return result;
-    };
-
-    // Cached dispatch around the fresh simulation; the metrics entry
-    // rides inside the cached payload and is re-parsed here so a hit
-    // fills metricsRuns exactly like a fresh run.
-    auto simulate = [&](std::size_t index) {
-        RunReport report;
-        if (cache) {
-            const Digest128 key = reportKey(uarchs[index]);
-            const std::string payload = cache->getOrCompute(
-                key, [&, index] { return encodeRunReport(
-                                      simulateFresh(index)); });
-            if (auto decoded = decodeRunReport(payload)) {
-                report = std::move(*decoded);
-            } else {
-                // Undecodable persisted payload: degrade to a miss.
-                cache->erase(key);
-                report = simulateFresh(index);
-                cache->put(key, encodeRunReport(report));
-            }
-        } else {
-            report = simulateFresh(index);
-        }
-        if (!opt.metricsPath.empty() && !report.metricsJson.empty()) {
-            std::string parse_error;
-            auto entry = JsonValue::parse(report.metricsJson,
-                                          &parse_error);
-            fatalIf(!entry.has_value(), "corrupt cached metrics entry: ",
-                    parse_error);
-            metricsRuns[index] = std::move(*entry);
-        }
-        return std::make_pair(report.code, std::move(report.text));
+        return std::make_pair(exitCode(status), std::move(text));
     };
 
     std::vector<std::pair<int, std::string>> results(uarchs.size());
@@ -643,14 +526,6 @@ run(const Options &opt)
         [&](std::size_t i, std::pair<int, std::string> &&result) {
             results[i] = std::move(result);
         });
-
-    if (cache) {
-        std::string save_error;
-        fatalIf(!cache->save(opt.cachePath, &save_error),
-                "cannot save cache: ", save_error);
-        std::fprintf(stderr, "tia-sim: %s\n",
-                     cache->statsSummary().c_str());
-    }
 
     int worst = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -694,7 +569,7 @@ main(int argc, char **argv)
             } else if (arg == "-u") {
                 opt.uarch = next();
             } else if (arg == "--pes") {
-                opt.pes = static_cast<unsigned>(std::stoul(next()));
+                opt.pes = parseCount("--pes", next());
             } else if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
             } else if (arg == "--connect") {
@@ -748,10 +623,6 @@ main(int argc, char **argv)
                 }
             } else if (arg == "--metrics") {
                 opt.metricsPath = next();
-            } else if (arg == "--cache") {
-                opt.cachePath = next();
-            } else if (arg == "--cache-verify") {
-                opt.cacheVerify = true;
             } else if (!arg.empty() && arg[0] != '-' &&
                        opt.program.empty()) {
                 opt.program = arg;
