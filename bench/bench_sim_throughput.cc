@@ -15,7 +15,6 @@
 #include "core/assembler.hh"
 #include "core/encoding.hh"
 #include "exec/thread_pool.hh"
-#include "obs/binary_ring.hh"
 #include "obs/reconstruct.hh"
 #include "uarch/cycle_fabric.hh"
 #include "vlsi/dse.hh"
@@ -58,44 +57,28 @@ BM_CycleFabricDotProduct(benchmark::State &state)
 BENCHMARK(BM_CycleFabricDotProduct)->Unit(benchmark::kMillisecond);
 
 // The same run with a trace sink attached: the observability tax when
-// tracing is ON. Arg 0 = binary ring sink (a store + two increments
-// per event), Arg 1 = counter reconstruction (branchier). Compare
-// against BM_CycleFabricDotProduct for the enabled overhead; the
-// DISABLED overhead (sink unset) is the <2% regression bound
+// tracing is ON, here a counter-reconstructing sink. Compare against
+// BM_CycleFabricDotProduct for the enabled overhead; the DISABLED
+// overhead (sink unset) is the <2% regression bound
 // BM_CycleFabricDotProduct itself guards via BENCH_throughput.json.
 void
 BM_CycleFabricDotProductTraced(benchmark::State &state)
 {
     const Workload w = makeDotProduct(WorkloadSizes::small());
     for (auto _ : state) {
-        // Construct only the sink under test: a 1M-record ring (the
-        // tia-sim default) zero-fills 24 MB, which would swamp a
-        // sub-millisecond run with allocator time.
-        std::optional<BinaryRingSink> ring;
-        std::optional<CpiReconstructor> recon;
+        CpiReconstructor recon;
         CycleRunOptions options;
-        if (state.range(0) == 0) {
-            ring.emplace(1u << 12);
-            options.trace = &*ring;
-        } else {
-            recon.emplace();
-            options.trace = &*recon;
-        }
+        options.trace = &recon;
         const WorkloadRun run = runCycle(
             w, {PipelineShape{true, false, false}, true, true}, options);
         benchmark::DoNotOptimize(run.worker.cycles);
         state.counters["cycles"] = static_cast<double>(run.totalCycles);
-        state.counters["events"] = static_cast<double>(
-            state.range(0) == 0
-                ? static_cast<double>(ring->recorded())
-                : static_cast<double>(recon->totalEvents()));
+        state.counters["events"] =
+            static_cast<double>(recon.totalEvents());
     }
-    state.SetLabel(state.range(0) == 0 ? "binary ring" : "reconstruct");
+    state.SetLabel("reconstruct");
 }
-BENCHMARK(BM_CycleFabricDotProductTraced)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CycleFabricDotProductTraced)->Unit(benchmark::kMillisecond);
 
 // A sparse fabric: one busy ALU-loop PE among many programless ones.
 // Exercises the idle-PE sleep list — host throughput should track the

@@ -7,9 +7,10 @@ namespace tia {
 namespace {
 
 /**
- * Domain separator: keys for different payload kinds must never
- * collide even if their serialized inputs happen to match (tia-sim
- * caches rendered reports in the same SimCache files).
+ * Domain separator: a key names its payload kind, so a future payload
+ * kind sharing a SimCache file can never collide with a WorkloadRun
+ * whose serialized inputs happen to match. Part of the key bytes:
+ * changing it invalidates every persisted tier.
  */
 constexpr std::string_view kDomain = "tia.workload-run";
 

@@ -1,13 +1,10 @@
 #include "workloads/runner.hh"
 
-#include <optional>
-
 #include "cache/run_cache.hh"
 #include "cache/simcache.hh"
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
 #include "obs/metrics.hh"
-#include "uarch/cycle_fabric.hh"
 
 namespace tia {
 
@@ -128,20 +125,18 @@ namespace {
 /**
  * Post-run extraction: collect the hang diagnosis, counters, memory
  * validation and (for injected runs) the fault-outcome classification
- * from a finished fabric.
- * @p trap_message is the FatalError text when an injected run
- * escalated to an architectural trap (@p trapped).
+ * from a finished execution.
  */
 WorkloadRun
-collectRun(CycleFabric &fabric, const Workload &workload,
-           const CycleRunOptions &options, FaultInjector *injector,
-           RunStatus status, bool trapped,
-           const std::string &trap_message)
+collectRun(CycleExecution execution, const Workload &workload,
+           const CycleRunOptions &options)
 {
+    CycleFabric &fabric = *execution.fabric;
+    const bool trapped = execution.trap.has_value();
     WorkloadRun run;
-    run.status = status;
+    run.status = execution.status;
     if (trapped)
-        run.checkError = std::string("trapped: ") + trap_message;
+        run.checkError = "trapped: " + *execution.trap;
 
     run.hang = fabric.hangReport();
     run.totalCycles = fabric.now();
@@ -165,14 +160,11 @@ collectRun(CycleFabric &fabric, const Workload &workload,
         run.checkError = "run did not complete";
     }
 
-    if (injector) {
-        run.faultStats = injector->stats();
-        std::uint64_t pe_faults = 0;
+    if (execution.injector) {
+        run.faultStats = execution.injector->stats();
         std::uint64_t pe_recoveries = 0;
-        for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-            pe_faults += fabric.pe(pe).counters().faultsInjected;
+        for (unsigned pe = 0; pe < fabric.numPes(); ++pe)
             pe_recoveries += fabric.pe(pe).counters().faultRecoveries;
-        }
         if (options.goldenCrossCheck) {
             if (trapped) {
                 run.faultOutcome = FaultOutcome::Trapped;
@@ -196,12 +188,23 @@ WorkloadRun
 runCycleUncached(const Workload &workload, const PeConfig &uarch,
                  const CycleRunOptions &options)
 {
-    std::optional<FaultInjector> injector;
-    if (options.faults != nullptr && !options.faults->empty())
-        injector.emplace(*options.faults);
+    return collectRun(executeCycle(workload, uarch, options), workload,
+                      options);
+}
 
-    CycleFabric fabric(workload.config, workload.program, uarch,
-                       injector ? &*injector : nullptr);
+} // namespace
+
+CycleExecution
+executeCycle(const Workload &workload, const PeConfig &uarch,
+             const CycleRunOptions &options)
+{
+    CycleExecution execution;
+    if (options.faults != nullptr && !options.faults->empty())
+        execution.injector = std::make_unique<FaultInjector>(*options.faults);
+
+    execution.fabric = std::make_unique<CycleFabric>(
+        workload.config, workload.program, uarch, execution.injector.get());
+    CycleFabric &fabric = *execution.fabric;
     workload.preload(fabric.memory());
     if (options.trace != nullptr)
         fabric.setTraceSink(options.trace, options.traceLevel);
@@ -212,28 +215,20 @@ runCycleUncached(const Workload &workload, const PeConfig &uarch,
                                           options.quiescenceWindow,
                                           options.stop,
                                           options.stopCheckInterval};
-    RunStatus status = RunStatus::StepLimit;
-    bool trapped = false;
-    std::string trap_message;
-    if (injector) {
+    if (execution.injector) {
         // Corrupted tokens can escalate to architectural traps
         // (out-of-bounds addresses and the like); for injected runs
         // that is a reportable outcome, not a harness failure.
         try {
-            status = fabric.run(fabric_options);
+            execution.status = fabric.run(fabric_options);
         } catch (const FatalError &error) {
-            trapped = true;
-            trap_message = error.what();
+            execution.trap = error.what();
         }
     } else {
-        status = fabric.run(fabric_options);
+        execution.status = fabric.run(fabric_options);
     }
-    return collectRun(fabric, workload, options,
-                      injector ? &*injector : nullptr, status, trapped,
-                      trap_message);
+    return execution;
 }
-
-} // namespace
 
 JsonValue
 workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
@@ -268,19 +263,25 @@ workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
         run.faultStats.totalFired() != 0) {
         JsonValue faults = JsonValue::object();
         faults["outcome"] = faultOutcomeName(run.faultOutcome);
-        faults["total_fired"] = run.faultStats.totalFired();
-        JsonValue lines = JsonValue::array();
-        for (const auto &line : run.faultStats.lines) {
-            JsonValue item = JsonValue::object();
-            item["name"] = line.name;
-            item["fired"] = line.fired;
-            item["declined"] = line.declined;
-            lines.push(std::move(item));
-        }
-        faults["lines"] = std::move(lines);
-        entry["faults"] = std::move(faults);
+        entry["faults"] = faultStatsJson(run.faultStats, std::move(faults));
     }
     return entry;
+}
+
+JsonValue
+faultStatsJson(const FaultStats &stats, JsonValue block)
+{
+    block["total_fired"] = stats.totalFired();
+    JsonValue lines = JsonValue::array();
+    for (const auto &line : stats.lines) {
+        JsonValue item = JsonValue::object();
+        item["name"] = line.name;
+        item["fired"] = line.fired;
+        item["declined"] = line.declined;
+        lines.push(std::move(item));
+    }
+    block["lines"] = std::move(lines);
+    return block;
 }
 
 JsonValue

@@ -17,6 +17,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <optional>
 
 #include "exec/stop_token.hh"
 #include "obs/json.hh"
@@ -26,6 +28,7 @@
 #include "sim/hang_diagnosis.hh"
 #include "uarch/config.hh"
 #include "uarch/counters.hh"
+#include "uarch/cycle_fabric.hh"
 #include "workloads/workload.hh"
 
 namespace tia {
@@ -140,6 +143,39 @@ struct WorkloadRun
     bool operator==(const WorkloadRun &) const = default;
 };
 
+/**
+ * A finished cycle-accurate execution, before any result extraction:
+ * the fabric as the run left it, for callers that read more than a
+ * WorkloadRun keeps (every PE's counters, channel high-water marks,
+ * the memory image).
+ */
+struct CycleExecution
+{
+    /** The injector the fabric ran under (nullptr on a clean run).
+     *  Heap-held, like the fabric, so the fabric's pointer to it stays
+     *  valid when the execution is moved; declared first so it
+     *  outlives the fabric. */
+    std::unique_ptr<FaultInjector> injector;
+    std::unique_ptr<CycleFabric> fabric;
+    RunStatus status = RunStatus::StepLimit;
+    /** The FatalError text when an injected fault escalated to an
+     *  architectural trap; the fabric stops in the trapping cycle. */
+    std::optional<std::string> trap;
+};
+
+/**
+ * Build the workload's fabric under @p uarch, preload its memory and
+ * run it with @p options (budget, watchdog window, fault plan, trace
+ * sink, reference scheduler, stop token). Corrupted tokens can
+ * escalate to traps (out-of-bounds addresses and the like); on an
+ * injected run that is a reportable outcome, so the FatalError is
+ * caught into CycleExecution::trap. A clean run lets it propagate.
+ * Ignores @p options.cache and @p options.goldenCrossCheck, which are
+ * runCycle's business.
+ */
+CycleExecution executeCycle(const Workload &workload, const PeConfig &uarch,
+                            const CycleRunOptions &options);
+
 /** Run on the functional (golden) simulator. */
 WorkloadRun runFunctional(const Workload &workload,
                           std::uint64_t max_steps = 50'000'000);
@@ -214,6 +250,14 @@ CycleMatrix runCycleMatrix(const std::vector<Workload> &workloads,
  */
 JsonValue workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
                              const std::string &workload);
+
+/**
+ * Append the tia-metrics/v1 "faults" fields every producer shares —
+ * "total_fired" and one {name, fired, declined} entry per plan line
+ * under "lines" — to @p block, after the caller's leading fields
+ * ("outcome" in workloadRunMetrics, "plan" in tia-sim).
+ */
+JsonValue faultStatsJson(const FaultStats &stats, JsonValue block);
 
 /**
  * The tia-metrics/v1 root "sweep" block for a finished matrix: the

@@ -4,8 +4,9 @@
  * seed, same faults, same report), and the architectural response to
  * each fault class — drops starve, duplicates skew, corruptions break
  * the golden check, stuck status stalls, forced mispredictions are
- * repaired by the +P recovery machinery, and memory latency spikes
- * slow a run without corrupting it.
+ * repaired by the +P recovery machinery, memory latency spikes slow a
+ * run without corrupting it, and a corrupted store address escalates
+ * to a trap that is classified, not thrown.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 
 #include "core/assembler.hh"
 #include "core/logging.hh"
+#include "obs/metrics.hh"
 #include "sim/fault.hh"
 #include "uarch/cycle_fabric.hh"
+#include "uarch/fabric_metrics.hh"
 #include "workloads/runner.hh"
 
 namespace tia {
@@ -265,6 +268,81 @@ TEST(FaultInjection, DroppedWorkloadTokensAreReportedHung)
     EXPECT_EQ(run.faultOutcome, FaultOutcome::Hung);
     EXPECT_NE(run.status, RunStatus::Halted);
     EXPECT_FALSE(run.hang.summary.empty());
+}
+
+/**
+ * Single PE storing 7 to memory word 0 through the conventional write
+ * port (%o1 = address on channel 2, %o2 = data on channel 3).
+ */
+Workload
+storeWorkload()
+{
+    Workload workload;
+    workload.name = "store";
+    workload.program = assemble(
+        "when %p == XXXXXX00: mov %o1.0, #0; set %p = ZZZZZZ01;\n"
+        "when %p == XXXXXX01: mov %o2.0, #7; set %p = ZZZZZZ10;\n"
+        "when %p == XXXXXX10: nop; set %p = ZZZZZZ11;\n"
+        "when %p == XXXXXX11: halt;\n");
+    FabricBuilder builder(workload.program.params, 1);
+    builder.addReadPort(0, 0, 0);
+    builder.addWritePort(0, 1, 2);
+    workload.config = builder.build();
+    workload.preload = [](Memory &) {};
+    workload.check = [](const Memory &memory) {
+        return memory.read(0) == 7 ? std::string()
+                                   : std::string("mem[0] != 7");
+    };
+    return workload;
+}
+
+/** Every store address is pushed out of bounds. */
+const char *const kWildStore = "seed=1;corrupt:ch2@p1,mask=0x7fffffff";
+
+TEST(FaultInjection, CorruptedStoreAddressTrapsOnEveryUarch)
+{
+    // The out-of-bounds store raises a FatalError inside the fabric;
+    // executeCycle catches it into the trap message and still hands
+    // back the fabric, whose metrics entry must be a valid document.
+    const Workload workload = storeWorkload();
+    ASSERT_TRUE(runCycle(workload, kUarch).ok());
+    const FaultPlan plan = FaultPlan::parse(kWildStore);
+    CycleRunOptions options;
+    options.faults = &plan;
+
+    for (const PeConfig &uarch : allConfigs()) {
+        SCOPED_TRACE(uarch.name());
+        CycleExecution execution = executeCycle(workload, uarch, options);
+        ASSERT_TRUE(execution.trap.has_value());
+        EXPECT_NE(execution.trap->find("out of bounds"), std::string::npos)
+            << *execution.trap;
+        ASSERT_NE(execution.injector, nullptr);
+        EXPECT_GT(execution.injector->stats().totalFired(), 0u);
+
+        MetricsRegistry registry("test");
+        registry.addRun(
+            fabricRunMetrics(*execution.fabric, uarch, execution.status));
+        std::string error;
+        const auto doc = JsonValue::parse(registry.dump(), &error);
+        ASSERT_TRUE(doc.has_value()) << error;
+        const auto problems = validateMetricsDocument(*doc);
+        EXPECT_TRUE(problems.empty())
+            << "first problem: " << problems.front();
+    }
+}
+
+TEST(FaultInjection, CorruptedStoreAddressIsClassifiedTrapped)
+{
+    const FaultPlan plan = FaultPlan::parse(kWildStore);
+    CycleRunOptions options;
+    options.faults = &plan;
+    options.goldenCrossCheck = true;
+
+    const WorkloadRun run = runCycle(storeWorkload(), kDeepP, options);
+    EXPECT_FALSE(run.ok());
+    EXPECT_EQ(run.faultOutcome, FaultOutcome::Trapped);
+    EXPECT_EQ(run.checkError.rfind("trapped: ", 0), 0u) << run.checkError;
+    EXPECT_GT(run.faultStats.totalFired(), 0u);
 }
 
 } // namespace

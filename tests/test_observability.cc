@@ -7,13 +7,11 @@
  * emit and reject corrupted documents.
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/binary_ring.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
@@ -231,33 +229,6 @@ TEST(Observability, PipelineSegmentNames)
     ASSERT_TRUE(mixed.has_value());
     EXPECT_EQ(mixed->shape.segmentNames(),
               (std::vector<std::string>{"T", "DX1", "X2"}));
-}
-
-TEST(Observability, BinaryRingWrapsKeepingNewest)
-{
-    BinaryRingSink ring(16);
-    for (unsigned i = 0; i < 100; ++i) {
-        ring.record({/*cycle=*/i, /*pe=*/0, TraceEventKind::Issue,
-                     /*arg=*/0, /*index=*/static_cast<std::uint16_t>(i),
-                     /*value=*/i});
-    }
-    EXPECT_EQ(ring.size(), 16u);
-    EXPECT_EQ(ring.recorded(), 100u);
-    EXPECT_EQ(ring.dropped(), 84u);
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        EXPECT_EQ(ring.at(i).cycle, 84 + i) << i;
-
-    const std::string path = "obs_ring_test.bin";
-    ASSERT_TRUE(ring.writeTo(path));
-    std::vector<BinaryTraceRecord> records;
-    BinaryTraceFileHeader header;
-    ASSERT_TRUE(readBinaryTrace(path, records, &header));
-    std::remove(path.c_str());
-    EXPECT_EQ(header.totalRecorded, 100u);
-    EXPECT_EQ(header.stored, 16u);
-    ASSERT_EQ(records.size(), 16u);
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(records[i], ring.at(i)) << i;
 }
 
 TEST(Observability, MetricsDocumentsValidate)

@@ -41,9 +41,6 @@
  *                      retire, quash, predictor, park/wake) or
  *                      "cycles" (adds per-stage occupancy tracks and
  *                      per-cycle channel depths)
- *   --trace-binary FILE  write the compact binary ring trace instead
- *                      of (or besides) the JSON one; keeps the last
- *                      1M records (see obs/binary_ring.hh)
  *   --metrics FILE     write a tia-metrics/v1 JSON document with one
  *                      run entry per swept microarchitecture
  *                      (validate with tia-metrics-check)
@@ -58,17 +55,25 @@
  * Single-PE programs with no wiring options get the conventional port
  * map automatically: read port on %o0/%i0, write port on %o1/%o2.
  *
+ * Each cycle-accurate run goes through executeCycle
+ * (workloads/runner.hh), the fabric execution runCycle uses: an
+ * injected fault that escalates to an architectural trap (e.g. a
+ * corrupted address out of bounds) is reported as that run's outcome,
+ * not as a tool error.
+ *
  * Exit codes: 0 halted, 1 error, 2 usage, 3 quiescent (starved),
- * 4 deadlock, 5 livelock, 6 step limit — so scripts can distinguish
+ * 4 deadlock, 5 livelock, 6 step limit, 7 cancelled, 8 trapped (an
+ * injected fault escalated to a trap) — so scripts can distinguish
  * the failure classes. A multi-uarch sweep exits with the worst
  * (highest) per-run code.
  */
 
 #include <algorithm>
 #include <array>
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -80,13 +85,12 @@
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
 #include "exec/thread_pool.hh"
-#include "obs/binary_ring.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "sim/fault.hh"
 #include "sim/functional.hh"
-#include "uarch/cycle_fabric.hh"
 #include "uarch/fabric_metrics.hh"
+#include "workloads/runner.hh"
 
 namespace {
 
@@ -138,20 +142,28 @@ numbers(const std::string &text, const std::string &separators)
     return values;
 }
 
-/** Parse a decimal count for @p option. Negative or junk text is an
- *  error: std::stoul alone would wrap "-1" to ULONG_MAX. */
+/** Parse a decimal count for @p option, at most @p max. Negative,
+ *  junk or trailing text is an error: std::stoull alone would wrap
+ *  "-1" to 2^64-1 and read "12junk" as 12. */
+std::uint64_t
+parseCount64(const char *option, const std::string &text,
+             std::uint64_t max = UINT64_MAX)
+{
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    fatalIf(error == std::errc::invalid_argument || stop != end, option,
+            " wants a non-negative integer, got \"", text, "\"");
+    fatalIf(error == std::errc::result_out_of_range || value > max, option,
+            " ", text, " is out of range");
+    return value;
+}
+
+/** parseCount64 for counts that size things (at most 9 digits). */
 unsigned
 parseCount(const char *option, const std::string &text)
 {
-    const bool digits =
-        !text.empty() &&
-        std::all_of(text.begin(), text.end(), [](unsigned char c) {
-            return std::isdigit(c) != 0;
-        });
-    fatalIf(!digits, option, " wants a non-negative integer, got \"",
-            text, "\"");
-    fatalIf(text.size() > 9, option, " ", text, " is out of range");
-    return static_cast<unsigned>(std::stoul(text));
+    return static_cast<unsigned>(parseCount64(option, text, 999'999'999));
 }
 
 /** Split a comma-separated -u list, trimming surrounding blanks. */
@@ -197,11 +209,13 @@ struct Options
     std::string injectPlan;
     bool watchdog = false;
     bool stats = false;
-    std::string tracePath;       ///< Chrome trace_event JSON output.
-    std::string traceBinaryPath; ///< Binary ring trace output.
+    std::string tracePath;   ///< Chrome trace_event JSON output.
     TraceLevel traceLevel = TraceLevel::Events;
-    std::string metricsPath;     ///< tia-metrics/v1 JSON output.
+    std::string metricsPath; ///< tia-metrics/v1 JSON output.
 };
+
+/** Exit code of a run that ended in an architectural trap. */
+constexpr int kTrappedExitCode = 8;
 
 /** Map a run status to the tool's documented exit code. */
 int
@@ -257,9 +271,21 @@ run(const Options &opt)
     ArchParams params;
     if (!opt.paramsPath.empty())
         params = parseParams(readFile(opt.paramsPath));
-    const Program program = assemble(readFile(opt.program), params);
+    // The program as a Workload, so cycle-accurate runs share
+    // runCycle's fabric execution. There is no golden model to check
+    // the memory image against (--dump shows it instead), so the check
+    // always passes.
+    Workload workload;
+    workload.name = opt.program;
+    workload.program = assemble(readFile(opt.program), params);
+    workload.preload = [&opt](Memory &memory) {
+        for (const auto &m : opt.mems)
+            memory.write(static_cast<Word>(m[0]),
+                         static_cast<Word>(m[1]));
+    };
+    workload.check = [](const Memory &) { return std::string(); };
 
-    const unsigned pes = opt.pes ? opt.pes : program.numPes();
+    const unsigned pes = opt.pes ? opt.pes : workload.program.numPes();
     FabricBuilder builder(params, pes);
     const bool default_ports = opt.connects.empty() &&
                                opt.readPorts.empty() &&
@@ -301,13 +327,21 @@ run(const Options &opt)
         if (!reg_files[pe].empty())
             builder.setInitialRegs(pe, reg_files[pe]);
     }
-    const FabricConfig config = builder.build();
+    workload.config = builder.build();
 
-    auto preload = [&](Memory &memory) {
-        for (const auto &m : opt.mems)
-            memory.write(static_cast<Word>(m[0]),
-                         static_cast<Word>(m[1]));
-    };
+    // Range-check memory addresses before any simulation, so a typo
+    // cannot discard the results of a whole sweep at dump time.
+    const std::size_t words = workload.config.memoryWords;
+    for (const auto &m : opt.mems) {
+        fatalIf(m[0] >= words, "--mem ", m[0], "=", m[1], ": address ",
+                m[0], " is out of range (", words, " memory words)");
+    }
+    for (const auto &d : opt.dumps) {
+        const unsigned long count = d[1] ? d[1] : 1;
+        fatalIf(d[0] >= words || count > words - d[0], "--dump ", d[0],
+                ":", count, " reads past the end of memory (", words,
+                " words)");
+    }
     auto dump = [&](std::string &out, const Memory &memory) {
         for (const auto &d : opt.dumps) {
             const unsigned long count = d[1] ? d[1] : 1;
@@ -318,8 +352,7 @@ run(const Options &opt)
             }
         }
     };
-    const bool tracing =
-        !opt.tracePath.empty() || !opt.traceBinaryPath.empty();
+    const bool tracing = !opt.tracePath.empty();
     if (opt.uarch == "functional") {
         fatalIf(!opt.injectPlan.empty(),
                 "--inject requires a cycle-accurate -u microarchitecture");
@@ -330,8 +363,8 @@ run(const Options &opt)
         fatalIf(!opt.metricsPath.empty(),
                 "--metrics requires a cycle-accurate -u "
                 "microarchitecture");
-        FunctionalFabric fabric(config, program);
-        preload(fabric.memory());
+        FunctionalFabric fabric(workload.config, workload.program);
+        workload.preload(fabric.memory());
         const RunStatus status = fabric.run(opt.maxCycles);
         std::printf("functional simulation: %s\n", runStatusName(status));
         for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
@@ -379,54 +412,40 @@ run(const Options &opt)
     // injector, so the sweep result does not depend on --jobs.
     auto simulate = [&](std::size_t index) {
         const PeConfig &uarch = uarchs[index];
-        std::optional<FaultInjector> injector;
-        if (plan)
-            injector.emplace(*plan);
+        CycleRunOptions options;
+        options.maxCycles = opt.maxCycles;
+        options.quiescenceWindow = opt.quiescenceWindow;
+        options.faults = plan ? &*plan : nullptr;
 
-        CycleFabric fabric(config, program, uarch,
-                           injector ? &*injector : nullptr);
-        preload(fabric.memory());
-
-        // Trace sinks live on this task's stack — --trace is rejected
-        // for multi-uarch sweeps, so at most one task builds them.
+        // The trace sink lives on this task's stack — --trace is
+        // rejected for multi-uarch sweeps, so at most one task builds
+        // it.
         std::optional<ChromeTraceSink> chrome;
-        std::optional<BinaryRingSink> ring;
-        TeeSink tee;
-        if (!opt.tracePath.empty()) {
+        if (tracing) {
             chrome.emplace();
-            for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
+            for (unsigned pe = 0; pe < pes; ++pe) {
                 chrome->setPeMetadata(pe, "PE " + std::to_string(pe),
                                       uarch.shape.segmentNames());
             }
-            tee.add(&*chrome);
+            options.trace = &*chrome;
+            options.traceLevel = opt.traceLevel;
         }
-        if (!opt.traceBinaryPath.empty()) {
-            ring.emplace(1u << 20);
-            tee.add(&*ring);
-        }
-        TraceSink *sink = nullptr;
-        if (chrome && ring)
-            sink = &tee;
-        else if (chrome)
-            sink = &*chrome;
-        else if (ring)
-            sink = &*ring;
-        if (sink != nullptr)
-            fabric.setTraceSink(sink, opt.traceLevel);
 
         const auto host_start = std::chrono::steady_clock::now();
-        FabricRunOptions runOptions;
-        runOptions.maxCycles = opt.maxCycles;
-        runOptions.quiescenceWindow = opt.quiescenceWindow;
-        const RunStatus status = fabric.run(runOptions);
+        CycleExecution execution = executeCycle(workload, uarch, options);
         const double host_seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - host_start)
                 .count();
+        CycleFabric &fabric = *execution.fabric;
+        const RunStatus status = execution.status;
         std::string text;
         appendf(text, "%s simulation: %s after %llu cycles\n",
-                uarch.name().c_str(), runStatusName(status),
+                uarch.name().c_str(),
+                execution.trap ? "trapped" : runStatusName(status),
                 static_cast<unsigned long long>(fabric.now()));
+        if (execution.trap)
+            appendf(text, "  trapped: %s\n", execution.trap->c_str());
         const HangReport &report = fabric.hangReport();
         if (!report.summary.empty())
             appendf(text, "  %s\n", report.summary.c_str());
@@ -440,6 +459,7 @@ run(const Options &opt)
             std::string label = "PE " + std::to_string(pe);
             printCounters(text, label.c_str(), fabric.pe(pe).counters());
         }
+        const FaultInjector *injector = execution.injector.get();
         if (injector) {
             appendf(text, "fault injection (%s):\n%s",
                     injector->plan().toString().c_str(),
@@ -486,37 +506,22 @@ run(const Options &opt)
                     opt.tracePath);
             appendf(text, "trace: %s\n", opt.tracePath.c_str());
         }
-        if (ring) {
-            fatalIf(!ring->writeTo(opt.traceBinaryPath), "cannot write ",
-                    opt.traceBinaryPath);
-            appendf(text,
-                    "binary trace: %s (%llu records stored, %llu "
-                    "dropped)\n",
-                    opt.traceBinaryPath.c_str(),
-                    static_cast<unsigned long long>(ring->size()),
-                    static_cast<unsigned long long>(ring->dropped()));
-        }
         if (!opt.metricsPath.empty()) {
             JsonValue entry = fabricRunMetrics(fabric, uarch, status);
             if (injector) {
                 JsonValue faults = JsonValue::object();
                 faults["plan"] = injector->plan().toString();
-                faults["total_fired"] = injector->stats().totalFired();
-                JsonValue lines = JsonValue::array();
-                for (const auto &line : injector->stats().lines) {
-                    JsonValue item = JsonValue::object();
-                    item["name"] = line.name;
-                    item["fired"] = line.fired;
-                    item["declined"] = line.declined;
-                    lines.push(std::move(item));
-                }
-                faults["lines"] = std::move(lines);
+                faults = faultStatsJson(injector->stats(), std::move(faults));
+                if (execution.trap)
+                    faults["trap"] = *execution.trap;
                 entry["faults"] = std::move(faults);
             }
             metricsRuns[index] = std::move(entry);
         }
         dump(text, fabric.memory());
-        return std::make_pair(exitCode(status), std::move(text));
+        return std::make_pair(
+            execution.trap ? kTrappedExitCode : exitCode(status),
+            std::move(text));
     };
 
     std::vector<std::pair<int, std::string>> results(uarchs.size());
@@ -597,9 +602,9 @@ main(int argc, char **argv)
                 fatalIf(v.empty() || v.size() > 2, "--dump wants A[:N]");
                 opt.dumps.push_back({v[0], v.size() > 1 ? v[1] : 1});
             } else if (arg == "--max-cycles") {
-                opt.maxCycles = std::stoull(next());
+                opt.maxCycles = parseCount64("--max-cycles", next());
             } else if (arg == "--quiescence") {
-                opt.quiescenceWindow = std::stoull(next());
+                opt.quiescenceWindow = parseCount64("--quiescence", next());
             } else if (arg == "--inject") {
                 opt.injectPlan = next();
             } else if (arg == "--watchdog") {
@@ -608,8 +613,6 @@ main(int argc, char **argv)
                 opt.stats = true;
             } else if (arg == "--trace") {
                 opt.tracePath = next();
-            } else if (arg == "--trace-binary") {
-                opt.traceBinaryPath = next();
             } else if (arg == "--trace-level") {
                 const std::string level = next();
                 if (level == "events") {
