@@ -18,6 +18,7 @@
 #include <string>
 
 #include "cache/simcache.hh"
+#include "exec/thread_pool.hh"
 #include "workloads/runner.hh"
 #include "workloads/workload.hh"
 
@@ -46,7 +47,7 @@ benchJobs()
 {
     const char *jobs = std::getenv("TIA_BENCH_JOBS");
     if (jobs != nullptr)
-        return static_cast<unsigned>(std::strtoul(jobs, nullptr, 10));
+        return ThreadPool::parseJobs(jobs, "TIA_BENCH_JOBS");
     return 0; // SweepPipeline: hardware concurrency
 }
 

@@ -1,10 +1,8 @@
 #include "exec/thread_pool.hh"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 
-#include "core/logging.hh"
+#include "core/parse.hh"
 
 namespace tia {
 
@@ -26,17 +24,8 @@ ThreadPool::maxReasonableJobs()
 unsigned
 ThreadPool::parseJobs(const std::string &text, const char *what)
 {
-    fatalIf(text.empty(), what, " wants a non-negative integer");
-    for (char c : text) {
-        fatalIf(!std::isdigit(static_cast<unsigned char>(c)), what,
-                " wants a non-negative integer, got \"", text, "\"");
-    }
-    unsigned long value = 0;
-    try {
-        value = std::stoul(text);
-    } catch (const std::out_of_range &) {
-        value = maxReasonableJobs() + 1ul; // clamp below
-    }
+    // Past 64 bits is just another absurd value: clamp it below.
+    const std::uint64_t value = parseDigits(what, text).value_or(UINT64_MAX);
     if (value == 0)
         return defaultConcurrency();
     const unsigned limit = maxReasonableJobs();

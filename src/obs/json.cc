@@ -103,50 +103,37 @@ JsonValue::dumpTo(std::string &out, unsigned depth) const
       case Kind::String:
         dumpString(out, str_);
         return;
-      case Kind::Array: {
-        if (items_.empty()) {
-            out += "[]";
-            return;
-        }
-        // Arrays of scalars print inline; arrays with any container
-        // element print one element per line.
+      case Kind::Array:
+      case Kind::Object: {
+        const bool array = kind_ == Kind::Array;
+        const std::size_t size = array ? items_.size() : members_.size();
+        const auto element = [&](std::size_t i) -> const JsonValue & {
+            return array ? items_[i] : members_[i].second;
+        };
+        // Containers of scalars print inline; a container holding any
+        // container prints one element per line.
         bool nested = false;
-        for (const auto &item : items_)
-            nested = nested || item.isArray() || item.isObject();
-        out += '[';
-        for (std::size_t i = 0; i < items_.size(); ++i) {
+        for (std::size_t i = 0; i < size; ++i)
+            nested = nested || element(i).isArray() || element(i).isObject();
+        out += array ? '[' : '{';
+        for (std::size_t i = 0; i < size; ++i) {
             if (nested) {
                 out += '\n';
                 indent(out, depth + 1);
             }
-            items_[i].dumpTo(out, depth + 1);
-            if (i + 1 < items_.size())
+            if (!array) {
+                dumpString(out, members_[i].first);
+                out += ": ";
+            }
+            element(i).dumpTo(out, depth + 1);
+            if (i + 1 < size)
                 out += nested ? "," : ", ";
         }
         if (nested) {
             out += '\n';
             indent(out, depth);
         }
-        out += ']';
-        return;
-      }
-      case Kind::Object: {
-        if (members_.empty()) {
-            out += "{}";
-            return;
-        }
-        out += "{\n";
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            indent(out, depth + 1);
-            dumpString(out, members_[i].first);
-            out += ": ";
-            members_[i].second.dumpTo(out, depth + 1);
-            if (i + 1 < members_.size())
-                out += ',';
-            out += '\n';
-        }
-        indent(out, depth);
-        out += '}';
+        out += array ? ']' : '}';
         return;
       }
     }

@@ -114,7 +114,10 @@ class JsonValue
     /** Lookup without creation; nullptr if absent or not an object. */
     const JsonValue *find(const std::string &key) const;
 
-    /** Serialize with 2-space indentation per nesting level. */
+    /**
+     * Serialize with 2-space indentation per nesting level. An array or
+     * object whose elements are all scalars prints on one line.
+     */
     std::string dump() const;
 
     /** Parse strict JSON; on failure returns nullopt and sets @p error. */

@@ -998,14 +998,13 @@ Server::handleSweep(const JsonValue &params, Job &job)
 
     std::vector<PeConfig> configs;
     const JsonValue *configParam = params.find("configs");
-    if (configParam == nullptr ||
-        (configParam->isString() && configParam->str() == "fig5")) {
+    if (configParam == nullptr) {
         configs = figure5Configs();
-    } else if (configParam->isString() && configParam->str() == "all") {
-        configs = allConfigs();
+    } else if (configParam->isString()) {
+        configs = parseConfigList(configParam->str());
     } else {
         fatalIf(!configParam->isArray(),
-                "\"configs\" must be \"fig5\", \"all\" or an array");
+                "\"configs\" must be a string or an array of names");
         for (const JsonValue &entry : configParam->items()) {
             fatalIf(!entry.isString(), "config names must be strings");
             const auto config = parseConfigName(entry.str());

@@ -1,5 +1,7 @@
 #include "uarch/config.hh"
 
+#include "core/parse.hh"
+
 namespace tia {
 
 std::string
@@ -111,6 +113,26 @@ parseConfigName(const std::string &name)
         }
     }
     return std::nullopt;
+}
+
+std::vector<PeConfig>
+parseConfigList(const std::string &text)
+{
+    std::vector<PeConfig> configs;
+    for (const std::string &name : splitList(text, "microarchitecture")) {
+        if (name == "all" || name == "fig5") {
+            const auto group =
+                name == "all" ? allConfigs() : figure5Configs();
+            configs.insert(configs.end(), group.begin(), group.end());
+            continue;
+        }
+        const auto config = parseConfigName(name);
+        fatalIf(!config.has_value(), "unknown microarchitecture \"", name,
+                "\" (try e.g. \"TDX\", \"T|DX +P+Q\", \"fig5\" or "
+                "\"all\")");
+        configs.push_back(*config);
+    }
+    return configs;
 }
 
 } // namespace tia

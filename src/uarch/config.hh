@@ -93,6 +93,14 @@ std::vector<PeConfig> figure5Configs();
  */
 std::optional<PeConfig> parseConfigName(const std::string &name);
 
+/**
+ * Parse a comma-separated list of configuration names, blanks around
+ * each entry trimmed. An entry may also be "all" (allConfigs()) or
+ * "fig5" (figure5Configs()). An empty or unknown entry is a
+ * FatalError.
+ */
+std::vector<PeConfig> parseConfigList(const std::string &text);
+
 } // namespace tia
 
 #endif // TIA_UARCH_CONFIG_HH

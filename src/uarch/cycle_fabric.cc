@@ -325,7 +325,7 @@ CycleFabric::run(const FabricRunOptions &options)
                                   " cycle(s)";
                 return RunStatus::Cancelled;
             }
-            next_stop_check = now_ + options.stopCheckInterval;
+            next_stop_check = now_ + kStopCheckInterval;
         }
         if (haltedPes_ == pes_.size()) {
             report_ = HangReport{};

@@ -53,6 +53,10 @@
 
 namespace tia {
 
+/** Cycles between stop-token polls in CycleFabric::run (a poll reads
+ *  the clock). */
+constexpr Cycle kStopCheckInterval = 4096;
+
 /** Knobs for CycleFabric::run (previously hard-coded defaults). */
 struct FabricRunOptions
 {
@@ -66,14 +70,12 @@ struct FabricRunOptions
     Cycle quiescenceWindow = kDefaultQuiescenceWindow;
     /**
      * Cooperative cancellation (exec/stop_token.hh). Polled every
-     * @ref stopCheckInterval cycles; when it fires, run() returns
+     * kStopCheckInterval cycles; when it fires, run() returns
      * RunStatus::Cancelled promptly with a hang report naming the
      * reason, instead of running out the cycle budget. A detached
      * token (the default) costs nothing on the hot path.
      */
     StopToken stop;
-    /** Cycles between stop-token polls (a poll reads the clock). */
-    Cycle stopCheckInterval = 4096;
 };
 
 /** Host-side execution statistics (see tools/tia_sim --stats). */

@@ -213,8 +213,7 @@ executeCycle(const Workload &workload, const PeConfig &uarch,
 
     const FabricRunOptions fabric_options{options.maxCycles,
                                           options.quiescenceWindow,
-                                          options.stop,
-                                          options.stopCheckInterval};
+                                          options.stop};
     if (execution.injector) {
         // Corrupted tokens can escalate to architectural traps
         // (out-of-bounds addresses and the like); for injected runs

@@ -88,16 +88,14 @@ struct CycleRunOptions
     SimCache *cache = nullptr;
     /**
      * Cooperative cancellation (exec/stop_token.hh), polled inside the
-     * cycle loop every @ref stopCheckInterval cycles. A run cut short
+     * cycle loop every kStopCheckInterval cycles. A run cut short
      * returns status RunStatus::Cancelled and is never cached — and a
      * caller coalesced onto a leader whose run was cancelled retries
      * the computation itself unless its own token has also fired, so
      * one client's deadline cannot fail another client's request.
-     * Neither field is part of the cache key.
+     * It is not part of the cache key.
      */
     StopToken stop;
-    /** Cycles between stop-token polls when @ref stop is attached. */
-    Cycle stopCheckInterval = 4096;
 };
 
 /** Result of one workload execution. */

@@ -397,6 +397,36 @@ TEST(Serve, SimulateRoundTrip)
     server.hardStop();
 }
 
+TEST(Serve, SweepConfigsStringUsesTheListGrammar)
+{
+    const std::string socket = socketPath("sweep");
+    Server server(baseOptions(socket));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    auto client = ServeClient::connectUnix(socket, &error);
+    ASSERT_TRUE(client.has_value()) << error;
+
+    JsonValue params = JsonValue::object();
+    params["sizes"] = "small";
+    params["workloads"] = JsonValue::array();
+    params["workloads"].push("gcd");
+    params["configs"] = "TDX, T|DX +P+Q";
+    const auto resp = client->call("sweep", params, &error);
+    ASSERT_TRUE(resp.has_value()) << error;
+    ASSERT_TRUE(resp->ok) << resp->errorMessage;
+    const JsonValue *configs = resp->result.find("configs");
+    ASSERT_NE(configs, nullptr);
+    ASSERT_EQ(configs->items().size(), 2u);
+    EXPECT_EQ(configs->items()[1].str(), "T|DX +P+Q");
+
+    params["configs"] = "TDX, nonsense";
+    const auto bad = client->call("sweep", params, &error);
+    ASSERT_TRUE(bad.has_value()) << error;
+    EXPECT_EQ(bad->error, ServeError::BadRequest);
+    expectCounterIdentities(server.counters());
+    server.hardStop();
+}
+
 TEST(Serve, SequentialTcpRequestsDoNotStallOnDelayedAcks)
 {
     // A frame sent as two writes (length prefix, then payload) lets

@@ -33,6 +33,7 @@
 #include "cache/digest.hh"
 #include "cache/simcache.hh"
 #include "core/logging.hh"
+#include "core/parse.hh"
 #include "exec/pipeline.hh"
 #include "exec/stop_token.hh"
 #include "exec/thread_pool.hh"
@@ -659,6 +660,87 @@ TEST(ParseJobs, RejectsMalformedText)
     EXPECT_THROW(ThreadPool::parseJobs("-1"), FatalError);
     EXPECT_THROW(ThreadPool::parseJobs("4x"), FatalError);
     EXPECT_THROW(ThreadPool::parseJobs("1.5"), FatalError);
+}
+
+// ---------------------------------------------------------------------
+// The strict parsers every tool's count, rate and list options share.
+
+TEST(StrictParse, CountsAreDigitsOnly)
+{
+    EXPECT_EQ(parseCount64("--n", "0"), 0u);
+    EXPECT_EQ(parseCount64("--n", "18446744073709551615"), UINT64_MAX);
+    EXPECT_EQ(parseCount("--n", "999999999"), 999'999'999u);
+    for (const char *bad : {"", "-1", "+1", "5junk", " 5", "5 ", "1.5",
+                            "0x10"}) {
+        try {
+            parseCount64("--n", bad);
+            ADD_FAILURE() << "accepted \"" << bad << "\"";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("--n wants a non-negative integer"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    EXPECT_THROW(parseCount64("--n", "18446744073709551616"), FatalError);
+    EXPECT_THROW(parseCount64("--n", "11", 10), FatalError);
+    EXPECT_THROW(parseCount("--n", "1000000000"), FatalError);
+    EXPECT_EQ(parseDigits("--n", "99999999999999999999"), std::nullopt);
+}
+
+TEST(StrictParse, RatesAreFiniteAndNonNegative)
+{
+    EXPECT_EQ(parseRate("--r", "0"), 0.0);
+    EXPECT_EQ(parseRate("--r", "2.5"), 2.5);
+    EXPECT_EQ(parseRate("--r", "200.000000"), 200.0);
+    for (const char *bad : {"", "nan", "inf", "-1", "1e999", "2.5x",
+                            " 1"}) {
+        EXPECT_THROW(parseRate("--r", bad), FatalError) << bad;
+    }
+}
+
+TEST(StrictParse, ListsTrimBlanksAndRejectEmptyEntries)
+{
+    EXPECT_EQ(splitList("gcd, udiv ,mean", "x"),
+              (std::vector<std::string>{"gcd", "udiv", "mean"}));
+    EXPECT_EQ(splitList("T|DX +P+Q", "x"),
+              (std::vector<std::string>{"T|DX +P+Q"}));
+    for (const char *bad : {"", " ", "a,", ",a", "a,,b", "a, ,b"})
+        EXPECT_THROW(splitList(bad, "x"), FatalError) << bad;
+}
+
+// ---------------------------------------------------------------------
+// JsonValue::dump layout: containers of scalars print on one line, so
+// tia-sweep's Pareto entries keep their one-object-per-line form.
+
+TEST(JsonDump, ScalarContainersPrintInline)
+{
+    JsonValue point = JsonValue::object();
+    point["config"] = "TDX";
+    point["cpi"] = 1.5;
+    point["ok"] = true;
+    point["none"] = JsonValue();
+    EXPECT_EQ(point.dump(),
+              "{\"config\": \"TDX\", \"cpi\": 1.5, \"ok\": true, "
+              "\"none\": null}\n");
+
+    JsonValue pareto = JsonValue::array();
+    pareto.push(point);
+    pareto.push(JsonValue::object());
+    JsonValue doc = JsonValue::object();
+    doc["pareto"] = std::move(pareto);
+    doc["row"] = JsonValue::array();
+    doc["row"].push(1);
+    doc["row"].push(2);
+    EXPECT_EQ(doc.dump(),
+              "{\n"
+              "  \"pareto\": [\n"
+              "    {\"config\": \"TDX\", \"cpi\": 1.5, \"ok\": true, "
+              "\"none\": null},\n"
+              "    {}\n"
+              "  ],\n"
+              "  \"row\": [1, 2]\n"
+              "}\n");
 }
 
 // ---------------------------------------------------------------------

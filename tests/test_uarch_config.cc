@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/logging.hh"
 #include "uarch/config.hh"
 
 namespace tia {
@@ -81,6 +82,27 @@ TEST(UarchConfig, OptimizationSuffixesInNames)
     EXPECT_EQ((PeConfig{shape, true, false}).name(), "T|DX1|X2 +P");
     EXPECT_EQ((PeConfig{shape, false, true}).name(), "T|DX1|X2 +Q");
     EXPECT_EQ((PeConfig{shape, true, true}).name(), "T|DX1|X2 +P+Q");
+}
+
+TEST(UarchConfig, ConfigListTrimsAndExpandsGroups)
+{
+    const auto list = parseConfigList("TDX, T|DX +P+Q ,fig5");
+    ASSERT_EQ(list.size(), 2u + figure5Configs().size());
+    EXPECT_EQ(list[0].name(), "TDX");
+    EXPECT_EQ(list[1].name(), "T|DX +P+Q");
+    EXPECT_EQ(std::vector<PeConfig>(list.begin() + 2, list.end()),
+              figure5Configs());
+    EXPECT_EQ(parseConfigList("all"), allConfigs());
+    EXPECT_EQ(parseConfigList("TDX, all").size(), 33u);
+}
+
+TEST(UarchConfig, ConfigListRejectsEmptyAndUnknownEntries)
+{
+    EXPECT_THROW(parseConfigList(""), FatalError);
+    EXPECT_THROW(parseConfigList("TDX,"), FatalError);
+    EXPECT_THROW(parseConfigList("TDX, ,T|DX"), FatalError);
+    EXPECT_THROW(parseConfigList("TDX,functional"), FatalError);
+    EXPECT_THROW(parseConfigList("tdx"), FatalError);
 }
 
 } // namespace

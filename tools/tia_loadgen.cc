@@ -12,8 +12,8 @@
  * loss is a failure (exit 1).
  *
  * With --spawn the tool fork/execs a private daemon on a Unix socket,
- * waits for it to accept, runs the load, fetches `stats`, SIGTERMs the
- * daemon and requires exit status 0 — the full deployment lifecycle in
+ * waits for it to accept, runs the load, SIGTERMs the daemon and
+ * requires exit status 0 — the full deployment lifecycle in
  * one command. Adding --sigterm sends the SIGTERM *mid-load* instead,
  * turning the run into a drain-under-fire check: responses already
  * admitted must still arrive (or arrive as typed `shutting_down` /
@@ -33,8 +33,6 @@
  *   --sigterm           (with --spawn) SIGTERM the daemon mid-load
  *   --sigterm-after-ms N  delay before the mid-load SIGTERM (default
  *                       200)
- *   --bench FILE        write a JSON summary (client-side latency
- *                       percentiles, outcome tallies, server stats)
  *   --seed N            jitter/backoff PRNG seed (default 1)
  *   Pass-through to a spawned daemon: --workers, --queue, --quota-rps,
  *   --quota-burst, --cache, --metrics (the daemon's exit document,
@@ -51,7 +49,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -59,6 +56,7 @@
 #include <vector>
 
 #include "core/logging.hh"
+#include "core/parse.hh"
 #include "exec/thread_pool.hh"
 #include "obs/json.hh"
 #include "serve/client.hh"
@@ -83,7 +81,6 @@ struct Options
     bool useCache = true;
     bool sigterm = false;
     std::uint64_t sigtermAfterMs = 200;
-    std::string benchPath;
     std::uint64_t seed = 1;
     // Spawned-daemon pass-through.
     unsigned workers = 0;
@@ -104,25 +101,6 @@ struct Tally
     std::uint64_t retries = 0;
     std::vector<double> latenciesMs;
 };
-
-std::vector<std::string>
-splitCsv(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::string current;
-    for (char c : text) {
-        if (c == ',') {
-            fatalIf(current.empty(), "empty list entry in \"", text, "\"");
-            out.push_back(current);
-            current.clear();
-        } else {
-            current += c;
-        }
-    }
-    fatalIf(current.empty(), "empty list entry in \"", text, "\"");
-    out.push_back(current);
-    return out;
-}
 
 double
 percentile(std::vector<double> sorted, double q)
@@ -287,17 +265,6 @@ run(const Options &opt)
                               Clock::now() - loadStart)
                               .count();
 
-    // Post-load stats (the server is still up unless we SIGTERMed it).
-    JsonValue serverStats;
-    if (!opt.sigterm) {
-        std::string error;
-        if (auto client = connect(opt, &error)) {
-            if (auto response = client->call("stats", JsonValue(), &error);
-                response.has_value() && response->ok)
-                serverStats = response->result;
-        }
-    }
-
     int daemonExit = -1;
     if (daemon > 0) {
         if (!opt.sigterm) {
@@ -328,8 +295,6 @@ run(const Options &opt)
     std::sort(tally.latenciesMs.begin(), tally.latenciesMs.end());
     const double p50 = percentile(tally.latenciesMs, 0.50);
     const double p99 = percentile(tally.latenciesMs, 0.99);
-    const double maxMs =
-        tally.latenciesMs.empty() ? 0.0 : tally.latenciesMs.back();
     std::uint64_t typedTotal = 0;
     for (const auto &[code, count] : tally.typedErrors)
         typedTotal += count;
@@ -348,49 +313,6 @@ run(const Options &opt)
     for (const auto &[code, count] : tally.typedErrors)
         std::fprintf(stderr, "tia-loadgen:   %s: %llu\n", code.c_str(),
                      static_cast<unsigned long long>(count));
-
-    if (!opt.benchPath.empty()) {
-        JsonValue doc = JsonValue::object();
-        doc["tool"] = "tia-loadgen";
-        JsonValue config = JsonValue::object();
-        config["clients"] = opt.clients;
-        config["requests_per_client"] = opt.requests;
-        JsonValue names = JsonValue::array();
-        for (const std::string &name : opt.workloads)
-            names.push(name);
-        config["workloads"] = std::move(names);
-        config["uarch"] = opt.uarch;
-        config["sizes"] = opt.sizes;
-        config["deadline_ms"] = opt.deadlineMs;
-        config["cache"] = JsonValue(opt.useCache);
-        config["sigterm_mid_load"] = JsonValue(opt.sigterm);
-        doc["config"] = std::move(config);
-        JsonValue results = JsonValue::object();
-        results["ok"] = tally.ok;
-        JsonValue typed = JsonValue::object();
-        for (const auto &[code, count] : tally.typedErrors)
-            typed[code] = count;
-        results["typed_errors"] = std::move(typed);
-        results["transport_errors"] = tally.transportErrors;
-        results["retries"] = tally.retries;
-        results["wall_ms"] = wallMs;
-        results["ok_per_sec"] = rps;
-        JsonValue latency = JsonValue::object();
-        latency["count"] = tally.latenciesMs.size();
-        latency["p50"] = p50;
-        latency["p99"] = p99;
-        latency["max"] = maxMs;
-        results["latency_ms"] = std::move(latency);
-        doc["results"] = std::move(results);
-        doc["server"] = std::move(serverStats);
-        if (daemon > 0)
-            doc["daemon_exit"] = daemonExit;
-        std::ofstream out(opt.benchPath, std::ios::trunc);
-        fatalIf(!out, "cannot write ", opt.benchPath);
-        out << doc.dump() << "\n";
-        std::fprintf(stderr, "tia-loadgen: wrote %s\n",
-                     opt.benchPath.c_str());
-    }
 
     // Contract verdict.
     if (daemon > 0 && daemonExit != 0) {
@@ -441,7 +363,8 @@ main(int argc, char **argv)
                 opt.unixPath = next();
                 haveTarget = true;
             } else if (arg == "--port") {
-                opt.tcpPort = static_cast<int>(std::stoul(next()));
+                opt.tcpPort =
+                    static_cast<int>(parseCount64("--port", next(), 65535));
                 haveTarget = true;
             } else if (arg == "--spawn") {
                 opt.spawnBin = next();
@@ -449,35 +372,34 @@ main(int argc, char **argv)
             } else if (arg == "--clients") {
                 opt.clients = ThreadPool::parseJobs(next(), "--clients");
             } else if (arg == "--requests") {
-                opt.requests = static_cast<unsigned>(std::stoul(next()));
+                opt.requests = parseCount("--requests", next());
             } else if (arg == "--workloads") {
-                opt.workloads = splitCsv(next());
+                opt.workloads = splitList(next(), "--workloads");
             } else if (arg == "--uarch") {
                 opt.uarch = next();
             } else if (arg == "--sizes") {
                 opt.sizes = next();
             } else if (arg == "--deadline-ms") {
-                opt.deadlineMs = std::stoull(next());
+                opt.deadlineMs = parseCount64("--deadline-ms", next());
             } else if (arg == "--max-cycles") {
-                opt.maxCycles = std::stoull(next());
+                opt.maxCycles = parseCount64("--max-cycles", next());
             } else if (arg == "--no-cache") {
                 opt.useCache = false;
             } else if (arg == "--sigterm") {
                 opt.sigterm = true;
             } else if (arg == "--sigterm-after-ms") {
-                opt.sigtermAfterMs = std::stoull(next());
-            } else if (arg == "--bench") {
-                opt.benchPath = next();
+                opt.sigtermAfterMs =
+                    parseCount64("--sigterm-after-ms", next());
             } else if (arg == "--seed") {
-                opt.seed = std::stoull(next());
+                opt.seed = parseCount64("--seed", next());
             } else if (arg == "--workers") {
                 opt.workers = ThreadPool::parseJobs(next(), "--workers");
             } else if (arg == "--queue") {
-                opt.queueCapacity = std::stoul(next());
+                opt.queueCapacity = parseCount64("--queue", next());
             } else if (arg == "--quota-rps") {
-                opt.quotaRps = std::stod(next());
+                opt.quotaRps = parseRate("--quota-rps", next());
             } else if (arg == "--quota-burst") {
-                opt.quotaBurst = std::stod(next());
+                opt.quotaBurst = parseRate("--quota-burst", next());
             } else if (arg == "--cache") {
                 opt.cachePath = next();
             } else if (arg == "--metrics") {

@@ -28,6 +28,7 @@
  *   --frame-timeout-ms N slow-loris cutoff once a frame has started
  *                        (default 5000)
  *   --idle-timeout-ms N  close idle connections (default 60000)
+ *   --max-frame-bytes N  reject larger request frames (default 4 MiB)
  *   --cache FILE         persistent TIASIMC1 warm tier, loaded at
  *                        start and flushed (crash-safely) at drain
  *   --cache-verify       re-simulate every cache hit and compare
@@ -45,12 +46,14 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "core/logging.hh"
+#include "core/parse.hh"
 #include "exec/thread_pool.hh"
 #include "serve/server.hh"
 
@@ -89,28 +92,33 @@ main(int argc, char **argv)
                 opt.unixPath = next();
                 haveListener = true;
             } else if (arg == "--port") {
-                opt.tcpPort = static_cast<int>(std::stoul(next()));
+                opt.tcpPort =
+                    static_cast<int>(parseCount64("--port", next(), 65535));
                 haveListener = true;
             } else if (arg == "--port-file") {
                 portFile = next();
             } else if (arg == "--workers") {
                 opt.workers = ThreadPool::parseJobs(next(), "--workers");
             } else if (arg == "--queue") {
-                opt.queueCapacity = std::stoul(next());
+                opt.queueCapacity = parseCount64("--queue", next());
             } else if (arg == "--quota-rps") {
-                opt.quotaRate = std::stod(next());
+                opt.quotaRate = parseRate("--quota-rps", next());
             } else if (arg == "--quota-burst") {
-                opt.quotaBurst = std::stod(next());
+                opt.quotaBurst = parseRate("--quota-burst", next());
             } else if (arg == "--deadline-ms") {
-                opt.defaultDeadlineMs = std::stoull(next());
+                opt.defaultDeadlineMs = parseCount64("--deadline-ms", next());
             } else if (arg == "--max-deadline-ms") {
-                opt.maxDeadlineMs = std::stoull(next());
+                opt.maxDeadlineMs = parseCount64("--max-deadline-ms", next());
             } else if (arg == "--frame-timeout-ms") {
-                opt.frameTimeoutMs = static_cast<int>(std::stol(next()));
+                // At most INT_MAX / 2, so the server's int millisecond
+                // clocks can step past either timeout without overflow.
+                opt.frameTimeoutMs = static_cast<int>(parseCount64(
+                    "--frame-timeout-ms", next(), INT_MAX / 2));
             } else if (arg == "--idle-timeout-ms") {
-                opt.idleTimeoutMs = static_cast<int>(std::stol(next()));
+                opt.idleTimeoutMs = static_cast<int>(parseCount64(
+                    "--idle-timeout-ms", next(), INT_MAX / 2));
             } else if (arg == "--max-frame-bytes") {
-                opt.maxFrameBytes = std::stoul(next());
+                opt.maxFrameBytes = parseCount64("--max-frame-bytes", next());
             } else if (arg == "--cache") {
                 opt.cachePath = next();
             } else if (arg == "--cache-verify") {

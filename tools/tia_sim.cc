@@ -10,9 +10,10 @@
  *   -p FILE            parameter file (Table 1 keys)
  *   -u NAMES           microarchitecture ("functional" by default;
  *                      e.g. "TDX", "T|DX +P+Q", "T|D|X1|X2 +P+N+Q").
- *                      A comma-separated list (or "all" for all 32
- *                      configurations) sweeps the program over every
- *                      named microarchitecture.
+ *                      A comma-separated list, whose entries may
+ *                      also be "all" (all 32 configurations) or
+ *                      "fig5" (the Figure 5 subset), sweeps the
+ *                      program over every named microarchitecture.
  *   --jobs N           worker threads for multi-uarch sweeps
  *                      (default: hardware concurrency). Results are
  *                      printed in list order and are bit-identical to
@@ -25,7 +26,9 @@
  *   --reg P.R=V        preload register R of PE P with V
  *   --mem A=V          preload memory word A with V (repeat)
  *   --dump A[:N]       print N (default 1) memory words from A after
- *                      the run (repeat)
+ *                      the run (repeat). The numbers in --connect,
+ *                      the ports, --reg, --mem and --dump are decimal
+ *                      and at most 2^32-1.
  *   --max-cycles N     simulation budget (default 100,000,000 — the
  *                      shared kDefaultMaxCycles)
  *   --quiescence N     quiescence/watchdog window in cycles
@@ -70,7 +73,6 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
 #include <chrono>
 #include <cstdarg>
 #include <cstdint>
@@ -83,6 +85,7 @@
 
 #include "core/assembler.hh"
 #include "core/logging.hh"
+#include "core/parse.hh"
 #include "exec/pipeline.hh"
 #include "exec/thread_pool.hh"
 #include "obs/chrome_trace.hh"
@@ -119,76 +122,22 @@ appendf(std::string &out, const char *fmt, ...)
     out += buf;
 }
 
-/** Split "12.3:4.5"-style argument forms on the given separators. */
+/** Split "12.3:4.5"-style arguments of @p option on the given
+ *  separators into decimal fields of at most 32 bits. */
 std::vector<unsigned long>
-numbers(const std::string &text, const std::string &separators)
+numbers(const char *option, const std::string &text,
+        const char *separators)
 {
     std::vector<unsigned long> values;
-    std::string current;
-    auto flush = [&] {
-        fatalIf(current.empty(), "malformed option argument \"", text,
-                "\"");
-        values.push_back(std::stoul(current, nullptr, 0));
-        current.clear();
-    };
-    for (char c : text) {
-        if (separators.find(c) != std::string::npos) {
-            flush();
-        } else {
-            current += c;
-        }
+    for (std::size_t begin = 0;;) {
+        const std::size_t end = text.find_first_of(separators, begin);
+        values.push_back(parseCount64(
+            option, std::string_view(text).substr(begin, end - begin),
+            UINT32_MAX));
+        if (end == std::string::npos)
+            return values;
+        begin = end + 1;
     }
-    flush();
-    return values;
-}
-
-/** Parse a decimal count for @p option, at most @p max. Negative,
- *  junk or trailing text is an error: std::stoull alone would wrap
- *  "-1" to 2^64-1 and read "12junk" as 12. */
-std::uint64_t
-parseCount64(const char *option, const std::string &text,
-             std::uint64_t max = UINT64_MAX)
-{
-    std::uint64_t value = 0;
-    const char *end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    fatalIf(error == std::errc::invalid_argument || stop != end, option,
-            " wants a non-negative integer, got \"", text, "\"");
-    fatalIf(error == std::errc::result_out_of_range || value > max, option,
-            " ", text, " is out of range");
-    return value;
-}
-
-/** parseCount64 for counts that size things (at most 9 digits). */
-unsigned
-parseCount(const char *option, const std::string &text)
-{
-    return static_cast<unsigned>(parseCount64(option, text, 999'999'999));
-}
-
-/** Split a comma-separated -u list, trimming surrounding blanks. */
-std::vector<std::string>
-splitUarchList(const std::string &text)
-{
-    std::vector<std::string> names;
-    std::string current;
-    auto flush = [&] {
-        const auto begin = current.find_first_not_of(' ');
-        const auto end = current.find_last_not_of(' ');
-        fatalIf(begin == std::string::npos, "empty -u list entry in \"",
-                text, "\"");
-        names.push_back(current.substr(begin, end - begin + 1));
-        current.clear();
-    };
-    for (char c : text) {
-        if (c == ',') {
-            flush();
-        } else {
-            current += c;
-        }
-    }
-    flush();
-    return names;
 }
 
 struct Options
@@ -381,20 +330,7 @@ run(const Options &opt)
 
     // Resolve the microarchitecture sweep list up front so a typo
     // fails before any simulation starts.
-    std::vector<PeConfig> uarchs;
-    for (const std::string &name : splitUarchList(opt.uarch)) {
-        if (name == "all") {
-            const auto all = allConfigs();
-            uarchs.insert(uarchs.end(), all.begin(), all.end());
-            continue;
-        }
-        fatalIf(name == "functional",
-                "\"functional\" cannot appear in a multi-uarch sweep");
-        const auto uarch = parseConfigName(name);
-        fatalIf(!uarch.has_value(), "unknown microarchitecture \"", name,
-                "\" (try e.g. \"TDX\", \"T|DX +P+Q\", or \"all\")");
-        uarchs.push_back(*uarch);
-    }
+    const std::vector<PeConfig> uarchs = parseConfigList(opt.uarch);
 
     fatalIf(tracing && uarchs.size() > 1,
             "--trace wants a single -u microarchitecture (traces from a "
@@ -578,27 +514,27 @@ main(int argc, char **argv)
             } else if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
             } else if (arg == "--connect") {
-                const auto v = numbers(next(), ".:");
+                const auto v = numbers("--connect", next(), ".:");
                 fatalIf(v.size() != 4, "--connect wants A.O:B.I");
                 opt.connects.push_back({v[0], v[1], v[2], v[3]});
             } else if (arg == "--read-port") {
-                const auto v = numbers(next(), ".");
+                const auto v = numbers("--read-port", next(), ".");
                 fatalIf(v.size() != 3, "--read-port wants P.A.D");
                 opt.readPorts.push_back({v[0], v[1], v[2]});
             } else if (arg == "--write-port") {
-                const auto v = numbers(next(), ".");
+                const auto v = numbers("--write-port", next(), ".");
                 fatalIf(v.size() != 3, "--write-port wants P.A.D");
                 opt.writePorts.push_back({v[0], v[1], v[2]});
             } else if (arg == "--reg") {
-                const auto v = numbers(next(), ".=");
+                const auto v = numbers("--reg", next(), ".=");
                 fatalIf(v.size() != 3, "--reg wants P.R=V");
                 opt.regs.push_back({v[0], v[1], v[2]});
             } else if (arg == "--mem") {
-                const auto v = numbers(next(), "=");
+                const auto v = numbers("--mem", next(), "=");
                 fatalIf(v.size() != 2, "--mem wants A=V");
                 opt.mems.push_back({v[0], v[1]});
             } else if (arg == "--dump") {
-                const auto v = numbers(next(), ":");
+                const auto v = numbers("--dump", next(), ":");
                 fatalIf(v.empty() || v.size() > 2, "--dump wants A[:N]");
                 opt.dumps.push_back({v[0], v.size() > 1 ? v[1] : 1});
             } else if (arg == "--max-cycles") {

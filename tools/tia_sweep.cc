@@ -20,8 +20,10 @@
  *   --jobs N     worker threads (default: hardware concurrency;
  *                absurd values are clamped with a warning)
  *   --small      reduced workload sizes (fast smoke pass)
- *   --configs X  "all" (default), "fig5", or a comma-separated list
- *                of microarchitecture names
+ *   --configs X  a comma-separated list of microarchitecture names
+ *                (blanks around each trimmed), whose entries may also
+ *                be "all" (the default) or "fig5"; tia-sim -u takes
+ *                the same grammar (parseConfigList, uarch/config.hh)
  *   --suite-cpi  drive the DSE with suite-average CPI instead of the
  *                paper's bst-only methodology
  *   --no-dse     emit only the CPI matrix
@@ -49,8 +51,6 @@
  * ("tia-sweep/v1").
  */
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -58,6 +58,7 @@
 
 #include "cache/simcache.hh"
 #include "core/logging.hh"
+#include "core/parse.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "sim/functional.hh"
@@ -77,69 +78,19 @@ struct Options
     bool dse = true;
     bool incremental = false; ///< Stream frontier updates + early exit.
     std::size_t stableWindow = 500;
-    std::string configs = "all";
+    std::vector<PeConfig> configs = allConfigs();
     std::string outPath;
     std::string metricsPath;
     std::string cachePath;
     bool cacheVerify = false;
 };
 
-std::vector<PeConfig>
-parseConfigList(const std::string &text)
-{
-    if (text == "all")
-        return allConfigs();
-    if (text == "fig5")
-        return figure5Configs();
-    std::vector<PeConfig> configs;
-    std::string current;
-    auto flush = [&] {
-        const auto uarch = parseConfigName(current);
-        fatalIf(!uarch.has_value(), "unknown microarchitecture \"",
-                current, "\" in --configs");
-        configs.push_back(*uarch);
-        current.clear();
-    };
-    for (char c : text) {
-        if (c == ',') {
-            flush();
-        } else {
-            current += c;
-        }
-    }
-    flush();
-    return configs;
-}
-
-/** Append a JSON-quoted string (names here never need escaping). */
-void
-jsonString(std::string &out, const std::string &value)
-{
-    out += '"';
-    out += value;
-    out += '"';
-}
-
-void
-jsonNumber(std::string &out, double value)
-{
-    // JSON has no NaN/Infinity literal; a PE that retired nothing has
-    // CPI NaN (uarch/counters.hh) and serializes as null.
-    if (!std::isfinite(value)) {
-        out += "null";
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    out += buf;
-}
-
 int
 run(const Options &opt)
 {
     const WorkloadSizes sizes =
         opt.small ? WorkloadSizes::small() : WorkloadSizes::full();
-    const std::vector<PeConfig> configs = parseConfigList(opt.configs);
+    const std::vector<PeConfig> &configs = opt.configs;
     const std::vector<Workload> suite = allWorkloads(sizes);
     const unsigned jobs =
         opt.jobs == 0 ? ThreadPool::defaultConcurrency() : opt.jobs;
@@ -166,25 +117,15 @@ run(const Options &opt)
     // the pipeline's in-order sink while later cells simulate.
     MetricsRegistry registry("tia-sweep");
     bool all_ok = true;
-    std::vector<std::string> cpiRows(configs.size());
-    std::vector<std::string> cycleRows(configs.size());
-    std::vector<std::string> statusRows(configs.size());
+    std::vector<JsonValue> cpiRows(configs.size(), JsonValue::array());
+    std::vector<JsonValue> cycleRows(configs.size(), JsonValue::array());
+    std::vector<JsonValue> statusRows(configs.size(), JsonValue::array());
 
     const auto addCell = [&](std::size_t c, std::size_t w,
                              const WorkloadRun &cell) {
-        std::string &cpiRow = cpiRows[c];
-        if (w)
-            cpiRow += ", ";
-        jsonNumber(cpiRow, cell.worker.cpi());
-        std::string &cycleRow = cycleRows[c];
-        if (w)
-            cycleRow += ", ";
-        cycleRow += std::to_string(cell.totalCycles);
-        std::string &statusRow = statusRows[c];
-        if (w)
-            statusRow += ", ";
-        jsonString(statusRow,
-                   cell.ok() ? "ok" : runStatusName(cell.status));
+        cpiRows[c].push(cell.worker.cpi());
+        cycleRows[c].push(cell.totalCycles);
+        statusRows[c].push(cell.ok() ? "ok" : runStatusName(cell.status));
         all_ok = all_ok && cell.ok();
         if (!opt.metricsPath.empty()) {
             registry.addRun(workloadRunMetrics(cell, configs[c],
@@ -201,45 +142,32 @@ run(const Options &opt)
                 "cannot save cache: ", save_error);
     }
 
-    std::string json;
-    json += "{\n";
-    json += "  \"schema\": \"tia-sweep/v1\",\n";
-    json += "  \"jobs\": " + std::to_string(matrix.jobs) + ",\n";
-    json += std::string("  \"sizes\": ") +
-            (opt.small ? "\"small\"" : "\"full\"") + ",\n";
-
-    json += "  \"cpi_matrix\": {\n";
-    json += "    \"wall_ms\": ";
-    jsonNumber(json, matrix.wallMs);
-    json += ",\n    \"workloads\": [";
-    for (std::size_t w = 0; w < suite.size(); ++w) {
-        if (w)
-            json += ", ";
-        jsonString(json, suite[w].name);
-    }
-    json += "],\n    \"configs\": [";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (c)
-            json += ", ";
-        jsonString(json, configs[c].name());
-    }
     // Row-major [config][workload] arrays, rows parallel to "configs".
-    json += "],\n    \"cpi\": [\n";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        json += "      [" + cpiRows[c];
-        json += c + 1 < configs.size() ? "],\n" : "]\n";
-    }
-    json += "    ],\n    \"cycles\": [\n";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        json += "      [" + cycleRows[c];
-        json += c + 1 < configs.size() ? "],\n" : "]\n";
-    }
-    json += "    ],\n    \"status\": [\n";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        json += "      [" + statusRows[c];
-        json += c + 1 < configs.size() ? "],\n" : "]\n";
-    }
-    json += "    ]\n  }";
+    const auto rows = [](std::vector<JsonValue> &built) {
+        JsonValue array = JsonValue::array();
+        for (JsonValue &row : built)
+            array.push(std::move(row));
+        return array;
+    };
+    JsonValue workloadNames = JsonValue::array();
+    for (const Workload &workload : suite)
+        workloadNames.push(workload.name);
+    JsonValue configNames = JsonValue::array();
+    for (const PeConfig &config : configs)
+        configNames.push(config.name());
+    JsonValue cpiMatrix = JsonValue::object();
+    cpiMatrix["wall_ms"] = matrix.wallMs;
+    cpiMatrix["workloads"] = std::move(workloadNames);
+    cpiMatrix["configs"] = std::move(configNames);
+    cpiMatrix["cpi"] = rows(cpiRows);
+    cpiMatrix["cycles"] = rows(cycleRows);
+    cpiMatrix["status"] = rows(statusRows);
+
+    JsonValue doc = JsonValue::object();
+    doc["schema"] = "tia-sweep/v1";
+    doc["jobs"] = matrix.jobs;
+    doc["sizes"] = opt.small ? "small" : "full";
+    doc["cpi_matrix"] = std::move(cpiMatrix);
 
     if (opt.dse && all_ok) {
         CpiTable table;
@@ -278,62 +206,40 @@ run(const Options &opt)
         }
         const DseStreamResult stream =
             dse.enumerateStreamed(jobs, configs, options);
-        const std::vector<DesignPoint> &frontier = stream.frontier;
 
-        json += ",\n  \"dse\": {\n";
-        json += std::string("    \"cpi_source\": ") +
-                (opt.suiteCpi ? "\"suite-average\"" : "\"bst\"") + ",\n";
-        json += "    \"wall_ms\": ";
-        jsonNumber(json, stream.wallMs);
-        json += ",\n    \"grid_points\": " +
-                std::to_string(dse.gridSize(configs)) + ",\n";
+        JsonValue dseBlock = JsonValue::object();
+        dseBlock["cpi_source"] = opt.suiteCpi ? "suite-average" : "bst";
+        dseBlock["wall_ms"] = stream.wallMs;
+        dseBlock["grid_points"] = dse.gridSize(configs);
         if (opt.incremental) {
-            json += "    \"incremental\": true,\n"
-                    "    \"stable_window\": " +
-                    std::to_string(opt.stableWindow) +
-                    ",\n    \"early_exit\": " +
-                    (stream.earlyExit ? "true" : "false") +
-                    ",\n    \"frontier_updates\": " +
-                    std::to_string(stream.frontierUpdates) +
-                    ",\n    \"shards_completed\": " +
-                    std::to_string(stream.shardsCompleted) +
-                    ",\n    \"shards_total\": " +
-                    std::to_string(stream.shardsTotal) + ",\n";
+            dseBlock["incremental"] = true;
+            dseBlock["stable_window"] = opt.stableWindow;
+            dseBlock["early_exit"] = stream.earlyExit;
+            dseBlock["frontier_updates"] = stream.frontierUpdates;
+            dseBlock["shards_completed"] = stream.shardsCompleted;
+            dseBlock["shards_total"] = stream.shardsTotal;
         }
-        json += "    \"evaluated\": " +
-                std::to_string(stream.points.size()) + ",\n";
-        json += "    \"pareto\": [\n";
-        for (std::size_t i = 0; i < frontier.size(); ++i) {
-            const DesignPoint &p = frontier[i];
-            json += "      {\"config\": ";
-            jsonString(json, p.config.name());
-            json += ", \"vt\": ";
-            jsonString(json, vtName(p.vt));
-            json += ", \"vdd\": ";
-            jsonNumber(json, p.vdd);
-            json += ", \"freq_mhz\": ";
-            jsonNumber(json, p.freqMhz);
-            json += ", \"max_freq_mhz\": ";
-            jsonNumber(json, p.maxFreqMhz);
-            json += ", \"cpi\": ";
-            jsonNumber(json, p.cpi);
-            json += ", \"ns_per_ins\": ";
-            jsonNumber(json, p.nsPerInstruction);
-            json += ", \"pj_per_ins\": ";
-            jsonNumber(json, p.pjPerInstruction);
-            json += ", \"area_um2\": ";
-            jsonNumber(json, p.areaUm2);
-            json += ", \"power_mw\": ";
-            jsonNumber(json, p.powerMw);
-            json += ", \"power_density_mw_mm2\": ";
-            jsonNumber(json, p.powerDensity());
-            json += ", \"edp\": ";
-            jsonNumber(json, p.edp());
-            json += i + 1 < frontier.size() ? "},\n" : "}\n";
+        dseBlock["evaluated"] = stream.points.size();
+        JsonValue pareto = JsonValue::array();
+        for (const DesignPoint &p : stream.frontier) {
+            JsonValue point = JsonValue::object();
+            point["config"] = p.config.name();
+            point["vt"] = vtName(p.vt);
+            point["vdd"] = p.vdd;
+            point["freq_mhz"] = p.freqMhz;
+            point["max_freq_mhz"] = p.maxFreqMhz;
+            point["cpi"] = p.cpi;
+            point["ns_per_ins"] = p.nsPerInstruction;
+            point["pj_per_ins"] = p.pjPerInstruction;
+            point["area_um2"] = p.areaUm2;
+            point["power_mw"] = p.powerMw;
+            point["power_density_mw_mm2"] = p.powerDensity();
+            point["edp"] = p.edp();
+            pareto.push(std::move(point));
         }
-        json += "    ]\n  }";
+        dseBlock["pareto"] = std::move(pareto);
+        doc["dse"] = std::move(dseBlock);
     }
-    json += "\n}\n";
 
     if (!opt.metricsPath.empty()) {
         registry.root()["sizes"] = opt.small ? "small" : "full";
@@ -344,6 +250,7 @@ run(const Options &opt)
                 opt.metricsPath);
     }
 
+    const std::string json = doc.dump();
     if (opt.outPath.empty()) {
         std::fputs(json.c_str(), stdout);
     } else {
@@ -387,21 +294,9 @@ main(int argc, char **argv)
             } else if (arg == "--incremental") {
                 opt.incremental = true;
             } else if (arg == "--stable-window") {
-                const std::string text = next();
-                for (char c : text) {
-                    fatalIf(!std::isdigit(
-                                static_cast<unsigned char>(c)) ||
-                                text.empty(),
-                            "--stable-window wants a non-negative "
-                            "integer, got \"",
-                            text, "\"");
-                }
-                fatalIf(text.empty(), "--stable-window wants a "
-                                      "non-negative integer");
-                opt.stableWindow =
-                    static_cast<std::size_t>(std::stoull(text));
+                opt.stableWindow = parseCount64("--stable-window", next());
             } else if (arg == "--configs") {
-                opt.configs = next();
+                opt.configs = parseConfigList(next());
             } else if (arg == "--out") {
                 opt.outPath = next();
             } else if (arg == "--metrics") {
