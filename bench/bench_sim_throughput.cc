@@ -56,6 +56,28 @@ BM_CycleFabricDotProduct(benchmark::State &state)
 }
 BENCHMARK(BM_CycleFabricDotProduct)->Unit(benchmark::kMillisecond);
 
+// A 1-PE register loop (small gcd) through runCycle, so through
+// CycleFabric::run and its lone-PE run-ahead, which BM_CyclePeAluLoop
+// (calling step() directly) never enters. Items are simulated cycles,
+// so items_per_second is the end-to-end cycle rate including fabric
+// construction. Arg 0 = TDX, 1 = T|D|X1|X2.
+void
+BM_CycleRunGcd(benchmark::State &state)
+{
+    const Workload w = makeGcd(WorkloadSizes::small());
+    const PipelineShape shape{
+        state.range(0) != 0, state.range(0) != 0, state.range(0) != 0};
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        const WorkloadRun run = runCycle(w, {shape, false, false});
+        benchmark::DoNotOptimize(run.worker.cycles);
+        cycles += static_cast<std::int64_t>(run.totalCycles);
+    }
+    state.SetItemsProcessed(cycles);
+    state.SetLabel(shape.name());
+}
+BENCHMARK(BM_CycleRunGcd)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 // The same run with a trace sink attached: the observability tax when
 // tracing is ON, here a counter-reconstructing sink. Compare against
 // BM_CycleFabricDotProduct for the enabled overhead; the DISABLED

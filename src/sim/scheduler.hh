@@ -81,10 +81,11 @@ bool queueConditionsHold(const Instruction &inst,
                          const QueueStatusView &view);
 
 /**
- * Per-cycle queue status packed into words for the mask-based fast
- * path. A PE computes this once per cycle (each bound queue inspected
- * once) instead of re-deriving queue status per instruction condition
- * through virtual QueueStatusView calls.
+ * Queue status packed into words for the mask-based fast path. A PE
+ * computes it at most once per cycle (each bound queue inspected
+ * once), and only when some predicate-eligible trigger has queue
+ * requirements, instead of re-deriving queue status per instruction
+ * condition through virtual QueueStatusView calls.
  *
  * headTag[q] is meaningful only where bit q of inputReady is set (an
  * effectively non-empty queue always has a peekable head); consumers
@@ -133,30 +134,43 @@ queueConditionsHold(const TriggerDesc &desc, const QueueStatusWords &status)
  * Mask-based trigger resolution over compiled descriptors: the fast
  * path used by the cycle-accurate PE's issue stage. Bit-identical to
  * schedule() on the corresponding instructions and a consistent view.
+ *
+ * Predicate-first: each descriptor's predicate masks are tested
+ * before its queue conditions. Both tests only ever skip a descriptor,
+ * and Blocked/Fire needs both to pass, so the order cannot change the
+ * outcome. @p status is a callable returning this cycle's
+ * QueueStatusWords; it is invoked at most once, and only when a
+ * predicate-eligible descriptor has queue requirements, so a cycle
+ * whose candidates are pure register/predicate triggers inspects no
+ * queue at all.
  */
+template <typename StatusFn>
 inline ScheduleResult
-schedule(const std::vector<TriggerDesc> &descs, std::uint64_t preds,
-         std::uint64_t pendingPreds, const QueueStatusWords &status)
+scheduleLazy(const std::vector<TriggerDesc> &descs, std::uint64_t preds,
+             std::uint64_t pendingPreds, StatusFn &&status)
 {
-    // Same resolution order and outcomes as the reference loop, over
-    // compiled descriptors.
+    const std::uint64_t resolved = ~pendingPreds;
+    std::optional<QueueStatusWords> words;
     for (unsigned i = 0; i < descs.size(); ++i) {
         const TriggerDesc &desc = descs[i];
         if (!desc.valid)
             continue;
-
-        if (!queueConditionsHold(desc, status))
-            continue;
-
-        const std::uint64_t cares = desc.predOn | desc.predOff;
-        const std::uint64_t resolved = ~pendingPreds;
 
         const std::uint64_t on_fail = desc.predOn & ~preds;
         const std::uint64_t off_fail = desc.predOff & preds;
         if (((on_fail | off_fail) & resolved) != 0)
             continue;
 
-        if ((cares & pendingPreds) != 0)
+        // A tag check always names a queue in inputNeed, so a
+        // descriptor with both need masks clear has no queue condition.
+        if ((desc.inputNeed | desc.outputNeed) != 0) {
+            if (!words)
+                words.emplace(status());
+            if (!queueConditionsHold(desc, *words))
+                continue;
+        }
+
+        if (((desc.predOn | desc.predOff) & pendingPreds) != 0)
             return {ScheduleOutcome::BlockedOnPredicate, i};
 
         return {ScheduleOutcome::Fire, i};

@@ -206,39 +206,58 @@ CycleFabric::step()
     }
     events_.clearDirty();
 
-    // Step the active PEs; retire halted ones and park provably idle
-    // ones (swap-remove — order within a cycle is unobservable because
-    // every channel has exactly one producer and one consumer).
     activeBusyPes_ = 0;
     for (std::size_t i = 0; i < activePes_.size();) {
-        const unsigned index = activePes_[i];
-        PipelinedPe &pe = *pes_[index];
-        const std::uint64_t retired_before = pe.counters().retired;
-        pe.step();
-        totalRetired_ += pe.counters().retired - retired_before;
-        ++stepsExecuted_;
-        sleepSince_[index] = now_;
-        if (pe.halted()) {
-            ++haltedPes_;
-            activePes_[i] = activePes_.back();
-            activePes_.pop_back();
-            continue;
-        }
-        if (sleepEnabled_ && pe.canSleep()) {
-            // Park decision deferred to end of step(): if a watched
-            // channel goes dirty this very cycle the PE would be woken
-            // right back at the next cycle's start, so parking it now
-            // is pure list churn.
-            parkCandidates_.push_back(index);
-            activePes_[i] = activePes_.back();
-            activePes_.pop_back();
-            continue;
-        }
-        if (pe.busy())
-            ++activeBusyPes_;
-        ++i;
+        stepPe(activePes_[i]);
+        if (settleActivePe(i))
+            ++i;
     }
+    endCycle();
+}
 
+[[gnu::always_inline]] inline void
+CycleFabric::stepPe(unsigned index)
+{
+    PipelinedPe &pe = *pes_[index];
+    const std::uint64_t retired_before = pe.counters().retired;
+    pe.step();
+    totalRetired_ += pe.counters().retired - retired_before;
+    ++stepsExecuted_;
+    sleepSince_[index] = now_;
+}
+
+[[gnu::always_inline]] inline bool
+CycleFabric::settleActivePe(std::size_t i)
+{
+    // Retire a halted PE and park a provably idle one (swap-remove —
+    // order within a cycle is unobservable because every channel has
+    // exactly one producer and one consumer).
+    const unsigned index = activePes_[i];
+    const PipelinedPe &pe = *pes_[index];
+    if (pe.halted()) {
+        ++haltedPes_;
+        activePes_[i] = activePes_.back();
+        activePes_.pop_back();
+        return false;
+    }
+    if (sleepEnabled_ && pe.canSleep()) {
+        // Park decision deferred to endCycle(): if a watched channel
+        // goes dirty this very cycle the PE would be woken right back
+        // at the next cycle's start, so parking it now is pure list
+        // churn.
+        parkCandidates_.push_back(index);
+        activePes_[i] = activePes_.back();
+        activePes_.pop_back();
+        return false;
+    }
+    if (pe.busy())
+        ++activeBusyPes_;
+    return true;
+}
+
+void
+CycleFabric::endCycle()
+{
     for (auto &port : readPorts_)
         port->step(now_);
     for (auto &port : writePorts_)
@@ -281,12 +300,46 @@ CycleFabric::step()
 }
 
 bool
-CycleFabric::anyActivity() const
+CycleFabric::canRunAhead() const
 {
-    // Parked PEs are by construction not busy; halted ones are off the
-    // active list.
-    if (activeBusyPes_ > 0)
-        return true;
+    return activePes_.size() == 1 && events_.dirtyChannels().empty() &&
+           !injector_ && !trace_ && !portsBusy();
+}
+
+void
+CycleFabric::runAhead(Cycle limit, std::uint64_t &lastRetired,
+                      Cycle &lastActivity)
+{
+    // canRunAhead() holds: this PE is the only agent that can move.
+    // While its steps neither push nor pop, no channel goes dirty, so
+    // the next cycle's step() would have no snapshot, wake or verdict
+    // drop to perform, the idle memory ports no request to serve, and
+    // nothing to commit or park. A cycle that retires or leaves the
+    // PE busy is one run()'s bookkeeping records as active.
+    const unsigned index = activePes_.front();
+    const PipelinedPe &pe = *pes_[index];
+    for (;;) {
+        const std::uint64_t retired_before = totalRetired_;
+        stepPe(index);
+        if (!events_.dirtyChannels().empty() || pe.halted() ||
+            (sleepEnabled_ && pe.canSleep()) ||
+            (totalRetired_ == retired_before && !pe.busy()) ||
+            now_ + 1 >= limit) {
+            break;
+        }
+        ++now_;
+        lastRetired = totalRetired_;
+        lastActivity = now_;
+    }
+    // The last cycle finishes like any other.
+    activeBusyPes_ = 0;
+    settleActivePe(0);
+    endCycle();
+}
+
+bool
+CycleFabric::portsBusy() const
+{
     for (const auto &port : readPorts_) {
         if (port->busy())
             return true;
@@ -296,6 +349,14 @@ CycleFabric::anyActivity() const
             return true;
     }
     return false;
+}
+
+bool
+CycleFabric::anyActivity() const
+{
+    // Parked PEs are by construction not busy; halted ones are off the
+    // active list.
+    return activeBusyPes_ > 0 || portsBusy();
 }
 
 RunStatus
@@ -335,7 +396,16 @@ CycleFabric::run(const FabricRunOptions &options)
             return RunStatus::Halted;
         }
 
-        step();
+        if (canRunAhead()) {
+            // Stop short of the next budget check and stop-token poll.
+            const Cycle limit =
+                options.stop.possible()
+                    ? std::min(options.maxCycles, next_stop_check)
+                    : options.maxCycles;
+            runAhead(limit, last_retired, last_activity);
+        } else {
+            step();
+        }
 
         if (events_.progressEvents() != last_events) {
             last_events = events_.progressEvents();

@@ -32,6 +32,19 @@
  * The same event lists make channel upkeep proportional to activity:
  * only channels touched last cycle need a new snapshot (beginCycle)
  * and only channels pushed this cycle need a commit.
+ *
+ * Run-ahead: when run() finds exactly one PE awake, no channel dirty,
+ * no memory port busy, and neither an injector nor a trace sink, that
+ * PE is the only agent that can move, and it is stepped in a tight
+ * loop without the per-cycle fabric walk. The loop ends on the first
+ * step that pushes or pops, halts, can sleep or leaves the PE idle, or
+ * at the next cycle-budget check or stop-token poll; that cycle
+ * finishes through the same tail as step(). Run-ahead is invisible for
+ * the same single-producer/single-consumer reason as parking: until
+ * the PE touches a channel, no other agent's inputs can change, so
+ * each skipped fabric walk would have found nothing to snapshot, wake,
+ * serve, commit or park (asserted against a bare step() loop by
+ * tests/test_hot_path.cc).
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -228,7 +241,43 @@ class CycleFabric
     }
 
   private:
+    /** Some memory port holds or awaits a request. */
+    bool portsBusy() const;
+
     bool anyActivity() const;
+
+    /** Step PE @p index once, with retire and step accounting. */
+    void stepPe(unsigned index);
+
+    /**
+     * After activePes_[@p i] stepped: retire it if halted, make it a
+     * park candidate if it can sleep, count it if busy. Returns false
+     * when it left the active list (swap-removed into slot @p i).
+     */
+    bool settleActivePe(std::size_t i);
+
+    /**
+     * The rest of a cycle once every awake PE stepped: memory ports,
+     * channel commits, deferred parks, depth samples, clock advance.
+     * Shared by step() and runAhead().
+     */
+    void endCycle();
+
+    /**
+     * True when one PE is the only agent that can move: it is the only
+     * awake PE, no channel is dirty, no memory port is busy, and
+     * neither an injector nor a trace sink is installed.
+     */
+    bool canRunAhead() const;
+
+    /**
+     * Run-ahead (see file comment), entered when canRunAhead(); the
+     * cycle that reaches @p limit is its last. Every cycle before the
+     * last was active, so each is recorded in @p lastRetired and
+     * @p lastActivity as run()'s per-cycle bookkeeping would.
+     */
+    void runAhead(Cycle limit, std::uint64_t &lastRetired,
+                  Cycle &lastActivity);
 
     /**
      * Re-activate PE @p index if parked, settling its sleep debt.

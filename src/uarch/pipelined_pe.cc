@@ -11,8 +11,8 @@ namespace tia {
 QueueStatusWords
 PipelinedPe::computeStatusWords() const
 {
-    // Each queue any trigger cares about is inspected exactly once per
-    // cycle; schedule() then needs only mask compares per instruction.
+    // Each queue any trigger cares about is inspected exactly once;
+    // the scheduler then needs only mask compares per instruction.
     QueueStatusWords status;
     for (std::uint32_t rest = usedInputs_; rest != 0; rest &= rest - 1) {
         const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
@@ -66,7 +66,9 @@ class CycleQueueView : public QueueStatusView
 
 PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
                          std::vector<Instruction> program)
-    : params_(params), config_(config), program_(std::move(program)),
+    : params_(params), config_(config), segD_(config.shape.segD()),
+      lastSeg_(config.shape.depth() - 1), splitX_(config.shape.splitX),
+      program_(std::move(program)),
       regs_(params.numRegs, 0), scratchpad_(params.scratchpadWords, 0),
       pendingDeq_(params.numInputQueues, 0),
       pendingEnq_(params.numOutputQueues, 0),
@@ -220,31 +222,26 @@ PipelinedPe::queueWaits() const
 }
 
 bool
-PipelinedPe::dataHazardFor(const Instruction &inst, std::uint64_t id) const
+PipelinedPe::dataHazardFor(const Instruction &inst) const
 {
     // An older producer at segment s_p writes back at now + (last -
     // s_p); the consumer's first execute phase runs at now + (segX1 -
     // segD). The operand must be registered strictly before that
-    // cycle, so a hazard exists iff s_p <= last - (segX1 - segD).
-    // With a unified X this threshold excludes every older in-flight
-    // position, making split-ALU shapes the only ones with register
-    // hazards (one bubble each).
-    const unsigned threshold = lastSeg() - (segX1() - segD());
-    for (unsigned s = 0; s < config_.shape.depth(); ++s) {
-        const auto &slot = slots_[s];
-        if (!slot.has_value() || slot->id >= id)
-            continue;
-        if (s > threshold)
-            continue;
-        const Instruction &producer = *slot->inst;
-        if (producer.dst.type != DstType::Reg)
-            continue;
-        for (const auto &src : inst.srcs) {
-            if (src.type == SrcType::Reg &&
-                src.index == producer.dst.index) {
-                return true;
-            }
-        }
+    // cycle, so a hazard exists iff s_p <= segD + (last - segX1). Older
+    // instructions sit past D, so a unified X leaves no such position
+    // and a split X exactly one, segD + 1: split-ALU shapes are the
+    // only ones with register hazards (one bubble each).
+    if (!splitX_)
+        return false;
+    const unsigned s = segD_ + 1;
+    if (((occupied_ >> s) & 1u) == 0)
+        return false;
+    const Instruction &producer = *slots_[s]->inst;
+    if (producer.dst.type != DstType::Reg)
+        return false;
+    for (const auto &src : inst.srcs) {
+        if (src.type == SrcType::Reg && src.index == producer.dst.index)
+            return true;
     }
     return false;
 }
@@ -401,8 +398,7 @@ PipelinedPe::doWriteback(InFlight &entry)
                 squashIssueThisCycle_ = true;
             }
         } else {
-            panicIf(config_.predictPredicates &&
-                        config_.shape.depth() > 1,
+            panicIf(config_.predictPredicates && lastSeg_ > 0,
                     "unpredicted predicate write under +P");
             // Commits at the end of this cycle; the scheduler keeps
             // seeing the bit as pending until then.
@@ -440,8 +436,9 @@ PipelinedPe::resolveTriggers()
     // more often than not, so caching it would buy a skip only in the
     // rare self-invariant-fire loop while costing a dead store on
     // every ordinary fire.
-    const ScheduleResult result = schedule(
-        triggerDescs_, preds_, pendingPredMask_, computeStatusWords());
+    const ScheduleResult result =
+        scheduleLazy(triggerDescs_, preds_, pendingPredMask_,
+                     [this] { return computeStatusWords(); });
     if (resolutionCacheEnabled_ &&
         result.outcome != ScheduleOutcome::Fire) {
         cachedResolution_ = result;
@@ -524,7 +521,7 @@ PipelinedPe::issue()
 
     if (inst.writesPredicate()) {
         const bool predict =
-            config_.predictPredicates && config_.shape.depth() > 1;
+            config_.predictPredicates && lastSeg_ > 0;
         if (predict) {
             entry.isPredictor = true;
             bool predicted = predictor_.predict(inst.dst.index);
@@ -557,13 +554,13 @@ PipelinedPe::issue()
         haltIssued_ = true;
 
     // Segment-0 work happens in the issue cycle.
-    if (segD() == 0) {
-        if (!dataHazardFor(inst, slots_[0]->id))
-            doDecode(*slots_[0]);
+    if (segD_ == 0) {
+        if (!dataHazardFor(inst))
+            doDecode(entry);
         // else: stall in slot 0; retried next cycle.
     }
-    if (lastSeg() == 0)
-        doWriteback(*slots_[0]);
+    if (lastSeg_ == 0)
+        doWriteback(entry);
 }
 
 void
@@ -578,18 +575,18 @@ PipelinedPe::step()
     // writebacks. Only the decode and writeback segments ever have
     // per-cycle work, so visit exactly those two (one, when fused)
     // instead of scanning every slot.
-    const unsigned d = segD();
-    const unsigned last = lastSeg();
+    const unsigned d = segD_;
+    const unsigned last = lastSeg_;
     if ((occupied_ >> last) & 1u) {
         InFlight &slot = *slots_[last];
-        if (last == d && !slot.didD && !dataHazardFor(*slot.inst, slot.id))
+        if (last == d && !slot.didD && !dataHazardFor(*slot.inst))
             doDecode(slot);
         if (slot.didD)
             doWriteback(slot);
     }
     if (d != last && ((occupied_ >> d) & 1u) != 0) {
         InFlight &slot = *slots_[d];
-        if (!slot.didD && !dataHazardFor(*slot.inst, slot.id))
+        if (!slot.didD && !dataHazardFor(*slot.inst))
             doDecode(slot);
     }
 
@@ -599,7 +596,7 @@ PipelinedPe::step()
     // Stage occupancy after issue and before advance: what each
     // pipeline segment held while this cycle's work executed.
     if (trace_ && traceLevel_ == TraceLevel::Cycles) [[unlikely]] {
-        for (unsigned s = 0; s <= lastSeg(); ++s) {
+        for (unsigned s = 0; s <= last; ++s) {
             if (slots_[s].has_value())
                 trace(TraceEventKind::StageOccupancy,
                       static_cast<std::uint8_t>(s),
@@ -623,7 +620,7 @@ PipelinedPe::step()
         const std::uint8_t bit = static_cast<std::uint8_t>(1u << s);
         rest &= static_cast<std::uint8_t>(~bit);
         auto &slot = slots_[s];
-        const bool work_done = s != segD() || slot->didD;
+        const bool work_done = s != d || slot->didD;
         if (work_done && (occupied_ & (bit << 1)) == 0) {
             slots_[s + 1] = *slot;
             slot.reset();

@@ -253,12 +253,11 @@ class PipelinedPe
         bool speculative() const { return specLevel > 0; }
     };
 
-    unsigned segD() const { return config_.shape.segD(); }
-    unsigned segX1() const { return config_.shape.segX1(); }
-    unsigned lastSeg() const { return config_.shape.depth() - 1; }
-
-    /** Register-dependence stall check for an instruction entering D. */
-    bool dataHazardFor(const Instruction &inst, std::uint64_t id) const;
+    /**
+     * Register-dependence stall check for an instruction in D: O(1),
+     * since only the slot one past D can hold a blocking producer.
+     */
+    bool dataHazardFor(const Instruction &inst) const;
 
     /**
      * Queue status as the scheduler sees it (Section 5.3): live input
@@ -268,13 +267,17 @@ class PipelinedPe
      * are the single source of truth for both the per-cycle status
      * words and the diagnostic QueueStatusView. Defined inline below
      * the class — computeStatusWords runs them once per watched queue
-     * per cycle.
+     * on every cycle whose resolution needs queue status.
      */
     unsigned schedInputOccupancy(unsigned q) const;
     std::optional<Tag> schedInputHeadTag(unsigned q) const;
     bool schedOutputHasSpace(unsigned q) const;
 
-    /** Pack this cycle's queue status for the mask-based scheduler. */
+    /**
+     * Pack this cycle's queue status for the mask-based scheduler,
+     * which asks for it only once a predicate-eligible trigger needs
+     * queues (scheduleLazy).
+     */
     QueueStatusWords computeStatusWords() const;
 
     /**
@@ -325,6 +328,10 @@ class PipelinedPe
 
     const ArchParams params_;
     const PeConfig config_;
+    // Shape constants, read every cycle.
+    const unsigned segD_;    ///< Segment performing D (0 or 1).
+    const unsigned lastSeg_; ///< Writeback segment (depth - 1).
+    const bool splitX_;      ///< X1|X2: the one shape family with D stalls.
     std::vector<Instruction> program_;
 
     /** Triggers compiled to mask form, one per program slot. */

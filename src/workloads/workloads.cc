@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "core/assembler.hh"
 #include "core/logging.hh"
@@ -64,7 +65,7 @@ streamerRegs(unsigned count)
 
 std::string
 checkWord(const Memory &memory, Word address, Word expected,
-          const std::string &what)
+          std::string_view what)
 {
     const Word actual = memory.read(address);
     if (actual != expected) {

@@ -1,11 +1,12 @@
 /**
  * @file
- * Equivalence tests for the hot-loop optimizations: the compiled
- * trigger-descriptor scheduler fast path, the ring-buffer TaggedQueue,
- * and the fabric's idle-PE sleep/wake machinery. Every optimization
- * must be invisible to the architecture — identical schedule outcomes,
- * identical queue semantics, bit-identical cycle counts, counters and
- * hang reports with sleep on and off.
+ * Equivalence tests for the hot-loop optimizations: the compiled,
+ * predicate-first trigger-descriptor scheduler fast path, the
+ * ring-buffer TaggedQueue, the fabric's idle-PE sleep/wake machinery
+ * and its lone-PE run-ahead. Every optimization must be invisible to
+ * the architecture — identical schedule outcomes, identical queue
+ * semantics, bit-identical cycle counts, counters and hang reports
+ * with sleep on and off, and with run() against a bare step() loop.
  */
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/assembler.hh"
+#include "exec/stop_token.hh"
 #include "sim/fault.hh"
 #include "sim/queue.hh"
 #include "sim/scheduler.hh"
@@ -183,12 +185,32 @@ TEST(SchedulerFastPath, MatchesReferenceOnRandomPrograms)
 
             const ScheduleResult ref =
                 schedule(program, preds, pending, view);
+            unsigned status_calls = 0;
             const ScheduleResult fast =
-                schedule(descs, preds, pending, words);
+                scheduleLazy(descs, preds, pending, [&] {
+                    ++status_calls;
+                    return words;
+                });
             ASSERT_EQ(static_cast<int>(fast.outcome),
                       static_cast<int>(ref.outcome))
                 << "trial " << trial;
             ASSERT_EQ(fast.index, ref.index) << "trial " << trial;
+
+            // Predicate-first: status is asked for at most once, and
+            // never when no predicate-eligible trigger needs a queue.
+            ASSERT_LE(status_calls, 1u) << "trial " << trial;
+            bool needs_queues = false;
+            for (const TriggerDesc &desc : descs) {
+                const std::uint64_t fail =
+                    (desc.predOn & ~preds) | (desc.predOff & preds);
+                if (desc.valid && (fail & ~pending) == 0 &&
+                    (desc.inputNeed | desc.outputNeed) != 0) {
+                    needs_queues = true;
+                }
+            }
+            if (!needs_queues) {
+                ASSERT_EQ(status_calls, 0u) << "trial " << trial;
+            }
 
             // Condition evaluation agrees instruction by instruction.
             for (unsigned i = 0; i < size; ++i) {
@@ -698,6 +720,210 @@ TEST(IdlePeSleep, MutatingAccessorWakesParkedPe)
     EXPECT_TRUE(fabric.pe(0).halted());
     EXPECT_EQ(fabric.pe(0).counters().cycles, 11u);
     EXPECT_EQ(fabric.pe(0).counters().retired, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Run-ahead: run() against a bare per-cycle step() loop.
+// ---------------------------------------------------------------------
+
+/** Everything observable about a fabric after a run, plus host steps. */
+struct FabricObservation
+{
+    Cycle cycles = 0;
+    std::vector<PerfCounters> counters;
+    std::vector<std::vector<Word>> regs;
+    std::vector<std::uint64_t> preds;
+    std::vector<Word> memory;
+    ResolutionStats resolution;
+    std::uint64_t stepsExecuted = 0;
+    std::uint64_t stepsSkipped = 0;
+
+    bool operator==(const FabricObservation &) const = default;
+};
+
+FabricObservation
+observeFabric(const CycleFabric &fabric)
+{
+    FabricObservation obs;
+    obs.cycles = fabric.now();
+    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
+        obs.counters.push_back(fabric.pe(pe).counters());
+        obs.regs.push_back(fabric.pe(pe).regs());
+        obs.preds.push_back(fabric.pe(pe).preds());
+    }
+    obs.memory = fabric.memory().snapshot();
+    obs.resolution = fabric.resolutionStats();
+    const FabricStepStats steps = fabric.stepStats();
+    obs.stepsExecuted = steps.peStepsExecuted;
+    obs.stepsSkipped = steps.peStepsSkipped;
+    return obs;
+}
+
+bool
+allHalted(const CycleFabric &fabric)
+{
+    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
+        if (!fabric.pe(pe).halted())
+            return false;
+    }
+    return true;
+}
+
+/** A trace sink that drops every event: attaching it turns run-ahead
+ *  off without changing anything else about a run. */
+class NullSink : public TraceSink
+{
+  public:
+    void record(const TraceEvent &) override {}
+};
+
+TEST(RunAhead, WorkloadSuiteMatchesPerCycleStepLoop)
+{
+    const std::vector<Workload> workloads =
+        allWorkloads(WorkloadSizes::small());
+    const std::vector<PeConfig> uarchs = allConfigs();
+    ASSERT_EQ(uarchs.size(), 32u);
+    for (const Workload &workload : workloads) {
+        for (const PeConfig &uarch : uarchs) {
+            for (const bool sleep : {true, false}) {
+                CycleFabric ran(workload.config, workload.program, uarch);
+                ran.setIdleSleepEnabled(sleep);
+                workload.preload(ran.memory());
+                ASSERT_EQ(ran.run(), RunStatus::Halted)
+                    << workload.name << " / " << uarch.name();
+
+                CycleFabric stepped(workload.config, workload.program,
+                                    uarch);
+                stepped.setIdleSleepEnabled(sleep);
+                workload.preload(stepped.memory());
+                while (!allHalted(stepped) &&
+                       stepped.now() < kDefaultMaxCycles) {
+                    stepped.step();
+                }
+
+                ASSERT_EQ(observeFabric(ran), observeFabric(stepped))
+                    << workload.name << " / " << uarch.name()
+                    << (sleep ? " sleep" : " no sleep");
+            }
+        }
+    }
+}
+
+TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
+{
+    // 1-PE programs that never halt: an endless register loop, and a
+    // counted loop that then waits forever on a never-fed input (its
+    // last instruction retires in the cycle the PE first can sleep).
+    // Run-ahead covers their active stretches, so the budget exit —
+    // step limit or, once the window elapses without progress,
+    // livelock — and the quiescence exit must land on the same cycle
+    // with the same diagnosis as a traced run (which never runs
+    // ahead), with the same state as a bare step() loop.
+    const ArchParams params;
+    const std::vector<std::pair<const char *, Program>> programs = {
+        {"loop",
+         assemble("when %p == XXXXXXX0: add %r0, %r0, #1; "
+                  "set %p = ZZZZZZZ1;\n"
+                  "when %p == XXXXXXX1: add %r1, %r1, %r0; "
+                  "set %p = ZZZZZZZ0;\n",
+                  params)},
+        {"count then starve",
+         assemble("when %p == XXXXXX00: add %r0, %r0, #1; "
+                  "set %p = ZZZZZZZ1;\n"
+                  "when %p == XXXXXX01: eq %p1, %r0, #40; "
+                  "set %p = ZZZZZZZ0;\n"
+                  "when %p == XXXXXX10: add %r1, %r0, #1; "
+                  "set %p = ZZZZZZ11;\n"
+                  "when %p == XXXXXX11 with %i0.0: halt;\n",
+                  params)},
+    };
+    FabricBuilder builder(params, 1);
+    const FabricConfig config = builder.build();
+    for (const auto &[name, program] : programs) {
+        for (const PeConfig &uarch : allConfigs()) {
+            for (const Cycle window : {Cycle{100}, Cycle{10'000}}) {
+                for (const bool sleep : {true, false}) {
+                    const std::string what = std::string(name) + " / " +
+                                             uarch.name() + " / window " +
+                                             std::to_string(window) +
+                                             (sleep ? "" : " / no sleep");
+                    const FabricRunOptions options{1'000, window, {}};
+
+                    CycleFabric ran(config, program, uarch);
+                    ran.setIdleSleepEnabled(sleep);
+                    const RunStatus status = ran.run(options);
+                    EXPECT_NE(status, RunStatus::Halted) << what;
+
+                    NullSink sink;
+                    CycleFabric traced(config, program, uarch);
+                    traced.setIdleSleepEnabled(sleep);
+                    traced.setTraceSink(&sink);
+                    EXPECT_EQ(traced.run(options), status) << what;
+                    EXPECT_EQ(ran.hangReport(), traced.hangReport())
+                        << what;
+                    EXPECT_EQ(observeFabric(ran), observeFabric(traced))
+                        << what;
+
+                    CycleFabric stepped(config, program, uarch);
+                    stepped.setIdleSleepEnabled(sleep);
+                    while (stepped.now() < ran.now())
+                        stepped.step();
+                    EXPECT_EQ(observeFabric(ran), observeFabric(stepped))
+                        << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(RunAhead, AttachedStopTokenChangesNothing)
+{
+    // A token that is polled but never fires caps every run-ahead
+    // stretch at the next poll boundary; results must not move.
+    const StopSource source;
+    auto expect_same = [&](const FabricConfig &config,
+                           const Program &program, const PeConfig &uarch,
+                           const Workload *workload, Cycle max_cycles,
+                           const std::string &what) {
+        FabricRunOptions options;
+        options.maxCycles = max_cycles;
+        CycleFabric plain(config, program, uarch);
+        CycleFabric polled(config, program, uarch);
+        if (workload) {
+            workload->preload(plain.memory());
+            workload->preload(polled.memory());
+        }
+        const RunStatus status = plain.run(options);
+        options.stop = source.token();
+        ASSERT_EQ(polled.run(options), status) << what;
+        ASSERT_EQ(observeFabric(polled), observeFabric(plain)) << what;
+        EXPECT_EQ(polled.hangReport(), plain.hangReport()) << what;
+    };
+
+    const std::vector<PeConfig> uarchs = {
+        {allShapes()[0], false, false, false}, // TDX
+        {allShapes()[7], false, false, false}, // T|D|X1|X2
+        {allShapes()[7], true, true, true},    // T|D|X1|X2 +P+N+Q
+    };
+    for (const Workload &workload : allWorkloads(WorkloadSizes::small())) {
+        for (const PeConfig &uarch : uarchs) {
+            expect_same(workload.config, workload.program, uarch,
+                        &workload, kDefaultMaxCycles,
+                        workload.name + " / " + uarch.name());
+        }
+    }
+
+    // The small workloads all finish before the first poll after the
+    // immediate one; a never-halting loop crosses several.
+    const Program loop = assemble(
+        "when %p == XXXXXXX0: add %r0, %r0, #1; set %p = ZZZZZZZ1;\n"
+        "when %p == XXXXXXX1: add %r1, %r1, %r0; set %p = ZZZZZZZ0;\n");
+    FabricBuilder builder(loop.params, 1);
+    const FabricConfig config = builder.build();
+    for (const PeConfig &uarch : uarchs) {
+        expect_same(config, loop, uarch, nullptr,
+                    3 * kStopCheckInterval + 123, "loop / " + uarch.name());
+    }
 }
 
 } // namespace
