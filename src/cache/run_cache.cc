@@ -86,12 +86,11 @@ workloadRunKey(const Workload &workload, const PeConfig &uarch,
     serializeFabricConfig(key, workload.config);
     key.u32(workload.workerPe);
 
-    // The input image: run the (deterministic) preload on a scratch
-    // memory. Costs one footprint-sized pass — negligible next to the
-    // simulation it may save.
-    Memory image(workload.config.memoryWords);
-    workload.preload(image);
-    serializeMemoryImage(key, image);
+    key.u64(workload.inputs.size());
+    for (const MemorySegment &segment : workload.inputs) {
+        key.u32(segment.base);
+        key.u32s(segment.words);
+    }
 
     serializePeConfig(key, uarch);
 
@@ -136,8 +135,6 @@ encodeWorkloadRun(const WorkloadRun &run)
 
     out.u64(run.peStepsExecuted);
     out.u64(run.peStepsSkipped);
-    out.u64(run.resolutionSkips);
-    out.u64(run.resolutionFulls);
     return out.take();
 }
 
@@ -152,7 +149,7 @@ decodeWorkloadRun(const std::string &payload)
     run.workerInFlight = in.u64();
     run.workerPe = in.u32();
     const std::uint64_t numPes = in.u64();
-    if (numPes * 8 > in.remaining())
+    if (numPes > in.remaining() / 8)
         return std::nullopt;
     run.dynamicInstructions.reserve(numPes);
     for (std::uint64_t i = 0; i < numPes; ++i)
@@ -167,7 +164,7 @@ decodeWorkloadRun(const std::string &payload)
 
     run.faultOutcome = static_cast<FaultOutcome>(in.u8());
     const std::uint64_t numLines = in.u64();
-    if (numLines * 24 > in.remaining())
+    if (numLines > in.remaining() / 24)
         return std::nullopt;
     run.faultStats.lines.reserve(numLines);
     for (std::uint64_t i = 0; i < numLines; ++i) {
@@ -180,8 +177,6 @@ decodeWorkloadRun(const std::string &payload)
 
     run.peStepsExecuted = in.u64();
     run.peStepsSkipped = in.u64();
-    run.resolutionSkips = in.u64();
-    run.resolutionFulls = in.u64();
     if (!in.done())
         return std::nullopt;
     return run;

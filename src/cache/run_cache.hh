@@ -9,7 +9,7 @@
  * library (workloads -> cache is a one-way arrow).
  *
  * The key covers everything a cycle-accurate result is a function of:
- * the program, the fabric wiring, the preloaded memory image, the
+ * the program, the fabric wiring, the workload's input words, the
  * microarchitecture, the run options and the fault plan (a seeded
  * injection run is a different computation from a clean one). The
  * trace sink is deliberately absent — tracing is a side effect the
@@ -29,11 +29,11 @@
 namespace tia {
 
 /**
- * Cache key for runCycle(workload, uarch, options). Invokes
- * workload.preload on a scratch Memory to capture the input image; the
- * golden-model check is assumed to be a pure function of the same
- * inputs (all Table 3 workloads satisfy this — their preload and check
- * closures are built deterministically from the same WorkloadSizes).
+ * Cache key for runCycle(workload, uarch, options). The input words
+ * are keyed as the data Workload::inputs holds; the golden-model check
+ * is assumed to be a pure function of the same inputs (all Table 3
+ * workloads satisfy this — their inputs and check closure are built
+ * deterministically from the same WorkloadSizes).
  */
 Digest128 workloadRunKey(const Workload &workload, const PeConfig &uarch,
                          const CycleRunOptions &options);

@@ -1,7 +1,5 @@
 #include "cache/serialize.hh"
 
-#include <algorithm>
-
 namespace tia {
 
 void
@@ -131,47 +129,6 @@ serializeFaultPlan(ByteWriter &out, const FaultPlan *plan)
     out.u8(1);
     out.u64(plan->seed);
     out.str(plan->toString());
-}
-
-void
-serializeMemoryImage(ByteWriter &out, const Memory &memory)
-{
-    // Serialize only chunks with nonzero content: an unallocated chunk
-    // reads as zero, and an allocated-but-zeroed chunk is
-    // content-identical to it, so equal images serialize equally no
-    // matter which chunks happen to be backed. Preloads only touch
-    // their footprint, so this is proportional to workload size, not
-    // address-space size.
-    const auto chunkContent = [&memory](std::size_t c) -> const Word * {
-        const Word *chunk = memory.chunkData(c);
-        if (chunk == nullptr)
-            return nullptr;
-        const std::size_t count = std::min(
-            Memory::chunkWords(),
-            memory.size() - c * Memory::chunkWords());
-        const bool allZero =
-            std::all_of(chunk, chunk + count,
-                        [](Word w) { return w == 0; });
-        return allZero ? nullptr : chunk;
-    };
-
-    out.u64(memory.size());
-    std::uint64_t populated = 0;
-    for (std::size_t c = 0; c < memory.numChunks(); ++c)
-        if (chunkContent(c) != nullptr)
-            ++populated;
-    out.u64(populated);
-    for (std::size_t c = 0; c < memory.numChunks(); ++c) {
-        const Word *chunk = chunkContent(c);
-        if (chunk == nullptr)
-            continue;
-        out.u64(c);
-        const std::size_t count = std::min(
-            Memory::chunkWords(),
-            memory.size() - c * Memory::chunkWords());
-        for (std::size_t i = 0; i < count; ++i)
-            out.u32(chunk[i]);
-    }
 }
 
 } // namespace tia

@@ -4,7 +4,7 @@
  *
  * A cached simulation result is only reusable if its key captures
  * *every* input the result depends on: the assembled program, the
- * fabric wiring, the preloaded memory image, the microarchitecture and
+ * fabric wiring, the workload's input words, the microarchitecture and
  * the run options (including the fault plan — an injected run is a
  * different computation from a clean one). These serializers define one
  * canonical little-endian byte form per input type; cache keys are
@@ -23,14 +23,16 @@
 #ifndef TIA_CACHE_SERIALIZE_HH
 #define TIA_CACHE_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "core/program.hh"
 #include "sim/fabric_config.hh"
 #include "sim/fault.hh"
-#include "sim/memory.hh"
 #include "uarch/config.hh"
 
 namespace tia {
@@ -39,7 +41,7 @@ namespace tia {
  * Version of the cache key/payload serialization *and* of the
  * simulation semantics it memoizes. Bump on any change to either.
  */
-inline constexpr std::uint32_t kCacheSchemaVersion = 2;
+inline constexpr std::uint32_t kCacheSchemaVersion = 3;
 
 /**
  * Append-only little-endian byte writer. All multi-byte values are
@@ -76,6 +78,26 @@ class ByteWriter
     {
         u64(s.size());
         buffer_.append(s.data(), s.size());
+    }
+
+    /** Length-prefixed run of u32 values, appended in one pass. */
+    void
+    u32s(std::span<const std::uint32_t> values)
+    {
+        u64(values.size());
+        if (values.empty())
+            return; // memcpy must not see data() == nullptr
+        const std::size_t at = buffer_.size();
+        buffer_.resize(at + 4 * values.size());
+        char *out = buffer_.data() + at;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(out, values.data(), 4 * values.size());
+        } else {
+            for (std::uint32_t v : values) {
+                for (int i = 0; i < 4; ++i)
+                    *out++ = static_cast<char>((v >> (8 * i)) & 0xff);
+            }
+        }
     }
 
     /** Raw bytes (caller provides framing). */
@@ -187,13 +209,6 @@ void serializePeConfig(ByteWriter &out, const PeConfig &uarch);
  * plans serialize equal exactly when they inject identically).
  */
 void serializeFaultPlan(ByteWriter &out, const FaultPlan *plan);
-
-/**
- * The preloaded memory image: (chunk index, contents) pairs for every
- * chunk a preload touched. Chunked so a 64K-word address space with a
- * small workload footprint hashes in proportion to the footprint.
- */
-void serializeMemoryImage(ByteWriter &out, const Memory &memory);
 
 } // namespace tia
 

@@ -79,17 +79,6 @@ sleepMetricsJson(std::uint64_t executed, std::uint64_t skipped)
     return out;
 }
 
-JsonValue
-resolutionMetricsJson(std::uint64_t incrementalSkips,
-                      std::uint64_t fullResolves)
-{
-    JsonValue out = JsonValue::object();
-    out["triggers_resolved"] = incrementalSkips + fullResolves;
-    out["incremental_skips"] = incrementalSkips;
-    out["full_resolves"] = fullResolves;
-    return out;
-}
-
 namespace {
 
 /** Collects validation problems with a location prefix. */
@@ -187,33 +176,6 @@ checkPe(Checker &check, const JsonValue &pe, const std::string &where)
     }
 }
 
-/**
- * A "resolution" block (run-level or the sweep aggregate). The
- * identity is the resolution cache's exhaustive partition: every
- * trigger resolution is either an incremental skip (memoized verdict
- * still valid) or a full resolve.
- */
-void
-checkResolution(Checker &check, const JsonValue &resolution,
-                const std::string &where)
-{
-    if (!resolution.isObject()) {
-        check.fail(where, "must be an object");
-        return;
-    }
-    double resolved = 0, skips = 0, fulls = 0;
-    bool ok =
-        check.number(resolution, where, "triggers_resolved", resolved);
-    ok &= check.number(resolution, where, "incremental_skips", skips);
-    ok &= check.number(resolution, where, "full_resolves", fulls);
-    if (ok && skips + fulls != resolved) {
-        check.fail(where, "incremental_skips + full_resolves (" +
-                              std::to_string(skips + fulls) +
-                              ") != triggers_resolved (" +
-                              std::to_string(resolved) + ")");
-    }
-}
-
 void
 checkRun(Checker &check, const JsonValue &run, const std::string &where)
 {
@@ -276,9 +238,6 @@ checkRun(Checker &check, const JsonValue &run, const std::string &where)
                            std::to_string(peCycleSum) + ")");
         }
     }
-
-    if (const JsonValue *resolution = run.find("resolution"))
-        checkResolution(check, *resolution, where + ".resolution");
 }
 
 // The optional root "cache" block (SimCache::statsJson). Lookups are
@@ -310,22 +269,6 @@ checkCacheStats(Checker &check, const JsonValue &cache)
     }
     if (verified > hits)
         check.fail(where, "verified_hits exceeds hits");
-}
-
-// The optional root "sweep" block: the trigger-resolution aggregate
-// over every matrix cell ("resolution"), held to the same identity as
-// each run's entry. An empty sweep block says nothing and is rejected.
-void
-checkSweepStats(Checker &check, const JsonValue &sweep)
-{
-    const std::string where = "sweep";
-    if (!sweep.isObject()) {
-        check.fail(where, "must be an object");
-        return;
-    }
-    if (const JsonValue *resolution =
-            check.require(sweep, where, "resolution"))
-        checkResolution(check, *resolution, where + ".resolution");
 }
 
 // The optional root "server" block (Server::serverStatsJson). The
@@ -454,8 +397,6 @@ validateMetricsDocument(const JsonValue &doc)
     }
     if (const JsonValue *cache = doc.find("cache"))
         checkCacheStats(check, *cache);
-    if (const JsonValue *sweep = doc.find("sweep"))
-        checkSweepStats(check, *sweep);
     if (const JsonValue *server = doc.find("server"))
         checkServerStats(check, *server);
     return check.problems;

@@ -16,8 +16,6 @@
  *         "verdict": {"classification": "...", "summary": "..."},
  *         "sleep": {"pe_steps_executed": N, "pe_steps_skipped": N,
  *                   "skip_ratio": R},
- *         "resolution": {"triggers_resolved": N,
- *                        "incremental_skips": N, "full_resolves": N},
  *         "pes": [{"pe": i, "in_flight": N, "cpi": R|null,
  *                  "counters": {...}, "cpi_stack": {...}}],
  *         "channels": {"capacity": N, "high_water": [N...]},
@@ -92,19 +90,11 @@ JsonValue peMetricsJson(unsigned pe, const PerfCounters &counters,
 /** Sleep/skip accounting entry (see FabricStepStats). */
 JsonValue sleepMetricsJson(std::uint64_t executed, std::uint64_t skipped);
 
-/** Trigger-resolution accounting entry (see ResolutionStats). */
-JsonValue resolutionMetricsJson(std::uint64_t incrementalSkips,
-                                std::uint64_t fullResolves);
-
 /**
  * Validate a parsed document against the tia-metrics/v1 schema and the
  * counter-integrity invariants. Optional root blocks are checked when
  * present: "cache" (SimCache stats: hits + misses + coalesced ==
- * lookups, verified <= hits), "sweep" (the trigger-resolution
- * aggregate "resolution": incremental_skips + full_resolves ==
- * triggers_resolved — the same identity is checked on each run's
- * "resolution" entry)
- * and "server" (tia-serve accounting
+ * lookups, verified <= hits) and "server" (tia-serve accounting
  * identities: received == admitted + shed + rejected, admitted ==
  * completed + cancelled + failed + active + queue_depth, ordered
  * latency percentiles). A document carrying a "server" block may have

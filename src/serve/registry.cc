@@ -29,7 +29,6 @@ makeSpin(const WorkloadSizes &)
     FabricBuilder builder(w.program.params, 1);
     w.config = builder.build();
     w.workerPe = 0;
-    w.preload = [](Memory &) {};
     w.check = [](const Memory &) { return std::string(); };
     return w;
 }

@@ -83,23 +83,6 @@ class Memory
         return words;
     }
 
-    /** Words per allocation chunk (see chunkData). */
-    static constexpr std::size_t chunkWords() { return kChunkWords; }
-
-    /** Number of chunk slots covering the address space. */
-    std::size_t numChunks() const { return chunks_.size(); }
-
-    /**
-     * Contents of chunk @p index, or nullptr if never written (all
-     * zero). Lets the cache key hash a preload image in proportion to
-     * its footprint instead of snapshotting the whole address space.
-     */
-    const Word *
-    chunkData(std::size_t index) const
-    {
-        return chunks_[index].get();
-    }
-
   private:
     /** One page of words per chunk. */
     static constexpr std::size_t kChunkWords = 1024;

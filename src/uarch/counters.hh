@@ -103,39 +103,6 @@ struct PerfCounters
     }
 };
 
-/**
- * Host-side trigger-resolution accounting (uarch/pipelined_pe.hh): how
- * many scheduler verdicts were computed in full (queue status words +
- * descriptor scan) versus replayed from the memoized wait verdict. Not
- * an attribution bucket — architectural results are bit-identical
- * whichever way a verdict was obtained — so this lives outside
- * PerfCounters and its cycles identity.
- */
-struct ResolutionStats
-{
-    /** Verdicts replayed unchanged (no watched queue/predicate delta). */
-    std::uint64_t incrementalSkips = 0;
-    /** Verdicts computed from (possibly memoized) queue status. */
-    std::uint64_t fullResolves = 0;
-
-    /** Total trigger-resolution decisions (the checker identity). */
-    std::uint64_t
-    triggersResolved() const
-    {
-        return incrementalSkips + fullResolves;
-    }
-
-    bool operator==(const ResolutionStats &) const = default;
-
-    ResolutionStats &
-    operator+=(const ResolutionStats &other)
-    {
-        incrementalSkips += other.incrementalSkips;
-        fullResolves += other.fullResolves;
-        return *this;
-    }
-};
-
 /** A normalized CPI stack (per retired instruction), Figure 5 format. */
 struct CpiStack
 {

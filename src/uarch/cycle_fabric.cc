@@ -57,13 +57,8 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         if (injector_)
             pipelined->setFaultInjector(injector_, pe);
 
-        // The verdict memo rides on these wake subscriptions; arm it
-        // only when every scheduler-status change is guaranteed to
-        // produce a queue event (fault stuck-status windows are not).
-        pipelined->setResolutionCacheEnabled(injector_ == nullptr);
-
-        // Wake/invalidate subscriptions: the channels whose status can
-        // turn one of this PE's triggers eligible. A channel no trigger
+        // Wake subscriptions: the channels whose status can turn one
+        // of this PE's triggers eligible. A channel no trigger
         // references never changes the scheduler's verdict.
         auto subscribe = [&](int ch) {
             auto &watchers = channelPes_[ch];
@@ -194,15 +189,12 @@ CycleFabric::step()
 
     // Channels touched last cycle take a fresh occupancy snapshot, and
     // their activity — architecturally visible from this cycle on —
-    // wakes any parked watcher and drops the watcher's memoized trigger
-    // verdict. Untouched channels already satisfy snapshotSize() ==
-    // size() and popsThisCycle() == 0.
+    // wakes any parked watcher. Untouched channels already satisfy
+    // snapshotSize() == size() and popsThisCycle() == 0.
     for (unsigned ch : events_.dirtyChannels()) {
         channels_[ch]->beginCycle();
-        for (const unsigned pe : channelPes_[ch]) {
-            pes_[pe]->noteQueuesDirty();
+        for (const unsigned pe : channelPes_[ch])
             wakePe(pe);
-        }
     }
     events_.clearDirty();
 

@@ -227,19 +227,6 @@ class CycleFabric
         return {stepsExecuted_, stepsSkipped_};
     }
 
-    /**
-     * Aggregate trigger-resolution accounting across PEs (sleep debt
-     * needs no settlement: skipped cycles perform no resolution).
-     */
-    ResolutionStats
-    resolutionStats() const
-    {
-        ResolutionStats total;
-        for (const auto &pe : pes_)
-            total += pe->resolutionStats();
-        return total;
-    }
-
   private:
     /** Some memory port holds or awaits a request. */
     bool portsBusy() const;
@@ -331,7 +318,7 @@ class CycleFabric
     std::vector<std::uint8_t> asleep_;    ///< Parked flag, per PE.
     /** Cycle of each PE's last executed (or accounted) step. */
     mutable std::vector<Cycle> sleepSince_;
-    /** Channel -> PEs whose triggers watch it (wake + invalidate). */
+    /** Channel -> PEs whose triggers watch it (wake set). */
     std::vector<std::vector<unsigned>> channelPes_;
     /** PE -> channels its triggers watch (inverse subscriptions). */
     std::vector<std::vector<unsigned>> peChannels_;

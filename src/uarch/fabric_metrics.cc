@@ -24,10 +24,6 @@ fabricRunMetrics(CycleFabric &fabric, const PeConfig &uarch,
     run["sleep"] =
         sleepMetricsJson(steps.peStepsExecuted, steps.peStepsSkipped);
 
-    const ResolutionStats resolution = fabric.resolutionStats();
-    run["resolution"] = resolutionMetricsJson(resolution.incrementalSkips,
-                                              resolution.fullResolves);
-
     JsonValue pes = JsonValue::array();
     for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
         // The const accessor settles sleep debt without waking.

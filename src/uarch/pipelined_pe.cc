@@ -299,8 +299,6 @@ PipelinedPe::flushSpeculative()
             panicIf(pendingEnq_[inst.dst.index] == 0,
                     "enqueue accounting underflow on flush");
             --pendingEnq_[inst.dst.index];
-            // The flushed enqueue frees scheduler-visible space.
-            resolutionValid_ = false;
         }
         ++counters_.quashed;
         if (trace_) [[unlikely]]
@@ -389,7 +387,6 @@ PipelinedPe::doWriteback(InFlight &entry)
                 // predictions and their contexts — is wrong-path.
                 preds_ = specContexts_.front().fallbackPreds;
                 preds_ = (preds_ & ~bit) | (actual ? bit : 0);
-                resolutionValid_ = false; // predicate state restored
                 flushSpeculative();
                 specContexts_.clear();
                 // The squash also claims this cycle's issue slot: the
@@ -422,29 +419,10 @@ PipelinedPe::doWriteback(InFlight &entry)
 [[gnu::always_inline]] inline ScheduleResult
 PipelinedPe::resolveTriggers()
 {
-    if (referenceScheduler_) [[unlikely]] {
-        ++resolution_.fullResolves;
+    if (referenceScheduler_) [[unlikely]]
         return scheduleReference();
-    }
-    if (resolutionValid_) {
-        ++resolution_.incrementalSkips;
-        return cachedResolution_;
-    }
-    ++resolution_.fullResolves;
-    // Only wait verdicts (no trigger / blocked on a pending predicate)
-    // are memoized: a fire changes its own resolution inputs at issue
-    // more often than not, so caching it would buy a skip only in the
-    // rare self-invariant-fire loop while costing a dead store on
-    // every ordinary fire.
-    const ScheduleResult result =
-        scheduleLazy(triggerDescs_, preds_, pendingPredMask_,
-                     [this] { return computeStatusWords(); });
-    if (resolutionCacheEnabled_ &&
-        result.outcome != ScheduleOutcome::Fire) {
-        cachedResolution_ = result;
-        resolutionValid_ = true;
-    }
-    return result;
+    return scheduleLazy(triggerDescs_, preds_, pendingPredMask_,
+                        [this] { return computeStatusWords(); });
 }
 
 [[gnu::always_inline]] inline void
@@ -639,9 +617,6 @@ PipelinedPe::step()
         if (--pendingPredWrites_[pendingPredCommit_->index] == 0)
             pendingPredMask_ &= ~bit;
         pendingPredCommit_.reset();
-        // Both the predicate value and the pending mask may have
-        // changed under the memoized verdict.
-        resolutionValid_ = false;
     }
     squashIssueThisCycle_ = false;
 }

@@ -85,12 +85,7 @@ class PipelinedPe
     void bindOutput(unsigned port, TaggedQueue *queue);
     void setRegs(const std::vector<Word> &values);
 
-    void
-    setPreds(std::uint64_t preds)
-    {
-        preds_ = preds;
-        resolutionValid_ = false;
-    }
+    void setPreds(std::uint64_t preds) { preds_ = preds; }
 
     /** Install a fault injector; @p id names this PE in the plan. */
     void
@@ -168,51 +163,6 @@ class PipelinedPe
     /** Output queues referenced by any trigger (bit per port). */
     std::uint32_t watchedOutputs() const { return usedOutputs_; }
 
-    // ----- Trigger-verdict memo ---------------------------------------
-    //
-    // With the memo armed, a trigger resolution that found nothing to
-    // fire (no trigger, or blocked on a pending predicate) is replayed
-    // on later cycles instead of recomputed until one of its inputs
-    // changes. Fire verdicts are never memoized: a fire changes its own
-    // resolution inputs at issue more often than not. The verdict is
-    // dropped by every event that can change a resolution input:
-    //
-    //  - a push or pop on a channel bound to a watched port, reported
-    //    by the owning fabric at the start of the next cycle
-    //    (noteQueuesDirty);
-    //  - a datapath predicate write committing at the clock edge (the
-    //    predicate value and the pending-write mask both change);
-    //  - misprediction repair, which restores the predicate state and
-    //    flushes speculative enqueues (freeing scheduler-visible
-    //    output space);
-    //  - external mutation through setPreds().
-    //
-    // Issue, decode and writeback need no invalidation of their own: a
-    // fire always comes from a full resolve, and the pending-dequeue /
-    // pending-enqueue accounting keeps the scheduler's view of a queue
-    // unchanged across the pop or push that later performs it (the
-    // channel event then invalidates for the next cycle).
-
-    /**
-     * Arm or disarm the verdict memo. Disarmed (the default —
-     * standalone PEs have no fabric reporting queue events) every
-     * resolution is computed in full. CycleFabric arms it whenever no
-     * fault injector is installed: stuck-status fault windows open and
-     * close without queue events.
-     */
-    void
-    setResolutionCacheEnabled(bool enabled)
-    {
-        resolutionCacheEnabled_ = enabled;
-        resolutionValid_ = false;
-    }
-
-    /** Fabric notification that a watched queue changed. */
-    void noteQueuesDirty() { resolutionValid_ = false; }
-
-    /** Host-side resolution accounting (counters.hh). */
-    const ResolutionStats &resolutionStats() const { return resolution_; }
-
     /** True once a halt instruction has retired. */
     bool halted() const { return halted_; }
 
@@ -281,9 +231,9 @@ class PipelinedPe
     QueueStatusWords computeStatusWords() const;
 
     /**
-     * Trigger resolution with accounting: replay the memoized verdict
-     * when still valid, otherwise resolve in full (mask fast path or
-     * reference scheduler) and memoize a wait verdict when armed.
+     * Trigger resolution, afresh every cycle like the paper's
+     * combinational priority encoder: the mask fast path, or the
+     * reference scheduler when setUseReferenceScheduler is on.
      */
     ScheduleResult resolveTriggers();
 
@@ -409,13 +359,6 @@ class PipelinedPe
     unsigned peId_ = 0;
 
     PerfCounters counters_;
-
-    // Trigger-verdict memo (see the public API block).
-    bool resolutionCacheEnabled_ = false;
-    /** cachedResolution_ is a replayable verdict. */
-    bool resolutionValid_ = false;
-    ScheduleResult cachedResolution_;
-    ResolutionStats resolution_;
 
     // Observability (optional, non-owning). Last on purpose: keeps
     // the per-cycle members above — counters_ especially — at their

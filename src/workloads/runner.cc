@@ -143,9 +143,6 @@ collectRun(CycleExecution execution, const Workload &workload,
     const FabricStepStats steps = fabric.stepStats();
     run.peStepsExecuted = steps.peStepsExecuted;
     run.peStepsSkipped = steps.peStepsSkipped;
-    const ResolutionStats resolution = fabric.resolutionStats();
-    run.resolutionSkips = resolution.incrementalSkips;
-    run.resolutionFulls = resolution.fullResolves;
     for (unsigned pe = 0; pe < fabric.numPes(); ++pe)
         run.dynamicInstructions.push_back(
             fabric.pe(pe).counters().retired);
@@ -251,9 +248,6 @@ workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
     entry["sleep"] =
         sleepMetricsJson(run.peStepsExecuted, run.peStepsSkipped);
 
-    entry["resolution"] = resolutionMetricsJson(run.resolutionSkips,
-                                                run.resolutionFulls);
-
     JsonValue pes = JsonValue::array();
     pes.push(peMetricsJson(run.workerPe, run.worker, run.workerInFlight));
     entry["pes"] = std::move(pes);
@@ -281,19 +275,6 @@ faultStatsJson(const FaultStats &stats, JsonValue block)
     }
     block["lines"] = std::move(lines);
     return block;
-}
-
-JsonValue
-sweepMetricsJson(const CycleMatrix &matrix)
-{
-    std::uint64_t skips = 0, fulls = 0;
-    for (const WorkloadRun &run : matrix.runs) {
-        skips += run.resolutionSkips;
-        fulls += run.resolutionFulls;
-    }
-    JsonValue sweep = JsonValue::object();
-    sweep["resolution"] = resolutionMetricsJson(skips, fulls);
-    return sweep;
 }
 
 CycleMatrix

@@ -125,14 +125,14 @@ struct WorkloadRun
     /** Host-side: PE steps elided by the idle sleep list (cycle runs). */
     std::uint64_t peStepsSkipped = 0;
     /**
-     * Host-side: trigger resolutions satisfied by a still-valid
-     * memoized verdict (dirty-queue incremental re-resolution) vs.
-     * recomputed in full. Skips + fulls covers every resolution the
-     * run performed; a run under the reference scheduler recomputes
-     * everything (skips == 0).
+     * Always 0: the simulator resolves triggers afresh every cycle and
+     * keeps no resolution accounting. No storage and no codec bytes;
+     * these exist only because perfbench/src/layers.cc still reads
+     * them, and go when ROADMAP item 1 retires
+     * uarch.resolution_skip_frac.
      */
-    std::uint64_t resolutionSkips = 0;
-    std::uint64_t resolutionFulls = 0;
+    static constexpr std::uint64_t resolutionSkips = 0;
+    static constexpr std::uint64_t resolutionFulls = 0;
 
     bool ok() const { return status == RunStatus::Halted &&
                              checkError.empty(); }
@@ -256,12 +256,6 @@ JsonValue workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
  * ("outcome" in workloadRunMetrics, "plan" in tia-sim).
  */
 JsonValue faultStatsJson(const FaultStats &stats, JsonValue block);
-
-/**
- * The tia-metrics/v1 root "sweep" block for a finished matrix: the
- * trigger-resolution accounting summed over every cell.
- */
-JsonValue sweepMetricsJson(const CycleMatrix &matrix);
 
 } // namespace tia
 

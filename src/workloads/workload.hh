@@ -7,8 +7,8 @@
  * (bst), compute heavy (dot_product), data-dependent branchy (merge,
  * filter, string_search), long predictable loops (gcd, mean, stream),
  * and mixed (udiv, arg_max). Each workload carries its fabric wiring,
- * an input generator (deterministic), and a C++ golden model used to
- * validate the memory image a run produces.
+ * its input words (generated deterministically, held as data), and a
+ * C++ golden model used to validate the memory image a run produces.
  */
 
 #ifndef TIA_WORKLOADS_WORKLOAD_HH
@@ -64,6 +64,13 @@ struct WorkloadSizes
     }
 };
 
+/** Input words preloaded at consecutive addresses from @ref base. */
+struct MemorySegment
+{
+    Word base = 0;
+    std::vector<Word> words;
+};
+
 /** A fully described benchmark instance. */
 struct Workload
 {
@@ -73,13 +80,27 @@ struct Workload
     FabricConfig config;
     /** The PE whose performance counters the paper reports (Table 3). */
     unsigned workerPe = 0;
-    /** Fill the input region of memory before the run. */
-    std::function<void(Memory &)> preload;
+    /**
+     * The input regions of memory, written before the run. Plain data,
+     * so the cache key (cache/run_cache.hh) reads them directly.
+     */
+    std::vector<MemorySegment> inputs;
     /**
      * Check the output region against the golden model.
      * @return an empty string on success, else a failure description.
      */
     std::function<std::string(const Memory &)> check;
+
+    /** Write @ref inputs into @p memory, in order. */
+    void
+    preload(Memory &memory) const
+    {
+        for (const MemorySegment &segment : inputs) {
+            for (std::size_t i = 0; i < segment.words.size(); ++i)
+                memory.write(segment.base + static_cast<Word>(i),
+                             segment.words[i]);
+        }
+    }
 };
 
 /** Individual factories. */

@@ -199,14 +199,7 @@ makeBst(const WorkloadSizes &sizes)
     w.config = builder.build();
     w.workerPe = 0;
 
-    w.preload = [data](Memory &memory) {
-        for (std::size_t i = 0; i < data.queries.size(); ++i)
-            memory.write(kBstQueryBase + static_cast<Word>(i),
-                         data.queries[i]);
-        for (std::size_t i = 0; i < data.nodes.size(); ++i)
-            memory.write(kBstNodeBase + static_cast<Word>(i),
-                         data.nodes[i]);
-    };
+    w.inputs = {{kBstQueryBase, data.queries}, {kBstNodeBase, data.nodes}};
     std::vector<Word> sorted_keys = data.keys;
     std::sort(sorted_keys.begin(), sorted_keys.end());
     w.check = [data, sorted_keys](const Memory &memory) -> std::string {
@@ -268,10 +261,7 @@ makeGcd(const WorkloadSizes &sizes)
     const Word b = sizes.gcdB;
     fatalIf(a == 0 || b == 0, "gcd operands must be positive");
 
-    w.preload = [a, b](Memory &memory) {
-        memory.write(0, a);
-        memory.write(1, b);
-    };
+    w.inputs = {{0, {a, b}}};
     w.check = [a, b](const Memory &memory) {
         Word x = a;
         Word y = b;
@@ -337,10 +327,7 @@ makeMean(const WorkloadSizes &sizes)
     for (unsigned i = 0; i < sizes.meanCount; ++i)
         values.push_back(rng.next() & 0xfffff); // bounded: no overflow
 
-    w.preload = [values](Memory &memory) {
-        for (std::size_t i = 0; i < values.size(); ++i)
-            memory.write(kArrayBase + static_cast<Word>(i), values[i]);
-    };
+    w.inputs = {{kArrayBase, values}};
     w.check = [values, log_n](const Memory &memory) {
         Word sum = 0;
         for (Word v : values)
@@ -393,10 +380,7 @@ makeArgMax(const WorkloadSizes &sizes)
     for (unsigned i = 0; i < sizes.argMaxCount; ++i)
         values.push_back(rng.next());
 
-    w.preload = [values](Memory &memory) {
-        for (std::size_t i = 0; i < values.size(); ++i)
-            memory.write(kArrayBase + static_cast<Word>(i), values[i]);
-    };
+    w.inputs = {{kArrayBase, values}};
     w.check = [values](const Memory &memory) {
         const auto it = std::max_element(values.begin(), values.end());
         const Word index =
@@ -455,12 +439,7 @@ makeDotProduct(const WorkloadSizes &sizes)
         b.push_back(rng.next());
     }
 
-    w.preload = [a, b](Memory &memory) {
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            memory.write(kVecABase + static_cast<Word>(i), a[i]);
-            memory.write(kVecBBase + static_cast<Word>(i), b[i]);
-        }
-    };
+    w.inputs = {{kVecABase, a}, {kVecBBase, b}};
     w.check = [a, b](const Memory &memory) {
         Word acc = 0;
         for (std::size_t i = 0; i < a.size(); ++i)
@@ -545,10 +524,7 @@ makeFilter(const WorkloadSizes &sizes)
     for (unsigned i = 0; i < sizes.filterCount; ++i)
         values.push_back(rng.next());
 
-    w.preload = [values](Memory &memory) {
-        for (std::size_t i = 0; i < values.size(); ++i)
-            memory.write(kArrayBase + static_cast<Word>(i), values[i]);
-    };
+    w.inputs = {{kArrayBase, values}};
     w.check = [values](const Memory &memory) -> std::string {
         Word count = 0;
         for (Word v : values) {
@@ -625,12 +601,7 @@ makeMerge(const WorkloadSizes &sizes)
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
 
-    w.preload = [a, b](Memory &memory) {
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            memory.write(kMergeABase + static_cast<Word>(i), a[i]);
-            memory.write(kMergeBBase + static_cast<Word>(i), b[i]);
-        }
-    };
+    w.inputs = {{kMergeABase, a}, {kMergeBBase, b}};
     w.check = [a, b](const Memory &memory) -> std::string {
         std::vector<Word> merged;
         std::merge(a.begin(), a.end(), b.begin(), b.end(),
@@ -685,7 +656,6 @@ makeStream(const WorkloadSizes &sizes)
     w.workerPe = 0;
 
     const unsigned count = sizes.streamCount;
-    w.preload = [](Memory &) {};
     w.check = [count](const Memory &memory) -> std::string {
         for (unsigned i = 0; i < count; ++i) {
             auto err = checkWord(memory, kStreamOutBase + i, i,
@@ -791,18 +761,13 @@ makeStringSearch(const WorkloadSizes &sizes)
     w.config = builder.build();
     w.workerPe = 2;
 
-    w.preload = [text](Memory &memory) {
-        for (std::size_t word = 0; word * 4 < text.size(); ++word) {
-            Word packed = 0;
-            for (unsigned byte = 0; byte < 4; ++byte) {
-                packed |= static_cast<Word>(
-                              static_cast<unsigned char>(
-                                  text[word * 4 + byte]))
-                          << (8 * byte);
-            }
-            memory.write(kTextBase + static_cast<Word>(word), packed);
-        }
-    };
+    // Four characters per word, the first in the low byte.
+    MemorySegment packed{kTextBase, std::vector<Word>(num_words, 0)};
+    for (std::size_t i = 0; i < text.size(); ++i)
+        packed.words[i / 4] |=
+            static_cast<Word>(static_cast<unsigned char>(text[i]))
+            << (8 * (i % 4));
+    w.inputs = {std::move(packed)};
     w.check = [text](const Memory &memory) -> std::string {
         const std::string target = "MICRO";
         unsigned state = 0;
@@ -909,12 +874,7 @@ makeUdiv(const WorkloadSizes &sizes)
         dens.push_back((rng.next() & 0xffff) + 1); // never zero
     }
 
-    w.preload = [nums, dens](Memory &memory) {
-        for (std::size_t i = 0; i < nums.size(); ++i) {
-            memory.write(kUdivNumBase + static_cast<Word>(i), nums[i]);
-            memory.write(kUdivDenBase + static_cast<Word>(i), dens[i]);
-        }
-    };
+    w.inputs = {{kUdivNumBase, nums}, {kUdivDenBase, dens}};
     w.check = [nums, dens](const Memory &memory) -> std::string {
         for (std::size_t i = 0; i < nums.size(); ++i) {
             auto err = checkWord(memory,

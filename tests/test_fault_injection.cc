@@ -288,7 +288,6 @@ storeWorkload()
     builder.addReadPort(0, 0, 0);
     builder.addWritePort(0, 1, 2);
     workload.config = builder.build();
-    workload.preload = [](Memory &) {};
     workload.check = [](const Memory &memory) {
         return memory.read(0) == 7 ? std::string()
                                    : std::string("mem[0] != 7");

@@ -608,19 +608,19 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
 }
 
 // ---------------------------------------------------------------------
-// Incremental trigger resolution: the dirty-queue cache must be
-// invisible next to the QueueStatusView reference scheduler.
+// Trigger resolution: the mask fast path must be invisible next to the
+// QueueStatusView reference scheduler.
 // ---------------------------------------------------------------------
 
-/** One run with the scheduler flavour pinned, plus its resolution
- *  accounting. Comparisons against the reference scheduler must stay
- *  field-wise on RunObservation — resolution counters legitimately
- *  differ between the flavours and are checked by identity instead. */
-std::pair<RunObservation, ResolutionStats>
-observeResolution(const Workload &workload, const PeConfig &uarch,
-                  bool reference)
+// The two differentials below keep the suite and test names they had
+// while a verdict memo sat in front of the fast path.
+
+/** One run with the scheduler flavour pinned. */
+RunObservation
+observeScheduler(const Workload &workload, const PeConfig &uarch,
+                 bool reference, FaultInjector *injector = nullptr)
 {
-    CycleFabric fabric(workload.config, workload.program, uarch);
+    CycleFabric fabric(workload.config, workload.program, uarch, injector);
     fabric.setUseReferenceScheduler(reference);
     workload.preload(fabric.memory());
 
@@ -634,7 +634,7 @@ observeResolution(const Workload &workload, const PeConfig &uarch,
     }
     obs.report = fabric.hangReport();
     obs.memory = fabric.memory().snapshot();
-    return {obs, fabric.resolutionStats()};
+    return obs;
 }
 
 TEST(ResolutionCache, WorkloadSuiteBitIdenticalToReferenceScheduler)
@@ -647,55 +647,32 @@ TEST(ResolutionCache, WorkloadSuiteBitIdenticalToReferenceScheduler)
         {allShapes()[7], true, true, false},   // T|D|X1|X2 +P+Q
         {allShapes()[7], true, true, true},    // T|D|X1|X2 +P+N+Q
     };
-    bool any_skip = false;
     for (const Workload &workload : workloads) {
         for (const PeConfig &uarch : uarchs) {
-            const auto [fast, fast_res] =
-                observeResolution(workload, uarch, false);
-            const auto [ref, ref_res] =
-                observeResolution(workload, uarch, true);
-            ASSERT_EQ(fast, ref)
+            ASSERT_EQ(observeScheduler(workload, uarch, false),
+                      observeScheduler(workload, uarch, true))
                 << workload.name << " / " << uarch.name();
-
-            // The reference scheduler recomputes from scratch every
-            // time; the cached path must do the same total number of
-            // resolutions, split between seeds and skips.
-            EXPECT_EQ(ref_res.incrementalSkips, 0u);
-            EXPECT_EQ(fast_res.incrementalSkips + fast_res.fullResolves,
-                      ref_res.fullResolves)
-                << workload.name << " / " << uarch.name();
-            any_skip = any_skip || fast_res.incrementalSkips > 0;
         }
     }
-    EXPECT_TRUE(any_skip)
-        << "the dirty-queue cache never skipped a re-resolution "
-           "anywhere in the suite; the differential is vacuous";
 }
 
 TEST(ResolutionCache, FaultInjectionDisarmsIncrementalPath)
 {
-    // An injector can mutate queue contents behind the dirty
-    // tracking, so its presence must force every resolution full —
-    // and the run must still match an injected reference run.
+    // Stuck-status windows, drops and corruptions change the queue view
+    // without the fabric's channel events; both schedulers must read
+    // them the same way.
     const Workload workload = makeGcd(WorkloadSizes::small());
     const PeConfig uarch{allShapes()[0], false, true, false};
     const FaultPlan plan = FaultPlan::parse(
         "seed=99;drop:ch0@p0.05;corrupt:ch0@p0.02,mask=0x4;"
+        "stuckempty:ch0@c20+40;stuckfull:ch2@c200+30;"
         "mispredict:pe0@p0.1");
 
     FaultInjector a(plan);
     FaultInjector b(plan);
-    const RunObservation fast = observeRun(workload, uarch, true, &a);
-    const RunObservation ref = observeRun(workload, uarch, false, &b);
-    EXPECT_EQ(fast, ref);
-
-    FaultInjector c(plan);
-    CycleFabric fabric(workload.config, workload.program, uarch, &c);
-    workload.preload(fabric.memory());
-    fabric.run();
-    const ResolutionStats stats = fabric.resolutionStats();
-    EXPECT_EQ(stats.incrementalSkips, 0u);
-    EXPECT_GT(stats.fullResolves, 0u);
+    EXPECT_EQ(observeScheduler(workload, uarch, false, &a),
+              observeScheduler(workload, uarch, true, &b));
+    EXPECT_GT(a.stats().totalFired(), 0u);
 }
 
 TEST(IdlePeSleep, MutatingAccessorWakesParkedPe)
@@ -734,7 +711,6 @@ struct FabricObservation
     std::vector<std::vector<Word>> regs;
     std::vector<std::uint64_t> preds;
     std::vector<Word> memory;
-    ResolutionStats resolution;
     std::uint64_t stepsExecuted = 0;
     std::uint64_t stepsSkipped = 0;
 
@@ -752,7 +728,6 @@ observeFabric(const CycleFabric &fabric)
         obs.preds.push_back(fabric.pe(pe).preds());
     }
     obs.memory = fabric.memory().snapshot();
-    obs.resolution = fabric.resolutionStats();
     const FabricStepStats steps = fabric.stepStats();
     obs.stepsExecuted = steps.peStepsExecuted;
     obs.stepsSkipped = steps.peStepsSkipped;

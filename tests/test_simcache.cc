@@ -96,6 +96,9 @@ TEST(ByteCodec, RoundTripsEveryType)
     out.u64(0x0123456789abcdefull);
     out.str("hello");
     out.str("");
+    const std::vector<std::uint32_t> words = {0x01020304u, 0xfffffffeu};
+    out.u32s(words);
+    out.u32s({});
 
     ByteReader in(out.data());
     EXPECT_EQ(in.u8(), 0xab);
@@ -103,6 +106,11 @@ TEST(ByteCodec, RoundTripsEveryType)
     EXPECT_EQ(in.u64(), 0x0123456789abcdefull);
     EXPECT_EQ(in.str(), "hello");
     EXPECT_EQ(in.str(), "");
+    // u32s: a u64 count, then each value as u32() would write it.
+    EXPECT_EQ(in.u64(), 2u);
+    EXPECT_EQ(in.u32(), 0x01020304u);
+    EXPECT_EQ(in.u32(), 0xfffffffeu);
+    EXPECT_EQ(in.u64(), 0u);
     EXPECT_TRUE(in.ok());
     EXPECT_TRUE(in.done());
     EXPECT_EQ(in.remaining(), 0u);
@@ -147,12 +155,12 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     EXPECT_EQ(workloadRunKey(makeDotProduct(sizes), PeConfig{},
                              defaults)
                   .hex(),
-              "e7d0fbd5aa2ba245b794dcc7284eaa88");
+              "17367dcbc588ec58fb823c5d33f76932");
 
     // Deepest pipeline with both optimizations.
     const PeConfig deep{PipelineShape{true, true, true}, true, true};
     EXPECT_EQ(workloadRunKey(makeBst(sizes), deep, defaults).hex(),
-              "13794b7ca90b4167b431a9353e772bbf");
+              "905627755f1baf2bd537613111e08f46");
 
     // A seeded fault plan folds into the key.
     const FaultPlan plan = FaultPlan::parse("seed=7;drop:ch0@p0.01");
@@ -160,7 +168,7 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     injected.faults = &plan;
     injected.goldenCrossCheck = true;
     EXPECT_EQ(workloadRunKey(makeGcd(sizes), PeConfig{}, injected).hex(),
-              "106e383c45472c8fdcf5a922fd232011");
+              "f22f4fd699a85c3c33e8ccdfc4df24b8");
 }
 
 TEST(GoldenDigest, KeySeparatesEveryInput)
@@ -175,13 +183,25 @@ TEST(GoldenDigest, KeySeparatesEveryInput)
                                            false},
                              defaults),
               base);
-    // Workload (different program + memory preload).
+    // Workload (different program + inputs).
     EXPECT_NE(workloadRunKey(makeMean(sizes), PeConfig{}, defaults),
               base);
-    // Workload size (same program, different preload image).
+    // Workload size (same program, different inputs).
     EXPECT_NE(workloadRunKey(makeDotProduct(WorkloadSizes::full()),
                              PeConfig{}, defaults),
               base);
+    // One input word changed.
+    Workload changed = dot;
+    ASSERT_FALSE(changed.inputs.empty());
+    ASSERT_FALSE(changed.inputs.back().words.empty());
+    changed.inputs.back().words.back() ^= 1;
+    EXPECT_NE(workloadRunKey(changed, PeConfig{}, defaults), base);
+    // One segment moved, its words unchanged.
+    Workload moved = dot;
+    moved.inputs.back().base += 1;
+    EXPECT_NE(workloadRunKey(moved, PeConfig{}, defaults), base);
+    EXPECT_NE(workloadRunKey(moved, PeConfig{}, defaults),
+              workloadRunKey(changed, PeConfig{}, defaults));
     // Run options.
     CycleRunOptions budget;
     budget.maxCycles = 12345;
@@ -400,6 +420,47 @@ TEST(SimCachePersist, ForeignFileIsDiscardedWhole)
     EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(SimCachePersist, OlderSchemaTierIsIgnored)
+{
+    // A tier written under schema 2 holding a stale result under this
+    // build's exact key: the header check must reject the whole file,
+    // so runCycle recomputes instead of returning the stale payload.
+    const Workload w = makeGcd(WorkloadSizes::small());
+    const WorkloadRun expected = runCycle(w, PeConfig{});
+    const Digest128 key = workloadRunKey(w, PeConfig{}, {});
+    WorkloadRun stale = expected;
+    stale.totalCycles += 1;
+
+    TempFile file("simcache_old_schema.tiasimc");
+    {
+        SimCache old;
+        old.put(key, encodeWorkloadRun(stale));
+        ASSERT_TRUE(old.save(file.path(), nullptr));
+    }
+    std::fstream patch(file.path(),
+                       std::ios::binary | std::ios::in | std::ios::out);
+    patch.seekp(12); // magic (8) + file version (4) precede the schema
+    const char schema2[4] = {2, 0, 0, 0};
+    patch.write(schema2, sizeof(schema2));
+    patch.close();
+
+    SimCache cache;
+    std::string error;
+    EXPECT_FALSE(cache.load(file.path(), &error));
+    EXPECT_NE(error.find("version 2 != " +
+                         std::to_string(kCacheSchemaVersion)),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(cache.size(), 0u);
+
+    CycleRunOptions options;
+    options.cache = &cache;
+    EXPECT_EQ(runCycle(w, PeConfig{}, options), expected);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    ASSERT_TRUE(cache.peek(key).has_value());
+    EXPECT_EQ(decodeWorkloadRun(*cache.peek(key)), expected);
+}
+
 TEST(SimCachePersist, SavedFilesAreDeterministic)
 {
     TempFile a("simcache_det_a.tiasimc");
@@ -444,6 +505,35 @@ TEST(RunCodec, RejectsTruncatedAndTrailingBytes)
                      .has_value());
     EXPECT_FALSE(decodeWorkloadRun(payload + "x").has_value());
     EXPECT_FALSE(decodeWorkloadRun("").has_value());
+
+    // Counts so large that count * element size wraps to 0: each must
+    // be rejected as longer than the payload, not reach a reserve().
+    const auto withCount = [](std::string bytes, std::size_t at,
+                              std::uint64_t count) {
+        ByteWriter value;
+        value.u64(count);
+        return bytes.replace(at, 8, value.data());
+    };
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 61;
+
+    WorkloadRun marked = run;
+    marked.dynamicInstructions = {0x0123456789abcdefull};
+    marked.faultStats.lines = {{"count-marker", 0, 0}};
+    const std::string bytes = encodeWorkloadRun(marked);
+    ByteWriter pe;
+    pe.u64(marked.dynamicInstructions[0]);
+    const std::size_t pePos = bytes.find(pe.data());
+    const std::size_t linePos = bytes.find("count-marker");
+    ASSERT_NE(pePos, std::string::npos);
+    ASSERT_NE(linePos, std::string::npos);
+    ASSERT_TRUE(decodeWorkloadRun(bytes).has_value());
+    // numPes precedes the per-PE counts (8 bytes each).
+    EXPECT_FALSE(
+        decodeWorkloadRun(withCount(bytes, pePos - 8, kHuge)).has_value());
+    // The line count precedes the first name's length prefix (24 bytes
+    // a line).
+    EXPECT_FALSE(decodeWorkloadRun(withCount(bytes, linePos - 16, 3 * kHuge))
+                     .has_value());
 }
 
 TEST(RunCacheEndToEnd, CachedRunsAreBitIdentical)

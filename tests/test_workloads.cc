@@ -122,6 +122,38 @@ TEST(Workloads, DotProductWorkerDynamicCountMatchesPaperFormula)
               2ull * kSizes.dotCount + 3);
 }
 
+TEST(Workloads, PreloadWritesExactlyTheInputs)
+{
+    // At both sizes: preload leaves every input word at its address and
+    // every other word zero, and no two segments share a word (so the
+    // segment order cannot matter).
+    for (const WorkloadSizes &sizes :
+         {WorkloadSizes::small(), WorkloadSizes::full()}) {
+        const std::vector<Workload> suite = allWorkloads(sizes);
+        ASSERT_EQ(suite.size(), 10u);
+        for (const Workload &w : suite) {
+            const std::size_t words = w.config.memoryWords;
+            std::vector<Word> expected(words, 0);
+            std::vector<bool> written(words, false);
+            for (const MemorySegment &segment : w.inputs) {
+                ASSERT_LE(segment.base + segment.words.size(), words)
+                    << w.name;
+                for (std::size_t i = 0; i < segment.words.size(); ++i) {
+                    const std::size_t address = segment.base + i;
+                    EXPECT_FALSE(written[address])
+                        << w.name << " writes word " << address
+                        << " twice";
+                    written[address] = true;
+                    expected[address] = segment.words[i];
+                }
+            }
+            Memory memory(words);
+            w.preload(memory);
+            EXPECT_EQ(memory.snapshot(), expected) << w.name;
+        }
+    }
+}
+
 TEST(Workloads, StaticInstructionBudgetRespected)
 {
     // Every PE program fits the 16-entry instruction store (NIns).

@@ -227,11 +227,9 @@ run(const Options &opt)
     Workload workload;
     workload.name = opt.program;
     workload.program = assemble(readFile(opt.program), params);
-    workload.preload = [&opt](Memory &memory) {
-        for (const auto &m : opt.mems)
-            memory.write(static_cast<Word>(m[0]),
-                         static_cast<Word>(m[1]));
-    };
+    for (const auto &m : opt.mems)
+        workload.inputs.push_back(
+            {static_cast<Word>(m[0]), {static_cast<Word>(m[1])}});
     workload.check = [](const Memory &) { return std::string(); };
 
     const unsigned pes = opt.pes ? opt.pes : workload.program.numPes();
@@ -420,21 +418,6 @@ run(const Options &opt)
                     total > 0
                         ? 100.0 * static_cast<double>(steps.peStepsSkipped) /
                               static_cast<double>(total)
-                        : 0.0);
-            const ResolutionStats resolution = fabric.resolutionStats();
-            const std::uint64_t resolved = resolution.triggersResolved();
-            appendf(text,
-                    "  trigger resolutions: %llu incremental skip(s), "
-                    "%llu full (%.1f%% skipped)\n",
-                    static_cast<unsigned long long>(
-                        resolution.incrementalSkips),
-                    static_cast<unsigned long long>(
-                        resolution.fullResolves),
-                    resolved > 0
-                        ? 100.0 *
-                              static_cast<double>(
-                                  resolution.incrementalSkips) /
-                              static_cast<double>(resolved)
                         : 0.0);
         }
         if (chrome) {

@@ -245,7 +245,6 @@ run(const Options &opt)
         registry.root()["sizes"] = opt.small ? "small" : "full";
         if (cache)
             registry.root()["cache"] = cache->statsJson();
-        registry.root()["sweep"] = sweepMetricsJson(matrix);
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
                 opt.metricsPath);
     }
