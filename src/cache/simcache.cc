@@ -1,6 +1,5 @@
 #include "cache/simcache.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -235,11 +234,10 @@ SimCache::load(const std::string &path, std::string *error)
     const std::string bytes = contents.str();
 
     ByteReader reader(bytes);
-    char magic[sizeof(kMagic)];
-    for (char &c : magic)
-        c = static_cast<char>(reader.u8());
-    if (!reader.ok() || !std::equal(magic, magic + sizeof(kMagic), kMagic))
-        return fail("not a TIASIMC1 cache file: " + path);
+    for (const char expected : kMagic) {
+        if (static_cast<char>(reader.u8()) != expected || !reader.ok())
+            return fail("not a TIASIMC1 cache file: " + path);
+    }
     const std::uint32_t fileVersion = reader.u32();
     if (!reader.ok() || fileVersion != kFileVersion)
         return fail("cache file format version " +

@@ -72,42 +72,26 @@ class ChannelFaultHook
 };
 
 /**
- * Log of queue activity (see file comment). recordPush fires once per
- * token accepted into the deferred-push window; recordPop once per
- * token popped. Dropped (faulted) tokens fire neither.
+ * Log of queue activity (see file comment). record() fires once per
+ * token accepted into the deferred-push window and once per token
+ * popped. Dropped (faulted) tokens do not fire it.
  *
- * The owner drains the dirty and pushed channel lists between cycles
- * (clearDirty/clearPushed); each channel appears at most once per list
- * per cycle. progressEvents() accumulates over the whole run.
+ * The owner drains the dirty channel list between cycles (clearDirty);
+ * each channel appears in it at most once per cycle, whether it was
+ * pushed, popped or both. progressEvents() accumulates over the whole
+ * run.
  */
 class QueueEventLog
 {
   public:
-    explicit QueueEventLog(unsigned channels)
-        : dirtyFlag_(channels, 0), pushedFlag_(channels, 0)
+    explicit QueueEventLog(unsigned channels) : dirtyFlag_(channels, 0)
     {
         dirty_.reserve(channels);
-        pushed_.reserve(channels);
     }
 
-    /** A token was accepted by channel @p channel this cycle. */
+    /** Channel @p channel accepted or gave up a token this cycle. */
     void
-    recordPush(unsigned channel)
-    {
-        ++progressEvents_;
-        if (!dirtyFlag_[channel]) {
-            dirtyFlag_[channel] = 1;
-            dirty_.push_back(channel);
-        }
-        if (!pushedFlag_[channel]) {
-            pushedFlag_[channel] = 1;
-            pushed_.push_back(channel);
-        }
-    }
-
-    /** A token was popped from channel @p channel this cycle. */
-    void
-    recordPop(unsigned channel)
+    record(unsigned channel)
     {
         ++progressEvents_;
         if (!dirtyFlag_[channel]) {
@@ -118,12 +102,6 @@ class QueueEventLog
 
     /** Channels with any activity since the last clearDirty(). */
     const std::vector<unsigned> &dirtyChannels() const { return dirty_; }
-
-    /** Channels with pushes since the last clearPushed(). */
-    const std::vector<unsigned> &pushedChannels() const { return pushed_; }
-
-    /** True if channel @p channel is in the dirty list. */
-    bool dirty(unsigned channel) const { return dirtyFlag_[channel] != 0; }
 
     /** Pushes + pops ever recorded. */
     std::uint64_t progressEvents() const { return progressEvents_; }
@@ -136,19 +114,9 @@ class QueueEventLog
         dirty_.clear();
     }
 
-    void
-    clearPushed()
-    {
-        for (unsigned ch : pushed_)
-            pushedFlag_[ch] = 0;
-        pushed_.clear();
-    }
-
   private:
-    std::vector<std::uint8_t> dirtyFlag_;  ///< In dirty_, by channel.
-    std::vector<std::uint8_t> pushedFlag_; ///< In pushed_, by channel.
+    std::vector<std::uint8_t> dirtyFlag_; ///< In dirty_, by channel.
     std::vector<unsigned> dirty_;
-    std::vector<unsigned> pushed_;
     std::uint64_t progressEvents_ = 0;
 };
 
@@ -208,10 +176,9 @@ class TaggedQueue
         Token token = ring_[head_];
         head_ = wrap(head_ + 1);
         --committed_;
-        ++totalPops_;
         ++popsThisCycle_;
         if (log_)
-            log_->recordPop(channelId_);
+            log_->record(channelId_);
         return token;
     }
 
@@ -266,26 +233,17 @@ class TaggedQueue
                 "pushImmediate with deferred pushes pending");
         ring_[wrap(head_ + committed_)] = token;
         ++committed_;
-        ++totalPushes_;
         if (committed_ > highWater_)
             highWater_ = committed_;
         if (log_)
-            log_->recordPush(channelId_);
+            log_->record(channelId_);
     }
-
-    /** Total tokens ever pushed (pending included). */
-    std::uint64_t totalPushes() const { return totalPushes_; }
-    /** Total tokens ever popped. */
-    std::uint64_t totalPops() const { return totalPops_; }
 
     /**
      * Highest occupancy ever reached (committed + deferred pushes) —
      * the channel-sizing signal the observability layer reports.
      */
     unsigned highWater() const { return highWater_; }
-
-    /** True if a push from this cycle is awaiting commit(). */
-    bool hasPendingPush() const { return pending_ != 0; }
 
     /** Number of pushes from this cycle awaiting commit(). */
     unsigned pendingPushes() const { return pending_; }
@@ -334,11 +292,10 @@ class TaggedQueue
     {
         ring_[wrap(head_ + committed_ + pending_)] = token;
         ++pending_;
-        ++totalPushes_;
         if (committed_ + pending_ > highWater_)
             highWater_ = committed_ + pending_;
         if (log_)
-            log_->recordPush(channelId_);
+            log_->record(channelId_);
     }
 
     unsigned capacity_;
@@ -349,8 +306,6 @@ class TaggedQueue
     unsigned snapshotSize_ = 0;
     unsigned popsThisCycle_ = 0;
     unsigned highWater_ = 0; ///< Max committed_ + pending_ ever seen.
-    std::uint64_t totalPushes_ = 0;
-    std::uint64_t totalPops_ = 0;
     ChannelFaultHook *faultHook_ = nullptr;
     QueueEventLog *log_ = nullptr;
     unsigned channelId_ = 0;

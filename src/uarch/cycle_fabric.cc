@@ -25,8 +25,6 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         channels_.back()->setEventLog(&events_, ch);
     }
     channelPes_.resize(config_.numChannels);
-    peChannels_.resize(config_.numPes);
-    parkCandidates_.reserve(config_.numPes);
 
     // Fault stuck-status windows open and close without queue events,
     // so parked PEs could miss a wake; keep everyone stepping.
@@ -64,10 +62,8 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
             auto &watchers = channelPes_[ch];
             // PEs are processed one at a time, so this PE's entry — if
             // any — is the last one pushed.
-            if (watchers.empty() || watchers.back() != pe) {
+            if (watchers.empty() || watchers.back() != pe)
                 watchers.push_back(pe);
-                peChannels_[pe].push_back(static_cast<unsigned>(ch));
-            }
         };
         const std::uint32_t in_mask = pipelined->watchedInputs();
         for (unsigned port = 0; port < config_.params.numInputQueues;
@@ -215,7 +211,6 @@ CycleFabric::stepPe(unsigned index)
     pe.step();
     totalRetired_ += pe.counters().retired - retired_before;
     ++stepsExecuted_;
-    sleepSince_[index] = now_;
 }
 
 [[gnu::always_inline]] inline bool
@@ -233,11 +228,13 @@ CycleFabric::settleActivePe(std::size_t i)
         return false;
     }
     if (sleepEnabled_ && pe.canSleep()) {
-        // Park decision deferred to endCycle(): if a watched channel
-        // goes dirty this very cycle the PE would be woken right back
-        // at the next cycle's start, so parking it now is pure list
-        // churn.
-        parkCandidates_.push_back(index);
+        // Park now. If a watched channel goes dirty later this cycle,
+        // the next step() wakes the PE with no sleep debt, in the cycle
+        // it would have stepped in anyway.
+        asleep_[index] = true;
+        sleepSince_[index] = now_;
+        if (trace_) [[unlikely]]
+            traceEvent(index, TraceEventKind::Park);
         activePes_[i] = activePes_.back();
         activePes_.pop_back();
         return false;
@@ -255,34 +252,10 @@ CycleFabric::endCycle()
     for (auto &port : writePorts_)
         port->step(now_);
 
-    // Only channels that actually received pushes have anything to
-    // commit.
-    for (unsigned ch : events_.pushedChannels())
+    // Only channels touched this cycle can hold pushes to commit (a
+    // pop-only channel's commit() is a no-op).
+    for (unsigned ch : events_.dirtyChannels())
         channels_[ch]->commit();
-    events_.clearPushed();
-
-    // Resolve the deferred parks now that every agent has run: a
-    // candidate with a dirty watched channel stays active (it would be
-    // woken next cycle anyway), the rest go to sleep. Equivalent to
-    // parking eagerly — the kept-active PE executes the same no-trigger
-    // step next cycle that wakeParkedPe() would have accounted.
-    for (unsigned index : parkCandidates_) {
-        bool pending = false;
-        for (unsigned ch : peChannels_[index]) {
-            if (events_.dirty(ch)) {
-                pending = true;
-                break;
-            }
-        }
-        if (pending) {
-            activePes_.push_back(index);
-        } else {
-            asleep_[index] = true;
-            if (trace_) [[unlikely]]
-                traceEvent(index, TraceEventKind::Park);
-        }
-    }
-    parkCandidates_.clear();
 
     // Depth tracks (`cycles` level only).
     if (trace_ && traceLevel_ == TraceLevel::Cycles) [[unlikely]]
@@ -304,10 +277,10 @@ CycleFabric::runAhead(Cycle limit, std::uint64_t &lastRetired,
 {
     // canRunAhead() holds: this PE is the only agent that can move.
     // While its steps neither push nor pop, no channel goes dirty, so
-    // the next cycle's step() would have no snapshot, wake or verdict
-    // drop to perform, the idle memory ports no request to serve, and
-    // nothing to commit or park. A cycle that retires or leaves the
-    // PE busy is one run()'s bookkeeping records as active.
+    // the next cycle's step() would have no snapshot or wake to
+    // perform, the idle memory ports no request to serve, and nothing
+    // to commit. A cycle that retires or leaves the PE busy is one
+    // run()'s bookkeeping records as active.
     const unsigned index = activePes_.front();
     const PipelinedPe &pe = *pes_[index];
     for (;;) {

@@ -22,16 +22,16 @@
  * counts, per-PE counters and hang reports are bit-identical to
  * stepping every PE every cycle (asserted by tests/test_hot_path.cc).
  * Skipped steps are re-accounted lazily (each is exactly one
- * no-trigger cycle) before any counter observation. A PE whose park
- * decision coincides with activity on a watched channel is kept
- * active instead of parked — it would be woken at the next cycle's
- * start anyway, so parking it is pure churn. Sleep is disabled
- * under fault injection, whose stuck-status windows open and close
- * without queue events.
+ * no-trigger cycle) before any counter observation. A PE parks in the
+ * cycle it first can; if a watched channel goes dirty later in that
+ * same cycle, the next cycle's start wakes it with no sleep debt, so
+ * it steps exactly when it would have without parking. Sleep is
+ * disabled under fault injection, whose stuck-status windows open and
+ * close without queue events.
  *
- * The same event lists make channel upkeep proportional to activity:
- * only channels touched last cycle need a new snapshot (beginCycle)
- * and only channels pushed this cycle need a commit.
+ * The same event list makes channel upkeep proportional to activity:
+ * only channels touched this cycle need a commit at its end, and a new
+ * snapshot (beginCycle) at the next cycle's start.
  *
  * Run-ahead: when run() finds exactly one PE awake, no channel dirty,
  * no memory port busy, and neither an injector nor a trace sink, that
@@ -159,21 +159,24 @@ class CycleFabric
      * PE access. The non-const overload wakes a sleeping PE first:
      * callers may mutate state (predicates, registers) the sleep
      * criterion depended on. Both overloads settle the PE's lazily
-     * accounted sleep cycles so counters read exact.
+     * accounted sleep cycles so counters read exact, and throw
+     * std::out_of_range for an index past numPes().
      */
     PipelinedPe &
     pe(unsigned index)
     {
+        PipelinedPe &result = *pes_.at(index);
         wakePe(index);
-        return *pes_.at(index);
+        return result;
     }
 
     const PipelinedPe &
     pe(unsigned index) const
     {
+        const PipelinedPe &result = *pes_.at(index);
         if (asleep_[index])
             syncSleepCounters(index);
-        return *pes_.at(index);
+        return result;
     }
 
     unsigned numPes() const { return static_cast<unsigned>(pes_.size()); }
@@ -184,8 +187,15 @@ class CycleFabric
         return static_cast<unsigned>(channels_.size());
     }
 
-    /** Channel access (e.g. high-water marks for metrics). */
-    const TaggedQueue &channel(unsigned ch) const { return *channels_[ch]; }
+    /**
+     * Channel access (e.g. high-water marks for metrics); throws
+     * std::out_of_range for a channel past numChannels().
+     */
+    const TaggedQueue &
+    channel(unsigned ch) const
+    {
+        return *channels_.at(ch);
+    }
 
     /**
      * Install (or clear, with nullptr) a trace sink on the fabric and
@@ -237,15 +247,15 @@ class CycleFabric
     void stepPe(unsigned index);
 
     /**
-     * After activePes_[@p i] stepped: retire it if halted, make it a
-     * park candidate if it can sleep, count it if busy. Returns false
-     * when it left the active list (swap-removed into slot @p i).
+     * After activePes_[@p i] stepped: retire it if halted, park it if
+     * it can sleep, count it if busy. Returns false when it left the
+     * active list (swap-removed into slot @p i).
      */
     bool settleActivePe(std::size_t i);
 
     /**
      * The rest of a cycle once every awake PE stepped: memory ports,
-     * channel commits, deferred parks, depth samples, clock advance.
+     * channel commits, depth samples, clock advance.
      * Shared by step() and runAhead().
      */
     void endCycle();
@@ -316,19 +326,19 @@ class CycleFabric
     bool sleepEnabled_ = true;
     std::vector<unsigned> activePes_;     ///< Awake, unhalted PEs.
     std::vector<std::uint8_t> asleep_;    ///< Parked flag, per PE.
-    /** Cycle of each PE's last executed (or accounted) step. */
+    /**
+     * Parked PEs only: the cycle of the last executed (or accounted)
+     * step. Written at park time and by settlement.
+     */
     mutable std::vector<Cycle> sleepSince_;
     /** Channel -> PEs whose triggers watch it (wake set). */
     std::vector<std::vector<unsigned>> channelPes_;
-    /** PE -> channels its triggers watch (inverse subscriptions). */
-    std::vector<std::vector<unsigned>> peChannels_;
-    /** PEs whose park decision is pending until the cycle ends. */
-    std::vector<unsigned> parkCandidates_;
 
     /**
      * Channel activity, recorded inline by the queues (see queue.hh).
-     * Dirty channels need beginCycle + wake at the next cycle's start;
-     * pushed channels need a commit at this cycle's end.
+     * Dirty channels need a commit at this cycle's end, and a
+     * beginCycle plus a wake of their watchers at the next cycle's
+     * start.
      */
     QueueEventLog events_;
 

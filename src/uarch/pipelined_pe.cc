@@ -236,7 +236,7 @@ PipelinedPe::dataHazardFor(const Instruction &inst) const
     const unsigned s = segD_ + 1;
     if (((occupied_ >> s) & 1u) == 0)
         return false;
-    const Instruction &producer = *slots_[s]->inst;
+    const Instruction &producer = *slots_[s].inst;
     if (producer.dst.type != DstType::Reg)
         return false;
     for (const auto &src : inst.srcs) {
@@ -288,11 +288,12 @@ PipelinedPe::doDecode(InFlight &entry)
 void
 PipelinedPe::flushSpeculative()
 {
-    for (unsigned s = 0; s < slots_.size(); ++s) {
-        auto &slot = slots_[s];
-        if (!slot.has_value() || !slot->speculative())
+    for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
+        const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
+        const InFlight &slot = slots_[s];
+        if (!slot.speculative())
             continue;
-        const Instruction &inst = *slot->inst;
+        const Instruction &inst = *slot.inst;
         panicIf(inst.hasPreRetirementSideEffect(),
                 "a side-effecting instruction was issued speculatively");
         if (inst.enqueues()) {
@@ -303,8 +304,7 @@ PipelinedPe::flushSpeculative()
         ++counters_.quashed;
         if (trace_) [[unlikely]]
             trace(TraceEventKind::Quash, 0,
-                  static_cast<std::uint16_t>(slot->index), slot->id);
-        slot.reset();
+                  static_cast<std::uint16_t>(slot.index), slot.id);
         occupied_ &= static_cast<std::uint8_t>(~(1u << s));
     }
 }
@@ -375,9 +375,11 @@ PipelinedPe::doWriteback(InFlight &entry)
                 // Confirmed: this (oldest) context retires; everything
                 // issued under it sheds one speculation level.
                 specContexts_.erase(specContexts_.begin());
-                for (auto &slot : slots_) {
-                    if (slot.has_value() && slot->specLevel > 0)
-                        --slot->specLevel;
+                for (std::uint8_t rest = occupied_; rest != 0;
+                     rest &= rest - 1) {
+                    InFlight &slot = slots_[std::countr_zero(rest)];
+                    if (slot.specLevel > 0)
+                        --slot.specLevel;
                 }
             } else {
                 ++counters_.mispredictions;
@@ -482,8 +484,9 @@ PipelinedPe::issue()
         }
     }
 
-    // Construct in place — slot 0 was checked empty above.
-    InFlight &entry = slots_[0].emplace();
+    // Slot 0 was checked empty above.
+    InFlight &entry = slots_[0];
+    entry = InFlight{};
     occupied_ |= 1u;
     entry.inst = &inst;
     entry.index = result.index;
@@ -556,14 +559,14 @@ PipelinedPe::step()
     const unsigned d = segD_;
     const unsigned last = lastSeg_;
     if ((occupied_ >> last) & 1u) {
-        InFlight &slot = *slots_[last];
+        InFlight &slot = slots_[last];
         if (last == d && !slot.didD && !dataHazardFor(*slot.inst))
             doDecode(slot);
         if (slot.didD)
             doWriteback(slot);
     }
     if (d != last && ((occupied_ >> d) & 1u) != 0) {
-        InFlight &slot = *slots_[d];
+        InFlight &slot = slots_[d];
         if (!slot.didD && !dataHazardFor(*slot.inst))
             doDecode(slot);
     }
@@ -575,11 +578,11 @@ PipelinedPe::step()
     // pipeline segment held while this cycle's work executed.
     if (trace_ && traceLevel_ == TraceLevel::Cycles) [[unlikely]] {
         for (unsigned s = 0; s <= last; ++s) {
-            if (slots_[s].has_value())
+            if ((occupied_ >> s) & 1u)
                 trace(TraceEventKind::StageOccupancy,
                       static_cast<std::uint8_t>(s),
-                      static_cast<std::uint16_t>(slots_[s]->index),
-                      slots_[s]->id);
+                      static_cast<std::uint16_t>(slots_[s].index),
+                      slots_[s].id);
         }
     }
 
@@ -587,21 +590,17 @@ PipelinedPe::step()
     // everything whose segment work is done and whose next slot is
     // free — walking only the occupied slots, oldest first.
     const std::uint8_t last_bit = static_cast<std::uint8_t>(1u << last);
-    if ((occupied_ & last_bit) != 0 && slots_[last]->didD) {
-        slots_[last].reset();
+    if ((occupied_ & last_bit) != 0 && slots_[last].didD)
         occupied_ &= static_cast<std::uint8_t>(~last_bit);
-    }
     for (std::uint8_t rest =
              occupied_ & static_cast<std::uint8_t>(last_bit - 1u);
          rest != 0;) {
         const unsigned s = static_cast<unsigned>(std::bit_width(rest)) - 1;
         const std::uint8_t bit = static_cast<std::uint8_t>(1u << s);
         rest &= static_cast<std::uint8_t>(~bit);
-        auto &slot = slots_[s];
-        const bool work_done = s != d || slot->didD;
+        const bool work_done = s != d || slots_[s].didD;
         if (work_done && (occupied_ & (bit << 1)) == 0) {
-            slots_[s + 1] = *slot;
-            slot.reset();
+            slots_[s + 1] = slots_[s];
             occupied_ = static_cast<std::uint8_t>(
                 (occupied_ | (bit << 1)) & ~bit);
         }

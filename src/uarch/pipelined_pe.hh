@@ -298,13 +298,12 @@ class PipelinedPe
     bool halted_ = false;
 
     // Pipeline state.
-    std::array<std::optional<InFlight>, 4> slots_;
+    /** Contents of segment s; meaningful only while occupied_ bit s is set. */
+    std::array<InFlight, 4> slots_;
     /**
-     * Bit s set iff slots_[s] holds an instruction — kept in lockstep
-     * with every emplace/reset so busy()/canSleep()/inFlight() are a
-     * single compare instead of a four-optional scan (those run per PE
-     * per cycle in the fabric loop), and the step phases visit only
-     * occupied segments.
+     * Bit s set iff segment s holds an instruction: the one record of
+     * slot occupancy. busy()/canSleep()/inFlight() read it as a single
+     * compare, and the step phases visit only occupied segments.
      */
     std::uint8_t occupied_ = 0;
     std::uint64_t nextId_ = 1;

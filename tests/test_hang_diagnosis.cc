@@ -181,8 +181,7 @@ TEST(HangDiagnosis, PollingLoopIsLivelock)
     FabricBuilder builder(ArchParams{}, 1);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(FabricRunOptions{4000, 500}),
-              RunStatus::Livelock);
+    EXPECT_EQ(fabric.run(4000, 500), RunStatus::Livelock);
     const HangReport &report = fabric.hangReport();
     EXPECT_EQ(report.classification, RunStatus::Livelock);
     EXPECT_NE(report.summary.find("livelock"), std::string::npos);

@@ -99,8 +99,9 @@ TEST(NestedSpeculation, NestedMispredictionRecovers)
             << (nested ? "+N" : "base");
         EXPECT_EQ(fabric.pe(0).regs(), golden.pe(0).regs())
             << (nested ? "+N" : "base");
-        if (nested)
+        if (nested) {
             EXPECT_GT(fabric.pe(0).counters().mispredictions, 20u);
+        }
     }
 }
 

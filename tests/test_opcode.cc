@@ -125,8 +125,9 @@ TEST(Opcode, TraitsAreConsistent)
             ++comparisons;
             EXPECT_TRUE(info.hasResult);
         }
-        if (info.isHalt || info.writesScratchpad)
+        if (info.isHalt || info.writesScratchpad) {
             EXPECT_FALSE(info.hasResult && info.isHalt);
+        }
     }
     EXPECT_EQ(comparisons, 10u);
 }

@@ -152,7 +152,6 @@ TEST_P(PipelineAllShapes, ArchitecturalResultMatchesAcrossOptimizations)
             CycleFabric fabric(loneConfig(), program, {shape(), p, q});
             stepFor(fabric, 500);
             // Drain the pipe so the last writeback lands.
-            const auto &c = fabric.pe(0).counters();
             expectBucketsSumToCycles(fabric.pe(0));
             results.push_back(
                 static_cast<Word>(fabric.pe(0).counters().retired));

@@ -45,11 +45,10 @@ TEST(Queue, DeferredPushesBecomeVisibleAtCommit)
     q.beginCycle();
     q.push({42, 0});
     EXPECT_EQ(q.size(), 0u); // not yet visible
-    EXPECT_TRUE(q.hasPendingPush());
     EXPECT_EQ(q.pendingPushes(), 1u);
     q.commit();
     EXPECT_EQ(q.size(), 1u);
-    EXPECT_FALSE(q.hasPendingPush());
+    EXPECT_EQ(q.pendingPushes(), 0u);
     EXPECT_EQ(q.peek(0)->data, 42u);
 }
 
@@ -134,7 +133,11 @@ TEST(Queue, RingWraparoundKeepsFifoOrder)
 
 TEST(Queue, TotalsCountLifetimeTraffic)
 {
+    // The event log's progress count is the lifetime push + pop total;
+    // its dirty list holds the channel once, whatever the traffic.
     TaggedQueue q(2);
+    QueueEventLog log(4);
+    q.setEventLog(&log, 3);
     q.beginCycle();
     for (int round = 0; round < 5; ++round) {
         q.push({static_cast<Word>(round), 0});
@@ -142,8 +145,9 @@ TEST(Queue, TotalsCountLifetimeTraffic)
         q.beginCycle();
         q.pop();
     }
-    EXPECT_EQ(q.totalPushes(), 5u);
-    EXPECT_EQ(q.totalPops(), 5u);
+    EXPECT_EQ(log.progressEvents(), 10u);
+    ASSERT_EQ(log.dirtyChannels().size(), 1u);
+    EXPECT_EQ(log.dirtyChannels().front(), 3u);
 }
 
 } // namespace

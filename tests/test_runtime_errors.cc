@@ -5,6 +5,8 @@
  * specifically, never silently.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/assembler.hh"
@@ -63,6 +65,22 @@ TEST(RuntimeErrors, ProgramWithMorePesThanFabricIsRejected)
                              {PipelineShape{false, false, false}, false,
                               false}),
                  FatalError);
+}
+
+TEST(RuntimeErrors, OutOfRangePeAndChannelThrow)
+{
+    // Both pe() overloads and channel() range-check before touching
+    // any per-PE or per-channel state.
+    const Program program = assemble("when %p == XXXXXXXX: halt;\n");
+    CycleFabric fabric(loneConfig(), program,
+                       {PipelineShape{false, false, false}, false, false});
+    const CycleFabric &view = fabric;
+    for (unsigned index : {fabric.numPes(), 100'000'000u}) {
+        EXPECT_THROW(fabric.pe(index), std::out_of_range);
+        EXPECT_THROW(view.pe(index), std::out_of_range);
+    }
+    EXPECT_THROW(view.channel(fabric.numChannels()), std::out_of_range);
+    EXPECT_THROW(view.channel(100'000'000u), std::out_of_range);
 }
 
 TEST(RuntimeErrors, StepLimitReported)
