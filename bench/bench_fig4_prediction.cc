@@ -29,13 +29,18 @@ main()
                 "PredWriteFreq", "PredictAccuracy", "Predictions",
                 "Mispredicts");
 
+    const auto suite = allWorkloads(sizes);
+    bench::BenchCache cache;
+    const CycleMatrix matrix = runCycleMatrix(suite, {config},
+                                              cache.options(),
+                                              bench::benchJobs());
     double freq_sum = 0.0;
     double acc_sum = 0.0;
     unsigned acc_count = 0;
-    for (const Workload &w : allWorkloads(sizes)) {
-        const WorkloadRun run = runCycle(w, config);
+    for (std::size_t w = 0; w < suite.size(); ++w) {
+        const WorkloadRun &run = matrix.run(0, w);
         if (!run.ok()) {
-            std::printf("%s FAILED: %s\n", w.name.c_str(),
+            std::printf("%s FAILED: %s\n", suite[w].name.c_str(),
                         run.checkError.c_str());
             return 1;
         }
@@ -46,7 +51,7 @@ main()
             ++acc_count;
         }
         std::printf("%-14s %-18.1f %-18.1f %-12llu %-14llu\n",
-                    w.name.c_str(), freq * 100.0,
+                    suite[w].name.c_str(), freq * 100.0,
                     run.worker.predictions > 0
                         ? run.worker.predictionAccuracy() * 100.0
                         : 0.0,

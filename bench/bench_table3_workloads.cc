@@ -19,12 +19,12 @@ main()
                   "dynamic counts: dot=20,003 ins, gcd=411,540 ins, "
                   "bst 90k-160k cycles, max ~700k cycles");
 
-    const WorkloadSizes sizes = bench::benchSizes();
+    const auto suite = allWorkloads(bench::benchSizes());
     std::printf("%-14s %-4s %-7s %-12s %-12s %-10s %s\n", "Benchmark",
                 "PEs", "Worker", "Worker ins", "Total ins", "Validated",
                 "Description");
 
-    for (const Workload &w : allWorkloads(sizes)) {
+    for (const Workload &w : suite) {
         const WorkloadRun run = runFunctional(w);
         std::uint64_t total = 0;
         for (auto n : run.dynamicInstructions)
@@ -37,25 +37,32 @@ main()
     }
 
     // Cycle ranges across all 32 microarchitectures for bst (the
-    // paper's 90k-160k window) and the suite-wide maximum.
+    // paper's 90k-160k window) and the suite-wide maximum. The whole
+    // uarch x workload product runs on the sweep pipeline.
     std::printf("\nCycle ranges over the 32 microarchitectures:\n");
     std::printf("%-14s %-12s %-12s\n", "Benchmark", "Min cycles",
                 "Max cycles");
-    for (const Workload &w : allWorkloads(sizes)) {
+    const auto configs = allConfigs();
+    bench::BenchCache cache;
+    const CycleMatrix matrix = runCycleMatrix(suite, configs,
+                                              cache.options(),
+                                              bench::benchJobs());
+    for (std::size_t w = 0; w < suite.size(); ++w) {
         Cycle min_cycles = ~Cycle{0};
         Cycle max_cycles = 0;
-        for (const PeConfig &config : allConfigs()) {
-            const WorkloadRun run = runCycle(w, config);
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            const WorkloadRun &run = matrix.run(c, w);
             if (!run.ok()) {
-                std::printf("%-14s FAILED on %s: %s\n", w.name.c_str(),
-                            config.name().c_str(),
+                std::printf("%-14s FAILED on %s: %s\n",
+                            suite[w].name.c_str(),
+                            configs[c].name().c_str(),
                             run.checkError.c_str());
                 return 1;
             }
             min_cycles = std::min(min_cycles, run.worker.cycles);
             max_cycles = std::max(max_cycles, run.worker.cycles);
         }
-        std::printf("%-14s %-12llu %-12llu\n", w.name.c_str(),
+        std::printf("%-14s %-12llu %-12llu\n", suite[w].name.c_str(),
                     static_cast<unsigned long long>(min_cycles),
                     static_cast<unsigned long long>(max_cycles));
     }

@@ -64,12 +64,27 @@ bool
 readStringList(ByteReader &in, std::vector<std::string> &list)
 {
     const std::uint64_t count = in.u64();
-    if (count > in.remaining()) // each entry needs >= 1 byte of prefix
+    if (count > in.remaining() / 8) // each entry has an 8-byte prefix
         return false;
     list.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i)
         list.push_back(in.str());
     return in.ok();
+}
+
+/**
+ * Read one enum byte into @p out; false when it lies past @p last, the
+ * enum's final enumerator (a payload from a build with more values).
+ */
+template <typename Enum>
+bool
+readEnum(ByteReader &in, Enum &out, Enum last)
+{
+    const std::uint8_t byte = in.u8();
+    if (byte > static_cast<std::uint8_t>(last))
+        return false;
+    out = static_cast<Enum>(byte);
+    return true;
 }
 
 } // namespace
@@ -97,7 +112,6 @@ workloadRunKey(const Workload &workload, const PeConfig &uarch,
     key.u64(options.maxCycles);
     key.u64(options.quiescenceWindow);
     serializeFaultPlan(key, options.faults);
-    key.u8(options.goldenCrossCheck ? 1 : 0);
     // referenceScheduler is proven bit-identical to the fast path, but
     // it is still a distinct requested computation; keep it in the key
     // so a cross-check run never silently reuses a fast-path result.
@@ -143,7 +157,8 @@ decodeWorkloadRun(const std::string &payload)
 {
     ByteReader in(payload);
     WorkloadRun run;
-    run.status = static_cast<RunStatus>(in.u8());
+    if (!readEnum(in, run.status, RunStatus::Cancelled))
+        return std::nullopt;
     run.checkError = in.str();
     readCounters(in, run.worker);
     run.workerInFlight = in.u64();
@@ -156,13 +171,15 @@ decodeWorkloadRun(const std::string &payload)
         run.dynamicInstructions.push_back(in.u64());
     run.totalCycles = in.u64();
 
-    run.hang.classification = static_cast<RunStatus>(in.u8());
+    if (!readEnum(in, run.hang.classification, RunStatus::Cancelled))
+        return std::nullopt;
     run.hang.summary = in.str();
     if (!readStringList(in, run.hang.waitChain) ||
         !readStringList(in, run.hang.blockedAgents))
         return std::nullopt;
 
-    run.faultOutcome = static_cast<FaultOutcome>(in.u8());
+    if (!readEnum(in, run.faultOutcome, FaultOutcome::Hung))
+        return std::nullopt;
     const std::uint64_t numLines = in.u64();
     if (numLines > in.remaining() / 24)
         return std::nullopt;

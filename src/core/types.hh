@@ -22,6 +22,15 @@ using DWord = std::uint64_t;
 /** Queue tag value (Table 1: TagWidth = 2 bits at default parameters). */
 using Tag = std::uint8_t;
 
+/** One tagged token: a channel entry (Section 2.1). */
+struct Token
+{
+    Word data = 0;
+    Tag tag = 0;
+
+    bool operator==(const Token &) const = default;
+};
+
 /** Simulation time measured in PE clock cycles. */
 using Cycle = std::uint64_t;
 

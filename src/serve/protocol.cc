@@ -38,6 +38,18 @@ parseServeErrorCode(const std::string &code)
     return ServeError::None;
 }
 
+std::optional<std::uint64_t>
+wireU64(const JsonValue &value)
+{
+    if (!value.isNumber())
+        return std::nullopt;
+    const double number = value.number();
+    // Casting a double of 2^64 or more to uint64 is undefined.
+    if (!(number >= 0 && number < 0x1p64) || number != std::floor(number))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(number);
+}
+
 namespace {
 
 /** Fetch a non-negative integral member; false + @p error on misuse. */
@@ -48,13 +60,13 @@ optionalU64(const JsonValue &doc, const std::string &key,
     const JsonValue *value = doc.find(key);
     if (value == nullptr)
         return true;
-    if (!value->isNumber() || value->number() < 0 ||
-        value->number() != std::floor(value->number())) {
+    const std::optional<std::uint64_t> number = wireU64(*value);
+    if (!number.has_value()) {
         if (error)
             *error = "\"" + key + "\" must be a non-negative integer";
         return false;
     }
-    out = static_cast<std::uint64_t>(value->number());
+    out = *number;
     return true;
 }
 

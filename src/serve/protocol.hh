@@ -64,6 +64,14 @@ const char *serveErrorCode(ServeError error);
 /** Parse a wire code back to a ServeError (None when unknown). */
 ServeError parseServeErrorCode(const std::string &code);
 
+/**
+ * The one reader of JSON integers on the wire (ids, deadlines, method
+ * parameters such as max_cycles): @p value as a whole number below
+ * 2^64, or nullopt for anything else, so a fraction or an out-of-range
+ * double is rejected instead of truncated.
+ */
+std::optional<std::uint64_t> wireU64(const JsonValue &value);
+
 /** A parsed request envelope. */
 struct ServeRequest
 {

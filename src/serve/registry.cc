@@ -1,7 +1,6 @@
 #include "serve/registry.hh"
 
 #include "core/assembler.hh"
-#include "core/logging.hh"
 #include "obs/metrics.hh"
 #include "sim/fabric_config.hh"
 #include "uarch/counters.hh"
@@ -34,23 +33,6 @@ makeSpin(const WorkloadSizes &)
 }
 
 } // namespace
-
-void
-ServeRegistry::registerWorkload(const std::string &name,
-                                WorkloadFactory make)
-{
-    fatalIf(workloads_.count(name) != 0, "workload \"", name,
-            "\" is already registered");
-    workloads_.emplace(name, std::move(make));
-}
-
-void
-ServeRegistry::registerAnalysis(const std::string &name, Analysis analyze)
-{
-    fatalIf(analyses_.count(name) != 0, "analysis \"", name,
-            "\" is already registered");
-    analyses_.emplace(name, std::move(analyze));
-}
 
 const ServeRegistry::WorkloadFactory *
 ServeRegistry::workload(const std::string &name) const
@@ -90,40 +72,49 @@ ServeRegistry
 ServeRegistry::builtin()
 {
     ServeRegistry registry;
-    registry.registerWorkload("bst", makeBst);
-    registry.registerWorkload("gcd", makeGcd);
-    registry.registerWorkload("mean", makeMean);
-    registry.registerWorkload("arg_max", makeArgMax);
-    registry.registerWorkload("dot_product", makeDotProduct);
-    registry.registerWorkload("filter", makeFilter);
-    registry.registerWorkload("merge", makeMerge);
-    registry.registerWorkload("stream", makeStream);
-    registry.registerWorkload("string_search", makeStringSearch);
-    registry.registerWorkload("udiv", makeUdiv);
-    registry.registerWorkload("spin", makeSpin);
+    registry.workloads_ = {
+        {"bst", makeBst},
+        {"gcd", makeGcd},
+        {"mean", makeMean},
+        {"arg_max", makeArgMax},
+        {"dot_product", makeDotProduct},
+        {"filter", makeFilter},
+        {"merge", makeMerge},
+        {"stream", makeStream},
+        {"string_search", makeStringSearch},
+        {"udiv", makeUdiv},
+        {"spin", makeSpin},
+    };
 
-    registry.registerAnalysis("cpi", [](const WorkloadRun &run) {
-        JsonValue out = JsonValue::object();
-        out["cpi"] = run.worker.cpi(); // null when nothing retired
-        out["cycles"] = run.totalCycles;
-        out["retired"] = run.worker.retired;
-        return out;
-    });
-    registry.registerAnalysis("counters", [](const WorkloadRun &run) {
-        return countersJson(run.worker);
-    });
-    registry.registerAnalysis("cpi_stack", [](const WorkloadRun &run) {
-        return cpiStackJson(cpiStack(run.worker));
-    });
-    registry.registerAnalysis("verdict", [](const WorkloadRun &run) {
-        JsonValue out = JsonValue::object();
-        out["classification"] = runStatusName(run.hang.classification);
-        out["summary"] = run.hang.summary;
-        return out;
-    });
-    registry.registerAnalysis("sleep", [](const WorkloadRun &run) {
-        return sleepMetricsJson(run.peStepsExecuted, run.peStepsSkipped);
-    });
+    registry.analyses_ = {
+        {"cpi",
+         [](const WorkloadRun &run) {
+             JsonValue out = JsonValue::object();
+             out["cpi"] = run.worker.cpi(); // null when nothing retired
+             out["cycles"] = run.totalCycles;
+             out["retired"] = run.worker.retired;
+             return out;
+         }},
+        {"counters",
+         [](const WorkloadRun &run) { return countersJson(run.worker); }},
+        {"cpi_stack",
+         [](const WorkloadRun &run) {
+             return cpiStackJson(cpiStack(run.worker));
+         }},
+        {"verdict",
+         [](const WorkloadRun &run) {
+             JsonValue out = JsonValue::object();
+             out["classification"] =
+                 runStatusName(run.hang.classification);
+             out["summary"] = run.hang.summary;
+             return out;
+         }},
+        {"sleep",
+         [](const WorkloadRun &run) {
+             return sleepMetricsJson(run.peStepsExecuted,
+                                     run.peStepsSkipped);
+         }},
+    };
     return registry;
 }
 

@@ -1,22 +1,18 @@
 /**
  * @file
- * Server-side workload and analysis registration.
+ * The server's fixed table of named workloads and analyses.
  *
- * Follows the stinger-workflow registry shape (named streams +
- * registered algorithms + batch hooks): clients name what they want
- * run ("bst", "gcd", ...) and which registered analyses to apply to
- * the finished run ("cpi", "verdict", ...), and the server owns the
- * factories. That keeps the request surface to strings + sizes — no
- * client ever ships a program over the wire for the batch paths — and
- * it leaves room for later registrants (mapped multi-PE applications
- * from a Cascade-style mapper can be registered under their own names
- * without touching the protocol).
+ * Clients name what they want run ("bst", "gcd", ...) and which
+ * analyses to apply to the finished run ("cpi", "verdict", ...), and
+ * the server owns the factories. That keeps the request surface to
+ * strings + sizes — no client ever ships a program over the wire for
+ * the batch paths.
  *
- * The builtin registry carries the Table 3 suite plus `spin`, a
- * deliberately non-halting single-PE loop: it exists so operators and
- * the torture tests can exercise the deadline / livelock / cancel
- * paths of a live server on demand (a watchdog canary), and it is the
- * reason `simulate` accepts a `max_cycles` override.
+ * The table carries the Table 3 suite plus `spin`, a deliberately
+ * non-halting single-PE loop: it exists so operators and the torture
+ * tests can exercise the deadline / livelock / cancel paths of a live
+ * server on demand (a watchdog canary), and it is the reason
+ * `simulate` accepts a `max_cycles` override.
  */
 
 #ifndef TIA_SERVE_REGISTRY_HH
@@ -40,12 +36,6 @@ class ServeRegistry
         std::function<Workload(const WorkloadSizes &)>;
     /** Renders one registered analysis of a finished run. */
     using Analysis = std::function<JsonValue(const WorkloadRun &)>;
-
-    /** Register a named workload; re-registration is a FatalError. */
-    void registerWorkload(const std::string &name, WorkloadFactory make);
-
-    /** Register a named analysis; re-registration is a FatalError. */
-    void registerAnalysis(const std::string &name, Analysis analyze);
 
     /** Lookup (nullptr when unknown). */
     const WorkloadFactory *workload(const std::string &name) const;

@@ -71,9 +71,10 @@ paramU64(const JsonValue &params, const char *key, std::uint64_t fallback)
     const JsonValue *value = params.find(key);
     if (value == nullptr)
         return fallback;
-    fatalIf(!value->isNumber() || value->number() < 0,
-            "\"", key, "\" must be a non-negative integer");
-    return static_cast<std::uint64_t>(value->number());
+    const std::optional<std::uint64_t> number = wireU64(*value);
+    fatalIf(!number.has_value(), "\"", key,
+            "\" must be a non-negative integer");
+    return *number;
 }
 
 bool
@@ -257,8 +258,7 @@ struct Server::Job
     JsonValue response;
 };
 
-Server::Server(ServerOptions options, ServeRegistry registry)
-    : opt_(std::move(options)), registry_(std::move(registry))
+Server::Server(ServerOptions options) : opt_(std::move(options))
 {
 }
 
@@ -607,9 +607,8 @@ Server::handleFrame(int fd, const std::string &payload, std::uint64_t connId)
     auto request = parseRequest(*doc, &requestError);
     if (!request.has_value()) {
         std::uint64_t id = 0;
-        if (const JsonValue *v = doc->find("id");
-            v != nullptr && v->isNumber() && v->number() >= 0)
-            id = static_cast<std::uint64_t>(v->number());
+        if (const JsonValue *v = doc->find("id"))
+            id = wireU64(*v).value_or(0);
         {
             std::lock_guard lk(mu_);
             counters_.received++;

@@ -89,8 +89,7 @@ struct ServerOptions
 class Server
 {
   public:
-    explicit Server(ServerOptions options,
-                    ServeRegistry registry = ServeRegistry::builtin());
+    explicit Server(ServerOptions options);
 
     /** Hard-stops if still running (cancels in-flight work). */
     ~Server();
@@ -192,7 +191,7 @@ class Server
     void wake();
 
     ServerOptions opt_;
-    ServeRegistry registry_;
+    const ServeRegistry registry_ = ServeRegistry::builtin();
     SimCache cache_;
 
     int unixFd_ = -1;

@@ -276,7 +276,7 @@ FaultInjector::beginCycle(Cycle now)
     }
 }
 
-ChannelFaultHook::PushAction
+FaultInjector::PushAction
 FaultInjector::onPush(unsigned channel, Token &token)
 {
     auto action = PushAction::Keep;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/types.hh"
-#include "sim/queue.hh"
 
 namespace tia {
 
@@ -118,24 +117,35 @@ struct FaultStats
 
 /**
  * Executes a FaultPlan against a running fabric. The CycleFabric
- * installs one injector as the ChannelFaultHook of every channel and
- * as the prediction/latency hook of every PE and read port, and calls
+ * installs one injector in every channel, PE and read port, and calls
  * beginCycle() once per simulated cycle; with a fixed seed the whole
  * injection sequence is a pure function of the simulation, so two
  * identical runs produce identical faults and identical stats.
  */
-class FaultInjector : public ChannelFaultHook
+class FaultInjector
 {
   public:
+    /** What a channel does with a pushed token. */
+    enum class PushAction
+    {
+        Keep,      ///< Deliver the (possibly corrupted) token normally.
+        Drop,      ///< Silently lose the token.
+        Duplicate, ///< Deliver the token twice (capacity permitting).
+    };
+
     explicit FaultInjector(FaultPlan plan);
 
     /** Advance the notion of "current cycle"; rolls stuck-status dice. */
     void beginCycle(Cycle now);
 
-    // ChannelFaultHook interface (drop / duplicate / corrupt / stuck).
-    PushAction onPush(unsigned channel, Token &token) override;
-    bool stuckEmpty(unsigned channel) const override;
-    bool stuckFull(unsigned channel) const override;
+    /** Channel hook, once per push; may corrupt @p token in place. */
+    PushAction onPush(unsigned channel, Token &token);
+
+    /** True while channel @p channel must report itself empty. */
+    bool stuckEmpty(unsigned channel) const;
+
+    /** True while channel @p channel must report itself full. */
+    bool stuckFull(unsigned channel) const;
 
     /** PE hook: invert this cycle's prediction on PE @p pe? */
     bool flipPrediction(unsigned pe);

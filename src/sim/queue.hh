@@ -27,49 +27,9 @@
 
 #include "core/logging.hh"
 #include "core/types.hh"
+#include "sim/fault.hh"
 
 namespace tia {
-
-/** One tagged token. */
-struct Token
-{
-    Word data = 0;
-    Tag tag = 0;
-
-    bool operator==(const Token &) const = default;
-};
-
-/**
- * Injection point for channel-level fault models (see sim/fault.hh).
- *
- * A queue with a hook installed consults it on every committed-path
- * push (which may corrupt the token in place, drop it, or duplicate
- * it) and exposes the hook's stuck-status verdicts through
- * faultStuckEmpty()/faultStuckFull(). Status faults deliberately warp
- * only what schedulers and ports *observe* — the queue contents stay
- * intact, so execution resumes unharmed when the fault window closes.
- */
-class ChannelFaultHook
-{
-  public:
-    enum class PushAction
-    {
-        Keep,      ///< Deliver the (possibly corrupted) token normally.
-        Drop,      ///< Silently lose the token.
-        Duplicate, ///< Deliver the token twice (capacity permitting).
-    };
-
-    virtual ~ChannelFaultHook() = default;
-
-    /** Called once per push; may mutate @p token (corruption). */
-    virtual PushAction onPush(unsigned channel, Token &token) = 0;
-
-    /** True while channel @p channel must report itself empty. */
-    virtual bool stuckEmpty(unsigned channel) const = 0;
-
-    /** True while channel @p channel must report itself full. */
-    virtual bool stuckFull(unsigned channel) const = 0;
-};
 
 /**
  * Log of queue activity (see file comment). record() fires once per
@@ -193,11 +153,11 @@ class TaggedQueue
     push(const Token &token)
     {
         Token delivered = token;
-        if (faultHook_) {
-            const auto action = faultHook_->onPush(channelId_, delivered);
-            if (action == ChannelFaultHook::PushAction::Drop)
+        if (faults_) {
+            const auto action = faults_->onPush(channelId_, delivered);
+            if (action == FaultInjector::PushAction::Drop)
                 return;
-            if (action == ChannelFaultHook::PushAction::Duplicate &&
+            if (action == FaultInjector::PushAction::Duplicate &&
                 committed_ + pending_ + 1 < capacity_) {
                 append(delivered);
             }
@@ -248,11 +208,14 @@ class TaggedQueue
     /** Number of pushes from this cycle awaiting commit(). */
     unsigned pendingPushes() const { return pending_; }
 
-    /** Install (or clear) a fault hook; @p id names this channel. */
+    /**
+     * Install (or clear) a fault injector, consulted on every push
+     * (see sim/fault.hh); @p id names this channel.
+     */
     void
-    setFaultHook(ChannelFaultHook *hook, unsigned id)
+    setFaultInjector(FaultInjector *faults, unsigned id)
     {
-        faultHook_ = hook;
+        faults_ = faults;
         channelId_ = id;
     }
 
@@ -264,18 +227,26 @@ class TaggedQueue
         channelId_ = id;
     }
 
-    /** True while a fault forces this queue to report itself empty. */
+    /**
+     * True while a fault forces this queue to report itself empty.
+     * Status faults warp only what schedulers and ports observe: the
+     * queue contents stay intact, so execution resumes unharmed when
+     * the fault window closes.
+     */
     bool
     faultStuckEmpty() const
     {
-        return faultHook_ && faultHook_->stuckEmpty(channelId_);
+        return faults_ && faults_->stuckEmpty(channelId_);
     }
 
-    /** True while a fault forces this queue to report itself full. */
+    /**
+     * True while a fault forces this queue to report itself full; the
+     * contents stay intact, as for faultStuckEmpty().
+     */
     bool
     faultStuckFull() const
     {
-        return faultHook_ && faultHook_->stuckFull(channelId_);
+        return faults_ && faults_->stuckFull(channelId_);
     }
 
   private:
@@ -306,7 +277,7 @@ class TaggedQueue
     unsigned snapshotSize_ = 0;
     unsigned popsThisCycle_ = 0;
     unsigned highWater_ = 0; ///< Max committed_ + pending_ ever seen.
-    ChannelFaultHook *faultHook_ = nullptr;
+    FaultInjector *faults_ = nullptr;
     QueueEventLog *log_ = nullptr;
     unsigned channelId_ = 0;
 };

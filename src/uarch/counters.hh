@@ -80,27 +80,6 @@ struct PerfCounters
 
     /** Field-wise equality (the optimization-equivalence tests). */
     bool operator==(const PerfCounters &) const = default;
-
-    /** Accumulate (for averaging across workloads). */
-    PerfCounters &
-    operator+=(const PerfCounters &other)
-    {
-        cycles += other.cycles;
-        retired += other.retired;
-        quashed += other.quashed;
-        predicateHazard += other.predicateHazard;
-        dataHazard += other.dataHazard;
-        forbidden += other.forbidden;
-        noTrigger += other.noTrigger;
-        predicateWrites += other.predicateWrites;
-        predictions += other.predictions;
-        mispredictions += other.mispredictions;
-        dequeues += other.dequeues;
-        enqueues += other.enqueues;
-        faultsInjected += other.faultsInjected;
-        faultRecoveries += other.faultRecoveries;
-        return *this;
-    }
 };
 
 /** A normalized CPI stack (per retired instruction), Figure 5 format. */

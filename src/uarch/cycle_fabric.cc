@@ -21,7 +21,7 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         channels_.push_back(
             std::make_unique<TaggedQueue>(config_.params.queueCapacity));
         if (injector_)
-            channels_.back()->setFaultHook(injector_, ch);
+            channels_.back()->setFaultInjector(injector_, ch);
         channels_.back()->setEventLog(&events_, ch);
     }
     channelPes_.resize(config_.numChannels);

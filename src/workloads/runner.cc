@@ -70,14 +70,6 @@ runFunctional(const Workload &workload, std::uint64_t max_steps)
 }
 
 WorkloadRun
-runCycle(const Workload &workload, const PeConfig &uarch, Cycle max_cycles)
-{
-    CycleRunOptions options;
-    options.maxCycles = max_cycles;
-    return runCycle(workload, uarch, options);
-}
-
-WorkloadRun
 runCycle(const Workload &workload, const PeConfig &uarch,
          const CycleRunOptions &options)
 {
@@ -128,8 +120,7 @@ namespace {
  * from a finished execution.
  */
 WorkloadRun
-collectRun(CycleExecution execution, const Workload &workload,
-           const CycleRunOptions &options)
+collectRun(CycleExecution execution, const Workload &workload)
 {
     CycleFabric &fabric = *execution.fabric;
     const bool trapped = execution.trap.has_value();
@@ -162,20 +153,18 @@ collectRun(CycleExecution execution, const Workload &workload,
         std::uint64_t pe_recoveries = 0;
         for (unsigned pe = 0; pe < fabric.numPes(); ++pe)
             pe_recoveries += fabric.pe(pe).counters().faultRecoveries;
-        if (options.goldenCrossCheck) {
-            if (trapped) {
-                run.faultOutcome = FaultOutcome::Trapped;
-            } else if (run.status != RunStatus::Halted) {
-                run.faultOutcome = FaultOutcome::Hung;
-            } else if (!run.checkError.empty()) {
-                run.faultOutcome = FaultOutcome::Corrupted;
-            } else if (run.faultStats.totalFired() == 0) {
-                run.faultOutcome = FaultOutcome::None;
-            } else if (pe_recoveries > 0) {
-                run.faultOutcome = FaultOutcome::Recovered;
-            } else {
-                run.faultOutcome = FaultOutcome::Masked;
-            }
+        if (trapped) {
+            run.faultOutcome = FaultOutcome::Trapped;
+        } else if (run.status != RunStatus::Halted) {
+            run.faultOutcome = FaultOutcome::Hung;
+        } else if (!run.checkError.empty()) {
+            run.faultOutcome = FaultOutcome::Corrupted;
+        } else if (run.faultStats.totalFired() == 0) {
+            run.faultOutcome = FaultOutcome::None;
+        } else if (pe_recoveries > 0) {
+            run.faultOutcome = FaultOutcome::Recovered;
+        } else {
+            run.faultOutcome = FaultOutcome::Masked;
         }
     }
     return run;
@@ -185,8 +174,7 @@ WorkloadRun
 runCycleUncached(const Workload &workload, const PeConfig &uarch,
                  const CycleRunOptions &options)
 {
-    return collectRun(executeCycle(workload, uarch, options), workload,
-                      options);
+    return collectRun(executeCycle(workload, uarch, options), workload);
 }
 
 } // namespace

@@ -5,11 +5,11 @@
  * worker PE's counters (the figures the paper reports come from "the
  * designated worker PE", Table 3).
  *
- * runCycle optionally runs under a FaultPlan with a golden-model
- * cross-check: the injected cycle-accurate run is validated against
- * the workload's golden model and the result is characterized as
- * masked / recovered / corrupted / trapped / hung, so pipeline
- * variants can prove how they behave when hazards are provoked.
+ * runCycle optionally runs under a FaultPlan, and every injected run
+ * is cross-checked against the workload's golden model: the result is
+ * characterized as masked / recovered / corrupted / trapped / hung, so
+ * pipeline variants can prove how they behave when hazards are
+ * provoked.
  */
 
 #ifndef TIA_WORKLOADS_RUNNER_HH
@@ -59,15 +59,12 @@ struct CycleRunOptions
      */
     Cycle maxCycles = kDefaultMaxCycles;
     Cycle quiescenceWindow = kDefaultQuiescenceWindow;
-    /** Fault plan to inject (non-owning; nullptr = clean run). */
-    const FaultPlan *faults = nullptr;
     /**
-     * After an injected run, re-validate against the golden model and
-     * fill WorkloadRun::faultOutcome. (The memory check itself always
-     * runs; this additionally classifies the failure mode and tolerates
-     * architectural traps raised by corrupted state.)
+     * Fault plan to inject (non-owning; nullptr = clean run). An
+     * injected run is classified against the golden model into
+     * WorkloadRun::faultOutcome.
      */
-    bool goldenCrossCheck = false;
+    const FaultPlan *faults = nullptr;
     /** Trace sink installed on the fabric (non-owning; nullptr = off). */
     TraceSink *trace = nullptr;
     /** Trace granularity when @ref trace is set (see obs/trace.hh). */
@@ -168,8 +165,7 @@ struct CycleExecution
  * escalate to traps (out-of-bounds addresses and the like); on an
  * injected run that is a reportable outcome, so the FatalError is
  * caught into CycleExecution::trap. A clean run lets it propagate.
- * Ignores @p options.cache and @p options.goldenCrossCheck, which are
- * runCycle's business.
+ * Ignores @p options.cache, which is runCycle's business.
  */
 CycleExecution executeCycle(const Workload &workload, const PeConfig &uarch,
                             const CycleRunOptions &options);
@@ -178,13 +174,12 @@ CycleExecution executeCycle(const Workload &workload, const PeConfig &uarch,
 WorkloadRun runFunctional(const Workload &workload,
                           std::uint64_t max_steps = 50'000'000);
 
-/** Run cycle-accurately under microarchitecture @p uarch. */
+/**
+ * Run cycle-accurately under microarchitecture @p uarch, with optional
+ * fault injection, watchdog window, tracing and result cache.
+ */
 WorkloadRun runCycle(const Workload &workload, const PeConfig &uarch,
-                     Cycle max_cycles = kDefaultMaxCycles);
-
-/** Run cycle-accurately with full control (fault injection, watchdog). */
-WorkloadRun runCycle(const Workload &workload, const PeConfig &uarch,
-                     const CycleRunOptions &options);
+                     const CycleRunOptions &options = {});
 
 /**
  * The uarch x workload batch product behind the Figure 5 CPI stacks.

@@ -186,7 +186,6 @@ TEST(FaultInjection, SameSeedReplaysIdentically)
 
     CycleRunOptions options;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
 
     const WorkloadRun first = runCycle(workload, kDeepP, options);
     const WorkloadRun second = runCycle(workload, kDeepP, options);
@@ -213,7 +212,6 @@ TEST(FaultInjection, ForcedMispredictsAreRecovered)
 
     CycleRunOptions options;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
 
     const WorkloadRun run = runCycle(workload, kDeepP, options);
     EXPECT_TRUE(run.ok()) << run.checkError;
@@ -237,7 +235,6 @@ TEST(FaultInjection, MemorySpikesSlowButDoNotCorrupt)
 
     CycleRunOptions options;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
 
     const WorkloadRun injected = runCycle(workload, kUarch, options);
     const WorkloadRun clean = runCycle(workload, kUarch);
@@ -252,8 +249,8 @@ TEST(FaultInjection, MemorySpikesSlowButDoNotCorrupt)
 TEST(FaultInjection, DroppedWorkloadTokensAreReportedHung)
 {
     // Dropping a workload's internal traffic leaves it unable to
-    // finish; with the cross-check enabled that classifies as Hung,
-    // and the hang report explains how the run ended.
+    // finish; that classifies as Hung, and the hang report explains
+    // how the run ended.
     const FaultPlan plan = FaultPlan::parse("seed=5;drop:ch0@p1");
     const Workload workload = makeStream(WorkloadSizes::small());
 
@@ -261,13 +258,40 @@ TEST(FaultInjection, DroppedWorkloadTokensAreReportedHung)
     options.maxCycles = 200'000;
     options.quiescenceWindow = 1'000;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
 
     const WorkloadRun run = runCycle(workload, kUarch, options);
     EXPECT_FALSE(run.ok());
     EXPECT_EQ(run.faultOutcome, FaultOutcome::Hung);
     EXPECT_NE(run.status, RunStatus::Halted);
     EXPECT_FALSE(run.hang.summary.empty());
+}
+
+TEST(FaultInjection, EveryInjectedRunIsClassified)
+{
+    // Setting only CycleRunOptions::faults is enough: a run whose
+    // faults fired is never reported as FaultOutcome::None, and a plan
+    // that never fires is.
+    const Workload workload = makeGcd(WorkloadSizes::small());
+    for (const char *spec :
+         {"seed=3;mispredict:pe0@p0.5", "seed=9;memspike:rp0@p1,extra=32",
+          "seed=1;corrupt:ch0@p1,mask=0x4", "seed=5;drop:ch0@p1"}) {
+        const FaultPlan plan = FaultPlan::parse(spec);
+        CycleRunOptions options;
+        options.maxCycles = 200'000;
+        options.quiescenceWindow = 1'000;
+        options.faults = &plan;
+        const WorkloadRun run = runCycle(workload, kDeepP, options);
+        ASSERT_GT(run.faultStats.totalFired(), 0u) << spec;
+        EXPECT_NE(run.faultOutcome, FaultOutcome::None) << spec;
+    }
+
+    const FaultPlan idle = FaultPlan::parse("seed=2;stuckfull:ch0@c900000000");
+    CycleRunOptions options;
+    options.faults = &idle;
+    const WorkloadRun run = runCycle(workload, kDeepP, options);
+    EXPECT_TRUE(run.ok()) << run.checkError;
+    EXPECT_EQ(run.faultStats.totalFired(), 0u);
+    EXPECT_EQ(run.faultOutcome, FaultOutcome::None);
 }
 
 /**
@@ -335,7 +359,6 @@ TEST(FaultInjection, CorruptedStoreAddressIsClassifiedTrapped)
     const FaultPlan plan = FaultPlan::parse(kWildStore);
     CycleRunOptions options;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
 
     const WorkloadRun run = runCycle(storeWorkload(), kDeepP, options);
     EXPECT_FALSE(run.ok());

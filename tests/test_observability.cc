@@ -155,7 +155,6 @@ TEST(Observability, FaultInjectionEventsMatchCounters)
 
     CycleRunOptions options;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
     options.trace = &tee;
     const WorkloadRun run = runCycle(workload, *uarch, options);
     EXPECT_EQ(run.status, RunStatus::Halted);

@@ -212,6 +212,20 @@ TEST(Protocol, RequestRoundTrip)
     EXPECT_EQ(req->deadlineMs, 250u);
 }
 
+TEST(Protocol, RejectsIntegersPastTwoToThe64)
+{
+    // Casting such a double to uint64 is undefined; it must be a
+    // bad_request, not an id of 0 or "no deadline".
+    for (const char *key : {"id", "deadline_ms"}) {
+        JsonValue doc = JsonValue::object();
+        doc["method"] = "simulate";
+        doc[key] = 1e30;
+        std::string error;
+        EXPECT_FALSE(parseRequest(doc, &error).has_value()) << key;
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+    }
+}
+
 TEST(Protocol, ErrorCodesRoundTrip)
 {
     for (ServeError error :
@@ -717,6 +731,31 @@ TEST(Serve, HangIsAServedResultNotAFailure)
     EXPECT_EQ(c.hangs, 1u);
     EXPECT_EQ(c.failed, 0u);
     expectCounterIdentities(c);
+    server.hardStop();
+}
+
+TEST(Serve, MaxCyclesMustBeAWholeNumberBelowTwoToThe64)
+{
+    const std::string socket = socketPath("maxc");
+    Server server(baseOptions(socket));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    auto client = ServeClient::connectUnix(socket, &error);
+    ASSERT_TRUE(client.has_value()) << error;
+    client->setClient("t");
+    for (const double maxCycles : {1e30, 1.5}) {
+        JsonValue params = simulateParams("gcd");
+        params["cache"] = false;
+        params["max_cycles"] = maxCycles;
+        const auto resp = client->call("simulate", params, &error);
+        ASSERT_TRUE(resp.has_value()) << error;
+        EXPECT_EQ(resp->error, ServeError::BadRequest) << maxCycles;
+        EXPECT_NE(resp->errorMessage.find("max_cycles"),
+                  std::string::npos)
+            << resp->errorMessage;
+    }
+    expectCounterIdentities(server.counters());
     server.hardStop();
 }
 

@@ -155,20 +155,19 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     EXPECT_EQ(workloadRunKey(makeDotProduct(sizes), PeConfig{},
                              defaults)
                   .hex(),
-              "17367dcbc588ec58fb823c5d33f76932");
+              "64e3ea6bd50066e0cd415eb02bf07276");
 
     // Deepest pipeline with both optimizations.
     const PeConfig deep{PipelineShape{true, true, true}, true, true};
     EXPECT_EQ(workloadRunKey(makeBst(sizes), deep, defaults).hex(),
-              "905627755f1baf2bd537613111e08f46");
+              "1f7c9f29856070ccbce54e1923c65214");
 
     // A seeded fault plan folds into the key.
     const FaultPlan plan = FaultPlan::parse("seed=7;drop:ch0@p0.01");
     CycleRunOptions injected;
     injected.faults = &plan;
-    injected.goldenCrossCheck = true;
     EXPECT_EQ(workloadRunKey(makeGcd(sizes), PeConfig{}, injected).hex(),
-              "f22f4fd699a85c3c33e8ccdfc4df24b8");
+              "2973f8bbf5099453a3def82abe369fe4");
 }
 
 TEST(GoldenDigest, KeySeparatesEveryInput)
@@ -534,6 +533,30 @@ TEST(RunCodec, RejectsTruncatedAndTrailingBytes)
     // a line).
     EXPECT_FALSE(decodeWorkloadRun(withCount(bytes, linePos - 16, 3 * kHuge))
                      .has_value());
+
+    // Enum bytes past the last enumerator (a payload from a build with
+    // more values) are rejected, not decoded into a status named "?".
+    marked.hang.summary = "summary-marker";
+    const std::string enums = encodeWorkloadRun(marked);
+    const std::size_t summaryPos = enums.find("summary-marker");
+    const std::size_t outcomePos = enums.find("count-marker") - 17;
+    ASSERT_NE(summaryPos, std::string::npos);
+    ASSERT_TRUE(decodeWorkloadRun(enums).has_value());
+    const auto withByte = [&enums](std::size_t at, std::uint8_t value) {
+        std::string bytes = enums;
+        bytes[at] = static_cast<char>(value);
+        return bytes;
+    };
+    const auto lastStatus = static_cast<std::uint8_t>(RunStatus::Cancelled);
+    const auto lastOutcome = static_cast<std::uint8_t>(FaultOutcome::Hung);
+    EXPECT_TRUE(decodeWorkloadRun(withByte(0, lastStatus)).has_value());
+    EXPECT_FALSE(decodeWorkloadRun(withByte(0, lastStatus + 1)).has_value());
+    EXPECT_FALSE(
+        decodeWorkloadRun(withByte(summaryPos - 9, 0xff)).has_value());
+    EXPECT_TRUE(
+        decodeWorkloadRun(withByte(outcomePos, lastOutcome)).has_value());
+    EXPECT_FALSE(
+        decodeWorkloadRun(withByte(outcomePos, lastOutcome + 1)).has_value());
 }
 
 TEST(RunCacheEndToEnd, CachedRunsAreBitIdentical)
@@ -563,7 +586,6 @@ TEST(RunCacheEndToEnd, FaultInjectedRunsAreBitIdentical)
 
     CycleRunOptions injected;
     injected.faults = &plan;
-    injected.goldenCrossCheck = true;
     const WorkloadRun uncached = runCycle(w, uarch, injected);
 
     SimCache cache;

@@ -406,7 +406,6 @@ TEST(StreamedMatrix, BitIdenticalToSerialUnderFaultInjection)
         "mispredict:pe0@p0.1");
     CycleRunOptions options;
     options.faults = &plan;
-    options.goldenCrossCheck = true;
 
     const auto suite = allWorkloads(WorkloadSizes::small());
     const auto configs = matrixConfigs();

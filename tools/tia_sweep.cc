@@ -170,28 +170,8 @@ run(const Options &opt)
     doc["cpi_matrix"] = std::move(cpiMatrix);
 
     if (opt.dse && all_ok) {
-        CpiTable table;
-        if (opt.suiteCpi) {
-            for (std::size_t c = 0; c < configs.size(); ++c) {
-                double sum = 0.0;
-                for (std::size_t w = 0; w < suite.size(); ++w)
-                    sum += matrix.run(c, w).worker.cpi();
-                table[configs[c].name()] =
-                    sum / static_cast<double>(suite.size());
-            }
-        } else {
-            // The paper's methodology: bst alone drives the DSE.
-            std::size_t bst = suite.size();
-            for (std::size_t w = 0; w < suite.size(); ++w) {
-                if (suite[w].name == "bst")
-                    bst = w;
-            }
-            fatalIf(bst == suite.size(), "suite has no bst workload");
-            for (std::size_t c = 0; c < configs.size(); ++c)
-                table[configs[c].name()] = matrix.run(c, bst).worker.cpi();
-        }
-
-        const DesignSpace dse(std::move(table));
+        const DesignSpace dse(
+            cpiTableOf(matrix, suite, configs, opt.suiteCpi));
         DseStreamOptions options;
         if (opt.incremental) {
             options.stableWindow = opt.stableWindow;
