@@ -84,7 +84,6 @@ class SimCache
      * the key schema misses an input or the cache file lied.
      */
     void setVerifyHits(bool verify) { verifyHits_ = verify; }
-    bool verifyHits() const { return verifyHits_; }
 
     /**
      * The core operation: return the payload for @p key, invoking

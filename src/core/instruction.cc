@@ -134,58 +134,6 @@ Instruction::validate(const ArchParams &params) const
 
 namespace {
 
-/** Set bit @p q in a 32-bit requirement mask, range checked. */
-void
-needQueue(std::uint32_t &mask, unsigned q, unsigned line)
-{
-    fatalIf(q >= 32, "line ", line, ": queue index ", q,
-            " exceeds the trigger-descriptor mask range (32 queues)");
-    mask |= std::uint32_t{1} << q;
-}
-
-} // namespace
-
-TriggerDesc
-compileTriggerDesc(const Instruction &inst)
-{
-    TriggerDesc desc;
-    desc.valid = inst.trigger.valid;
-    if (!desc.valid)
-        return desc;
-    desc.predOn = inst.trigger.predOn;
-    desc.predOff = inst.trigger.predOff;
-    fatalIf(inst.trigger.queueChecks.size() > kTriggerDescMaxChecks,
-            "line ", inst.line, ": trigger has ",
-            inst.trigger.queueChecks.size(),
-            " tag conditions; the descriptor fast path supports at most ",
-            kTriggerDescMaxChecks);
-    for (const auto &check : inst.trigger.queueChecks) {
-        needQueue(desc.inputNeed, check.queue, inst.line);
-        desc.checks[desc.numChecks++] = check;
-    }
-    for (const auto &src : inst.srcs) {
-        if (src.type == SrcType::InputQueue)
-            needQueue(desc.inputNeed, src.index, inst.line);
-    }
-    for (auto q : inst.dequeues)
-        needQueue(desc.inputNeed, q, inst.line);
-    if (inst.dst.type == DstType::OutputQueue)
-        needQueue(desc.outputNeed, inst.dst.index, inst.line);
-    return desc;
-}
-
-std::vector<TriggerDesc>
-compileTriggerDescs(const std::vector<Instruction> &program)
-{
-    std::vector<TriggerDesc> descs;
-    descs.reserve(program.size());
-    for (const auto &inst : program)
-        descs.push_back(compileTriggerDesc(inst));
-    return descs;
-}
-
-namespace {
-
 void
 appendPredPattern(std::ostringstream &os, std::uint64_t on,
                   std::uint64_t off, unsigned num_preds, char dont_care)

@@ -132,26 +132,6 @@ struct Instruction
         return hasDequeue() || opInfo(op).writesScratchpad;
     }
 
-    /** @return true if input queue @p q is read as a source operand. */
-    bool
-    readsInputQueue(unsigned q) const
-    {
-        for (const auto &src : srcs)
-            if (src.type == SrcType::InputQueue && src.index == q)
-                return true;
-        return false;
-    }
-
-    /** @return true if input queue @p q is dequeued. */
-    bool
-    dequeuesQueue(unsigned q) const
-    {
-        for (auto d : dequeues)
-            if (d == q)
-                return true;
-        return false;
-    }
-
     /**
      * Check all architectural constraints against @p params.
      * @throws FatalError with a descriptive message on violation.
@@ -164,50 +144,6 @@ struct Instruction
     /** Structural equality; ignores the diagnostic line number. */
     bool operator==(const Instruction &other) const;
 };
-
-/** Most tag conditions a compiled TriggerDesc can carry inline. */
-constexpr unsigned kTriggerDescMaxChecks = 8;
-
-/**
- * A trigger compiled to flat bitmask form for the scheduler's
- * word-parallel fast path (see sim/scheduler.hh).
- *
- * All of an instruction's non-tag queue conditions — explicit trigger
- * occupancy checks, implicit input-queue source operands, implicit
- * dequeue availability and output-queue destination space — collapse
- * into two requirement masks that are tested with one AND/compare each
- * against per-cycle queue-status words. Only head-tag comparisons
- * remain per-condition, and an instruction has at most MaxCheck (2 at
- * the paper's parameters) of those.
- *
- * A TriggerDesc is immutable once compiled; PipelinedPe builds one per
- * instruction-store slot at construction.
- */
-struct TriggerDesc
-{
-    bool valid = false;        ///< Valid bit; invalid slots never fire.
-    std::uint64_t predOn = 0;  ///< Predicates that must be 1.
-    std::uint64_t predOff = 0; ///< Predicates that must be 0.
-    /** Input queues that must be (effectively) non-empty. */
-    std::uint32_t inputNeed = 0;
-    /** Output queues that must have space for one more token. */
-    std::uint32_t outputNeed = 0;
-    /** Head-tag conditions (queues here are also set in inputNeed). */
-    std::uint8_t numChecks = 0;
-    std::array<QueueCheck, kTriggerDescMaxChecks> checks{};
-};
-
-/**
- * Compile one instruction's trigger (plus its implicit queue
- * requirements) into mask form.
- * @throws FatalError if a queue index exceeds the 32-bit mask range or
- *         the tag conditions overflow kTriggerDescMaxChecks.
- */
-TriggerDesc compileTriggerDesc(const Instruction &inst);
-
-/** Compile a whole instruction store (one desc per slot, same order). */
-std::vector<TriggerDesc>
-compileTriggerDescs(const std::vector<Instruction> &program);
 
 } // namespace tia
 

@@ -21,7 +21,9 @@ ArchParams::validate() const
             "Word width must be in [1, 32], got ", wordWidth);
     fatalIf(tagWidth == 0 || tagWidth > 8,
             "TagWidth must be in [1, 8], got ", tagWidth);
-    fatalIf(numInstructions == 0, "NIns must be positive");
+    // The trigger encoder holds one bit per instruction in a word.
+    fatalIf(numInstructions == 0 || numInstructions > 64,
+            "NIns must be in [1, 64], got ", numInstructions);
     fatalIf(maxCheck > numInputQueues,
             "MaxCheck (", maxCheck, ") exceeds NIQueues (", numInputQueues,
             ")");

@@ -59,7 +59,7 @@ struct ArchParams
     unsigned wordWidth = 32;
     /** Queue tag width in bits (TagWidth). */
     unsigned tagWidth = 2;
-    /** Instructions per PE (NIns). */
+    /** Instructions per PE (NIns, at most 64: one bit per instruction). */
     unsigned numInstructions = 16;
     /** Number of datapath operations (NOps). */
     unsigned numOps = 42;

@@ -1,6 +1,7 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -86,9 +87,12 @@ JsonValue::dumpTo(std::string &out, unsigned depth) const
         return;
       case Kind::Number: {
         char buf[64];
-        if (isInt_) {
+        if (intKind_ == IntKind::Signed) {
             std::snprintf(buf, sizeof(buf), "%lld",
                           static_cast<long long>(int_));
+        } else if (intKind_ == IntKind::Unsigned) {
+            std::snprintf(buf, sizeof(buf), "%llu",
+                          static_cast<unsigned long long>(int_));
         } else if (!std::isfinite(num_)) {
             // JSON has no NaN/inf: an undefined value (e.g. the CPI of
             // a PE that retired nothing) serializes as null.
@@ -327,9 +331,19 @@ class Parser
         const std::string token(text_.substr(start, pos_ - start));
         char *end = nullptr;
         if (isInt) {
-            const long long v = std::strtoll(token.c_str(), &end, 10);
-            if (end == token.c_str() + token.size())
-                return JsonValue(static_cast<std::int64_t>(v));
+            // Exact when it fits: negative integers as int64, the
+            // rest as uint64. Wider ones fall through to a double.
+            errno = 0;
+            if (token[0] == '-') {
+                const long long v = std::strtoll(token.c_str(), &end, 10);
+                if (errno == 0 && end == token.c_str() + token.size())
+                    return JsonValue(static_cast<std::int64_t>(v));
+            } else {
+                const unsigned long long v =
+                    std::strtoull(token.c_str(), &end, 10);
+                if (errno == 0 && end == token.c_str() + token.size())
+                    return JsonValue(static_cast<std::uint64_t>(v));
+            }
         }
         const double v = std::strtod(token.c_str(), &end);
         if (end != token.c_str() + token.size()) {

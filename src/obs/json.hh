@@ -4,9 +4,11 @@
  * serialize and parse tia-metrics/v1 documents without external
  * dependencies.
  *
- * Numbers keep their integer-ness: a value built from an integral type
- * serializes without a decimal point (counters stay exact well past
- * 2^53 would-be-double territory), while doubles serialize with %.9g.
+ * Numbers keep their integer-ness: a value built from (or parsed as) an
+ * integer holds it exactly, signed or unsigned, and serializes without
+ * a decimal point, so every uint64 up to 2^64 - 1 and every int64
+ * survives a round trip well past 2^53 would-be-double territory.
+ * Doubles serialize with %.9g.
  * Non-finite doubles serialize as `null` — JSON has no NaN/inf, and a
  * NaN CPI (no retirements, see PerfCounters::cpi) must survive a
  * round trip as "no value" rather than corrupt the document.
@@ -47,13 +49,14 @@ class JsonValue
     JsonValue(double value) : kind_(Kind::Number), num_(value) {}
     JsonValue(std::int64_t value)
         : kind_(Kind::Number), num_(static_cast<double>(value)),
-          int_(value), isInt_(true)
+          int_(static_cast<std::uint64_t>(value)), intKind_(IntKind::Signed)
     {}
     JsonValue(std::uint64_t value)
-        : JsonValue(static_cast<std::int64_t>(value))
+        : kind_(Kind::Number), num_(static_cast<double>(value)), int_(value),
+          intKind_(IntKind::Unsigned)
     {}
     JsonValue(int value) : JsonValue(static_cast<std::int64_t>(value)) {}
-    JsonValue(unsigned value) : JsonValue(static_cast<std::int64_t>(value))
+    JsonValue(unsigned value) : JsonValue(static_cast<std::uint64_t>(value))
     {}
     JsonValue(const char *value) : kind_(Kind::String), str_(value) {}
     JsonValue(std::string value)
@@ -86,6 +89,21 @@ class JsonValue
     bool boolean() const { return bool_; }
     double number() const { return num_; }
     const std::string &str() const { return str_; }
+
+    /**
+     * The exact value of a number built from or parsed as a
+     * non-negative integer; nullopt for anything else.
+     */
+    std::optional<std::uint64_t>
+    u64() const
+    {
+        if (intKind_ == IntKind::Unsigned ||
+            (intKind_ == IntKind::Signed &&
+             static_cast<std::int64_t>(int_) >= 0)) {
+            return int_;
+        }
+        return std::nullopt;
+    }
 
     /** Array elements (empty unless isArray()). */
     const std::vector<JsonValue> &items() const { return items_; }
@@ -127,11 +145,19 @@ class JsonValue
   private:
     void dumpTo(std::string &out, unsigned depth) const;
 
+    /** How int_ holds an integral number's exact value. */
+    enum class IntKind : std::uint8_t
+    {
+        None,     ///< Not an integer: num_ only.
+        Signed,   ///< int_ holds an int64's bits.
+        Unsigned, ///< int_ holds a uint64.
+    };
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
-    std::int64_t int_ = 0;
-    bool isInt_ = false;
+    std::uint64_t int_ = 0;
+    IntKind intKind_ = IntKind::None;
     std::string str_;
     std::vector<JsonValue> items_;
     std::vector<std::pair<std::string, JsonValue>> members_;

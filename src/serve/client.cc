@@ -21,6 +21,8 @@ namespace {
 
 /** Response frames can be big (full sweep matrices). */
 constexpr std::size_t kMaxResponseBytes = 64u << 20;
+/** How long to wait for a response to start (-1 = forever). */
+constexpr int kResponseTimeoutMs = -1;
 /** Mid-frame stall budget while reading a response. */
 constexpr int kResponseProgressMs = 10'000;
 
@@ -70,7 +72,6 @@ ServeClient::operator=(ServeClient &&other) noexcept
         other.fd_ = -1;
         client_ = std::move(other.client_);
         deadlineMs_ = other.deadlineMs_;
-        responseTimeoutMs_ = other.responseTimeoutMs_;
         nextId_ = other.nextId_;
         rng_ = other.rng_;
     }
@@ -171,7 +172,7 @@ ServeClient::call(const std::string &method, JsonValue params,
         return fail("write: " + ioError);
 
     const FrameResult frame = readFrame(
-        fd_, kMaxResponseBytes, responseTimeoutMs_, kResponseProgressMs);
+        fd_, kMaxResponseBytes, kResponseTimeoutMs, kResponseProgressMs);
     if (frame.status != FrameStatus::Ok)
         return fail(std::string("read: ") +
                     frameStatusName(frame.status) +

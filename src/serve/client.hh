@@ -56,7 +56,6 @@ class ServeClient
     connectTcp(const std::string &host, int port,
                std::string *error = nullptr);
 
-    bool connected() const { return fd_ >= 0; }
     int fd() const { return fd_; } ///< Raw socket (torture tests).
     void close();
 
@@ -64,8 +63,6 @@ class ServeClient
     void setClient(std::string name) { client_ = std::move(name); }
     /** Per-request deadline_ms field (0 = server default). */
     void setDeadlineMs(std::uint64_t ms) { deadlineMs_ = ms; }
-    /** How long to wait for a response (-1 = forever). */
-    void setResponseTimeoutMs(int ms) { responseTimeoutMs_ = ms; }
 
     /**
      * Send one request and wait for its response. nullopt + @p error
@@ -93,7 +90,6 @@ class ServeClient
     int fd_ = -1;
     std::string client_;
     std::uint64_t deadlineMs_ = 0;
-    int responseTimeoutMs_ = -1;
     std::uint64_t nextId_ = 1;
     std::uint64_t rng_ = 0;
 };

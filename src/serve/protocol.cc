@@ -43,6 +43,8 @@ wireU64(const JsonValue &value)
 {
     if (!value.isNumber())
         return std::nullopt;
+    if (const std::optional<std::uint64_t> exact = value.u64())
+        return exact;
     const double number = value.number();
     // Casting a double of 2^64 or more to uint64 is undefined.
     if (!(number >= 0 && number < 0x1p64) || number != std::floor(number))

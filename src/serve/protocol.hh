@@ -68,7 +68,8 @@ ServeError parseServeErrorCode(const std::string &code);
  * The one reader of JSON integers on the wire (ids, deadlines, method
  * parameters such as max_cycles): @p value as a whole number below
  * 2^64, or nullopt for anything else, so a fraction or an out-of-range
- * double is rejected instead of truncated.
+ * double is rejected instead of truncated. An integer literal is read
+ * exactly, all the way to 2^64 - 1.
  */
 std::optional<std::uint64_t> wireU64(const JsonValue &value);
 

@@ -168,7 +168,6 @@ class FabricBuilder
         config_.initialPreds.at(pe) = preds;
     }
 
-    void setMemLatency(unsigned latency) { config_.memLatency = latency; }
     void setMemoryWords(std::size_t words) { config_.memoryWords = words; }
 
     /** Finalize and validate. */

@@ -211,8 +211,8 @@ class CycleFabric
 
     /**
      * Route every PE's trigger resolution through the virtual
-     * QueueStatusView reference scheduler (bit-identical to the mask
-     * fast path; see PipelinedPe::setUseReferenceScheduler).
+     * QueueStatusView reference scheduler (bit-identical to the
+     * trigger encoder; see PipelinedPe::setUseReferenceScheduler).
      */
     void
     setUseReferenceScheduler(bool enabled)

@@ -8,34 +8,25 @@
 
 namespace tia {
 
-QueueStatusWords
-PipelinedPe::computeStatusWords() const
+std::uint64_t
+PipelinedPe::queueFailMask() const
 {
-    // Each queue any trigger cares about is inspected exactly once;
-    // the scheduler then needs only mask compares per instruction.
-    QueueStatusWords status;
-    for (std::uint32_t rest = usedInputs_; rest != 0; rest &= rest - 1) {
-        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
-        if (schedInputOccupancy(q) == 0)
-            continue;
-        const auto tag = schedInputHeadTag(q);
-        panicIf(!tag.has_value(),
-                "effectively non-empty queue without a peekable head");
-        status.inputReady |= std::uint32_t{1} << q;
-        status.headTag[q] = *tag;
-    }
-    for (std::uint32_t rest = usedOutputs_; rest != 0; rest &= rest - 1) {
-        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
-        if (schedOutputHasSpace(q))
-            status.outputSpace |= std::uint32_t{1} << q;
-    }
-    return status;
+    return encoder_.queueFail(
+        [this](unsigned q) -> std::optional<Tag> {
+            if (schedInputOccupancy(q) == 0)
+                return std::nullopt;
+            const auto tag = schedInputHeadTag(q);
+            panicIf(!tag.has_value(),
+                    "effectively non-empty queue without a peekable head");
+            return tag;
+        },
+        [this](unsigned q) { return schedOutputHasSpace(q); });
 }
 
 /**
  * Diagnostic adapter exposing the PE's scheduler queue status through
  * the abstract QueueStatusView interface (used by queueWaits and the
- * scheduler-equivalence tests; the issue path uses computeStatusWords).
+ * scheduler-equivalence tests; the issue path uses queueFailMask).
  */
 class CycleQueueView : public QueueStatusView
 {
@@ -64,33 +55,40 @@ class CycleQueueView : public QueueStatusView
     const PipelinedPe &pe_;
 };
 
+namespace {
+
+/** @p program, once checked to fit a PE built from @p params/@p config. */
+std::vector<Instruction>
+checkedProgram(const ArchParams &params, const PeConfig &config,
+               std::vector<Instruction> program)
+{
+    fatalIf(program.size() > params.numInstructions,
+            "program exceeds the PE instruction store");
+    fatalIf(config.nestedSpeculation && !config.predictPredicates,
+            "nested speculation (+N) requires predicate prediction (+P)");
+    // validate() bounds every register, queue and predicate index an
+    // instruction can name, so the trigger encoder and the per-cycle
+    // paths index the per-PE arrays without range checks.
+    for (const auto &inst : program)
+        inst.validate(params);
+    return program;
+}
+
+} // namespace
+
 PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
                          std::vector<Instruction> program)
     : params_(params), config_(config), segD_(config.shape.segD()),
       lastSeg_(config.shape.depth() - 1), splitX_(config.shape.splitX),
-      program_(std::move(program)),
+      program_(checkedProgram(params, config, std::move(program))),
+      encoder_(params, program_),
       regs_(params.numRegs, 0), scratchpad_(params.scratchpadWords, 0),
       pendingDeq_(params.numInputQueues, 0),
       pendingEnq_(params.numOutputQueues, 0),
       pendingPredWrites_(params.numPreds, 0), predictor_(params.numPreds),
       inputs_(params.numInputQueues, nullptr),
       outputs_(params.numOutputQueues, nullptr)
-{
-    fatalIf(program_.size() > params_.numInstructions,
-            "program exceeds the PE instruction store");
-    fatalIf(config_.nestedSpeculation && !config_.predictPredicates,
-            "nested speculation (+N) requires predicate prediction (+P)");
-    // validate() bounds every register, queue and predicate index an
-    // instruction can name, so the per-cycle paths below index the
-    // per-PE arrays without range checks.
-    for (const auto &inst : program_)
-        inst.validate(params_);
-    triggerDescs_ = compileTriggerDescs(program_);
-    for (const auto &desc : triggerDescs_) {
-        usedInputs_ |= desc.inputNeed;
-        usedOutputs_ |= desc.outputNeed;
-    }
-}
+{}
 
 void
 PipelinedPe::bindInput(unsigned port, TaggedQueue *queue)
@@ -423,8 +421,8 @@ PipelinedPe::resolveTriggers()
 {
     if (referenceScheduler_) [[unlikely]]
         return scheduleReference();
-    return scheduleLazy(triggerDescs_, preds_, pendingPredMask_,
-                        [this] { return computeStatusWords(); });
+    return encoder_.resolve(preds_, pendingPredMask_,
+                            [this] { return queueFailMask(); });
 }
 
 [[gnu::always_inline]] inline void

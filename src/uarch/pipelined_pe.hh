@@ -111,7 +111,7 @@ class PipelinedPe
 
     /**
      * Route trigger resolution through the virtual QueueStatusView
-     * reference scheduler instead of the compiled mask fast path. The
+     * reference scheduler instead of the compiled TriggerEncoder. The
      * two are bit-identical (tests/test_hot_path.cc); the runtime
      * switch lets the observability tests cross-check trace-derived
      * counters against both implementations end to end.
@@ -158,10 +158,10 @@ class PipelinedPe
     }
 
     /** Input queues referenced by any trigger (bit per port). */
-    std::uint32_t watchedInputs() const { return usedInputs_; }
+    std::uint32_t watchedInputs() const { return encoder_.inputsUsed(); }
 
     /** Output queues referenced by any trigger (bit per port). */
-    std::uint32_t watchedOutputs() const { return usedOutputs_; }
+    std::uint32_t watchedOutputs() const { return encoder_.outputsUsed(); }
 
     /** True once a halt instruction has retired. */
     bool halted() const { return halted_; }
@@ -214,26 +214,26 @@ class PipelinedPe
      * occupancy net of in-flight dequeues, cycle-start output occupancy
      * gross of in-flight and just-performed enqueues. Without +Q the
      * view degrades to the conservative full/empty discipline. These
-     * are the single source of truth for both the per-cycle status
-     * words and the diagnostic QueueStatusView. Defined inline below
-     * the class — computeStatusWords runs them once per watched queue
-     * on every cycle whose resolution needs queue status.
+     * are the single source of truth for both the per-cycle fail mask
+     * and the diagnostic QueueStatusView. Defined inline below the
+     * class — queueFailMask runs them once per watched queue on every
+     * cycle whose resolution needs queue status.
      */
     unsigned schedInputOccupancy(unsigned q) const;
     std::optional<Tag> schedInputHeadTag(unsigned q) const;
     bool schedOutputHasSpace(unsigned q) const;
 
     /**
-     * Pack this cycle's queue status for the mask-based scheduler,
-     * which asks for it only once a predicate-eligible trigger needs
-     * queues (scheduleLazy).
+     * This cycle's TriggerEncoder::queueFail mask, which the encoder
+     * asks for only once a predicate-eligible trigger needs queues
+     * (TriggerEncoder::resolve).
      */
-    QueueStatusWords computeStatusWords() const;
+    std::uint64_t queueFailMask() const;
 
     /**
      * Trigger resolution, afresh every cycle like the paper's
-     * combinational priority encoder: the mask fast path, or the
-     * reference scheduler when setUseReferenceScheduler is on.
+     * combinational priority encoder: the compiled TriggerEncoder, or
+     * the reference scheduler when setUseReferenceScheduler is on.
      */
     ScheduleResult resolveTriggers();
 
@@ -284,12 +284,11 @@ class PipelinedPe
     const bool splitX_;      ///< X1|X2: the one shape family with D stalls.
     std::vector<Instruction> program_;
 
-    /** Triggers compiled to mask form, one per program slot. */
-    std::vector<TriggerDesc> triggerDescs_;
-    /** Union of all descriptors' input requirements (wake set). */
-    std::uint32_t usedInputs_ = 0;
-    /** Union of all descriptors' output requirements (wake set). */
-    std::uint32_t usedOutputs_ = 0;
+    /**
+     * The program's triggers compiled to instruction masks; also the
+     * record of which queues any trigger watches (the wake sets).
+     */
+    const TriggerEncoder encoder_;
 
     // Architectural state.
     std::vector<Word> regs_;

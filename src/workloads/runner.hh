@@ -71,7 +71,7 @@ struct CycleRunOptions
     TraceLevel traceLevel = TraceLevel::Events;
     /**
      * Resolve triggers through the virtual QueueStatusView reference
-     * scheduler instead of the mask fast path (bit-identical results;
+     * scheduler instead of the trigger encoder (bit-identical results;
      * exists so tests and tools can cross-check the two).
      */
     bool referenceScheduler = false;

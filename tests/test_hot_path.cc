@@ -1,12 +1,12 @@
 /**
  * @file
  * Equivalence tests for the hot-loop optimizations: the compiled,
- * predicate-first trigger-descriptor scheduler fast path, the
- * ring-buffer TaggedQueue, the fabric's idle-PE sleep/wake machinery
- * and its lone-PE run-ahead. Every optimization must be invisible to
- * the architecture — identical schedule outcomes, identical queue
- * semantics, bit-identical cycle counts, counters and hang reports
- * with sleep on and off, and with run() against a bare step() loop.
+ * predicate-first trigger encoder, the ring-buffer TaggedQueue, the
+ * fabric's idle-PE sleep/wake machinery and its lone-PE run-ahead.
+ * Every optimization must be invisible to the architecture —
+ * identical schedule outcomes, identical queue semantics,
+ * bit-identical cycle counts, counters and hang reports with sleep on
+ * and off, and with run() against a bare step() loop.
  */
 
 #include <algorithm>
@@ -29,13 +29,12 @@ namespace tia {
 namespace {
 
 // ---------------------------------------------------------------------
-// Scheduler fast path vs reference, over random instructions & status.
+// Trigger encoder vs reference, over random instructions & status.
 // ---------------------------------------------------------------------
 
 constexpr unsigned kQueues = 4;
-constexpr unsigned kPreds = 8;
 
-/** Fixed queue status backing both the view and the packed words. */
+/** Fixed queue status backing both the view and the encoder's queries. */
 struct SyntheticStatus
 {
     std::array<unsigned, kQueues> occupancy{};
@@ -72,23 +71,32 @@ class SyntheticView : public QueueStatusView
     const SyntheticStatus &s_;
 };
 
-QueueStatusWords
-packStatus(const SyntheticStatus &s)
+/** TriggerEncoder::queueFail over @p s. */
+std::uint64_t
+queueFailOf(const TriggerEncoder &encoder, const SyntheticStatus &s)
 {
-    QueueStatusWords words;
-    for (unsigned q = 0; q < kQueues; ++q) {
-        if (s.occupancy[q] > 0) {
-            words.inputReady |= std::uint32_t{1} << q;
-            words.headTag[q] = s.headTag[q];
-        }
-        if (s.outputSpace[q])
-            words.outputSpace |= std::uint32_t{1} << q;
-    }
-    return words;
+    return encoder.queueFail(
+        [&](unsigned q) -> std::optional<Tag> {
+            if (s.occupancy[q] == 0)
+                return std::nullopt;
+            return s.headTag[q];
+        },
+        [&](unsigned q) { return s.outputSpace[q]; });
+}
+
+/** True if @p inst has any queue condition, explicit or implicit. */
+bool
+needsQueues(const Instruction &inst)
+{
+    bool needs = !inst.trigger.queueChecks.empty() ||
+                 !inst.dequeues.empty() || inst.enqueues();
+    for (const auto &src : inst.srcs)
+        needs = needs || src.type == SrcType::InputQueue;
+    return needs;
 }
 
 Instruction
-randomInstruction(std::mt19937 &rng)
+randomInstruction(std::mt19937 &rng, const ArchParams &params)
 {
     auto pick = [&](unsigned bound) {
         return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
@@ -96,17 +104,19 @@ randomInstruction(std::mt19937 &rng)
 
     Instruction inst;
     inst.trigger.valid = pick(10) != 0;
-    for (unsigned p = 0; p < kPreds; ++p) {
-        switch (pick(4)) {
-          case 0:
-            inst.trigger.predOn |= std::uint64_t{1} << p;
-            break;
-          case 1:
-            inst.trigger.predOff |= std::uint64_t{1} << p;
-            break;
-          default:
-            break;
-        }
+    // Half the triggers care about a few predicates anywhere in the
+    // word, so wide predicate files still leave triggers eligible; the
+    // rest draw dense patterns.
+    const unsigned cares =
+        pick(2) != 0 ? pick(5) : pick(params.numPreds + 1);
+    for (unsigned c = 0; c < cares; ++c) {
+        const std::uint64_t bit = std::uint64_t{1} << pick(params.numPreds);
+        if ((inst.trigger.predOff & bit) != 0)
+            continue;
+        if (pick(2) != 0)
+            inst.trigger.predOn |= bit;
+        else if ((inst.trigger.predOn & bit) == 0)
+            inst.trigger.predOff |= bit;
     }
     // Up to MaxCheck (2) distinct checked queues.
     const unsigned checks = pick(3);
@@ -115,7 +125,7 @@ randomInstruction(std::mt19937 &rng)
     for (unsigned c = 0; c < checks; ++c) {
         QueueCheck check;
         check.queue = static_cast<std::uint8_t>(order[c]);
-        check.tag = static_cast<Tag>(pick(4));
+        check.tag = static_cast<Tag>(pick(params.maxTag() + 1u));
         check.negate = pick(2) != 0;
         inst.trigger.queueChecks.push_back(check);
     }
@@ -159,37 +169,57 @@ TEST(SchedulerFastPath, MatchesReferenceOnRandomPrograms)
     auto pick = [&](unsigned bound) {
         return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
     };
+    auto random_bits = [&](unsigned width) {
+        const std::uint64_t word = (std::uint64_t{rng()} << 32) | rng();
+        return width == 64 ? word
+                           : word & ((std::uint64_t{1} << width) - 1);
+    };
 
-    for (unsigned trial = 0; trial < 2000; ++trial) {
+    // Predicate files of one, three (partial last byte) and eight
+    // table bytes; tag widths up to a full byte.
+    constexpr unsigned kPredWidths[] = {8, 20, 64};
+    constexpr unsigned kTagWidths[] = {1, 2, 5, 8};
+    for (unsigned trial = 0; trial < 3000; ++trial) {
+        ArchParams params;
+        params.numPreds = kPredWidths[trial % 3];
+        params.tagWidth = kTagWidths[(trial / 3) % 4];
+        const unsigned size =
+            1 + pick(trial % 2 == 0 ? 16 : TriggerEncoder::kMaxInstructions);
         std::vector<Instruction> program;
-        const unsigned size = 1 + pick(16);
         for (unsigned i = 0; i < size; ++i)
-            program.push_back(randomInstruction(rng));
-        const std::vector<TriggerDesc> descs = compileTriggerDescs(program);
+            program.push_back(randomInstruction(rng, params));
+        const TriggerEncoder encoder(params, program);
 
         SyntheticStatus status;
         for (unsigned q = 0; q < kQueues; ++q) {
             status.occupancy[q] = pick(4);
-            status.headTag[q] = static_cast<Tag>(pick(4));
+            // Now and then a head above MaxTag, which no check names.
+            status.headTag[q] = static_cast<Tag>(
+                pick(4) != 0 ? pick(params.maxTag() + 1u) : pick(256));
             status.outputSpace[q] = pick(2) != 0;
         }
         const SyntheticView view(status);
-        const QueueStatusWords words = packStatus(status);
 
         for (unsigned sample = 0; sample < 8; ++sample) {
-            const std::uint64_t preds = rng() & ((1u << kPreds) - 1);
+            const std::uint64_t preds = random_bits(params.numPreds);
             // pendingPreds is nonzero only without prediction; bias
-            // towards zero as in real runs, but cover the hazard path.
-            const std::uint64_t pending =
-                (sample % 3 == 0) ? (rng() & ((1u << kPreds) - 1)) : 0;
+            // towards zero as in real runs, but cover the hazard path
+            // with one to three pending writers and with whole words.
+            std::uint64_t pending = 0;
+            if (sample % 4 == 1) {
+                pending = random_bits(params.numPreds);
+            } else if (sample % 4 == 2) {
+                for (unsigned w = 1 + pick(3); w-- > 0;)
+                    pending |= std::uint64_t{1} << pick(params.numPreds);
+            }
 
             const ScheduleResult ref =
                 schedule(program, preds, pending, view);
             unsigned status_calls = 0;
             const ScheduleResult fast =
-                scheduleLazy(descs, preds, pending, [&] {
+                encoder.resolve(preds, pending, [&] {
                     ++status_calls;
-                    return words;
+                    return queueFailOf(encoder, status);
                 });
             ASSERT_EQ(static_cast<int>(fast.outcome),
                       static_cast<int>(ref.outcome))
@@ -197,27 +227,32 @@ TEST(SchedulerFastPath, MatchesReferenceOnRandomPrograms)
             ASSERT_EQ(fast.index, ref.index) << "trial " << trial;
 
             // Predicate-first: status is asked for at most once, and
-            // never when no predicate-eligible trigger needs a queue.
+            // never when no predicate-eligible trigger needs a queue,
+            // nor when the first one in priority order needs none.
             ASSERT_LE(status_calls, 1u) << "trial " << trial;
             bool needs_queues = false;
-            for (const TriggerDesc &desc : descs) {
+            std::optional<bool> first_needs_queues;
+            for (const Instruction &inst : program) {
                 const std::uint64_t fail =
-                    (desc.predOn & ~preds) | (desc.predOff & preds);
-                if (desc.valid && (fail & ~pending) == 0 &&
-                    (desc.inputNeed | desc.outputNeed) != 0) {
-                    needs_queues = true;
-                }
+                    (inst.trigger.predOn & ~preds) |
+                    (inst.trigger.predOff & preds);
+                if (!inst.trigger.valid || (fail & ~pending) != 0)
+                    continue;
+                needs_queues = needs_queues || needsQueues(inst);
+                if (!first_needs_queues.has_value())
+                    first_needs_queues = needsQueues(inst);
             }
-            if (!needs_queues) {
+            if (!needs_queues || first_needs_queues == false) {
                 ASSERT_EQ(status_calls, 0u) << "trial " << trial;
             }
 
             // Condition evaluation agrees instruction by instruction.
+            const std::uint64_t queue_fail = queueFailOf(encoder, status);
             for (unsigned i = 0; i < size; ++i) {
                 if (!program[i].trigger.valid)
                     continue;
-                ASSERT_EQ(queueConditionsHold(descs[i], words),
-                          queueConditionsHold(program[i], view))
+                ASSERT_EQ(((queue_fail >> i) & 1u) != 0,
+                          !queueConditionsHold(program[i], view))
                     << "trial " << trial << " inst " << i;
             }
         }
@@ -417,12 +452,9 @@ TEST(IdlePeSleep, WorkloadSuiteBitIdentical)
 {
     const std::vector<Workload> workloads =
         allWorkloads(WorkloadSizes::small());
-    const std::vector<PeConfig> uarchs = {
-        {allShapes()[0], false, false, false}, // TDX
-        {allShapes()[0], false, true, false},  // TDX +Q
-        {allShapes()[7], true, true, false},   // T|D|X1|X2 +P+Q
-        {allShapes()[7], true, true, true},    // T|D|X1|X2 +P+N+Q
-    };
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, false, true}); // T|D|X1|X2 +P+N
+    uarchs.push_back({allShapes()[7], true, true, true});  // T|D|X1|X2 +P+N+Q
     for (const Workload &workload : workloads) {
         for (const PeConfig &uarch : uarchs) {
             const RunObservation with = observeRun(workload, uarch, true);
@@ -600,12 +632,12 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
 }
 
 // ---------------------------------------------------------------------
-// Trigger resolution: the mask fast path must be invisible next to the
+// Trigger resolution: the trigger encoder must be invisible next to the
 // QueueStatusView reference scheduler.
 // ---------------------------------------------------------------------
 
 // The two differentials below keep the suite and test names they had
-// while a verdict memo sat in front of the fast path.
+// while a verdict memo sat in front of the mask scheduler.
 
 /** One run with the scheduler flavour pinned. */
 RunObservation
@@ -633,12 +665,9 @@ TEST(ResolutionCache, WorkloadSuiteBitIdenticalToReferenceScheduler)
 {
     const std::vector<Workload> workloads =
         allWorkloads(WorkloadSizes::small());
-    const std::vector<PeConfig> uarchs = {
-        {allShapes()[0], false, false, false}, // TDX
-        {allShapes()[0], false, true, false},  // TDX +Q
-        {allShapes()[7], true, true, false},   // T|D|X1|X2 +P+Q
-        {allShapes()[7], true, true, true},    // T|D|X1|X2 +P+N+Q
-    };
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, false, true}); // T|D|X1|X2 +P+N
+    uarchs.push_back({allShapes()[7], true, true, true});  // T|D|X1|X2 +P+N+Q
     for (const Workload &workload : workloads) {
         for (const PeConfig &uarch : uarchs) {
             ASSERT_EQ(observeScheduler(workload, uarch, false),

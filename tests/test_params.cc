@@ -119,6 +119,27 @@ TEST(Params, ValidateRejectsBadCombinations)
     EXPECT_THROW(p.validate(), FatalError);
 }
 
+TEST(Params, ValidateBoundsWordWideFields)
+{
+    // Predicates, operations and instructions each get one bit of a
+    // 64-bit word (the trigger encoder holds one bit per instruction).
+    ArchParams p;
+    p.numInstructions = 64;
+    EXPECT_NO_THROW(p.validate());
+    p.numInstructions = 65;
+    EXPECT_THROW(p.validate(), FatalError);
+    p.numInstructions = 0;
+    EXPECT_THROW(p.validate(), FatalError);
+
+    p = ArchParams{};
+    p.numPreds = 65;
+    EXPECT_THROW(p.validate(), FatalError);
+
+    p = ArchParams{};
+    p.numOps = 65;
+    EXPECT_THROW(p.validate(), FatalError);
+}
+
 TEST(Params, WidthsScaleWithParameters)
 {
     // Doubling predicate count grows PredMask and PredUpdate by

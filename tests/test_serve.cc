@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
@@ -472,6 +473,36 @@ TEST(Serve, SequentialTcpRequestsDoNotStallOnDelayedAcks)
         << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                .count()
         << " ms";
+    server.hardStop();
+}
+
+TEST(Serve, IdsPastTwoToThe63RoundTripExactly)
+{
+    const std::string socket = socketPath("bigid");
+    Server server(baseOptions(socket));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    auto client = ServeClient::connectUnix(socket, &error);
+    ASSERT_TRUE(client.has_value()) << error;
+    // 2^53 + 1 has no double; 2^63 has no int64; 2^64 - 1 is the top.
+    for (const char *id : {"9007199254740993", "9223372036854775808",
+                           "18446744073709551615"}) {
+        ASSERT_TRUE(writeFrame(client->fd(),
+                               std::string("{\"id\": ") + id +
+                                   ", \"method\": \"methods\"}"));
+        const FrameResult raw =
+            readFrame(client->fd(), 1u << 20, 5000, 5000);
+        ASSERT_EQ(raw.status, FrameStatus::Ok);
+        EXPECT_NE(raw.payload.find(std::string("\"id\": ") + id),
+                  std::string::npos)
+            << raw.payload;
+        const auto doc = JsonValue::parse(raw.payload);
+        ASSERT_TRUE(doc.has_value());
+        ASSERT_NE(doc->find("id"), nullptr);
+        EXPECT_EQ(wireU64(*doc->find("id")),
+                  std::strtoull(id, nullptr, 10));
+    }
     server.hardStop();
 }
 
