@@ -282,8 +282,8 @@ CycleFabric::runAhead(Cycle limit, std::uint64_t &lastRetired,
     // to commit. A cycle that retires or leaves the PE busy is one
     // run()'s bookkeeping records as active.
     const unsigned index = activePes_.front();
-    const PipelinedPe &pe = *pes_[index];
-    for (;;) {
+    PipelinedPe &pe = *pes_[index];
+    for (unsigned ordinary = 1;; ++ordinary) {
         const std::uint64_t retired_before = totalRetired_;
         stepPe(index);
         if (!events_.dirtyChannels().empty() || pe.halted() ||
@@ -295,6 +295,33 @@ CycleFabric::runAhead(Cycle limit, std::uint64_t &lastRetired,
         ++now_;
         lastRetired = totalRetired_;
         lastActivity = now_;
+        if (ordinary == kMemoThreshold && pe.memoEnter(sleepEnabled_)) {
+            // The rest of the episode follows the PE's memo: the same
+            // cycles, ending on the same conditions, with recorded
+            // ones replayed (PipelinedPe::memoRun).
+            PipelinedPe::MemoRun run;
+            try {
+                pe.memoRun(limit - now_, run);
+            } catch (...) {
+                // A trap: the cycles before it count, as in step().
+                now_ += run.cycles;
+                stepsExecuted_ += run.cycles;
+                stepsReplayed_ += run.replayed;
+                totalRetired_ += run.retired;
+                throw;
+            }
+            pe.memoLeave();
+            stepsExecuted_ += run.cycles;
+            stepsReplayed_ += run.replayed;
+            totalRetired_ += run.retired;
+            // Every cycle but the last was active, as above.
+            now_ += run.cycles - 1;
+            if (run.cycles > 1) {
+                lastRetired = totalRetired_ - run.lastRetired;
+                lastActivity = now_;
+            }
+            break;
+        }
     }
     // The last cycle finishes like any other.
     activeBusyPes_ = 0;

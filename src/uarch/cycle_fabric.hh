@@ -45,6 +45,17 @@
  * each skipped fabric walk would have found nothing to snapshot, wake,
  * serve, commit or park (asserted against a bare step() loop by
  * tests/test_hot_path.cc).
+ *
+ * Memoized run-ahead: every channel is frozen for the whole episode,
+ * so the PE's control repeats itself, and only its data moves. Once an
+ * episode has taken kMemoThreshold ordinary steps, the rest of it
+ * follows the PE's run-ahead memo (PipelinedPe::memoRun): a cycle
+ * recorded before, from the same control state and channel view, is
+ * replayed — datapath work only, counter deltas settled in bulk — and
+ * a new one runs through step() and is recorded. The episode ends on
+ * exactly the cycle it would have (pushes, pops and halts always run
+ * through step()), so results stay bit-identical; stepStats() counts
+ * replayed steps as executed ones, and separately.
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -91,6 +102,14 @@ struct FabricRunOptions
     StopToken stop;
 };
 
+/**
+ * Ordinary steps a run-ahead episode takes before it follows the PE's
+ * run-ahead memo. Short episodes never engage: bst averages 3.1 cycles
+ * per episode and mean 1.2, and a memo that engaged on every episode
+ * made bst about 1.6x slower per cycle (docs/perf.md).
+ */
+constexpr unsigned kMemoThreshold = 64;
+
 /** Host-side execution statistics (see tools/tia_sim --stats). */
 struct FabricStepStats
 {
@@ -98,6 +117,12 @@ struct FabricStepStats
     std::uint64_t peStepsExecuted = 0;
     /** PE steps skipped by the idle sleep list (accounted lazily). */
     std::uint64_t peStepsSkipped = 0;
+    /**
+     * Executed PE steps replayed from the run-ahead memo (a subset of
+     * peStepsExecuted): datapath work only, control read off a
+     * recorded transition.
+     */
+    std::uint64_t peStepsReplayed = 0;
 };
 
 /** A full cycle-accurate fabric running one microarchitecture. */
@@ -234,7 +259,7 @@ class CycleFabric
     stepStats() const
     {
         flushSleepDebt();
-        return {stepsExecuted_, stepsSkipped_};
+        return {stepsExecuted_, stepsSkipped_, stepsReplayed_};
     }
 
   private:
@@ -350,6 +375,7 @@ class CycleFabric
     // Host-side statistics.
     std::uint64_t stepsExecuted_ = 0;
     mutable std::uint64_t stepsSkipped_ = 0;
+    std::uint64_t stepsReplayed_ = 0;
 
     // Observability (optional, non-owning). Last on purpose: the hot
     // step loop touches the members above every cycle, and inserting

@@ -1,6 +1,8 @@
 #include "uarch/pipelined_pe.hh"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "core/logging.hh"
 #include "core/opcode.hh"
@@ -234,7 +236,7 @@ PipelinedPe::dataHazardFor(const Instruction &inst) const
     const unsigned s = segD_ + 1;
     if (((occupied_ >> s) & 1u) == 0)
         return false;
-    const Instruction &producer = *slots_[s].inst;
+    const Instruction &producer = *slot(s).inst;
     if (producer.dst.type != DstType::Reg)
         return false;
     for (const auto &src : inst.srcs) {
@@ -281,6 +283,8 @@ PipelinedPe::doDecode(InFlight &entry)
         ++counters_.dequeues;
     }
     entry.didD = true;
+    if (recording_) [[unlikely]]
+        recordAction(entry, false, false);
 }
 
 void
@@ -288,10 +292,10 @@ PipelinedPe::flushSpeculative()
 {
     for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
-        const InFlight &slot = slots_[s];
-        if (!slot.speculative())
+        const InFlight &entry = slot(s);
+        if (!entry.speculative())
             continue;
-        const Instruction &inst = *slot.inst;
+        const Instruction &inst = *entry.inst;
         panicIf(inst.hasPreRetirementSideEffect(),
                 "a side-effecting instruction was issued speculatively");
         if (inst.enqueues()) {
@@ -302,7 +306,7 @@ PipelinedPe::flushSpeculative()
         ++counters_.quashed;
         if (trace_) [[unlikely]]
             trace(TraceEventKind::Quash, 0,
-                  static_cast<std::uint16_t>(slot.index), slot.id);
+                  static_cast<std::uint16_t>(entry.index), entry.id);
         occupied_ &= static_cast<std::uint8_t>(~(1u << s));
     }
 }
@@ -336,6 +340,8 @@ PipelinedPe::doWriteback(InFlight &entry)
     } else {
         result = evalAlu(inst.op, a, b);
     }
+    if (recording_) [[unlikely]]
+        recordAction(entry, true, (result & 1u) != 0);
 
     switch (inst.dst.type) {
       case DstType::None:
@@ -375,9 +381,9 @@ PipelinedPe::doWriteback(InFlight &entry)
                 specContexts_.erase(specContexts_.begin());
                 for (std::uint8_t rest = occupied_; rest != 0;
                      rest &= rest - 1) {
-                    InFlight &slot = slots_[std::countr_zero(rest)];
-                    if (slot.specLevel > 0)
-                        --slot.specLevel;
+                    InFlight &younger = slot(std::countr_zero(rest));
+                    if (younger.specLevel > 0)
+                        --younger.specLevel;
                 }
             } else {
                 ++counters_.mispredictions;
@@ -482,8 +488,12 @@ PipelinedPe::issue()
         }
     }
 
-    // Slot 0 was checked empty above.
-    InFlight &entry = slots_[0];
+    // Slot 0 was checked empty above; the lowest free entry takes it.
+    unsigned held = 0;
+    for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1)
+        held |= 1u << stage_[std::countr_zero(rest)];
+    stage_[0] = static_cast<std::uint8_t>(std::countr_one(held));
+    InFlight &entry = slot(0);
     entry = InFlight{};
     occupied_ |= 1u;
     entry.inst = &inst;
@@ -557,16 +567,16 @@ PipelinedPe::step()
     const unsigned d = segD_;
     const unsigned last = lastSeg_;
     if ((occupied_ >> last) & 1u) {
-        InFlight &slot = slots_[last];
-        if (last == d && !slot.didD && !dataHazardFor(*slot.inst))
-            doDecode(slot);
-        if (slot.didD)
-            doWriteback(slot);
+        InFlight &entry = slot(last);
+        if (last == d && !entry.didD && !dataHazardFor(*entry.inst))
+            doDecode(entry);
+        if (entry.didD)
+            doWriteback(entry);
     }
     if (d != last && ((occupied_ >> d) & 1u) != 0) {
-        InFlight &slot = slots_[d];
-        if (!slot.didD && !dataHazardFor(*slot.inst))
-            doDecode(slot);
+        InFlight &entry = slot(d);
+        if (!entry.didD && !dataHazardFor(*entry.inst))
+            doDecode(entry);
     }
 
     // (b) Trigger phase: issue (or attribute the lost cycle).
@@ -579,16 +589,17 @@ PipelinedPe::step()
             if ((occupied_ >> s) & 1u)
                 trace(TraceEventKind::StageOccupancy,
                       static_cast<std::uint8_t>(s),
-                      static_cast<std::uint16_t>(slots_[s].index),
-                      slots_[s].id);
+                      static_cast<std::uint16_t>(slot(s).index),
+                      slot(s).id);
         }
     }
 
     // (c) Advance. Retire writeback-complete instructions, then move
     // everything whose segment work is done and whose next slot is
-    // free — walking only the occupied slots, oldest first.
+    // free — walking only the occupied slots, oldest first. An entry
+    // stays put; its segment's map index moves.
     const std::uint8_t last_bit = static_cast<std::uint8_t>(1u << last);
-    if ((occupied_ & last_bit) != 0 && slots_[last].didD)
+    if ((occupied_ & last_bit) != 0 && slot(last).didD)
         occupied_ &= static_cast<std::uint8_t>(~last_bit);
     for (std::uint8_t rest =
              occupied_ & static_cast<std::uint8_t>(last_bit - 1u);
@@ -596,9 +607,9 @@ PipelinedPe::step()
         const unsigned s = static_cast<unsigned>(std::bit_width(rest)) - 1;
         const std::uint8_t bit = static_cast<std::uint8_t>(1u << s);
         rest &= static_cast<std::uint8_t>(~bit);
-        const bool work_done = s != d || slots_[s].didD;
+        const bool work_done = s != d || slot(s).didD;
         if (work_done && (occupied_ & (bit << 1)) == 0) {
-            slots_[s + 1] = slots_[s];
+            stage_[s + 1] = stage_[s];
             occupied_ = static_cast<std::uint8_t>(
                 (occupied_ | (bit << 1)) & ~bit);
         }
@@ -616,6 +627,420 @@ PipelinedPe::step()
         pendingPredCommit_.reset();
     }
     squashIssueThisCycle_ = false;
+}
+
+// ---------------------------------------------------------------------
+// Run-ahead memo (see the file comment of pipelined_pe.hh).
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+putByte(std::string &key, std::uint64_t value)
+{
+    panicIf(value > 0xff, "run-ahead memo: a packed field exceeds a byte");
+    key.push_back(static_cast<char>(value));
+}
+
+void
+putWord(std::string &key, std::uint64_t value)
+{
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    key.append(bytes, sizeof value);
+}
+
+/** Reads back what putByte/putWord wrote, in order. */
+class KeyReader
+{
+  public:
+    explicit KeyReader(const std::string &key) : key_(key) {}
+
+    std::uint8_t
+    byte()
+    {
+        return static_cast<std::uint8_t>(key_[pos_++]);
+    }
+
+    std::uint64_t
+    word()
+    {
+        std::uint64_t value;
+        std::memcpy(&value, key_.data() + pos_, sizeof value);
+        pos_ += sizeof value;
+        return value;
+    }
+
+  private:
+    const std::string &key_;
+    std::size_t pos_ = 0;
+};
+
+/**
+ * The datapath result of a non-halt @p inst on operands (@p a, @p b),
+ * with no side effect; false when its scratchpad access is out of
+ * bounds (doWriteback would trap).
+ */
+bool
+memoResult(const Instruction &inst, Word a, Word b,
+           const std::vector<Word> &scratchpad, Word &result)
+{
+    const OpInfo &info = opInfo(inst.op);
+    result = 0;
+    if (info.readsScratchpad) {
+        if (a + b >= scratchpad.size())
+            return false;
+        result = scratchpad[a + b];
+    } else if (info.writesScratchpad) {
+        return a < scratchpad.size();
+    } else if (!info.isHalt) {
+        result = evalAlu(inst.op, a, b);
+    }
+    return true;
+}
+
+} // namespace
+
+void
+PipelinedPe::packControl(std::string &key) const
+{
+    panicIf(halted_ || pendingPredCommit_.has_value() ||
+                squashIssueThisCycle_,
+            "run-ahead memo: control state packed mid-cycle");
+    putByte(key, occupied_);
+    putByte(key, (haltIssued_ ? 1u : 0u) | (idleCycle_ ? 2u : 0u));
+    for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
+        const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
+        const InFlight &entry = slot(s);
+        putByte(key, stage_[s]);
+        putByte(key, entry.index);
+        putByte(key, nextId_ - entry.id);
+        putByte(key, entry.specLevel | (entry.didD ? 4u : 0u) |
+                         (entry.isPredictor ? 8u : 0u) |
+                         (entry.predictedValue ? 16u : 0u) |
+                         (entry.faultFlipped ? 32u : 0u));
+    }
+    putWord(key, preds_);
+    putWord(key, pendingPredMask_);
+    for (std::uint64_t rest = pendingPredMask_; rest != 0; rest &= rest - 1)
+        putByte(key, pendingPredWrites_[std::countr_zero(rest)]);
+    for (unsigned p = 0; p < predictor_.size(); ++p)
+        putByte(key, predictor_.counter(p));
+    putByte(key, specContexts_.size());
+    for (const SpecContext &context : specContexts_) {
+        putByte(key, nextId_ - context.id);
+        putWord(key, context.fallbackPreds);
+    }
+    for (const unsigned pending : pendingDeq_)
+        putByte(key, pending);
+    for (const unsigned pending : pendingEnq_)
+        putByte(key, pending);
+}
+
+void
+PipelinedPe::settleReplays()
+{
+    for (const std::uint32_t id : memo_->unsettled) {
+        MemoEdge &edge = memo_->nodes[id / 2].edges[id % 2];
+        counters_.cycles += edge.pending;
+        for (std::size_t i = 0; i < kMemoCounters.size(); ++i)
+            counters_.*kMemoCounters[i] += edge.pending * edge.delta[i];
+        nextId_ += edge.pending * edge.issued;
+        edge.pending = 0;
+    }
+    memo_->unsettled.clear();
+}
+
+void
+PipelinedPe::materialize()
+{
+    // The exact inverse of packControl; operands are data and stay.
+    settleReplays();
+    KeyReader key(*memo_->nodes[memoNode_].state);
+    occupied_ = key.byte();
+    const std::uint8_t flags = key.byte();
+    haltIssued_ = (flags & 1u) != 0;
+    idleCycle_ = (flags & 2u) != 0;
+    for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
+        const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
+        stage_[s] = key.byte();
+        InFlight &entry = slot(s);
+        entry.index = key.byte();
+        entry.inst = &program_[entry.index];
+        entry.id = nextId_ - key.byte();
+        const std::uint8_t bits = key.byte();
+        entry.specLevel = bits & 3u;
+        entry.didD = (bits & 4u) != 0;
+        entry.isPredictor = (bits & 8u) != 0;
+        entry.predictedValue = (bits & 16u) != 0;
+        entry.faultFlipped = (bits & 32u) != 0;
+    }
+    preds_ = key.word();
+    pendingPredMask_ = key.word();
+    std::fill(pendingPredWrites_.begin(), pendingPredWrites_.end(), 0u);
+    for (std::uint64_t rest = pendingPredMask_; rest != 0; rest &= rest - 1)
+        pendingPredWrites_[std::countr_zero(rest)] = key.byte();
+    for (unsigned p = 0; p < predictor_.size(); ++p)
+        predictor_.setCounter(p, key.byte());
+    specContexts_.resize(key.byte());
+    for (SpecContext &context : specContexts_) {
+        context.id = nextId_ - key.byte();
+        context.fallbackPreds = key.word();
+    }
+    for (unsigned &pending : pendingDeq_)
+        pending = key.byte();
+    for (unsigned &pending : pendingEnq_)
+        pending = key.byte();
+    memoStale_ = false;
+}
+
+std::uint32_t
+PipelinedPe::findOrAddNode()
+{
+    std::string key;
+    packControl(key);
+    key += memo_->view;
+    const auto found = memo_->index.find(key);
+    if (found != memo_->index.end())
+        return found->second;
+    if (memo_->nodes.size() >= kMemoNodeCap)
+        return kNoMemoNode;
+    const auto id = static_cast<std::uint32_t>(memo_->nodes.size());
+    const auto inserted = memo_->index.emplace(std::move(key), id).first;
+    memo_->nodes.emplace_back().state = &inserted->first;
+    return id;
+}
+
+bool
+PipelinedPe::memoEnter(bool sleepEnabled)
+{
+    if (referenceScheduler_)
+        return false;
+    if (!memo_)
+        memo_ = std::make_unique<RunAheadMemo>();
+    memoSleep_ = sleepEnabled;
+    // The channel view, constant for the episode: each bound input's
+    // occupancy and tags (the scheduler peeks past in-flight dequeues),
+    // each bound output's occupancy, and the sleep setting. Queue
+    // capacity is unbounded, so occupancies take a word each.
+    std::string &view = memo_->view;
+    view.clear();
+    putByte(view, sleepEnabled ? 1u : 0u);
+    for (const TaggedQueue *queue : inputs_) {
+        if (!queue)
+            continue;
+        panicIf(queue->popsThisCycle() != 0 || queue->pendingPushes() != 0,
+                "run-ahead memo entered with a channel in motion");
+        putWord(view, queue->size());
+        for (unsigned depth = 0; depth < queue->size(); ++depth)
+            putByte(view, queue->peekPtr(depth)->tag);
+    }
+    for (const TaggedQueue *queue : outputs_) {
+        if (!queue)
+            continue;
+        panicIf(queue->pendingPushes() != 0,
+                "run-ahead memo entered with a channel in motion");
+        putWord(view, queue->size());
+    }
+    memoNode_ = findOrAddNode();
+    memoStale_ = false;
+    return true;
+}
+
+void
+PipelinedPe::memoLeave()
+{
+    if (memoStale_)
+        materialize();
+    memoNode_ = kNoMemoNode;
+}
+
+void
+PipelinedPe::recordAction(const InFlight &entry, bool writeback, bool bit)
+{
+    static constexpr Word kZero = 0;
+    MemoEdge &edge = recording_->edge;
+    const Instruction &inst = *entry.inst;
+    const auto index = static_cast<std::uint8_t>(&entry - entries_.data());
+    auto operand = [&](const Source &src) -> const Word * {
+        switch (src.type) {
+          case SrcType::Reg:
+            return &regs_[src.index];
+          case SrcType::Immediate:
+            return &inst.imm;
+          case SrcType::InputQueue:
+            return nullptr;
+          case SrcType::None:
+            break;
+        }
+        return &kZero;
+    };
+    MemoAction action;
+    action.inst = &inst;
+    action.srcs = {operand(inst.srcs[0]), operand(inst.srcs[1])};
+    if (inst.dst.type == DstType::Reg)
+        action.dst = &regs_[inst.dst.index];
+    action.entry = index;
+    if (!writeback) {
+        panicIf(edge.numActions == edge.actions.size(),
+                "run-ahead memo: too many actions in one cycle");
+        action.decode = true;
+        edge.actions[edge.numActions++] = action;
+        return;
+    }
+    // A writeback leads its cycle (the work pass visits the writeback
+    // segment first), after its own same-cycle capture if any; so a
+    // replayed writeback that would trap has changed nothing yet.
+    const bool fused = edge.numActions == 1 && edge.actions[0].entry == index;
+    panicIf(edge.numActions != (fused ? 1u : 0u),
+            "run-ahead memo: a writeback after another action");
+    if (!fused)
+        edge.actions[edge.numActions++] = action;
+    edge.actions[0].writeback = true;
+    if (inst.writesPredicate()) {
+        recording_->branch = true;
+        recording_->bit = bit;
+    }
+}
+
+bool
+PipelinedPe::replayActions(const MemoEdge &edge)
+{
+    for (unsigned i = 0; i < edge.numActions; ++i) {
+        const MemoAction &action = edge.actions[i];
+        const Instruction &inst = *action.inst;
+        InFlight &entry = entries_[action.entry];
+        if (action.decode) {
+            entry.operands[0] = memoOperand(action, 0);
+            entry.operands[1] = memoOperand(action, 1);
+        }
+        if (action.writeback) {
+            const Word a = entry.operands[0];
+            const Word b = entry.operands[1];
+            Word result;
+            if (!memoResult(inst, a, b, scratchpad_, result))
+                return false; // First action: nothing has changed.
+            if (opInfo(inst.op).writesScratchpad)
+                scratchpad_[a] = b;
+            if (action.dst)
+                *action.dst = result;
+        }
+    }
+    return true;
+}
+
+const PipelinedPe::MemoEdge *
+PipelinedPe::replayCycle()
+{
+    if (memoNode_ == kNoMemoNode)
+        return nullptr;
+    MemoNode &node = memo_->nodes[memoNode_];
+    if (!node.recorded)
+        return nullptr;
+    // The cycle's one data-to-control bit, read before any action.
+    unsigned bit = 0;
+    if (const MemoAction &branch = node.branch; branch.inst) {
+        const InFlight &entry = entries_[branch.entry];
+        const Word a =
+            branch.decode ? memoOperand(branch, 0) : entry.operands[0];
+        const Word b =
+            branch.decode ? memoOperand(branch, 1) : entry.operands[1];
+        Word result;
+        if (!memoResult(*branch.inst, a, b, scratchpad_, result))
+            return nullptr;
+        bit = result & 1u;
+    }
+    MemoEdge &edge = node.edges[bit];
+    if (edge.next == kNoMemoNode || !replayActions(edge))
+        return nullptr;
+    if (edge.pending++ == 0)
+        memo_->unsettled.push_back(2 * memoNode_ + bit);
+    memoNode_ = edge.next;
+    memoStale_ = true;
+    return &edge;
+}
+
+void
+PipelinedPe::memoRun(std::uint64_t maxCycles, MemoRun &run)
+{
+    static_assert(kMemoCounters[0] == &PerfCounters::retired);
+    for (;;) {
+        bool stop;
+        std::uint64_t retired;
+        if (const MemoEdge *edge = replayCycle()) {
+            ++run.replayed;
+            stop = edge->stop;
+            retired = edge->delta[0];
+        } else {
+            stop = stepCycle(retired);
+        }
+        run.lastRetired = retired;
+        run.retired += retired;
+        if (++run.cycles == maxCycles || stop)
+            return;
+    }
+}
+
+bool
+PipelinedPe::stepCycle(std::uint64_t &retired)
+{
+    if (memoStale_)
+        materialize();
+    const std::uint32_t from = memoNode_;
+    const PerfCounters before = counters_;
+    const std::uint64_t next_id = nextId_;
+    MemoRecording recording;
+    if (from != kNoMemoNode)
+        recording_ = &recording;
+    try {
+        step();
+    } catch (...) {
+        // A trap leaves exactly the state the step loop leaves.
+        recording_ = nullptr;
+        memoNode_ = kNoMemoNode;
+        throw;
+    }
+    recording_ = nullptr;
+    retired = counters_.retired - before.retired;
+    const bool stop = halted_ || (memoSleep_ && canSleep()) ||
+                      (retired == 0 && !busy());
+
+    // Pushes, pops and halts end the episode and are never recorded.
+    if (halted_ || counters_.dequeues != before.dequeues ||
+        counters_.enqueues != before.enqueues) {
+        memoNode_ = kNoMemoNode;
+        return true;
+    }
+    if (from == kNoMemoNode)
+        return stop; // Past the node cap this episode: plain steps.
+
+    MemoEdge &edge = recording.edge;
+    edge.issued = static_cast<std::uint8_t>(nextId_ - next_id);
+    edge.stop = stop;
+    for (std::size_t i = 0; i < kMemoCounters.size(); ++i) {
+        const std::uint64_t delta =
+            counters_.*kMemoCounters[i] - before.*kMemoCounters[i];
+        panicIf(delta > 0xff, "run-ahead memo: a counter delta exceeds a byte");
+        edge.delta[i] = static_cast<std::uint8_t>(delta);
+    }
+    memoNode_ = findOrAddNode();
+    if (memoNode_ == kNoMemoNode)
+        return stop; // At the cap: plain steps from here.
+    edge.next = memoNode_;
+
+    MemoNode &node = memo_->nodes[from];
+    const MemoAction branch =
+        recording.branch ? edge.actions[0] : MemoAction{};
+    if (!node.recorded) {
+        node.recorded = true;
+        node.branch = branch;
+    }
+    panicIf(node.branch.inst != branch.inst ||
+                node.branch.entry != branch.entry ||
+                node.branch.decode != branch.decode,
+            "run-ahead memo: a control state changed its branch");
+    node.edges[recording.bit ? 1 : 0] = edge;
+    return stop;
 }
 
 } // namespace tia

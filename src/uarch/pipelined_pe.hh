@@ -29,14 +29,37 @@
  * results, enqueues and datapath predicate writes commit at the end of
  * the segment containing X (or X2). Back-to-back register dependences
  * therefore cost one bubble exactly in the split-ALU (X1|X2) shapes.
+ *
+ * In-flight entries stay where issue put them (a slot ring); a
+ * stage-to-entry map says which entry each segment holds, so advancing
+ * a stage moves a one-byte index, not the entry.
+ *
+ * Memoized run-ahead: control (trigger resolution, hazards, issue,
+ * prediction, flush) reads only predicate state, pipeline occupancy
+ * and queue status, and data reaches it in one way only, through the
+ * one datapath predicate writeback a cycle can hold. While the owning
+ * fabric runs this PE ahead with every channel frozen, each cycle is
+ * therefore a pure function of the control state plus that one bit.
+ * The run-ahead memo records such cycles as edges between packed
+ * control states (nodes); a cycle already recorded is replayed: its
+ * operand captures, ALU/scratchpad work and register writes run on
+ * the live data, its counter deltas are owed (settled in bulk), and
+ * the PE moves to the successor node without touching its control
+ * fields, which are restored from the node (materialized) before
+ * anything else reads them or the counters. Cycles that push, pop, halt or would trap always run through
+ * step(). See docs/perf.md, "Memoized run-ahead".
  */
 
 #ifndef TIA_UARCH_PIPELINED_PE_HH
 #define TIA_UARCH_PIPELINED_PE_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/program.hh"
@@ -127,6 +150,50 @@ class PipelinedPe
 
     /** Advance one clock cycle. No-op once halted. */
     void step();
+
+    /**
+     * Most control states the run-ahead memo records per PE. Over all
+     * 32 uarchs plus +P+N and +P+N+Q, the full-size Table 3 memos hold
+     * at most 24 (gcd) and 269 (udiv) nodes per PE; no other workload
+     * engages the memo. At the cap the memo stops recording (it never
+     * clears mid-run) and unrecorded states run through step().
+     */
+    static constexpr std::size_t kMemoNodeCap = 4096;
+
+    /**
+     * Follow the run-ahead memo from the current state (see the file
+     * comment). Only valid while every channel this PE is bound to is
+     * frozen: no other agent can push or pop until memoLeave(), and no
+     * trace sink or fault injector is installed. @p sleepEnabled is
+     * whether the fabric parks idle PEs (it decides when an episode
+     * ends). Returns false, engaging nothing, under the reference
+     * scheduler, which must keep resolving every cycle itself.
+     */
+    bool memoEnter(bool sleepEnabled);
+
+    /** What memoRun() did, for the fabric's run-ahead loop. */
+    struct MemoRun
+    {
+        std::uint64_t cycles = 0;   ///< Cycles completed.
+        std::uint64_t replayed = 0; ///< Of those, replayed from the memo.
+        std::uint64_t retired = 0;  ///< Instructions they retired.
+        std::uint64_t lastRetired = 0; ///< Of those, in the last cycle.
+    };
+
+    /**
+     * Run cycles between memoEnter() and memoLeave(), each replayed
+     * when recorded or else run by step() and recorded, until one ends
+     * the run-ahead episode — it pushes or pops, halts, leaves the PE
+     * able to sleep (with sleep enabled), or retires nothing and leaves
+     * nothing in flight — or @p maxCycles (at least one) have run.
+     * Counters stay exact; the control fields may lag until
+     * memoLeave(). @p run counts as it goes, so after a trap it holds
+     * the cycles completed before the trapping one.
+     */
+    void memoRun(std::uint64_t maxCycles, MemoRun &run);
+
+    /** Restore the control fields from the memo; ends memoEnter(). */
+    void memoLeave();
 
     /**
      * True when stepping this PE again with unchanged queue status
@@ -237,6 +304,10 @@ class PipelinedPe
      */
     ScheduleResult resolveTriggers();
 
+    /** The entry in flight in segment @p s (occupied_ bit s set). */
+    InFlight &slot(unsigned s) { return entries_[stage_[s]]; }
+    const InFlight &slot(unsigned s) const { return entries_[stage_[s]]; }
+
     /** Perform operand capture and dequeues (D-phase work). */
     void doDecode(InFlight &entry);
 
@@ -297,8 +368,13 @@ class PipelinedPe
     bool halted_ = false;
 
     // Pipeline state.
-    /** Contents of segment s; meaningful only while occupied_ bit s is set. */
-    std::array<InFlight, 4> slots_;
+    /**
+     * The slot ring: an entry stays here from issue to retirement or
+     * flush. Issue takes the lowest entry no segment holds.
+     */
+    std::array<InFlight, 4> entries_;
+    /** Entry held by segment s; meaningful only while occupied_ bit s is set. */
+    std::array<std::uint8_t, 4> stage_ = {};
     /**
      * Bit s set iff segment s holds an instruction: the one record of
      * slot occupancy. busy()/canSleep()/inFlight() read it as a single
@@ -357,6 +433,128 @@ class PipelinedPe
     unsigned peId_ = 0;
 
     PerfCounters counters_;
+
+    // Run-ahead memo (memoEnter .. memoLeave).
+    static constexpr std::uint32_t kNoMemoNode = ~std::uint32_t{0};
+    /**
+     * The counters a recordable cycle can move besides cycles (one
+     * each): a cycle that pushes or pops is never recorded, and no
+     * fault injector is installed while the memo runs.
+     */
+    static constexpr std::array<std::uint64_t PerfCounters::*, 9>
+        kMemoCounters = {
+            &PerfCounters::retired,         &PerfCounters::quashed,
+            &PerfCounters::predicateHazard, &PerfCounters::dataHazard,
+            &PerfCounters::forbidden,       &PerfCounters::noTrigger,
+            &PerfCounters::predicateWrites, &PerfCounters::predictions,
+            &PerfCounters::mispredictions,
+        };
+
+    /** One datapath action of a recorded cycle. */
+    struct MemoAction
+    {
+        const Instruction *inst = nullptr;
+        /**
+         * Where a replayed capture reads each operand: a register, the
+         * immediate or a zero; null for an input queue head, which
+         * goes through readSource().
+         */
+        std::array<const Word *, 2> srcs = {};
+        Word *dst = nullptr;     ///< Register the writeback writes, if any.
+        std::uint8_t entry = 0;  ///< Index into entries_.
+        bool decode = false;     ///< Capture the operands.
+        bool writeback = false;  ///< Then compute and commit the result.
+    };
+
+    /** One recorded cycle out of a node. */
+    struct MemoEdge
+    {
+        std::uint32_t next = kNoMemoNode; ///< Successor node.
+        /** Data actions in step() order; a writeback is always first. */
+        std::array<MemoAction, 3> actions;
+        std::uint8_t numActions = 0;
+        std::uint8_t issued = 0; ///< Instructions issued (nextId_ step).
+        bool stop = false;       ///< The episode ends after this cycle.
+        std::array<std::uint8_t, kMemoCounters.size()> delta = {};
+        /**
+         * Replays not yet added to the counters and nextId_: settled
+         * in bulk (settleReplays) before anything reads them.
+         */
+        std::uint64_t pending = 0;
+    };
+
+    /** A packed control state at a cycle boundary. */
+    struct MemoNode
+    {
+        /** Key in RunAheadMemo::index: control state, then channel view. */
+        const std::string *state = nullptr;
+        bool recorded = false; ///< branch and one edge are set.
+        /**
+         * This state's one datapath predicate writeback, the branch
+         * choosing the edge (the first action of either edge), or an
+         * action with a null inst when the cycle has none.
+         */
+        MemoAction branch;
+        std::array<MemoEdge, 2> edges; ///< By written bit; [0] if no branch.
+    };
+
+    /** Per PE, for the fabric's lifetime; never shared. */
+    struct RunAheadMemo
+    {
+        std::unordered_map<std::string, std::uint32_t> index;
+        std::vector<MemoNode> nodes;
+        /** This episode's frozen channel view, the key's suffix. */
+        std::string view;
+        /** Edges (2 * node + bit) with pending replays. */
+        std::vector<std::uint32_t> unsettled;
+    };
+
+    /** A step() being recorded: its actions and its branch bit. */
+    struct MemoRecording
+    {
+        MemoEdge edge;
+        bool branch = false;
+        bool bit = false;
+    };
+
+    /** Append the control state at a cycle boundary to @p key. */
+    void packControl(std::string &key) const;
+    /** Add the pending replays to the counters and nextId_. */
+    void settleReplays();
+    /** Settle, then restore the control fields from the current node. */
+    void materialize();
+    /** The node for the current state, added unless at the cap. */
+    std::uint32_t findOrAddNode();
+    /**
+     * Replay the current node's recorded cycle, if it has one for this
+     * cycle's branch bit and nothing in it would trap; the edge
+     * replayed, or null.
+     */
+    const MemoEdge *replayCycle();
+    /** Operand @p k of @p action as a replayed capture reads it. */
+    Word
+    memoOperand(const MemoAction &action, unsigned k) const
+    {
+        return action.srcs[k] ? *action.srcs[k]
+                              : readSource(action.inst->srcs[k],
+                                           action.inst->imm);
+    }
+    /** Replay @p edge's data actions; false, changing nothing, on a trap. */
+    bool replayActions(const MemoEdge &edge);
+    /**
+     * Run this cycle through step() — materialized first, and recorded
+     * while the memo follows the PE. True when it ends the episode;
+     * @p retired is what the cycle retired.
+     */
+    bool stepCycle(std::uint64_t &retired);
+    /** doDecode/doWriteback hook while recording_ is set. */
+    void recordAction(const InFlight &entry, bool writeback, bool bit);
+
+    std::unique_ptr<RunAheadMemo> memo_;
+    std::uint32_t memoNode_ = kNoMemoNode; ///< Current node; none = step().
+    bool memoStale_ = false; ///< Control fields lag memoNode_.
+    bool memoSleep_ = false; ///< The episode's sleepEnabled.
+    MemoRecording *recording_ = nullptr;
 
     // Observability (optional, non-owning). Last on purpose: keeps
     // the per-cycle members above — counters_ especially — at their

@@ -49,8 +49,18 @@ class PredicatePredictor
         }
     }
 
-    /** Raw counter state (for tests). */
+    /** Raw counter state (tests; run-ahead memo packing). */
     std::uint8_t counter(unsigned index) const { return counters_.at(index); }
+
+    /** Restore a raw counter state read by counter(). */
+    void
+    setCounter(unsigned index, std::uint8_t value)
+    {
+        counters_.at(index) = value;
+    }
+
+    /** Number of counters, one per predicate. */
+    unsigned size() const { return static_cast<unsigned>(counters_.size()); }
 
     /** Reset all counters to weakly taken. */
     void

@@ -922,5 +922,253 @@ TEST(RunAhead, AttachedStopTokenChangesNothing)
     }
 }
 
+/** Predicate pattern or update of width @p bits, MSB left: bit i is
+ *  @p fill unless @p chars names it. */
+std::string
+predString(unsigned bits, char fill,
+           const std::vector<std::pair<unsigned, char>> &chars)
+{
+    std::string text(bits, fill);
+    for (const auto &[bit, c] : chars)
+        text[bits - 1 - bit] = c;
+    return text;
+}
+
+TEST(RunAhead, MemoPastItsNodeCapMatchesPerCycleStepLoop)
+{
+    // A 13-bit ripple counter held in predicates, counted up three
+    // times: one pass walks 8,192 control states, twice the memo's
+    // node cap. Each pass ends by storing through the write port, so
+    // the next pass is a new run-ahead episode, and starts behind a
+    // datapath predicate write that (without +P) drains the pipeline,
+    // so every pass allocates in-flight entries alike. The first pass
+    // fills the memo and runs on through step(); the later ones replay
+    // the recorded states, then step on from the memo's frontier.
+    // Results match a bare step() loop.
+    constexpr unsigned kBits = 13;
+    static_assert((std::size_t{1} << kBits) >= 2 * PipelinedPe::kMemoNodeCap);
+    ArchParams params;
+    params.numPreds = 20;
+    params.numInstructions = 32;
+    const unsigned width = params.numPreds;
+    const unsigned carried = kBits, stored = 14, written = 15, done = 16,
+                   checked = 17, go = 18;
+    auto when = [&](std::vector<std::pair<unsigned, char>> bits) {
+        return "when %p == " + predString(width, 'X', bits) + ": ";
+    };
+    auto set = [&](std::vector<std::pair<unsigned, char>> bits) {
+        return "; set %p = " + predString(width, 'Z', bits) + ";\n";
+    };
+    std::string source;
+    for (unsigned i = 0; i < kBits; ++i) {
+        std::vector<std::pair<unsigned, char>> pattern = {
+            {i, '0'}, {carried, '0'}, {go, '1'}};
+        std::vector<std::pair<unsigned, char>> update = {{i, '1'}};
+        for (unsigned low = 0; low < i; ++low) {
+            pattern.push_back({low, '1'});
+            update.push_back({low, '0'});
+        }
+        source += when(pattern) + "add %r0, %r0, #1" + set(update);
+    }
+    std::vector<std::pair<unsigned, char>> full = {{carried, '0'},
+                                                   {go, '1'}};
+    for (unsigned low = 0; low < kBits; ++low)
+        full.push_back({low, '1'});
+    source += when(full) + "add %r1, %r1, #1" + set({{carried, '1'}});
+    source += when({{carried, '1'}, {stored, '0'}}) + "mov %o1.0, %r1" +
+              set({{stored, '1'}});
+    source += when({{stored, '1'}, {written, '0'}}) + "mov %o2.0, %r0" +
+              set({{written, '1'}});
+    source += when({{written, '1'}, {checked, '0'}}) + "uge %p" +
+              std::to_string(done) + ", %r1, #3" + set({{checked, '1'}});
+    source += when({{checked, '1'}, {done, '0'}}) + "nop; set %p = " +
+              predString(width, '0', {}) + ";\n";
+    source += when({{checked, '1'}, {done, '1'}}) + "halt;\n";
+    source += when({{checked, '0'}, {go, '0'}}) + "mov %p" +
+              std::to_string(go) + ", #1;\n";
+    const Program program = assemble(source, params);
+    FabricBuilder builder(params, 1);
+    builder.addWritePort(0, 1, 2); // %o1 = store address, %o2 = data
+    const FabricConfig config = builder.build();
+
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, false, true}); // +P+N
+    uarchs.push_back({allShapes()[7], true, true, true});  // +P+N+Q
+    for (const PeConfig &uarch : uarchs) {
+        CycleFabric stepped(config, program, uarch);
+        while (!allHalted(stepped) && stepped.now() < kDefaultMaxCycles)
+            stepped.step();
+        ASSERT_TRUE(allHalted(stepped)) << uarch.name();
+        EXPECT_EQ(stepped.memory().read(3), 3 * ((1u << kBits) - 1))
+            << uarch.name();
+
+        CycleFabric ran(config, program, uarch);
+        ASSERT_EQ(ran.run(), RunStatus::Halted) << uarch.name();
+        EXPECT_EQ(observeFabric(ran), observeFabric(stepped))
+            << uarch.name();
+        if (!uarch.predictPredicates) {
+            EXPECT_GT(ran.stepStats().peStepsReplayed, (1u << kBits) / 4)
+                << uarch.name();
+        }
+    }
+}
+
+TEST(RunAhead, MemoKeysQueuesDeeperThanAByte)
+{
+    // 300 tokens wait on a channel nobody drains while the producer
+    // then loops alone: the memo's channel view must hold an occupancy
+    // past 255.
+    ArchParams params;
+    params.queueCapacity = 512;
+    const Program program = assemble(
+        "when %p == XXXXXX00: add %o0.0, %r0, #0; set %p = ZZZZZZ01;\n"
+        "when %p == XXXXXX01: add %r0, %r0, #1; set %p = ZZZZZZ10;\n"
+        "when %p == XXXXXX10: ult %p7, %r0, #300; set %p = ZZZZZZ11;\n"
+        "when %p == 1XXXXX11: nop; set %p = ZZZZZZ00;\n"
+        "when %p == 0XXXX011: add %r1, %r1, #3; set %p = ZZZZZ111;\n"
+        "when %p == XXXX0111: ult %p6, %r1, #600; set %p = ZZZZ1ZZZ;\n"
+        "when %p == X1XX1X11: nop; set %p = ZZZZ0011;\n"
+        "when %p == X0XX1X11: halt;\n",
+        params);
+    FabricBuilder builder(params, 2);
+    builder.connect(0, 0, 1, 0);
+    const FabricConfig config = builder.build();
+    for (const PeConfig &uarch : {PeConfig{allShapes()[0], false, false,
+                                           false},
+                                  PeConfig{allShapes()[7], true, true,
+                                           true}}) {
+        CycleFabric ran(config, program, uarch);
+        const RunStatus status = ran.run();
+        CycleFabric stepped(config, program, uarch);
+        while (stepped.now() < ran.now())
+            stepped.step();
+        EXPECT_EQ(observeFabric(ran), observeFabric(stepped))
+            << uarch.name();
+        EXPECT_EQ(ran.channel(0).size(), 300u) << uarch.name();
+        EXPECT_TRUE(ran.pe(0).halted()) << uarch.name();
+        EXPECT_NE(status, RunStatus::Halted) << uarch.name();
+        EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << uarch.name();
+    }
+}
+
+/** How a fabric ended when a step trapped. */
+struct TrapObservation
+{
+    std::string message;
+    FabricObservation fabric;
+
+    bool operator==(const TrapObservation &) const = default;
+};
+
+template <typename Body>
+TrapObservation
+observeTrap(CycleFabric &fabric, Body body)
+{
+    TrapObservation obs;
+    try {
+        body();
+        ADD_FAILURE() << "no trap";
+    } catch (const FatalError &error) {
+        obs.message = error.what();
+    }
+    obs.fabric = observeFabric(fabric);
+    return obs;
+}
+
+TEST(RunAhead, TrapDuringMemoReplayMatchesPerCycleStepLoop)
+{
+    // A loop whose scratchpad address walks past the end after far
+    // more than kMemoThreshold iterations: run() is replaying recorded
+    // cycles when the out-of-bounds access comes up, and must leave
+    // the message, clock and counters a bare step() loop leaves. The
+    // load variant traps in the cycle's branch (a predicate write).
+    const ArchParams params;
+    const std::vector<std::pair<const char *, Program>> programs = {
+        {"store",
+         assemble("when %p == XXXXXXX0: ssw %r0, %r0; set %p = ZZZZZZZ1;\n"
+                  "when %p == XXXXXXX1: add %r0, %r0, #1; "
+                  "set %p = ZZZZZZZ0;\n",
+                  params)},
+        {"load into a predicate",
+         assemble("when %p == XXXXXXX0: lsw %p7, %r0, #0; "
+                  "set %p = ZZZZZZZ1;\n"
+                  "when %p == 0XXXXXX1: add %r0, %r0, #1; "
+                  "set %p = ZZZZZZZ0;\n"
+                  "when %p == 1XXXXXX1: halt;\n",
+                  params)},
+    };
+    FabricBuilder builder(params, 1);
+    const FabricConfig config = builder.build();
+    for (const auto &[name, program] : programs) {
+        for (const PeConfig &uarch : allConfigs()) {
+            for (const bool sleep : {true, false}) {
+                const std::string what = std::string(name) + " / " +
+                                         uarch.name() +
+                                         (sleep ? "" : " / no sleep");
+                CycleFabric ran(config, program, uarch);
+                ran.setIdleSleepEnabled(sleep);
+                const TrapObservation via_run =
+                    observeTrap(ran, [&] { ran.run(); });
+
+                CycleFabric stepped(config, program, uarch);
+                stepped.setIdleSleepEnabled(sleep);
+                const TrapObservation via_step = observeTrap(stepped, [&] {
+                    while (stepped.now() < kDefaultMaxCycles)
+                        stepped.step();
+                });
+                EXPECT_NE(via_run.message.find("out of bounds"),
+                          std::string::npos)
+                    << what << ": " << via_run.message;
+                EXPECT_EQ(via_run, via_step) << what;
+                EXPECT_GT(via_run.fabric.counters.at(0).retired,
+                          10 * kMemoThreshold)
+                    << what;
+                EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << what;
+            }
+        }
+    }
+}
+
+TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
+{
+    // Full-size gcd is one lone-PE run-ahead stretch: the memo
+    // replays most of it. A trace sink or a fault injector turns
+    // run-ahead off, so nothing is replayed; results never move.
+    const Workload gcd = makeGcd(WorkloadSizes::full());
+    const PeConfig uarch{allShapes()[7], false, false, false}; // T|D|X1|X2
+    ASSERT_EQ(uarch.name(), "T|D|X1|X2");
+
+    CycleFabric plain(gcd.config, gcd.program, uarch);
+    gcd.preload(plain.memory());
+    ASSERT_EQ(plain.run(), RunStatus::Halted);
+    const FabricStepStats steps = plain.stepStats();
+    EXPECT_GT(steps.peStepsReplayed, 0u);
+    EXPECT_LE(steps.peStepsReplayed, steps.peStepsExecuted);
+    EXPECT_GT(steps.peStepsReplayed, steps.peStepsExecuted / 2);
+
+    NullSink sink;
+    CycleFabric traced(gcd.config, gcd.program, uarch);
+    traced.setTraceSink(&sink);
+    gcd.preload(traced.memory());
+    ASSERT_EQ(traced.run(), RunStatus::Halted);
+    EXPECT_EQ(traced.stepStats().peStepsReplayed, 0u);
+    EXPECT_EQ(observeFabric(traced), observeFabric(plain));
+
+    // A plan whose one fault never fires leaves results unchanged
+    // (an injector also keeps every PE awake, so compare against a
+    // run without sleep).
+    FaultInjector injector(FaultPlan::parse("seed=1;mispredict:pe0@p0"));
+    CycleFabric injected(gcd.config, gcd.program, uarch, &injector);
+    gcd.preload(injected.memory());
+    ASSERT_EQ(injected.run(), RunStatus::Halted);
+    EXPECT_EQ(injected.stepStats().peStepsReplayed, 0u);
+    CycleFabric awake(gcd.config, gcd.program, uarch);
+    awake.setIdleSleepEnabled(false);
+    gcd.preload(awake.memory());
+    ASSERT_EQ(awake.run(), RunStatus::Halted);
+    EXPECT_GT(awake.stepStats().peStepsReplayed, 0u);
+    EXPECT_EQ(observeFabric(injected), observeFabric(awake));
+}
+
 } // namespace
 } // namespace tia

@@ -10,9 +10,18 @@
  * and checks that every one of the 32 microarchitectures produces
  * exactly the architectural state of the functional reference, with
  * the trigger encoder and with the reference scheduler alike.
+ *
+ * Each program also runs through run() — which runs a lone PE ahead
+ * and, past kMemoThreshold steps, replays recorded control
+ * transitions (the run-ahead memo) — and through a bare per-cycle
+ * step() loop, which does neither, with idle sleep on and off. The
+ * loop runs long enough that every run() engages the memo, and its
+ * data-dependent branches, some on a bit of the loop counter, take
+ * both edges of recorded nodes.
  */
 
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -23,7 +32,7 @@
 namespace tia {
 namespace {
 
-constexpr unsigned kLoopIterations = 40;
+constexpr unsigned kLoopIterations = 120;
 
 /**
  * Build a random program structured as a 16-state loop:
@@ -109,6 +118,15 @@ randomProgram(std::mt19937 &rng)
             break;
           }
           case 1: { // datapath predicate write
+            if (pick(2) == 0) {
+                // Bit 1 of the loop counter: each value follows itself
+                // and its complement by turns, so the run-ahead memo
+                // replays both edges of this branch's node.
+                source += "when %p == " + when + ": srl %p" +
+                          std::to_string(4 + pick(3)) +
+                          ", %r0, #1; set %p = " + advance + ";\n";
+                break;
+            }
             const Op op = cmp_ops[pick(std::size(cmp_ops))];
             const unsigned pred = 4 + pick(3);
             source += "when %p == " + when + ": " +
@@ -160,6 +178,31 @@ struct ArchState
     bool operator==(const ArchState &) const = default;
 };
 
+/** Everything run() and a bare step() loop must agree on. */
+struct FabricState
+{
+    Cycle cycles = 0;
+    PerfCounters counters;
+    std::vector<Word> regs;
+    std::uint64_t preds = 0;
+    std::vector<Word> scratchpad;
+    std::vector<Word> memory;
+    std::uint64_t stepsAccounted = 0; ///< Executed plus skipped.
+
+    bool operator==(const FabricState &) const = default;
+};
+
+FabricState
+observe(const CycleFabric &fabric)
+{
+    const PipelinedPe &pe = fabric.pe(0);
+    const FabricStepStats steps = fabric.stepStats();
+    return {fabric.now(),        pe.counters(),
+            pe.regs(),           pe.preds(),
+            pe.scratchpad(),     fabric.memory().snapshot(),
+            steps.peStepsExecuted + steps.peStepsSkipped};
+}
+
 class RandomEquivalence : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -208,6 +251,25 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
         EXPECT_EQ(reference.now(), fabric.now()) << uarch.name();
         EXPECT_EQ(reference.pe(0).counters(), c) << uarch.name();
         EXPECT_EQ(reference.pe(0).preds(), pe.preds()) << uarch.name();
+
+        // run() (memoized run-ahead) against a bare step() loop.
+        for (const bool sleep : {true, false}) {
+            CycleFabric ran(config, program, uarch);
+            ran.setIdleSleepEnabled(sleep);
+            ASSERT_EQ(ran.run(2'000'000), RunStatus::Halted)
+                << uarch.name();
+            EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << uarch.name();
+
+            CycleFabric stepped(config, program, uarch);
+            stepped.setIdleSleepEnabled(sleep);
+            while (!std::as_const(stepped).pe(0).halted() &&
+                   stepped.now() < 2'000'000)
+                stepped.step();
+            EXPECT_EQ(stepped.stepStats().peStepsReplayed, 0u);
+            EXPECT_EQ(observe(ran), observe(stepped))
+                << uarch.name() << (sleep ? " sleep" : " no sleep");
+            EXPECT_EQ(observe(ran), observe(fabric)) << uarch.name();
+        }
     }
 }
 

@@ -50,7 +50,8 @@
  *   --stats            print host-side simulation statistics: wall
  *                      time, simulated cycles per host second, and how
  *                      many PE steps the idle-sleep optimization
- *                      skipped (cycle-accurate runs only)
+ *                      skipped and the run-ahead memo replayed
+ *                      (cycle-accurate runs only)
  *
  * tia-sim always simulates; the result cache (docs/simcache.md) is
  * reached through tia-sweep --cache and tia-serve --cache.
@@ -418,6 +419,15 @@ run(const Options &opt)
                     total > 0
                         ? 100.0 * static_cast<double>(steps.peStepsSkipped) /
                               static_cast<double>(total)
+                        : 0.0);
+            appendf(text,
+                    "  PE steps replayed from the run-ahead memo: %llu "
+                    "(%.1f%% of executed)\n",
+                    static_cast<unsigned long long>(steps.peStepsReplayed),
+                    steps.peStepsExecuted > 0
+                        ? 100.0 *
+                              static_cast<double>(steps.peStepsReplayed) /
+                              static_cast<double>(steps.peStepsExecuted)
                         : 0.0);
         }
         if (chrome) {
