@@ -56,15 +56,17 @@ BM_CycleFabricDotProduct(benchmark::State &state)
 }
 BENCHMARK(BM_CycleFabricDotProduct)->Unit(benchmark::kMillisecond);
 
-// A 1-PE register loop (small gcd) through runCycle, so through
-// CycleFabric::run and its lone-PE run-ahead, which BM_CyclePeAluLoop
-// (calling step() directly) never enters. Items are simulated cycles,
-// so items_per_second is the end-to-end cycle rate including fabric
-// construction. Arg 0 = TDX, 1 = T|D|X1|X2.
+// Small Table 3 workloads through runCycle, so through CycleFabric::run
+// and its lone-PE run-ahead, which BM_CyclePeAluLoop (calling step()
+// directly) never enters. The three cover the run-ahead memo's regimes
+// (docs/perf.md, "Memoized run-ahead"): gcd is one long episode,
+// udiv's episodes end at its pushes and pops (148.5 cycles on average
+// at full size), and bst's last 3.1, too short to engage the memo.
+// Items are simulated cycles, so items_per_second is the end-to-end
+// cycle rate including fabric construction. Arg 0 = TDX, 1 = T|D|X1|X2.
 void
-BM_CycleRunGcd(benchmark::State &state)
+cycleRun(benchmark::State &state, const Workload &w)
 {
-    const Workload w = makeGcd(WorkloadSizes::small());
     const PipelineShape shape{
         state.range(0) != 0, state.range(0) != 0, state.range(0) != 0};
     std::int64_t cycles = 0;
@@ -76,7 +78,27 @@ BM_CycleRunGcd(benchmark::State &state)
     state.SetItemsProcessed(cycles);
     state.SetLabel(shape.name());
 }
+
+void
+BM_CycleRunGcd(benchmark::State &state)
+{
+    cycleRun(state, makeGcd(WorkloadSizes::small()));
+}
 BENCHMARK(BM_CycleRunGcd)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void
+BM_CycleRunUdiv(benchmark::State &state)
+{
+    cycleRun(state, makeUdiv(WorkloadSizes::small()));
+}
+BENCHMARK(BM_CycleRunUdiv)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void
+BM_CycleRunBst(benchmark::State &state)
+{
+    cycleRun(state, makeBst(WorkloadSizes::small()));
+}
+BENCHMARK(BM_CycleRunBst)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // The same run with a trace sink attached: the observability tax when
 // tracing is ON, here a counter-reconstructing sink. Compare against

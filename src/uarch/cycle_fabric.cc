@@ -1,6 +1,7 @@
 #include "uarch/cycle_fabric.hh"
 
 #include <algorithm>
+#include <exception>
 #include <string>
 
 #include "core/logging.hh"
@@ -279,51 +280,28 @@ CycleFabric::runAhead(Cycle limit, std::uint64_t &lastRetired,
     // While its steps neither push nor pop, no channel goes dirty, so
     // the next cycle's step() would have no snapshot or wake to
     // perform, the idle memory ports no request to serve, and nothing
-    // to commit. A cycle that retires or leaves the PE busy is one
-    // run()'s bookkeeping records as active.
-    const unsigned index = activePes_.front();
-    PipelinedPe &pe = *pes_[index];
-    for (unsigned ordinary = 1;; ++ordinary) {
-        const std::uint64_t retired_before = totalRetired_;
-        stepPe(index);
-        if (!events_.dirtyChannels().empty() || pe.halted() ||
-            (sleepEnabled_ && pe.canSleep()) ||
-            (totalRetired_ == retired_before && !pe.busy()) ||
-            now_ + 1 >= limit) {
-            break;
-        }
-        ++now_;
-        lastRetired = totalRetired_;
-        lastActivity = now_;
-        if (ordinary == kMemoThreshold && pe.memoEnter(sleepEnabled_)) {
-            // The rest of the episode follows the PE's memo: the same
-            // cycles, ending on the same conditions, with recorded
-            // ones replayed (PipelinedPe::memoRun).
-            PipelinedPe::MemoRun run;
-            try {
-                pe.memoRun(limit - now_, run);
-            } catch (...) {
-                // A trap: the cycles before it count, as in step().
-                now_ += run.cycles;
-                stepsExecuted_ += run.cycles;
-                stepsReplayed_ += run.replayed;
-                totalRetired_ += run.retired;
-                throw;
-            }
-            pe.memoLeave();
-            stepsExecuted_ += run.cycles;
-            stepsReplayed_ += run.replayed;
-            totalRetired_ += run.retired;
-            // Every cycle but the last was active, as above.
-            now_ += run.cycles - 1;
-            if (run.cycles > 1) {
-                lastRetired = totalRetired_ - run.lastRetired;
-                lastActivity = now_;
-            }
-            break;
-        }
+    // to commit. The episode's last cycle finishes like any other.
+    PipelinedPe::Episode run;
+    std::exception_ptr trap;
+    try {
+        pes_[activePes_.front()]->runAhead(limit - now_, sleepEnabled_, run);
+    } catch (...) {
+        trap = std::current_exception();
     }
-    // The last cycle finishes like any other.
+    stepsExecuted_ += run.cycles;
+    stepsReplayed_ += run.replayed;
+    totalRetired_ += run.retired;
+    // Every cycle before the last completed as an active one, which
+    // run()'s per-cycle bookkeeping records; a trapping cycle never
+    // completes, so after a trap each counted cycle did.
+    const Cycle completed = trap ? run.cycles : run.cycles - 1;
+    now_ += completed;
+    if (trap)
+        std::rethrow_exception(trap);
+    if (completed > 0) {
+        lastRetired = totalRetired_ - run.lastRetired;
+        lastActivity = now_;
+    }
     activeBusyPes_ = 0;
     settleActivePe(0);
     endCycle();

@@ -35,27 +35,23 @@
  *
  * Run-ahead: when run() finds exactly one PE awake, no channel dirty,
  * no memory port busy, and neither an injector nor a trace sink, that
- * PE is the only agent that can move, and it is stepped in a tight
- * loop without the per-cycle fabric walk. The loop ends on the first
- * step that pushes or pops, halts, can sleep or leaves the PE idle, or
- * at the next cycle-budget check or stop-token poll; that cycle
- * finishes through the same tail as step(). Run-ahead is invisible for
- * the same single-producer/single-consumer reason as parking: until
- * the PE touches a channel, no other agent's inputs can change, so
- * each skipped fabric walk would have found nothing to snapshot, wake,
- * serve, commit or park (asserted against a bare step() loop by
- * tests/test_hot_path.cc).
+ * PE is the only agent that can move, and it runs one episode by
+ * itself (PipelinedPe::runAhead) without the per-cycle fabric walk.
+ * The episode ends on the first step that pushes or pops, halts, can
+ * sleep or leaves the PE idle, or at the next cycle-budget check or
+ * stop-token poll; its last cycle finishes through the same tail as
+ * step(). Run-ahead is invisible for the same single-producer/
+ * single-consumer reason as parking: until the PE touches a channel,
+ * no other agent's inputs can change, so each skipped fabric walk
+ * would have found nothing to snapshot, wake, serve, commit or park
+ * (asserted against a bare step() loop by tests/test_hot_path.cc).
  *
- * Memoized run-ahead: every channel is frozen for the whole episode,
- * so the PE's control repeats itself, and only its data moves. Once an
- * episode has taken kMemoThreshold ordinary steps, the rest of it
- * follows the PE's run-ahead memo (PipelinedPe::memoRun): a cycle
- * recorded before, from the same control state and channel view, is
- * replayed — datapath work only, counter deltas settled in bulk — and
- * a new one runs through step() and is recorded. The episode ends on
- * exactly the cycle it would have (pushes, pops and halts always run
- * through step()), so results stay bit-identical; stepStats() counts
- * replayed steps as executed ones, and separately.
+ * The fabric accounts an episode's cycles, steps and retirements in
+ * bulk once the call returns (or traps). Past
+ * PipelinedPe::kMemoThreshold steps, the episode replays the cycles
+ * the PE's run-ahead memo recorded (docs/perf.md, "Memoized
+ * run-ahead"); stepStats() counts replayed steps as executed ones, and
+ * separately.
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -101,14 +97,6 @@ struct FabricRunOptions
      */
     StopToken stop;
 };
-
-/**
- * Ordinary steps a run-ahead episode takes before it follows the PE's
- * run-ahead memo. Short episodes never engage: bst averages 3.1 cycles
- * per episode and mean 1.2, and a memo that engaged on every episode
- * made bst about 1.6x slower per cycle (docs/perf.md).
- */
-constexpr unsigned kMemoThreshold = 64;
 
 /** Host-side execution statistics (see tools/tia_sim --stats). */
 struct FabricStepStats

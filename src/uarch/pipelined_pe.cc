@@ -311,6 +311,25 @@ PipelinedPe::flushSpeculative()
     }
 }
 
+[[gnu::always_inline]] inline bool
+PipelinedPe::datapathResult(const Instruction &inst, Word a, Word b,
+                            Word &result) const
+{
+    const OpInfo &info = opInfo(inst.op);
+    result = 0;
+    if (info.readsScratchpad) {
+        const Word address = a + b;
+        if (address >= scratchpad_.size())
+            return false;
+        result = scratchpad_[address];
+    } else if (info.writesScratchpad) {
+        return a < scratchpad_.size();
+    } else {
+        result = evalAlu(inst.op, a, b);
+    }
+    return true;
+}
+
 void
 PipelinedPe::doWriteback(InFlight &entry)
 {
@@ -328,17 +347,14 @@ PipelinedPe::doWriteback(InFlight &entry)
         halted_ = true;
         if (trace_) [[unlikely]]
             trace(TraceEventKind::Halt);
-    } else if (info.readsScratchpad) {
-        const Word address = a + b;
-        fatalIf(address >= scratchpad_.size(), "scratchpad load at ",
-                address, " out of bounds");
-        result = scratchpad_[address];
+    } else if (!datapathResult(inst, a, b, result)) [[unlikely]] {
+        if (info.readsScratchpad) {
+            const Word address = a + b;
+            fatal("scratchpad load at ", address, " out of bounds");
+        }
+        fatal("scratchpad store at ", a, " out of bounds");
     } else if (info.writesScratchpad) {
-        fatalIf(a >= scratchpad_.size(), "scratchpad store at ", a,
-                " out of bounds");
         scratchpad_[a] = b;
-    } else {
-        result = evalAlu(inst.op, a, b);
     }
     if (recording_) [[unlikely]]
         recordAction(entry, true, (result & 1u) != 0);
@@ -676,29 +692,6 @@ class KeyReader
     std::size_t pos_ = 0;
 };
 
-/**
- * The datapath result of a non-halt @p inst on operands (@p a, @p b),
- * with no side effect; false when its scratchpad access is out of
- * bounds (doWriteback would trap).
- */
-bool
-memoResult(const Instruction &inst, Word a, Word b,
-           const std::vector<Word> &scratchpad, Word &result)
-{
-    const OpInfo &info = opInfo(inst.op);
-    result = 0;
-    if (info.readsScratchpad) {
-        if (a + b >= scratchpad.size())
-            return false;
-        result = scratchpad[a + b];
-    } else if (info.writesScratchpad) {
-        return a < scratchpad.size();
-    } else if (!info.isHalt) {
-        result = evalAlu(inst.op, a, b);
-    }
-    return true;
-}
-
 } // namespace
 
 void
@@ -811,14 +804,11 @@ PipelinedPe::findOrAddNode()
     return id;
 }
 
-bool
-PipelinedPe::memoEnter(bool sleepEnabled)
+void
+PipelinedPe::engageMemo(bool sleepEnabled)
 {
-    if (referenceScheduler_)
-        return false;
     if (!memo_)
         memo_ = std::make_unique<RunAheadMemo>();
-    memoSleep_ = sleepEnabled;
     // The channel view, constant for the episode: each bound input's
     // occupancy and tags (the scheduler peeks past in-flight dequeues),
     // each bound output's occupancy, and the sleep setting. Queue
@@ -830,7 +820,7 @@ PipelinedPe::memoEnter(bool sleepEnabled)
         if (!queue)
             continue;
         panicIf(queue->popsThisCycle() != 0 || queue->pendingPushes() != 0,
-                "run-ahead memo entered with a channel in motion");
+                "run-ahead memo engaged with a channel in motion");
         putWord(view, queue->size());
         for (unsigned depth = 0; depth < queue->size(); ++depth)
             putByte(view, queue->peekPtr(depth)->tag);
@@ -839,27 +829,18 @@ PipelinedPe::memoEnter(bool sleepEnabled)
         if (!queue)
             continue;
         panicIf(queue->pendingPushes() != 0,
-                "run-ahead memo entered with a channel in motion");
+                "run-ahead memo engaged with a channel in motion");
         putWord(view, queue->size());
     }
     memoNode_ = findOrAddNode();
-    memoStale_ = false;
-    return true;
-}
-
-void
-PipelinedPe::memoLeave()
-{
-    if (memoStale_)
-        materialize();
-    memoNode_ = kNoMemoNode;
 }
 
 void
 PipelinedPe::recordAction(const InFlight &entry, bool writeback, bool bit)
 {
     static constexpr Word kZero = 0;
-    MemoEdge &edge = recording_->edge;
+    MemoRecording &recording = memo_->recording;
+    MemoEdge &edge = recording.edge;
     const Instruction &inst = *entry.inst;
     const auto index = static_cast<std::uint8_t>(&entry - entries_.data());
     auto operand = [&](const Source &src) -> const Word * {
@@ -898,15 +879,15 @@ PipelinedPe::recordAction(const InFlight &entry, bool writeback, bool bit)
         edge.actions[edge.numActions++] = action;
     edge.actions[0].writeback = true;
     if (inst.writesPredicate()) {
-        recording_->branch = true;
-        recording_->bit = bit;
+        recording.branch = true;
+        recording.bit = bit;
     }
 }
 
 bool
-PipelinedPe::replayActions(const MemoEdge &edge)
+PipelinedPe::replayActions(const MemoEdge &edge, unsigned first)
 {
-    for (unsigned i = 0; i < edge.numActions; ++i) {
+    for (unsigned i = first; i < edge.numActions; ++i) {
         const MemoAction &action = edge.actions[i];
         const Instruction &inst = *action.inst;
         InFlight &entry = entries_[action.entry];
@@ -918,7 +899,7 @@ PipelinedPe::replayActions(const MemoEdge &edge)
             const Word a = entry.operands[0];
             const Word b = entry.operands[1];
             Word result;
-            if (!memoResult(inst, a, b, scratchpad_, result))
+            if (!datapathResult(inst, a, b, result))
                 return false; // First action: nothing has changed.
             if (opInfo(inst.op).writesScratchpad)
                 scratchpad_[a] = b;
@@ -929,7 +910,7 @@ PipelinedPe::replayActions(const MemoEdge &edge)
     return true;
 }
 
-const PipelinedPe::MemoEdge *
+[[gnu::always_inline]] inline const PipelinedPe::MemoEdge *
 PipelinedPe::replayCycle()
 {
     if (memoNode_ == kNoMemoNode)
@@ -937,21 +918,29 @@ PipelinedPe::replayCycle()
     MemoNode &node = memo_->nodes[memoNode_];
     if (!node.recorded)
         return nullptr;
-    // The cycle's one data-to-control bit, read before any action.
+    // The cycle's one data-to-control bit, computed before any action.
+    // The branch is the edge's first action, and its result goes only
+    // to a predicate (control), so all that is left to replay of it is
+    // its operand capture.
     unsigned bit = 0;
+    unsigned first = 0;
     if (const MemoAction &branch = node.branch; branch.inst) {
-        const InFlight &entry = entries_[branch.entry];
+        InFlight &entry = entries_[branch.entry];
         const Word a =
             branch.decode ? memoOperand(branch, 0) : entry.operands[0];
         const Word b =
             branch.decode ? memoOperand(branch, 1) : entry.operands[1];
         Word result;
-        if (!memoResult(*branch.inst, a, b, scratchpad_, result))
+        if (!datapathResult(*branch.inst, a, b, result))
             return nullptr;
         bit = result & 1u;
+        if (node.edges[bit].next == kNoMemoNode)
+            return nullptr;
+        entry.operands = {a, b};
+        first = 1;
     }
     MemoEdge &edge = node.edges[bit];
-    if (edge.next == kNoMemoNode || !replayActions(edge))
+    if (edge.next == kNoMemoNode || !replayActions(edge, first))
         return nullptr;
     if (edge.pending++ == 0)
         memo_->unsettled.push_back(2 * memoNode_ + bit);
@@ -960,72 +949,53 @@ PipelinedPe::replayCycle()
     return &edge;
 }
 
-void
-PipelinedPe::memoRun(std::uint64_t maxCycles, MemoRun &run)
+[[gnu::always_inline]] inline bool
+PipelinedPe::stepCycle(bool sleepEnabled, std::uint64_t &retired)
 {
-    static_assert(kMemoCounters[0] == &PerfCounters::retired);
-    for (;;) {
-        bool stop;
-        std::uint64_t retired;
-        if (const MemoEdge *edge = replayCycle()) {
-            ++run.replayed;
-            stop = edge->stop;
-            retired = edge->delta[0];
-        } else {
-            stop = stepCycle(retired);
-        }
-        run.lastRetired = retired;
-        run.retired += retired;
-        if (++run.cycles == maxCycles || stop)
-            return;
+    // Only a PE the memo follows can have stale control fields.
+    const std::uint32_t from = memoNode_;
+    if (from != kNoMemoNode) {
+        if (memoStale_)
+            materialize();
+        memo_->recording = {};
+        memo_->recording.before = counters_;
+        memo_->recording.nextId = nextId_;
+        recording_ = true;
     }
+    const std::uint64_t retired_before = counters_.retired;
+    const std::uint64_t moved_before = counters_.dequeues + counters_.enqueues;
+    step();
+    recording_ = false;
+    retired = counters_.retired - retired_before;
+
+    // The one rule that ends a run-ahead episode: the PE halted, moved
+    // a channel (any other agent may now have work), can sleep, or has
+    // gone idle.
+    const bool moved = counters_.dequeues + counters_.enqueues != moved_before;
+    const bool stop = halted_ || moved || (sleepEnabled && canSleep()) ||
+                      (retired == 0 && !busy());
+    // Pushes, pops and halts end the episode and are never recorded.
+    if (from != kNoMemoNode && !halted_ && !moved)
+        recordEdge(from, stop);
+    return stop;
 }
 
-bool
-PipelinedPe::stepCycle(std::uint64_t &retired)
+void
+PipelinedPe::recordEdge(std::uint32_t from, bool stop)
 {
-    if (memoStale_)
-        materialize();
-    const std::uint32_t from = memoNode_;
-    const PerfCounters before = counters_;
-    const std::uint64_t next_id = nextId_;
-    MemoRecording recording;
-    if (from != kNoMemoNode)
-        recording_ = &recording;
-    try {
-        step();
-    } catch (...) {
-        // A trap leaves exactly the state the step loop leaves.
-        recording_ = nullptr;
-        memoNode_ = kNoMemoNode;
-        throw;
-    }
-    recording_ = nullptr;
-    retired = counters_.retired - before.retired;
-    const bool stop = halted_ || (memoSleep_ && canSleep()) ||
-                      (retired == 0 && !busy());
-
-    // Pushes, pops and halts end the episode and are never recorded.
-    if (halted_ || counters_.dequeues != before.dequeues ||
-        counters_.enqueues != before.enqueues) {
-        memoNode_ = kNoMemoNode;
-        return true;
-    }
-    if (from == kNoMemoNode)
-        return stop; // Past the node cap this episode: plain steps.
-
-    MemoEdge &edge = recording.edge;
-    edge.issued = static_cast<std::uint8_t>(nextId_ - next_id);
+    const MemoRecording &recording = memo_->recording;
+    MemoEdge edge = recording.edge;
+    edge.issued = static_cast<std::uint8_t>(nextId_ - recording.nextId);
     edge.stop = stop;
     for (std::size_t i = 0; i < kMemoCounters.size(); ++i) {
         const std::uint64_t delta =
-            counters_.*kMemoCounters[i] - before.*kMemoCounters[i];
+            counters_.*kMemoCounters[i] - recording.before.*kMemoCounters[i];
         panicIf(delta > 0xff, "run-ahead memo: a counter delta exceeds a byte");
         edge.delta[i] = static_cast<std::uint8_t>(delta);
     }
     memoNode_ = findOrAddNode();
     if (memoNode_ == kNoMemoNode)
-        return stop; // At the cap: plain steps from here.
+        return; // At the cap: plain steps from here.
     edge.next = memoNode_;
 
     MemoNode &node = memo_->nodes[from];
@@ -1040,7 +1010,48 @@ PipelinedPe::stepCycle(std::uint64_t &retired)
                 node.branch.decode != branch.decode,
             "run-ahead memo: a control state changed its branch");
     node.edges[recording.bit ? 1 : 0] = edge;
-    return stop;
+}
+
+void
+PipelinedPe::runAhead(std::uint64_t maxCycles, bool sleepEnabled,
+                      Episode &run)
+{
+    static_assert(kMemoCounters[0] == &PerfCounters::retired);
+    // Counted in a local, which can stay in registers, and handed out
+    // however the episode ends.
+    Episode done;
+    try {
+        for (;;) {
+            // The reference scheduler must keep resolving every cycle
+            // itself, so it never engages the memo.
+            if (done.cycles == kMemoThreshold && !referenceScheduler_)
+                engageMemo(sleepEnabled);
+            bool stop;
+            std::uint64_t retired;
+            if (const MemoEdge *edge = replayCycle()) {
+                ++done.replayed;
+                stop = edge->stop;
+                retired = edge->delta[0];
+            } else {
+                stop = stepCycle(sleepEnabled, retired);
+            }
+            done.lastRetired = retired;
+            done.retired += retired;
+            if (++done.cycles == maxCycles || stop)
+                break;
+        }
+    } catch (...) {
+        // Only step() traps, from a materialized PE: the trap leaves
+        // exactly the state the step loop leaves.
+        recording_ = false;
+        memoNode_ = kNoMemoNode;
+        run = done;
+        throw;
+    }
+    run = done;
+    if (memoStale_)
+        materialize();
+    memoNode_ = kNoMemoNode;
 }
 
 } // namespace tia

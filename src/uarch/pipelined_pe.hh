@@ -34,20 +34,14 @@
  * stage-to-entry map says which entry each segment holds, so advancing
  * a stage moves a one-byte index, not the entry.
  *
- * Memoized run-ahead: control (trigger resolution, hazards, issue,
- * prediction, flush) reads only predicate state, pipeline occupancy
- * and queue status, and data reaches it in one way only, through the
- * one datapath predicate writeback a cycle can hold. While the owning
- * fabric runs this PE ahead with every channel frozen, each cycle is
- * therefore a pure function of the control state plus that one bit.
- * The run-ahead memo records such cycles as edges between packed
- * control states (nodes); a cycle already recorded is replayed: its
- * operand captures, ALU/scratchpad work and register writes run on
- * the live data, its counter deltas are owed (settled in bulk), and
- * the PE moves to the successor node without touching its control
- * fields, which are restored from the node (materialized) before
- * anything else reads them or the counters. Cycles that push, pop, halt or would trap always run through
- * step(). See docs/perf.md, "Memoized run-ahead".
+ * Memoized run-ahead: while the owning fabric runs this PE alone with
+ * every channel frozen, runAhead() steps it through one episode, and
+ * past kMemoThreshold cycles replays the cycles a per-PE memo recorded
+ * from the same control state: control (trigger resolution, hazards,
+ * issue, prediction, flush) reads only control state, queue status and
+ * the one datapath predicate write a cycle can hold, so a replayed
+ * cycle runs only its datapath work. See docs/perf.md, "Memoized
+ * run-ahead".
  */
 
 #ifndef TIA_UARCH_PIPELINED_PE_HH
@@ -152,6 +146,14 @@ class PipelinedPe
     void step();
 
     /**
+     * Plain steps a run-ahead episode takes before it follows the
+     * run-ahead memo. Short episodes never engage: bst averages 3.1
+     * cycles per episode and mean 1.2, and a memo that engaged on
+     * every episode made bst about 1.6x slower per cycle (docs/perf.md).
+     */
+    static constexpr unsigned kMemoThreshold = 64;
+
+    /**
      * Most control states the run-ahead memo records per PE. Over all
      * 32 uarchs plus +P+N and +P+N+Q, the full-size Table 3 memos hold
      * at most 24 (gcd) and 269 (udiv) nodes per PE; no other workload
@@ -160,19 +162,8 @@ class PipelinedPe
      */
     static constexpr std::size_t kMemoNodeCap = 4096;
 
-    /**
-     * Follow the run-ahead memo from the current state (see the file
-     * comment). Only valid while every channel this PE is bound to is
-     * frozen: no other agent can push or pop until memoLeave(), and no
-     * trace sink or fault injector is installed. @p sleepEnabled is
-     * whether the fabric parks idle PEs (it decides when an episode
-     * ends). Returns false, engaging nothing, under the reference
-     * scheduler, which must keep resolving every cycle itself.
-     */
-    bool memoEnter(bool sleepEnabled);
-
-    /** What memoRun() did, for the fabric's run-ahead loop. */
-    struct MemoRun
+    /** What runAhead() did, for the fabric's bookkeeping. */
+    struct Episode
     {
         std::uint64_t cycles = 0;   ///< Cycles completed.
         std::uint64_t replayed = 0; ///< Of those, replayed from the memo.
@@ -181,19 +172,17 @@ class PipelinedPe
     };
 
     /**
-     * Run cycles between memoEnter() and memoLeave(), each replayed
-     * when recorded or else run by step() and recorded, until one ends
-     * the run-ahead episode — it pushes or pops, halts, leaves the PE
-     * able to sleep (with sleep enabled), or retires nothing and leaves
-     * nothing in flight — or @p maxCycles (at least one) have run.
-     * Counters stay exact; the control fields may lag until
-     * memoLeave(). @p run counts as it goes, so after a trap it holds
-     * the cycles completed before the trapping one.
+     * Step this PE alone through one run-ahead episode (see the file
+     * comment), until a cycle pushes or pops, halts, leaves the PE
+     * able to sleep (with @p sleepEnabled, whether the fabric parks
+     * idle PEs), or retires nothing and leaves nothing in flight — or
+     * until @p maxCycles (at least one) have run. Only valid while no
+     * other agent can move: every channel this PE is bound to stays
+     * frozen until the episode ends, and no trace sink or fault
+     * injector is installed. @p run counts as it goes, so after a trap
+     * it holds the cycles completed before the trapping one.
      */
-    void memoRun(std::uint64_t maxCycles, MemoRun &run);
-
-    /** Restore the control fields from the memo; ends memoEnter(). */
-    void memoLeave();
+    void runAhead(std::uint64_t maxCycles, bool sleepEnabled, Episode &run);
 
     /**
      * True when stepping this PE again with unchanged queue status
@@ -310,6 +299,15 @@ class PipelinedPe
 
     /** Perform operand capture and dequeues (D-phase work). */
     void doDecode(InFlight &entry);
+
+    /**
+     * The datapath result of a non-halt @p inst on operands (@p a,
+     * @p b): the ALU value, the scratchpad word a load reads, or 0 for
+     * a store. False when the scratchpad access is out of bounds (a
+     * writeback traps). Changes nothing: a store is left to the caller.
+     */
+    bool datapathResult(const Instruction &inst, Word a, Word b,
+                        Word &result) const;
 
     /** Compute, commit and resolve speculation (X/writeback work). */
     void doWriteback(InFlight &entry);
@@ -434,7 +432,7 @@ class PipelinedPe
 
     PerfCounters counters_;
 
-    // Run-ahead memo (memoEnter .. memoLeave).
+    // Run-ahead memo (runAhead).
     static constexpr std::uint32_t kNoMemoNode = ~std::uint32_t{0};
     /**
      * The counters a recordable cycle can move besides cycles (one
@@ -498,6 +496,19 @@ class PipelinedPe
         std::array<MemoEdge, 2> edges; ///< By written bit; [0] if no branch.
     };
 
+    /**
+     * A step() being recorded: its actions, its branch bit, and the
+     * counters and nextId_ it started from.
+     */
+    struct MemoRecording
+    {
+        MemoEdge edge;
+        bool branch = false;
+        bool bit = false;
+        PerfCounters before;      ///< The counters when the step began.
+        std::uint64_t nextId = 0; ///< nextId_ when the step began.
+    };
+
     /** Per PE, for the fabric's lifetime; never shared. */
     struct RunAheadMemo
     {
@@ -507,14 +518,8 @@ class PipelinedPe
         std::string view;
         /** Edges (2 * node + bit) with pending replays. */
         std::vector<std::uint32_t> unsettled;
-    };
-
-    /** A step() being recorded: its actions and its branch bit. */
-    struct MemoRecording
-    {
-        MemoEdge edge;
-        bool branch = false;
-        bool bit = false;
+        /** The step() being recorded, while recording_ is set. */
+        MemoRecording recording;
     };
 
     /** Append the control state at a cycle boundary to @p key. */
@@ -526,9 +531,14 @@ class PipelinedPe
     /** The node for the current state, added unless at the cap. */
     std::uint32_t findOrAddNode();
     /**
+     * Key this episode's channel view and let the memo follow the PE
+     * from its current state.
+     */
+    void engageMemo(bool sleepEnabled);
+    /**
      * Replay the current node's recorded cycle, if it has one for this
      * cycle's branch bit and nothing in it would trap; the edge
-     * replayed, or null.
+     * replayed, or null, having changed nothing.
      */
     const MemoEdge *replayCycle();
     /** Operand @p k of @p action as a replayed capture reads it. */
@@ -539,22 +549,26 @@ class PipelinedPe
                               : readSource(action.inst->srcs[k],
                                            action.inst->imm);
     }
-    /** Replay @p edge's data actions; false, changing nothing, on a trap. */
-    bool replayActions(const MemoEdge &edge);
+    /**
+     * Replay @p edge's data actions from index @p first; false,
+     * changing nothing, on a trap.
+     */
+    bool replayActions(const MemoEdge &edge, unsigned first);
     /**
      * Run this cycle through step() — materialized first, and recorded
      * while the memo follows the PE. True when it ends the episode;
      * @p retired is what the cycle retired.
      */
-    bool stepCycle(std::uint64_t &retired);
+    bool stepCycle(bool sleepEnabled, std::uint64_t &retired);
     /** doDecode/doWriteback hook while recording_ is set. */
     void recordAction(const InFlight &entry, bool writeback, bool bit);
+    /** Link the edge step() recorded out of node @p from. */
+    void recordEdge(std::uint32_t from, bool stop);
 
     std::unique_ptr<RunAheadMemo> memo_;
     std::uint32_t memoNode_ = kNoMemoNode; ///< Current node; none = step().
     bool memoStale_ = false; ///< Control fields lag memoNode_.
-    bool memoSleep_ = false; ///< The episode's sleepEnabled.
-    MemoRecording *recording_ = nullptr;
+    bool recording_ = false; ///< step() records into memo_->recording.
 
     // Observability (optional, non-owning). Last on purpose: keeps
     // the per-cycle members above — counters_ especially — at their
