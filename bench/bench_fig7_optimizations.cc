@@ -3,7 +3,8 @@
  * Figure 7: the benefit of predicate prediction (+P) and effective
  * queue status (+Q) on the balanced region of the energy-delay Pareto
  * frontier (paper: +P+Q improves the frontier by 20-25% in both energy
- * and delay near the origin).
+ * and delay near the origin). Also prints, per workload and shape,
+ * whether each knob changed any decision at all (KnobWitness).
  */
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "bench_util.hh"
 #include "vlsi/dse.hh"
 #include "workloads/cpi.hh"
+#include "workloads/runner.hh"
 
 namespace {
 
@@ -45,6 +47,60 @@ energyAtDelay(const std::vector<DesignPoint> &frontier, double ns)
     return -1.0;
 }
 
+/**
+ * Where +P and +Q changed a decision, read off the KnobWitness of each
+ * (workload, shape) run without the knob: "P" where the base run
+ * issued a predicate writer into a pipeline (+P acts), "Q" where the
+ * base run's effective queue view would have resolved differently
+ * (+Q acts), "q" where the +P run's would (+Q acts on top of +P); "."
+ * marks a knob proven inert, so that run is also the run with it on.
+ */
+void
+printKnobWitnesses(const WorkloadSizes &sizes)
+{
+    std::printf("\nWhere +P and +Q change a decision (P/Q: on the base "
+                "run, q: +Q on the +P run, .: inert):\n  %-14s",
+                "workload");
+    for (const PipelineShape &shape : allShapes())
+        std::printf(" %-10s", shape.name().c_str());
+    std::printf("\n");
+    const std::size_t shapes = allShapes().size();
+    std::size_t runs = 0, pInert = 0, qInert = 0, qInertOnP = 0;
+    for (const Workload &workload : allWorkloads(sizes)) {
+        std::printf("  %-14s", workload.name.c_str());
+        std::size_t qInertHere = 0;
+        for (const PipelineShape &shape : allShapes()) {
+            const CycleExecution base =
+                executeCycle(workload, {shape, false, false}, {});
+            const CycleExecution plusP =
+                executeCycle(workload, {shape, true, false}, {});
+            if (base.status != RunStatus::Halted ||
+                plusP.status != RunStatus::Halted) {
+                std::printf(" %-10s", "(no halt)");
+                continue;
+            }
+            const KnobWitness acted = base.fabric->knobWitness();
+            const KnobWitness actedOnP = plusP.fabric->knobWitness();
+            const std::string mark =
+                std::string(acted.predictPredicates ? "P" : ".") +
+                (acted.effectiveQueueStatus ? "Q" : ".") +
+                (actedOnP.effectiveQueueStatus ? "q" : ".");
+            std::printf(" %-10s", mark.c_str());
+            ++runs;
+            pInert += acted.predictPredicates ? 0 : 1;
+            qInert += acted.effectiveQueueStatus ? 0 : 1;
+            qInertOnP += actedOnP.effectiveQueueStatus ? 0 : 1;
+            qInertHere += acted.effectiveQueueStatus ? 0 : 1;
+        }
+        std::printf("%s\n", qInertHere == shapes ? "  (+Q inert on every "
+                                                   "shape)"
+                                                 : "");
+    }
+    std::printf("+P changed no decision in %zu of %zu (workload, shape) "
+                "cells, +Q in %zu (base runs) and %zu (+P runs)\n",
+                pInert, runs, qInert, qInertOnP);
+}
+
 } // namespace
 
 int
@@ -57,7 +113,8 @@ main()
                   "and delay near the origin");
 
     const WorkloadSizes sizes = bench::benchSizes();
-    std::printf("Measuring suite-average CPI...\n");
+    printKnobWitnesses(sizes);
+    std::printf("\nMeasuring suite-average CPI...\n");
     const DesignSpace dse(suiteAverageCpiTable(sizes));
 
     struct Variant

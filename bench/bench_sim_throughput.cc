@@ -214,7 +214,9 @@ BENCHMARK(BM_EncodeDecode);
 // The Figure 5 matrix product on the sweep pipeline. Arg is the jobs
 // count (0 = hardware concurrency); compare the Arg(1) serial
 // reference against Arg(0) for the parallel wall-clock speedup on
-// multi-core hosts.
+// multi-core hosts. Items are cells; the "derived" counter says how
+// many of them the matrix derived instead of simulating
+// (docs/perf.md, "Derived cells").
 void
 BM_Fig5MatrixSweep(benchmark::State &state)
 {
@@ -226,6 +228,7 @@ BM_Fig5MatrixSweep(benchmark::State &state)
             runCycleMatrix(suite, configs, {}, jobs);
         benchmark::DoNotOptimize(matrix.runs.data());
         state.counters["runs"] = static_cast<double>(matrix.runs.size());
+        state.counters["derived"] = static_cast<double>(matrix.derived);
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(suite.size()) *
@@ -271,6 +274,7 @@ BM_Fig5MatrixSweepCached(benchmark::State &state)
             runCycleMatrix(suite, configs, options, 0);
         benchmark::DoNotOptimize(matrix.runs.data());
         state.counters["runs"] = static_cast<double>(matrix.runs.size());
+        state.counters["derived"] = static_cast<double>(matrix.derived);
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(suite.size()) *

@@ -119,13 +119,16 @@ syncDirectory(const std::string &dir)
 
 std::string
 SimCache::getOrCompute(const Digest128 &key,
-                       const std::function<std::string()> &compute)
+                       const std::function<std::string()> &compute,
+                       Lookup *lookup)
 {
     std::unique_lock lock(mutex_);
     ++stats_.lookups;
 
     if (auto it = entries_.find(key); it != entries_.end()) {
         ++stats_.hits;
+        if (lookup)
+            *lookup = Lookup::Hit;
         std::string payload = it->second;
         if (verifyHits_) {
             // Recompute without the lock — verification costs a full
@@ -147,6 +150,8 @@ SimCache::getOrCompute(const Digest128 &key,
     if (auto it = pending_.find(key); it != pending_.end()) {
         // Single-flight: another caller is already computing this key.
         ++stats_.coalesced;
+        if (lookup)
+            *lookup = Lookup::Coalesced;
         std::shared_ptr<InFlight> flight = it->second;
         done_.wait(lock, [&flight] { return flight->done; });
         if (flight->error)
@@ -158,6 +163,8 @@ SimCache::getOrCompute(const Digest128 &key,
     // the hits + misses + coalesced == lookups identity survives a
     // throwing computation.
     ++stats_.misses;
+    if (lookup)
+        *lookup = Lookup::Miss;
     auto flight = std::make_shared<InFlight>();
     pending_.emplace(key, flight);
     lock.unlock();

@@ -74,6 +74,14 @@ class SimCache
         std::uint64_t loaded = 0;
     };
 
+    /** How one getOrCompute call was classified (see Stats). */
+    enum class Lookup
+    {
+        Hit,
+        Miss,
+        Coalesced,
+    };
+
     SimCache() = default;
     SimCache(const SimCache &) = delete;
     SimCache &operator=(const SimCache &) = delete;
@@ -85,6 +93,8 @@ class SimCache
      */
     void setVerifyHits(bool verify) { verifyHits_ = verify; }
 
+    bool verifyHits() const { return verifyHits_; }
+
     /**
      * The core operation: return the payload for @p key, invoking
      * @p compute at most once per key across all concurrent callers.
@@ -94,10 +104,12 @@ class SimCache
      * later call for the same key computes afresh.
      *
      * In verify-hits mode a hit additionally invokes @p compute and
-     * compares; see setVerifyHits.
+     * compares; see setVerifyHits. @p lookup, when given, receives how
+     * this call was counted.
      */
     std::string getOrCompute(const Digest128 &key,
-                             const std::function<std::string()> &compute);
+                             const std::function<std::string()> &compute,
+                             Lookup *lookup = nullptr);
 
     /** Lookup without computing or counting a cache lookup. */
     std::optional<std::string> peek(const Digest128 &key) const;

@@ -271,6 +271,35 @@ checkCacheStats(Checker &check, const JsonValue &cache)
         check.fail(where, "verified_hits exceeds hits");
 }
 
+// The optional root "matrix" block (tia-sweep): every cell of the
+// CPI matrix was simulated, derived from a sibling's run, or served by
+// the cache — a hit, or a wait on another caller's computation.
+void
+checkMatrixStats(Checker &check, const JsonValue &matrix,
+                 const JsonValue *cache)
+{
+    const std::string where = "matrix";
+    if (!matrix.isObject()) {
+        check.fail(where, "must be an object");
+        return;
+    }
+    double cells = 0, simulated = 0, derived = 0;
+    bool ok = check.number(matrix, where, "cells", cells);
+    ok &= check.number(matrix, where, "simulated", simulated);
+    ok &= check.number(matrix, where, "derived", derived);
+    double hits = 0, coalesced = 0;
+    if (cache != nullptr && cache->isObject()) {
+        ok &= check.number(*cache, "cache", "hits", hits);
+        ok &= check.number(*cache, "cache", "coalesced", coalesced);
+    }
+    if (ok && simulated + derived + hits + coalesced != cells) {
+        check.fail(where, "simulated + derived + cache hits + coalesced (" +
+                              std::to_string(simulated + derived + hits +
+                                             coalesced) +
+                              ") != cells (" + std::to_string(cells) + ")");
+    }
+}
+
 // The optional root "server" block (Server::serverStatsJson). The
 // accounting identities are the service's no-silent-drop contract in
 // arithmetic form: every received request is admitted, shed or
@@ -397,6 +426,8 @@ validateMetricsDocument(const JsonValue &doc)
     }
     if (const JsonValue *cache = doc.find("cache"))
         checkCacheStats(check, *cache);
+    if (const JsonValue *matrix = doc.find("matrix"))
+        checkMatrixStats(check, *matrix, doc.find("cache"));
     if (const JsonValue *server = doc.find("server"))
         checkServerStats(check, *server);
     return check.problems;

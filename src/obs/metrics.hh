@@ -94,10 +94,11 @@ JsonValue sleepMetricsJson(std::uint64_t executed, std::uint64_t skipped);
  * Validate a parsed document against the tia-metrics/v1 schema and the
  * counter-integrity invariants. Optional root blocks are checked when
  * present: "cache" (SimCache stats: hits + misses + coalesced ==
- * lookups, verified <= hits) and "server" (tia-serve accounting
- * identities: received == admitted + shed + rejected, admitted ==
- * completed + cancelled + failed + active + queue_depth, ordered
- * latency percentiles). A document carrying a "server" block may have
+ * lookups, verified <= hits), "matrix" (tia-sweep's cells: simulated
+ * + derived + cache hits + coalesced == cells) and "server" (tia-serve
+ * accounting identities: received == admitted + shed + rejected,
+ * admitted == completed + cancelled + failed + active + queue_depth,
+ * ordered latency percentiles). A document carrying a "server" block may have
  * an empty "runs" array. Returns human-readable problems; empty means
  * valid.
  */

@@ -242,6 +242,19 @@ class CycleFabric
      */
     void setIdleSleepEnabled(bool enabled);
 
+    /**
+     * The PEs' KnobWitness bits ORed: which of +P and +Q, off in this
+     * fabric's config, would have changed some PE's decision so far.
+     */
+    KnobWitness
+    knobWitness() const
+    {
+        KnobWitness witness;
+        for (const auto &pe : pes_)
+            witness |= pe->knobWitness();
+        return witness;
+    }
+
     /** Host-side step accounting (settles lazy sleep debt). */
     FabricStepStats
     stepStats() const

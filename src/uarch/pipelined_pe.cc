@@ -11,18 +11,40 @@
 namespace tia {
 
 std::uint64_t
-PipelinedPe::queueFailMask() const
+PipelinedPe::queueFailMask(bool effective) const
 {
     return encoder_.queueFail(
-        [this](unsigned q) -> std::optional<Tag> {
-            if (schedInputOccupancy(q) == 0)
+        [this, effective](unsigned q) -> std::optional<Tag> {
+            if (schedInputOccupancy(q, effective) == 0)
                 return std::nullopt;
-            const auto tag = schedInputHeadTag(q);
+            const auto tag = schedInputHeadTag(q, effective);
             panicIf(!tag.has_value(),
                     "effectively non-empty queue without a peekable head");
             return tag;
         },
-        [this](unsigned q) { return schedOutputHasSpace(q); });
+        [this, effective](unsigned q) {
+            return schedOutputHasSpace(q, effective);
+        });
+}
+
+bool
+PipelinedPe::queueViewsMayDiffer() const
+{
+    for (std::uint32_t rest = encoder_.inputsUsed(); rest != 0;
+         rest &= rest - 1) {
+        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
+        if (pendingDeq_[q] != 0 ||
+            (inputs_[q] && inputs_[q]->popsThisCycle() != 0))
+            return true;
+    }
+    for (std::uint32_t rest = encoder_.outputsUsed(); rest != 0;
+         rest &= rest - 1) {
+        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
+        if (pendingEnq_[q] != 0 ||
+            (outputs_[q] && outputs_[q]->pendingPushes() != 0))
+            return true;
+    }
+    return false;
 }
 
 /**
@@ -38,23 +60,24 @@ class CycleQueueView : public QueueStatusView
     unsigned
     inputOccupancy(unsigned q) const override
     {
-        return pe_.schedInputOccupancy(q);
+        return pe_.schedInputOccupancy(q, effective_);
     }
 
     std::optional<Tag>
     inputHeadTag(unsigned q) const override
     {
-        return pe_.schedInputHeadTag(q);
+        return pe_.schedInputHeadTag(q, effective_);
     }
 
     bool
     outputHasSpace(unsigned q) const override
     {
-        return pe_.schedOutputHasSpace(q);
+        return pe_.schedOutputHasSpace(q, effective_);
     }
 
   private:
     const PipelinedPe &pe_;
+    const bool effective_ = pe_.config_.effectiveQueueStatus;
 };
 
 namespace {
@@ -443,8 +466,29 @@ PipelinedPe::resolveTriggers()
 {
     if (referenceScheduler_) [[unlikely]]
         return scheduleReference();
-    return encoder_.resolve(preds_, pendingPredMask_,
-                            [this] { return queueFailMask(); });
+    const bool effective = config_.effectiveQueueStatus;
+    // The +Q witness: where the views can disagree, the fetched mask
+    // is also taken under the effective view, and a different mask is
+    // resolved again below.
+    const bool check = !effective && !witness_.effectiveQueueStatus;
+    std::optional<std::uint64_t> effectiveFail;
+    const ScheduleResult result =
+        encoder_.resolve(preds_, pendingPredMask_, [&] {
+            const std::uint64_t fail = queueFailMask(effective);
+            if (check && queueViewsMayDiffer()) [[unlikely]] {
+                if (const std::uint64_t other = queueFailMask(true);
+                    other != fail)
+                    effectiveFail = other;
+            }
+            return fail;
+        });
+    if (effectiveFail.has_value()) [[unlikely]] {
+        const ScheduleResult other = encoder_.resolve(
+            preds_, pendingPredMask_, [&] { return *effectiveFail; });
+        witness_.effectiveQueueStatus =
+            other.outcome != result.outcome || other.index != result.index;
+    }
+    return result;
 }
 
 [[gnu::always_inline]] inline void
@@ -546,6 +590,9 @@ PipelinedPe::issue()
                       (predicted ? 1u : 0u) |
                           (entry.faultFlipped ? 2u : 0u));
         } else {
+            // The one decision +P takes: a writer entering a pipeline.
+            witness_.predictPredicates =
+                witness_.predictPredicates || lastSeg_ > 0;
             ++pendingPredWrites_[inst.dst.index];
             pendingPredMask_ |= std::uint64_t{1} << inst.dst.index;
         }

@@ -91,6 +91,29 @@ struct PeWaitInfo
     }
 };
 
+/**
+ * The hazard mitigations off in a run's config that would have changed
+ * one of its decisions had they been on. Sticky over a run: a clear
+ * bit proves that the run with that knob on is this very run (see
+ * docs/perf.md, "Derived cells").
+ */
+struct KnobWitness
+{
+    /** A predicate writer issued into a pipeline (+P would predict). */
+    bool predictPredicates = false;
+    /** The effective queue view would have resolved differently (+Q). */
+    bool effectiveQueueStatus = false;
+
+    KnobWitness &
+    operator|=(const KnobWitness &other)
+    {
+        predictPredicates = predictPredicates || other.predictPredicates;
+        effectiveQueueStatus =
+            effectiveQueueStatus || other.effectiveQueueStatus;
+        return *this;
+    }
+};
+
 /** A cycle-accurate triggered PE with a configurable pipeline. */
 class PipelinedPe
 {
@@ -231,6 +254,16 @@ class PipelinedPe
     const PerfCounters &counters() const { return counters_; }
     const PeConfig &config() const { return config_; }
 
+    /**
+     * Which of +P and +Q, off in this PE's config, would so far have
+     * changed a decision (KnobWitness). +P acts only where a predicate
+     * writer issues into a pipeline; +Q only where a resolution that
+     * fetched queue status picks differently under the effective view.
+     * Cycles replayed from the run-ahead memo were recorded through
+     * step(), which already set any bit they would set.
+     */
+    const KnobWitness &knobWitness() const { return witness_; }
+
     std::uint64_t preds() const { return preds_; }
     const std::vector<Word> &regs() const { return regs_; }
     const std::vector<Word> &scratchpad() const { return scratchpad_; }
@@ -269,22 +302,33 @@ class PipelinedPe
      * Queue status as the scheduler sees it (Section 5.3): live input
      * occupancy net of in-flight dequeues, cycle-start output occupancy
      * gross of in-flight and just-performed enqueues. Without +Q the
-     * view degrades to the conservative full/empty discipline. These
-     * are the single source of truth for both the per-cycle fail mask
-     * and the diagnostic QueueStatusView. Defined inline below the
-     * class — queueFailMask runs them once per watched queue on every
-     * cycle whose resolution needs queue status.
+     * view degrades to the conservative full/empty discipline; the
+     * view is a parameter (@p effective) so the +Q witness can ask
+     * both. These are the single source of truth for both the
+     * per-cycle fail mask and the diagnostic QueueStatusView, and the
+     * only code +Q changes. Defined inline below the class —
+     * queueFailMask runs them once per watched queue on every cycle
+     * whose resolution needs queue status.
      */
-    unsigned schedInputOccupancy(unsigned q) const;
-    std::optional<Tag> schedInputHeadTag(unsigned q) const;
-    bool schedOutputHasSpace(unsigned q) const;
+    unsigned schedInputOccupancy(unsigned q, bool effective) const;
+    std::optional<Tag> schedInputHeadTag(unsigned q, bool effective) const;
+    bool schedOutputHasSpace(unsigned q, bool effective) const;
 
     /**
-     * This cycle's TriggerEncoder::queueFail mask, which the encoder
-     * asks for only once a predicate-eligible trigger needs queues
+     * This cycle's TriggerEncoder::queueFail mask under the effective
+     * or the conservative view, which the encoder asks for only once
+     * a predicate-eligible trigger needs queues
      * (TriggerEncoder::resolve).
      */
-    std::uint64_t queueFailMask() const;
+    std::uint64_t queueFailMask(bool effective) const;
+
+    /**
+     * True when the conservative and effective views can disagree
+     * this cycle: some watched queue has a dequeue or enqueue in
+     * flight, or was popped or pushed this cycle. Otherwise the sched*
+     * functions above answer the same under both.
+     */
+    bool queueViewsMayDiffer() const;
 
     /**
      * Trigger resolution, afresh every cycle like the paper's
@@ -431,6 +475,9 @@ class PipelinedPe
     unsigned peId_ = 0;
 
     PerfCounters counters_;
+
+    /** Off knobs that would have changed a decision (knobWitness). */
+    KnobWitness witness_;
 
     // Run-ahead memo (runAhead).
     static constexpr std::uint32_t kNoMemoNode = ~std::uint32_t{0};
@@ -581,7 +628,7 @@ class PipelinedPe
 };
 
 inline unsigned
-PipelinedPe::schedInputOccupancy(unsigned q) const
+PipelinedPe::schedInputOccupancy(unsigned q, bool effective) const
 {
     const TaggedQueue *queue = inputs_[q];
     if (!queue)
@@ -589,7 +636,7 @@ PipelinedPe::schedInputOccupancy(unsigned q) const
     if (queue->faultStuckEmpty())
         return 0;
     const unsigned pending = pendingDeq_[q];
-    if (!config_.effectiveQueueStatus) {
+    if (!effective) {
         // Conservative (RAW-style): a dequeue that was in flight at
         // the start of this cycle — including one that landed in
         // decode this very cycle — makes the queue look empty.
@@ -604,14 +651,14 @@ PipelinedPe::schedInputOccupancy(unsigned q) const
 }
 
 inline std::optional<Tag>
-PipelinedPe::schedInputHeadTag(unsigned q) const
+PipelinedPe::schedInputHeadTag(unsigned q, bool effective) const
 {
     const TaggedQueue *queue = inputs_[q];
     if (!queue)
         return std::nullopt;
     if (queue->faultStuckEmpty())
         return std::nullopt;
-    const unsigned depth = config_.effectiveQueueStatus ? pendingDeq_[q] : 0;
+    const unsigned depth = effective ? pendingDeq_[q] : 0;
     const Token *token = queue->peekPtr(depth);
     if (token == nullptr)
         return std::nullopt;
@@ -619,7 +666,7 @@ PipelinedPe::schedInputHeadTag(unsigned q) const
 }
 
 inline bool
-PipelinedPe::schedOutputHasSpace(unsigned q) const
+PipelinedPe::schedOutputHasSpace(unsigned q, bool effective) const
 {
     const TaggedQueue *queue = outputs_[q];
     if (!queue)
@@ -630,7 +677,7 @@ PipelinedPe::schedOutputHasSpace(unsigned q) const
     // Occupancy the consumer cannot have drained yet this cycle:
     // cycle-start contents plus pushes performed this cycle.
     const unsigned used = queue->snapshotSize() + queue->pendingPushes();
-    if (!config_.effectiveQueueStatus) {
+    if (!effective) {
         // Conservative: any enqueue in flight at cycle start —
         // including one that landed this cycle — makes the queue
         // look full.

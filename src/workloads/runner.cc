@@ -1,5 +1,7 @@
 #include "workloads/runner.hh"
 
+#include <algorithm>
+
 #include "cache/run_cache.hh"
 #include "cache/simcache.hh"
 #include "core/logging.hh"
@@ -10,9 +12,16 @@ namespace tia {
 
 namespace {
 
+/** A simulated run and its fabric's KnobWitness. */
+struct SimulatedRun
+{
+    WorkloadRun run;
+    KnobWitness witness;
+};
+
 /** The always-simulate core of runCycle; cached dispatch wraps this. */
-WorkloadRun runCycleUncached(const Workload &workload, const PeConfig &uarch,
-                             const CycleRunOptions &options);
+SimulatedRun simulateCycle(const Workload &workload, const PeConfig &uarch,
+                           const CycleRunOptions &options);
 
 /**
  * Internal signal used by the cached dispatch path: a computation cut
@@ -69,27 +78,39 @@ runFunctional(const Workload &workload, std::uint64_t max_steps)
     return run;
 }
 
+namespace {
+
+/**
+ * runCycle's dispatch, with @p compute producing the run: called
+ * directly without a cache (or with a trace sink), else memoized under
+ * the run's key. @p lookup receives how the cache counted the call;
+ * Miss without a cache, where the run is always @p compute's.
+ */
 WorkloadRun
-runCycle(const Workload &workload, const PeConfig &uarch,
-         const CycleRunOptions &options)
+dispatchCycle(const Workload &workload, const PeConfig &uarch,
+              const CycleRunOptions &options,
+              const std::function<WorkloadRun()> &compute,
+              SimCache::Lookup &lookup)
 {
+    lookup = SimCache::Lookup::Miss;
     // Tracing is a side effect a cached result cannot replay, so a
     // run with a sink installed always simulates.
     if (options.cache == nullptr || options.trace != nullptr)
-        return runCycleUncached(workload, uarch, options);
+        return compute();
 
     const Digest128 key = workloadRunKey(workload, uarch, options);
     std::string payload;
     for (;;) {
         try {
             payload = options.cache->getOrCompute(
-                key, [&workload, &uarch, &options] {
-                    WorkloadRun fresh =
-                        runCycleUncached(workload, uarch, options);
+                key,
+                [&compute] {
+                    WorkloadRun fresh = compute();
                     if (fresh.status == RunStatus::Cancelled)
                         throw CancelledRun{std::move(fresh)};
                     return encodeWorkloadRun(fresh);
-                });
+                },
+                &lookup);
             break;
         } catch (const CancelledRun &cancelled) {
             // Our own cancellation (we were the leader, or our token
@@ -107,9 +128,21 @@ runCycle(const Workload &workload, const PeConfig &uarch,
     // build within the same schema version, or damaged in a way the
     // checksum missed) degrades to a miss: recompute and overwrite.
     options.cache->erase(key);
-    WorkloadRun fresh = runCycleUncached(workload, uarch, options);
+    WorkloadRun fresh = compute();
     options.cache->put(key, encodeWorkloadRun(fresh));
     return fresh;
+}
+
+} // namespace
+
+WorkloadRun
+runCycle(const Workload &workload, const PeConfig &uarch,
+         const CycleRunOptions &options)
+{
+    SimCache::Lookup lookup;
+    return dispatchCycle(
+        workload, uarch, options,
+        [&] { return simulateCycle(workload, uarch, options).run; }, lookup);
 }
 
 namespace {
@@ -170,11 +203,13 @@ collectRun(CycleExecution execution, const Workload &workload)
     return run;
 }
 
-WorkloadRun
-runCycleUncached(const Workload &workload, const PeConfig &uarch,
-                 const CycleRunOptions &options)
+SimulatedRun
+simulateCycle(const Workload &workload, const PeConfig &uarch,
+              const CycleRunOptions &options)
 {
-    return collectRun(executeCycle(workload, uarch, options), workload);
+    CycleExecution execution = executeCycle(workload, uarch, options);
+    const KnobWitness witness = execution.fabric->knobWitness();
+    return {collectRun(std::move(execution), workload), witness};
 }
 
 } // namespace
@@ -265,6 +300,99 @@ faultStatsJson(const FaultStats &stats, JsonValue block)
     return block;
 }
 
+namespace {
+
+/** One workload's cells whose configs share shape and +N. */
+struct SiblingGroup
+{
+    std::size_t workload = 0;
+    std::vector<std::size_t> configs; ///< In config-list order.
+};
+
+/**
+ * True when a halted run under @p from, whose fabric's witness is
+ * @p witness, is also the run under @p to (same shape and +N): @p to
+ * keeps every knob @p from has, and each knob only @p to has changed
+ * no decision of the run.
+ */
+bool
+derivable(const PeConfig &from, const KnobWitness &witness,
+          const PeConfig &to)
+{
+    const auto covered = [](bool had, bool wants, bool acted) {
+        return had ? wants : !(wants && acted);
+    };
+    return covered(from.predictPredicates, to.predictPredicates,
+                   witness.predictPredicates) &&
+           covered(from.effectiveQueueStatus, to.effectiveQueueStatus,
+                   witness.effectiveQueueStatus);
+}
+
+/** How many cells of a group were simulated and derived. */
+struct GroupCounts
+{
+    std::size_t simulated = 0;
+    std::size_t derived = 0;
+};
+
+/**
+ * Run @p group's cells straight into @p matrix (its runs are sized;
+ * each group owns its cells).
+ */
+GroupCounts
+runGroup(const Workload &workload, const std::vector<PeConfig> &configs,
+         const SiblingGroup &group, const CycleRunOptions &options,
+         CycleMatrix &matrix)
+{
+    // A witness speaks for a clean, untraced run on the trigger
+    // encoder; and verify-hits must re-simulate what it verifies.
+    const bool derive =
+        (options.faults == nullptr || options.faults->empty()) &&
+        options.trace == nullptr && !options.referenceScheduler &&
+        (options.cache == nullptr || !options.cache->verifyHits());
+    const auto cell = [&](std::size_t c) -> WorkloadRun & {
+        return matrix.runs[c * matrix.numWorkloads + group.workload];
+    };
+
+    GroupCounts counts;
+    // Configs this group simulated to a halt, with their witnesses.
+    std::vector<std::pair<std::size_t, KnobWitness>> sources;
+    for (const std::size_t c : group.configs) {
+        const PeConfig &config = configs[c];
+        const WorkloadRun *from = nullptr;
+        for (const auto &[source, witness] : sources) {
+            if (derivable(configs[source], witness, config)) {
+                from = &cell(source);
+                break;
+            }
+        }
+        std::optional<KnobWitness> simulated;
+        SimCache::Lookup lookup;
+        cell(c) = dispatchCycle(
+            workload, config, options,
+            [&]() -> WorkloadRun {
+                if (from)
+                    return *from;
+                SimulatedRun sim = simulateCycle(workload, config, options);
+                simulated = sim.witness;
+                return std::move(sim.run);
+            },
+            lookup);
+        if (lookup != SimCache::Lookup::Miss)
+            continue;
+        if (!simulated) {
+            ++counts.derived;
+            continue;
+        }
+        ++counts.simulated;
+        if (derive && cell(c).status == RunStatus::Halted)
+            sources.emplace_back(c, *simulated);
+    }
+    return counts;
+}
+
+} // namespace
+
 CycleMatrix
 runCycleMatrix(const std::vector<Workload> &workloads,
                const std::vector<PeConfig> &configs,
@@ -274,25 +402,61 @@ runCycleMatrix(const std::vector<Workload> &workloads,
     CycleMatrix matrix;
     matrix.numConfigs = configs.size();
     matrix.numWorkloads = workloads.size();
-    matrix.runs.reserve(configs.size() * workloads.size());
+    const std::size_t cells = configs.size() * workloads.size();
+    matrix.runs.resize(cells);
 
-    // Cell i = (c, w) in row-major order. The pipeline's fail-fast
-    // token is merged into the caller's stop token, so one cell's
-    // exception cancels its siblings within a few thousand cycles.
+    // The configs sharing shape and +N, in the order of their first
+    // members; then the sibling groups, in the row-major order of
+    // their first cells (cell i = (c, w) is i = c * numWorkloads + w).
+    std::vector<std::vector<std::size_t>> siblings;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const auto same = [&](const std::vector<std::size_t> &members) {
+            const PeConfig &first = configs[members.front()];
+            return first.shape == configs[c].shape &&
+                   first.nestedSpeculation == configs[c].nestedSpeculation;
+        };
+        const auto found =
+            std::find_if(siblings.begin(), siblings.end(), same);
+        if (found == siblings.end())
+            siblings.push_back({c});
+        else
+            found->push_back(c);
+    }
+    std::vector<SiblingGroup> groups;
+    for (const std::vector<std::size_t> &members : siblings) {
+        for (std::size_t w = 0; w < workloads.size(); ++w)
+            groups.push_back({w, members});
+    }
+
+    // Each task writes its group's cells in place; the sink reads them
+    // only after the pipeline hands it that task. The pipeline's
+    // fail-fast token is merged into the caller's stop token, so one
+    // group's exception cancels its siblings within a few thousand
+    // cycles.
+    std::vector<bool> ready(cells, false);
+    std::size_t next = 0; // next cell owed to the sink
     const SweepPipeline pipeline(jobs);
     const PipelineResult result = pipeline.run(
-        configs.size() * workloads.size(),
-        [&](std::size_t i, const StopToken &cancel) {
+        groups.size(),
+        [&](std::size_t g, const StopToken &cancel) {
             CycleRunOptions task = options;
             task.stop = StopToken::anyOf(options.stop, cancel);
-            return runCycle(workloads[i % workloads.size()],
-                            configs[i / workloads.size()], task);
+            return runGroup(workloads[groups[g].workload], configs,
+                            groups[g], task, matrix);
         },
-        [&](std::size_t i, WorkloadRun &&run) {
-            matrix.runs.push_back(std::move(run));
-            if (sink) {
-                sink(i / workloads.size(), i % workloads.size(),
-                     matrix.runs.back());
+        [&](std::size_t g, GroupCounts counts) {
+            const SiblingGroup &group = groups[g];
+            for (const std::size_t c : group.configs)
+                ready[c * workloads.size() + group.workload] = true;
+            matrix.simulated += counts.simulated;
+            matrix.derived += counts.derived;
+            // Every cell before the next group's first one is in: the
+            // groups come in the order of their first cells.
+            for (; next < cells && ready[next]; ++next) {
+                if (sink) {
+                    sink(next / workloads.size(), next % workloads.size(),
+                         matrix.runs[next]);
+                }
             }
         });
     matrix.jobs = result.jobs;

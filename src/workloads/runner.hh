@@ -183,10 +183,10 @@ WorkloadRun runCycle(const Workload &workload, const PeConfig &uarch,
 
 /**
  * The uarch x workload batch product behind the Figure 5 CPI stacks.
- * Cell (c, w) is runCycle(workloads[w], configs[c], options); every
- * task owns its fabric, fault-injector RNG and counters, so the matrix
- * is element-wise bit-identical for any jobs count (asserted by
- * tests/test_sweep_pipeline.cc).
+ * Cell (c, w) equals runCycle(workloads[w], configs[c], options); every
+ * task owns its fabrics, fault-injector RNGs and counters, so the
+ * matrix is element-wise bit-identical for any jobs count (asserted by
+ * tests/test_sweep_pipeline.cc and tests/test_derived_cells.cc).
  */
 struct CycleMatrix
 {
@@ -196,6 +196,14 @@ struct CycleMatrix
     std::size_t numWorkloads = 0;
     unsigned jobs = 1;   ///< Worker threads used.
     double wallMs = 0.0; ///< Wall-clock time of the whole matrix.
+    /**
+     * Cells whose run this matrix simulated, and cells it derived from
+     * a sibling's run instead (see runCycleMatrix). With a cache, only
+     * misses count here, so simulated + derived + hits + coalesced ==
+     * cells when the matrix alone used the cache.
+     */
+    std::size_t simulated = 0;
+    std::size_t derived = 0;
 
     const WorkloadRun &
     run(std::size_t config, std::size_t workload) const
@@ -221,6 +229,15 @@ using CycleMatrixSink = std::function<void(
  * assembly / metrics / cache-save work overlaps simulation. The
  * returned matrix is complete and bit-identical for every jobs count.
  * A task or sink exception cancels in-flight siblings and is rethrown.
+ *
+ * One pipeline task runs a *sibling group*: one workload's cells whose
+ * configs share shape and +N, in config-list order. A cell is derived
+ * instead of simulated when an earlier cell of its group was simulated
+ * under a subset of its knobs, halted, and its KnobWitness proves the
+ * missing knobs changed no decision (docs/perf.md, "Derived cells").
+ * A derived cell still goes through the cache under its own key.
+ * Fault-injected, traced, reference-scheduler and verify-hits runs
+ * simulate every cell.
  *
  * @param jobs worker threads; 0 = hardware concurrency, 1 = serial
  *             reference loop.

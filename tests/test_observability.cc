@@ -283,6 +283,30 @@ TEST(Observability, ValidatorRejectsBrokenCounters)
     EXPECT_TRUE(integrity) << problems.front();
 }
 
+TEST(Observability, ValidatorChecksTheMatrixBlock)
+{
+    // Every cell is simulated, derived, a cache hit or coalesced.
+    const std::string run = R"({"schema": "tia-metrics/v1", "runs":
+        [{"uarch": "TDX", "status": "halted", "cycles": 0, "pes": []}],)";
+    const std::string cache = R"("cache": {"lookups": 4, "hits": 1,
+        "misses": 3, "coalesced": 0, "verified_hits": 0})";
+    const auto problems = [&](const std::string &rest) {
+        const auto doc = JsonValue::parse(run + rest + "}");
+        EXPECT_TRUE(doc.has_value()) << rest;
+        return doc ? validateMetricsDocument(*doc)
+                   : std::vector<std::string>{"unparsed"};
+    };
+    EXPECT_TRUE(problems(R"("matrix": {"cells": 4, "simulated": 2,
+        "derived": 1}, )" + cache).empty());
+    EXPECT_TRUE(problems(R"("matrix": {"cells": 3, "simulated": 2,
+        "derived": 1})").empty());
+    const auto broken = problems(R"("matrix": {"cells": 4,
+        "simulated": 2, "derived": 2}, )" + cache);
+    ASSERT_EQ(broken.size(), 1u);
+    EXPECT_NE(broken.front().find("!= cells"), std::string::npos)
+        << broken.front();
+}
+
 TEST(Observability, ValidatorRejectsWrongSchema)
 {
     const auto doc = JsonValue::parse(

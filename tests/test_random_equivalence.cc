@@ -18,6 +18,10 @@
  * loop runs long enough that every run() engages the memo, and its
  * data-dependent branches, some on a bit of the loop counter, take
  * both edges of recorded nodes.
+ *
+ * Finally each program runs through runCycleMatrix, which derives a
+ * cell from a sibling's run where a KnobWitness proves +P or +Q inert,
+ * and every cell must equal a per-cell runCycle.
  */
 
 #include <random>
@@ -28,6 +32,7 @@
 #include "core/assembler.hh"
 #include "sim/functional.hh"
 #include "uarch/cycle_fabric.hh"
+#include "workloads/runner.hh"
 
 namespace tia {
 namespace {
@@ -270,6 +275,22 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
                 << uarch.name() << (sleep ? " sleep" : " no sleep");
             EXPECT_EQ(observe(ran), observe(fabric)) << uarch.name();
         }
+    }
+
+    Workload workload;
+    workload.name = "random";
+    workload.program = program;
+    workload.config = config;
+    workload.check = [](const Memory &) { return std::string(); };
+    CycleRunOptions options;
+    options.maxCycles = 2'000'000;
+    const CycleMatrix matrix = runCycleMatrix({workload}, configs, options);
+    EXPECT_GT(matrix.derived, 0u);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        EXPECT_TRUE(matrix.run(c, 0) ==
+                    runCycle(workload, configs[c], options))
+            << configs[c].name() << "\n"
+            << program.toString();
     }
 }
 

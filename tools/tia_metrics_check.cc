@@ -11,7 +11,9 @@
  * cycles/retired, sleep-step accounting consistent with the
  * per-PE cycle totals, and — when the optional root "cache" block is
  * present (simcache stats; docs/simcache.md) — hits + misses +
- * coalesced == lookups with verified_hits <= hits.
+ * coalesced == lookups with verified_hits <= hits, and when the
+ * root "matrix" block is present (tia-sweep), simulated + derived +
+ * cache hits + coalesced == cells.
  * --json-only reduces the tool to a strict JSON
  * well-formedness check — handy for Chrome trace files, which share
  * no schema with the metrics documents.

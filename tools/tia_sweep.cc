@@ -36,7 +36,8 @@
  *                (default 500 points; 0 = never exit early)
  *   --out FILE   write the JSON to FILE instead of stdout
  *   --metrics FILE  also write a tia-metrics/v1 document with one run
- *                entry per matrix cell (validate with
+ *                entry per matrix cell and a "matrix" block counting
+ *                the cells simulated and derived (validate with
  *                tia-metrics-check; see docs/observability.md)
  *   --cache FILE    content-addressed result cache (docs/simcache.md):
  *                load the warm tier from FILE if present, memoize
@@ -223,6 +224,11 @@ run(const Options &opt)
 
     if (!opt.metricsPath.empty()) {
         registry.root()["sizes"] = opt.small ? "small" : "full";
+        JsonValue cells = JsonValue::object();
+        cells["cells"] = matrix.runs.size();
+        cells["simulated"] = matrix.simulated;
+        cells["derived"] = matrix.derived;
+        registry.root()["matrix"] = std::move(cells);
         if (cache)
             registry.root()["cache"] = cache->statsJson();
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
@@ -243,6 +249,8 @@ run(const Options &opt)
                  "thread(s), CPI matrix %.1f ms\n",
                  configs.size(), suite.size(), matrix.jobs,
                  matrix.wallMs);
+    std::fprintf(stderr, "tia-sweep: %zu of %zu cells derived\n",
+                 matrix.derived, matrix.runs.size());
     if (cache)
         std::fprintf(stderr, "tia-sweep: %s\n",
                      cache->statsSummary().c_str());
