@@ -32,20 +32,18 @@ main()
     const DesignSpace dse(
         suiteAverageCpiTable(sizes, allConfigs(), jobs,
                              cache.options()));
-    // Streamed enumeration (exec/pipeline.hh); identical point order
-    // and values to the serial enumerate().
-    const DseStreamResult stream = dse.enumerateStreamed(jobs);
+    const auto points = dse.enumerate();
 
     double min_e = 1e30, max_e = 0.0, min_d = 1e30, max_d = 0.0;
     std::map<double, std::vector<DesignPoint>> by_vdd;
-    for (const DesignPoint &p : stream.points) {
+    for (const DesignPoint &p : points) {
         by_vdd[p.vdd].push_back(p);
         min_e = std::min(min_e, p.pjPerInstruction);
         max_e = std::max(max_e, p.pjPerInstruction);
         min_d = std::min(min_d, p.nsPerInstruction);
         max_d = std::max(max_d, p.nsPerInstruction);
     }
-    const std::size_t evaluated = stream.points.size();
+    const std::size_t evaluated = points.size();
 
     std::printf("\nGrid points attempted: %zu; timing-closed design "
                 "points evaluated: %zu (paper: \"over 4,000\")\n",

@@ -36,17 +36,10 @@ main()
     const DesignSpace dse(
         suiteAverageCpiTable(sizes, allConfigs(), jobs,
                              cache.options()));
-    // Streamed enumeration: the frontier is maintained incrementally
-    // in the pipeline's in-order sink (identical to the batch
-    // paretoFrontier of the full enumeration).
-    const DseStreamResult stream = dse.enumerateStreamed(jobs);
-    const auto &frontier = stream.frontier;
-    std::printf("DSE: %zu points over %zu shards on %u worker "
-                "thread(s) in %.1f ms; %zu frontier updates -> %zu "
-                "Pareto designs\n\n",
-                stream.points.size(), stream.shardsTotal, stream.jobs,
-                stream.wallMs, stream.frontierUpdates,
-                frontier.size());
+    const auto points = dse.enumerate();
+    const auto frontier = DesignSpace::paretoFrontier(points);
+    std::printf("DSE: %zu points -> %zu Pareto designs\n\n",
+                points.size(), frontier.size());
 
     std::printf("%-18s %-8s %-5s %-7s %9s %10s %8s %9s %10s %9s\n",
                 "Design", "VT", "VDD", "MHz", "ns/ins", "pJ/ins", "mW",

@@ -287,7 +287,8 @@ BENCHMARK(BM_Fig5MatrixSweepCached)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The full 32-config DSE enumeration on the serial reference loop.
+// The full 32-config DSE as tia-sweep runs it: enumerate the grid,
+// then take the Pareto frontier of its points.
 void
 BM_DseEnumerate(benchmark::State &state)
 {
@@ -297,31 +298,13 @@ BM_DseEnumerate(benchmark::State &state)
     const DesignSpace dse(std::move(table));
     for (auto _ : state) {
         const auto points = dse.enumerate();
-        benchmark::DoNotOptimize(points.data());
+        const auto frontier = DesignSpace::paretoFrontier(points);
+        benchmark::DoNotOptimize(frontier.data());
         state.counters["points"] = static_cast<double>(points.size());
+        state.counters["frontier"] = static_cast<double>(frontier.size());
     }
 }
 BENCHMARK(BM_DseEnumerate)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// The full 32-config DSE on the streaming pipeline at hardware
-// concurrency, vs the serial BM_DseEnumerate.
-void
-BM_DseStreamed(benchmark::State &state)
-{
-    CpiTable table;
-    for (const PeConfig &config : allConfigs())
-        table[config.name()] = 1.5;
-    const DesignSpace dse(std::move(table));
-    for (auto _ : state) {
-        const DseStreamResult stream = dse.enumerateStreamed(0);
-        benchmark::DoNotOptimize(stream.frontier.data());
-        state.counters["points"] =
-            static_cast<double>(stream.points.size());
-        state.counters["frontier"] =
-            static_cast<double>(stream.frontier.size());
-    }
-}
-BENCHMARK(BM_DseStreamed)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 } // namespace
 

@@ -118,9 +118,6 @@ struct Instruction
     /** @return true if the datapath enqueues onto an output queue. */
     bool enqueues() const { return dst.type == DstType::OutputQueue; }
 
-    /** @return true if any input queue is dequeued. */
-    bool hasDequeue() const { return !dequeues.empty(); }
-
     /**
      * @return true if the instruction has side effects that take effect
      * before retirement and therefore cannot issue during unconfirmed
@@ -129,7 +126,7 @@ struct Instruction
     bool
     hasPreRetirementSideEffect() const
     {
-        return hasDequeue() || opInfo(op).writesScratchpad;
+        return !dequeues.empty() || opInfo(op).writesScratchpad;
     }
 
     /**

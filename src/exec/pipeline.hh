@@ -3,15 +3,15 @@
  * SweepPipeline: serial generate → parallel simulate → serial in-order
  * sink, after TBB's parallel_pipeline (SNIPPETS.md Snippet 1). It is
  * the one parallel executor behind every sweep surface (the CPI
- * matrix, the DSE, tia-sim's multi-uarch fan-out and the serve
- * layer's `sweep` method).
+ * matrix, tia-sim's multi-uarch fan-out and the serve layer's `sweep`
+ * method).
  *
  * The calling thread plays the two serial stages: it submits task
  * indices in order (bounded by an in-flight window, like TBB's token
  * cap) and, between submissions, waits for the *next-in-order* result
- * and hands it to the sink. Aggregation, JSON assembly,
- * Pareto-frontier maintenance and cache-save I/O in the sink
- * therefore overlap simulation instead of trailing it.
+ * and hands it to the sink. Aggregation, JSON assembly and metrics
+ * entries in the sink therefore overlap simulation instead of
+ * trailing it.
  *
  * Guarantees, pinned by tests/test_sweep_pipeline.cc:
  *
@@ -27,14 +27,11 @@
  *    drains, and is rethrown (the lowest-index one, matching serial
  *    order among tasks that ran). After a failure no further results
  *    are sunk.
- *  - **Early exit**: a caller-supplied generatorStop token stops the
- *    *generator* stage only. Indices already submitted still simulate
- *    and are sunk in order, so the sink always observes a contiguous
- *    prefix [0, generated). This is how the incremental Pareto
- *    frontier stops a DSE once the frontier has stabilized. Note this
- *    is distinct from a caller's CycleRunOptions::stop deadline token,
- *    which cancels the *tasks themselves*: a deadline-cancelled sweep
- *    still fills every slot (with RunStatus::Cancelled values).
+ *  - **Every index runs**: barring a failure, run() generates and
+ *    sinks all of [0, count). A caller's CycleRunOptions::stop
+ *    deadline token cancels the *tasks themselves*, not the pipeline:
+ *    a deadline-cancelled sweep still fills every slot (with
+ *    RunStatus::Cancelled values).
  */
 
 #ifndef TIA_EXEC_PIPELINE_HH
@@ -81,11 +78,8 @@ using SweepTaskResult =
 /** Outcome of one SweepPipeline::run (no values — the sink saw them). */
 struct PipelineResult
 {
-    unsigned jobs = 1;        ///< Worker threads actually used.
-    double wallMs = 0.0;      ///< Wall-clock time of the whole run().
-    std::size_t generated = 0; ///< Task indices submitted (prefix size).
-    std::size_t sunk = 0;      ///< Results delivered to the sink.
-    bool stoppedEarly = false; ///< generatorStop fired before count.
+    unsigned jobs = 1;   ///< Worker threads actually used.
+    double wallMs = 0.0; ///< Wall-clock time of the whole run().
 };
 
 class SweepPipeline
@@ -107,16 +101,10 @@ class SweepPipeline
      * concurrently for distinct indices, and may take a second
      * StopToken parameter for fail-fast cancellation (see the file
      * comment). @p sink runs on the calling thread only.
-     *
-     * @param generatorStop optional token observed between
-     *        submissions: once fired, no further indices are
-     *        generated; everything already submitted is still
-     *        simulated and sunk in order.
      */
     template <typename Fn, typename Sink>
     PipelineResult
-    run(std::size_t count, Fn &&fn, Sink &&sink,
-        StopToken generatorStop = {}) const
+    run(std::size_t count, Fn &&fn, Sink &&sink) const
     {
         using T = detail::SweepTaskResult<Fn>;
         const auto start = std::chrono::steady_clock::now();
@@ -129,17 +117,8 @@ class SweepPipeline
         if (result.jobs <= 1) {
             // Serial reference: generate, simulate and sink one index
             // at a time; the first exception propagates unwrapped.
-            for (std::size_t i = 0; i < count; ++i) {
-                if (generatorStop.possible() &&
-                    generatorStop.stopRequested()) {
-                    result.stoppedEarly = true;
-                    break;
-                }
-                T value = detail::invokeSweepTask(fn, i, StopToken{});
-                sink(i, std::move(value));
-                ++result.generated;
-                ++result.sunk;
-            }
+            for (std::size_t i = 0; i < count; ++i)
+                sink(i, detail::invokeSweepTask(fn, i, StopToken{}));
             result.wallMs =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
@@ -154,9 +133,9 @@ class SweepPipeline
         // pipeline runs ~823k cycles) idles every other worker. On a
         // 4-vCPU host a cold --jobs 4 paper sweep took a median
         // 1.7-1.8 s with a window of 8 (2 * jobs) and 0.95-1.1 s with
-        // 32, 64 or 128, for the same CPU time (docs/perf.md). It must
-        // stay bounded, because it is also how far workers run past a
-        // generatorStop early exit.
+        // 32, 64 or 128, for the same CPU time (docs/perf.md). What
+        // bounds it is memory: up to `window` finished results wait in
+        // their slots for the sink.
         const std::size_t window =
             std::max<std::size_t>(16 * result.jobs, 64);
 
@@ -184,9 +163,7 @@ class SweepPipeline
                 // Serial generator stage: top up the window in order.
                 while (submitted < count &&
                        submitted - next < window &&
-                       !failed.load(std::memory_order_relaxed) &&
-                       !(generatorStop.possible() &&
-                         generatorStop.stopRequested())) {
+                       !failed.load(std::memory_order_relaxed)) {
                     const std::size_t i = submitted++;
                     pool.submit([&, i] {
                         Slot &slot = slots[i % window];
@@ -213,7 +190,7 @@ class SweepPipeline
                     });
                 }
                 if (submitted == next)
-                    break; // generator stopped with nothing in flight
+                    break; // failed with nothing left in flight
 
                 // Serial in-order sink stage: wait for slot `next`.
                 Slot &slot = slots[next % window];
@@ -226,7 +203,6 @@ class SweepPipeline
                 } else if (errors.empty() && slot.value.has_value()) {
                     try {
                         sink(next, std::move(*slot.value));
-                        ++result.sunk;
                     } catch (...) {
                         errors.emplace_back(next,
                                             std::current_exception());
@@ -240,7 +216,6 @@ class SweepPipeline
                 slot = Slot{};
                 ++next;
             }
-            result.generated = submitted;
         } // pool drains and joins here
 
         if (!errors.empty()) {
@@ -251,7 +226,6 @@ class SweepPipeline
             }
             std::rethrow_exception(errors[lowest].second);
         }
-        result.stoppedEarly = result.generated < count;
         result.wallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -156,13 +156,6 @@ class CycleFabric
     /** Diagnosis of how the last run() ended. */
     const HangReport &hangReport() const { return report_; }
 
-    /**
-     * Build the wait-for graph and classify the fabric's current
-     * state as if it had just gone quiescent (exposed for tools and
-     * tests; run() calls this internally).
-     */
-    HangReport diagnoseQuiescence() const;
-
     Cycle now() const { return now_; }
 
     Memory &memory() { return memory_; }
@@ -268,6 +261,13 @@ class CycleFabric
     bool portsBusy() const;
 
     bool anyActivity() const;
+
+    /**
+     * Build the wait-for graph and classify the fabric's current
+     * state as if it had just gone quiescent (run() calls this when
+     * the quiescence window elapses).
+     */
+    HangReport diagnoseQuiescence() const;
 
     /** Step PE @p index once, with retire and step accounting. */
     void stepPe(unsigned index);

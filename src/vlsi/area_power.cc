@@ -160,16 +160,4 @@ AreaPowerModel::calibrationPowerMw(const PeConfig &config,
                           VtClass::Standard, opts);
 }
 
-double
-AreaPowerModel::totalPowerMw(const PeConfig &config, double vdd,
-                             VtClass vt, double freq_mhz,
-                             double max_freq_mhz,
-                             const ImplementationOptions &opts) const
-{
-    const double dynamic_mw =
-        dynamicEnergyPerCyclePj(config, vdd, freq_mhz, max_freq_mhz, opts) *
-        freq_mhz * 1.0e-3; // pJ * MHz = uW; /1000 = mW
-    return dynamic_mw + leakagePowerMw(config, vdd, vt, opts);
-}
-
 } // namespace tia

@@ -97,11 +97,6 @@ class AreaPowerModel
     double leakagePowerMw(const PeConfig &config, double vdd, VtClass vt,
                           const ImplementationOptions &opts = {}) const;
 
-    /** Total power in mW when clocked at @p freq_mhz. */
-    double totalPowerMw(const PeConfig &config, double vdd, VtClass vt,
-                        double freq_mhz, double max_freq_mhz,
-                        const ImplementationOptions &opts = {}) const;
-
     /**
      * Power at the paper's calibration operating point: 1.0 V,
      * standard VT, a relaxed 500 MHz synthesis target (unit sizing

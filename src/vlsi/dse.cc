@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "core/logging.hh"
-#include "exec/pipeline.hh"
-#include "vlsi/pareto.hh"
 #include "vlsi/timing.hh"
 
 namespace tia {
@@ -103,106 +101,39 @@ DesignSpace::gridSize(const std::vector<PeConfig> &configs) const
 std::vector<DesignPoint>
 DesignSpace::enumerate(const std::vector<PeConfig> &configs) const
 {
-    return enumerateStreamed(1, configs).points;
-}
-
-namespace {
-
-/**
- * One DSE shard per (config, vt, vdd): big enough to amortize task
- * dispatch, and the concatenation order equals the serial loop nest's
- * point order.
- */
-struct DseShard
-{
-    const PeConfig *config;
-    VtClass vt;
-    double vdd;
-};
-
-std::vector<DseShard>
-dseShards(const std::vector<PeConfig> &configs)
-{
-    std::vector<DseShard> shards;
+    std::vector<DesignPoint> points;
     for (const PeConfig &config : configs) {
         for (VtClass vt :
              {VtClass::Low, VtClass::Standard, VtClass::High}) {
-            for (double vdd : DesignSpace::supplyGrid(vt))
-                shards.push_back({&config, vt, vdd});
+            for (double vdd : supplyGrid(vt)) {
+                const double fmax = maxFrequencyMhz(config, vdd, vt, tech_);
+                for (double f : frequencyGridMhz(vt, vdd)) {
+                    if (f > fmax)
+                        break;
+                    points.push_back(evaluate(config, vt, vdd, f));
+                }
+            }
         }
     }
-    return shards;
+    return points;
 }
 
-} // namespace
-
 DseStreamResult
-DesignSpace::enumerateStreamed(unsigned jobs,
-                               const std::vector<PeConfig> &configs,
-                               const DseStreamOptions &options) const
+DesignSpace::enumerateStreamed(unsigned, const std::vector<PeConfig> &configs,
+                               const DseStreamOptions &) const
 {
-    const std::vector<DseShard> shards = dseShards(configs);
-
     DseStreamResult result;
-    result.shardsTotal = shards.size();
-
-    IncrementalPareto pareto;
-    std::size_t sinceChange = 0; // points sunk since last frontier change
-    StopSource earlyStop;
-
-    const SweepPipeline pipeline(jobs);
-    const PipelineResult run = pipeline.run(
-        shards.size(),
-        [&](std::size_t i) {
-            const DseShard &shard = shards[i];
-            std::vector<DesignPoint> points;
-            const double fmax = maxFrequencyMhz(*shard.config, shard.vdd,
-                                                shard.vt, tech_);
-            for (double f : frequencyGridMhz(shard.vt, shard.vdd)) {
-                if (f > fmax)
-                    break;
-                points.push_back(
-                    evaluate(*shard.config, shard.vt, shard.vdd, f));
-            }
-            return points;
-        },
-        [&](std::size_t, std::vector<DesignPoint> &&shardPoints) {
-            // Shards already in flight when the window closed are
-            // dropped, so the result is the serial prefix at any jobs.
-            if (earlyStop.stopRequested())
-                return;
-            bool changed = false;
-            for (DesignPoint &point : shardPoints) {
-                if (pareto.add(point)) {
-                    changed = true;
-                    sinceChange = 0;
-                } else {
-                    ++sinceChange;
-                }
-                result.points.push_back(std::move(point));
-            }
-            ++result.shardsCompleted;
-            if (changed && options.onFrontierUpdate)
-                options.onFrontierUpdate(pareto.pointsSeen(),
-                                         pareto.frontier());
-            if (options.stableWindow != 0 &&
-                sinceChange >= options.stableWindow)
-                earlyStop.requestStop();
-        },
-        earlyStop.token());
-
-    result.frontier = pareto.frontier();
-    result.frontierUpdates = pareto.updates();
-    result.earlyExit = result.shardsCompleted < result.shardsTotal;
-    result.jobs = run.jobs;
-    result.wallMs = run.wallMs;
+    result.points = enumerate(configs);
+    result.frontier = paretoFrontier(result.points);
     return result;
 }
 
 std::vector<DesignPoint>
 DesignSpace::paretoFrontier(std::vector<DesignPoint> points)
 {
-    std::sort(points.begin(), points.end(),
+    // Stable, so an exact (ns, pJ) tie keeps enumeration order and the
+    // sweep below keeps the earliest of the tied points.
+    std::stable_sort(points.begin(), points.end(),
               [](const DesignPoint &a, const DesignPoint &b) {
                   if (a.nsPerInstruction != b.nsPerInstruction)
                       return a.nsPerInstruction < b.nsPerInstruction;

@@ -17,7 +17,6 @@
 #define TIA_VLSI_DSE_HH
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -57,41 +56,18 @@ struct DesignPoint
     double edp() const { return nsPerInstruction * pjPerInstruction; }
 };
 
-/** Options for DesignSpace::enumerateStreamed. */
+/** Options for DesignSpace::enumerateStreamed: none remain. */
 struct DseStreamOptions
 {
-    /**
-     * Early exit: stop once this many consecutive design points have
-     * been sunk without changing the Pareto frontier. The stop lands
-     * on a shard boundary and shards evaluated past it are discarded,
-     * so the result is the serial (jobs == 1) prefix at any jobs.
-     * 0 disables early exit (the full grid runs).
-     */
-    std::size_t stableWindow = 0;
-    /**
-     * Streaming frontier observer, called on the calling thread at
-     * most once per sunk shard whose points changed the frontier:
-     * (points seen so far, current frontier).
-     */
-    std::function<void(std::size_t pointsSeen,
-                       const std::vector<DesignPoint> &frontier)>
-        onFrontierUpdate;
 };
 
 /** Result of DesignSpace::enumerateStreamed. */
 struct DseStreamResult
 {
-    /** Every evaluated point, in the serial enumerate() order. */
+    /** Every evaluated point, in enumerate() order. */
     std::vector<DesignPoint> points;
-    /** Energy-delay Pareto frontier of @ref points, by ascending ns. */
+    /** paretoFrontier(points). */
     std::vector<DesignPoint> frontier;
-    std::size_t frontierUpdates = 0; ///< Points that changed the frontier.
-    std::size_t shardsTotal = 0;     ///< (config, vt, vdd) shards in grid.
-    std::size_t shardsCompleted = 0; ///< Shards sunk (== total unless
-                                     ///< earlyExit).
-    bool earlyExit = false; ///< shardsCompleted < shardsTotal.
-    unsigned jobs = 1;      ///< Worker threads used.
-    double wallMs = 0.0;    ///< Wall-clock time of the enumeration.
 };
 
 class DesignSpace
@@ -113,29 +89,22 @@ class DesignSpace
 
     /**
      * Enumerate the full methodology grid over @p configs (all 32 by
-     * default), skipping points above timing closure.
+     * default), skipping points above timing closure. Points come in
+     * loop-nest order: config, then VT (low, standard, high), then
+     * VDD (ascending), then ascending frequency.
      */
     std::vector<DesignPoint>
     enumerate(const std::vector<PeConfig> &configs = allConfigs()) const;
 
     /**
-     * enumerate() on the streaming SweepPipeline (exec/pipeline.hh),
-     * sharded by (config, vt, vdd), with an incremental Pareto
-     * frontier (vlsi/pareto.hh) maintained in the in-order sink. Point
-     * order and values are element-wise identical to enumerate() when
-     * the full grid runs; with DseStreamOptions::stableWindow set, the
-     * enumeration may stop early and @ref DseStreamResult::points
-     * holds a contiguous shard prefix of the serial order (the
-     * frontier is exact for the points evaluated). Every field but
-     * jobs and wallMs is the same for any @p jobs, early exit
-     * included. tia-sweep runs both its default and its
-     * --incremental DSE through this one call.
-     * @param jobs worker threads (0 = hardware concurrency).
+     * enumerate() plus paretoFrontier() in one call; @p jobs and
+     * @p options are ignored. It exists only because
+     * perfbench/src/layers.cc still calls it, and goes when ROADMAP
+     * item 1 points that call at enumerate() and paretoFrontier().
      */
-    DseStreamResult
-    enumerateStreamed(unsigned jobs,
-                      const std::vector<PeConfig> &configs = allConfigs(),
-                      const DseStreamOptions &options = {}) const;
+    DseStreamResult enumerateStreamed(unsigned jobs,
+                                      const std::vector<PeConfig> &configs,
+                                      const DseStreamOptions &options) const;
 
     /**
      * Frequency grid for one (vt, vdd) per the methodology. The
@@ -157,14 +126,14 @@ class DesignSpace
 
     /**
      * The energy-delay Pareto frontier of @p points, sorted by
-     * ascending delay.
+     * ascending delay. Dominance is weak: a point no better than a
+     * kept one in both delay and energy is dropped, so of points with
+     * an exact (ns, pJ) tie the earliest in @p points is kept.
      */
     static std::vector<DesignPoint>
     paretoFrontier(std::vector<DesignPoint> points);
 
     double cpiFor(const PeConfig &config) const;
-
-    const AreaPowerModel &areaPower() const { return model_; }
 
     const TechModel &tech() const { return tech_; }
 

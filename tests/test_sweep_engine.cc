@@ -1,7 +1,7 @@
 /**
  * @file
  * Sweep determinism outside the pipeline mechanics: ThreadPool basics,
- * CPI tables and DSE enumeration identical for every jobs count (the
+ * CPI tables identical for every jobs count, the DSE's point order (the
  * CPI matrix itself is pinned by tests/test_sweep_pipeline.cc). Also
  * pins the two sweep-correctness fixes: the DSE frequency grid
  * following the sweep's tech model, and the unified default cycle
@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/thread_pool.hh"
 #include "uarch/cycle_fabric.hh"
 #include "vlsi/dse.hh"
+#include "vlsi/timing.hh"
 #include "workloads/cpi.hh"
 #include "workloads/runner.hh"
 
@@ -67,31 +69,54 @@ TEST(SweepDeterminism, ParallelCpiTablesMatchSerial)
 
 TEST(SweepDeterminism, ParallelDseEnumerateMatchesSerial)
 {
+    // The DSE is one serial loop nest. Its point order is config, then
+    // VT, then VDD, then ascending frequency: paretoFrontier keeps the
+    // earliest point of an exact tie, so this order decides which
+    // config name tia-sweep prints.
     CpiTable table;
     for (const PeConfig &config : allConfigs())
         table[config.name()] = 1.5;
     const DesignSpace dse(std::move(table));
+    const std::vector<DesignPoint> points = dse.enumerate();
 
-    const auto serial = dse.enumerateStreamed(1).points;
-    const auto parallel = dse.enumerateStreamed(4).points;
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        const DesignPoint &a = serial[i];
-        const DesignPoint &b = parallel[i];
-        EXPECT_EQ(a.config, b.config) << i;
-        EXPECT_EQ(a.vt, b.vt) << i;
-        // Bit-identical, not approximately equal: the parallel sweep
-        // runs the same arithmetic on the same shard inputs.
-        EXPECT_EQ(a.vdd, b.vdd) << i;
-        EXPECT_EQ(a.freqMhz, b.freqMhz) << i;
-        EXPECT_EQ(a.maxFreqMhz, b.maxFreqMhz) << i;
-        EXPECT_EQ(a.cpi, b.cpi) << i;
-        EXPECT_EQ(a.nsPerInstruction, b.nsPerInstruction) << i;
-        EXPECT_EQ(a.pjPerInstruction, b.pjPerInstruction) << i;
-        EXPECT_EQ(a.areaUm2, b.areaUm2) << i;
-        EXPECT_EQ(a.powerMw, b.powerMw) << i;
+    std::size_t i = 0;
+    for (const PeConfig &config : allConfigs()) {
+        for (VtClass vt :
+             {VtClass::Low, VtClass::Standard, VtClass::High}) {
+            for (double vdd : DesignSpace::supplyGrid(vt)) {
+                const double fmax =
+                    maxFrequencyMhz(config, vdd, vt, dse.tech());
+                double lastF = 0.0;
+                for (double f : dse.frequencyGridMhz(vt, vdd)) {
+                    if (f > fmax)
+                        continue;
+                    EXPECT_GT(f, lastF) << config.name();
+                    lastF = f;
+                    ASSERT_LT(i, points.size());
+                    const DesignPoint want =
+                        dse.evaluate(config, vt, vdd, f);
+                    const DesignPoint &got = points[i];
+                    EXPECT_EQ(got.config, config) << i;
+                    EXPECT_EQ(got.vt, vt) << i;
+                    // Bit-identical, not approximately equal.
+                    EXPECT_EQ(got.vdd, vdd) << i;
+                    EXPECT_EQ(got.freqMhz, f) << i;
+                    EXPECT_EQ(got.maxFreqMhz, want.maxFreqMhz) << i;
+                    EXPECT_EQ(got.cpi, want.cpi) << i;
+                    EXPECT_EQ(got.nsPerInstruction,
+                              want.nsPerInstruction)
+                        << i;
+                    EXPECT_EQ(got.pjPerInstruction,
+                              want.pjPerInstruction)
+                        << i;
+                    EXPECT_EQ(got.areaUm2, want.areaUm2) << i;
+                    EXPECT_EQ(got.powerMw, want.powerMw) << i;
+                    ++i;
+                }
+            }
+        }
     }
+    EXPECT_EQ(i, points.size());
 }
 
 // Regression for the frequency-grid bugfix: the near/sub-threshold

@@ -5,12 +5,10 @@
  * task does not idle the pool, bit-identity of the CPI matrix vs the
  * jobs == 1 serial reference (clean and fault-injected), fail-fast
  * cancellation of sibling tasks on the first exception, mid-pipeline
- * StopToken cancellation (every slot
- * Cancelled-or-filled, nothing cached), the incremental Pareto
- * frontier vs the batch algorithm (including a --incremental early
- * exit that is the same at every jobs count), StopToken::anyOf
- * merging, ThreadPool::parseJobs validation, the SimCache dirty-skip,
- * and the NaN-serializes-as-null pin.
+ * StopToken cancellation (every slot Cancelled-or-filled, nothing
+ * cached), StopToken::anyOf merging, ThreadPool::parseJobs
+ * validation, the SimCache dirty-skip, and the NaN-serializes-as-null
+ * pin.
  */
 
 #include <atomic>
@@ -21,7 +19,6 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
-#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -39,8 +36,6 @@
 #include "exec/thread_pool.hh"
 #include "obs/json.hh"
 #include "sim/fault.hh"
-#include "vlsi/dse.hh"
-#include "vlsi/pareto.hh"
 #include "workloads/runner.hh"
 #include "workloads/workload.hh"
 
@@ -63,9 +58,6 @@ TEST(SweepPipeline, SinkSeesEveryResultInIndexOrder)
             ++expected;
         });
     EXPECT_EQ(expected, 1000u);
-    EXPECT_EQ(result.generated, 1000u);
-    EXPECT_EQ(result.sunk, 1000u);
-    EXPECT_FALSE(result.stoppedEarly);
     EXPECT_EQ(result.jobs, 4u);
 }
 
@@ -173,28 +165,6 @@ TEST(SweepPipeline, SinkExceptionFailsTheRunFast)
     } catch (const std::runtime_error &error) {
         EXPECT_STREQ(error.what(), "sink 3");
     }
-}
-
-TEST(SweepPipeline, GeneratorStopDeliversAContiguousPrefix)
-{
-    StopSource stop;
-    std::size_t next = 0;
-    const PipelineResult result = SweepPipeline(4).run(
-        10'000, [](std::size_t i) { return i; },
-        [&](std::size_t i, std::size_t &&) {
-            EXPECT_EQ(i, next);
-            ++next;
-            if (next == 20)
-                stop.requestStop();
-        },
-        stop.token());
-    EXPECT_TRUE(result.stoppedEarly);
-    EXPECT_EQ(result.sunk, next);
-    // Everything generated before the stop was observed is still
-    // simulated and sunk: no gaps, no dropped in-flight work.
-    EXPECT_EQ(result.generated, result.sunk);
-    EXPECT_GE(result.sunk, 20u);
-    EXPECT_LT(result.sunk, 10'000u);
 }
 
 TEST(SweepPipeline, RethrowsTheLowestIndexException)
@@ -460,172 +430,6 @@ TEST(StreamedMatrix, MidSweepCancellationFillsEverySlotAndCachesNothing)
     // Cancelled runs are never cached: only the completed cell is
     // resident.
     EXPECT_EQ(cache.size(), completed);
-}
-
-// ---------------------------------------------------------------------
-// Incremental Pareto frontier.
-
-void
-expectSameFrontier(const std::vector<DesignPoint> &batch,
-                   const std::vector<DesignPoint> &incremental,
-                   const std::string &what)
-{
-    ASSERT_EQ(batch.size(), incremental.size()) << what;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(batch[i].nsPerInstruction,
-                  incremental[i].nsPerInstruction)
-            << what << " point " << i;
-        EXPECT_EQ(batch[i].pjPerInstruction,
-                  incremental[i].pjPerInstruction)
-            << what << " point " << i;
-        EXPECT_EQ(batch[i].config, incremental[i].config)
-            << what << " point " << i;
-    }
-}
-
-TEST(IncrementalPareto, MatchesBatchOnRandomPoints)
-{
-    std::mt19937 rng(12345);
-    std::uniform_real_distribution<double> dist(0.1, 100.0);
-    std::vector<DesignPoint> points(2000);
-    for (DesignPoint &p : points) {
-        p.nsPerInstruction = dist(rng);
-        p.pjPerInstruction = dist(rng);
-    }
-
-    IncrementalPareto pareto;
-    for (const DesignPoint &p : points)
-        pareto.add(p);
-
-    const auto batch = DesignSpace::paretoFrontier(points);
-    expectSameFrontier(batch, pareto.frontier(), "random");
-    EXPECT_EQ(pareto.pointsSeen(), points.size());
-    EXPECT_GE(pareto.updates(), pareto.frontier().size());
-}
-
-TEST(IncrementalPareto, WeakDominanceRejectsTies)
-{
-    auto point = [](double ns, double pj) {
-        DesignPoint p;
-        p.nsPerInstruction = ns;
-        p.pjPerInstruction = pj;
-        return p;
-    };
-    IncrementalPareto pareto;
-    EXPECT_TRUE(pareto.add(point(2.0, 5.0)));
-    EXPECT_FALSE(pareto.add(point(2.0, 5.0))); // exact duplicate
-    EXPECT_FALSE(pareto.add(point(3.0, 5.0))); // dominated (equal pj)
-    EXPECT_TRUE(pareto.add(point(2.0, 4.0)));  // evicts equal-ns worse
-    ASSERT_EQ(pareto.size(), 1u);
-    EXPECT_EQ(pareto.frontier()[0].pjPerInstruction, 4.0);
-    EXPECT_TRUE(pareto.add(point(1.0, 9.0)));  // faster, pricier
-    EXPECT_TRUE(pareto.add(point(0.5, 3.0)));  // dominates everything
-    ASSERT_EQ(pareto.size(), 1u);
-    EXPECT_EQ(pareto.frontier()[0].nsPerInstruction, 0.5);
-    EXPECT_EQ(pareto.evictions(), 3u);
-}
-
-TEST(IncrementalPareto, StreamedDseMatchesBatchFrontier)
-{
-    CpiTable table;
-    for (const PeConfig &config : allConfigs())
-        table[config.name()] = 1.5;
-    const DesignSpace dse(std::move(table));
-
-    const auto points = dse.enumerate();
-    const auto batch = DesignSpace::paretoFrontier(points);
-
-    const DseStreamResult stream = dse.enumerateStreamed(4);
-    EXPECT_FALSE(stream.earlyExit);
-    EXPECT_EQ(stream.shardsCompleted, stream.shardsTotal);
-    ASSERT_EQ(stream.points.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(points[i].nsPerInstruction,
-                  stream.points[i].nsPerInstruction)
-            << i;
-        EXPECT_EQ(points[i].pjPerInstruction,
-                  stream.points[i].pjPerInstruction)
-            << i;
-    }
-    expectSameFrontier(batch, stream.frontier, "full DSE");
-}
-
-TEST(IncrementalPareto, EarlyExitReproducesTheFullRunFrontier)
-{
-    CpiTable table;
-    for (const PeConfig &config : allConfigs())
-        table[config.name()] = 1.5;
-    const DesignSpace dse(std::move(table));
-
-    // Reference: the full run, plus the positions (in points) where
-    // the frontier last changed, to derive a window that is safe by
-    // construction: one larger than the largest gap between
-    // consecutive frontier changes.
-    const DseStreamResult full = dse.enumerateStreamed(4);
-    IncrementalPareto replay;
-    std::size_t lastChange = 0;
-    std::size_t maxGap = 0;
-    for (std::size_t i = 0; i < full.points.size(); ++i) {
-        if (replay.add(full.points[i])) {
-            maxGap = std::max(maxGap, i - lastChange);
-            lastChange = i;
-        }
-    }
-    const std::size_t tail = full.points.size() - 1 - lastChange;
-    const std::size_t window = maxGap + 1;
-    ASSERT_GT(tail, window)
-        << "the DSE's frontier stabilizes too late for an early-exit "
-           "test; pick a different grid";
-
-    DseStreamOptions options;
-    options.stableWindow = window;
-    std::size_t updates = 0;
-    options.onFrontierUpdate =
-        [&](std::size_t, const std::vector<DesignPoint> &) {
-            ++updates;
-        };
-    const DseStreamResult early =
-        dse.enumerateStreamed(4, allConfigs(), options);
-
-    EXPECT_TRUE(early.earlyExit);
-    EXPECT_LT(early.points.size(), full.points.size());
-    EXPECT_LT(early.shardsCompleted, early.shardsTotal);
-    EXPECT_GT(updates, 0u);
-    expectSameFrontier(full.frontier, early.frontier, "early-exit");
-}
-
-TEST(IncrementalPareto, EarlyExitIsJobsInvariant)
-{
-    // Workers evaluate shards past the stop while the sink catches up;
-    // those must be discarded, or a parallel run reports a longer
-    // prefix (and a different frontier) than the serial one.
-    CpiTable table;
-    for (const PeConfig &config : figure5Configs())
-        table[config.name()] = 1.5;
-    const DesignSpace dse(std::move(table));
-    DseStreamOptions options;
-    options.stableWindow = 50;
-
-    const DseStreamResult serial =
-        dse.enumerateStreamed(1, figure5Configs(), options);
-    const DseStreamResult parallel =
-        dse.enumerateStreamed(4, figure5Configs(), options);
-
-    ASSERT_TRUE(serial.earlyExit) << "window too wide to stop early";
-    EXPECT_TRUE(parallel.earlyExit);
-    EXPECT_EQ(parallel.shardsCompleted, serial.shardsCompleted);
-    EXPECT_EQ(parallel.frontierUpdates, serial.frontierUpdates);
-    ASSERT_EQ(parallel.points.size(), serial.points.size());
-    for (std::size_t i = 0; i < serial.points.size(); ++i) {
-        EXPECT_EQ(serial.points[i].nsPerInstruction,
-                  parallel.points[i].nsPerInstruction)
-            << i;
-        EXPECT_EQ(serial.points[i].pjPerInstruction,
-                  parallel.points[i].pjPerInstruction)
-            << i;
-    }
-    expectSameFrontier(serial.frontier, parallel.frontier,
-                       "jobs 4 vs jobs 1");
 }
 
 // ---------------------------------------------------------------------

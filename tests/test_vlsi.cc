@@ -5,6 +5,9 @@
  * Pareto properties.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "vlsi/area_power.hh"
@@ -256,6 +259,54 @@ TEST(Dse, ParetoFrontierIsNonDominatedAndSorted)
                          p.pjPerInstruction < f.pjPerInstruction)
                 << "frontier point dominated";
         }
+    }
+}
+
+TEST(Dse, ParetoFrontierWeakDominanceRejectsTies)
+{
+    // freqMhz carries each point's enumeration index, so the test can
+    // tell exact (ns, pJ) duplicates apart.
+    auto point = [](double ns, double pj, double index) {
+        DesignPoint p;
+        p.nsPerInstruction = ns;
+        p.pjPerInstruction = pj;
+        p.freqMhz = index;
+        return p;
+    };
+
+    // Weak dominance: an exact duplicate and an equal-energy slower
+    // point are dropped, an equal-delay point with less energy wins.
+    std::vector<DesignPoint> points = {
+        point(2.0, 5.0, 0), point(2.0, 5.0, 1), point(3.0, 5.0, 2),
+        point(2.0, 4.0, 3), point(1.0, 9.0, 4)};
+    auto frontier = DesignSpace::paretoFrontier(points);
+    ASSERT_EQ(frontier.size(), 2u);
+    EXPECT_EQ(frontier[0].freqMhz, 4.0);
+    EXPECT_EQ(frontier[1].freqMhz, 3.0);
+    points.push_back(point(0.5, 3.0, 5)); // dominates everything
+    frontier = DesignSpace::paretoFrontier(points);
+    ASSERT_EQ(frontier.size(), 1u);
+    EXPECT_EQ(frontier[0].freqMhz, 5.0);
+
+    // Of an exact tie the earliest point is kept. 64 points, well past
+    // the 16 below which std::sort never partitions: four frontier
+    // values, each tied a dozen times or more, interleaved with
+    // dominated points.
+    points.clear();
+    for (int i = 0; i < 64; ++i) {
+        const double ns = 1.0 + i % 4;
+        const double pj = i % 5 == 4 ? 20.0 : 10.0 - ns;
+        points.push_back(point(ns, pj, i));
+    }
+    frontier = DesignSpace::paretoFrontier(points);
+    ASSERT_EQ(frontier.size(), 4u);
+    for (const DesignPoint &f : frontier) {
+        const auto first = std::find_if(
+            points.begin(), points.end(), [&](const DesignPoint &p) {
+                return p.nsPerInstruction == f.nsPerInstruction &&
+                       p.pjPerInstruction == f.pjPerInstruction;
+            });
+        EXPECT_EQ(f.freqMhz, first->freqMhz) << "ns " << f.nsPerInstruction;
     }
 }
 

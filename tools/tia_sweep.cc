@@ -7,7 +7,8 @@
  * sweep pipeline (exec/pipeline.hh): JSON row assembly and metrics
  * entries are built in the pipeline's in-order sink while later cells
  * are still simulating. The cache is saved after the matrix, and the
- * DSE then runs through DesignSpace::enumerateStreamed. Emits one JSON
+ * DSE then runs serially: DesignSpace::enumerate over the grid, then
+ * DesignSpace::paretoFrontier over its points. Emits one JSON
  * document with the matrix, the attempted/evaluated design-point
  * counts and the energy-delay Pareto frontier. Results are
  * bit-identical for any --jobs value (asserted by the ctest fixtures);
@@ -27,13 +28,6 @@
  *   --suite-cpi  drive the DSE with suite-average CPI instead of the
  *                paper's bst-only methodology
  *   --no-dse     emit only the CPI matrix
- *   --incremental  stream Pareto-frontier updates to stderr during
- *                the DSE and stop once the frontier has been stable
- *                for --stable-window consecutive design points. The
- *                stop point is the same at every --jobs. The "dse"
- *                block gains the incremental/early-exit fields
- *   --stable-window N  early-exit window for --incremental
- *                (default 500 points; 0 = never exit early)
  *   --out FILE   write the JSON to FILE instead of stdout
  *   --metrics FILE  also write a tia-metrics/v1 document with one run
  *                entry per matrix cell and a "matrix" block counting
@@ -52,6 +46,7 @@
  * ("tia-sweep/v1").
  */
 
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -59,7 +54,6 @@
 
 #include "cache/simcache.hh"
 #include "core/logging.hh"
-#include "core/parse.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "sim/functional.hh"
@@ -77,8 +71,6 @@ struct Options
     bool small = false;
     bool suiteCpi = false;
     bool dse = true;
-    bool incremental = false; ///< Stream frontier updates + early exit.
-    std::size_t stableWindow = 500;
     std::vector<PeConfig> configs = allConfigs();
     std::string outPath;
     std::string metricsPath;
@@ -173,36 +165,21 @@ run(const Options &opt)
     if (opt.dse && all_ok) {
         const DesignSpace dse(
             cpiTableOf(matrix, suite, configs, opt.suiteCpi));
-        DseStreamOptions options;
-        if (opt.incremental) {
-            options.stableWindow = opt.stableWindow;
-            options.onFrontierUpdate =
-                [](std::size_t seen,
-                   const std::vector<DesignPoint> &frontier) {
-                    std::fprintf(stderr,
-                                 "tia-sweep: frontier %zu points after "
-                                 "%zu design points\n",
-                                 frontier.size(), seen);
-                };
-        }
-        const DseStreamResult stream =
-            dse.enumerateStreamed(jobs, configs, options);
+        const auto start = std::chrono::steady_clock::now();
+        const std::vector<DesignPoint> points = dse.enumerate(configs);
+        const std::vector<DesignPoint> frontier =
+            DesignSpace::paretoFrontier(points);
+        const double wallMs = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
 
         JsonValue dseBlock = JsonValue::object();
         dseBlock["cpi_source"] = opt.suiteCpi ? "suite-average" : "bst";
-        dseBlock["wall_ms"] = stream.wallMs;
+        dseBlock["wall_ms"] = wallMs;
         dseBlock["grid_points"] = dse.gridSize(configs);
-        if (opt.incremental) {
-            dseBlock["incremental"] = true;
-            dseBlock["stable_window"] = opt.stableWindow;
-            dseBlock["early_exit"] = stream.earlyExit;
-            dseBlock["frontier_updates"] = stream.frontierUpdates;
-            dseBlock["shards_completed"] = stream.shardsCompleted;
-            dseBlock["shards_total"] = stream.shardsTotal;
-        }
-        dseBlock["evaluated"] = stream.points.size();
+        dseBlock["evaluated"] = points.size();
         JsonValue pareto = JsonValue::array();
-        for (const DesignPoint &p : stream.frontier) {
+        for (const DesignPoint &p : frontier) {
             JsonValue point = JsonValue::object();
             point["config"] = p.config.name();
             point["vt"] = vtName(p.vt);
@@ -278,10 +255,6 @@ main(int argc, char **argv)
                 opt.suiteCpi = true;
             } else if (arg == "--no-dse") {
                 opt.dse = false;
-            } else if (arg == "--incremental") {
-                opt.incremental = true;
-            } else if (arg == "--stable-window") {
-                opt.stableWindow = parseCount64("--stable-window", next());
             } else if (arg == "--configs") {
                 opt.configs = parseConfigList(next());
             } else if (arg == "--out") {
