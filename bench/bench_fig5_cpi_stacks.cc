@@ -29,26 +29,29 @@ main()
     const auto suite = allWorkloads(sizes);
     const auto configs = figure5Configs();
 
-    // The whole uarch x workload product runs on the streaming sweep
-    // pipeline; the per-config CPI stacks accumulate in the in-order
-    // sink while later cells simulate. The matrix is bit-identical
-    // for any jobs count (and for any TIA_BENCH_CACHE state).
+    // The whole uarch x workload product runs on the parallel sweep
+    // loop; the per-config CPI stacks accumulate over the finished
+    // matrix. The matrix is bit-identical for any jobs count (and for
+    // any TIA_BENCH_CACHE state).
     bench::BenchCache cache;
+    const CycleMatrix matrix = runCycleMatrix(
+        suite, configs, cache.options(), bench::benchJobs());
     std::vector<CpiStack> stacks(configs.size());
     bool failed = false;
-    const CycleMatrix matrix = runCycleMatrix(
-        suite, configs, cache.options(), bench::benchJobs(),
-        [&](std::size_t c, std::size_t w, const WorkloadRun &run) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            const WorkloadRun &run = matrix.run(c, w);
             if (!run.ok()) {
                 std::printf("%s FAILED on %s: %s\n",
                             suite[w].name.c_str(),
                             configs[c].name().c_str(),
                             run.checkError.c_str());
                 failed = true;
-                return;
+                continue;
             }
             stacks[c] += cpiStack(run.worker);
-        });
+        }
+    }
     if (failed)
         return 1;
     std::printf("%zu runs on %u worker thread(s) in %.1f ms\n\n",

@@ -48,7 +48,7 @@ benchJobs()
     const char *jobs = std::getenv("TIA_BENCH_JOBS");
     if (jobs != nullptr)
         return ThreadPool::parseJobs(jobs, "TIA_BENCH_JOBS");
-    return 0; // SweepPipeline: hardware concurrency
+    return 0; // runCycleMatrix: hardware concurrency
 }
 
 /**

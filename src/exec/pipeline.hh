@@ -1,50 +1,47 @@
 /**
  * @file
- * SweepPipeline: serial generate → parallel simulate → serial in-order
- * sink, after TBB's parallel_pipeline (SNIPPETS.md Snippet 1). It is
- * the one parallel executor behind every sweep surface (the CPI
- * matrix, tia-sim's multi-uarch fan-out and the serve layer's `sweep`
- * method).
+ * SweepPipeline: the one parallel executor behind every sweep surface
+ * (the CPI matrix, tia-sim's multi-uarch fan-out and the serve layer's
+ * `sweep` method). It is a plain claim-an-index parallel loop: the
+ * calling thread and jobs - 1 worker threads take task indices from
+ * one atomic counter, store each result in its own slot, and after
+ * they join the sink runs over the results in index order.
  *
- * The calling thread plays the two serial stages: it submits task
- * indices in order (bounded by an in-flight window, like TBB's token
- * cap) and, between submissions, waits for the *next-in-order* result
- * and hands it to the sink. Aggregation, JSON assembly and metrics
- * entries in the sink therefore overlap simulation instead of
- * trailing it.
+ * The sink does not overlap the tasks: timed around tia-sweep's whole
+ * sink on a 4-vCPU host, that overlap could save at most about 5 ms of
+ * a 0.4 s cold --jobs 4 matrix (docs/perf.md).
  *
  * Guarantees, pinned by tests/test_sweep_pipeline.cc:
  *
  *  - **Order**: sink(i, value) is invoked for i = 0, 1, 2, … with no
- *    gaps and no reordering, regardless of completion order, so
- *    results are bit-identical for every jobs count.
- *  - **Serial reference**: jobs == 1 degenerates to the plain loop
+ *    gaps and no reordering, so the sink sees exactly the serial
+ *    loop's history and results are bit-identical for every jobs
+ *    count.
+ *  - **Serial reference**: jobs == 1 is the plain loop
  *    `for i: sink(i, fn(i))` on the calling thread.
  *  - **Fail-fast**: tasks get a StopToken from an internal fail-fast
- *    source (fn may be fn(i) or fn(i, cancel)). The first exception —
- *    from a task or from the sink — stops generation, cancels
- *    in-flight token-aware siblings, skips queued token-less ones,
- *    drains, and is rethrown (the lowest-index one, matching serial
- *    order among tasks that ran). After a failure no further results
- *    are sunk.
- *  - **Every index runs**: barring a failure, run() generates and
- *    sinks all of [0, count). A caller's CycleRunOptions::stop
- *    deadline token cancels the *tasks themselves*, not the pipeline:
- *    a deadline-cancelled sweep still fills every slot (with
+ *    source (fn may be fn(i) or fn(i, cancel)). The first task
+ *    exception cancels running token-aware siblings and stops the
+ *    threads claiming further indices. The sink then sees
+ *    [0, lowest failing index), and that index's exception is
+ *    rethrown, as the serial loop would have thrown it. A sink
+ *    exception propagates as it is.
+ *  - **Every index runs**: barring a failure, run() runs and sinks
+ *    all of [0, count). A caller's CycleRunOptions::stop deadline
+ *    token cancels the *tasks themselves*, not the loop: a
+ *    deadline-cancelled sweep still fills every slot (with
  *    RunStatus::Cancelled values).
  */
 
 #ifndef TIA_EXEC_PIPELINE_HH
 #define TIA_EXEC_PIPELINE_HH
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <mutex>
 #include <optional>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -78,14 +75,14 @@ using SweepTaskResult =
 /** Outcome of one SweepPipeline::run (no values — the sink saw them). */
 struct PipelineResult
 {
-    unsigned jobs = 1;   ///< Worker threads actually used.
+    unsigned jobs = 1;   ///< Threads actually used.
     double wallMs = 0.0; ///< Wall-clock time of the whole run().
 };
 
 class SweepPipeline
 {
   public:
-    /** @param jobs simulate-stage workers; 0 = defaultConcurrency. */
+    /** @param jobs threads running tasks; 0 = defaultConcurrency. */
     explicit SweepPipeline(unsigned jobs = 0)
         : jobs_(jobs == 0 ? ThreadPool::defaultConcurrency() : jobs)
     {
@@ -94,10 +91,9 @@ class SweepPipeline
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run the pipeline over [0, count): evaluate @p fn on the worker
-     * pool and deliver each result to @p sink (called as
-     * sink(i, T&&)) strictly in index order, overlapped with later
-     * tasks. @p fn must be a pure function of i, safe to call
+     * Evaluate @p fn over [0, count) on up to jobs() threads, then
+     * deliver each result to @p sink (called as sink(i, T&&)) in index
+     * order. @p fn must be a pure function of i, safe to call
      * concurrently for distinct indices, and may take a second
      * StopToken parameter for fail-fast cancellation (see the file
      * comment). @p sink runs on the calling thread only.
@@ -115,116 +111,48 @@ class SweepPipeline
                                     : jobs_;
 
         if (result.jobs <= 1) {
-            // Serial reference: generate, simulate and sink one index
-            // at a time; the first exception propagates unwrapped.
+            // Serial reference: the first exception propagates
+            // unwrapped.
             for (std::size_t i = 0; i < count; ++i)
                 sink(i, detail::invokeSweepTask(fn, i, StopToken{}));
-            result.wallMs =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            return result;
-        }
-
-        // In-flight window: how far the generator may run ahead of the
-        // sink. It counts buffered results, not worker slots. It must
-        // exceed the number of cells that finish while the oldest one
-        // is still running, or one long head cell (gcd on a 4-stage
-        // pipeline runs ~823k cycles) idles every other worker. On a
-        // 4-vCPU host a cold --jobs 4 paper sweep took a median
-        // 1.7-1.8 s with a window of 8 (2 * jobs) and 0.95-1.1 s with
-        // 32, 64 or 128, for the same CPU time (docs/perf.md). What
-        // bounds it is memory: up to `window` finished results wait in
-        // their slots for the sink.
-        const std::size_t window =
-            std::max<std::size_t>(16 * result.jobs, 64);
-
-        struct Slot
-        {
-            std::optional<T> value;
-            std::exception_ptr error;
-            bool done = false;
-        };
-        std::vector<Slot> slots(window);
-        std::mutex mutex;
-        std::condition_variable slotDone;
-        StopSource failFast;
-        const StopToken cancel = failFast.token();
-        std::atomic<bool> failed{false};
-        // (index, error) in discovery order; rethrow the lowest index.
-        std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-
-        {
-            ThreadPool pool(result.jobs);
-            std::size_t submitted = 0;
-            std::size_t next = 0; // next index owed to the sink
-
-            while (next < count) {
-                // Serial generator stage: top up the window in order.
-                while (submitted < count &&
-                       submitted - next < window &&
-                       !failed.load(std::memory_order_relaxed)) {
-                    const std::size_t i = submitted++;
-                    pool.submit([&, i] {
-                        Slot &slot = slots[i % window];
-                        try {
-                            if constexpr (std::is_invocable_v<
-                                              Fn &, std::size_t,
-                                              StopToken>) {
-                                slot.value.emplace(fn(i, cancel));
-                            } else if (!failed.load(
-                                           std::memory_order_relaxed)) {
-                                slot.value.emplace(fn(i));
-                            }
-                        } catch (...) {
-                            slot.error = std::current_exception();
-                            failed.store(true,
-                                         std::memory_order_relaxed);
-                            failFast.requestStop();
-                        }
-                        {
-                            std::lock_guard<std::mutex> lock(mutex);
-                            slot.done = true;
-                        }
-                        slotDone.notify_one();
-                    });
-                }
-                if (submitted == next)
-                    break; // failed with nothing left in flight
-
-                // Serial in-order sink stage: wait for slot `next`.
-                Slot &slot = slots[next % window];
-                {
-                    std::unique_lock<std::mutex> lock(mutex);
-                    slotDone.wait(lock, [&] { return slot.done; });
-                }
-                if (slot.error) {
-                    errors.emplace_back(next, slot.error);
-                } else if (errors.empty() && slot.value.has_value()) {
+        } else {
+            std::vector<std::optional<T>> values(count);
+            std::vector<std::exception_ptr> errors(count);
+            StopSource failFast;
+            const StopToken cancel = failFast.token();
+            std::atomic<std::size_t> next{0};
+            // Indices are claimed in increasing order and a claimed
+            // task always runs, so every index below the lowest
+            // failing one has its value.
+            const auto claim = [&] {
+                while (!cancel.stopRequested()) {
+                    const std::size_t i = next++;
+                    if (i >= count)
+                        return;
                     try {
-                        sink(next, std::move(*slot.value));
+                        values[i].emplace(
+                            detail::invokeSweepTask(fn, i, cancel));
                     } catch (...) {
-                        errors.emplace_back(next,
-                                            std::current_exception());
-                        failed.store(true, std::memory_order_relaxed);
+                        errors[i] = std::current_exception();
                         failFast.requestStop();
                     }
                 }
-                // Safe to reset without the lock: the worker is done
-                // with this slot, and its next writer is submitted by
-                // this thread (ordering via the pool's queue mutex).
-                slot = Slot{};
-                ++next;
-            }
-        } // pool drains and joins here
+            };
+            {
+                std::vector<std::jthread> workers;
+                workers.reserve(result.jobs - 1);
+                for (unsigned t = 1; t < result.jobs; ++t)
+                    workers.emplace_back(claim);
+                claim();
+            } // workers join here
 
-        if (!errors.empty()) {
-            std::size_t lowest = 0;
-            for (std::size_t e = 1; e < errors.size(); ++e) {
-                if (errors[e].first < errors[lowest].first)
-                    lowest = e;
-            }
-            std::rethrow_exception(errors[lowest].second);
+            std::size_t end = 0;
+            while (end < count && !errors[end])
+                ++end;
+            for (std::size_t i = 0; i < end; ++i)
+                sink(i, std::move(*values[i]));
+            if (end < count)
+                std::rethrow_exception(errors[end]);
         }
         result.wallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)

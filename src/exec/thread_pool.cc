@@ -1,6 +1,7 @@
 #include "exec/thread_pool.hh"
 
 #include <cstdio>
+#include <thread>
 
 #include "core/parse.hh"
 
@@ -37,70 +38,6 @@ ThreadPool::parseJobs(const std::string &text, const char *what)
         return limit;
     }
     return static_cast<unsigned>(value);
-}
-
-ThreadPool::ThreadPool(unsigned threads)
-{
-    if (threads == 0)
-        threads = defaultConcurrency();
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allIdle_.wait(lock,
-                  [this] { return queue_.empty() && running_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty()) // stopping_ and drained
-                return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++running_;
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --running_;
-            if (queue_.empty() && running_ == 0)
-                allIdle_.notify_all();
-        }
-    }
 }
 
 } // namespace tia

@@ -1020,17 +1020,14 @@ Server::handleSweep(const JsonValue &params, Job &job)
     options.cache = paramBool(params, "cache", true) ? &cache_ : nullptr;
 
     // Serial within this worker: the request already owns one worker
-    // slot; fanning out would let one sweep starve other clients. The
-    // streamed runner's in-order sink builds the response rows while
-    // the matrix runs (at jobs == 1 this is the serial reference loop,
-    // with the JSON assembly interleaved between cells instead of
-    // trailing the whole matrix).
+    // slot; fanning out would let one sweep starve other clients.
+    const CycleMatrix matrix = runCycleMatrix(workloads, configs, options, 1);
     std::size_t cancelledCells = 0;
     JsonValue cells = JsonValue::array();
-    JsonValue row = JsonValue::array();
-    const CycleMatrix matrix = runCycleMatrix(
-        workloads, configs, options, 1,
-        [&](std::size_t, std::size_t w, const WorkloadRun &run) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        JsonValue row = JsonValue::array();
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            const WorkloadRun &run = matrix.run(c, w);
             if (run.status == RunStatus::Cancelled)
                 cancelledCells++;
             JsonValue cell = JsonValue::object();
@@ -1041,11 +1038,9 @@ Server::handleSweep(const JsonValue &params, Job &job)
                                 ? JsonValue("ok")
                                 : JsonValue(run.checkError);
             row.push(std::move(cell));
-            if (w + 1 == workloads.size()) {
-                cells.push(std::move(row));
-                row = JsonValue::array();
-            }
-        });
+        }
+        cells.push(std::move(row));
+    }
 
     if (cancelledCells > 0) {
         JsonValue detail = JsonValue::object();

@@ -1,6 +1,7 @@
 #include "workloads/runner.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "cache/run_cache.hh"
 #include "cache/simcache.hh"
@@ -396,8 +397,7 @@ runGroup(const Workload &workload, const std::vector<PeConfig> &configs,
 CycleMatrix
 runCycleMatrix(const std::vector<Workload> &workloads,
                const std::vector<PeConfig> &configs,
-               const CycleRunOptions &options, unsigned jobs,
-               const CycleMatrixSink &sink)
+               const CycleRunOptions &options, unsigned jobs)
 {
     CycleMatrix matrix;
     matrix.numConfigs = configs.size();
@@ -428,13 +428,10 @@ runCycleMatrix(const std::vector<Workload> &workloads,
             groups.push_back({w, members});
     }
 
-    // Each task writes its group's cells in place; the sink reads them
-    // only after the pipeline hands it that task. The pipeline's
+    // Each task writes its group's cells in place. The pipeline's
     // fail-fast token is merged into the caller's stop token, so one
     // group's exception cancels its siblings within a few thousand
     // cycles.
-    std::vector<bool> ready(cells, false);
-    std::size_t next = 0; // next cell owed to the sink
     const SweepPipeline pipeline(jobs);
     const PipelineResult result = pipeline.run(
         groups.size(),
@@ -444,20 +441,9 @@ runCycleMatrix(const std::vector<Workload> &workloads,
             return runGroup(workloads[groups[g].workload], configs,
                             groups[g], task, matrix);
         },
-        [&](std::size_t g, GroupCounts counts) {
-            const SiblingGroup &group = groups[g];
-            for (const std::size_t c : group.configs)
-                ready[c * workloads.size() + group.workload] = true;
+        [&](std::size_t, GroupCounts counts) {
             matrix.simulated += counts.simulated;
             matrix.derived += counts.derived;
-            // Every cell before the next group's first one is in: the
-            // groups come in the order of their first cells.
-            for (; next < cells && ready[next]; ++next) {
-                if (sink) {
-                    sink(next / workloads.size(), next % workloads.size(),
-                         matrix.runs[next]);
-                }
-            }
         });
     matrix.jobs = result.jobs;
     matrix.wallMs = result.wallMs;

@@ -16,7 +16,6 @@
 #define TIA_WORKLOADS_RUNNER_HH
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -213,22 +212,10 @@ struct CycleMatrix
 };
 
 /**
- * Streaming consumer for runCycleMatrix: called strictly in row-major
- * cell order — (0,0), (0,1), … — on the calling thread, as soon as
- * each cell's run is available, while later cells are still
- * simulating. The run reference points at the cell just appended to
- * the matrix being built.
- */
-using CycleMatrixSink = std::function<void(
-    std::size_t config, std::size_t workload, const WorkloadRun &run)>;
-
-/**
  * Run every workload under every microarchitecture on the
- * SweepPipeline (exec/pipeline.hh). Cells stream to @p sink in
- * row-major order while the worker pool simulates ahead, so JSON
- * assembly / metrics / cache-save work overlaps simulation. The
- * returned matrix is complete and bit-identical for every jobs count.
- * A task or sink exception cancels in-flight siblings and is rethrown.
+ * SweepPipeline (exec/pipeline.hh). The returned matrix is complete
+ * and bit-identical for every jobs count. A task exception cancels
+ * running siblings and is rethrown.
  *
  * One pipeline task runs a *sibling group*: one workload's cells whose
  * configs share shape and +N, in config-list order. A cell is derived
@@ -241,13 +228,11 @@ using CycleMatrixSink = std::function<void(
  *
  * @param jobs worker threads; 0 = hardware concurrency, 1 = serial
  *             reference loop.
- * @param sink optional in-order cell consumer.
  */
 CycleMatrix runCycleMatrix(const std::vector<Workload> &workloads,
                            const std::vector<PeConfig> &configs,
                            const CycleRunOptions &options = {},
-                           unsigned jobs = 1,
-                           const CycleMatrixSink &sink = {});
+                           unsigned jobs = 1);
 
 /**
  * Build the tia-metrics/v1 run entry for a finished cycle run: status,

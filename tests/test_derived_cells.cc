@@ -90,17 +90,8 @@ TEST(DerivedCells, MatrixEqualsPerCellRunCycle)
             const std::string what =
                 name + " jobs=" + std::to_string(jobs);
 
-            // In-order streaming, with the sink seeing the retained run.
-            std::size_t streamed = 0;
-            const CycleMatrix plain = runCycleMatrix(
-                suite, configs, {}, jobs,
-                [&](std::size_t c, std::size_t w, const WorkloadRun &run) {
-                    EXPECT_EQ(c * suite.size() + w, streamed) << what;
-                    EXPECT_TRUE(run == expected.at(configs[c].name())[w])
-                        << what;
-                    ++streamed;
-                });
-            EXPECT_EQ(streamed, cells) << what;
+            const CycleMatrix plain =
+                runCycleMatrix(suite, configs, {}, jobs);
             expectMatches(plain, configs, suite, expected, what + " plain");
             EXPECT_EQ(plain.simulated + plain.derived, cells) << what;
             EXPECT_GT(plain.derived, 0u) << what;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep determinism outside the pipeline mechanics: ThreadPool basics,
+ * Sweep determinism outside the pipeline mechanics: the default --jobs,
  * CPI tables identical for every jobs count, the DSE's point order (the
  * CPI matrix itself is pinned by tests/test_sweep_pipeline.cc). Also
  * pins the two sweep-correctness fixes: the DSE frequency grid
@@ -9,7 +9,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,23 +23,6 @@
 namespace {
 
 using namespace tia;
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 100);
-
-    // The pool is reusable after a wait().
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&done] { done.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(done.load(), 110);
-}
 
 TEST(ThreadPool, DefaultConcurrencyIsPositive)
 {

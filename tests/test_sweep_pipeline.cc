@@ -1,8 +1,8 @@
 /**
  * @file
- * The streaming sweep pipeline (exec/pipeline.hh) and its satellites:
- * in-order sink delivery, a lookahead deep enough that one long head
- * task does not idle the pool, bit-identity of the CPI matrix vs the
+ * The parallel sweep loop (exec/pipeline.hh) and its satellites:
+ * in-order sink delivery, one long head task not idling the other
+ * threads, bit-identity of the CPI matrix vs the
  * jobs == 1 serial reference (clean and fault-injected), fail-fast
  * cancellation of sibling tasks on the first exception, mid-pipeline
  * StopToken cancellation (every slot Cancelled-or-filled, nothing
@@ -104,7 +104,8 @@ TEST(SweepPipeline, RethrowsTaskExceptionAndStopsSinking)
     } catch (const std::runtime_error &error) {
         EXPECT_STREQ(error.what(), "task 17");
     }
-    EXPECT_LE(sunk, 17u);
+    // The sink sees exactly the serial loop's history.
+    EXPECT_EQ(sunk, 17u);
 }
 
 TEST(SweepPipeline, TaskFailureCancelsTokenAwareSiblings)
@@ -113,8 +114,8 @@ TEST(SweepPipeline, TaskFailureCancelsTokenAwareSiblings)
     // exception did not fire it, they would spin out the full 5 s
     // deadline and the test would time out instead of finishing fast.
     // Task 0 throws only once a sibling is running: a failure stops
-    // the generator, so on a loaded host task 0 could otherwise fail
-    // before any sibling was even submitted.
+    // the threads claiming indices, so on a loaded host task 0 could
+    // otherwise fail before any sibling was even claimed.
     const SweepPipeline pipeline(4);
     std::atomic<unsigned> cancelled{0};
     std::atomic<unsigned> started{0};
@@ -245,11 +246,11 @@ TEST(SweepPipeline, SerialJobsStillThrowImmediately)
 
 TEST(SweepPipeline, LongHeadTaskDoesNotIdleThePool)
 {
-    // Task 0 blocks until its 39 siblings have all finished. The sink
-    // cannot advance past task 0, so this only completes if the
-    // generator may run 40 tasks ahead of the sink; a lookahead sized
-    // in worker slots lets a few siblings finish and then idles every
-    // worker until task 0 gives up after 5 s.
+    // Task 0 blocks until its 39 siblings have all finished, so this
+    // only completes in time if the other threads keep claiming tasks
+    // while the head one runs; an executor that held results back
+    // behind task 0 in a bounded window would idle every worker until
+    // task 0 gives up after 5 s.
     constexpr std::size_t kTasks = 40;
     std::mutex mutex;
     std::condition_variable siblingDone;
@@ -351,21 +352,9 @@ TEST(StreamedMatrix, BitIdenticalToSerialAcrossJobsCounts)
     for (const WorkloadRun &run : serial.runs)
         EXPECT_TRUE(run.ok()) << run.checkError;
     for (unsigned jobs : {1u, 2u, 8u}) {
-        std::size_t cells = 0;
-        std::size_t expect = 0;
-        const CycleMatrix streamed = runCycleMatrix(
-            suite, configs, {}, jobs,
-            [&](std::size_t c, std::size_t w, const WorkloadRun &run) {
-                // Row-major in-order delivery, and the sink sees the
-                // same run object the matrix retains.
-                EXPECT_EQ(c * suite.size() + w, expect);
-                ++expect;
-                EXPECT_TRUE(run == serial.run(c, w));
-                ++cells;
-            });
-        expectMatricesIdentical(serial, streamed,
+        const CycleMatrix parallel = runCycleMatrix(suite, configs, {}, jobs);
+        expectMatricesIdentical(serial, parallel,
                                 "jobs=" + std::to_string(jobs));
-        EXPECT_EQ(cells, serial.runs.size());
     }
 }
 
@@ -395,11 +384,11 @@ TEST(StreamedMatrix, BitIdenticalToSerialUnderFaultInjection)
 
 TEST(StreamedMatrix, MidSweepCancellationFillsEverySlotAndCachesNothing)
 {
-    // jobs = 1 makes the schedule deterministic: the sink fires the
-    // caller's stop source after the first cell, so cell 0 completes
-    // (and is cached) and every later cell returns Cancelled at its
-    // first stop poll — and must never be cached.
-    const auto suite = allWorkloads(WorkloadSizes::small());
+    // jobs = 1 makes the schedule deterministic: workload 0's check
+    // fires the caller's stop source as the first cell finishes, so
+    // cell 0 completes (and is cached) and every later cell returns
+    // Cancelled at its first stop poll — and must never be cached.
+    auto suite = allWorkloads(WorkloadSizes::small());
     const auto configs = matrixConfigs();
 
     SimCache cache;
@@ -407,13 +396,12 @@ TEST(StreamedMatrix, MidSweepCancellationFillsEverySlotAndCachesNothing)
     CycleRunOptions options;
     options.cache = &cache;
     options.stop = stop.token();
+    suite[0].check = [&stop, check = suite[0].check](const Memory &memory) {
+        stop.requestStop();
+        return check(memory);
+    };
 
-    const CycleMatrix matrix = runCycleMatrix(
-        suite, configs, options, 1,
-        [&](std::size_t c, std::size_t w, const WorkloadRun &) {
-            if (c == 0 && w == 0)
-                stop.requestStop();
-        });
+    const CycleMatrix matrix = runCycleMatrix(suite, configs, options, 1);
 
     ASSERT_EQ(matrix.runs.size(), suite.size() * configs.size());
     std::size_t completed = 0;

@@ -454,7 +454,7 @@ run(const Options &opt)
     };
 
     std::vector<std::pair<int, std::string>> results(uarchs.size());
-    const SweepPipeline pipeline(uarchs.size() == 1 ? 1 : opt.jobs);
+    const SweepPipeline pipeline(opt.jobs);
     const PipelineResult sweep = pipeline.run(
         uarchs.size(), simulate,
         [&](std::size_t i, std::pair<int, std::string> &&result) {

@@ -3,11 +3,10 @@
  * tia-sweep: batch sweep driver emitting machine-readable JSON.
  *
  * Runs the full uarch x workload CPI matrix (the Figure 5 product)
- * and the VLSI design-space exploration (Figures 6-8) on the streaming
- * sweep pipeline (exec/pipeline.hh): JSON row assembly and metrics
- * entries are built in the pipeline's in-order sink while later cells
- * are still simulating. The cache is saved after the matrix, and the
- * DSE then runs serially: DesignSpace::enumerate over the grid, then
+ * on the parallel sweep pipeline (exec/pipeline.hh), then builds the
+ * JSON rows and metrics entries from the finished matrix, saves the
+ * cache and runs the VLSI design-space exploration (Figures 6-8)
+ * serially: DesignSpace::enumerate over the grid, then
  * DesignSpace::paretoFrontier over its points. Emits one JSON
  * document with the matrix, the attempted/evaluated design-point
  * counts and the energy-delay Pareto frontier. Results are
@@ -106,28 +105,35 @@ run(const Options &opt)
         run_options.cache = &*cache;
     }
 
-    // Per-config JSON rows and metrics entries, built cell-by-cell in
-    // the pipeline's in-order sink while later cells simulate.
+    const CycleMatrix matrix =
+        runCycleMatrix(suite, configs, run_options, jobs);
+
+    // Row-major [config][workload] arrays, rows parallel to "configs",
+    // and one metrics entry per cell in the same order.
     MetricsRegistry registry("tia-sweep");
     bool all_ok = true;
-    std::vector<JsonValue> cpiRows(configs.size(), JsonValue::array());
-    std::vector<JsonValue> cycleRows(configs.size(), JsonValue::array());
-    std::vector<JsonValue> statusRows(configs.size(), JsonValue::array());
-
-    const auto addCell = [&](std::size_t c, std::size_t w,
-                             const WorkloadRun &cell) {
-        cpiRows[c].push(cell.worker.cpi());
-        cycleRows[c].push(cell.totalCycles);
-        statusRows[c].push(cell.ok() ? "ok" : runStatusName(cell.status));
-        all_ok = all_ok && cell.ok();
-        if (!opt.metricsPath.empty()) {
-            registry.addRun(workloadRunMetrics(cell, configs[c],
-                                               suite[w].name));
+    JsonValue cpi = JsonValue::array();
+    JsonValue cycles = JsonValue::array();
+    JsonValue status = JsonValue::array();
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        JsonValue cpiRow = JsonValue::array();
+        JsonValue cycleRow = JsonValue::array();
+        JsonValue statusRow = JsonValue::array();
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            const WorkloadRun &cell = matrix.run(c, w);
+            cpiRow.push(cell.worker.cpi());
+            cycleRow.push(cell.totalCycles);
+            statusRow.push(cell.ok() ? "ok" : runStatusName(cell.status));
+            all_ok = all_ok && cell.ok();
+            if (!opt.metricsPath.empty()) {
+                registry.addRun(workloadRunMetrics(cell, configs[c],
+                                                   suite[w].name));
+            }
         }
-    };
-
-    const CycleMatrix matrix =
-        runCycleMatrix(suite, configs, run_options, jobs, addCell);
+        cpi.push(std::move(cpiRow));
+        cycles.push(std::move(cycleRow));
+        status.push(std::move(statusRow));
+    }
 
     if (cache) {
         std::string save_error;
@@ -135,13 +141,6 @@ run(const Options &opt)
                 "cannot save cache: ", save_error);
     }
 
-    // Row-major [config][workload] arrays, rows parallel to "configs".
-    const auto rows = [](std::vector<JsonValue> &built) {
-        JsonValue array = JsonValue::array();
-        for (JsonValue &row : built)
-            array.push(std::move(row));
-        return array;
-    };
     JsonValue workloadNames = JsonValue::array();
     for (const Workload &workload : suite)
         workloadNames.push(workload.name);
@@ -152,9 +151,9 @@ run(const Options &opt)
     cpiMatrix["wall_ms"] = matrix.wallMs;
     cpiMatrix["workloads"] = std::move(workloadNames);
     cpiMatrix["configs"] = std::move(configNames);
-    cpiMatrix["cpi"] = rows(cpiRows);
-    cpiMatrix["cycles"] = rows(cycleRows);
-    cpiMatrix["status"] = rows(statusRows);
+    cpiMatrix["cpi"] = std::move(cpi);
+    cpiMatrix["cycles"] = std::move(cycles);
+    cpiMatrix["status"] = std::move(status);
 
     JsonValue doc = JsonValue::object();
     doc["schema"] = "tia-sweep/v1";
