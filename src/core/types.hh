@@ -36,9 +36,9 @@ using Cycle = std::uint64_t;
 
 /**
  * Default simulation budget shared by every run entry point
- * (FabricRunOptions, CycleRunOptions, tia-sim --max-cycles). A single
- * constant so the same workload cannot classify as a hang from one
- * entry point and complete from another.
+ * (FabricRunOptions, which CycleRunOptions extends; tia-sim
+ * --max-cycles). A single constant so the same workload cannot
+ * classify as a hang from one entry point and complete from another.
  */
 inline constexpr Cycle kDefaultMaxCycles = 100'000'000;
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json.hh"
+
 namespace tia {
 
 namespace {
@@ -169,13 +171,7 @@ ChromeTraceSink::finish() const
 bool
 ChromeTraceSink::writeTo(const std::string &path) const
 {
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (file == nullptr)
-        return false;
-    const std::string doc = finish();
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    return std::fclose(file) == 0 && written == doc.size();
+    return writeFile(path, finish());
 }
 
 } // namespace tia

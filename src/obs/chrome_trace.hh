@@ -50,7 +50,7 @@ class ChromeTraceSink : public TraceSink
     /** Close the JSON array and return the whole document. */
     std::string finish() const;
 
-    /** Serialize to @p path; returns false if the file cannot open. */
+    /** Serialize to @p path (writeFile); returns false on I/O failure. */
     bool writeTo(const std::string &path) const;
 
   private:

@@ -152,6 +152,17 @@ JsonValue::dump() const
     return out;
 }
 
+bool
+writeFile(const std::string &path, std::string_view text)
+{
+    std::FILE *file = std::fopen(path.c_str(), "w");
+    if (file == nullptr)
+        return false;
+    const std::size_t written =
+        std::fwrite(text.data(), 1, text.size(), file);
+    return std::fclose(file) == 0 && written == text.size();
+}
+
 namespace {
 
 /** Recursive-descent parser over a string_view cursor. */

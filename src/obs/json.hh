@@ -163,6 +163,13 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/**
+ * Write @p text to @p path, replacing the file. Returns false unless
+ * the file opened, every byte was written and it closed cleanly (a
+ * full device often fails only at the close).
+ */
+bool writeFile(const std::string &path, std::string_view text);
+
 } // namespace tia
 
 #endif // TIA_OBS_JSON_HH

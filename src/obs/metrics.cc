@@ -1,20 +1,13 @@
 #include "obs/metrics.hh"
 
 #include <cmath>
-#include <cstdio>
 
 namespace tia {
 
 bool
 MetricsRegistry::writeTo(const std::string &path) const
 {
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (file == nullptr)
-        return false;
-    const std::string doc = dump();
-    const std::size_t written =
-        std::fwrite(doc.data(), 1, doc.size(), file);
-    return std::fclose(file) == 0 && written == doc.size();
+    return writeFile(path, dump());
 }
 
 JsonValue

@@ -40,6 +40,38 @@ struct WritePortSpec
     unsigned dataChannel;
 };
 
+/**
+ * One end of a channel: a PE port, a memory read port, or one side of
+ * a memory write port.
+ */
+struct ChannelEnd
+{
+    enum class Kind : std::uint8_t
+    {
+        Pe,
+        ReadPort,
+        WritePort,
+    };
+
+    Kind kind;
+    /** PE, read-port or write-port number. */
+    unsigned index;
+    /**
+     * The PE's port number; for a write port, 0 for its address side
+     * and 1 for its data side; 0 for a read port.
+     */
+    unsigned port;
+
+    bool operator==(const ChannelEnd &) const = default;
+};
+
+/** The producer and the consumer of one channel. */
+struct ChannelEnds
+{
+    ChannelEnd producer;
+    ChannelEnd consumer;
+};
+
 /** Complete wiring description of a fabric. */
 struct FabricConfig
 {
@@ -66,6 +98,15 @@ struct FabricConfig
 
     /** Validate wiring: ranges, single producer / single consumer. */
     void validate() const;
+
+    /**
+     * Each channel's producer and consumer, indexed by channel. The
+     * one place the wiring tables and memory ports are read as channel
+     * ends: throws FatalError, as validate() does, for a binding to a
+     * nonexistent channel or a channel without exactly one producer
+     * and one consumer.
+     */
+    std::vector<ChannelEnds> channelEnds() const;
 };
 
 /** Convenience builder for fabric configurations. */

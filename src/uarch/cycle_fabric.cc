@@ -25,7 +25,6 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
             channels_.back()->setFaultInjector(injector_, ch);
         channels_.back()->setEventLog(&events_, ch);
     }
-    channelPes_.resize(config_.numChannels);
 
     // Fault stuck-status windows open and close without queue events,
     // so parked PEs could miss a wake; keep everyone stepping.
@@ -37,18 +36,6 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
             insts = program.pes[pe];
         auto pipelined = std::make_unique<PipelinedPe>(
             config_.params, uarch, std::move(insts));
-        for (unsigned port = 0; port < config_.params.numInputQueues;
-             ++port) {
-            const int ch = config_.inputChannel[pe][port];
-            if (ch != kUnbound)
-                pipelined->bindInput(port, channels_[ch].get());
-        }
-        for (unsigned port = 0; port < config_.params.numOutputQueues;
-             ++port) {
-            const int ch = config_.outputChannel[pe][port];
-            if (ch != kUnbound)
-                pipelined->bindOutput(port, channels_[ch].get());
-        }
         if (pe < config_.initialRegs.size())
             pipelined->setRegs(config_.initialRegs[pe]);
         if (pe < config_.initialPreds.size())
@@ -56,39 +43,41 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         if (injector_)
             pipelined->setFaultInjector(injector_, pe);
 
-        // Wake subscriptions: the channels whose status can turn one
-        // of this PE's triggers eligible. A channel no trigger
-        // references never changes the scheduler's verdict.
-        auto subscribe = [&](int ch) {
-            auto &watchers = channelPes_[ch];
-            // PEs are processed one at a time, so this PE's entry — if
-            // any — is the last one pushed.
-            if (watchers.empty() || watchers.back() != pe)
-                watchers.push_back(pe);
-        };
-        const std::uint32_t in_mask = pipelined->watchedInputs();
-        for (unsigned port = 0; port < config_.params.numInputQueues;
-             ++port) {
-            const int ch = config_.inputChannel[pe][port];
-            if (ch != kUnbound && (in_mask & (std::uint32_t{1} << port)))
-                subscribe(ch);
-        }
-        const std::uint32_t out_mask = pipelined->watchedOutputs();
-        for (unsigned port = 0; port < config_.params.numOutputQueues;
-             ++port) {
-            const int ch = config_.outputChannel[pe][port];
-            if (ch != kUnbound && (out_mask & (std::uint32_t{1} << port)))
-                subscribe(ch);
-        }
-
         pes_.push_back(std::move(pipelined));
+    }
+
+    // Bind each channel to its end PEs' ports. A channel wakes those of
+    // its end PEs whose triggers reference that port, in ascending PE
+    // order; a channel no trigger references never changes the
+    // scheduler's verdict.
+    channelPes_.resize(config_.numChannels);
+    const std::vector<ChannelEnds> ends = config_.channelEnds();
+    for (unsigned ch = 0; ch < config_.numChannels; ++ch) {
+        TaggedQueue *queue = channels_[ch].get();
+        auto &watchers = channelPes_[ch];
+        const ChannelEnd &prod = ends[ch].producer;
+        if (prod.kind == ChannelEnd::Kind::Pe) {
+            PipelinedPe &pe = *pes_[prod.index];
+            pe.bindOutput(prod.port, queue);
+            if ((pe.watchedOutputs() >> prod.port) & 1)
+                watchers.push_back(prod.index);
+        }
+        const ChannelEnd &cons = ends[ch].consumer;
+        if (cons.kind == ChannelEnd::Kind::Pe) {
+            PipelinedPe &pe = *pes_[cons.index];
+            pe.bindInput(cons.port, queue);
+            if ((pe.watchedInputs() >> cons.port) & 1)
+                watchers.push_back(cons.index);
+        }
+        std::sort(watchers.begin(), watchers.end());
+        watchers.erase(std::unique(watchers.begin(), watchers.end()),
+                       watchers.end());
     }
 
     activePes_.reserve(config_.numPes);
     for (unsigned pe = 0; pe < config_.numPes; ++pe)
         activePes_.push_back(pe);
     asleep_.assign(config_.numPes, false);
-    sleepSince_.assign(config_.numPes, 0);
 
     for (const auto &spec : config_.readPorts) {
         readPorts_.push_back(std::make_unique<MemoryReadPort>(
@@ -110,14 +99,15 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
 void
 CycleFabric::syncSleepCounters(unsigned index) const
 {
-    // The PE last stepped (or was last accounted) at sleepSince_; every
-    // cycle since, up to and including the last executed fabric cycle
-    // (now_ - 1), would have been exactly one no-trigger cycle.
-    const Cycle skipped = now_ - sleepSince_[index] - 1;
+    // A PE's cycle counter advances once per executed (or accounted)
+    // step, so a parked PE's counter stops at the cycles it stepped
+    // through. Every fabric cycle since, up to and including the last
+    // executed one (now_ - 1), would have been exactly one no-trigger
+    // cycle.
+    const Cycle skipped = now_ - pes_[index]->counters().cycles;
     if (skipped > 0) {
         pes_[index]->skipIdleCycles(skipped);
         stepsSkipped_ += skipped;
-        sleepSince_[index] = now_ - 1;
     }
 }
 
@@ -233,7 +223,6 @@ CycleFabric::settleActivePe(std::size_t i)
         // the next step() wakes the PE with no sleep debt, in the cycle
         // it would have stepped in anyway.
         asleep_[index] = true;
-        sleepSince_[index] = now_;
         if (trace_) [[unlikely]]
             traceEvent(index, TraceEventKind::Park);
         activePes_[i] = activePes_.back();
@@ -392,106 +381,56 @@ CycleFabric::run(const FabricRunOptions &options)
     }
 }
 
-namespace {
-
-/** Identity of a channel endpoint for wait-for-graph construction. */
-struct Endpoint
-{
-    enum Kind { None, Pe, RPort, WPort } kind = None;
-    unsigned index = 0;
-    unsigned port = 0; ///< PE port number (diagnostics only).
-};
-
-} // namespace
-
 HangReport
 CycleFabric::diagnoseQuiescence() const
 {
+    // Node ids are sequential, in addNode order: PEs, then channels,
+    // read ports and write ports.
     WaitForGraph graph;
-
-    std::vector<std::size_t> pe_node(pes_.size());
-    for (unsigned pe = 0; pe < pes_.size(); ++pe) {
-        pe_node[pe] =
-            graph.addNode(AgentKind::Pe, pe, "PE " + std::to_string(pe));
-    }
-    std::vector<std::size_t> ch_node(channels_.size());
+    for (unsigned pe = 0; pe < pes_.size(); ++pe)
+        graph.addNode(AgentKind::Pe, pe, "PE " + std::to_string(pe));
+    const std::size_t ch_base = graph.nodes().size();
     for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        ch_node[ch] = graph.addNode(AgentKind::Channel, ch,
-                                    "channel " + std::to_string(ch));
+        graph.addNode(AgentKind::Channel, ch,
+                      "channel " + std::to_string(ch));
     }
-    std::vector<std::size_t> rp_node(readPorts_.size());
+    const std::size_t rp_base = graph.nodes().size();
     for (unsigned rp = 0; rp < readPorts_.size(); ++rp) {
-        rp_node[rp] = graph.addNode(AgentKind::ReadPort, rp,
-                                    "read port " + std::to_string(rp));
+        graph.addNode(AgentKind::ReadPort, rp,
+                      "read port " + std::to_string(rp));
     }
-    std::vector<std::size_t> wp_node(writePorts_.size());
+    const std::size_t wp_base = graph.nodes().size();
     for (unsigned wp = 0; wp < writePorts_.size(); ++wp) {
-        wp_node[wp] = graph.addNode(AgentKind::WritePort, wp,
-                                    "write port " + std::to_string(wp));
+        graph.addNode(AgentKind::WritePort, wp,
+                      "write port " + std::to_string(wp));
     }
 
-    // Who produces into and consumes from each channel.
-    std::vector<Endpoint> producer(channels_.size());
-    std::vector<std::vector<Endpoint>> consumers(channels_.size());
-    for (unsigned pe = 0; pe < pes_.size(); ++pe) {
-        for (unsigned port = 0; port < config_.params.numOutputQueues;
-             ++port) {
-            const int ch = config_.outputChannel[pe][port];
-            if (ch != kUnbound)
-                producer[ch] = {Endpoint::Pe, pe, port};
+    const std::vector<ChannelEnds> ends = config_.channelEnds();
+    auto node_of = [&](const ChannelEnd &end) -> std::size_t {
+        switch (end.kind) {
+          case ChannelEnd::Kind::Pe:
+            return end.index;
+          case ChannelEnd::Kind::ReadPort:
+            return rp_base + end.index;
+          case ChannelEnd::Kind::WritePort:
+            return wp_base + end.index;
         }
-        for (unsigned port = 0; port < config_.params.numInputQueues;
-             ++port) {
-            const int ch = config_.inputChannel[pe][port];
-            if (ch != kUnbound)
-                consumers[ch].push_back({Endpoint::Pe, pe, port});
-        }
-    }
-    for (unsigned rp = 0; rp < config_.readPorts.size(); ++rp) {
-        producer[config_.readPorts[rp].dataChannel] = {Endpoint::RPort, rp,
-                                                       0};
-        consumers[config_.readPorts[rp].addrChannel].push_back(
-            {Endpoint::RPort, rp, 0});
-    }
-    for (unsigned wp = 0; wp < config_.writePorts.size(); ++wp) {
-        consumers[config_.writePorts[wp].addrChannel].push_back(
-            {Endpoint::WPort, wp, 0});
-        consumers[config_.writePorts[wp].dataChannel].push_back(
-            {Endpoint::WPort, wp, 1});
-    }
-
-    auto endpoint_node = [&](const Endpoint &ep) -> std::size_t {
-        switch (ep.kind) {
-          case Endpoint::Pe:
-            return pe_node[ep.index];
-          case Endpoint::RPort:
-            return rp_node[ep.index];
-          case Endpoint::WPort:
-            return wp_node[ep.index];
-          case Endpoint::None:
-            break;
-        }
-        return static_cast<std::size_t>(-1);
+        return end.index;
     };
 
     // An empty-waited channel is unblocked by its producer; a
-    // full-waited channel by its consumers. Edges are added per wait
+    // full-waited channel by its consumer. Edges are added per wait
     // so the two directions never mix on an unwaited channel.
     auto add_empty_wait = [&](std::size_t waiter, unsigned ch,
                               std::string reason) {
-        graph.addEdge(waiter, ch_node[ch], std::move(reason));
-        const std::size_t prod = endpoint_node(producer[ch]);
-        if (prod != static_cast<std::size_t>(-1))
-            graph.addEdge(ch_node[ch], prod, "fed by");
+        graph.addEdge(waiter, ch_base + ch, std::move(reason));
+        graph.addEdge(ch_base + ch, node_of(ends[ch].producer), "fed by");
     };
     auto add_full_wait = [&](std::size_t waiter, unsigned ch,
                              std::string reason) {
-        graph.addEdge(waiter, ch_node[ch], std::move(reason));
-        for (const auto &cons : consumers[ch]) {
-            const std::size_t node = endpoint_node(cons);
-            if (node != static_cast<std::size_t>(-1))
-                graph.addEdge(ch_node[ch], node, "drained by");
-        }
+        graph.addEdge(waiter, ch_base + ch, std::move(reason));
+        graph.addEdge(ch_base + ch, node_of(ends[ch].consumer),
+                      "drained by");
     };
 
     // PE wait edges, from the scheduler's own queue view.
@@ -499,11 +438,11 @@ CycleFabric::diagnoseQuiescence() const
         const PeWaitInfo info = pes_[pe]->queueWaits();
         if (!info.blocked())
             continue;
-        graph.markBlocked(pe_node[pe]);
+        graph.markBlocked(pe);
         for (unsigned port : info.waitInputs) {
             const int ch = config_.inputChannel[pe][port];
             if (ch != kUnbound) {
-                add_empty_wait(pe_node[pe], static_cast<unsigned>(ch),
+                add_empty_wait(pe, static_cast<unsigned>(ch),
                                "input %i" + std::to_string(port) +
                                    " empty or wrong tag");
             }
@@ -511,7 +450,7 @@ CycleFabric::diagnoseQuiescence() const
         for (unsigned port : info.waitOutputs) {
             const int ch = config_.outputChannel[pe][port];
             if (ch != kUnbound) {
-                add_full_wait(pe_node[pe], static_cast<unsigned>(ch),
+                add_full_wait(pe, static_cast<unsigned>(ch),
                               "output %o" + std::to_string(port) +
                                   " full");
             }
@@ -521,7 +460,7 @@ CycleFabric::diagnoseQuiescence() const
     // A read port that is not producing is waiting for addresses.
     for (unsigned rp = 0; rp < readPorts_.size(); ++rp) {
         if (channels_[config_.readPorts[rp].addrChannel]->empty()) {
-            add_empty_wait(rp_node[rp], config_.readPorts[rp].addrChannel,
+            add_empty_wait(rp_base + rp, config_.readPorts[rp].addrChannel,
                            "no requests");
         }
     }
@@ -532,7 +471,7 @@ CycleFabric::diagnoseQuiescence() const
         const bool addr_empty = channels_[addr_ch]->empty();
         const bool data_empty = channels_[data_ch]->empty();
         if (addr_empty != data_empty) {
-            add_empty_wait(wp_node[wp], addr_empty ? addr_ch : data_ch,
+            add_empty_wait(wp_base + wp, addr_empty ? addr_ch : data_ch,
                            "awaiting paired token");
         }
     }

@@ -22,10 +22,11 @@
  * counts, per-PE counters and hang reports are bit-identical to
  * stepping every PE every cycle (asserted by tests/test_hot_path.cc).
  * Skipped steps are re-accounted lazily (each is exactly one
- * no-trigger cycle) before any counter observation. A PE parks in the
- * cycle it first can; if a watched channel goes dirty later in that
- * same cycle, the next cycle's start wakes it with no sleep debt, so
- * it steps exactly when it would have without parking. Sleep is
+ * no-trigger cycle) before any counter observation; a parked PE's
+ * debt is the fabric clock minus its own cycle counter. A PE parks in
+ * the cycle it first can; if a watched channel goes dirty later in
+ * that same cycle, the next cycle's start wakes it with no sleep debt,
+ * so it steps exactly when it would have without parking. Sleep is
  * disabled under fault injection, whose stuck-status windows open and
  * close without queue events.
  *
@@ -162,20 +163,10 @@ class CycleFabric
     const Memory &memory() const { return memory_; }
 
     /**
-     * PE access. The non-const overload wakes a sleeping PE first:
-     * callers may mutate state (predicates, registers) the sleep
-     * criterion depended on. Both overloads settle the PE's lazily
-     * accounted sleep cycles so counters read exact, and throw
-     * std::out_of_range for an index past numPes().
+     * PE access, read-only: settles the PE's lazily accounted sleep
+     * cycles so counters read exact. Throws std::out_of_range for an
+     * index past numPes().
      */
-    PipelinedPe &
-    pe(unsigned index)
-    {
-        PipelinedPe &result = *pes_.at(index);
-        wakePe(index);
-        return result;
-    }
-
     const PipelinedPe &
     pe(unsigned index) const
     {
@@ -319,7 +310,9 @@ class CycleFabric
 
     /**
      * Account the cycles PE @p index slept through since its last
-     * executed step: each is exactly one no-trigger cycle.
+     * executed step: each is exactly one no-trigger cycle. The debt is
+     * now_ minus the PE's own cycle counter, which stops while it is
+     * parked.
      */
     void syncSleepCounters(unsigned index) const;
 
@@ -352,11 +345,6 @@ class CycleFabric
     bool sleepEnabled_ = true;
     std::vector<unsigned> activePes_;     ///< Awake, unhalted PEs.
     std::vector<std::uint8_t> asleep_;    ///< Parked flag, per PE.
-    /**
-     * Parked PEs only: the cycle of the last executed (or accounted)
-     * step. Written at park time and by settlement.
-     */
-    mutable std::vector<Cycle> sleepSince_;
     /** Channel -> PEs whose triggers watch it (wake set). */
     std::vector<std::vector<unsigned>> channelPes_;
 

@@ -232,20 +232,17 @@ executeCycle(const Workload &workload, const PeConfig &uarch,
     if (options.referenceScheduler)
         fabric.setUseReferenceScheduler(true);
 
-    const FabricRunOptions fabric_options{options.maxCycles,
-                                          options.quiescenceWindow,
-                                          options.stop};
     if (execution.injector) {
         // Corrupted tokens can escalate to architectural traps
         // (out-of-bounds addresses and the like); for injected runs
         // that is a reportable outcome, not a harness failure.
         try {
-            execution.status = fabric.run(fabric_options);
+            execution.status = fabric.run(options);
         } catch (const FatalError &error) {
             execution.trap = error.what();
         }
     } else {
-        execution.status = fabric.run(fabric_options);
+        execution.status = fabric.run(options);
     }
     return execution;
 }

@@ -48,16 +48,19 @@ enum class FaultOutcome
 /** Human-readable name for a FaultOutcome. */
 const char *faultOutcomeName(FaultOutcome outcome);
 
-/** Options for runCycle (previously hard-coded). */
-struct CycleRunOptions
+/**
+ * Options for runCycle: the fabric's run budget (maxCycles,
+ * quiescenceWindow, stop; FabricRunOptions), passed to
+ * CycleFabric::run unchanged, plus what runCycle adds around the run.
+ *
+ * A run cut short by @ref stop returns status RunStatus::Cancelled and
+ * is never cached — and a caller coalesced onto a leader whose run was
+ * cancelled retries the computation itself unless its own token has
+ * also fired, so one client's deadline cannot fail another client's
+ * request. The token is not part of the cache key.
+ */
+struct CycleRunOptions : FabricRunOptions
 {
-    /**
-     * Simulation budget; kDefaultMaxCycles (core/types.hh) is shared
-     * with FabricRunOptions so hang classification does not depend on
-     * the entry point.
-     */
-    Cycle maxCycles = kDefaultMaxCycles;
-    Cycle quiescenceWindow = kDefaultQuiescenceWindow;
     /**
      * Fault plan to inject (non-owning; nullptr = clean run). An
      * injected run is classified against the golden model into
@@ -82,16 +85,6 @@ struct CycleRunOptions
      * is a side effect a cached result cannot replay.
      */
     SimCache *cache = nullptr;
-    /**
-     * Cooperative cancellation (exec/stop_token.hh), polled inside the
-     * cycle loop every kStopCheckInterval cycles. A run cut short
-     * returns status RunStatus::Cancelled and is never cached — and a
-     * caller coalesced onto a leader whose run was cancelled retries
-     * the computation itself unless its own token has also fired, so
-     * one client's deadline cannot fail another client's request.
-     * It is not part of the cache key.
-     */
-    StopToken stop;
 };
 
 /** Result of one workload execution. */

@@ -2,10 +2,12 @@
  * @file
  * FabricConfig / FabricBuilder validation tests: every channel needs
  * exactly one producer and one consumer; port bindings and initial
- * state must be in range.
+ * state must be in range; channelEnds() names each channel's ends.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/logging.hh"
 #include "sim/fabric_config.hh"
@@ -102,6 +104,73 @@ TEST(FabricConfig, SplitWritePortBindsTwoPes)
               static_cast<int>(config.writePorts[0].addrChannel));
     EXPECT_EQ(config.outputChannel[1][2],
               static_cast<int>(config.writePorts[0].dataChannel));
+}
+
+using Kind = ChannelEnd::Kind;
+
+TEST(ChannelEnds, PeToPeLink)
+{
+    FabricBuilder builder(ArchParams{}, 2);
+    const unsigned ch = builder.connect(0, 3, 1, 2);
+    const std::vector<ChannelEnds> ends = builder.build().channelEnds();
+    ASSERT_EQ(ends.size(), 1u);
+    EXPECT_EQ(ends[ch].producer, (ChannelEnd{Kind::Pe, 0, 3}));
+    EXPECT_EQ(ends[ch].consumer, (ChannelEnd{Kind::Pe, 1, 2}));
+}
+
+TEST(ChannelEnds, ReadPortConsumesAddressesAndProducesData)
+{
+    FabricBuilder builder(ArchParams{}, 2);
+    builder.connect(0, 0, 1, 0);
+    builder.addReadPort(1, 2, 3);
+    const FabricConfig config = builder.build();
+    const std::vector<ChannelEnds> ends = config.channelEnds();
+    ASSERT_EQ(ends.size(), 3u);
+    const ReadPortSpec &port = config.readPorts.at(0);
+    EXPECT_EQ(ends[port.addrChannel].producer, (ChannelEnd{Kind::Pe, 1, 2}));
+    EXPECT_EQ(ends[port.addrChannel].consumer,
+              (ChannelEnd{Kind::ReadPort, 0, 0}));
+    EXPECT_EQ(ends[port.dataChannel].producer,
+              (ChannelEnd{Kind::ReadPort, 0, 0}));
+    EXPECT_EQ(ends[port.dataChannel].consumer, (ChannelEnd{Kind::Pe, 1, 3}));
+}
+
+TEST(ChannelEnds, WritePortOnOnePe)
+{
+    FabricBuilder builder(ArchParams{}, 1);
+    builder.addReadPort(0, 0, 0);
+    builder.addWritePort(0, 1, 2);
+    const FabricConfig config = builder.build();
+    const std::vector<ChannelEnds> ends = config.channelEnds();
+    ASSERT_EQ(ends.size(), 4u);
+    const WritePortSpec &port = config.writePorts.at(0);
+    EXPECT_EQ(ends[port.addrChannel].producer, (ChannelEnd{Kind::Pe, 0, 1}));
+    EXPECT_EQ(ends[port.addrChannel].consumer,
+              (ChannelEnd{Kind::WritePort, 0, 0}));
+    EXPECT_EQ(ends[port.dataChannel].producer, (ChannelEnd{Kind::Pe, 0, 2}));
+    EXPECT_EQ(ends[port.dataChannel].consumer,
+              (ChannelEnd{Kind::WritePort, 0, 1}));
+}
+
+TEST(ChannelEnds, SplitWritePortAcrossTwoPes)
+{
+    FabricBuilder builder(ArchParams{}, 2);
+    builder.addWritePortSplit(0, 0, 1, 0);
+    builder.addWritePortSplit(1, 1, 0, 1);
+    const FabricConfig config = builder.build();
+    const std::vector<ChannelEnds> ends = config.channelEnds();
+    ASSERT_EQ(ends.size(), 4u);
+    for (unsigned wp = 0; wp < 2; ++wp) {
+        const WritePortSpec &port = config.writePorts.at(wp);
+        EXPECT_EQ(ends[port.addrChannel].producer,
+                  (ChannelEnd{Kind::Pe, wp, wp}));
+        EXPECT_EQ(ends[port.addrChannel].consumer,
+                  (ChannelEnd{Kind::WritePort, wp, 0}));
+        EXPECT_EQ(ends[port.dataChannel].producer,
+                  (ChannelEnd{Kind::Pe, 1 - wp, wp}));
+        EXPECT_EQ(ends[port.dataChannel].consumer,
+                  (ChannelEnd{Kind::WritePort, wp, 1}));
+    }
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/assembler.hh"
 #include "sim/hang_diagnosis.hh"
@@ -98,6 +99,19 @@ pingPongConfig()
 
 const PeConfig kUarch{PipelineShape{true, false, false}, true, true};
 
+/** Every field of @p report, compared exactly. */
+void
+expectReport(const HangReport &report, RunStatus classification,
+             const std::string &summary,
+             const std::vector<std::string> &waitChain,
+             const std::vector<std::string> &blockedAgents)
+{
+    EXPECT_EQ(report.classification, classification);
+    EXPECT_EQ(report.summary, summary);
+    EXPECT_EQ(report.waitChain, waitChain);
+    EXPECT_EQ(report.blockedAgents, blockedAgents);
+}
+
 TEST(HangDiagnosis, PingPongDeadlockIsDiagnosedWithChain)
 {
     // Both PEs wait for the other to send first; nobody seeds, so the
@@ -114,17 +128,83 @@ TEST(HangDiagnosis, PingPongDeadlockIsDiagnosedWithChain)
     CycleFabric fabric(pingPongConfig(), program, kUarch);
 
     EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
-
-    const HangReport &report = fabric.hangReport();
-    EXPECT_EQ(report.classification, RunStatus::Deadlock);
-    ASSERT_FALSE(report.waitChain.empty());
     // The chain names the blocked PEs and the queues they wait on.
-    EXPECT_TRUE(anyLineContains(report.waitChain, "PE 0"));
-    EXPECT_TRUE(anyLineContains(report.waitChain, "PE 1"));
-    EXPECT_TRUE(anyLineContains(report.waitChain, "channel"));
-    EXPECT_TRUE(anyLineContains(report.blockedAgents, "PE 0"));
-    EXPECT_TRUE(anyLineContains(report.blockedAgents, "PE 1"));
-    EXPECT_NE(report.summary.find("deadlock"), std::string::npos);
+    expectReport(fabric.hangReport(), RunStatus::Deadlock,
+                 "deadlock: 4-agent wait cycle through PE 0",
+                 {"PE 0 --[input %i0 empty or wrong tag]--> channel 1",
+                  "channel 1 --[fed by]--> PE 1",
+                  "PE 1 --[input %i0 empty or wrong tag]--> channel 0",
+                  "channel 0 --[fed by]--> PE 0"},
+                 {"PE 0", "PE 1"});
+}
+
+TEST(HangDiagnosis, FullChannelDeadlockIsDrainedByItsConsumer)
+{
+    // PE 0 floods channel 0 and never sends on channel 1, which PE 1
+    // waits on instead of draining channel 0: a full channel points at
+    // its consumer.
+    const Program program = assemble(
+        ".pe 0\n"
+        "when %p == XXXXXXX0: mov %o0.0, #1;\n"
+        "when %p == XXXXXXX1: mov %o1.0, #2;\n"
+        ".pe 1\n"
+        "when %p == XXXXXXXX with %i1.0: mov %r0, %i1; deq %i1;\n"
+        "when %p == XXXXXXX1 with %i0.0: mov %r1, %i0; deq %i0;\n");
+    FabricBuilder builder(ArchParams{}, 2);
+    builder.connect(0, 0, 1, 0);
+    builder.connect(0, 1, 1, 1);
+    CycleFabric fabric(builder.build(), program, kUarch);
+
+    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    expectReport(fabric.hangReport(), RunStatus::Deadlock,
+                 "deadlock: 4-agent wait cycle through PE 0",
+                 {"PE 0 --[output %o0 full]--> channel 0",
+                  "channel 0 --[drained by]--> PE 1",
+                  "PE 1 --[input %i1 empty or wrong tag]--> channel 1",
+                  "channel 1 --[fed by]--> PE 0"},
+                 {"PE 0", "PE 1"});
+}
+
+TEST(HangDiagnosis, UnrequestedReadDataDeadlocksThroughReadPort)
+{
+    // The PE waits for read data but never sends an address: the read
+    // port's "no requests" edge closes the cycle back to the PE.
+    const Program program = assemble(
+        "when %p == XXXXXXXX with %i0.0: mov %r0, %i0; deq %i0;\n");
+    FabricBuilder builder(ArchParams{}, 1);
+    builder.addReadPort(0, 0, 0);
+    CycleFabric fabric(builder.build(), program, kUarch);
+
+    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    expectReport(fabric.hangReport(), RunStatus::Deadlock,
+                 "deadlock: 4-agent wait cycle through PE 0",
+                 {"PE 0 --[input %i0 empty or wrong tag]--> channel 1",
+                  "channel 1 --[fed by]--> read port 0",
+                  "read port 0 --[no requests]--> channel 0",
+                  "channel 0 --[fed by]--> PE 0"},
+                 {"PE 0"});
+}
+
+TEST(HangDiagnosis, WritePortAwaitingDataDeadlocks)
+{
+    // The PE sends store addresses but never the data: the write port
+    // holds an address, awaits its paired token, and the address
+    // channel fills behind it.
+    const Program program = assemble(
+        "when %p == XXXXXXX0: mov %o1.0, #5;\n"
+        "when %p == XXXXXXX1: mov %o2.0, #7;\n");
+    FabricBuilder builder(ArchParams{}, 1);
+    builder.addWritePort(0, 1, 2);
+    CycleFabric fabric(builder.build(), program, kUarch);
+
+    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    expectReport(fabric.hangReport(), RunStatus::Deadlock,
+                 "deadlock: 4-agent wait cycle through PE 0",
+                 {"PE 0 --[output %o1 full]--> channel 0",
+                  "channel 0 --[drained by]--> write port 0",
+                  "write port 0 --[awaiting paired token]--> channel 1",
+                  "channel 1 --[fed by]--> PE 0"},
+                 {"PE 0"});
 }
 
 TEST(HangDiagnosis, SeededPingPongHalts)

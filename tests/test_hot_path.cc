@@ -696,30 +696,6 @@ TEST(ResolutionCache, FaultInjectionDisarmsIncrementalPath)
     EXPECT_GT(a.stats().totalFired(), 0u);
 }
 
-TEST(IdlePeSleep, MutatingAccessorWakesParkedPe)
-{
-    // A parked PE whose predicates are changed externally must be
-    // reconsidered; pe() wakes it so the next cycle re-schedules.
-    ArchParams params;
-    const Program program =
-        assemble("when %p == XXXXXXX1: halt;\n", params);
-    FabricBuilder builder(params, 1);
-    const FabricConfig config = builder.build();
-
-    CycleFabric fabric(config, program, {allShapes()[0], false, false,
-                                         false});
-    for (unsigned i = 0; i < 10; ++i)
-        fabric.step(); // p0 clear: no trigger; the PE parks
-    EXPECT_GT(fabric.stepStats().peStepsSkipped, 0u);
-    EXPECT_EQ(fabric.pe(0).counters().cycles, 10u);
-
-    fabric.pe(0).setPreds(1); // wakes the PE as a side effect
-    fabric.step();
-    EXPECT_TRUE(fabric.pe(0).halted());
-    EXPECT_EQ(fabric.pe(0).counters().cycles, 11u);
-    EXPECT_EQ(fabric.pe(0).counters().retired, 1u);
-}
-
 // ---------------------------------------------------------------------
 // Run-ahead: run() against a bare per-cycle step() loop.
 // ---------------------------------------------------------------------

@@ -55,6 +55,7 @@
 #include "core/logging.hh"
 #include "core/parse.hh"
 #include "exec/thread_pool.hh"
+#include "obs/json.hh"
 #include "serve/server.hh"
 
 namespace {
@@ -198,14 +199,12 @@ main(int argc, char **argv)
                          error.c_str());
             return 1;
         }
-        if (!metricsPath.empty()) {
-            std::ofstream out(metricsPath, std::ios::trunc);
-            if (!out) {
-                std::fprintf(stderr, "tia-serve: cannot write %s\n",
-                             metricsPath.c_str());
-                return 1;
-            }
-            out << server.metricsDocument().dump() << "\n";
+        if (!metricsPath.empty() &&
+            !writeFile(metricsPath,
+                       server.metricsDocument().dump() + "\n")) {
+            std::fprintf(stderr, "tia-serve: cannot write %s\n",
+                         metricsPath.c_str());
+            return 1;
         }
         const Server::Counters c = server.counters();
         std::fprintf(stderr,

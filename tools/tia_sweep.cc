@@ -9,10 +9,10 @@
  * serially: DesignSpace::enumerate over the grid, then
  * DesignSpace::paretoFrontier over its points. Emits one JSON
  * document with the matrix, the attempted/evaluated design-point
- * counts and the energy-delay Pareto frontier. Results are
- * bit-identical for any --jobs value (asserted by the ctest fixtures);
- * the wall_ms fields are the measured sweep times (the speedup
- * evidence on multi-core hosts).
+ * counts and the energy-delay Pareto frontier. The document holds
+ * results only, so it is identical for any --jobs value and cold or
+ * warm (asserted by the ctest fixtures); the worker count and the
+ * measured matrix and DSE times go to stderr.
  *
  *   tia-sweep [options]
  *
@@ -27,7 +27,8 @@
  *   --suite-cpi  drive the DSE with suite-average CPI instead of the
  *                paper's bst-only methodology
  *   --no-dse     emit only the CPI matrix
- *   --out FILE   write the JSON to FILE instead of stdout
+ *   --out FILE   write the JSON to FILE instead of stdout (either way
+ *                a failed write exits 1)
  *   --metrics FILE  also write a tia-metrics/v1 document with one run
  *                entry per matrix cell and a "matrix" block counting
  *                the cells simulated and derived (validate with
@@ -37,12 +38,12 @@
  *                every matrix cell, save back atomically. Hit/miss/
  *                coalesced stats go to stderr and the --metrics
  *                document, never the --out JSON, so warm and cold
- *                runs emit identical documents (modulo wall_ms).
+ *                runs emit identical documents.
  *   --cache-verify  with --cache: re-simulate every hit and fail
  *                unless the cached result is bit-identical
  *
  * The JSON schema is documented in docs/sweep_engine.md
- * ("tia-sweep/v1").
+ * ("tia-sweep/v2").
  */
 
 #include <chrono>
@@ -148,7 +149,6 @@ run(const Options &opt)
     for (const PeConfig &config : configs)
         configNames.push(config.name());
     JsonValue cpiMatrix = JsonValue::object();
-    cpiMatrix["wall_ms"] = matrix.wallMs;
     cpiMatrix["workloads"] = std::move(workloadNames);
     cpiMatrix["configs"] = std::move(configNames);
     cpiMatrix["cpi"] = std::move(cpi);
@@ -156,11 +156,11 @@ run(const Options &opt)
     cpiMatrix["status"] = std::move(status);
 
     JsonValue doc = JsonValue::object();
-    doc["schema"] = "tia-sweep/v1";
-    doc["jobs"] = matrix.jobs;
+    doc["schema"] = "tia-sweep/v2";
     doc["sizes"] = opt.small ? "small" : "full";
     doc["cpi_matrix"] = std::move(cpiMatrix);
 
+    std::optional<double> dseWallMs;
     if (opt.dse && all_ok) {
         const DesignSpace dse(
             cpiTableOf(matrix, suite, configs, opt.suiteCpi));
@@ -168,13 +168,12 @@ run(const Options &opt)
         const std::vector<DesignPoint> points = dse.enumerate(configs);
         const std::vector<DesignPoint> frontier =
             DesignSpace::paretoFrontier(points);
-        const double wallMs = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
+        dseWallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
 
         JsonValue dseBlock = JsonValue::object();
         dseBlock["cpi_source"] = opt.suiteCpi ? "suite-average" : "bst";
-        dseBlock["wall_ms"] = wallMs;
         dseBlock["grid_points"] = dse.gridSize(configs);
         dseBlock["evaluated"] = points.size();
         JsonValue pareto = JsonValue::array();
@@ -213,18 +212,20 @@ run(const Options &opt)
 
     const std::string json = doc.dump();
     if (opt.outPath.empty()) {
-        std::fputs(json.c_str(), stdout);
+        fatalIf(std::fputs(json.c_str(), stdout) == EOF ||
+                    std::fflush(stdout) != 0,
+                "cannot write the document to stdout");
     } else {
-        std::FILE *out = std::fopen(opt.outPath.c_str(), "w");
-        fatalIf(out == nullptr, "cannot open ", opt.outPath);
-        std::fputs(json.c_str(), out);
-        std::fclose(out);
+        fatalIf(!writeFile(opt.outPath, json), "cannot write ",
+                opt.outPath);
     }
     std::fprintf(stderr,
                  "tia-sweep: %zu configs x %zu workloads on %u worker "
                  "thread(s), CPI matrix %.1f ms\n",
                  configs.size(), suite.size(), matrix.jobs,
                  matrix.wallMs);
+    if (dseWallMs)
+        std::fprintf(stderr, "tia-sweep: DSE %.1f ms\n", *dseWallMs);
     std::fprintf(stderr, "tia-sweep: %zu of %zu cells derived\n",
                  matrix.derived, matrix.runs.size());
     if (cache)
