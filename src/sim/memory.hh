@@ -94,7 +94,10 @@ class Memory
 
 /**
  * Read port: address channel in, data channel out, pipelined with a
- * fixed response latency. Accepts one new request per cycle.
+ * fixed response latency. Accepts one new request per cycle while
+ * fewer than maxInFlight() are outstanding, as a BRAM port pipelines a
+ * bounded number of reads; past that, requests wait in the address
+ * channel and push back on the requester.
  */
 class MemoryReadPort
 {
@@ -121,9 +124,30 @@ class MemoryReadPort
     }
 
     /**
+     * Requests the port holds at most: one per cycle of the array's
+     * latency, plus the two the channel hops add. At the default
+     * 4-cycle latency that is 4, enough to stream one load per cycle.
+     */
+    std::size_t maxInFlight() const { return latency_ + 2; }
+
+    /** Requests accepted whose responses are not yet delivered. */
+    std::size_t inFlight() const { return inFlight_.size(); }
+
+    /** Cycles from @p now until held request @p i is due (0 once due). */
+    Cycle
+    heldWait(std::size_t i, Cycle now) const
+    {
+        const Cycle ready = inFlight_[i].ready;
+        return ready > now ? ready - now : 0;
+    }
+
+    /** The tag held request @p i will answer with. */
+    Tag heldTag(std::size_t i) const { return inFlight_[i].token.tag; }
+
+    /**
      * Advance one cycle at time @p now: retire due responses (in
      * order, when the response channel has space) and accept at most
-     * one new request.
+     * one new request, while fewer than maxInFlight() are held.
      */
     void
     step(Cycle now)
@@ -138,6 +162,7 @@ class MemoryReadPort
         }
         // Accept one request per cycle (snapshot view of availability).
         if (addresses_.snapshotSize() > 0 &&
+            inFlight_.size() < maxInFlight() &&
             !addresses_.faultStuckEmpty()) {
             Token request = addresses_.pop();
             Token response{memory_.read(request.data), request.tag};
@@ -160,13 +185,32 @@ class MemoryReadPort
     }
 
     /**
-     * True if requests are still being processed or waiting to be
-     * accepted (pending addresses will be consumed next cycle, so the
-     * fabric is not quiescent yet).
+     * True while the port can move by itself: a held request can still
+     * be delivered (the response channel has room), or a waiting
+     * address can still be accepted. A port holding requests behind a
+     * full response channel waits on that channel's consumer
+     * (blockedOnResponses), so the fabric can go quiescent around it.
      */
-    bool busy() const { return !inFlight_.empty() || !addresses_.empty(); }
+    bool
+    busy() const
+    {
+        return (!inFlight_.empty() && !responsesFull()) ||
+               (!addresses_.empty() && inFlight_.size() < maxInFlight());
+    }
+
+    /** Holds requests that a full response channel keeps back. */
+    bool blockedOnResponses() const
+    {
+        return !inFlight_.empty() && responsesFull();
+    }
 
   private:
+    bool
+    responsesFull() const
+    {
+        return responses_.size() >= responses_.capacity();
+    }
+
     struct Response
     {
         Cycle ready;

@@ -1,7 +1,6 @@
 #include "uarch/cycle_fabric.hh"
 
 #include <algorithm>
-#include <exception>
 #include <string>
 
 #include "core/logging.hh"
@@ -255,48 +254,6 @@ CycleFabric::endCycle()
 }
 
 bool
-CycleFabric::canRunAhead() const
-{
-    return activePes_.size() == 1 && events_.dirtyChannels().empty() &&
-           !injector_ && !trace_ && !portsBusy();
-}
-
-void
-CycleFabric::runAhead(Cycle limit, std::uint64_t &lastRetired,
-                      Cycle &lastActivity)
-{
-    // canRunAhead() holds: this PE is the only agent that can move.
-    // While its steps neither push nor pop, no channel goes dirty, so
-    // the next cycle's step() would have no snapshot or wake to
-    // perform, the idle memory ports no request to serve, and nothing
-    // to commit. The episode's last cycle finishes like any other.
-    PipelinedPe::Episode run;
-    std::exception_ptr trap;
-    try {
-        pes_[activePes_.front()]->runAhead(limit - now_, sleepEnabled_, run);
-    } catch (...) {
-        trap = std::current_exception();
-    }
-    stepsExecuted_ += run.cycles;
-    stepsReplayed_ += run.replayed;
-    totalRetired_ += run.retired;
-    // Every cycle before the last completed as an active one, which
-    // run()'s per-cycle bookkeeping records; a trapping cycle never
-    // completes, so after a trap each counted cycle did.
-    const Cycle completed = trap ? run.cycles : run.cycles - 1;
-    now_ += completed;
-    if (trap)
-        std::rethrow_exception(trap);
-    if (completed > 0) {
-        lastRetired = totalRetired_ - run.lastRetired;
-        lastActivity = now_;
-    }
-    activeBusyPes_ = 0;
-    settleActivePe(0);
-    endCycle();
-}
-
-bool
 CycleFabric::portsBusy() const
 {
     for (const auto &port : readPorts_) {
@@ -321,22 +278,39 @@ CycleFabric::anyActivity() const
 RunStatus
 CycleFabric::run(const FabricRunOptions &options)
 {
-    std::uint64_t last_retired = totalRetired_;
-    std::uint64_t last_events = events_.progressEvents();
-    Cycle last_activity = now_;
-    Cycle last_progress = now_;
+    FabricMemo::RunMarks last;
+    last.retired = totalRetired_;
+    last.events = events_.progressEvents();
+    last.activity = now_;
+    last.progress = now_;
     // First poll happens immediately: a job cancelled while queued
     // returns before simulating a single cycle.
     Cycle next_stop_check = now_;
+    // The control memo engages once this run has taken kEngageAfter
+    // cycles, and again that long after it last lost its place.
+    const bool memo_allowed = !trace_ && !injector_ && !referenceScheduler_;
+    Cycle memo_at = now_ + FabricMemo::kEngageAfter;
+    auto leave_memo = [&] {
+        if (memo_)
+            memo_->leave();
+    };
+    auto quiescent = [&] {
+        leave_memo();
+        flushSleepDebt();
+        report_ = diagnoseQuiescence();
+        return report_.classification;
+    };
     for (;;) {
         if (now_ >= options.maxCycles) {
+            leave_memo();
             flushSleepDebt();
-            report_ = classifyStepLimit(now_ - last_progress,
+            report_ = classifyStepLimit(now_ - last.progress,
                                         options.quiescenceWindow);
             return report_.classification;
         }
         if (options.stop.possible() && now_ >= next_stop_check) {
             if (const char *why = options.stop.why()) {
+                leave_memo();
                 flushSleepDebt();
                 report_ = HangReport{};
                 report_.classification = RunStatus::Cancelled;
@@ -348,6 +322,7 @@ CycleFabric::run(const FabricRunOptions &options)
             next_stop_check = now_ + kStopCheckInterval;
         }
         if (haltedPes_ == pes_.size()) {
+            leave_memo();
             report_ = HangReport{};
             report_.classification = RunStatus::Halted;
             report_.summary = "halted: every PE retired a halt";
@@ -355,28 +330,39 @@ CycleFabric::run(const FabricRunOptions &options)
             return RunStatus::Halted;
         }
 
-        if (canRunAhead()) {
-            // Stop short of the next budget check and stop-token poll.
+        if (memo_ && memo_->following()) {
+            // Replay up to the next budget check and stop-token poll.
             const Cycle limit =
                 options.stop.possible()
                     ? std::min(options.maxCycles, next_stop_check)
                     : options.maxCycles;
-            runAhead(limit, last_retired, last_activity);
+            const Cycle from = now_;
+            if (memo_->replay(limit, options.quiescenceWindow, last))
+                return quiescent();
+            if (now_ != from)
+                continue;
+            memo_->stepRecorded();
+            if (!memo_->following())
+                memo_at = now_ + FabricMemo::kEngageAfter;
         } else {
             step();
+            if (memo_allowed && now_ >= memo_at) {
+                if (!memo_)
+                    memo_ = std::make_unique<FabricMemo>(*this);
+                memo_->resume();
+                memo_at = now_ + FabricMemo::kEngageAfter;
+            }
         }
 
-        if (events_.progressEvents() != last_events) {
-            last_events = events_.progressEvents();
-            last_progress = now_;
+        if (events_.progressEvents() != last.events) {
+            last.events = events_.progressEvents();
+            last.progress = now_;
         }
-        if (totalRetired_ != last_retired || anyActivity()) {
-            last_retired = totalRetired_;
-            last_activity = now_;
-        } else if (now_ - last_activity >= options.quiescenceWindow) {
-            flushSleepDebt();
-            report_ = diagnoseQuiescence();
-            return report_.classification;
+        if (totalRetired_ != last.retired || anyActivity()) {
+            last.retired = totalRetired_;
+            last.activity = now_;
+        } else if (now_ - last.activity >= options.quiescenceWindow) {
+            return quiescent();
         }
     }
 }
@@ -457,11 +443,16 @@ CycleFabric::diagnoseQuiescence() const
         }
     }
 
-    // A read port that is not producing is waiting for addresses.
+    // A read port that is not producing is waiting for addresses, or
+    // for room to deliver the requests it holds.
     for (unsigned rp = 0; rp < readPorts_.size(); ++rp) {
         if (channels_[config_.readPorts[rp].addrChannel]->empty()) {
             add_empty_wait(rp_base + rp, config_.readPorts[rp].addrChannel,
                            "no requests");
+        }
+        if (readPorts_[rp]->blockedOnResponses()) {
+            add_full_wait(rp_base + rp, config_.readPorts[rp].dataChannel,
+                          "response channel full");
         }
     }
     // A write port with one side of the pair missing waits for it.

@@ -34,25 +34,15 @@
  * only channels touched this cycle need a commit at its end, and a new
  * snapshot (beginCycle) at the next cycle's start.
  *
- * Run-ahead: when run() finds exactly one PE awake, no channel dirty,
- * no memory port busy, and neither an injector nor a trace sink, that
- * PE is the only agent that can move, and it runs one episode by
- * itself (PipelinedPe::runAhead) without the per-cycle fabric walk.
- * The episode ends on the first step that pushes or pops, halts, can
- * sleep or leaves the PE idle, or at the next cycle-budget check or
- * stop-token poll; its last cycle finishes through the same tail as
- * step(). Run-ahead is invisible for the same single-producer/
- * single-consumer reason as parking: until the PE touches a channel,
- * no other agent's inputs can change, so each skipped fabric walk
- * would have found nothing to snapshot, wake, serve, commit or park
- * (asserted against a bare step() loop by tests/test_hot_path.cc).
- *
- * The fabric accounts an episode's cycles, steps and retirements in
- * bulk once the call returns (or traps). Past
- * PipelinedPe::kMemoThreshold steps, the episode replays the cycles
- * the PE's run-ahead memo recorded (docs/perf.md, "Memoized
- * run-ahead"); stepStats() counts replayed steps as executed ones, and
- * separately.
+ * The control memo: past FabricMemo::kEngageAfter cycles of a run(),
+ * run() follows the fabric through its control states and replays the
+ * whole-fabric cycles a step() already recorded from the same state,
+ * running only their data actions (uarch/fabric_memo.hh; docs/perf.md,
+ * "The fabric control memo"). It is off under a trace sink, a fault
+ * injector and the reference scheduler, and every run() leaves the
+ * fabric materialized, so step(), the accessors and a later run() see
+ * exactly the state a bare step() loop leaves. stepStats() counts
+ * replayed steps as executed ones, and separately.
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -70,6 +60,7 @@
 #include "sim/hang_diagnosis.hh"
 #include "sim/memory.hh"
 #include "sim/queue.hh"
+#include "uarch/fabric_memo.hh"
 #include "uarch/pipelined_pe.hh"
 
 namespace tia {
@@ -107,7 +98,7 @@ struct FabricStepStats
     /** PE steps skipped by the idle sleep list (accounted lazily). */
     std::uint64_t peStepsSkipped = 0;
     /**
-     * Executed PE steps replayed from the run-ahead memo (a subset of
+     * Executed PE steps replayed from the control memo (a subset of
      * peStepsExecuted): datapath work only, control read off a
      * recorded transition.
      */
@@ -214,6 +205,7 @@ class CycleFabric
     void
     setUseReferenceScheduler(bool enabled)
     {
+        referenceScheduler_ = enabled;
         for (auto &pe : pes_)
             pe->setUseReferenceScheduler(enabled);
     }
@@ -248,7 +240,9 @@ class CycleFabric
     }
 
   private:
-    /** Some memory port holds or awaits a request. */
+    friend class FabricMemo;
+
+    /** Some memory port can still move by itself. */
     bool portsBusy() const;
 
     bool anyActivity() const;
@@ -273,25 +267,8 @@ class CycleFabric
     /**
      * The rest of a cycle once every awake PE stepped: memory ports,
      * channel commits, depth samples, clock advance.
-     * Shared by step() and runAhead().
      */
     void endCycle();
-
-    /**
-     * True when one PE is the only agent that can move: it is the only
-     * awake PE, no channel is dirty, no memory port is busy, and
-     * neither an injector nor a trace sink is installed.
-     */
-    bool canRunAhead() const;
-
-    /**
-     * Run-ahead (see file comment), entered when canRunAhead(); the
-     * cycle that reaches @p limit is its last. Every cycle before the
-     * last was active, so each is recorded in @p lastRetired and
-     * @p lastActivity as run()'s per-cycle bookkeeping would.
-     */
-    void runAhead(Cycle limit, std::uint64_t &lastRetired,
-                  Cycle &lastActivity);
 
     /**
      * Re-activate PE @p index if parked, settling its sleep debt.
@@ -365,6 +342,10 @@ class CycleFabric
     std::uint64_t stepsExecuted_ = 0;
     mutable std::uint64_t stepsSkipped_ = 0;
     std::uint64_t stepsReplayed_ = 0;
+
+    /** The control memo, made at first engagement (run()). */
+    std::unique_ptr<FabricMemo> memo_;
+    bool referenceScheduler_ = false;
 
     // Observability (optional, non-owning). Last on purpose: the hot
     // step loop touches the members above every cycle, and inserting

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "core/logging.hh"
 #include "core/opcode.hh"
 #include "sim/fault.hh"
+#include "uarch/fabric_memo.hh"
 
 namespace tia {
 
@@ -306,8 +306,8 @@ PipelinedPe::doDecode(InFlight &entry)
         ++counters_.dequeues;
     }
     entry.didD = true;
-    if (recording_) [[unlikely]]
-        recordAction(entry, false, false);
+    if (recorder_) [[unlikely]]
+        recorder_->recordDecode(*this, entry);
 }
 
 void
@@ -332,25 +332,6 @@ PipelinedPe::flushSpeculative()
                   static_cast<std::uint16_t>(entry.index), entry.id);
         occupied_ &= static_cast<std::uint8_t>(~(1u << s));
     }
-}
-
-[[gnu::always_inline]] inline bool
-PipelinedPe::datapathResult(const Instruction &inst, Word a, Word b,
-                            Word &result) const
-{
-    const OpInfo &info = opInfo(inst.op);
-    result = 0;
-    if (info.readsScratchpad) {
-        const Word address = a + b;
-        if (address >= scratchpad_.size())
-            return false;
-        result = scratchpad_[address];
-    } else if (info.writesScratchpad) {
-        return a < scratchpad_.size();
-    } else {
-        result = evalAlu(inst.op, a, b);
-    }
-    return true;
 }
 
 void
@@ -379,8 +360,8 @@ PipelinedPe::doWriteback(InFlight &entry)
     } else if (info.writesScratchpad) {
         scratchpad_[a] = b;
     }
-    if (recording_) [[unlikely]]
-        recordAction(entry, true, (result & 1u) != 0);
+    if (recorder_) [[unlikely]]
+        recorder_->recordWriteback(*this, entry, result);
 
     switch (inst.dst.type) {
       case DstType::None:
@@ -693,110 +674,61 @@ PipelinedPe::step()
 }
 
 // ---------------------------------------------------------------------
-// Run-ahead memo (see the file comment of pipelined_pe.hh).
+// Control state for the fabric memo (see uarch/fabric_memo.hh).
 // ---------------------------------------------------------------------
 
-namespace {
-
-void
-putByte(std::string &key, std::uint64_t value)
+std::size_t
+PipelinedPe::controlKeyBytes() const
 {
-    panicIf(value > 0xff, "run-ahead memo: a packed field exceeds a byte");
-    key.push_back(static_cast<char>(value));
+    const std::size_t pred_bytes = (params_.numPreds + 7) / 8;
+    return 2 + 4 * entries_.size() + 2 * pred_bytes + params_.numPreds +
+           predictor_.size() + 1 +
+           kMaxNestedSpeculation * (1 + pred_bytes) + pendingDeq_.size() +
+           pendingEnq_.size();
 }
 
 void
-putWord(std::string &key, std::uint64_t value)
-{
-    char bytes[sizeof value];
-    std::memcpy(bytes, &value, sizeof value);
-    key.append(bytes, sizeof value);
-}
-
-/** Reads back what putByte/putWord wrote, in order. */
-class KeyReader
-{
-  public:
-    explicit KeyReader(const std::string &key) : key_(key) {}
-
-    std::uint8_t
-    byte()
-    {
-        return static_cast<std::uint8_t>(key_[pos_++]);
-    }
-
-    std::uint64_t
-    word()
-    {
-        std::uint64_t value;
-        std::memcpy(&value, key_.data() + pos_, sizeof value);
-        pos_ += sizeof value;
-        return value;
-    }
-
-  private:
-    const std::string &key_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-void
-PipelinedPe::packControl(std::string &key) const
+PipelinedPe::packControl(char *&out) const
 {
     panicIf(halted_ || pendingPredCommit_.has_value() ||
                 squashIssueThisCycle_,
-            "run-ahead memo: control state packed mid-cycle");
-    putByte(key, occupied_);
-    putByte(key, (haltIssued_ ? 1u : 0u) | (idleCycle_ ? 2u : 0u));
+            "control memo: control state packed mid-cycle");
+    const unsigned pred_bytes = (params_.numPreds + 7) / 8;
+    putByte(out, occupied_);
+    putByte(out, (haltIssued_ ? 1u : 0u) | (idleCycle_ ? 2u : 0u));
     for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
         const InFlight &entry = slot(s);
-        putByte(key, stage_[s]);
-        putByte(key, entry.index);
-        putByte(key, nextId_ - entry.id);
-        putByte(key, entry.specLevel | (entry.didD ? 4u : 0u) |
+        putByte(out, stage_[s]);
+        putByte(out, entry.index);
+        putByte(out, nextId_ - entry.id);
+        putByte(out, entry.specLevel | (entry.didD ? 4u : 0u) |
                          (entry.isPredictor ? 8u : 0u) |
                          (entry.predictedValue ? 16u : 0u) |
                          (entry.faultFlipped ? 32u : 0u));
     }
-    putWord(key, preds_);
-    putWord(key, pendingPredMask_);
+    putBytes(out, preds_, pred_bytes);
+    putBytes(out, pendingPredMask_, pred_bytes);
     for (std::uint64_t rest = pendingPredMask_; rest != 0; rest &= rest - 1)
-        putByte(key, pendingPredWrites_[std::countr_zero(rest)]);
+        putByte(out, pendingPredWrites_[std::countr_zero(rest)]);
     for (unsigned p = 0; p < predictor_.size(); ++p)
-        putByte(key, predictor_.counter(p));
-    putByte(key, specContexts_.size());
+        putByte(out, predictor_.counter(p));
+    putByte(out, specContexts_.size());
     for (const SpecContext &context : specContexts_) {
-        putByte(key, nextId_ - context.id);
-        putWord(key, context.fallbackPreds);
+        putByte(out, nextId_ - context.id);
+        putBytes(out, context.fallbackPreds, pred_bytes);
     }
     for (const unsigned pending : pendingDeq_)
-        putByte(key, pending);
+        putByte(out, pending);
     for (const unsigned pending : pendingEnq_)
-        putByte(key, pending);
+        putByte(out, pending);
 }
 
 void
-PipelinedPe::settleReplays()
-{
-    for (const std::uint32_t id : memo_->unsettled) {
-        MemoEdge &edge = memo_->nodes[id / 2].edges[id % 2];
-        counters_.cycles += edge.pending;
-        for (std::size_t i = 0; i < kMemoCounters.size(); ++i)
-            counters_.*kMemoCounters[i] += edge.pending * edge.delta[i];
-        nextId_ += edge.pending * edge.issued;
-        edge.pending = 0;
-    }
-    memo_->unsettled.clear();
-}
-
-void
-PipelinedPe::materialize()
+PipelinedPe::unpackControl(KeyReader &key)
 {
     // The exact inverse of packControl; operands are data and stay.
-    settleReplays();
-    KeyReader key(*memo_->nodes[memoNode_].state);
+    const unsigned pred_bytes = (params_.numPreds + 7) / 8;
     occupied_ = key.byte();
     const std::uint8_t flags = key.byte();
     haltIssued_ = (flags & 1u) != 0;
@@ -815,8 +747,8 @@ PipelinedPe::materialize()
         entry.predictedValue = (bits & 16u) != 0;
         entry.faultFlipped = (bits & 32u) != 0;
     }
-    preds_ = key.word();
-    pendingPredMask_ = key.word();
+    preds_ = key.bytes(pred_bytes);
+    pendingPredMask_ = key.bytes(pred_bytes);
     std::fill(pendingPredWrites_.begin(), pendingPredWrites_.end(), 0u);
     for (std::uint64_t rest = pendingPredMask_; rest != 0; rest &= rest - 1)
         pendingPredWrites_[std::countr_zero(rest)] = key.byte();
@@ -825,280 +757,12 @@ PipelinedPe::materialize()
     specContexts_.resize(key.byte());
     for (SpecContext &context : specContexts_) {
         context.id = nextId_ - key.byte();
-        context.fallbackPreds = key.word();
+        context.fallbackPreds = key.bytes(pred_bytes);
     }
     for (unsigned &pending : pendingDeq_)
         pending = key.byte();
     for (unsigned &pending : pendingEnq_)
         pending = key.byte();
-    memoStale_ = false;
-}
-
-std::uint32_t
-PipelinedPe::findOrAddNode()
-{
-    std::string key;
-    packControl(key);
-    key += memo_->view;
-    const auto found = memo_->index.find(key);
-    if (found != memo_->index.end())
-        return found->second;
-    if (memo_->nodes.size() >= kMemoNodeCap)
-        return kNoMemoNode;
-    const auto id = static_cast<std::uint32_t>(memo_->nodes.size());
-    const auto inserted = memo_->index.emplace(std::move(key), id).first;
-    memo_->nodes.emplace_back().state = &inserted->first;
-    return id;
-}
-
-void
-PipelinedPe::engageMemo(bool sleepEnabled)
-{
-    if (!memo_)
-        memo_ = std::make_unique<RunAheadMemo>();
-    // The channel view, constant for the episode: each bound input's
-    // occupancy and tags (the scheduler peeks past in-flight dequeues),
-    // each bound output's occupancy, and the sleep setting. Queue
-    // capacity is unbounded, so occupancies take a word each.
-    std::string &view = memo_->view;
-    view.clear();
-    putByte(view, sleepEnabled ? 1u : 0u);
-    for (const TaggedQueue *queue : inputs_) {
-        if (!queue)
-            continue;
-        panicIf(queue->popsThisCycle() != 0 || queue->pendingPushes() != 0,
-                "run-ahead memo engaged with a channel in motion");
-        putWord(view, queue->size());
-        for (unsigned depth = 0; depth < queue->size(); ++depth)
-            putByte(view, queue->peekPtr(depth)->tag);
-    }
-    for (const TaggedQueue *queue : outputs_) {
-        if (!queue)
-            continue;
-        panicIf(queue->pendingPushes() != 0,
-                "run-ahead memo engaged with a channel in motion");
-        putWord(view, queue->size());
-    }
-    memoNode_ = findOrAddNode();
-}
-
-void
-PipelinedPe::recordAction(const InFlight &entry, bool writeback, bool bit)
-{
-    static constexpr Word kZero = 0;
-    MemoRecording &recording = memo_->recording;
-    MemoEdge &edge = recording.edge;
-    const Instruction &inst = *entry.inst;
-    const auto index = static_cast<std::uint8_t>(&entry - entries_.data());
-    auto operand = [&](const Source &src) -> const Word * {
-        switch (src.type) {
-          case SrcType::Reg:
-            return &regs_[src.index];
-          case SrcType::Immediate:
-            return &inst.imm;
-          case SrcType::InputQueue:
-            return nullptr;
-          case SrcType::None:
-            break;
-        }
-        return &kZero;
-    };
-    MemoAction action;
-    action.inst = &inst;
-    action.srcs = {operand(inst.srcs[0]), operand(inst.srcs[1])};
-    if (inst.dst.type == DstType::Reg)
-        action.dst = &regs_[inst.dst.index];
-    action.entry = index;
-    if (!writeback) {
-        panicIf(edge.numActions == edge.actions.size(),
-                "run-ahead memo: too many actions in one cycle");
-        action.decode = true;
-        edge.actions[edge.numActions++] = action;
-        return;
-    }
-    // A writeback leads its cycle (the work pass visits the writeback
-    // segment first), after its own same-cycle capture if any; so a
-    // replayed writeback that would trap has changed nothing yet.
-    const bool fused = edge.numActions == 1 && edge.actions[0].entry == index;
-    panicIf(edge.numActions != (fused ? 1u : 0u),
-            "run-ahead memo: a writeback after another action");
-    if (!fused)
-        edge.actions[edge.numActions++] = action;
-    edge.actions[0].writeback = true;
-    if (inst.writesPredicate()) {
-        recording.branch = true;
-        recording.bit = bit;
-    }
-}
-
-bool
-PipelinedPe::replayActions(const MemoEdge &edge, unsigned first)
-{
-    for (unsigned i = first; i < edge.numActions; ++i) {
-        const MemoAction &action = edge.actions[i];
-        const Instruction &inst = *action.inst;
-        InFlight &entry = entries_[action.entry];
-        if (action.decode) {
-            entry.operands[0] = memoOperand(action, 0);
-            entry.operands[1] = memoOperand(action, 1);
-        }
-        if (action.writeback) {
-            const Word a = entry.operands[0];
-            const Word b = entry.operands[1];
-            Word result;
-            if (!datapathResult(inst, a, b, result))
-                return false; // First action: nothing has changed.
-            if (opInfo(inst.op).writesScratchpad)
-                scratchpad_[a] = b;
-            if (action.dst)
-                *action.dst = result;
-        }
-    }
-    return true;
-}
-
-[[gnu::always_inline]] inline const PipelinedPe::MemoEdge *
-PipelinedPe::replayCycle()
-{
-    if (memoNode_ == kNoMemoNode)
-        return nullptr;
-    MemoNode &node = memo_->nodes[memoNode_];
-    if (!node.recorded)
-        return nullptr;
-    // The cycle's one data-to-control bit, computed before any action.
-    // The branch is the edge's first action, and its result goes only
-    // to a predicate (control), so all that is left to replay of it is
-    // its operand capture.
-    unsigned bit = 0;
-    unsigned first = 0;
-    if (const MemoAction &branch = node.branch; branch.inst) {
-        InFlight &entry = entries_[branch.entry];
-        const Word a =
-            branch.decode ? memoOperand(branch, 0) : entry.operands[0];
-        const Word b =
-            branch.decode ? memoOperand(branch, 1) : entry.operands[1];
-        Word result;
-        if (!datapathResult(*branch.inst, a, b, result))
-            return nullptr;
-        bit = result & 1u;
-        if (node.edges[bit].next == kNoMemoNode)
-            return nullptr;
-        entry.operands = {a, b};
-        first = 1;
-    }
-    MemoEdge &edge = node.edges[bit];
-    if (edge.next == kNoMemoNode || !replayActions(edge, first))
-        return nullptr;
-    if (edge.pending++ == 0)
-        memo_->unsettled.push_back(2 * memoNode_ + bit);
-    memoNode_ = edge.next;
-    memoStale_ = true;
-    return &edge;
-}
-
-[[gnu::always_inline]] inline bool
-PipelinedPe::stepCycle(bool sleepEnabled, std::uint64_t &retired)
-{
-    // Only a PE the memo follows can have stale control fields.
-    const std::uint32_t from = memoNode_;
-    if (from != kNoMemoNode) {
-        if (memoStale_)
-            materialize();
-        memo_->recording = {};
-        memo_->recording.before = counters_;
-        memo_->recording.nextId = nextId_;
-        recording_ = true;
-    }
-    const std::uint64_t retired_before = counters_.retired;
-    const std::uint64_t moved_before = counters_.dequeues + counters_.enqueues;
-    step();
-    recording_ = false;
-    retired = counters_.retired - retired_before;
-
-    // The one rule that ends a run-ahead episode: the PE halted, moved
-    // a channel (any other agent may now have work), can sleep, or has
-    // gone idle.
-    const bool moved = counters_.dequeues + counters_.enqueues != moved_before;
-    const bool stop = halted_ || moved || (sleepEnabled && canSleep()) ||
-                      (retired == 0 && !busy());
-    // Pushes, pops and halts end the episode and are never recorded.
-    if (from != kNoMemoNode && !halted_ && !moved)
-        recordEdge(from, stop);
-    return stop;
-}
-
-void
-PipelinedPe::recordEdge(std::uint32_t from, bool stop)
-{
-    const MemoRecording &recording = memo_->recording;
-    MemoEdge edge = recording.edge;
-    edge.issued = static_cast<std::uint8_t>(nextId_ - recording.nextId);
-    edge.stop = stop;
-    for (std::size_t i = 0; i < kMemoCounters.size(); ++i) {
-        const std::uint64_t delta =
-            counters_.*kMemoCounters[i] - recording.before.*kMemoCounters[i];
-        panicIf(delta > 0xff, "run-ahead memo: a counter delta exceeds a byte");
-        edge.delta[i] = static_cast<std::uint8_t>(delta);
-    }
-    memoNode_ = findOrAddNode();
-    if (memoNode_ == kNoMemoNode)
-        return; // At the cap: plain steps from here.
-    edge.next = memoNode_;
-
-    MemoNode &node = memo_->nodes[from];
-    const MemoAction branch =
-        recording.branch ? edge.actions[0] : MemoAction{};
-    if (!node.recorded) {
-        node.recorded = true;
-        node.branch = branch;
-    }
-    panicIf(node.branch.inst != branch.inst ||
-                node.branch.entry != branch.entry ||
-                node.branch.decode != branch.decode,
-            "run-ahead memo: a control state changed its branch");
-    node.edges[recording.bit ? 1 : 0] = edge;
-}
-
-void
-PipelinedPe::runAhead(std::uint64_t maxCycles, bool sleepEnabled,
-                      Episode &run)
-{
-    static_assert(kMemoCounters[0] == &PerfCounters::retired);
-    // Counted in a local, which can stay in registers, and handed out
-    // however the episode ends.
-    Episode done;
-    try {
-        for (;;) {
-            // The reference scheduler must keep resolving every cycle
-            // itself, so it never engages the memo.
-            if (done.cycles == kMemoThreshold && !referenceScheduler_)
-                engageMemo(sleepEnabled);
-            bool stop;
-            std::uint64_t retired;
-            if (const MemoEdge *edge = replayCycle()) {
-                ++done.replayed;
-                stop = edge->stop;
-                retired = edge->delta[0];
-            } else {
-                stop = stepCycle(sleepEnabled, retired);
-            }
-            done.lastRetired = retired;
-            done.retired += retired;
-            if (++done.cycles == maxCycles || stop)
-                break;
-        }
-    } catch (...) {
-        // Only step() traps, from a materialized PE: the trap leaves
-        // exactly the state the step loop leaves.
-        recording_ = false;
-        memoNode_ = kNoMemoNode;
-        run = done;
-        throw;
-    }
-    run = done;
-    if (memoStale_)
-        materialize();
-    memoNode_ = kNoMemoNode;
 }
 
 } // namespace tia

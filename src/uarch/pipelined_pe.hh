@@ -34,14 +34,14 @@
  * stage-to-entry map says which entry each segment holds, so advancing
  * a stage moves a one-byte index, not the entry.
  *
- * Memoized run-ahead: while the owning fabric runs this PE alone with
- * every channel frozen, runAhead() steps it through one episode, and
- * past kMemoThreshold cycles replays the cycles a per-PE memo recorded
- * from the same control state: control (trigger resolution, hazards,
- * issue, prediction, flush) reads only control state, queue status and
- * the one datapath predicate write a cycle can hold, so a replayed
- * cycle runs only its datapath work. See docs/perf.md, "Memoized
- * run-ahead".
+ * Control (trigger resolution, hazards, issue, prediction, flush) reads
+ * only control state, queue status and the one datapath predicate
+ * write a cycle can hold. The owning fabric's control memo
+ * (uarch/fabric_memo.hh) relies on that split: packControl() and
+ * unpackControl() save and restore exactly the control fields, and
+ * while the memo records a step() the PE reports each datapath action
+ * it performs, so a replayed cycle runs only its datapath work. See
+ * docs/perf.md, "The fabric control memo".
  */
 
 #ifndef TIA_UARCH_PIPELINED_PE_HH
@@ -50,22 +50,23 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/opcode.hh"
 #include "core/program.hh"
 #include "obs/trace.hh"
 #include "sim/queue.hh"
 #include "sim/scheduler.hh"
 #include "uarch/config.hh"
+#include "uarch/control_key.hh"
 #include "uarch/counters.hh"
 #include "uarch/predictor.hh"
 
 namespace tia {
 
+class FabricMemo;
 class FaultInjector;
 
 /**
@@ -169,45 +170,6 @@ class PipelinedPe
     void step();
 
     /**
-     * Plain steps a run-ahead episode takes before it follows the
-     * run-ahead memo. Short episodes never engage: bst averages 3.1
-     * cycles per episode and mean 1.2, and a memo that engaged on
-     * every episode made bst about 1.6x slower per cycle (docs/perf.md).
-     */
-    static constexpr unsigned kMemoThreshold = 64;
-
-    /**
-     * Most control states the run-ahead memo records per PE. Over all
-     * 32 uarchs plus +P+N and +P+N+Q, the full-size Table 3 memos hold
-     * at most 24 (gcd) and 269 (udiv) nodes per PE; no other workload
-     * engages the memo. At the cap the memo stops recording (it never
-     * clears mid-run) and unrecorded states run through step().
-     */
-    static constexpr std::size_t kMemoNodeCap = 4096;
-
-    /** What runAhead() did, for the fabric's bookkeeping. */
-    struct Episode
-    {
-        std::uint64_t cycles = 0;   ///< Cycles completed.
-        std::uint64_t replayed = 0; ///< Of those, replayed from the memo.
-        std::uint64_t retired = 0;  ///< Instructions they retired.
-        std::uint64_t lastRetired = 0; ///< Of those, in the last cycle.
-    };
-
-    /**
-     * Step this PE alone through one run-ahead episode (see the file
-     * comment), until a cycle pushes or pops, halts, leaves the PE
-     * able to sleep (with @p sleepEnabled, whether the fabric parks
-     * idle PEs), or retires nothing and leaves nothing in flight — or
-     * until @p maxCycles (at least one) have run. Only valid while no
-     * other agent can move: every channel this PE is bound to stays
-     * frozen until the episode ends, and no trace sink or fault
-     * injector is installed. @p run counts as it goes, so after a trap
-     * it holds the cycles completed before the trapping one.
-     */
-    void runAhead(std::uint64_t maxCycles, bool sleepEnabled, Episode &run);
-
-    /**
      * True when stepping this PE again with unchanged queue status
      * would provably repeat a do-nothing cycle: nothing in flight, no
      * unresolved speculation or pending predicate write, and the last
@@ -259,8 +221,8 @@ class PipelinedPe
      * changed a decision (KnobWitness). +P acts only where a predicate
      * writer issues into a pipeline; +Q only where a resolution that
      * fetched queue status picks differently under the effective view.
-     * Cycles replayed from the run-ahead memo were recorded through
-     * step(), which already set any bit they would set.
+     * Cycles replayed from the fabric's control memo were recorded
+     * through step(), which already set any bit they would set.
      */
     const KnobWitness &knobWitness() const { return witness_; }
 
@@ -268,8 +230,23 @@ class PipelinedPe
     const std::vector<Word> &regs() const { return regs_; }
     const std::vector<Word> &scratchpad() const { return scratchpad_; }
 
+    /**
+     * Write the control state at a cycle boundary at @p out, at most
+     * controlKeyBytes() bytes: every field step() reads apart from data
+     * (registers, scratchpad, operands) and queue contents. Panics
+     * mid-cycle or once halted.
+     */
+    void packControl(char *&out) const;
+
+    /** Most bytes packControl() writes. */
+    std::size_t controlKeyBytes() const;
+
+    /** Restore what packControl() wrote, read back from @p key. */
+    void unpackControl(KeyReader &key);
+
   private:
     friend class CycleQueueView;
+    friend class FabricMemo;
 
     /** One instruction in flight. */
     struct InFlight
@@ -479,143 +456,8 @@ class PipelinedPe
     /** Off knobs that would have changed a decision (knobWitness). */
     KnobWitness witness_;
 
-    // Run-ahead memo (runAhead).
-    static constexpr std::uint32_t kNoMemoNode = ~std::uint32_t{0};
-    /**
-     * The counters a recordable cycle can move besides cycles (one
-     * each): a cycle that pushes or pops is never recorded, and no
-     * fault injector is installed while the memo runs.
-     */
-    static constexpr std::array<std::uint64_t PerfCounters::*, 9>
-        kMemoCounters = {
-            &PerfCounters::retired,         &PerfCounters::quashed,
-            &PerfCounters::predicateHazard, &PerfCounters::dataHazard,
-            &PerfCounters::forbidden,       &PerfCounters::noTrigger,
-            &PerfCounters::predicateWrites, &PerfCounters::predictions,
-            &PerfCounters::mispredictions,
-        };
-
-    /** One datapath action of a recorded cycle. */
-    struct MemoAction
-    {
-        const Instruction *inst = nullptr;
-        /**
-         * Where a replayed capture reads each operand: a register, the
-         * immediate or a zero; null for an input queue head, which
-         * goes through readSource().
-         */
-        std::array<const Word *, 2> srcs = {};
-        Word *dst = nullptr;     ///< Register the writeback writes, if any.
-        std::uint8_t entry = 0;  ///< Index into entries_.
-        bool decode = false;     ///< Capture the operands.
-        bool writeback = false;  ///< Then compute and commit the result.
-    };
-
-    /** One recorded cycle out of a node. */
-    struct MemoEdge
-    {
-        std::uint32_t next = kNoMemoNode; ///< Successor node.
-        /** Data actions in step() order; a writeback is always first. */
-        std::array<MemoAction, 3> actions;
-        std::uint8_t numActions = 0;
-        std::uint8_t issued = 0; ///< Instructions issued (nextId_ step).
-        bool stop = false;       ///< The episode ends after this cycle.
-        std::array<std::uint8_t, kMemoCounters.size()> delta = {};
-        /**
-         * Replays not yet added to the counters and nextId_: settled
-         * in bulk (settleReplays) before anything reads them.
-         */
-        std::uint64_t pending = 0;
-    };
-
-    /** A packed control state at a cycle boundary. */
-    struct MemoNode
-    {
-        /** Key in RunAheadMemo::index: control state, then channel view. */
-        const std::string *state = nullptr;
-        bool recorded = false; ///< branch and one edge are set.
-        /**
-         * This state's one datapath predicate writeback, the branch
-         * choosing the edge (the first action of either edge), or an
-         * action with a null inst when the cycle has none.
-         */
-        MemoAction branch;
-        std::array<MemoEdge, 2> edges; ///< By written bit; [0] if no branch.
-    };
-
-    /**
-     * A step() being recorded: its actions, its branch bit, and the
-     * counters and nextId_ it started from.
-     */
-    struct MemoRecording
-    {
-        MemoEdge edge;
-        bool branch = false;
-        bool bit = false;
-        PerfCounters before;      ///< The counters when the step began.
-        std::uint64_t nextId = 0; ///< nextId_ when the step began.
-    };
-
-    /** Per PE, for the fabric's lifetime; never shared. */
-    struct RunAheadMemo
-    {
-        std::unordered_map<std::string, std::uint32_t> index;
-        std::vector<MemoNode> nodes;
-        /** This episode's frozen channel view, the key's suffix. */
-        std::string view;
-        /** Edges (2 * node + bit) with pending replays. */
-        std::vector<std::uint32_t> unsettled;
-        /** The step() being recorded, while recording_ is set. */
-        MemoRecording recording;
-    };
-
-    /** Append the control state at a cycle boundary to @p key. */
-    void packControl(std::string &key) const;
-    /** Add the pending replays to the counters and nextId_. */
-    void settleReplays();
-    /** Settle, then restore the control fields from the current node. */
-    void materialize();
-    /** The node for the current state, added unless at the cap. */
-    std::uint32_t findOrAddNode();
-    /**
-     * Key this episode's channel view and let the memo follow the PE
-     * from its current state.
-     */
-    void engageMemo(bool sleepEnabled);
-    /**
-     * Replay the current node's recorded cycle, if it has one for this
-     * cycle's branch bit and nothing in it would trap; the edge
-     * replayed, or null, having changed nothing.
-     */
-    const MemoEdge *replayCycle();
-    /** Operand @p k of @p action as a replayed capture reads it. */
-    Word
-    memoOperand(const MemoAction &action, unsigned k) const
-    {
-        return action.srcs[k] ? *action.srcs[k]
-                              : readSource(action.inst->srcs[k],
-                                           action.inst->imm);
-    }
-    /**
-     * Replay @p edge's data actions from index @p first; false,
-     * changing nothing, on a trap.
-     */
-    bool replayActions(const MemoEdge &edge, unsigned first);
-    /**
-     * Run this cycle through step() — materialized first, and recorded
-     * while the memo follows the PE. True when it ends the episode;
-     * @p retired is what the cycle retired.
-     */
-    bool stepCycle(bool sleepEnabled, std::uint64_t &retired);
-    /** doDecode/doWriteback hook while recording_ is set. */
-    void recordAction(const InFlight &entry, bool writeback, bool bit);
-    /** Link the edge step() recorded out of node @p from. */
-    void recordEdge(std::uint32_t from, bool stop);
-
-    std::unique_ptr<RunAheadMemo> memo_;
-    std::uint32_t memoNode_ = kNoMemoNode; ///< Current node; none = step().
-    bool memoStale_ = false; ///< Control fields lag memoNode_.
-    bool recording_ = false; ///< step() records into memo_->recording.
+    /** The fabric memo recording this step(), if any (non-owning). */
+    FabricMemo *recorder_ = nullptr;
 
     // Observability (optional, non-owning). Last on purpose: keeps
     // the per-cycle members above — counters_ especially — at their
@@ -685,6 +527,25 @@ PipelinedPe::schedOutputHasSpace(unsigned q, bool effective) const
         return pending_at_start == 0 && used < queue->capacity();
     }
     return used + pending < queue->capacity();
+}
+
+inline bool
+PipelinedPe::datapathResult(const Instruction &inst, Word a, Word b,
+                            Word &result) const
+{
+    const OpInfo &info = opInfo(inst.op);
+    result = 0;
+    if (info.readsScratchpad) {
+        const Word address = a + b;
+        if (address >= scratchpad_.size())
+            return false;
+        result = scratchpad_[address];
+    } else if (info.writesScratchpad) {
+        return a < scratchpad_.size();
+    } else {
+        result = evalAlu(inst.op, a, b);
+    }
+    return true;
 }
 
 } // namespace tia

@@ -49,7 +49,7 @@ class PredicatePredictor
         }
     }
 
-    /** Raw counter state (tests; run-ahead memo packing). */
+    /** Raw counter state (tests; control memo packing). */
     std::uint8_t counter(unsigned index) const { return counters_.at(index); }
 
     /** Restore a raw counter state read by counter(). */

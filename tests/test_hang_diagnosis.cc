@@ -185,6 +185,27 @@ TEST(HangDiagnosis, UnrequestedReadDataDeadlocksThroughReadPort)
                  {"PE 0"});
 }
 
+TEST(HangDiagnosis, ReadPortBehindFullResponseChannelDeadlocks)
+{
+    // The PE streams load addresses but never takes a response: the
+    // response channel fills, the port stops accepting once it holds
+    // its bound of requests, the address channel fills behind it, and
+    // the port's "response channel full" edge closes the cycle.
+    const Program program = assemble("when %p == XXXXXXXX: mov %o0.0, #3;\n");
+    FabricBuilder builder(ArchParams{}, 1);
+    builder.addReadPort(0, 0, 0);
+    CycleFabric fabric(builder.build(), program, kUarch);
+
+    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    expectReport(fabric.hangReport(), RunStatus::Deadlock,
+                 "deadlock: 4-agent wait cycle through PE 0",
+                 {"PE 0 --[output %o0 full]--> channel 0",
+                  "channel 0 --[drained by]--> read port 0",
+                  "read port 0 --[response channel full]--> channel 1",
+                  "channel 1 --[drained by]--> PE 0"},
+                 {"PE 0"});
+}
+
 TEST(HangDiagnosis, WritePortAwaitingDataDeadlocks)
 {
     // The PE sends store addresses but never the data: the write port

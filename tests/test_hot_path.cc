@@ -2,7 +2,7 @@
  * @file
  * Equivalence tests for the hot-loop optimizations: the compiled,
  * predicate-first trigger encoder, the ring-buffer TaggedQueue, the
- * fabric's idle-PE sleep/wake machinery and its lone-PE run-ahead.
+ * fabric's idle-PE sleep/wake machinery and its control memo.
  * Every optimization must be invisible to the architecture —
  * identical schedule outcomes, identical queue semantics,
  * bit-identical cycle counts, counters and hang reports with sleep on
@@ -10,6 +10,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <random>
 #include <utility>
@@ -697,7 +698,10 @@ TEST(ResolutionCache, FaultInjectionDisarmsIncrementalPath)
 }
 
 // ---------------------------------------------------------------------
-// Run-ahead: run() against a bare per-cycle step() loop.
+// The fabric control memo: run() against a bare per-cycle step() loop.
+// (The suite keeps the RunAhead name of the lone-PE memo these cases
+// were written for; each now pins the same property of the fabric
+// memo.)
 // ---------------------------------------------------------------------
 
 /** Everything observable about a fabric after a run, plus host steps. */
@@ -705,6 +709,8 @@ struct FabricObservation
 {
     Cycle cycles = 0;
     std::vector<PerfCounters> counters;
+    /** Per PE: retired, quashed, predicate, data, forbidden, no trigger. */
+    std::vector<std::array<double, 6>> cpiStacks;
     std::vector<std::vector<Word>> regs;
     std::vector<std::uint64_t> preds;
     std::vector<Word> memory;
@@ -721,6 +727,10 @@ observeFabric(const CycleFabric &fabric)
     obs.cycles = fabric.now();
     for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
         obs.counters.push_back(fabric.pe(pe).counters());
+        const CpiStack cpi = cpiStack(fabric.pe(pe).counters());
+        obs.cpiStacks.push_back({cpi.retired, cpi.quashed,
+                                 cpi.predicateHazard, cpi.dataHazard,
+                                 cpi.forbidden, cpi.noTrigger});
         obs.regs.push_back(fabric.pe(pe).regs());
         obs.preds.push_back(fabric.pe(pe).preds());
     }
@@ -741,8 +751,8 @@ allHalted(const CycleFabric &fabric)
     return true;
 }
 
-/** A trace sink that drops every event: attaching it turns run-ahead
- *  off without changing anything else about a run. */
+/** A trace sink that drops every event: attaching it turns the
+ *  control memo off without changing anything else about a run. */
 class NullSink : public TraceSink
 {
   public:
@@ -751,10 +761,17 @@ class NullSink : public TraceSink
 
 TEST(RunAhead, WorkloadSuiteMatchesPerCycleStepLoop)
 {
-    const std::vector<Workload> workloads =
-        allWorkloads(WorkloadSizes::small());
-    const std::vector<PeConfig> uarchs = allConfigs();
+    // Every Table 3 workload at both sizes on all 32 uarchs plus +P+N
+    // and +P+N+Q, sleep on and off: run(), which replays most cycles
+    // from the control memo, leaves exactly what a bare step() loop
+    // leaves.
+    std::vector<Workload> workloads = allWorkloads(WorkloadSizes::small());
+    for (Workload &workload : allWorkloads(WorkloadSizes::full()))
+        workloads.push_back(std::move(workload));
+    std::vector<PeConfig> uarchs = allConfigs();
     ASSERT_EQ(uarchs.size(), 32u);
+    uarchs.push_back({allShapes()[7], true, false, true}); // +P+N
+    uarchs.push_back({allShapes()[7], true, true, true});  // +P+N+Q
     for (const Workload &workload : workloads) {
         for (const PeConfig &uarch : uarchs) {
             for (const bool sleep : {true, false}) {
@@ -786,11 +803,11 @@ TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
     // 1-PE programs that never halt: an endless register loop, and a
     // counted loop that then waits forever on a never-fed input (its
     // last instruction retires in the cycle the PE first can sleep).
-    // Run-ahead covers their active stretches, so the budget exit —
-    // step limit or, once the window elapses without progress,
+    // The control memo replays their active stretches, so the budget
+    // exit — step limit or, once the window elapses without progress,
     // livelock — and the quiescence exit must land on the same cycle
-    // with the same diagnosis as a traced run (which never runs
-    // ahead), with the same state as a bare step() loop.
+    // with the same diagnosis as a traced run (which never replays),
+    // with the same state as a bare step() loop.
     const ArchParams params;
     const std::vector<std::pair<const char *, Program>> programs = {
         {"loop",
@@ -850,8 +867,8 @@ TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
 
 TEST(RunAhead, AttachedStopTokenChangesNothing)
 {
-    // A token that is polled but never fires caps every run-ahead
-    // stretch at the next poll boundary; results must not move.
+    // A token that is polled but never fires caps every stretch of
+    // replayed cycles at the next poll boundary; results must not move.
     const StopSource source;
     auto expect_same = [&](const FabricConfig &config,
                            const Program &program, const PeConfig &uarch,
@@ -914,15 +931,15 @@ TEST(RunAhead, MemoPastItsNodeCapMatchesPerCycleStepLoop)
 {
     // A 13-bit ripple counter held in predicates, counted up three
     // times: one pass walks 8,192 control states, twice the memo's
-    // node cap. Each pass ends by storing through the write port, so
-    // the next pass is a new run-ahead episode, and starts behind a
-    // datapath predicate write that (without +P) drains the pipeline,
-    // so every pass allocates in-flight entries alike. The first pass
-    // fills the memo and runs on through step(); the later ones replay
-    // the recorded states, then step on from the memo's frontier.
-    // Results match a bare step() loop.
+    // node cap. Each pass ends by storing through the write port, and
+    // the next starts behind a datapath predicate write that (without
+    // +P) drains the pipeline, so every pass allocates in-flight
+    // entries alike. The first pass fills the memo and runs on through
+    // step(); the later ones replay the recorded states, then step on
+    // from the memo's frontier, looking their state up again every
+    // FabricMemo::kEngageAfter cycles. Results match a bare step() loop.
     constexpr unsigned kBits = 13;
-    static_assert((std::size_t{1} << kBits) >= 2 * PipelinedPe::kMemoNodeCap);
+    static_assert((std::size_t{1} << kBits) >= 2 * FabricMemo::kNodeCap);
     ArchParams params;
     params.numPreds = 20;
     params.numInstructions = 32;
@@ -993,15 +1010,15 @@ TEST(RunAhead, EpisodesEndingNearTheMemoThresholdMatchPerCycleStepLoop)
 {
     // Pass k loads k mod 64 into a 6-bit predicate counter (one srl
     // per bit), counts it up to overflow one cycle per count, and
-    // stores k + 1 through the write port; the store ends the run-ahead
-    // episode. Episodes therefore shrink by about one cycle per pass
-    // and end within a few cycles of kMemoThreshold steps, where the
-    // memo takes over from plain steps, on every uarch (measured with
-    // an instrumented build: without +P every uarch has episodes of
-    // exactly 63, 64 and 65 cycles; +P mispredictions skip some
-    // lengths). Results match a bare step() loop, and the memo replays
-    // exactly as often as when this test was written: engaging it one
-    // step early or late would not.
+    // stores k + 1 through the write port. Written for the lone-PE
+    // memo, whose episodes the stores ended near its threshold; the
+    // fabric memo follows the PE through the stores, so every pass
+    // replays. Results match a bare step() loop, and the memo replays
+    // exactly as often as when the fabric memo was written: a change to
+    // when it engages or what it records must re-measure the count.
+    // Runs cut off by a budget within a cycle or two of
+    // FabricMemo::kEngageAfter end where the step loop does, and replay
+    // nothing before the memo engages.
     constexpr unsigned kBits = 6;
     constexpr unsigned kPasses = 70;
     ArchParams params;
@@ -1080,14 +1097,26 @@ TEST(RunAhead, EpisodesEndingNearTheMemoThresholdMatchPerCycleStepLoop)
     // Over all 32 uarchs, sleep on and off: the count the memo gave when
     // this test was written. A change to when the memo engages or what
     // it records must re-measure it.
-    EXPECT_EQ(replayed, 2'764u);
+    EXPECT_EQ(replayed, 112'516u);
+
+    const PeConfig tdx{allShapes()[0], false, false, false};
+    for (Cycle budget = FabricMemo::kEngageAfter - 2;
+         budget <= FabricMemo::kEngageAfter + 2; ++budget) {
+        CycleFabric ran(config, program, tdx);
+        EXPECT_EQ(ran.run(FabricRunOptions{budget, 10'000, {}}),
+                  RunStatus::StepLimit);
+        EXPECT_EQ(ran.stepStats().peStepsReplayed, 0u) << budget;
+        CycleFabric stepped(config, program, tdx);
+        while (stepped.now() < budget)
+            stepped.step();
+        EXPECT_EQ(observeFabric(ran), observeFabric(stepped)) << budget;
+    }
 }
 
 TEST(RunAhead, MemoKeysQueuesDeeperThanAByte)
 {
     // 300 tokens wait on a channel nobody drains while the producer
-    // then loops alone: the memo's channel view must hold an occupancy
-    // past 255.
+    // then loops alone: the memo's key must hold an occupancy past 255.
     ArchParams params;
     params.queueCapacity = 512;
     const Program program = assemble(
@@ -1148,13 +1177,12 @@ observeTrap(CycleFabric &fabric, Body body)
 TEST(RunAhead, TrapDuringMemoReplayMatchesPerCycleStepLoop)
 {
     // A loop whose scratchpad address walks past the end after far
-    // more than kMemoThreshold iterations: run() is replaying recorded
-    // cycles when the out-of-bounds access comes up, and must leave
-    // the message, clock and counters a bare step() loop leaves. The
-    // load variant traps in the cycle's branch (a predicate write).
+    // more than FabricMemo::kEngageAfter iterations: run() is replaying
+    // recorded cycles when the out-of-bounds access comes up, and must
+    // leave the message, clock and counters a bare step() loop leaves.
+    // The load variant traps in the cycle's branch (a predicate write).
     // The stride variant's ninth store is out of bounds, so it traps
-    // among the plain steps before its first episode reaches the
-    // threshold.
+    // among the plain steps before the memo engages.
     const ArchParams params;
     struct TrapProgram
     {
@@ -1209,12 +1237,12 @@ TEST(RunAhead, TrapDuringMemoReplayMatchesPerCycleStepLoop)
                 EXPECT_EQ(via_run, via_step) << what;
                 if (replays) {
                     EXPECT_GT(via_run.fabric.counters.at(0).retired,
-                              10 * PipelinedPe::kMemoThreshold)
+                              10 * FabricMemo::kEngageAfter)
                         << what;
                     EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << what;
                 } else {
                     EXPECT_LT(via_run.fabric.cycles,
-                              Cycle{PipelinedPe::kMemoThreshold})
+                              Cycle{FabricMemo::kEngageAfter})
                         << what;
                     EXPECT_EQ(ran.stepStats().peStepsReplayed, 0u) << what;
                 }
@@ -1225,9 +1253,9 @@ TEST(RunAhead, TrapDuringMemoReplayMatchesPerCycleStepLoop)
 
 TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
 {
-    // Full-size gcd is one lone-PE run-ahead stretch: the memo
-    // replays most of it. A trace sink or a fault injector turns
-    // run-ahead off, so nothing is replayed; results never move.
+    // The control memo replays most of full-size gcd. A trace sink, a
+    // fault injector or the reference scheduler turns it off, so
+    // nothing is replayed; results never move.
     const Workload gcd = makeGcd(WorkloadSizes::full());
     const PeConfig uarch{allShapes()[7], false, false, false}; // T|D|X1|X2
     ASSERT_EQ(uarch.name(), "T|D|X1|X2");
@@ -1240,11 +1268,10 @@ TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
     EXPECT_LE(steps.peStepsReplayed, steps.peStepsExecuted);
     EXPECT_GT(steps.peStepsReplayed, steps.peStepsExecuted / 2);
 
-    // Full-size udiv: a push or pop ends each episode (148.5 cycles on
-    // average over the 32 uarchs), and each episode takes
-    // kMemoThreshold plain steps before the memo engages. It still
-    // replays well over half of its steps here (15,521 of 25,182,
-    // 61.6%, when this was written).
+    // Full-size udiv: two PEs, whose pushes and pops ended every
+    // episode of the lone-PE memo after 148.5 cycles on average. The
+    // fabric memo follows them across the channel traffic and replays
+    // well over half of the steps.
     const Workload udiv = makeUdiv(WorkloadSizes::full());
     CycleFabric divided(udiv.config, udiv.program, uarch);
     udiv.preload(divided.memory());
@@ -1262,6 +1289,13 @@ TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
     EXPECT_EQ(traced.stepStats().peStepsReplayed, 0u);
     EXPECT_EQ(observeFabric(traced), observeFabric(plain));
 
+    CycleFabric reference(gcd.config, gcd.program, uarch);
+    reference.setUseReferenceScheduler(true);
+    gcd.preload(reference.memory());
+    ASSERT_EQ(reference.run(), RunStatus::Halted);
+    EXPECT_EQ(reference.stepStats().peStepsReplayed, 0u);
+    EXPECT_EQ(observeFabric(reference), observeFabric(plain));
+
     // A plan whose one fault never fires leaves results unchanged
     // (an injector also keeps every PE awake, so compare against a
     // run without sleep).
@@ -1276,6 +1310,85 @@ TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
     ASSERT_EQ(awake.run(), RunStatus::Halted);
     EXPECT_GT(awake.stepStats().peStepsReplayed, 0u);
     EXPECT_EQ(observeFabric(injected), observeFabric(awake));
+}
+
+TEST(RunAhead, MemoryPortTrapDuringReplayMatchesPerCycleStepLoop)
+{
+    // A loop that loads (or stores) through a memory port at an address
+    // that walks past the end of memory after far more than
+    // FabricMemo::kEngageAfter iterations. The access traps in the
+    // port, after every PE has stepped the cycle, while run() is
+    // replaying: it must leave the message, clock and counters a bare
+    // step() loop leaves.
+    const ArchParams params;
+    const std::vector<std::pair<const char *, Program>> programs = {
+        {"load",
+         assemble("when %p == XXXXXX00: add %o0.0, %r0, #0; "
+                  "set %p = ZZZZZZ01;\n"
+                  "when %p == XXXXXX01 with %i0.0: mov %r1, %i0; deq %i0; "
+                  "set %p = ZZZZZZ10;\n"
+                  "when %p == XXXXXX10: add %r0, %r0, #64; "
+                  "set %p = ZZZZZZ00;\n",
+                  params)},
+        {"store",
+         assemble("when %p == XXXXXX00: add %o1.0, %r0, #0; "
+                  "set %p = ZZZZZZ01;\n"
+                  "when %p == XXXXXX01: mov %o2.0, %r0; set %p = ZZZZZZ10;\n"
+                  "when %p == XXXXXX10: add %r0, %r0, #64; "
+                  "set %p = ZZZZZZ00;\n",
+                  params)},
+    };
+    FabricBuilder builder(params, 1);
+    builder.addReadPort(0, 0, 0);
+    builder.addWritePort(0, 1, 2);
+    const FabricConfig config = builder.build();
+    for (const auto &[name, program] : programs) {
+        for (const PeConfig &uarch : allConfigs()) {
+            for (const bool sleep : {true, false}) {
+                const std::string what = std::string(name) + " / " +
+                                         uarch.name() +
+                                         (sleep ? "" : " / no sleep");
+                CycleFabric ran(config, program, uarch);
+                ran.setIdleSleepEnabled(sleep);
+                const TrapObservation via_run =
+                    observeTrap(ran, [&] { ran.run(); });
+
+                CycleFabric stepped(config, program, uarch);
+                stepped.setIdleSleepEnabled(sleep);
+                const TrapObservation via_step = observeTrap(stepped, [&] {
+                    while (stepped.now() < kDefaultMaxCycles)
+                        stepped.step();
+                });
+                EXPECT_NE(via_run.message.find("out of bounds"),
+                          std::string::npos)
+                    << what << ": " << via_run.message;
+                EXPECT_EQ(via_run, via_step) << what;
+                EXPECT_GT(ran.stepStats().peStepsReplayed,
+                          ran.stepStats().peStepsExecuted / 2)
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(FabricMemo, ReplaysMostStepsOfFullSizeMultiPeRows)
+{
+    // A guard against a change that silently disengages the memo: on
+    // TDX the full-size dot_product (3 PEs) and stream (2 PEs) replay
+    // at least 90% of their PE steps (99.8% and 99.9% when the memo
+    // was written).
+    const PeConfig tdx{allShapes()[0], false, false, false};
+    for (const Workload &workload :
+         {makeDotProduct(WorkloadSizes::full()),
+          makeStream(WorkloadSizes::full())}) {
+        CycleFabric fabric(workload.config, workload.program, tdx);
+        workload.preload(fabric.memory());
+        ASSERT_EQ(fabric.run(), RunStatus::Halted) << workload.name;
+        const FabricStepStats steps = fabric.stepStats();
+        EXPECT_GE(steps.peStepsReplayed * 10, steps.peStepsExecuted * 9)
+            << workload.name << ": " << steps.peStepsReplayed << " of "
+            << steps.peStepsExecuted << " steps replayed";
+    }
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/memory.hh"
 
 namespace tia {
@@ -133,6 +135,43 @@ TEST(MemoryPort, RespectsResponseBackpressure)
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses.pop().data, 8u);
     EXPECT_FALSE(port.busy());
+}
+
+TEST(MemoryPort, HoldsAtMostLatencyPlusTwoRequests)
+{
+    // Nobody drains the one-entry response channel: the port delivers
+    // one response, then holds latency - 2 + 2 = 4 requests and leaves
+    // the rest waiting in the address channel, backing up the
+    // requester instead of buffering every address it is sent.
+    Memory memory(64);
+    TaggedQueue addresses(16);
+    TaggedQueue responses(1);
+    MemoryReadPort port(memory, addresses, responses, 4);
+    ASSERT_EQ(port.maxInFlight(), 4u);
+    for (Word a = 0; a < 12; ++a)
+        addresses.pushImmediate({a, 0});
+    std::size_t peak = 0;
+    for (Cycle now = 0; now < 40; ++now) {
+        addresses.beginCycle();
+        responses.beginCycle();
+        port.step(now);
+        addresses.commit();
+        responses.commit();
+        peak = std::max(peak, port.inFlight());
+    }
+    EXPECT_EQ(peak, 4u);
+    EXPECT_EQ(port.inFlight(), 4u);
+    EXPECT_EQ(responses.size(), 1u);
+    EXPECT_EQ(addresses.size(), 12u - 1u - 4u);
+    // Stuck behind the full response channel, the port cannot move by
+    // itself: it is not busy, and it names what it waits on.
+    EXPECT_FALSE(port.busy());
+    EXPECT_TRUE(port.blockedOnResponses());
+
+    // Draining one response frees one slot a cycle later.
+    responses.beginCycle();
+    EXPECT_EQ(responses.pop().data, 0u);
+    EXPECT_TRUE(port.busy());
 }
 
 TEST(MemoryPort, WritePortPairsAddressAndData)

@@ -11,17 +11,25 @@
  * exactly the architectural state of the functional reference, with
  * the trigger encoder and with the reference scheduler alike.
  *
- * Each program also runs through run() — which runs a lone PE ahead
- * and, past kMemoThreshold steps, replays recorded control
- * transitions (the run-ahead memo) — and through a bare per-cycle
- * step() loop, which does neither, with idle sleep on and off. The
- * loop runs long enough that every run() engages the memo, and its
+ * Each program also runs through run() — which, past
+ * FabricMemo::kEngageAfter cycles, replays recorded whole-fabric
+ * control transitions (the fabric control memo) — and through a bare
+ * per-cycle step() loop, which does not, with idle sleep on and off.
+ * The loop runs long enough that every run() engages the memo, and its
  * data-dependent branches, some on a bit of the loop counter, take
  * both edges of recorded nodes.
  *
  * Finally each program runs through runCycleMatrix, which derives a
  * cell from a sibling's run where a KnobWitness proves +P or +Q inert,
  * and every cell must equal a per-cell runCycle.
+ *
+ * A second generator builds 2- and 3-PE chains: a loader streams
+ * tagged load requests through a memory read port, every PE transforms
+ * the tokens it dequeues under tag-checked triggers (one check
+ * negated) and retags them by a data-dependent branch, and the last PE
+ * stores through a write port. Each chain must leave the functional
+ * model's memory image and per-PE instruction counts on all 32 uarchs
+ * plus +P+N and +P+N+Q, and run() must match the bare step() loop.
  */
 
 #include <random>
@@ -125,7 +133,7 @@ randomProgram(std::mt19937 &rng)
           case 1: { // datapath predicate write
             if (pick(2) == 0) {
                 // Bit 1 of the loop counter: each value follows itself
-                // and its complement by turns, so the run-ahead memo
+                // and its complement by turns, so the control memo
                 // replays both edges of this branch's node.
                 source += "when %p == " + when + ": srl %p" +
                           std::to_string(4 + pick(3)) +
@@ -257,7 +265,7 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
         EXPECT_EQ(reference.pe(0).counters(), c) << uarch.name();
         EXPECT_EQ(reference.pe(0).preds(), pe.preds()) << uarch.name();
 
-        // run() (memoized run-ahead) against a bare step() loop.
+        // run() (the control memo) against a bare step() loop.
         for (const bool sleep : {true, false}) {
             CycleFabric ran(config, program, uarch);
             ran.setIdleSleepEnabled(sleep);
@@ -296,6 +304,204 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
 
 INSTANTIATE_TEST_SUITE_P(Programs, RandomEquivalence,
                          ::testing::Range(0u, 25u));
+
+// ---------------------------------------------------------------------
+// Multi-PE chains.
+// ---------------------------------------------------------------------
+
+/** Words the loader reads, from kSourceBase on; stores land below it. */
+constexpr Word kSourceBase = 512;
+
+/** A random chain program, its wiring and its input words. */
+struct Chain
+{
+    Program program;
+    FabricConfig config;
+    std::vector<Word> inputs;
+};
+
+Chain
+randomChain(std::mt19937 &rng)
+{
+    ArchParams params;
+    params.numPreds = 16;
+    params.numInstructions = 32;
+    auto pick = [&](unsigned bound) {
+        return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
+    };
+    static const Op ops[] = {Op::Add, Op::Sub, Op::Xor, Op::Or,  Op::And,
+                             Op::Mul, Op::Sll, Op::Srl, Op::Min, Op::Umax};
+    auto op = [&] { return std::string(opInfo(ops[pick(std::size(ops))]).mnemonic); };
+    auto imm = [&] { return "#" + std::to_string(pick(32)); };
+    // Predicate patterns and updates over 16 bits, MSB left.
+    using Bits = std::vector<std::pair<unsigned, char>>;
+    auto bits = [&](char fill, const Bits &set) {
+        std::string text(params.numPreds, fill);
+        for (const auto &[bit, c] : set)
+            text[params.numPreds - 1 - bit] = c;
+        return text;
+    };
+    auto when = [&](const Bits &set) {
+        return "when %p == " + bits('X', set) + "";
+    };
+    auto then = [&](const Bits &set) {
+        return "; set %p = " + bits('Z', set) + ";\n";
+    };
+
+    const unsigned pes = 2 + pick(2);
+    const unsigned tokens = 16 + pick(32);
+    std::string source;
+    for (unsigned pe = 0; pe < pes; ++pe) {
+        const bool last = pe + 1 == pes;
+        // PE 0 sends on %o1 (its %o0 carries load addresses); the middle
+        // PE sends on %o0; the last PE stores through %o1/%o2.
+        const std::string out = pe == 0 ? "%o1" : "%o0";
+        source += ".pe " + std::to_string(pe) + "\n";
+        // The stage: p0/p2 phase, p1 the branch, p3 the store step, p7
+        // the end. The sentinel (tag 3) outranks the other receives, and
+        // they never match it: its trigger also needs output space, so
+        // a receive that took tag 3 would race it.
+        source += when({{0, '0'}, {2, '0'}, {7, '0'}}) + " with %i0.3: " +
+                  (last ? "mov %r7, %i0" : "mov " + out + ".3, #0") +
+                  "; deq %i0" + then({{7, '1'}});
+        source += when({{0, '0'}, {2, '0'}, {7, '0'}}) + " with %i0.0: " +
+                  op() + " %r1, %i0, " + imm() + "; deq %i0" +
+                  then({{0, '1'}});
+        source += when({{0, '0'}, {2, '0'}, {7, '0'}}) +
+                  (pick(2) ? " with %i0.!3: " : " with %i0.1: ") + op() +
+                  " %r1, %i0, " + imm() + "; deq %i0" + then({{0, '1'}});
+        source += when({{0, '1'}, {2, '0'}}) + ": srl %p1, %r1, #" +
+                  std::to_string(pick(8)) + then({{2, '1'}});
+        if (last) {
+            source += when({{0, '1'}, {2, '1'}, {3, '0'}}) +
+                      ": and %o1.0, %r1, #255" + then({{3, '1'}});
+        }
+        const Bits send = last ? Bits{{0, '1'}, {2, '1'}, {3, '1'}}
+                               : Bits{{0, '1'}, {2, '1'}};
+        const std::string dst = last ? "%o2" : out;
+        for (const char branch : {'0', '1'}) {
+            Bits guard = send;
+            guard.push_back({1, branch});
+            source += when(guard) + ": " + op() + " " + dst + "." +
+                      std::to_string(last ? 0 : pick(2)) + ", %r1, " +
+                      imm() + then({{0, '0'}, {2, '0'}, {3, '0'}});
+        }
+        source += when({{7, '1'}}) + ": halt;\n";
+        if (pe != 0)
+            continue;
+        // The loader: p8/p9 phase, p10 done, p11 sentinel sent, p12 the
+        // next request's tag.
+        for (const char tag : {'0', '1'}) {
+            source += when({{8, '0'}, {9, '0'}, {10, '0'}, {12, tag}}) +
+                      ": add %o0." + std::string(1, tag) + ", %r0, #" +
+                      std::to_string(kSourceBase) + then({{8, '1'}});
+        }
+        source += when({{8, '1'}, {9, '0'}, {10, '0'}}) +
+                  ": add %r0, %r0, #1" + then({{8, '0'}, {9, '1'}});
+        source += when({{8, '0'}, {9, '1'}, {10, '0'}}) + ": uge %p10, %r0, #" +
+                  std::to_string(tokens) + then({{8, '1'}});
+        source += when({{8, '1'}, {9, '1'}, {10, '0'}}) + ": srl %p12, %r0, #" +
+                  std::to_string(pick(3)) + then({{8, '0'}, {9, '0'}});
+        source += when({{10, '1'}, {11, '0'}}) + ": mov %o0.3, #0" +
+                  then({{11, '1'}});
+    }
+
+    FabricBuilder builder(params, pes);
+    builder.addReadPort(0, 0, 0);
+    builder.connect(0, 1, 1, 0);
+    if (pes == 3)
+        builder.connect(1, 0, 2, 0);
+    builder.addWritePort(pes - 1, 1, 2);
+    Chain chain{assemble(source, params), builder.build(), {}};
+    for (unsigned i = 0; i < tokens; ++i)
+        chain.inputs.push_back(static_cast<Word>(rng()));
+    return chain;
+}
+
+/** Everything run() and a bare step() loop must agree on, per PE. */
+struct ChainState
+{
+    Cycle cycles = 0;
+    std::vector<PerfCounters> counters;
+    std::vector<std::vector<Word>> regs;
+    std::vector<std::uint64_t> preds;
+    std::vector<Word> memory;
+    std::uint64_t stepsExecuted = 0;
+    std::uint64_t stepsSkipped = 0;
+
+    bool operator==(const ChainState &) const = default;
+};
+
+ChainState
+observeChain(const CycleFabric &fabric)
+{
+    ChainState state;
+    state.cycles = fabric.now();
+    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
+        state.counters.push_back(fabric.pe(pe).counters());
+        state.regs.push_back(fabric.pe(pe).regs());
+        state.preds.push_back(fabric.pe(pe).preds());
+    }
+    state.memory = fabric.memory().snapshot();
+    const FabricStepStats steps = fabric.stepStats();
+    state.stepsExecuted = steps.peStepsExecuted;
+    state.stepsSkipped = steps.peStepsSkipped;
+    return state;
+}
+
+class RandomChainEquivalence : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(RandomChainEquivalence, MatchesFunctionalAndStepLoop)
+{
+    std::mt19937 rng(GetParam() * 104729 + 7);
+    const Chain chain = randomChain(rng);
+    auto preload = [&](Memory &memory) {
+        for (std::size_t i = 0; i < chain.inputs.size(); ++i)
+            memory.write(kSourceBase + i, chain.inputs[i]);
+    };
+    FunctionalFabric golden(chain.config, chain.program);
+    preload(golden.memory());
+    ASSERT_EQ(golden.run(), RunStatus::Halted) << chain.program.toString();
+    const std::vector<Word> expected = golden.memory().snapshot();
+
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, false, true}); // +P+N
+    uarchs.push_back({allShapes()[7], true, true, true});  // +P+N+Q
+    std::uint64_t replayed = 0;
+    for (const PeConfig &uarch : uarchs) {
+        for (const bool sleep : {true, false}) {
+            const std::string what = uarch.name() +
+                                     (sleep ? "" : " / no sleep") + "\n" +
+                                     chain.program.toString();
+            CycleFabric ran(chain.config, chain.program, uarch);
+            ran.setIdleSleepEnabled(sleep);
+            preload(ran.memory());
+            ASSERT_EQ(ran.run(), RunStatus::Halted)
+                << ran.hangReport().summary << "\n"
+                << what;
+            EXPECT_EQ(ran.memory().snapshot(), expected) << what;
+            for (unsigned pe = 0; pe < ran.numPes(); ++pe) {
+                EXPECT_EQ(ran.pe(pe).counters().retired,
+                          golden.pe(pe).dynamicInstructions())
+                    << "PE " << pe << " / " << what;
+            }
+            replayed += ran.stepStats().peStepsReplayed;
+
+            CycleFabric stepped(chain.config, chain.program, uarch);
+            stepped.setIdleSleepEnabled(sleep);
+            preload(stepped.memory());
+            while (stepped.now() < ran.now())
+                stepped.step();
+            EXPECT_EQ(observeChain(ran), observeChain(stepped)) << what;
+        }
+    }
+    EXPECT_GT(replayed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Chains, RandomChainEquivalence,
+                         ::testing::Range(0u, 8u));
 
 } // namespace
 } // namespace tia

@@ -155,19 +155,19 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     EXPECT_EQ(workloadRunKey(makeDotProduct(sizes), PeConfig{},
                              defaults)
                   .hex(),
-              "64e3ea6bd50066e0cd415eb02bf07276");
+              "47b4d79ff555f716811dd046146602c0");
 
     // Deepest pipeline with both optimizations.
     const PeConfig deep{PipelineShape{true, true, true}, true, true};
     EXPECT_EQ(workloadRunKey(makeBst(sizes), deep, defaults).hex(),
-              "1f7c9f29856070ccbce54e1923c65214");
+              "68911fa1b2d7bd4859480885652b63a6");
 
     // A seeded fault plan folds into the key.
     const FaultPlan plan = FaultPlan::parse("seed=7;drop:ch0@p0.01");
     CycleRunOptions injected;
     injected.faults = &plan;
     EXPECT_EQ(workloadRunKey(makeGcd(sizes), PeConfig{}, injected).hex(),
-              "2973f8bbf5099453a3def82abe369fe4");
+              "bfb7e8bf3faebb9389252e3660732b3b");
 }
 
 TEST(GoldenDigest, KeySeparatesEveryInput)

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "core/assembler.hh"
 #include "core/encoding.hh"
 #include "core/logging.hh"
+#include "obs/json.hh" // writeFile
 
 namespace {
 
@@ -40,15 +40,10 @@ readFile(const std::string &path)
 }
 
 void
-writeU32(std::ostream &out, std::uint32_t value)
+appendU32(std::string &out, std::uint32_t value)
 {
-    unsigned char bytes[4] = {
-        static_cast<unsigned char>(value & 0xff),
-        static_cast<unsigned char>((value >> 8) & 0xff),
-        static_cast<unsigned char>((value >> 16) & 0xff),
-        static_cast<unsigned char>((value >> 24) & 0xff),
-    };
-    out.write(reinterpret_cast<const char *>(bytes), 4);
+    for (unsigned shift = 0; shift < 32; shift += 8)
+        out.push_back(static_cast<char>((value >> shift) & 0xff));
 }
 
 std::uint32_t
@@ -84,16 +79,15 @@ assembleMode(const std::string &input, const ArchParams &params,
         return 0;
     }
 
-    std::ofstream out(output, std::ios::binary);
-    fatalIf(!out, "cannot write ", output);
-    out.write("TIA1", 4);
-    writeU32(out, program.numPes());
-    writeU32(out, words_per_pe);
+    std::string binary = "TIA1";
+    appendU32(binary, program.numPes());
+    appendU32(binary, words_per_pe);
     for (unsigned pe = 0; pe < program.numPes(); ++pe) {
         const MachineCode store = encodeStore(params, program.pes[pe]);
         for (std::uint32_t word : store)
-            writeU32(out, word);
+            appendU32(binary, word);
     }
+    fatalIf(!writeFile(output, binary), "cannot write ", output);
     std::fprintf(stderr, "%s: %u PE(s), %u static instruction(s), %u "
                  "words/PE -> %s\n",
                  input.c_str(), program.numPes(),
@@ -184,9 +178,13 @@ main(int argc, char **argv)
         ArchParams params;
         if (!params_path.empty())
             params = parseParams(readFile(params_path));
-        if (disassemble)
-            return disassembleMode(input, params);
-        return assembleMode(input, params, output, hex);
+        const int code = disassemble
+                             ? disassembleMode(input, params)
+                             : assembleMode(input, params, output, hex);
+        // Listings are buffered: a full device fails only at the flush.
+        fatalIf(std::fflush(stdout) != 0 || std::ferror(stdout),
+                "cannot write to stdout");
+        return code;
     } catch (const std::exception &error) {
         std::fprintf(stderr, "tia-asm: %s\n", error.what());
         return 1;

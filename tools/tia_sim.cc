@@ -50,7 +50,7 @@
  *   --stats            print host-side simulation statistics: wall
  *                      time, simulated cycles per host second, and how
  *                      many PE steps the idle-sleep optimization
- *                      skipped and the run-ahead memo replayed
+ *                      skipped and the control memo replayed
  *                      (cycle-accurate runs only)
  *
  * tia-sim always simulates; the result cache (docs/simcache.md) is
@@ -421,7 +421,7 @@ run(const Options &opt)
                               static_cast<double>(total)
                         : 0.0);
             appendf(text,
-                    "  PE steps replayed from the run-ahead memo: %llu "
+                    "  PE steps replayed from the control memo: %llu "
                     "(%.1f%% of executed)\n",
                     static_cast<unsigned long long>(steps.peStepsReplayed),
                     steps.peStepsExecuted > 0
@@ -564,7 +564,11 @@ main(int argc, char **argv)
             }
         }
         tia::fatalIf(opt.program.empty(), "no program given");
-        return run(opt);
+        const int code = run(opt);
+        // Results are buffered: a full device fails only at the flush.
+        tia::fatalIf(std::fflush(stdout) != 0 || std::ferror(stdout),
+                     "cannot write the results to stdout");
+        return code;
     } catch (const std::exception &error) {
         std::fprintf(stderr, "tia-sim: %s\n", error.what());
         return 1;
