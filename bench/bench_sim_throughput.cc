@@ -124,29 +124,10 @@ BM_CycleFabricDotProductTraced(benchmark::State &state)
 }
 BENCHMARK(BM_CycleFabricDotProductTraced)->Unit(benchmark::kMillisecond);
 
-// A sparse fabric: one busy ALU-loop PE among many programless ones.
-// Exercises the idle-PE sleep list — host throughput should track the
-// number of *busy* PEs, not the fabric size.
-void
-BM_CycleFabricSparse(benchmark::State &state)
-{
-    const Program program = assemble(
-        "when %p == XXXXXXX0: add %r0, %r0, #1; set %p = ZZZZZZZ1;\n"
-        "when %p == XXXXXXX1: add %r1, %r1, #1; set %p = ZZZZZZZ0;\n");
-    const unsigned pes = static_cast<unsigned>(state.range(0));
-    FabricBuilder builder(program.params, pes);
-    CycleFabric fabric(builder.build(), program,
-                       {PipelineShape{}, true, true});
-    for (auto _ : state)
-        fabric.step();
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(std::to_string(pes) + " PEs, 1 busy");
-}
-BENCHMARK(BM_CycleFabricSparse)->Arg(4)->Arg(32);
-
-// Two PEs trading a token back and forth: the steady state alternates
-// busy and idle cycles on each PE, stressing the park/wake transition
-// rather than either extreme.
+// Two PEs trading a token back and forth, driven by bare step() calls
+// (the control memo works only inside run()): the plain per-cycle cost
+// of the fabric's step loop, with both PEs stepping and both channels
+// taking a snapshot and a commit every cycle.
 void
 BM_CycleFabricPingPong(benchmark::State &state)
 {

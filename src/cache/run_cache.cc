@@ -148,7 +148,6 @@ encodeWorkloadRun(const WorkloadRun &run)
     }
 
     out.u64(run.peStepsExecuted);
-    out.u64(run.peStepsSkipped);
     return out.take();
 }
 
@@ -193,7 +192,6 @@ decodeWorkloadRun(const std::string &payload)
     }
 
     run.peStepsExecuted = in.u64();
-    run.peStepsSkipped = in.u64();
     if (!in.done())
         return std::nullopt;
     return run;

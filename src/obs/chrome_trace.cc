@@ -147,14 +147,6 @@ ChromeTraceSink::record(const TraceEvent &event)
         appendUint(out_, event.value);
         out_ += "}}";
         return;
-      case TraceEventKind::Park:
-        beginEvent("i", event.pe, 0, event.cycle, "park");
-        out_ += ",\"s\":\"t\"}";
-        return;
-      case TraceEventKind::Wake:
-        beginEvent("i", event.pe, 0, event.cycle, "wake");
-        out_ += ",\"s\":\"t\"}";
-        return;
       case TraceEventKind::Halt:
         beginEvent("i", event.pe, 0, event.cycle, "halt");
         out_ += ",\"s\":\"p\"}";

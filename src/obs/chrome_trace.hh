@@ -5,7 +5,7 @@
  *
  * Track layout: one process (pid) per PE, with thread (tid) 0 carrying
  * the issue-slot timeline (attributions, issues, quashes, predictor
- * outcomes, park/wake/halt instants) and threads 1..depth carrying one
+ * outcomes, halt instants) and threads 1..depth carrying one
  * track per pipeline stage (Cycles level StageOccupancy events).
  * Channel depths appear as counter tracks under a reserved pid.
  * Timestamps are raw cycle numbers (the "ts" unit is one cycle, not a

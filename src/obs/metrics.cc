@@ -58,20 +58,6 @@ peMetricsJson(unsigned pe, const PerfCounters &counters, unsigned inFlight)
     return out;
 }
 
-JsonValue
-sleepMetricsJson(std::uint64_t executed, std::uint64_t skipped)
-{
-    JsonValue out = JsonValue::object();
-    out["pe_steps_executed"] = executed;
-    out["pe_steps_skipped"] = skipped;
-    const std::uint64_t total = executed + skipped;
-    out["skip_ratio"] =
-        total > 0 ? static_cast<double>(skipped) /
-                        static_cast<double>(total)
-                  : 0.0;
-    return out;
-}
-
 namespace {
 
 /** Collects validation problems with a location prefix. */
@@ -208,27 +194,19 @@ checkRun(Checker &check, const JsonValue &run, const std::string &where)
         }
     }
 
-    const JsonValue *sleep = run.find("sleep");
-    if (sleep != nullptr && sleep->isObject()) {
-        const std::string swhere = where + ".sleep";
-        double executed = 0, skipped = 0, ratio = 0;
-        bool ok =
-            check.number(*sleep, swhere, "pe_steps_executed", executed);
-        ok &= check.number(*sleep, swhere, "pe_steps_skipped", skipped);
-        ok &= check.number(*sleep, swhere, "skip_ratio", ratio);
-        if (ok && ratio > 1.0)
-            check.fail(swhere, "skip_ratio above 1");
-        // Executed + skipped steps account for every PE cycle — but
-        // only checkable when the document reports every PE.
+    double executed = 0;
+    if (run.find("pe_steps_executed") != nullptr &&
+        check.number(run, where, "pe_steps_executed", executed)) {
+        // One executed step per PE cycle — but only checkable when the
+        // document reports every PE.
         const JsonValue *numPes = run.find("num_pes");
-        if (ok && numPes != nullptr && numPes->isNumber() &&
+        if (numPes != nullptr && numPes->isNumber() &&
             static_cast<std::size_t>(numPes->number()) == peCount &&
-            executed + skipped != peCycleSum) {
-            check.fail(swhere,
-                       "pe_steps_executed + pe_steps_skipped (" +
-                           std::to_string(executed + skipped) +
-                           ") != sum of per-PE cycles (" +
-                           std::to_string(peCycleSum) + ")");
+            executed != peCycleSum) {
+            check.fail(where, "pe_steps_executed (" +
+                                  std::to_string(executed) +
+                                  ") != sum of per-PE cycles (" +
+                                  std::to_string(peCycleSum) + ")");
         }
     }
 }

@@ -14,8 +14,7 @@
  *         "uarch": "T|DX +P+Q", "status": "halted", "cycles": N,
  *         "num_pes": N,
  *         "verdict": {"classification": "...", "summary": "..."},
- *         "sleep": {"pe_steps_executed": N, "pe_steps_skipped": N,
- *                   "skip_ratio": R},
+ *         "pe_steps_executed": N,
  *         "pes": [{"pe": i, "in_flight": N, "cpi": R|null,
  *                  "counters": {...}, "cpi_stack": {...}}],
  *         "channels": {"capacity": N, "high_water": [N...]},
@@ -24,11 +23,11 @@
  *     ]
  *   }
  *
- * Validation enforces the counter-integrity contract this PR's fixes
- * guarantee: the six attribution buckets plus in-flight instructions
- * sum to the PE's cycles, a null CPI appears exactly when nothing
- * retired, and the sleep-accounting identity executed + skipped ==
- * sum of per-PE cycles holds whenever every PE is reported.
+ * Validation enforces the counter-integrity contract: the six
+ * attribution buckets plus in-flight instructions sum to the PE's
+ * cycles, a null CPI appears exactly when nothing retired, and
+ * pe_steps_executed == sum of per-PE cycles holds whenever every PE
+ * is reported.
  */
 
 #ifndef TIA_OBS_METRICS_HH
@@ -86,9 +85,6 @@ JsonValue cpiStackJson(const CpiStack &stack);
  */
 JsonValue peMetricsJson(unsigned pe, const PerfCounters &counters,
                         unsigned inFlight);
-
-/** Sleep/skip accounting entry (see FabricStepStats). */
-JsonValue sleepMetricsJson(std::uint64_t executed, std::uint64_t skipped);
 
 /**
  * Validate a parsed document against the tia-metrics/v1 schema and the

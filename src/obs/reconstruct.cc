@@ -81,8 +81,6 @@ CpiReconstructor::record(const TraceEvent &event)
         return;
       case TraceEventKind::StageOccupancy:
       case TraceEventKind::QueueDepth:
-      case TraceEventKind::Park:
-      case TraceEventKind::Wake:
         return;
     }
 }

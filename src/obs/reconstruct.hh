@@ -5,8 +5,7 @@
  * accounting. Because every counter-relevant event is emitted at the
  * statement that increments the counter (see obs/trace.hh), the
  * reconstruction is bit-identical to the live counters — the standing
- * cross-check on the scheduler fast path and sleep/wake optimizations
- * (tests/test_observability.cc).
+ * cross-check on the scheduler fast path (tests/test_observability.cc).
  *
  * Reconstructed fields: cycles, the six issue-slot attribution buckets,
  * predicateWrites, predictions, mispredictions, faultsInjected and

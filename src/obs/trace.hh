@@ -4,10 +4,10 @@
  *
  * A TraceSink receives one compact TraceEvent per observable
  * micro-event — issue-slot attribution, issues, retirements, quashes,
- * predictor outcomes, stage occupancy, queue depths and park/wake
- * transitions — emitted by PipelinedPe and CycleFabric when a sink is
- * installed. With no sink installed every emission site is a single
- * predictable null-pointer test, so tracing costs nothing when off
+ * predictor outcomes, stage occupancy, queue depths and halts —
+ * emitted by PipelinedPe and CycleFabric when a sink is installed.
+ * With no sink installed every emission site is a single predictable
+ * null-pointer test, so tracing costs nothing when off
  * (asserted against BENCH_throughput.json by bench_sim_throughput).
  *
  * The counter cross-check contract: every event that corresponds to a
@@ -17,11 +17,11 @@
  * (asserted by tests/test_observability.cc under both the mask-based
  * scheduler fast path and the virtual QueueStatusView reference path).
  *
- * Timestamps are PE-local cycle numbers. Events from a single PE are
- * monotone except for sleep settlement: a parked PE's skipped cycles
- * are accounted lazily, so their no-trigger attributions appear in the
- * stream when the PE wakes (still in per-PE cycle order). Consumers
- * must not assume global timestamp order across PEs.
+ * Timestamps are fabric cycle numbers: every unhalted PE steps every
+ * fabric cycle, so a PE's cycle count is the fabric clock, and each
+ * event is recorded during the cycle it carries. The whole stream is
+ * therefore in non-decreasing cycle order, across PEs and channels
+ * (asserted by tests/test_observability.cc).
  */
 
 #ifndef TIA_OBS_TRACE_HH
@@ -49,8 +49,7 @@ enum class TraceEventKind : std::uint8_t
     /**
      * One issue-slot cycle lost to the bucket in `arg` (a TraceBucket).
      * Emitted where the corresponding PerfCounters stall bucket
-     * increments; also used for the lazily settled no-trigger cycles
-     * of a sleeping PE.
+     * increments.
      */
     Attribution,
     /** An instruction issued. index = instruction slot, value = id. */
@@ -87,10 +86,6 @@ enum class TraceEventKind : std::uint8_t
      * cycle; pe is kChannelAgent. Cycles level only.
      */
     QueueDepth,
-    /** The fabric parked this PE on the idle-sleep list. */
-    Park,
-    /** The fabric woke this PE (a watched channel reported activity). */
-    Wake,
     /** This PE's halt retired. */
     Halt,
 };
@@ -116,7 +111,7 @@ inline constexpr std::uint32_t kChannelAgent = 0xffffffffu;
 /** One observable micro-event (24 bytes). */
 struct TraceEvent
 {
-    Cycle cycle = 0;        ///< PE-local cycle (fabric cycle for channels).
+    Cycle cycle = 0;        ///< Fabric cycle the event happened in.
     std::uint32_t pe = 0;   ///< Emitting PE, or kChannelAgent.
     TraceEventKind kind = TraceEventKind::Attribution;
     std::uint8_t arg = 0;   ///< Kind-specific small argument.
@@ -126,8 +121,8 @@ struct TraceEvent
     bool operator==(const TraceEvent &) const = default;
 };
 
-/** Receiver of trace events. Implementations must tolerate the
- *  non-global timestamp order described in the file comment. */
+/** Receiver of trace events, in non-decreasing cycle order (see the
+ *  file comment); within a cycle, in the order the fabric steps. */
 class TraceSink
 {
   public:

@@ -109,10 +109,9 @@ ServeRegistry::builtin()
              out["summary"] = run.hang.summary;
              return out;
          }},
-        {"sleep",
+        {"pe_steps_executed",
          [](const WorkloadRun &run) {
-             return sleepMetricsJson(run.peStepsExecuted,
-                                     run.peStepsSkipped);
+             return JsonValue(run.peStepsExecuted);
          }},
     };
     return registry;

@@ -13,10 +13,10 @@
  * committed entries followed by this cycle's deferred pushes occupy one
  * contiguous (mod capacity) window, so steady-state operation performs
  * no allocation. An optional QueueEventLog lets the owning fabric
- * observe pushes and pops for its idle-PE wake list and incremental
- * progress accounting (see uarch/cycle_fabric.hh); the log is a
- * concrete inline structure, not a virtual observer — every push and
- * pop pays for the recording.
+ * observe pushes and pops for its per-cycle channel upkeep and
+ * incremental progress accounting (see uarch/cycle_fabric.hh); the
+ * log is a concrete inline structure, not a virtual observer — every
+ * push and pop pays for the recording.
  */
 
 #ifndef TIA_SIM_QUEUE_HH

@@ -25,10 +25,6 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         channels_.back()->setEventLog(&events_, ch);
     }
 
-    // Fault stuck-status windows open and close without queue events,
-    // so parked PEs could miss a wake; keep everyone stepping.
-    sleepEnabled_ = injector_ == nullptr;
-
     for (unsigned pe = 0; pe < config_.numPes; ++pe) {
         std::vector<Instruction> insts;
         if (pe < program.numPes())
@@ -45,38 +41,21 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
         pes_.push_back(std::move(pipelined));
     }
 
-    // Bind each channel to its end PEs' ports. A channel wakes those of
-    // its end PEs whose triggers reference that port, in ascending PE
-    // order; a channel no trigger references never changes the
-    // scheduler's verdict.
-    channelPes_.resize(config_.numChannels);
+    // Bind each channel to its end PEs' ports.
     const std::vector<ChannelEnds> ends = config_.channelEnds();
     for (unsigned ch = 0; ch < config_.numChannels; ++ch) {
         TaggedQueue *queue = channels_[ch].get();
-        auto &watchers = channelPes_[ch];
         const ChannelEnd &prod = ends[ch].producer;
-        if (prod.kind == ChannelEnd::Kind::Pe) {
-            PipelinedPe &pe = *pes_[prod.index];
-            pe.bindOutput(prod.port, queue);
-            if ((pe.watchedOutputs() >> prod.port) & 1)
-                watchers.push_back(prod.index);
-        }
+        if (prod.kind == ChannelEnd::Kind::Pe)
+            pes_[prod.index]->bindOutput(prod.port, queue);
         const ChannelEnd &cons = ends[ch].consumer;
-        if (cons.kind == ChannelEnd::Kind::Pe) {
-            PipelinedPe &pe = *pes_[cons.index];
-            pe.bindInput(cons.port, queue);
-            if ((pe.watchedInputs() >> cons.port) & 1)
-                watchers.push_back(cons.index);
-        }
-        std::sort(watchers.begin(), watchers.end());
-        watchers.erase(std::unique(watchers.begin(), watchers.end()),
-                       watchers.end());
+        if (cons.kind == ChannelEnd::Kind::Pe)
+            pes_[cons.index]->bindInput(cons.port, queue);
     }
 
     activePes_.reserve(config_.numPes);
     for (unsigned pe = 0; pe < config_.numPes; ++pe)
         activePes_.push_back(pe);
-    asleep_.assign(config_.numPes, false);
 
     for (const auto &spec : config_.readPorts) {
         readPorts_.push_back(std::make_unique<MemoryReadPort>(
@@ -96,55 +75,15 @@ CycleFabric::CycleFabric(const FabricConfig &config, const Program &program,
 }
 
 void
-CycleFabric::syncSleepCounters(unsigned index) const
-{
-    // A PE's cycle counter advances once per executed (or accounted)
-    // step, so a parked PE's counter stops at the cycles it stepped
-    // through. Every fabric cycle since, up to and including the last
-    // executed one (now_ - 1), would have been exactly one no-trigger
-    // cycle.
-    const Cycle skipped = now_ - pes_[index]->counters().cycles;
-    if (skipped > 0) {
-        pes_[index]->skipIdleCycles(skipped);
-        stepsSkipped_ += skipped;
-    }
-}
-
-void
-CycleFabric::flushSleepDebt() const
-{
-    for (unsigned pe = 0; pe < pes_.size(); ++pe) {
-        if (asleep_[pe])
-            syncSleepCounters(pe);
-    }
-}
-
-void
-CycleFabric::wakeParkedPe(unsigned index)
-{
-    syncSleepCounters(index);
-    asleep_[index] = false;
-    activePes_.push_back(index);
-    if (trace_) [[unlikely]]
-        traceEvent(index, TraceEventKind::Wake);
-}
-
-void
-CycleFabric::traceEvent(std::uint32_t pe, TraceEventKind kind,
-                        std::uint16_t index, std::uint64_t value) const
-{
-    trace_->record({now_, pe, kind, 0, index, value});
-}
-
-void
 CycleFabric::traceQueueDepths() const
 {
     // One committed-occupancy sample per channel touched this cycle
     // (the dirty list was cleared at step entry, so it now holds
     // exactly this cycle's activity).
     for (unsigned ch : events_.dirtyChannels()) {
-        traceEvent(kChannelAgent, TraceEventKind::QueueDepth,
-                   static_cast<std::uint16_t>(ch), channels_[ch]->size());
+        trace_->record({now_, kChannelAgent, TraceEventKind::QueueDepth, 0,
+                        static_cast<std::uint16_t>(ch),
+                        channels_[ch]->size()});
     }
 }
 
@@ -158,30 +97,16 @@ CycleFabric::setTraceSink(TraceSink *sink, TraceLevel level)
 }
 
 void
-CycleFabric::setIdleSleepEnabled(bool enabled)
-{
-    sleepEnabled_ = enabled && injector_ == nullptr;
-    if (!sleepEnabled_) {
-        for (unsigned pe = 0; pe < pes_.size(); ++pe)
-            wakePe(pe);
-    }
-}
-
-void
 CycleFabric::step()
 {
     if (injector_)
         injector_->beginCycle(now_);
 
-    // Channels touched last cycle take a fresh occupancy snapshot, and
-    // their activity — architecturally visible from this cycle on —
-    // wakes any parked watcher. Untouched channels already satisfy
-    // snapshotSize() == size() and popsThisCycle() == 0.
-    for (unsigned ch : events_.dirtyChannels()) {
+    // Channels touched last cycle take a fresh occupancy snapshot.
+    // Untouched channels already satisfy snapshotSize() == size() and
+    // popsThisCycle() == 0.
+    for (unsigned ch : events_.dirtyChannels())
         channels_[ch]->beginCycle();
-        for (const unsigned pe : channelPes_[ch])
-            wakePe(pe);
-    }
     events_.clearDirty();
 
     activeBusyPes_ = 0;
@@ -206,24 +131,12 @@ CycleFabric::stepPe(unsigned index)
 [[gnu::always_inline]] inline bool
 CycleFabric::settleActivePe(std::size_t i)
 {
-    // Retire a halted PE and park a provably idle one (swap-remove —
-    // order within a cycle is unobservable because every channel has
-    // exactly one producer and one consumer).
-    const unsigned index = activePes_[i];
-    const PipelinedPe &pe = *pes_[index];
+    // Retire a halted PE (swap-remove: order within a cycle is
+    // unobservable because every channel has exactly one producer and
+    // one consumer).
+    const PipelinedPe &pe = *pes_[activePes_[i]];
     if (pe.halted()) {
         ++haltedPes_;
-        activePes_[i] = activePes_.back();
-        activePes_.pop_back();
-        return false;
-    }
-    if (sleepEnabled_ && pe.canSleep()) {
-        // Park now. If a watched channel goes dirty later this cycle,
-        // the next step() wakes the PE with no sleep debt, in the cycle
-        // it would have stepped in anyway.
-        asleep_[index] = true;
-        if (trace_) [[unlikely]]
-            traceEvent(index, TraceEventKind::Park);
         activePes_[i] = activePes_.back();
         activePes_.pop_back();
         return false;
@@ -270,8 +183,7 @@ CycleFabric::portsBusy() const
 bool
 CycleFabric::anyActivity() const
 {
-    // Parked PEs are by construction not busy; halted ones are off the
-    // active list.
+    // Halted PEs are off the active list.
     return activeBusyPes_ > 0 || portsBusy();
 }
 
@@ -296,14 +208,12 @@ CycleFabric::run(const FabricRunOptions &options)
     };
     auto quiescent = [&] {
         leave_memo();
-        flushSleepDebt();
         report_ = diagnoseQuiescence();
         return report_.classification;
     };
     for (;;) {
         if (now_ >= options.maxCycles) {
             leave_memo();
-            flushSleepDebt();
             report_ = classifyStepLimit(now_ - last.progress,
                                         options.quiescenceWindow);
             return report_.classification;
@@ -311,7 +221,6 @@ CycleFabric::run(const FabricRunOptions &options)
         if (options.stop.possible() && now_ >= next_stop_check) {
             if (const char *why = options.stop.why()) {
                 leave_memo();
-                flushSleepDebt();
                 report_ = HangReport{};
                 report_.classification = RunStatus::Cancelled;
                 report_.summary = std::string("cancelled (") + why +
@@ -326,7 +235,6 @@ CycleFabric::run(const FabricRunOptions &options)
             report_ = HangReport{};
             report_.classification = RunStatus::Halted;
             report_.summary = "halted: every PE retired a halt";
-            flushSleepDebt();
             return RunStatus::Halted;
         }
 

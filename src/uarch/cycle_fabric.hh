@@ -11,34 +11,22 @@
  * HangReport that distinguishes a finished fabric from a deadlocked
  * (wait-for cycle) or livelocked (spinning without progress) one.
  *
- * Idle-PE sleep/wake: a PE that reports canSleep() — nothing in
- * flight and a provably repeating no-trigger cycle — is parked off
- * the active list and re-stepped only once a channel its triggers
- * watch reports a push or pop (QueueEventLog). Because
- * FabricConfig::validate guarantees exactly one producer and one
- * consumer per channel, a parked PE's scheduler inputs cannot change
- * without such an event, and PE evaluation order within a cycle is
- * unobservable, so parking is invisible to the architecture: cycle
- * counts, per-PE counters and hang reports are bit-identical to
- * stepping every PE every cycle (asserted by tests/test_hot_path.cc).
- * Skipped steps are re-accounted lazily (each is exactly one
- * no-trigger cycle) before any counter observation; a parked PE's
- * debt is the fabric clock minus its own cycle counter. A PE parks in
- * the cycle it first can; if a watched channel goes dirty later in
- * that same cycle, the next cycle's start wakes it with no sleep debt,
- * so it steps exactly when it would have without parking. Sleep is
- * disabled under fault injection, whose stuck-status windows open and
- * close without queue events.
+ * Every unhalted PE steps every cycle. PE evaluation order within a
+ * cycle is unobservable, because FabricConfig::validate guarantees
+ * exactly one producer and one consumer per channel; only the partial
+ * cycle a trap leaves shows it.
  *
- * The same event list makes channel upkeep proportional to activity:
- * only channels touched this cycle need a commit at its end, and a new
- * snapshot (beginCycle) at the next cycle's start.
+ * Channel upkeep is proportional to activity: the queues record their
+ * pushes and pops in a QueueEventLog, and only channels touched this
+ * cycle need a commit at its end, and a new snapshot (beginCycle) at
+ * the next cycle's start.
  *
- * The control memo: past FabricMemo::kEngageAfter cycles of a run(),
- * run() follows the fabric through its control states and replays the
- * whole-fabric cycles a step() already recorded from the same state,
- * running only their data actions (uarch/fabric_memo.hh; docs/perf.md,
- * "The fabric control memo"). It is off under a trace sink, a fault
+ * The control memo, the fabric's one host-side shortcut: past
+ * FabricMemo::kEngageAfter cycles of a run(), run() follows the fabric
+ * through its control states and replays the whole-fabric cycles a
+ * step() already recorded from the same state, running only their
+ * data actions (uarch/fabric_memo.hh; docs/perf.md, "The fabric
+ * control memo"). It is off under a trace sink, a fault
  * injector and the reference scheduler, and every run() leaves the
  * fabric materialized, so step(), the accessors and a later run() see
  * exactly the state a bare step() loop leaves. stepStats() counts
@@ -93,10 +81,8 @@ struct FabricRunOptions
 /** Host-side execution statistics (see tools/tia_sim --stats). */
 struct FabricStepStats
 {
-    /** PE steps actually executed. */
+    /** PE steps executed: one per unhalted PE per cycle. */
     std::uint64_t peStepsExecuted = 0;
-    /** PE steps skipped by the idle sleep list (accounted lazily). */
-    std::uint64_t peStepsSkipped = 0;
     /**
      * Executed PE steps replayed from the control memo (a subset of
      * peStepsExecuted): datapath work only, control read off a
@@ -154,18 +140,10 @@ class CycleFabric
     const Memory &memory() const { return memory_; }
 
     /**
-     * PE access, read-only: settles the PE's lazily accounted sleep
-     * cycles so counters read exact. Throws std::out_of_range for an
-     * index past numPes().
+     * PE access, read-only. Throws std::out_of_range for an index past
+     * numPes().
      */
-    const PipelinedPe &
-    pe(unsigned index) const
-    {
-        const PipelinedPe &result = *pes_.at(index);
-        if (asleep_[index])
-            syncSleepCounters(index);
-        return result;
-    }
+    const PipelinedPe &pe(unsigned index) const { return *pes_.at(index); }
 
     unsigned numPes() const { return static_cast<unsigned>(pes_.size()); }
 
@@ -187,12 +165,9 @@ class CycleFabric
 
     /**
      * Install (or clear, with nullptr) a trace sink on the fabric and
-     * every PE. The fabric contributes park/wake instants and (at
-     * Cycles level) end-of-cycle queue depths; the PEs contribute the
-     * issue-slot, predictor and stage events (see obs/trace.hh).
-     * Idle-PE sleep stays enabled under tracing — a parked PE's
-     * skipped cycles surface as retroactive no-trigger attributions at
-     * settlement, keeping trace-derived counters bit-identical.
+     * every PE. The fabric contributes (at Cycles level) end-of-cycle
+     * queue depths; the PEs contribute the issue-slot, predictor and
+     * stage events (see obs/trace.hh).
      */
     void setTraceSink(TraceSink *sink,
                       TraceLevel level = TraceLevel::Events);
@@ -211,14 +186,6 @@ class CycleFabric
     }
 
     /**
-     * Enable/disable idle-PE sleep (enabled by default without a fault
-     * injector; always off with one). Disabling wakes every parked PE;
-     * results are identical either way — the knob exists for the
-     * equivalence tests and for profiling.
-     */
-    void setIdleSleepEnabled(bool enabled);
-
-    /**
      * The PEs' KnobWitness bits ORed: which of +P and +Q, off in this
      * fabric's config, would have changed some PE's decision so far.
      */
@@ -231,12 +198,11 @@ class CycleFabric
         return witness;
     }
 
-    /** Host-side step accounting (settles lazy sleep debt). */
+    /** Host-side step accounting. */
     FabricStepStats
     stepStats() const
     {
-        flushSleepDebt();
-        return {stepsExecuted_, stepsSkipped_, stepsReplayed_};
+        return {stepsExecuted_, stepsReplayed_};
     }
 
   private:
@@ -258,54 +224,23 @@ class CycleFabric
     void stepPe(unsigned index);
 
     /**
-     * After activePes_[@p i] stepped: retire it if halted, park it if
-     * it can sleep, count it if busy. Returns false when it left the
-     * active list (swap-removed into slot @p i).
+     * After activePes_[@p i] stepped: retire it if halted, count it if
+     * busy. Returns false when it left the active list (swap-removed
+     * into slot @p i).
      */
     bool settleActivePe(std::size_t i);
 
     /**
-     * The rest of a cycle once every awake PE stepped: memory ports,
+     * The rest of a cycle once every unhalted PE stepped: memory ports,
      * channel commits, depth samples, clock advance.
      */
     void endCycle();
 
     /**
-     * Re-activate PE @p index if parked, settling its sleep debt.
-     * Inline no-op for awake PEs — wake subscriptions fire on every
-     * watched-channel event, parked or not.
+     * Cold end-of-cycle queue-depth samples (`cycles` level only):
+     * keeps the `if (trace_)` guard in endCycle() down to a test plus a
+     * call to a cold section.
      */
-    void
-    wakePe(unsigned index)
-    {
-        if (asleep_[index])
-            wakeParkedPe(index);
-    }
-
-    /** Out-of-line slow half of wakePe(). */
-    void wakeParkedPe(unsigned index);
-
-    /**
-     * Account the cycles PE @p index slept through since its last
-     * executed step: each is exactly one no-trigger cycle. The debt is
-     * now_ minus the PE's own cycle counter, which stops while it is
-     * parked.
-     */
-    void syncSleepCounters(unsigned index) const;
-
-    /** Settle the sleep debt of every parked PE (before observation). */
-    void flushSleepDebt() const;
-
-    /**
-     * Out-of-line cold emission for the fabric's own trace events
-     * (park/wake, end-of-cycle queue depths) — keeps the `if (trace_)`
-     * guards in step() down to a test plus a call to a cold section.
-     */
-    [[gnu::cold, gnu::noinline]] void
-    traceEvent(std::uint32_t pe, TraceEventKind kind,
-               std::uint16_t index = 0, std::uint64_t value = 0) const;
-
-    /** Cold end-of-cycle queue-depth samples (`cycles` level only). */
     [[gnu::cold, gnu::noinline]] void traceQueueDepths() const;
 
     FabricConfig config_;
@@ -318,18 +253,13 @@ class CycleFabric
     HangReport report_;
     Cycle now_ = 0;
 
-    // Sleep/wake machinery.
-    bool sleepEnabled_ = true;
-    std::vector<unsigned> activePes_;     ///< Awake, unhalted PEs.
-    std::vector<std::uint8_t> asleep_;    ///< Parked flag, per PE.
-    /** Channel -> PEs whose triggers watch it (wake set). */
-    std::vector<std::vector<unsigned>> channelPes_;
+    /** Unhalted PEs, in stepping order. */
+    std::vector<unsigned> activePes_;
 
     /**
      * Channel activity, recorded inline by the queues (see queue.hh).
      * Dirty channels need a commit at this cycle's end, and a
-     * beginCycle plus a wake of their watchers at the next cycle's
-     * start.
+     * beginCycle at the next cycle's start.
      */
     QueueEventLog events_;
 
@@ -340,7 +270,6 @@ class CycleFabric
 
     // Host-side statistics.
     std::uint64_t stepsExecuted_ = 0;
-    mutable std::uint64_t stepsSkipped_ = 0;
     std::uint64_t stepsReplayed_ = 0;
 
     /** The control memo, made at first engagement (run()). */

@@ -12,9 +12,8 @@ namespace {
 /** Status byte of a PE in a node's key. */
 enum PeStatus : std::uint8_t
 {
-    kAwake = 0,
-    kParked = 1,
-    kHalted = 2,
+    kRunning = 0,
+    kHalted = 1,
 };
 
 constexpr Word kZero = 0;
@@ -26,7 +25,7 @@ FabricMemo::FabricMemo(CycleFabric &fabric) : fabric_(fabric)
     // Edges name a PE and count steps in 16 bits.
     panicIf(fabric.pes_.size() > 0xffff, "control memo: too many PEs");
     slots_.assign(64, 0);
-    keyBytes_ = 1 + kCountBytes * (1 + fabric.pes_.size());
+    keyBytes_ = kCountBytes * (1 + fabric.pes_.size());
     for (const auto &pe : fabric.pes_)
         keyBytes_ += 1 + pe->controlKeyBytes();
     for (const auto &channel : fabric.channels_)
@@ -47,22 +46,20 @@ FabricMemo::packState(std::string &key) const
     const CycleFabric &f = fabric_;
     key.resize(keyBytes_);
     char *out = key.data();
-    putByte(out, f.sleepEnabled_ ? 1u : 0u);
-    for (unsigned p = 0; p < f.pes_.size(); ++p) {
-        const PipelinedPe &pe = *f.pes_[p];
-        if (pe.halted()) {
+    for (const auto &pe : f.pes_) {
+        if (pe->halted()) {
             putByte(out, kHalted);
             continue;
         }
-        putByte(out, f.asleep_[p] ? kParked : kAwake);
-        pe.packControl(out);
+        putByte(out, kRunning);
+        pe->packControl(out);
     }
     putCount(out, f.activePes_.size());
     for (const unsigned p : f.activePes_)
         putCount(out, p);
-    // A channel that moved last cycle takes its snapshot (and wakes its
-    // watchers) when the next cycle starts; any other channel's
-    // snapshot already equals its occupancy.
+    // A channel that moved last cycle takes its snapshot when the next
+    // cycle starts; any other channel's snapshot already equals its
+    // occupancy.
     for (unsigned ch = 0; ch < f.channels_.size(); ++ch) {
         const TaggedQueue &queue = *f.channels_[ch];
         putCount(out, 2 * std::uint64_t{queue.size()} +
@@ -186,7 +183,7 @@ FabricMemo::replayCycle()
     Edge &edge = edges_[id];
 
     CycleFabric &f = fabric_;
-    // The cycle's start, as step() does it; the wakes are control.
+    // The cycle's start, as step() does it.
     if (!f.events_.dirtyChannels().empty()) {
         for (const unsigned ch : f.events_.dirtyChannels())
             f.channels_[ch]->beginCycle();
@@ -234,7 +231,7 @@ FabricMemo::replayCycle()
             for (auto &port : f.writePorts_)
                 port->step(f.now_);
         } catch (...) {
-            materializeAt(f.now_ + 1);
+            materialize();
             current_ = kNone;
             throw;
         }
@@ -339,9 +336,6 @@ FabricMemo::stepRecorded()
 {
     CycleFabric &f = fabric_;
     materialize();
-    // Settle every parked PE's sleep debt first, so a wake inside the
-    // step adds nothing to the counter deltas it records.
-    f.flushSleepDebt();
 
     const std::uint32_t from = current_;
     before_.clear();
@@ -481,41 +475,19 @@ FabricMemo::settle()
 void
 FabricMemo::materialize()
 {
-    materializeAt(fabric_.now_);
-}
-
-void
-FabricMemo::materializeAt(Cycle clock)
-{
     if (!stale_)
         return;
     CycleFabric &f = fabric_;
     settle();
     // The inverse of packState's PE part; channels and ports are live.
     KeyReader key(keyOf(nodes_[current_]));
-    key.byte(); // The sleep setting.
-    for (unsigned p = 0; p < f.pes_.size(); ++p) {
-        const std::uint8_t status = key.byte();
-        if (status == kHalted)
-            continue;
-        f.asleep_[p] = status == kParked;
-        f.pes_[p]->unpackControl(key);
+    for (const auto &pe : f.pes_) {
+        if (key.byte() != kHalted)
+            pe->unpackControl(key);
     }
     f.activePes_.resize(key.count());
     for (unsigned &p : f.activePes_)
         p = static_cast<unsigned>(key.count());
-    // A PE that a replayed cycle woke was never credited the cycles it
-    // slept through (its counter stopped meanwhile): each was one
-    // no-trigger cycle, as syncSleepCounters accounts them. A parked
-    // PE keeps its debt until it wakes or is observed.
-    for (const unsigned p : f.activePes_) {
-        PipelinedPe &pe = *f.pes_[p];
-        const Cycle skipped = clock - pe.counters_.cycles;
-        if (skipped > 0) {
-            pe.skipIdleCycles(skipped);
-            f.stepsSkipped_ += skipped;
-        }
-    }
     stale_ = false;
 }
 

@@ -15,10 +15,10 @@
  * '98), the memo records each distinct such cycle once:
  *
  *  - A node is the packed control state at a cycle boundary: each PE's
- *    status (awake, parked or halted) and PipelinedPe::packControl, the
- *    awake PEs in stepping order, each channel's occupancy, tags and
- *    whether it moved last cycle, each read port's held requests (cycles
- *    until due, clamped at 0, and tag), and the sleep setting.
+ *    status (running or halted) and PipelinedPe::packControl, the
+ *    running PEs in stepping order, each channel's occupancy, tags and
+ *    whether it moved last cycle, and each read port's held requests
+ *    (cycles until due, clamped at 0, and tag).
  *  - An edge is one recorded step(), chosen by the vector of that
  *    cycle's branch bits. It keeps the cycle's data actions in step()
  *    order (operand captures with their dequeues, then writebacks:
@@ -235,11 +235,6 @@ class FabricMemo
     void materialize();
     /** Add the pending replays to the counters, issue ids and steps. */
     void settle();
-    /**
-     * materialize() at clock @p clock: now() at a cycle boundary, one
-     * past it when a replayed cycle traps in a memory port.
-     */
-    void materializeAt(Cycle clock);
 
     CycleFabric &fabric_;
     std::vector<Node> nodes_;

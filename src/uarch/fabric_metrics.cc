@@ -5,7 +5,7 @@
 namespace tia {
 
 JsonValue
-fabricRunMetrics(CycleFabric &fabric, const PeConfig &uarch,
+fabricRunMetrics(const CycleFabric &fabric, const PeConfig &uarch,
                  RunStatus status)
 {
     JsonValue run = JsonValue::object();
@@ -20,15 +20,11 @@ fabricRunMetrics(CycleFabric &fabric, const PeConfig &uarch,
     verdict["summary"] = report.summary;
     run["verdict"] = std::move(verdict);
 
-    const FabricStepStats steps = fabric.stepStats();
-    run["sleep"] =
-        sleepMetricsJson(steps.peStepsExecuted, steps.peStepsSkipped);
+    run["pe_steps_executed"] = fabric.stepStats().peStepsExecuted;
 
     JsonValue pes = JsonValue::array();
     for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-        // The const accessor settles sleep debt without waking.
-        const PipelinedPe &state =
-            const_cast<const CycleFabric &>(fabric).pe(pe);
+        const PipelinedPe &state = fabric.pe(pe);
         JsonValue entry =
             peMetricsJson(pe, state.counters(), state.inFlight());
         entry["halted"] = state.halted();

@@ -2,7 +2,7 @@
  * @file
  * tia-metrics/v1 run entries built from a finished CycleFabric: the
  * bridge between the simulator's live state (counters, hang report,
- * sleep statistics, channel high-water marks) and the structured
+ * executed PE steps, channel high-water marks) and the structured
  * metrics documents tia-sim and tia-sweep emit (obs/metrics.hh).
  */
 
@@ -16,10 +16,9 @@ namespace tia {
 
 /**
  * Build the per-run metrics object for @p fabric after a run() with
- * final status @p status. Non-const because reading exact counters
- * settles lazily accounted sleep cycles.
+ * final status @p status.
  */
-JsonValue fabricRunMetrics(CycleFabric &fabric, const PeConfig &uarch,
+JsonValue fabricRunMetrics(const CycleFabric &fabric, const PeConfig &uarch,
                            RunStatus status);
 
 } // namespace tia

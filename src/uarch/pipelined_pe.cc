@@ -150,20 +150,6 @@ PipelinedPe::scheduleReference() const
 }
 
 void
-PipelinedPe::traceSkippedCycles(std::uint64_t n) const
-{
-    // Retroactive settlement: the first skipped cycle is the one after
-    // the last counted cycle. Still in per-PE cycle order (see the
-    // ordering note in obs/trace.hh).
-    for (std::uint64_t i = 0; i < n; ++i) {
-        trace_->record({counters_.cycles + i, traceId_,
-                        TraceEventKind::Attribution,
-                        static_cast<std::uint8_t>(TraceBucket::NoTrigger),
-                        0, 0});
-    }
-}
-
-void
 PipelinedPe::setRegs(const std::vector<Word> &values)
 {
     fatalIf(values.size() > regs_.size(),
@@ -506,7 +492,6 @@ PipelinedPe::issue()
     }
     if (result.outcome == ScheduleOutcome::None) {
         ++counters_.noTrigger;
-        idleCycle_ = true;
         if (trace_) [[unlikely]]
             traceBucket(TraceBucket::NoTrigger);
         return;
@@ -602,7 +587,6 @@ PipelinedPe::step()
     if (halted_)
         return;
     ++counters_.cycles;
-    idleCycle_ = false;
 
     // (a) Work pass, oldest first so forwarding sees this cycle's
     // writebacks. Only the decode and writeback segments ever have
@@ -695,7 +679,7 @@ PipelinedPe::packControl(char *&out) const
             "control memo: control state packed mid-cycle");
     const unsigned pred_bytes = (params_.numPreds + 7) / 8;
     putByte(out, occupied_);
-    putByte(out, (haltIssued_ ? 1u : 0u) | (idleCycle_ ? 2u : 0u));
+    putByte(out, haltIssued_ ? 1u : 0u);
     for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
         const InFlight &entry = slot(s);
@@ -730,9 +714,7 @@ PipelinedPe::unpackControl(KeyReader &key)
     // The exact inverse of packControl; operands are data and stay.
     const unsigned pred_bytes = (params_.numPreds + 7) / 8;
     occupied_ = key.byte();
-    const std::uint8_t flags = key.byte();
-    haltIssued_ = (flags & 1u) != 0;
-    idleCycle_ = (flags & 2u) != 0;
+    haltIssued_ = key.byte() != 0;
     for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
         stage_[s] = key.byte();

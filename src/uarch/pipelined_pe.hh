@@ -169,41 +169,6 @@ class PipelinedPe
     /** Advance one clock cycle. No-op once halted. */
     void step();
 
-    /**
-     * True when stepping this PE again with unchanged queue status
-     * would provably repeat a do-nothing cycle: nothing in flight, no
-     * unresolved speculation or pending predicate write, and the last
-     * step's trigger resolution came up empty. The owning fabric may
-     * then park the PE and re-step it only after a watched channel
-     * reports activity (see uarch/cycle_fabric.hh).
-     */
-    bool
-    canSleep() const
-    {
-        return !halted_ && idleCycle_ && !busy() && !specActive() &&
-               pendingPredMask_ == 0 && !pendingPredCommit_.has_value();
-    }
-
-    /**
-     * Account @p n skipped cycles at once. Each skipped cycle is
-     * exactly what step() would have done while asleep: one cycle
-     * counted, attributed to "no trigger eligible".
-     */
-    void
-    skipIdleCycles(std::uint64_t n)
-    {
-        if (trace_) [[unlikely]]
-            traceSkippedCycles(n);
-        counters_.cycles += n;
-        counters_.noTrigger += n;
-    }
-
-    /** Input queues referenced by any trigger (bit per port). */
-    std::uint32_t watchedInputs() const { return encoder_.inputsUsed(); }
-
-    /** Output queues referenced by any trigger (bit per port). */
-    std::uint32_t watchedOutputs() const { return encoder_.outputsUsed(); }
-
     /** True once a halt instruction has retired. */
     bool halted() const { return halted_; }
 
@@ -354,10 +319,6 @@ class PipelinedPe
 
     [[gnu::cold, gnu::noinline]] void traceBucket(TraceBucket bucket) const;
 
-    /** Retroactive no-trigger settlement for @p n skipped cycles. */
-    [[gnu::cold, gnu::noinline]] void
-    traceSkippedCycles(std::uint64_t n) const;
-
     /**
      * Trigger resolution through the virtual QueueStatusView reference
      * scheduler (setUseReferenceScheduler). Out of line and cold so
@@ -374,10 +335,7 @@ class PipelinedPe
     const bool splitX_;      ///< X1|X2: the one shape family with D stalls.
     std::vector<Instruction> program_;
 
-    /**
-     * The program's triggers compiled to instruction masks; also the
-     * record of which queues any trigger watches (the wake sets).
-     */
+    /** The program's triggers compiled to instruction masks. */
     const TriggerEncoder encoder_;
 
     // Architectural state.
@@ -396,7 +354,7 @@ class PipelinedPe
     std::array<std::uint8_t, 4> stage_ = {};
     /**
      * Bit s set iff segment s holds an instruction: the one record of
-     * slot occupancy. busy()/canSleep()/inFlight() read it as a single
+     * slot occupancy. busy()/inFlight() read it as a single
      * compare, and the step phases visit only occupied segments.
      */
     std::uint8_t occupied_ = 0;
@@ -409,9 +367,6 @@ class PipelinedPe
     std::vector<unsigned> pendingPredWrites_; ///< Per predicate (no +P).
     /** Bit p set iff pendingPredWrites_[p] > 0 (kept incrementally). */
     std::uint64_t pendingPredMask_ = 0;
-
-    /** Last step's trigger resolution found nothing eligible. */
-    bool idleCycle_ = false;
 
     // Speculation state (+P / +N). Contexts are ordered oldest first;
     // in-order execution guarantees they resolve front to back.

@@ -165,9 +165,7 @@ collectRun(CycleExecution execution, const Workload &workload)
 
     run.hang = fabric.hangReport();
     run.totalCycles = fabric.now();
-    const FabricStepStats steps = fabric.stepStats();
-    run.peStepsExecuted = steps.peStepsExecuted;
-    run.peStepsSkipped = steps.peStepsSkipped;
+    run.peStepsExecuted = fabric.stepStats().peStepsExecuted;
     for (unsigned pe = 0; pe < fabric.numPes(); ++pe)
         run.dynamicInstructions.push_back(
             fabric.pe(pe).counters().retired);
@@ -266,8 +264,7 @@ workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
     verdict["summary"] = run.hang.summary;
     entry["verdict"] = std::move(verdict);
 
-    entry["sleep"] =
-        sleepMetricsJson(run.peStepsExecuted, run.peStepsSkipped);
+    entry["pe_steps_executed"] = run.peStepsExecuted;
 
     JsonValue pes = JsonValue::array();
     pes.push(peMetricsJson(run.workerPe, run.worker, run.workerInFlight));

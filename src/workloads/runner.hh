@@ -109,19 +109,22 @@ struct WorkloadRun
     FaultOutcome faultOutcome = FaultOutcome::None;
     /** Per-event injection counts for injected runs. */
     FaultStats faultStats;
-    /** Host-side: PE steps actually executed (cycle runs). */
+    /**
+     * Host-side: PE steps executed (cycle runs), one per unhalted PE
+     * per cycle.
+     */
     std::uint64_t peStepsExecuted = 0;
-    /** Host-side: PE steps elided by the idle sleep list (cycle runs). */
-    std::uint64_t peStepsSkipped = 0;
     /**
      * Always 0: the simulator resolves triggers afresh every cycle and
-     * keeps no resolution accounting. No storage and no codec bytes;
-     * these exist only because perfbench/src/layers.cc still reads
-     * them, and go when ROADMAP item 1 retires
-     * uarch.resolution_skip_frac.
+     * keeps no resolution accounting, and every unhalted PE steps every
+     * cycle. No storage and no codec bytes; these exist only because
+     * perfbench/src/layers.cc still reads them, and go when ROADMAP
+     * item 1 retires uarch.resolution_skip_frac and
+     * uarch.sleep_skip_frac.
      */
     static constexpr std::uint64_t resolutionSkips = 0;
     static constexpr std::uint64_t resolutionFulls = 0;
+    static constexpr std::uint64_t peStepsSkipped = 0;
 
     bool ok() const { return status == RunStatus::Halted &&
                              checkError.empty(); }
@@ -229,7 +232,7 @@ CycleMatrix runCycleMatrix(const std::vector<Workload> &workloads,
 
 /**
  * Build the tia-metrics/v1 run entry for a finished cycle run: status,
- * cycle count, hang verdict, sleep statistics, the worker PE's
+ * cycle count, hang verdict, executed PE steps, the worker PE's
  * counters/CPI stack and (for injected runs) the fault outcome. The
  * single-element "pes" array carries the worker PE only — matching
  * what WorkloadRun retains — while "num_pes" reports the true fabric

@@ -1,12 +1,11 @@
 /**
  * @file
  * Equivalence tests for the hot-loop optimizations: the compiled,
- * predicate-first trigger encoder, the ring-buffer TaggedQueue, the
- * fabric's idle-PE sleep/wake machinery and its control memo.
- * Every optimization must be invisible to the architecture —
- * identical schedule outcomes, identical queue semantics,
- * bit-identical cycle counts, counters and hang reports with sleep on
- * and off, and with run() against a bare step() loop.
+ * predicate-first trigger encoder, the ring-buffer TaggedQueue and the
+ * fabric's control memo. Every optimization must be invisible to the
+ * architecture — identical schedule outcomes, identical queue
+ * semantics, and bit-identical cycle counts, counters and hang reports
+ * from run() and from a bare step() loop.
  */
 
 #include <algorithm>
@@ -400,7 +399,9 @@ TEST(RingBufferQueue, OverflowStillPanics)
 }
 
 // ---------------------------------------------------------------------
-// Idle-PE sleep/wake: bit-identical runs with the optimization off.
+// Quiescent runs and run() exits. (The suite keeps the IdlePeSleep name
+// it had while the fabric parked idle PEs; each case pins a property
+// that outlived the parking.)
 // ---------------------------------------------------------------------
 
 /** Everything observable about one cycle-accurate execution. */
@@ -417,97 +418,23 @@ struct RunObservation
     bool operator==(const RunObservation &) const = default;
 };
 
-RunObservation
-observeRun(const Workload &workload, const PeConfig &uarch, bool sleep,
-           FaultInjector *injector = nullptr)
+/** A trace sink that drops every event: attaching it turns the
+ *  control memo off without changing anything else about a run. */
+class NullSink : public TraceSink
 {
-    CycleFabric fabric(workload.config, workload.program, uarch, injector);
-    fabric.setIdleSleepEnabled(sleep);
-    workload.preload(fabric.memory());
-
-    RunObservation obs;
-    obs.status = fabric.run();
-    obs.cycles = fabric.now();
-    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-        obs.counters.push_back(fabric.pe(pe).counters());
-        obs.regs.push_back(fabric.pe(pe).regs());
-        obs.preds.push_back(fabric.pe(pe).preds());
-    }
-    obs.report = fabric.hangReport();
-    obs.memory = fabric.memory().snapshot();
-
-    // Host-side accounting must balance: every architectural PE cycle
-    // was either executed or skipped-and-accounted.
-    const FabricStepStats steps = fabric.stepStats();
-    std::uint64_t pe_cycles = 0;
-    for (const auto &c : obs.counters)
-        pe_cycles += c.cycles;
-    EXPECT_EQ(steps.peStepsExecuted + steps.peStepsSkipped, pe_cycles);
-    if (!sleep || injector != nullptr) {
-        EXPECT_EQ(steps.peStepsSkipped, 0u);
-    }
-    return obs;
-}
-
-TEST(IdlePeSleep, WorkloadSuiteBitIdentical)
-{
-    const std::vector<Workload> workloads =
-        allWorkloads(WorkloadSizes::small());
-    std::vector<PeConfig> uarchs = allConfigs();
-    uarchs.push_back({allShapes()[7], true, false, true}); // T|D|X1|X2 +P+N
-    uarchs.push_back({allShapes()[7], true, true, true});  // T|D|X1|X2 +P+N+Q
-    for (const Workload &workload : workloads) {
-        for (const PeConfig &uarch : uarchs) {
-            const RunObservation with = observeRun(workload, uarch, true);
-            const RunObservation without =
-                observeRun(workload, uarch, false);
-            ASSERT_EQ(with, without)
-                << workload.name << " / " << uarch.name();
-            ASSERT_EQ(with.status, RunStatus::Halted) << workload.name;
-        }
-    }
-}
-
-TEST(IdlePeSleep, SkipsStepsOnSparseFabrics)
-{
-    // One worker plus many programless PEs: the sleep list should
-    // elide nearly all of the idle PEs' steps while leaving the
-    // worker's results untouched.
-    const Workload workload = makeGcd(WorkloadSizes::small());
-    FabricConfig config = workload.config;
-    const unsigned total_pes = config.numPes + 15;
-    config.inputChannel.resize(
-        total_pes,
-        std::vector<int>(config.params.numInputQueues, kUnbound));
-    config.outputChannel.resize(
-        total_pes,
-        std::vector<int>(config.params.numOutputQueues, kUnbound));
-    config.initialRegs.resize(total_pes);
-    config.initialPreds.resize(total_pes, 0);
-    config.numPes = total_pes;
-
-    const PeConfig uarch{allShapes()[0], false, false, false};
-    CycleFabric fabric(config, workload.program, uarch);
-    workload.preload(fabric.memory());
-    // Idle PEs never halt, so the run ends by quiescence after the
-    // worker is done.
-    ASSERT_EQ(fabric.run(), RunStatus::Quiescent);
-    EXPECT_TRUE(fabric.pe(workload.workerPe).halted());
-
-    const FabricStepStats steps = fabric.stepStats();
-    EXPECT_GT(steps.peStepsSkipped, steps.peStepsExecuted);
-    // Idle PEs still account one no-trigger cycle per fabric cycle.
-    for (unsigned pe = config.numPes - 15; pe < total_pes; ++pe) {
-        EXPECT_EQ(fabric.pe(pe).counters().cycles,
-                  fabric.pe(pe).counters().noTrigger);
-    }
-}
+  public:
+    void record(const TraceEvent &) override {}
+};
 
 TEST(IdlePeSleep, QuiescentStarvationIdentical)
 {
-    // A PE waiting forever on a never-fed input: with sleep it parks
-    // immediately, yet quiescence timing, diagnosis and counters must
-    // not move.
+    // A PE waiting forever on an input fed by a PE that never fires:
+    // nothing retires and no agent is active, so the run goes quiescent
+    // the cycle the window elapses, with every PE's cycles attributed
+    // to no-trigger. run(), which replays from the control memo past
+    // FabricMemo::kEngageAfter cycles, a traced run, which never
+    // replays, and a bare step() loop agree on the clock, the counters
+    // and (for the two runs) the diagnosis.
     ArchParams params;
     const Program program = assemble(
         "when %p == XXXXXXX0 with %i0.1: add %r0, %r0, %i0; deq %i0;\n",
@@ -515,12 +442,9 @@ TEST(IdlePeSleep, QuiescentStarvationIdentical)
     FabricBuilder builder(params, 2);
     builder.connect(1, 0, 0, 0); // feed PE0 from PE1, which never fires
     const FabricConfig config = builder.build();
+    const PeConfig tdx{allShapes()[0], false, false, false};
 
-    auto observe = [&](bool sleep) {
-        CycleFabric fabric(config, program, {allShapes()[0], false, false,
-                                             false});
-        fabric.setIdleSleepEnabled(sleep);
-        const RunStatus status = fabric.run();
+    auto observe = [](const CycleFabric &fabric, RunStatus status) {
         RunObservation obs;
         obs.status = status;
         obs.cycles = fabric.now();
@@ -532,36 +456,47 @@ TEST(IdlePeSleep, QuiescentStarvationIdentical)
         obs.report = fabric.hangReport();
         return obs;
     };
-    const RunObservation with = observe(true);
-    const RunObservation without = observe(false);
-    ASSERT_EQ(with, without);
-    EXPECT_EQ(with.status, RunStatus::Quiescent);
-}
+    for (const Cycle window :
+         {Cycle{40}, Cycle{100}, kDefaultQuiescenceWindow}) {
+        const std::string what = "window " + std::to_string(window);
+        CycleFabric ran(config, program, tdx);
+        const RunObservation obs =
+            observe(ran, ran.run(kDefaultMaxCycles, window));
+        EXPECT_EQ(obs.status, RunStatus::Quiescent) << what;
+        EXPECT_EQ(obs.report.classification, RunStatus::Quiescent) << what;
+        EXPECT_EQ(obs.report.summary,
+                  "quiescent: 1 agent(s) starved with no wait cycle "
+                  "(producer halted or idle)")
+            << what;
+        EXPECT_EQ(obs.cycles, window) << what;
+        for (const PerfCounters &c : obs.counters) {
+            EXPECT_EQ(c.cycles, window) << what;
+            EXPECT_EQ(c.noTrigger, window) << what;
+        }
 
-TEST(IdlePeSleep, FaultInjectionDisablesSleepAndStaysIdentical)
-{
-    // Stuck-status windows open and close without queue events, so a
-    // fabric with an injector must not park PEs — and two runs of the
-    // same plan stay deterministic regardless of the sleep knob.
-    const Workload workload = makeGcd(WorkloadSizes::small());
-    const PeConfig uarch{allShapes()[7], true, false, true};
-    const FaultPlan plan =
-        FaultPlan::parse("seed=42;mispredict:pe0@p0.05");
+        NullSink sink;
+        CycleFabric traced(config, program, tdx);
+        traced.setTraceSink(&sink);
+        EXPECT_EQ(observe(traced, traced.run(kDefaultMaxCycles, window)),
+                  obs)
+            << what;
 
-    FaultInjector a(plan);
-    FaultInjector b(plan);
-    const RunObservation with = observeRun(workload, uarch, true, &a);
-    const RunObservation without = observeRun(workload, uarch, false, &b);
-    ASSERT_EQ(with, without);
-    EXPECT_GT(with.counters.at(workload.workerPe).faultsInjected, 0u);
+        CycleFabric stepped(config, program, tdx);
+        while (stepped.now() < window)
+            stepped.step();
+        for (unsigned pe = 0; pe < stepped.numPes(); ++pe) {
+            EXPECT_EQ(stepped.pe(pe).counters(), obs.counters[pe])
+                << what << " PE " << pe;
+        }
+    }
 }
 
 /**
  * The counter-integrity contract (uarch/counters.hh): every PE cycle
  * lands in exactly one attribution bucket, except the cycles claimed
  * by instructions still in flight. Must hold on EVERY exit path —
- * including budget and quiescence exits where parked PEs have
- * unsettled sleep debt at the moment the run stops.
+ * including budget and quiescence exits while the control memo holds
+ * replayed cycles whose counter deltas are not yet settled.
  */
 void
 expectBucketIntegrity(CycleFabric &fabric, const char *where)
@@ -578,12 +513,17 @@ expectBucketIntegrity(CycleFabric &fabric, const char *where)
             EXPECT_EQ(c.cycles, fabric.now()) << where << " PE " << pe;
         }
     }
+    // One executed step per PE cycle.
+    std::uint64_t pe_cycles = 0;
+    for (unsigned pe = 0; pe < fabric.numPes(); ++pe)
+        pe_cycles += fabric.pe(pe).counters().cycles;
+    EXPECT_EQ(fabric.stepStats().peStepsExecuted, pe_cycles) << where;
 }
 
 TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
 {
     // A sparse fabric — one gcd worker plus 15 programless PEs that
-    // park immediately — driven to each of the run() exit reasons.
+    // never fire — driven to each of the run() exit reasons.
     const Workload workload = makeGcd(WorkloadSizes::small());
     FabricConfig config = workload.config;
     const unsigned total_pes = config.numPes + 15;
@@ -600,14 +540,15 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
 
     {
         // Cycle-budget exit: the watchdog window never elapses, so the
-        // run stops mid-flight with every idle PE still parked.
+        // run stops mid-flight, before the control memo engages.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
         ASSERT_EQ(fabric.run(50, 10'000), RunStatus::StepLimit);
         expectBucketIntegrity(fabric, "step-limit");
     }
     {
-        // Larger budget, same exit, after the worker made progress.
+        // Larger budget, same exit, after the worker made progress and
+        // the memo replayed cycles.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
         ASSERT_EQ(fabric.run(200, 10'000), RunStatus::StepLimit);
@@ -715,7 +656,6 @@ struct FabricObservation
     std::vector<std::uint64_t> preds;
     std::vector<Word> memory;
     std::uint64_t stepsExecuted = 0;
-    std::uint64_t stepsSkipped = 0;
 
     bool operator==(const FabricObservation &) const = default;
 };
@@ -735,9 +675,7 @@ observeFabric(const CycleFabric &fabric)
         obs.preds.push_back(fabric.pe(pe).preds());
     }
     obs.memory = fabric.memory().snapshot();
-    const FabricStepStats steps = fabric.stepStats();
-    obs.stepsExecuted = steps.peStepsExecuted;
-    obs.stepsSkipped = steps.peStepsSkipped;
+    obs.stepsExecuted = fabric.stepStats().peStepsExecuted;
     return obs;
 }
 
@@ -751,20 +689,11 @@ allHalted(const CycleFabric &fabric)
     return true;
 }
 
-/** A trace sink that drops every event: attaching it turns the
- *  control memo off without changing anything else about a run. */
-class NullSink : public TraceSink
-{
-  public:
-    void record(const TraceEvent &) override {}
-};
-
 TEST(RunAhead, WorkloadSuiteMatchesPerCycleStepLoop)
 {
     // Every Table 3 workload at both sizes on all 32 uarchs plus +P+N
-    // and +P+N+Q, sleep on and off: run(), which replays most cycles
-    // from the control memo, leaves exactly what a bare step() loop
-    // leaves.
+    // and +P+N+Q: run(), which replays most cycles from the control
+    // memo, leaves exactly what a bare step() loop leaves.
     std::vector<Workload> workloads = allWorkloads(WorkloadSizes::small());
     for (Workload &workload : allWorkloads(WorkloadSizes::full()))
         workloads.push_back(std::move(workload));
@@ -774,26 +703,18 @@ TEST(RunAhead, WorkloadSuiteMatchesPerCycleStepLoop)
     uarchs.push_back({allShapes()[7], true, true, true});  // +P+N+Q
     for (const Workload &workload : workloads) {
         for (const PeConfig &uarch : uarchs) {
-            for (const bool sleep : {true, false}) {
-                CycleFabric ran(workload.config, workload.program, uarch);
-                ran.setIdleSleepEnabled(sleep);
-                workload.preload(ran.memory());
-                ASSERT_EQ(ran.run(), RunStatus::Halted)
-                    << workload.name << " / " << uarch.name();
+            CycleFabric ran(workload.config, workload.program, uarch);
+            workload.preload(ran.memory());
+            ASSERT_EQ(ran.run(), RunStatus::Halted)
+                << workload.name << " / " << uarch.name();
 
-                CycleFabric stepped(workload.config, workload.program,
-                                    uarch);
-                stepped.setIdleSleepEnabled(sleep);
-                workload.preload(stepped.memory());
-                while (!allHalted(stepped) &&
-                       stepped.now() < kDefaultMaxCycles) {
-                    stepped.step();
-                }
+            CycleFabric stepped(workload.config, workload.program, uarch);
+            workload.preload(stepped.memory());
+            while (!allHalted(stepped) && stepped.now() < kDefaultMaxCycles)
+                stepped.step();
 
-                ASSERT_EQ(observeFabric(ran), observeFabric(stepped))
-                    << workload.name << " / " << uarch.name()
-                    << (sleep ? " sleep" : " no sleep");
-            }
+            ASSERT_EQ(observeFabric(ran), observeFabric(stepped))
+                << workload.name << " / " << uarch.name();
         }
     }
 }
@@ -802,12 +723,12 @@ TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
 {
     // 1-PE programs that never halt: an endless register loop, and a
     // counted loop that then waits forever on a never-fed input (its
-    // last instruction retires in the cycle the PE first can sleep).
-    // The control memo replays their active stretches, so the budget
-    // exit — step limit or, once the window elapses without progress,
-    // livelock — and the quiescence exit must land on the same cycle
-    // with the same diagnosis as a traced run (which never replays),
-    // with the same state as a bare step() loop.
+    // last instruction retires in the cycle the PE first finds no
+    // trigger). The control memo replays their active stretches, so
+    // the budget exit — step limit or, once the window elapses without
+    // progress, livelock — and the quiescence exit must land on the
+    // same cycle with the same diagnosis as a traced run (which never
+    // replays), with the same state as a bare step() loop.
     const ArchParams params;
     const std::vector<std::pair<const char *, Program>> programs = {
         {"loop",
@@ -831,35 +752,28 @@ TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
     for (const auto &[name, program] : programs) {
         for (const PeConfig &uarch : allConfigs()) {
             for (const Cycle window : {Cycle{100}, Cycle{10'000}}) {
-                for (const bool sleep : {true, false}) {
-                    const std::string what = std::string(name) + " / " +
-                                             uarch.name() + " / window " +
-                                             std::to_string(window) +
-                                             (sleep ? "" : " / no sleep");
-                    const FabricRunOptions options{1'000, window, {}};
+                const std::string what = std::string(name) + " / " +
+                                         uarch.name() + " / window " +
+                                         std::to_string(window);
+                const FabricRunOptions options{1'000, window, {}};
 
-                    CycleFabric ran(config, program, uarch);
-                    ran.setIdleSleepEnabled(sleep);
-                    const RunStatus status = ran.run(options);
-                    EXPECT_NE(status, RunStatus::Halted) << what;
+                CycleFabric ran(config, program, uarch);
+                const RunStatus status = ran.run(options);
+                EXPECT_NE(status, RunStatus::Halted) << what;
 
-                    NullSink sink;
-                    CycleFabric traced(config, program, uarch);
-                    traced.setIdleSleepEnabled(sleep);
-                    traced.setTraceSink(&sink);
-                    EXPECT_EQ(traced.run(options), status) << what;
-                    EXPECT_EQ(ran.hangReport(), traced.hangReport())
-                        << what;
-                    EXPECT_EQ(observeFabric(ran), observeFabric(traced))
-                        << what;
+                NullSink sink;
+                CycleFabric traced(config, program, uarch);
+                traced.setTraceSink(&sink);
+                EXPECT_EQ(traced.run(options), status) << what;
+                EXPECT_EQ(ran.hangReport(), traced.hangReport()) << what;
+                EXPECT_EQ(observeFabric(ran), observeFabric(traced))
+                    << what;
 
-                    CycleFabric stepped(config, program, uarch);
-                    stepped.setIdleSleepEnabled(sleep);
-                    while (stepped.now() < ran.now())
-                        stepped.step();
-                    EXPECT_EQ(observeFabric(ran), observeFabric(stepped))
-                        << what;
-                }
+                CycleFabric stepped(config, program, uarch);
+                while (stepped.now() < ran.now())
+                    stepped.step();
+                EXPECT_EQ(observeFabric(ran), observeFabric(stepped))
+                    << what;
             }
         }
     }
@@ -1076,28 +990,23 @@ TEST(RunAhead, EpisodesEndingNearTheMemoThresholdMatchPerCycleStepLoop)
 
     std::uint64_t replayed = 0;
     for (const PeConfig &uarch : allConfigs()) {
-        for (const bool sleep : {true, false}) {
-            const std::string what =
-                uarch.name() + (sleep ? "" : " / no sleep");
-            CycleFabric stepped(config, program, uarch);
-            stepped.setIdleSleepEnabled(sleep);
-            while (!allHalted(stepped) && stepped.now() < kDefaultMaxCycles)
-                stepped.step();
-            ASSERT_TRUE(allHalted(stepped)) << what;
-            EXPECT_EQ(stepped.memory().read(kPasses), kPasses) << what;
+        const std::string what = uarch.name();
+        CycleFabric stepped(config, program, uarch);
+        while (!allHalted(stepped) && stepped.now() < kDefaultMaxCycles)
+            stepped.step();
+        ASSERT_TRUE(allHalted(stepped)) << what;
+        EXPECT_EQ(stepped.memory().read(kPasses), kPasses) << what;
 
-            CycleFabric ran(config, program, uarch);
-            ran.setIdleSleepEnabled(sleep);
-            ASSERT_EQ(ran.run(), RunStatus::Halted) << what;
-            EXPECT_EQ(observeFabric(ran), observeFabric(stepped)) << what;
-            EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << what;
-            replayed += ran.stepStats().peStepsReplayed;
-        }
+        CycleFabric ran(config, program, uarch);
+        ASSERT_EQ(ran.run(), RunStatus::Halted) << what;
+        EXPECT_EQ(observeFabric(ran), observeFabric(stepped)) << what;
+        EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << what;
+        replayed += ran.stepStats().peStepsReplayed;
     }
-    // Over all 32 uarchs, sleep on and off: the count the memo gave when
-    // this test was written. A change to when the memo engages or what
-    // it records must re-measure it.
-    EXPECT_EQ(replayed, 112'516u);
+    // Over all 32 uarchs: the count the memo gave when this test was
+    // last measured. A change to when the memo engages or what it
+    // records must re-measure it.
+    EXPECT_EQ(replayed, 56'258u);
 
     const PeConfig tdx{allShapes()[0], false, false, false};
     for (Cycle budget = FabricMemo::kEngageAfter - 2;
@@ -1216,36 +1125,30 @@ TEST(RunAhead, TrapDuringMemoReplayMatchesPerCycleStepLoop)
     const FabricConfig config = builder.build();
     for (const auto &[name, program, replays] : programs) {
         for (const PeConfig &uarch : allConfigs()) {
-            for (const bool sleep : {true, false}) {
-                const std::string what = std::string(name) + " / " +
-                                         uarch.name() +
-                                         (sleep ? "" : " / no sleep");
-                CycleFabric ran(config, program, uarch);
-                ran.setIdleSleepEnabled(sleep);
-                const TrapObservation via_run =
-                    observeTrap(ran, [&] { ran.run(); });
+            const std::string what = std::string(name) + " / " + uarch.name();
+            CycleFabric ran(config, program, uarch);
+            const TrapObservation via_run =
+                observeTrap(ran, [&] { ran.run(); });
 
-                CycleFabric stepped(config, program, uarch);
-                stepped.setIdleSleepEnabled(sleep);
-                const TrapObservation via_step = observeTrap(stepped, [&] {
-                    while (stepped.now() < kDefaultMaxCycles)
-                        stepped.step();
-                });
-                EXPECT_NE(via_run.message.find("out of bounds"),
-                          std::string::npos)
-                    << what << ": " << via_run.message;
-                EXPECT_EQ(via_run, via_step) << what;
-                if (replays) {
-                    EXPECT_GT(via_run.fabric.counters.at(0).retired,
-                              10 * FabricMemo::kEngageAfter)
-                        << what;
-                    EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << what;
-                } else {
-                    EXPECT_LT(via_run.fabric.cycles,
-                              Cycle{FabricMemo::kEngageAfter})
-                        << what;
-                    EXPECT_EQ(ran.stepStats().peStepsReplayed, 0u) << what;
-                }
+            CycleFabric stepped(config, program, uarch);
+            const TrapObservation via_step = observeTrap(stepped, [&] {
+                while (stepped.now() < kDefaultMaxCycles)
+                    stepped.step();
+            });
+            EXPECT_NE(via_run.message.find("out of bounds"),
+                      std::string::npos)
+                << what << ": " << via_run.message;
+            EXPECT_EQ(via_run, via_step) << what;
+            if (replays) {
+                EXPECT_GT(via_run.fabric.counters.at(0).retired,
+                          10 * FabricMemo::kEngageAfter)
+                    << what;
+                EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << what;
+            } else {
+                EXPECT_LT(via_run.fabric.cycles,
+                          Cycle{FabricMemo::kEngageAfter})
+                    << what;
+                EXPECT_EQ(ran.stepStats().peStepsReplayed, 0u) << what;
             }
         }
     }
@@ -1296,20 +1199,13 @@ TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
     EXPECT_EQ(reference.stepStats().peStepsReplayed, 0u);
     EXPECT_EQ(observeFabric(reference), observeFabric(plain));
 
-    // A plan whose one fault never fires leaves results unchanged
-    // (an injector also keeps every PE awake, so compare against a
-    // run without sleep).
+    // A plan whose one fault never fires leaves results unchanged.
     FaultInjector injector(FaultPlan::parse("seed=1;mispredict:pe0@p0"));
     CycleFabric injected(gcd.config, gcd.program, uarch, &injector);
     gcd.preload(injected.memory());
     ASSERT_EQ(injected.run(), RunStatus::Halted);
     EXPECT_EQ(injected.stepStats().peStepsReplayed, 0u);
-    CycleFabric awake(gcd.config, gcd.program, uarch);
-    awake.setIdleSleepEnabled(false);
-    gcd.preload(awake.memory());
-    ASSERT_EQ(awake.run(), RunStatus::Halted);
-    EXPECT_GT(awake.stepStats().peStepsReplayed, 0u);
-    EXPECT_EQ(observeFabric(injected), observeFabric(awake));
+    EXPECT_EQ(observeFabric(injected), observeFabric(plain));
 }
 
 TEST(RunAhead, MemoryPortTrapDuringReplayMatchesPerCycleStepLoop)
@@ -1344,29 +1240,23 @@ TEST(RunAhead, MemoryPortTrapDuringReplayMatchesPerCycleStepLoop)
     const FabricConfig config = builder.build();
     for (const auto &[name, program] : programs) {
         for (const PeConfig &uarch : allConfigs()) {
-            for (const bool sleep : {true, false}) {
-                const std::string what = std::string(name) + " / " +
-                                         uarch.name() +
-                                         (sleep ? "" : " / no sleep");
-                CycleFabric ran(config, program, uarch);
-                ran.setIdleSleepEnabled(sleep);
-                const TrapObservation via_run =
-                    observeTrap(ran, [&] { ran.run(); });
+            const std::string what = std::string(name) + " / " + uarch.name();
+            CycleFabric ran(config, program, uarch);
+            const TrapObservation via_run =
+                observeTrap(ran, [&] { ran.run(); });
 
-                CycleFabric stepped(config, program, uarch);
-                stepped.setIdleSleepEnabled(sleep);
-                const TrapObservation via_step = observeTrap(stepped, [&] {
-                    while (stepped.now() < kDefaultMaxCycles)
-                        stepped.step();
-                });
-                EXPECT_NE(via_run.message.find("out of bounds"),
-                          std::string::npos)
-                    << what << ": " << via_run.message;
-                EXPECT_EQ(via_run, via_step) << what;
-                EXPECT_GT(ran.stepStats().peStepsReplayed,
-                          ran.stepStats().peStepsExecuted / 2)
-                    << what;
-            }
+            CycleFabric stepped(config, program, uarch);
+            const TrapObservation via_step = observeTrap(stepped, [&] {
+                while (stepped.now() < kDefaultMaxCycles)
+                    stepped.step();
+            });
+            EXPECT_NE(via_run.message.find("out of bounds"),
+                      std::string::npos)
+                << what << ": " << via_run.message;
+            EXPECT_EQ(via_run, via_step) << what;
+            EXPECT_GT(ran.stepStats().peStepsReplayed,
+                      ran.stepStats().peStepsExecuted / 2)
+                << what;
         }
     }
 }

@@ -188,6 +188,57 @@ TEST(Observability, FaultInjectionEventsMatchCounters)
     EXPECT_EQ(rebuilt.faultRecoveries, run.worker.faultRecoveries);
 }
 
+/** Checks each event against the clock of the fabric emitting it. */
+struct ClockCheckSink : TraceSink
+{
+    const CycleFabric *fabric = nullptr;
+    std::uint64_t events = 0;
+    std::uint64_t late = 0;     ///< Events stamped before the fabric clock.
+    std::uint64_t early = 0;    ///< Events stamped after it.
+    std::uint64_t backward = 0; ///< Events older than the one before.
+    Cycle last = 0;
+
+    void record(const TraceEvent &event) override
+    {
+        ++events;
+        late += event.cycle < fabric->now();
+        early += event.cycle > fabric->now();
+        backward += event.cycle < last;
+        last = event.cycle;
+    }
+};
+
+TEST(Observability, TraceStreamIsInFabricCycleOrder)
+{
+    // The multi-PE Table 3 workloads, where PEs wait on each other's
+    // tokens: the whole stream (PE events and channel depths) comes in
+    // non-decreasing cycle order, and every event carries the cycle the
+    // fabric is stepping when it is recorded.
+    std::vector<PeConfig> uarchs;
+    for (const char *name : {"TDX", "T|D|X1|X2 +P+N+Q"})
+        uarchs.push_back(*parseConfigName(name));
+    unsigned multi_pe = 0;
+    for (const Workload &workload : allWorkloads(WorkloadSizes::small())) {
+        if (workload.config.numPes < 2)
+            continue;
+        ++multi_pe;
+        for (const PeConfig &uarch : uarchs) {
+            const std::string at = workload.name + " / " + uarch.name();
+            CycleFabric fabric(workload.config, workload.program, uarch);
+            workload.preload(fabric.memory());
+            ClockCheckSink sink;
+            sink.fabric = &fabric;
+            fabric.setTraceSink(&sink, TraceLevel::Cycles);
+            EXPECT_EQ(fabric.run(), RunStatus::Halted) << at;
+            EXPECT_GT(sink.events, fabric.now()) << at;
+            EXPECT_EQ(sink.late, 0u) << at;
+            EXPECT_EQ(sink.early, 0u) << at;
+            EXPECT_EQ(sink.backward, 0u) << at;
+        }
+    }
+    EXPECT_GE(multi_pe, 6u);
+}
+
 TEST(Observability, ChromeTraceIsWellFormedJson)
 {
     const Workload workload = makeGcd(WorkloadSizes::small());

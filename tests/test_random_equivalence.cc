@@ -14,7 +14,7 @@
  * Each program also runs through run() — which, past
  * FabricMemo::kEngageAfter cycles, replays recorded whole-fabric
  * control transitions (the fabric control memo) — and through a bare
- * per-cycle step() loop, which does not, with idle sleep on and off.
+ * per-cycle step() loop, which does not.
  * The loop runs long enough that every run() engages the memo, and its
  * data-dependent branches, some on a bit of the loop counter, take
  * both edges of recorded nodes.
@@ -200,7 +200,7 @@ struct FabricState
     std::uint64_t preds = 0;
     std::vector<Word> scratchpad;
     std::vector<Word> memory;
-    std::uint64_t stepsAccounted = 0; ///< Executed plus skipped.
+    std::uint64_t stepsExecuted = 0;
 
     bool operator==(const FabricState &) const = default;
 };
@@ -209,11 +209,10 @@ FabricState
 observe(const CycleFabric &fabric)
 {
     const PipelinedPe &pe = fabric.pe(0);
-    const FabricStepStats steps = fabric.stepStats();
     return {fabric.now(),        pe.counters(),
             pe.regs(),           pe.preds(),
             pe.scratchpad(),     fabric.memory().snapshot(),
-            steps.peStepsExecuted + steps.peStepsSkipped};
+            fabric.stepStats().peStepsExecuted};
 }
 
 class RandomEquivalence : public ::testing::TestWithParam<unsigned>
@@ -266,23 +265,17 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
         EXPECT_EQ(reference.pe(0).preds(), pe.preds()) << uarch.name();
 
         // run() (the control memo) against a bare step() loop.
-        for (const bool sleep : {true, false}) {
-            CycleFabric ran(config, program, uarch);
-            ran.setIdleSleepEnabled(sleep);
-            ASSERT_EQ(ran.run(2'000'000), RunStatus::Halted)
-                << uarch.name();
-            EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << uarch.name();
+        CycleFabric ran(config, program, uarch);
+        ASSERT_EQ(ran.run(2'000'000), RunStatus::Halted) << uarch.name();
+        EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << uarch.name();
 
-            CycleFabric stepped(config, program, uarch);
-            stepped.setIdleSleepEnabled(sleep);
-            while (!std::as_const(stepped).pe(0).halted() &&
-                   stepped.now() < 2'000'000)
-                stepped.step();
-            EXPECT_EQ(stepped.stepStats().peStepsReplayed, 0u);
-            EXPECT_EQ(observe(ran), observe(stepped))
-                << uarch.name() << (sleep ? " sleep" : " no sleep");
-            EXPECT_EQ(observe(ran), observe(fabric)) << uarch.name();
-        }
+        CycleFabric stepped(config, program, uarch);
+        while (!std::as_const(stepped).pe(0).halted() &&
+               stepped.now() < 2'000'000)
+            stepped.step();
+        EXPECT_EQ(stepped.stepStats().peStepsReplayed, 0u);
+        EXPECT_EQ(observe(ran), observe(stepped)) << uarch.name();
+        EXPECT_EQ(observe(ran), observe(fabric)) << uarch.name();
     }
 
     Workload workload;
@@ -427,7 +420,6 @@ struct ChainState
     std::vector<std::uint64_t> preds;
     std::vector<Word> memory;
     std::uint64_t stepsExecuted = 0;
-    std::uint64_t stepsSkipped = 0;
 
     bool operator==(const ChainState &) const = default;
 };
@@ -443,9 +435,7 @@ observeChain(const CycleFabric &fabric)
         state.preds.push_back(fabric.pe(pe).preds());
     }
     state.memory = fabric.memory().snapshot();
-    const FabricStepStats steps = fabric.stepStats();
-    state.stepsExecuted = steps.peStepsExecuted;
-    state.stepsSkipped = steps.peStepsSkipped;
+    state.stepsExecuted = fabric.stepStats().peStepsExecuted;
     return state;
 }
 
@@ -471,31 +461,26 @@ TEST_P(RandomChainEquivalence, MatchesFunctionalAndStepLoop)
     uarchs.push_back({allShapes()[7], true, true, true});  // +P+N+Q
     std::uint64_t replayed = 0;
     for (const PeConfig &uarch : uarchs) {
-        for (const bool sleep : {true, false}) {
-            const std::string what = uarch.name() +
-                                     (sleep ? "" : " / no sleep") + "\n" +
-                                     chain.program.toString();
-            CycleFabric ran(chain.config, chain.program, uarch);
-            ran.setIdleSleepEnabled(sleep);
-            preload(ran.memory());
-            ASSERT_EQ(ran.run(), RunStatus::Halted)
-                << ran.hangReport().summary << "\n"
-                << what;
-            EXPECT_EQ(ran.memory().snapshot(), expected) << what;
-            for (unsigned pe = 0; pe < ran.numPes(); ++pe) {
-                EXPECT_EQ(ran.pe(pe).counters().retired,
-                          golden.pe(pe).dynamicInstructions())
-                    << "PE " << pe << " / " << what;
-            }
-            replayed += ran.stepStats().peStepsReplayed;
-
-            CycleFabric stepped(chain.config, chain.program, uarch);
-            stepped.setIdleSleepEnabled(sleep);
-            preload(stepped.memory());
-            while (stepped.now() < ran.now())
-                stepped.step();
-            EXPECT_EQ(observeChain(ran), observeChain(stepped)) << what;
+        const std::string what =
+            uarch.name() + "\n" + chain.program.toString();
+        CycleFabric ran(chain.config, chain.program, uarch);
+        preload(ran.memory());
+        ASSERT_EQ(ran.run(), RunStatus::Halted)
+            << ran.hangReport().summary << "\n"
+            << what;
+        EXPECT_EQ(ran.memory().snapshot(), expected) << what;
+        for (unsigned pe = 0; pe < ran.numPes(); ++pe) {
+            EXPECT_EQ(ran.pe(pe).counters().retired,
+                      golden.pe(pe).dynamicInstructions())
+                << "PE " << pe << " / " << what;
         }
+        replayed += ran.stepStats().peStepsReplayed;
+
+        CycleFabric stepped(chain.config, chain.program, uarch);
+        preload(stepped.memory());
+        while (stepped.now() < ran.now())
+            stepped.step();
+        EXPECT_EQ(observeChain(ran), observeChain(stepped)) << what;
     }
     EXPECT_GT(replayed, 0u);
 }

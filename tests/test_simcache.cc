@@ -155,19 +155,19 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     EXPECT_EQ(workloadRunKey(makeDotProduct(sizes), PeConfig{},
                              defaults)
                   .hex(),
-              "47b4d79ff555f716811dd046146602c0");
+              "130c9b838655c15cd4091373995d417c");
 
     // Deepest pipeline with both optimizations.
     const PeConfig deep{PipelineShape{true, true, true}, true, true};
     EXPECT_EQ(workloadRunKey(makeBst(sizes), deep, defaults).hex(),
-              "68911fa1b2d7bd4859480885652b63a6");
+              "2ac513421bc886562d416b1e45d950a5");
 
     // A seeded fault plan folds into the key.
     const FaultPlan plan = FaultPlan::parse("seed=7;drop:ch0@p0.01");
     CycleRunOptions injected;
     injected.faults = &plan;
     EXPECT_EQ(workloadRunKey(makeGcd(sizes), PeConfig{}, injected).hex(),
-              "bfb7e8bf3faebb9389252e3660732b3b");
+              "f9f8876b87b00203afc48e4041dd7e78");
 }
 
 TEST(GoldenDigest, KeySeparatesEveryInput)

@@ -8,8 +8,8 @@
  * the tia-metrics/v1 schema and counter-integrity invariants
  * (obs/metrics.hh): per-PE attribution buckets + in-flight == cycles,
  * CPI null exactly when nothing retired and otherwise equal to
- * cycles/retired, sleep-step accounting consistent with the
- * per-PE cycle totals, and — when the optional root "cache" block is
+ * cycles/retired, pe_steps_executed equal to the per-PE cycle
+ * totals, and — when the optional root "cache" block is
  * present (simcache stats; docs/simcache.md) — hits + misses +
  * coalesced == lookups with verified_hits <= hits, and when the
  * root "matrix" block is present (tia-sweep), simulated + derived +

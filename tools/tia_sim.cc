@@ -41,7 +41,7 @@
  *                      chrome://tracing or Perfetto); single cycle-
  *                      accurate -u only
  *   --trace-level L    trace granularity: "events" (default; issue,
- *                      retire, quash, predictor, park/wake) or
+ *                      retire, quash, predictor, halt) or
  *                      "cycles" (adds per-stage occupancy tracks and
  *                      per-cycle channel depths)
  *   --metrics FILE     write a tia-metrics/v1 JSON document with one
@@ -49,9 +49,9 @@
  *                      (validate with tia-metrics-check)
  *   --stats            print host-side simulation statistics: wall
  *                      time, simulated cycles per host second, and how
- *                      many PE steps the idle-sleep optimization
- *                      skipped and the control memo replayed
- *                      (cycle-accurate runs only)
+ *                      many PE steps ran and how many of them the
+ *                      control memo replayed (cycle-accurate runs
+ *                      only)
  *
  * tia-sim always simulates; the result cache (docs/simcache.md) is
  * reached through tia-sweep --cache and tia-serve --cache.
@@ -402,8 +402,6 @@ run(const Options &opt)
         }
         if (opt.stats) {
             const FabricStepStats steps = fabric.stepStats();
-            const std::uint64_t total =
-                steps.peStepsExecuted + steps.peStepsSkipped;
             appendf(text,
                     "host stats: %.3f ms wall, %.0f simulated "
                     "cycles/s\n",
@@ -411,15 +409,8 @@ run(const Options &opt)
                     host_seconds > 0.0
                         ? static_cast<double>(fabric.now()) / host_seconds
                         : 0.0);
-            appendf(text,
-                    "  PE steps: %llu executed, %llu skipped while "
-                    "asleep (%.1f%%)\n",
-                    static_cast<unsigned long long>(steps.peStepsExecuted),
-                    static_cast<unsigned long long>(steps.peStepsSkipped),
-                    total > 0
-                        ? 100.0 * static_cast<double>(steps.peStepsSkipped) /
-                              static_cast<double>(total)
-                        : 0.0);
+            appendf(text, "  PE steps: %llu executed\n",
+                    static_cast<unsigned long long>(steps.peStepsExecuted));
             appendf(text,
                     "  PE steps replayed from the control memo: %llu "
                     "(%.1f%% of executed)\n",
