@@ -112,10 +112,6 @@ workloadRunKey(const Workload &workload, const PeConfig &uarch,
     key.u64(options.maxCycles);
     key.u64(options.quiescenceWindow);
     serializeFaultPlan(key, options.faults);
-    // referenceScheduler is proven bit-identical to the fast path, but
-    // it is still a distinct requested computation; keep it in the key
-    // so a cross-check run never silently reuses a fast-path result.
-    key.u8(options.referenceScheduler ? 1 : 0);
 
     return digest128(key.data());
 }

@@ -41,7 +41,7 @@ namespace tia {
  * Version of the cache key/payload serialization *and* of the
  * simulation semantics it memoizes. Bump on any change to either.
  */
-inline constexpr std::uint32_t kCacheSchemaVersion = 6;
+inline constexpr std::uint32_t kCacheSchemaVersion = 7;
 
 /**
  * Append-only little-endian byte writer. All multi-byte values are

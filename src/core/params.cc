@@ -21,7 +21,9 @@ ArchParams::validate() const
             "Word width must be in [1, 32], got ", wordWidth);
     fatalIf(tagWidth == 0 || tagWidth > 8,
             "TagWidth must be in [1, 8], got ", tagWidth);
-    // The trigger encoder holds one bit per instruction in a word.
+    // Trigger resolution walks the store in priority order and needs
+    // no bound; 64 is kept so that no store larger than any this code
+    // has been tested with is accepted.
     fatalIf(numInstructions == 0 || numInstructions > 64,
             "NIns must be in [1, 64], got ", numInstructions);
     fatalIf(maxCheck > numInputQueues,

@@ -60,9 +60,6 @@ class QueueEventLog
         }
     }
 
-    /** True when @p channel is in dirtyChannels(). */
-    bool dirty(unsigned channel) const { return dirtyFlag_[channel] != 0; }
-
     /** Channels with any activity since the last clearDirty(). */
     const std::vector<unsigned> &dirtyChannels() const { return dirty_; }
 

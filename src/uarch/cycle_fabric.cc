@@ -200,7 +200,7 @@ CycleFabric::run(const FabricRunOptions &options)
     Cycle next_stop_check = now_;
     // The control memo engages once this run has taken kEngageAfter
     // cycles, and again that long after it last lost its place.
-    const bool memo_allowed = !trace_ && !injector_ && !referenceScheduler_;
+    const bool memo_allowed = !trace_ && !injector_;
     Cycle memo_at = now_ + FabricMemo::kEngageAfter;
     auto leave_memo = [&] {
         if (memo_)

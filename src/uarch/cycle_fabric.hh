@@ -26,11 +26,11 @@
  * through its control states and replays the whole-fabric cycles a
  * step() already recorded from the same state, running only their
  * data actions (uarch/fabric_memo.hh; docs/perf.md, "The fabric
- * control memo"). It is off under a trace sink, a fault
- * injector and the reference scheduler, and every run() leaves the
- * fabric materialized, so step(), the accessors and a later run() see
- * exactly the state a bare step() loop leaves. stepStats() counts
- * replayed steps as executed ones, and separately.
+ * control memo"). It is off under a trace sink and a fault injector,
+ * and every run() leaves the fabric materialized, so step(), the
+ * accessors and a later run() see exactly the state a bare step()
+ * loop leaves. stepStats() counts replayed steps as executed ones, and
+ * separately.
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -173,19 +173,6 @@ class CycleFabric
                       TraceLevel level = TraceLevel::Events);
 
     /**
-     * Route every PE's trigger resolution through the virtual
-     * QueueStatusView reference scheduler (bit-identical to the
-     * trigger encoder; see PipelinedPe::setUseReferenceScheduler).
-     */
-    void
-    setUseReferenceScheduler(bool enabled)
-    {
-        referenceScheduler_ = enabled;
-        for (auto &pe : pes_)
-            pe->setUseReferenceScheduler(enabled);
-    }
-
-    /**
      * The PEs' KnobWitness bits ORed: which of +P and +Q, off in this
      * fabric's config, would have changed some PE's decision so far.
      */
@@ -274,7 +261,6 @@ class CycleFabric
 
     /** The control memo, made at first engagement (run()). */
     std::unique_ptr<FabricMemo> memo_;
-    bool referenceScheduler_ = false;
 
     // Observability (optional, non-owning). Last on purpose: the hot
     // step loop touches the members above every cycle, and inserting

@@ -25,7 +25,6 @@ FabricMemo::FabricMemo(CycleFabric &fabric) : fabric_(fabric)
     // Edges name a PE and count steps in 16 bits.
     panicIf(fabric.pes_.size() > 0xffff, "control memo: too many PEs");
     slots_.assign(64, 0);
-    keyBytes_ = kCountBytes * (1 + fabric.pes_.size());
     for (const auto &pe : fabric.pes_)
         keyBytes_ += 1 + pe->controlKeyBytes();
     for (const auto &channel : fabric.channels_)
@@ -54,18 +53,13 @@ FabricMemo::packState(std::string &key) const
         putByte(out, kRunning);
         pe->packControl(out);
     }
-    putCount(out, f.activePes_.size());
-    for (const unsigned p : f.activePes_)
-        putCount(out, p);
-    // A channel that moved last cycle takes its snapshot when the next
-    // cycle starts; any other channel's snapshot already equals its
-    // occupancy.
-    for (unsigned ch = 0; ch < f.channels_.size(); ++ch) {
-        const TaggedQueue &queue = *f.channels_[ch];
-        putCount(out, 2 * std::uint64_t{queue.size()} +
-                          (f.events_.dirty(ch) ? 1u : 0u));
-        for (unsigned depth = 0; depth < queue.size(); ++depth)
-            putByte(out, queue.peekPtr(depth)->tag);
+    // Occupancy and tags only: a channel that moved last cycle takes
+    // its snapshot and drops its pops when the next cycle starts,
+    // before anything reads them.
+    for (const auto &channel : f.channels_) {
+        putCount(out, channel->size());
+        for (unsigned depth = 0; depth < channel->size(); ++depth)
+            putByte(out, channel->peekPtr(depth)->tag);
     }
     for (const auto &port : f.readPorts_) {
         putCount(out, port->inFlight());
@@ -480,14 +474,13 @@ FabricMemo::materialize()
     CycleFabric &f = fabric_;
     settle();
     // The inverse of packState's PE part; channels and ports are live.
+    // The stepping order needs no restore: a cycle in which a PE halts
+    // is never recorded, so no replay changes it.
     KeyReader key(keyOf(nodes_[current_]));
     for (const auto &pe : f.pes_) {
         if (key.byte() != kHalted)
             pe->unpackControl(key);
     }
-    f.activePes_.resize(key.count());
-    for (unsigned &p : f.activePes_)
-        p = static_cast<unsigned>(key.count());
     stale_ = false;
 }
 

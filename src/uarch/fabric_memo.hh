@@ -15,10 +15,12 @@
  * '98), the memo records each distinct such cycle once:
  *
  *  - A node is the packed control state at a cycle boundary: each PE's
- *    status (running or halted) and PipelinedPe::packControl, the
- *    running PEs in stepping order, each channel's occupancy, tags and
- *    whether it moved last cycle, and each read port's held requests
- *    (cycles until due, clamped at 0, and tag).
+ *    status (running or halted) and PipelinedPe::packControl, each
+ *    channel's occupancy and tags, and each read port's held requests
+ *    (cycles until due, clamped at 0, and tag). Within one memo the
+ *    status bytes fix the PEs' stepping order, since each PE halts
+ *    once; and a channel that moved last cycle is snapshotted at the
+ *    next cycle's start, before anything reads it.
  *  - An edge is one recorded step(), chosen by the vector of that
  *    cycle's branch bits. It keeps the cycle's data actions in step()
  *    order (operand captures with their dequeues, then writebacks:
@@ -37,9 +39,8 @@
  * by index; a state is hashed only after a recorded step().
  *
  * The memo lives and dies with its fabric and is never shared. It is
- * off under a trace sink, a fault injector and the reference
- * scheduler; the bare step() loop stays the oracle it is tested
- * against (tests/test_hot_path.cc).
+ * off under a trace sink and a fault injector; the bare step() loop
+ * stays the oracle it is tested against (tests/test_hot_path.cc).
  */
 
 #ifndef TIA_UARCH_FABRIC_MEMO_HH

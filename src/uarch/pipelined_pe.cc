@@ -10,52 +10,35 @@
 
 namespace tia {
 
-std::uint64_t
-PipelinedPe::queueFailMask(bool effective) const
-{
-    return encoder_.queueFail(
-        [this, effective](unsigned q) -> std::optional<Tag> {
-            if (schedInputOccupancy(q, effective) == 0)
-                return std::nullopt;
-            const auto tag = schedInputHeadTag(q, effective);
-            panicIf(!tag.has_value(),
-                    "effectively non-empty queue without a peekable head");
-            return tag;
-        },
-        [this, effective](unsigned q) {
-            return schedOutputHasSpace(q, effective);
-        });
-}
-
 bool
 PipelinedPe::queueViewsMayDiffer() const
 {
-    for (std::uint32_t rest = encoder_.inputsUsed(); rest != 0;
-         rest &= rest - 1) {
-        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
-        if (pendingDeq_[q] != 0 ||
-            (inputs_[q] && inputs_[q]->popsThisCycle() != 0))
+    // An unbound queue reads the same under both views, and one no
+    // trigger names changes no resolution.
+    for (unsigned q = 0; q < inputs_.size(); ++q) {
+        if (inputs_[q] &&
+            (pendingDeq_[q] != 0 || inputs_[q]->popsThisCycle() != 0))
             return true;
     }
-    for (std::uint32_t rest = encoder_.outputsUsed(); rest != 0;
-         rest &= rest - 1) {
-        const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
-        if (pendingEnq_[q] != 0 ||
-            (outputs_[q] && outputs_[q]->pendingPushes() != 0))
+    for (unsigned q = 0; q < outputs_.size(); ++q) {
+        if (outputs_[q] &&
+            (pendingEnq_[q] != 0 || outputs_[q]->pendingPushes() != 0))
             return true;
     }
     return false;
 }
 
 /**
- * Diagnostic adapter exposing the PE's scheduler queue status through
- * the abstract QueueStatusView interface (used by queueWaits and the
- * scheduler-equivalence tests; the issue path uses queueFailMask).
+ * The PE's scheduler queue status under the conservative or the
+ * effective view, as the QueueStatusView that schedule() and
+ * queueWaits read.
  */
 class CycleQueueView : public QueueStatusView
 {
   public:
-    explicit CycleQueueView(const PipelinedPe &pe) : pe_(pe) {}
+    CycleQueueView(const PipelinedPe &pe, bool effective)
+        : pe_(pe), effective_(effective)
+    {}
 
     unsigned
     inputOccupancy(unsigned q) const override
@@ -77,7 +60,7 @@ class CycleQueueView : public QueueStatusView
 
   private:
     const PipelinedPe &pe_;
-    const bool effective_ = pe_.config_.effectiveQueueStatus;
+    const bool effective_;
 };
 
 namespace {
@@ -92,10 +75,26 @@ checkedProgram(const ArchParams &params, const PeConfig &config,
     fatalIf(config.nestedSpeculation && !config.predictPredicates,
             "nested speculation (+N) requires predicate prediction (+P)");
     // validate() bounds every register, queue and predicate index an
-    // instruction can name, so the trigger encoder and the per-cycle
-    // paths index the per-PE arrays without range checks.
-    for (const auto &inst : program)
+    // instruction can name, so the per-cycle paths index the per-PE
+    // arrays without range checks; queueWaits also keeps a bit per
+    // queue in a 32-bit mask.
+    for (const auto &inst : program) {
         inst.validate(params);
+        auto check_queue = [&](unsigned q) {
+            fatalIf(q >= 32, "line ", inst.line, ": queue index ", q,
+                    " exceeds the cycle model's 32 queues");
+        };
+        for (const auto &check : inst.trigger.queueChecks)
+            check_queue(check.queue);
+        for (const auto &src : inst.srcs) {
+            if (src.type == SrcType::InputQueue)
+                check_queue(src.index);
+        }
+        for (const auto q : inst.dequeues)
+            check_queue(q);
+        if (inst.dst.type == DstType::OutputQueue)
+            check_queue(inst.dst.index);
+    }
     return program;
 }
 
@@ -106,7 +105,6 @@ PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
     : params_(params), config_(config), segD_(config.shape.segD()),
       lastSeg_(config.shape.depth() - 1), splitX_(config.shape.splitX),
       program_(checkedProgram(params, config, std::move(program))),
-      encoder_(params, program_),
       regs_(params.numRegs, 0), scratchpad_(params.scratchpadWords, 0),
       pendingDeq_(params.numInputQueues, 0),
       pendingEnq_(params.numOutputQueues, 0),
@@ -141,14 +139,6 @@ PipelinedPe::traceBucket(TraceBucket bucket) const
     trace(TraceEventKind::Attribution, static_cast<std::uint8_t>(bucket));
 }
 
-ScheduleResult
-PipelinedPe::scheduleReference() const
-{
-    // Equivalence-pinned slow path (see setUseReferenceScheduler).
-    return schedule(program_, preds_, pendingPredMask_,
-                    CycleQueueView(*this));
-}
-
 void
 PipelinedPe::setRegs(const std::vector<Word> &values)
 {
@@ -171,7 +161,7 @@ PipelinedPe::queueWaits() const
     if (halted_)
         return info;
 
-    CycleQueueView view(*this);
+    const CycleQueueView view(*this, config_.effectiveQueueStatus);
     // Dedup with seen-bitmasks (queue indices are below 32 by
     // construction) but append in first-encounter order so the report
     // — and the wait-for graph built from it — is stable.
@@ -431,27 +421,17 @@ PipelinedPe::doWriteback(InFlight &entry)
 [[gnu::always_inline]] inline ScheduleResult
 PipelinedPe::resolveTriggers()
 {
-    if (referenceScheduler_) [[unlikely]]
-        return scheduleReference();
     const bool effective = config_.effectiveQueueStatus;
-    // The +Q witness: where the views can disagree, the fetched mask
-    // is also taken under the effective view, and a different mask is
-    // resolved again below.
-    const bool check = !effective && !witness_.effectiveQueueStatus;
-    std::optional<std::uint64_t> effectiveFail;
     const ScheduleResult result =
-        encoder_.resolve(preds_, pendingPredMask_, [&] {
-            const std::uint64_t fail = queueFailMask(effective);
-            if (check && queueViewsMayDiffer()) [[unlikely]] {
-                if (const std::uint64_t other = queueFailMask(true);
-                    other != fail)
-                    effectiveFail = other;
-            }
-            return fail;
-        });
-    if (effectiveFail.has_value()) [[unlikely]] {
-        const ScheduleResult other = encoder_.resolve(
-            preds_, pendingPredMask_, [&] { return *effectiveFail; });
+        schedule(program_, preds_, pendingPredMask_,
+                 CycleQueueView(*this, effective));
+    // The +Q witness: where the two views can disagree, resolve again
+    // under the effective view.
+    if (!effective && !witness_.effectiveQueueStatus &&
+        queueViewsMayDiffer()) [[unlikely]] {
+        const ScheduleResult other =
+            schedule(program_, preds_, pendingPredMask_,
+                     CycleQueueView(*this, true));
         witness_.effectiveQueueStatus =
             other.outcome != result.outcome || other.index != result.index;
     }

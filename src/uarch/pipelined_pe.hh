@@ -22,6 +22,11 @@
  *    "head and neck" for tags) and adds in-flight enqueues to output
  *    occupancy.
  *
+ * Trigger resolution is schedule() (sim/scheduler.hh), the priority
+ * walk the functional simulator uses too, called on every step over a
+ * QueueStatusView of this PE's queue status under its config's
+ * accounting: the PE's one resolution path.
+ *
  * Phase timing: trigger work (scheduling, trigger-time predicate
  * update, prediction) happens in the segment containing T; operand
  * capture with full forwarding plus dequeues happen in the segment
@@ -150,19 +155,6 @@ class PipelinedPe
         traceId_ = id;
     }
 
-    /**
-     * Route trigger resolution through the virtual QueueStatusView
-     * reference scheduler instead of the compiled TriggerEncoder. The
-     * two are bit-identical (tests/test_hot_path.cc); the runtime
-     * switch lets the observability tests cross-check trace-derived
-     * counters against both implementations end to end.
-     */
-    void
-    setUseReferenceScheduler(bool enabled)
-    {
-        referenceScheduler_ = enabled;
-    }
-
     /** Diagnose what (if anything) this PE is blocked on. */
     PeWaitInfo queueWaits() const;
 
@@ -184,8 +176,8 @@ class PipelinedPe
     /**
      * Which of +P and +Q, off in this PE's config, would so far have
      * changed a decision (KnobWitness). +P acts only where a predicate
-     * writer issues into a pipeline; +Q only where a resolution that
-     * fetched queue status picks differently under the effective view.
+     * writer issues into a pipeline; +Q only where a resolution picks
+     * differently under the effective view.
      * Cycles replayed from the fabric's control memo were recorded
      * through step(), which already set any bit they would set.
      */
@@ -246,36 +238,26 @@ class PipelinedPe
      * gross of in-flight and just-performed enqueues. Without +Q the
      * view degrades to the conservative full/empty discipline; the
      * view is a parameter (@p effective) so the +Q witness can ask
-     * both. These are the single source of truth for both the
-     * per-cycle fail mask and the diagnostic QueueStatusView, and the
-     * only code +Q changes. Defined inline below the class —
-     * queueFailMask runs them once per watched queue on every cycle
-     * whose resolution needs queue status.
+     * both. CycleQueueView hands them to schedule() and queueWaits,
+     * and they are the only code +Q changes.
      */
     unsigned schedInputOccupancy(unsigned q, bool effective) const;
     std::optional<Tag> schedInputHeadTag(unsigned q, bool effective) const;
     bool schedOutputHasSpace(unsigned q, bool effective) const;
 
     /**
-     * This cycle's TriggerEncoder::queueFail mask under the effective
-     * or the conservative view, which the encoder asks for only once
-     * a predicate-eligible trigger needs queues
-     * (TriggerEncoder::resolve).
-     */
-    std::uint64_t queueFailMask(bool effective) const;
-
-    /**
      * True when the conservative and effective views can disagree
-     * this cycle: some watched queue has a dequeue or enqueue in
-     * flight, or was popped or pushed this cycle. Otherwise the sched*
+     * this cycle: some bound queue has a dequeue or enqueue in flight,
+     * or was popped or pushed this cycle. Otherwise the sched*
      * functions above answer the same under both.
      */
     bool queueViewsMayDiffer() const;
 
     /**
      * Trigger resolution, afresh every cycle like the paper's
-     * combinational priority encoder: the compiled TriggerEncoder, or
-     * the reference scheduler when setUseReferenceScheduler is on.
+     * combinational priority encoder: schedule() on this cycle's view,
+     * and while the +Q witness is unset, a second schedule() on the
+     * effective view where the two views can disagree.
      */
     ScheduleResult resolveTriggers();
 
@@ -319,14 +301,6 @@ class PipelinedPe
 
     [[gnu::cold, gnu::noinline]] void traceBucket(TraceBucket bucket) const;
 
-    /**
-     * Trigger resolution through the virtual QueueStatusView reference
-     * scheduler (setUseReferenceScheduler). Out of line and cold so
-     * the view construction and virtual scheduler stay off issue()'s
-     * fast path and out of its inlining budget.
-     */
-    [[gnu::cold, gnu::noinline]] ScheduleResult scheduleReference() const;
-
     const ArchParams params_;
     const PeConfig config_;
     // Shape constants, read every cycle.
@@ -334,9 +308,6 @@ class PipelinedPe
     const unsigned lastSeg_; ///< Writeback segment (depth - 1).
     const bool splitX_;      ///< X1|X2: the one shape family with D stalls.
     std::vector<Instruction> program_;
-
-    /** The program's triggers compiled to instruction masks. */
-    const TriggerEncoder encoder_;
 
     // Architectural state.
     std::vector<Word> regs_;
@@ -420,8 +391,6 @@ class PipelinedPe
     TraceSink *trace_ = nullptr;
     TraceLevel traceLevel_ = TraceLevel::Events;
     std::uint32_t traceId_ = 0;
-    /** Use the virtual reference scheduler instead of the mask path. */
-    bool referenceScheduler_ = false;
 };
 
 inline unsigned

@@ -227,8 +227,6 @@ executeCycle(const Workload &workload, const PeConfig &uarch,
     workload.preload(fabric.memory());
     if (options.trace != nullptr)
         fabric.setTraceSink(options.trace, options.traceLevel);
-    if (options.referenceScheduler)
-        fabric.setUseReferenceScheduler(true);
 
     if (execution.injector) {
         // Corrupted tokens can escalate to architectural traps
@@ -339,11 +337,11 @@ runGroup(const Workload &workload, const std::vector<PeConfig> &configs,
          const SiblingGroup &group, const CycleRunOptions &options,
          CycleMatrix &matrix)
 {
-    // A witness speaks for a clean, untraced run on the trigger
-    // encoder; and verify-hits must re-simulate what it verifies.
+    // A witness speaks for a clean, untraced run; and verify-hits must
+    // re-simulate what it verifies.
     const bool derive =
         (options.faults == nullptr || options.faults->empty()) &&
-        options.trace == nullptr && !options.referenceScheduler &&
+        options.trace == nullptr &&
         (options.cache == nullptr || !options.cache->verifyHits());
     const auto cell = [&](std::size_t c) -> WorkloadRun & {
         return matrix.runs[c * matrix.numWorkloads + group.workload];

@@ -72,12 +72,6 @@ struct CycleRunOptions : FabricRunOptions
     /** Trace granularity when @ref trace is set (see obs/trace.hh). */
     TraceLevel traceLevel = TraceLevel::Events;
     /**
-     * Resolve triggers through the virtual QueueStatusView reference
-     * scheduler instead of the trigger encoder (bit-identical results;
-     * exists so tests and tools can cross-check the two).
-     */
-    bool referenceScheduler = false;
-    /**
      * Content-addressed result cache (non-owning; nullptr = off). When
      * set, runCycle memoizes its WorkloadRun under a digest of every
      * input (cache/run_cache.hh) with single-flight dedup across
@@ -156,7 +150,7 @@ struct CycleExecution
 /**
  * Build the workload's fabric under @p uarch, preload its memory and
  * run it with @p options (budget, watchdog window, fault plan, trace
- * sink, reference scheduler, stop token). Corrupted tokens can
+ * sink, stop token). Corrupted tokens can
  * escalate to traps (out-of-bounds addresses and the like); on an
  * injected run that is a reportable outcome, so the FatalError is
  * caught into CycleExecution::trap. A clean run lets it propagate.
@@ -219,8 +213,7 @@ struct CycleMatrix
  * under a subset of its knobs, halted, and its KnobWitness proves the
  * missing knobs changed no decision (docs/perf.md, "Derived cells").
  * A derived cell still goes through the cache under its own key.
- * Fault-injected, traced, reference-scheduler and verify-hits runs
- * simulate every cell.
+ * Fault-injected, traced and verify-hits runs simulate every cell.
  *
  * @param jobs worker threads; 0 = hardware concurrency, 1 = serial
  *             reference loop.

@@ -1,11 +1,10 @@
 /**
  * @file
- * Equivalence tests for the hot-loop optimizations: the compiled,
- * predicate-first trigger encoder, the ring-buffer TaggedQueue and the
- * fabric's control memo. Every optimization must be invisible to the
- * architecture — identical schedule outcomes, identical queue
- * semantics, and bit-identical cycle counts, counters and hang reports
- * from run() and from a bare step() loop.
+ * Equivalence tests for the hot-loop optimizations: the ring-buffer
+ * TaggedQueue and the fabric's control memo. Every optimization must be
+ * invisible to the architecture — identical queue semantics, and
+ * bit-identical cycle counts, counters and hang reports from run() and
+ * from a bare step() loop.
  */
 
 #include <algorithm>
@@ -20,244 +19,12 @@
 #include "exec/stop_token.hh"
 #include "sim/fault.hh"
 #include "sim/queue.hh"
-#include "sim/scheduler.hh"
 #include "uarch/cycle_fabric.hh"
 #include "workloads/runner.hh"
 #include "workloads/workload.hh"
 
 namespace tia {
 namespace {
-
-// ---------------------------------------------------------------------
-// Trigger encoder vs reference, over random instructions & status.
-// ---------------------------------------------------------------------
-
-constexpr unsigned kQueues = 4;
-
-/** Fixed queue status backing both the view and the encoder's queries. */
-struct SyntheticStatus
-{
-    std::array<unsigned, kQueues> occupancy{};
-    std::array<Tag, kQueues> headTag{};
-    std::array<bool, kQueues> outputSpace{};
-};
-
-class SyntheticView : public QueueStatusView
-{
-  public:
-    explicit SyntheticView(const SyntheticStatus &s) : s_(s) {}
-
-    unsigned
-    inputOccupancy(unsigned q) const override
-    {
-        return s_.occupancy[q];
-    }
-
-    std::optional<Tag>
-    inputHeadTag(unsigned q) const override
-    {
-        if (s_.occupancy[q] == 0)
-            return std::nullopt;
-        return s_.headTag[q];
-    }
-
-    bool
-    outputHasSpace(unsigned q) const override
-    {
-        return s_.outputSpace[q];
-    }
-
-  private:
-    const SyntheticStatus &s_;
-};
-
-/** TriggerEncoder::queueFail over @p s. */
-std::uint64_t
-queueFailOf(const TriggerEncoder &encoder, const SyntheticStatus &s)
-{
-    return encoder.queueFail(
-        [&](unsigned q) -> std::optional<Tag> {
-            if (s.occupancy[q] == 0)
-                return std::nullopt;
-            return s.headTag[q];
-        },
-        [&](unsigned q) { return s.outputSpace[q]; });
-}
-
-/** True if @p inst has any queue condition, explicit or implicit. */
-bool
-needsQueues(const Instruction &inst)
-{
-    bool needs = !inst.trigger.queueChecks.empty() ||
-                 !inst.dequeues.empty() || inst.enqueues();
-    for (const auto &src : inst.srcs)
-        needs = needs || src.type == SrcType::InputQueue;
-    return needs;
-}
-
-Instruction
-randomInstruction(std::mt19937 &rng, const ArchParams &params)
-{
-    auto pick = [&](unsigned bound) {
-        return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
-    };
-
-    Instruction inst;
-    inst.trigger.valid = pick(10) != 0;
-    // Half the triggers care about a few predicates anywhere in the
-    // word, so wide predicate files still leave triggers eligible; the
-    // rest draw dense patterns.
-    const unsigned cares =
-        pick(2) != 0 ? pick(5) : pick(params.numPreds + 1);
-    for (unsigned c = 0; c < cares; ++c) {
-        const std::uint64_t bit = std::uint64_t{1} << pick(params.numPreds);
-        if ((inst.trigger.predOff & bit) != 0)
-            continue;
-        if (pick(2) != 0)
-            inst.trigger.predOn |= bit;
-        else if ((inst.trigger.predOn & bit) == 0)
-            inst.trigger.predOff |= bit;
-    }
-    // Up to MaxCheck (2) distinct checked queues.
-    const unsigned checks = pick(3);
-    std::array<unsigned, kQueues> order = {0, 1, 2, 3};
-    std::shuffle(order.begin(), order.end(), rng);
-    for (unsigned c = 0; c < checks; ++c) {
-        QueueCheck check;
-        check.queue = static_cast<std::uint8_t>(order[c]);
-        check.tag = static_cast<Tag>(pick(params.maxTag() + 1u));
-        check.negate = pick(2) != 0;
-        inst.trigger.queueChecks.push_back(check);
-    }
-    for (auto &src : inst.srcs) {
-        switch (pick(4)) {
-          case 0:
-            src = {SrcType::InputQueue, static_cast<std::uint8_t>(pick(kQueues))};
-            break;
-          case 1:
-            src = {SrcType::Reg, static_cast<std::uint8_t>(pick(4))};
-            break;
-          case 2:
-            src = {SrcType::Immediate, 0};
-            break;
-          default:
-            src = {SrcType::None, 0};
-            break;
-        }
-    }
-    switch (pick(4)) {
-      case 0:
-        inst.dst = {DstType::OutputQueue, static_cast<std::uint8_t>(pick(kQueues))};
-        break;
-      case 1:
-        inst.dst = {DstType::Reg, 0};
-        break;
-      default:
-        inst.dst = {DstType::None, 0};
-        break;
-    }
-    std::shuffle(order.begin(), order.end(), rng);
-    const unsigned deqs = pick(3);
-    for (unsigned d = 0; d < deqs; ++d)
-        inst.dequeues.push_back(static_cast<std::uint8_t>(order[d]));
-    return inst;
-}
-
-TEST(SchedulerFastPath, MatchesReferenceOnRandomPrograms)
-{
-    std::mt19937 rng(0xC0FFEE);
-    auto pick = [&](unsigned bound) {
-        return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
-    };
-    auto random_bits = [&](unsigned width) {
-        const std::uint64_t word = (std::uint64_t{rng()} << 32) | rng();
-        return width == 64 ? word
-                           : word & ((std::uint64_t{1} << width) - 1);
-    };
-
-    // Predicate files of one, three (partial last byte) and eight
-    // table bytes; tag widths up to a full byte.
-    constexpr unsigned kPredWidths[] = {8, 20, 64};
-    constexpr unsigned kTagWidths[] = {1, 2, 5, 8};
-    for (unsigned trial = 0; trial < 3000; ++trial) {
-        ArchParams params;
-        params.numPreds = kPredWidths[trial % 3];
-        params.tagWidth = kTagWidths[(trial / 3) % 4];
-        const unsigned size =
-            1 + pick(trial % 2 == 0 ? 16 : TriggerEncoder::kMaxInstructions);
-        std::vector<Instruction> program;
-        for (unsigned i = 0; i < size; ++i)
-            program.push_back(randomInstruction(rng, params));
-        const TriggerEncoder encoder(params, program);
-
-        SyntheticStatus status;
-        for (unsigned q = 0; q < kQueues; ++q) {
-            status.occupancy[q] = pick(4);
-            // Now and then a head above MaxTag, which no check names.
-            status.headTag[q] = static_cast<Tag>(
-                pick(4) != 0 ? pick(params.maxTag() + 1u) : pick(256));
-            status.outputSpace[q] = pick(2) != 0;
-        }
-        const SyntheticView view(status);
-
-        for (unsigned sample = 0; sample < 8; ++sample) {
-            const std::uint64_t preds = random_bits(params.numPreds);
-            // pendingPreds is nonzero only without prediction; bias
-            // towards zero as in real runs, but cover the hazard path
-            // with one to three pending writers and with whole words.
-            std::uint64_t pending = 0;
-            if (sample % 4 == 1) {
-                pending = random_bits(params.numPreds);
-            } else if (sample % 4 == 2) {
-                for (unsigned w = 1 + pick(3); w-- > 0;)
-                    pending |= std::uint64_t{1} << pick(params.numPreds);
-            }
-
-            const ScheduleResult ref =
-                schedule(program, preds, pending, view);
-            unsigned status_calls = 0;
-            const ScheduleResult fast =
-                encoder.resolve(preds, pending, [&] {
-                    ++status_calls;
-                    return queueFailOf(encoder, status);
-                });
-            ASSERT_EQ(static_cast<int>(fast.outcome),
-                      static_cast<int>(ref.outcome))
-                << "trial " << trial;
-            ASSERT_EQ(fast.index, ref.index) << "trial " << trial;
-
-            // Predicate-first: status is asked for at most once, and
-            // never when no predicate-eligible trigger needs a queue,
-            // nor when the first one in priority order needs none.
-            ASSERT_LE(status_calls, 1u) << "trial " << trial;
-            bool needs_queues = false;
-            std::optional<bool> first_needs_queues;
-            for (const Instruction &inst : program) {
-                const std::uint64_t fail =
-                    (inst.trigger.predOn & ~preds) |
-                    (inst.trigger.predOff & preds);
-                if (!inst.trigger.valid || (fail & ~pending) != 0)
-                    continue;
-                needs_queues = needs_queues || needsQueues(inst);
-                if (!first_needs_queues.has_value())
-                    first_needs_queues = needsQueues(inst);
-            }
-            if (!needs_queues || first_needs_queues == false) {
-                ASSERT_EQ(status_calls, 0u) << "trial " << trial;
-            }
-
-            // Condition evaluation agrees instruction by instruction.
-            const std::uint64_t queue_fail = queueFailOf(encoder, status);
-            for (unsigned i = 0; i < size; ++i) {
-                if (!program[i].trigger.valid)
-                    continue;
-                ASSERT_EQ(((queue_fail >> i) & 1u) != 0,
-                          !queueConditionsHold(program[i], view))
-                    << "trial " << trial << " inst " << i;
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Ring-buffer TaggedQueue vs a deque reference model.
@@ -571,71 +338,6 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
         ASSERT_EQ(fabric.run(), RunStatus::Halted);
         expectBucketIntegrity(fabric, "halted");
     }
-}
-
-// ---------------------------------------------------------------------
-// Trigger resolution: the trigger encoder must be invisible next to the
-// QueueStatusView reference scheduler.
-// ---------------------------------------------------------------------
-
-// The two differentials below keep the suite and test names they had
-// while a verdict memo sat in front of the mask scheduler.
-
-/** One run with the scheduler flavour pinned. */
-RunObservation
-observeScheduler(const Workload &workload, const PeConfig &uarch,
-                 bool reference, FaultInjector *injector = nullptr)
-{
-    CycleFabric fabric(workload.config, workload.program, uarch, injector);
-    fabric.setUseReferenceScheduler(reference);
-    workload.preload(fabric.memory());
-
-    RunObservation obs;
-    obs.status = fabric.run();
-    obs.cycles = fabric.now();
-    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-        obs.counters.push_back(fabric.pe(pe).counters());
-        obs.regs.push_back(fabric.pe(pe).regs());
-        obs.preds.push_back(fabric.pe(pe).preds());
-    }
-    obs.report = fabric.hangReport();
-    obs.memory = fabric.memory().snapshot();
-    return obs;
-}
-
-TEST(ResolutionCache, WorkloadSuiteBitIdenticalToReferenceScheduler)
-{
-    const std::vector<Workload> workloads =
-        allWorkloads(WorkloadSizes::small());
-    std::vector<PeConfig> uarchs = allConfigs();
-    uarchs.push_back({allShapes()[7], true, false, true}); // T|D|X1|X2 +P+N
-    uarchs.push_back({allShapes()[7], true, true, true});  // T|D|X1|X2 +P+N+Q
-    for (const Workload &workload : workloads) {
-        for (const PeConfig &uarch : uarchs) {
-            ASSERT_EQ(observeScheduler(workload, uarch, false),
-                      observeScheduler(workload, uarch, true))
-                << workload.name << " / " << uarch.name();
-        }
-    }
-}
-
-TEST(ResolutionCache, FaultInjectionDisarmsIncrementalPath)
-{
-    // Stuck-status windows, drops and corruptions change the queue view
-    // without the fabric's channel events; both schedulers must read
-    // them the same way.
-    const Workload workload = makeGcd(WorkloadSizes::small());
-    const PeConfig uarch{allShapes()[0], false, true, false};
-    const FaultPlan plan = FaultPlan::parse(
-        "seed=99;drop:ch0@p0.05;corrupt:ch0@p0.02,mask=0x4;"
-        "stuckempty:ch0@c20+40;stuckfull:ch2@c200+30;"
-        "mispredict:pe0@p0.1");
-
-    FaultInjector a(plan);
-    FaultInjector b(plan);
-    EXPECT_EQ(observeScheduler(workload, uarch, false, &a),
-              observeScheduler(workload, uarch, true, &b));
-    EXPECT_GT(a.stats().totalFired(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -1156,9 +858,9 @@ TEST(RunAhead, TrapDuringMemoReplayMatchesPerCycleStepLoop)
 
 TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
 {
-    // The control memo replays most of full-size gcd. A trace sink, a
-    // fault injector or the reference scheduler turns it off, so
-    // nothing is replayed; results never move.
+    // The control memo replays most of full-size gcd. A trace sink or
+    // a fault injector turns it off, so nothing is replayed; results
+    // never move.
     const Workload gcd = makeGcd(WorkloadSizes::full());
     const PeConfig uarch{allShapes()[7], false, false, false}; // T|D|X1|X2
     ASSERT_EQ(uarch.name(), "T|D|X1|X2");
@@ -1191,13 +893,6 @@ TEST(RunAhead, ReplayedStepsCountOnlyWhenTheMemoRuns)
     ASSERT_EQ(traced.run(), RunStatus::Halted);
     EXPECT_EQ(traced.stepStats().peStepsReplayed, 0u);
     EXPECT_EQ(observeFabric(traced), observeFabric(plain));
-
-    CycleFabric reference(gcd.config, gcd.program, uarch);
-    reference.setUseReferenceScheduler(true);
-    gcd.preload(reference.memory());
-    ASSERT_EQ(reference.run(), RunStatus::Halted);
-    EXPECT_EQ(reference.stepStats().peStepsReplayed, 0u);
-    EXPECT_EQ(observeFabric(reference), observeFabric(plain));
 
     // A plan whose one fault never fires leaves results unchanged.
     FaultInjector injector(FaultPlan::parse("seed=1;mispredict:pe0@p0"));

@@ -1,10 +1,10 @@
 /**
  * @file
  * Observability layer tests: trace-derived counter reconstruction must
- * be bit-identical to the live PerfCounters under both scheduler paths
- * and under fault injection; the exporters must produce well-formed
- * documents; the metrics schema checker must accept what the tools
- * emit and reject corrupted documents.
+ * be bit-identical to the live PerfCounters, also under fault
+ * injection; the exporters must produce well-formed documents; the
+ * metrics schema checker must accept what the tools emit and reject
+ * corrupted documents.
  */
 
 #include <string>
@@ -61,17 +61,13 @@ crossCheckUarchs()
  * for bit.
  */
 void
-expectTraceMatchesCounters(const Workload &workload, const PeConfig &uarch,
-                           bool referenceScheduler)
+expectTraceMatchesCounters(const Workload &workload, const PeConfig &uarch)
 {
-    const std::string where = workload.name + " / " + uarch.name() +
-                              (referenceScheduler ? " (reference)"
-                                                  : " (fast path)");
+    const std::string where = workload.name + " / " + uarch.name();
     CpiReconstructor recon;
     CycleFabric fabric(workload.config, workload.program, uarch);
     workload.preload(fabric.memory());
     fabric.setTraceSink(&recon, TraceLevel::Events);
-    fabric.setUseReferenceScheduler(referenceScheduler);
     const RunStatus status = fabric.run();
     EXPECT_EQ(status, RunStatus::Halted) << where;
 
@@ -114,27 +110,7 @@ TEST(Observability, TraceCpiBitIdenticalOnTable3Suite)
     const auto suite = allWorkloads(WorkloadSizes::small());
     for (const PeConfig &uarch : crossCheckUarchs()) {
         for (const Workload &workload : suite) {
-            expectTraceMatchesCounters(workload, uarch, false);
-            expectTraceMatchesCounters(workload, uarch, true);
-        }
-    }
-}
-
-TEST(Observability, ReferenceSchedulerBitIdenticalToFastPath)
-{
-    const auto suite = allWorkloads(WorkloadSizes::small());
-    for (const PeConfig &uarch : crossCheckUarchs()) {
-        for (const Workload &workload : suite) {
-            CycleRunOptions fast;
-            CycleRunOptions reference;
-            reference.referenceScheduler = true;
-            const WorkloadRun a = runCycle(workload, uarch, fast);
-            const WorkloadRun b = runCycle(workload, uarch, reference);
-            const std::string at = workload.name + " / " + uarch.name();
-            EXPECT_TRUE(a.ok()) << at << ": " << a.checkError;
-            EXPECT_TRUE(b.ok()) << at << ": " << b.checkError;
-            EXPECT_EQ(a.totalCycles, b.totalCycles) << at;
-            EXPECT_EQ(a.worker, b.worker) << at;
+            expectTraceMatchesCounters(workload, uarch);
         }
     }
 }

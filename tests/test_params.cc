@@ -121,8 +121,8 @@ TEST(Params, ValidateRejectsBadCombinations)
 
 TEST(Params, ValidateBoundsWordWideFields)
 {
-    // Predicates, operations and instructions each get one bit of a
-    // 64-bit word (the trigger encoder holds one bit per instruction).
+    // Predicates and operations each get one bit of a 64-bit word;
+    // the instruction store keeps the same bound.
     ArchParams p;
     p.numInstructions = 64;
     EXPECT_NO_THROW(p.validate());

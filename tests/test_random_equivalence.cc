@@ -8,8 +8,7 @@
  * data-dependent branch pairs (exercising predicate hazards,
  * speculation, flush/rollback and the forbidden-instruction rules) —
  * and checks that every one of the 32 microarchitectures produces
- * exactly the architectural state of the functional reference, with
- * the trigger encoder and with the reference scheduler alike.
+ * exactly the architectural state of the functional reference.
  *
  * Each program also runs through run() — which, past
  * FabricMemo::kEngageAfter cycles, replays recorded whole-fabric
@@ -253,16 +252,6 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
         EXPECT_EQ(c.cycles, c.retired + c.quashed + c.predicateHazard +
                                 c.dataHazard + c.forbidden + c.noTrigger)
             << uarch.name();
-
-        // The trigger encoder and the QueueStatusView reference
-        // scheduler agree cycle for cycle on a 32-instruction store.
-        CycleFabric reference(config, program, uarch);
-        reference.setUseReferenceScheduler(true);
-        ASSERT_EQ(reference.run(2'000'000), RunStatus::Halted)
-            << uarch.name();
-        EXPECT_EQ(reference.now(), fabric.now()) << uarch.name();
-        EXPECT_EQ(reference.pe(0).counters(), c) << uarch.name();
-        EXPECT_EQ(reference.pe(0).preds(), pe.preds()) << uarch.name();
 
         // run() (the control memo) against a bare step() loop.
         CycleFabric ran(config, program, uarch);

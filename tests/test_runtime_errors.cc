@@ -145,5 +145,27 @@ TEST(RuntimeErrors, ValidateCatchesHandBuiltNonsense)
     EXPECT_THROW(conflicting.validate(params), FatalError);
 }
 
+TEST(RuntimeErrors, CyclePeRejectsQueueIndicesPast32)
+{
+    // The cycle model keeps a bit per queue in 32-bit masks; a wider
+    // queue file is valid ISA but not a PE it can build.
+    ArchParams params;
+    params.numInputQueues = 40;
+    params.numOutputQueues = 40;
+    Instruction inst;
+    inst.trigger.valid = true;
+    inst.dequeues = {31};
+    EXPECT_NO_THROW(PipelinedPe(params, PeConfig{}, {inst}));
+    inst.dequeues = {32};
+    EXPECT_THROW(PipelinedPe(params, PeConfig{}, {inst}), FatalError);
+    inst.dequeues.clear();
+    inst.op = Op::Mov;
+    inst.srcs[0] = {SrcType::Immediate, 0};
+    inst.dst = {DstType::OutputQueue, 31};
+    EXPECT_NO_THROW(PipelinedPe(params, PeConfig{}, {inst}));
+    inst.dst = {DstType::OutputQueue, 39};
+    EXPECT_THROW(PipelinedPe(params, PeConfig{}, {inst}), FatalError);
+}
+
 } // namespace
 } // namespace tia
