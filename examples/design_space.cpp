@@ -4,10 +4,15 @@
  * and operating point under a power-density budget — the kind of
  * question the paper's Section 5.4 "Power Density" discussion poses
  * for architects of massively replicated spatial fabrics.
+ *
+ * Every CPI run is checked against its golden model (a failing run
+ * aborts the table); the example exits non-zero when no design point
+ * fits the budget.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "vlsi/dse.hh"
@@ -38,6 +43,10 @@ main(int argc, char **argv)
                 admissible.size(), dse.enumerate().size(), budget);
 
     const auto frontier = DesignSpace::paretoFrontier(admissible);
+    if (frontier.empty()) {
+        std::printf("No design point fits the budget.\n");
+        return 1;
+    }
 
     // Fastest admissible, most efficient, and best EDP.
     const DesignPoint *fastest = &frontier.front();

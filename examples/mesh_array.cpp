@@ -11,7 +11,8 @@
  *   (1,0) store  <--W--   (1,1) +counter
  *
  * Demonstrates: MeshBuilder wiring, edge memory ports, and per-PE
- * counter readout across the whole array.
+ * counter readout across the whole array. Exits non-zero unless every
+ * microarchitecture halts with the expected memory image.
  */
 
 #include <cstdio>
@@ -74,6 +75,7 @@ main()
         "when %p == XXXXX011: add %r0, %r0, #1; set %p = ZZZZZ000;\n"
         "when %p == XXXXX000 with %i1.1: halt;\n";
 
+    int exit_code = 0;
     const Program program = assemble(source);
 
     MeshBuilder builder(ArchParams{}, 2, 2);
@@ -112,6 +114,8 @@ main()
                     static_cast<unsigned long long>(fabric.now()),
                     status == RunStatus::Halted ? "halted" : "stuck",
                     ok ? "yes" : "NO");
+        if (!ok || status != RunStatus::Halted)
+            exit_code = 1;
         for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
             std::printf(" PE%u=%llu", pe,
                         static_cast<unsigned long long>(
@@ -119,5 +123,5 @@ main()
         }
         std::printf("\n");
     }
-    return 0;
+    return exit_code;
 }

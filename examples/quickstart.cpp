@@ -5,7 +5,8 @@
  * and read back results and performance counters.
  *
  * The program computes the sum 1 + 2 + ... + 100 on one PE and stores
- * it to memory through a write port.
+ * it to memory through a write port. Exits non-zero unless both
+ * simulators store the expected sum.
  */
 
 #include <cstdio>
@@ -44,10 +45,11 @@ main()
     const FabricConfig config = builder.build();
 
     // 4. Run functionally (the golden reference).
+    const Word expected = 100u * 101u / 2u;
     FunctionalFabric golden(config, program);
     golden.run();
     std::printf("Functional result: memory[0] = %u (expected %u)\n",
-                golden.memory().read(0), 100u * 101u / 2u);
+                golden.memory().read(0), expected);
 
     // 5. Run cycle-accurately on a 3-stage pipeline with both hazard
     //    mitigations from the paper enabled.
@@ -70,5 +72,8 @@ main()
                 static_cast<unsigned long long>(c.quashed));
     std::printf("Cycle-accurate result: memory[0] = %u\n",
                 fabric.memory().read(0));
-    return 0;
+    return golden.memory().read(0) == expected &&
+                   fabric.memory().read(0) == expected
+               ? 0
+               : 1;
 }

@@ -7,7 +7,8 @@
  *
  * Demonstrates: multi-PE assembly, tag-based end-of-stream protocol,
  * custom fabric wiring with read and write ports, and comparing
- * microarchitectures on a user workload.
+ * microarchitectures on a user workload. Exits non-zero unless every
+ * microarchitecture halts with the golden sum.
  */
 
 #include <cstdio>
@@ -92,6 +93,7 @@ main()
 
     std::printf("Sum of squared deltas over %u samples; expected %u\n\n",
                 kSamples, expected);
+    int exit_code = 0;
     std::printf("%-18s %8s %8s %6s  %s\n", "Microarchitecture", "cycles",
                 "retired", "CPI", "result");
 
@@ -111,6 +113,8 @@ main()
                     static_cast<unsigned long long>(c.retired), c.cpi(),
                     result, result == expected ? " (ok)" : " (WRONG)",
                     status == RunStatus::Halted ? "" : " [did not halt]");
+        if (result != expected || status != RunStatus::Halted)
+            exit_code = 1;
     }
-    return 0;
+    return exit_code;
 }

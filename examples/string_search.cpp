@@ -3,7 +3,8 @@
  * Domain example: the paper's string_search workload (a DFA scanning a
  * byte stream for "MICRO", Table 3) run across all eight pipeline
  * shapes with and without the hazard mitigations — a miniature of the
- * paper's Figure 5 study on a single branchy workload.
+ * paper's Figure 5 study on a single branchy workload. Exits non-zero
+ * when any run or the functional run fails its golden check.
  */
 
 #include <cstdio>
@@ -43,5 +44,5 @@ main()
                 static_cast<unsigned long long>(golden.worker.retired),
                 golden.ok() ? "validated against the golden DFA"
                             : "FAILED validation");
-    return 0;
+    return golden.ok() ? 0 : 1;
 }

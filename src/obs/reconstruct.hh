@@ -5,7 +5,8 @@
  * accounting. Because every counter-relevant event is emitted at the
  * statement that increments the counter (see obs/trace.hh), the
  * reconstruction is bit-identical to the live counters — the standing
- * cross-check on the scheduler fast path (tests/test_observability.cc).
+ * cross-check that the PE's issue-slot attribution and its event
+ * stream agree (tests/test_observability.cc).
  *
  * Reconstructed fields: cycles, the six issue-slot attribution buckets,
  * predicateWrites, predictions, mispredictions, faultsInjected and

@@ -13,9 +13,13 @@
  * The counter cross-check contract: every event that corresponds to a
  * PerfCounters increment is emitted at exactly the statement that
  * performs the increment, so a CpiReconstructor folding the event
- * stream rebuilds the issue-slot attribution counters bit-identically
- * (asserted by tests/test_observability.cc under both the mask-based
- * scheduler fast path and the virtual QueueStatusView reference path).
+ * stream rebuilds the issue-slot attribution counters bit-identically.
+ * tests/test_observability.cc asserts it on the Table 3 suite under
+ * uarchs that span both queue views, prediction and nested
+ * speculation, and under fault injection. A traced run steps every
+ * cycle (the fabric memo is off under a sink), so the check guards
+ * every increment of the step() path against a missing or extra
+ * event.
  *
  * Timestamps are fabric cycle numbers: every unhalted PE steps every
  * fabric cycle, so a PE's cycle count is the fabric clock, and each

@@ -7,8 +7,8 @@ namespace tia {
 
 namespace {
 
-/** Live-occupancy queue view for the functional PE. */
-class FunctionalQueueView : public QueueStatusView
+/** Live-occupancy queue view for the functional PE (sim/scheduler.hh). */
+class FunctionalQueueView
 {
   public:
     FunctionalQueueView(const std::vector<TaggedQueue *> &inputs,
@@ -17,27 +17,15 @@ class FunctionalQueueView : public QueueStatusView
     {
     }
 
-    unsigned
-    inputOccupancy(unsigned q) const override
+    const Token *
+    inputHead(unsigned q) const
     {
         const TaggedQueue *queue = inputs_.at(q);
-        return queue ? queue->size() : 0;
-    }
-
-    std::optional<Tag>
-    inputHeadTag(unsigned q) const override
-    {
-        const TaggedQueue *queue = inputs_.at(q);
-        if (!queue)
-            return std::nullopt;
-        const auto token = queue->peek(0);
-        if (!token)
-            return std::nullopt;
-        return token->tag;
+        return queue ? queue->peek() : nullptr;
     }
 
     bool
-    outputHasSpace(unsigned q) const override
+    outputHasSpace(unsigned q) const
     {
         const TaggedQueue *queue = outputs_.at(q);
         return queue && queue->size() < queue->capacity();
@@ -93,8 +81,8 @@ FunctionalPe::readSource(const Source &src, Word imm) const
       case SrcType::InputQueue: {
         const TaggedQueue *queue = inputs_.at(src.index);
         panicIf(queue == nullptr, "read of unbound input queue");
-        const auto token = queue->peek(0);
-        panicIf(!token.has_value(), "read of empty input queue");
+        const Token *token = queue->peek();
+        panicIf(token == nullptr, "read of empty input queue");
         return token->data;
       }
       case SrcType::Immediate:

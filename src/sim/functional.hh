@@ -60,8 +60,6 @@ class FunctionalPe
     const std::vector<Word> &scratchpad() const { return scratchpad_; }
 
   private:
-    friend class FunctionalQueueView;
-
     Word readSource(const Source &src, Word imm) const;
     void executeDatapath(const Instruction &inst);
 

@@ -22,7 +22,6 @@
 #ifndef TIA_SIM_QUEUE_HH
 #define TIA_SIM_QUEUE_HH
 
-#include <optional>
 #include <vector>
 
 #include "core/logging.hh"
@@ -108,22 +107,11 @@ class TaggedQueue
 
     /**
      * Peek at depth @p depth (0 = head, 1 = neck, ...), using live
-     * contents; returns nullopt beyond the live occupancy.
-     */
-    std::optional<Token>
-    peek(unsigned depth = 0) const
-    {
-        if (depth >= committed_)
-            return std::nullopt;
-        return ring_[wrap(head_ + depth)];
-    }
-
-    /**
-     * Pointer form of peek() for the per-cycle scheduler path; the
-     * token stays valid until the next pop or commit.
+     * contents; null beyond the live occupancy. The token stays valid
+     * until the next pop or commit.
      */
     const Token *
-    peekPtr(unsigned depth = 0) const
+    peek(unsigned depth = 0) const
     {
         return depth < committed_ ? &ring_[wrap(head_ + depth)] : nullptr;
     }

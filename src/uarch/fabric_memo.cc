@@ -59,7 +59,7 @@ FabricMemo::packState(std::string &key) const
     for (const auto &channel : f.channels_) {
         putCount(out, channel->size());
         for (unsigned depth = 0; depth < channel->size(); ++depth)
-            putByte(out, channel->peekPtr(depth)->tag);
+            putByte(out, channel->peek(depth)->tag);
     }
     for (const auto &port : f.readPorts_) {
         putCount(out, port->inFlight());

@@ -30,30 +30,24 @@ PipelinedPe::queueViewsMayDiffer() const
 
 /**
  * The PE's scheduler queue status under the conservative or the
- * effective view, as the QueueStatusView that schedule() and
- * queueWaits read.
+ * effective view, as the queue view (sim/scheduler.hh) that schedule()
+ * and queueWaits read.
  */
-class CycleQueueView : public QueueStatusView
+class CycleQueueView
 {
   public:
     CycleQueueView(const PipelinedPe &pe, bool effective)
         : pe_(pe), effective_(effective)
     {}
 
-    unsigned
-    inputOccupancy(unsigned q) const override
+    const Token *
+    inputHead(unsigned q) const
     {
-        return pe_.schedInputOccupancy(q, effective_);
-    }
-
-    std::optional<Tag>
-    inputHeadTag(unsigned q) const override
-    {
-        return pe_.schedInputHeadTag(q, effective_);
+        return pe_.schedInputHead(q, effective_);
     }
 
     bool
-    outputHasSpace(unsigned q) const override
+    outputHasSpace(unsigned q) const
     {
         return pe_.schedOutputHasSpace(q, effective_);
     }
@@ -167,12 +161,15 @@ PipelinedPe::queueWaits() const
     // — and the wait-for graph built from it — is stable.
     std::uint32_t seen_inputs = 0;
     std::uint32_t seen_outputs = 0;
-    auto note_input = [&](unsigned q) {
+    auto note = [&](PortKind kind, unsigned q) {
+        const bool input = kind == PortKind::Input;
+        std::uint32_t &seen = input ? seen_inputs : seen_outputs;
         const std::uint32_t bit = std::uint32_t{1} << q;
-        if ((seen_inputs & bit) == 0) {
-            seen_inputs |= bit;
-            info.waitInputs.push_back(q);
+        if ((seen & bit) == 0) {
+            seen |= bit;
+            (input ? info.waitInputs : info.waitOutputs).push_back(q);
         }
+        return true; // collect every failing condition
     };
 
     for (const auto &inst : program_) {
@@ -185,37 +182,8 @@ PipelinedPe::queueWaits() const
             continue;
         }
         info.predicateEligible = true;
-        if (queueConditionsHold(inst, view)) {
+        if (queueConditionsHold(inst, view, note))
             info.canFire = true;
-            continue;
-        }
-        // Collect every failing queue condition: empty (or wrong-tag)
-        // inputs and full outputs.
-        for (const auto &check : inst.trigger.queueChecks) {
-            const auto tag = view.inputHeadTag(check.queue);
-            if (view.inputOccupancy(check.queue) == 0 || !tag ||
-                (*tag == check.tag) == check.negate) {
-                note_input(check.queue);
-            }
-        }
-        for (const auto &src : inst.srcs) {
-            if (src.type == SrcType::InputQueue &&
-                view.inputOccupancy(src.index) == 0) {
-                note_input(src.index);
-            }
-        }
-        for (auto q : inst.dequeues) {
-            if (view.inputOccupancy(q) == 0)
-                note_input(q);
-        }
-        if (inst.dst.type == DstType::OutputQueue &&
-            !view.outputHasSpace(inst.dst.index)) {
-            const std::uint32_t bit = std::uint32_t{1} << inst.dst.index;
-            if ((seen_outputs & bit) == 0) {
-                seen_outputs |= bit;
-                info.waitOutputs.push_back(inst.dst.index);
-            }
-        }
     }
     return info;
 }
@@ -256,7 +224,7 @@ PipelinedPe::readSource(const Source &src, Word imm) const
       case SrcType::InputQueue: {
         const TaggedQueue *queue = inputs_[src.index];
         panicIf(queue == nullptr, "read of unbound input queue");
-        const Token *token = queue->peekPtr(0);
+        const Token *token = queue->peek();
         panicIf(token == nullptr,
                 "read of empty input queue — a hazard check failed");
         return token->data;

@@ -24,7 +24,7 @@
  *
  * Trigger resolution is schedule() (sim/scheduler.hh), the priority
  * walk the functional simulator uses too, called on every step over a
- * QueueStatusView of this PE's queue status under its config's
+ * CycleQueueView of this PE's queue status under its config's
  * accounting: the PE's one resolution path.
  *
  * Phase timing: trigger work (scheduling, trigger-time predicate
@@ -233,16 +233,16 @@ class PipelinedPe
     bool dataHazardFor(const Instruction &inst) const;
 
     /**
-     * Queue status as the scheduler sees it (Section 5.3): live input
-     * occupancy net of in-flight dequeues, cycle-start output occupancy
-     * gross of in-flight and just-performed enqueues. Without +Q the
-     * view degrades to the conservative full/empty discipline; the
-     * view is a parameter (@p effective) so the +Q witness can ask
-     * both. CycleQueueView hands them to schedule() and queueWaits,
-     * and they are the only code +Q changes.
+     * Queue status as the scheduler sees it (Section 5.3): the input
+     * head past in-flight dequeues (the "head and neck"; null when
+     * live occupancy net of them is 0), and output space against
+     * cycle-start occupancy gross of in-flight and just-performed
+     * enqueues. Without +Q the view degrades to the conservative
+     * full/empty discipline; the view is a parameter (@p effective) so
+     * the +Q witness can ask both. CycleQueueView hands them to
+     * schedule() and queueWaits, and they are the only code +Q changes.
      */
-    unsigned schedInputOccupancy(unsigned q, bool effective) const;
-    std::optional<Tag> schedInputHeadTag(unsigned q, bool effective) const;
+    const Token *schedInputHead(unsigned q, bool effective) const;
     bool schedOutputHasSpace(unsigned q, bool effective) const;
 
     /**
@@ -393,42 +393,24 @@ class PipelinedPe
     std::uint32_t traceId_ = 0;
 };
 
-inline unsigned
-PipelinedPe::schedInputOccupancy(unsigned q, bool effective) const
+inline const Token *
+PipelinedPe::schedInputHead(unsigned q, bool effective) const
 {
     const TaggedQueue *queue = inputs_[q];
-    if (!queue)
-        return 0;
-    if (queue->faultStuckEmpty())
-        return 0;
-    const unsigned pending = pendingDeq_[q];
+    if (!queue || queue->faultStuckEmpty())
+        return nullptr;
     if (!effective) {
         // Conservative (RAW-style): a dequeue that was in flight at
         // the start of this cycle — including one that landed in
         // decode this very cycle — makes the queue look empty.
-        const unsigned pending_at_start = pending + queue->popsThisCycle();
-        return pending_at_start > 0 ? 0 : queue->size();
+        return pendingDeq_[q] + queue->popsThisCycle() > 0 ? nullptr
+                                                           : queue->peek();
     }
-    // Effective status: live occupancy net of in-flight dequeues
-    // (algebraically identical to cycle-start occupancy minus
-    // cycle-start in-flight dequeues).
-    const unsigned live = queue->size();
-    return live > pending ? live - pending : 0;
-}
-
-inline std::optional<Tag>
-PipelinedPe::schedInputHeadTag(unsigned q, bool effective) const
-{
-    const TaggedQueue *queue = inputs_[q];
-    if (!queue)
-        return std::nullopt;
-    if (queue->faultStuckEmpty())
-        return std::nullopt;
-    const unsigned depth = effective ? pendingDeq_[q] : 0;
-    const Token *token = queue->peekPtr(depth);
-    if (token == nullptr)
-        return std::nullopt;
-    return token->tag;
+    // Effective status: the first live token no in-flight dequeue will
+    // take (live occupancy net of in-flight dequeues is algebraically
+    // identical to cycle-start occupancy minus cycle-start in-flight
+    // dequeues), so the queue looks empty exactly when that net is 0.
+    return queue->peek(pendingDeq_[q]);
 }
 
 inline bool

@@ -138,6 +138,38 @@ TEST(HangDiagnosis, PingPongDeadlockIsDiagnosedWithChain)
                  {"PE 0", "PE 1"});
 }
 
+TEST(HangDiagnosis, WrongTagHeadsDeadlockWithChain)
+{
+    // Each PE sends one token and then waits on a non-empty input
+    // whose head fails its tag check: PE 0 wants tag 0 and holds a
+    // tag-3 token; PE 1's negated check refuses tag 1, which its head
+    // carries. Neither channel is empty, yet both waits are input
+    // waits, so the chain runs through the producers.
+    const Program program = assemble(
+        ".pe 0\n"
+        "when %p == XXXXXX00: mov %o0.1, #5; set %p = ZZZZZZ01;\n"
+        "when %p == XXXXXX01 with %i0.0: mov %r0, %i0; deq %i0; "
+        "set %p = ZZZZZZ10;\n"
+        "when %p == XXXXXX10: halt;\n"
+        ".pe 1\n"
+        "when %p == XXXXXX00: mov %o0.3, #7; set %p = ZZZZZZ01;\n"
+        "when %p == XXXXXX01 with %i0.!1: mov %r0, %i0; deq %i0; "
+        "set %p = ZZZZZZ10;\n"
+        "when %p == XXXXXX10: halt;\n");
+    CycleFabric fabric(pingPongConfig(), program, kUarch);
+
+    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.channel(0).size(), 1u);
+    EXPECT_EQ(fabric.channel(1).size(), 1u);
+    expectReport(fabric.hangReport(), RunStatus::Deadlock,
+                 "deadlock: 4-agent wait cycle through PE 0",
+                 {"PE 0 --[input %i0 empty or wrong tag]--> channel 1",
+                  "channel 1 --[fed by]--> PE 1",
+                  "PE 1 --[input %i0 empty or wrong tag]--> channel 0",
+                  "channel 0 --[fed by]--> PE 0"},
+                 {"PE 0", "PE 1"});
+}
+
 TEST(HangDiagnosis, FullChannelDeadlockIsDrainedByItsConsumer)
 {
     // PE 0 floods channel 0 and never sends on channel 1, which PE 1

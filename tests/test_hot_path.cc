@@ -133,12 +133,12 @@ TEST(RingBufferQueue, MatchesDequeModelUnderRandomOps)
                 break;
               default: { // deep peek
                 const unsigned depth = pick(capacity + 1);
-                const auto got = queue.peek(depth);
+                const Token *got = queue.peek(depth);
                 if (depth < model.entries.size()) {
-                    ASSERT_TRUE(got.has_value());
+                    ASSERT_NE(got, nullptr);
                     ASSERT_EQ(*got, model.entries[depth]);
                 } else {
-                    ASSERT_FALSE(got.has_value());
+                    ASSERT_EQ(got, nullptr);
                 }
                 break;
               }

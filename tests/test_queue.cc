@@ -32,11 +32,11 @@ TEST(Queue, PeekHeadAndNeck)
     TaggedQueue q(4);
     q.pushImmediate({1, 3});
     q.pushImmediate({2, 1});
-    ASSERT_TRUE(q.peek(0).has_value());
+    ASSERT_NE(q.peek(0), nullptr);
     EXPECT_EQ(q.peek(0)->tag, 3u);
-    ASSERT_TRUE(q.peek(1).has_value());
+    ASSERT_NE(q.peek(1), nullptr);
     EXPECT_EQ(q.peek(1)->tag, 1u);
-    EXPECT_FALSE(q.peek(2).has_value());
+    EXPECT_EQ(q.peek(2), nullptr);
 }
 
 TEST(Queue, DeferredPushesBecomeVisibleAtCommit)
@@ -121,7 +121,7 @@ TEST(Queue, RingWraparoundKeepsFifoOrder)
         q.beginCycle();
         EXPECT_EQ(q.pop().data, next_out++);
         q.push({next_in++, static_cast<Tag>(next_in % 4)});
-        ASSERT_TRUE(q.peek(0).has_value());
+        ASSERT_NE(q.peek(0), nullptr);
         EXPECT_EQ(q.peek(0)->data, next_out);
         q.commit();
         EXPECT_EQ(q.size(), 2u);

@@ -7,6 +7,7 @@
  */
 
 #include <array>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -16,32 +17,20 @@
 namespace tia {
 namespace {
 
-/** A fully scripted view. */
-class StubView : public QueueStatusView
+/** A fully scripted queue view (sim/scheduler.hh). */
+class StubView
 {
   public:
-    std::array<unsigned, 4> occupancy = {0, 0, 0, 0};
-    std::array<Tag, 4> headTag = {0, 0, 0, 0};
+    std::array<std::optional<Token>, 4> head; ///< Empty where unset.
     std::array<bool, 4> outputSpace = {true, true, true, true};
 
-    unsigned
-    inputOccupancy(unsigned q) const override
+    const Token *
+    inputHead(unsigned q) const
     {
-        return occupancy.at(q);
+        return head.at(q) ? &*head.at(q) : nullptr;
     }
 
-    std::optional<Tag>
-    inputHeadTag(unsigned q) const override
-    {
-        if (occupancy.at(q) == 0)
-            return std::nullopt;
-        return headTag.at(q);
-    }
-
-    bool outputHasSpace(unsigned q) const override
-    {
-        return outputSpace.at(q);
-    }
+    bool outputHasSpace(unsigned q) const { return outputSpace.at(q); }
 };
 
 std::vector<Instruction>
@@ -82,11 +71,10 @@ TEST(Scheduler, TagCheckRequiresMatchAndOccupancy)
     StubView view;
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome,
               ScheduleOutcome::None); // empty
-    view.occupancy[1] = 1;
-    view.headTag[1] = 1;
+    view.head[1] = Token{0, 1};
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome,
               ScheduleOutcome::None); // wrong tag
-    view.headTag[1] = 2;
+    view.head[1] = Token{0, 2};
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::Fire);
 }
 
@@ -97,10 +85,9 @@ TEST(Scheduler, NegatedTagFiresOnAnyOtherTag)
     StubView view;
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome,
               ScheduleOutcome::None); // empty: absence needs a token
-    view.occupancy[0] = 1;
-    view.headTag[0] = 3;
+    view.head[0] = Token{0, 3};
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::None);
-    view.headTag[0] = 0;
+    view.head[0] = Token{0, 0};
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::Fire);
 }
 
@@ -112,7 +99,7 @@ TEST(Scheduler, ImplicitSourceAvailability)
         prog("when %p == XXXXXXXX: add %r0, %r0, %i2;\n");
     StubView view;
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::None);
-    view.occupancy[2] = 1;
+    view.head[2] = Token{};
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::Fire);
 }
 
@@ -121,7 +108,7 @@ TEST(Scheduler, ImplicitDequeueAvailability)
     const auto insts = prog("when %p == XXXXXXXX: nop; deq %i3;\n");
     StubView view;
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::None);
-    view.occupancy[3] = 2;
+    view.head[3] = Token{};
     EXPECT_EQ(schedule(insts, 0, 0, view).outcome, ScheduleOutcome::Fire);
 }
 
