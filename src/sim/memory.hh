@@ -9,6 +9,12 @@
  * (4 cycles on the paper's Zynq test system); the response tag echoes
  * the request tag so programs can thread semantic information through
  * memory. A write port consumes paired address and data tokens.
+ *
+ * Besides step(), each port offers the replay-only operations the
+ * fabric control memo runs for a recorded port cycle (a read port's
+ * replayDeliver/replayAccept, a write port's replayStore): the same
+ * moves over the channels' replay operations (sim/queue.hh), with the
+ * address bounds checked beforehand (addressInBounds).
  */
 
 #ifndef TIA_SIM_MEMORY_HH
@@ -16,7 +22,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -111,7 +116,7 @@ class MemoryReadPort
     MemoryReadPort(Memory &memory, TaggedQueue &addresses,
                    TaggedQueue &responses, unsigned latency)
         : memory_(memory), addresses_(addresses), responses_(responses),
-          latency_(latency >= 2 ? latency - 2 : 0)
+          latency_(latency >= 2 ? latency - 2 : 0), held_(maxInFlight())
     {
     }
 
@@ -131,18 +136,18 @@ class MemoryReadPort
     std::size_t maxInFlight() const { return latency_ + 2; }
 
     /** Requests accepted whose responses are not yet delivered. */
-    std::size_t inFlight() const { return inFlight_.size(); }
+    std::size_t inFlight() const { return count_; }
 
     /** Cycles from @p now until held request @p i is due (0 once due). */
     Cycle
     heldWait(std::size_t i, Cycle now) const
     {
-        const Cycle ready = inFlight_[i].ready;
+        const Cycle ready = held(i).ready;
         return ready > now ? ready - now : 0;
     }
 
     /** The tag held request @p i will answer with. */
-    Tag heldTag(std::size_t i) const { return inFlight_[i].token.tag; }
+    Tag heldTag(std::size_t i) const { return held(i).token.tag; }
 
     /**
      * Advance one cycle at time @p now: retire due responses (in
@@ -154,23 +159,51 @@ class MemoryReadPort
     {
         // Deliver the oldest due response if the output has room
         // (snapshot view: space present at the start of the cycle).
-        if (!inFlight_.empty() && inFlight_.front().ready <= now &&
+        if (count_ != 0 && held(0).ready <= now &&
             responses_.snapshotSize() < responses_.capacity() &&
             !responses_.faultStuckFull()) {
-            responses_.push(inFlight_.front().token);
-            inFlight_.pop_front();
+            responses_.push(held(0).token);
+            release();
         }
         // Accept one request per cycle (snapshot view of availability).
-        if (addresses_.snapshotSize() > 0 &&
-            inFlight_.size() < maxInFlight() &&
+        if (addresses_.snapshotSize() > 0 && count_ < maxInFlight() &&
             !addresses_.faultStuckEmpty()) {
             Token request = addresses_.pop();
             Token response{memory_.read(request.data), request.tag};
             unsigned extra = 0;
             if (faultInjector_)
                 extra = faultInjector_->extraReadLatency(portId_);
-            inFlight_.push_back({now + latency_ + extra, response});
+            hold({now + latency_ + extra, response});
         }
+    }
+
+    /** The address at the head of the address channel is in bounds. */
+    bool
+    addressInBounds() const
+    {
+        return addresses_.peek()->data < memory_.size();
+    }
+
+    /**
+     * Replay-only: deliver the oldest held response, which is due and
+     * has room in the response channel.
+     */
+    void
+    replayDeliver()
+    {
+        responses_.replayPush(held(0).token);
+        release();
+    }
+
+    /**
+     * Replay-only: accept the head address (addressInBounds() holds) at
+     * time @p now, with room for it.
+     */
+    void
+    replayAccept(Cycle now)
+    {
+        const Token request = addresses_.replayPop();
+        hold({now + latency_, {memory_.read(request.data), request.tag}});
     }
 
     /** Functional-mode service: satisfy one request immediately. */
@@ -194,14 +227,14 @@ class MemoryReadPort
     bool
     busy() const
     {
-        return (!inFlight_.empty() && !responsesFull()) ||
-               (!addresses_.empty() && inFlight_.size() < maxInFlight());
+        return (count_ != 0 && !responsesFull()) ||
+               (!addresses_.empty() && count_ < maxInFlight());
     }
 
     /** Holds requests that a full response channel keeps back. */
     bool blockedOnResponses() const
     {
-        return !inFlight_.empty() && responsesFull();
+        return count_ != 0 && responsesFull();
     }
 
   private:
@@ -217,11 +250,39 @@ class MemoryReadPort
         Token token;
     };
 
+    /** Held request @p i, oldest first. */
+    const Response &
+    held(std::size_t i) const
+    {
+        const std::size_t slot = first_ + i;
+        return held_[slot < held_.size() ? slot : slot - held_.size()];
+    }
+
+    /** Hold one more request (fewer than maxInFlight() are held). */
+    void
+    hold(const Response &response)
+    {
+        const std::size_t slot = first_ + count_;
+        held_[slot < held_.size() ? slot : slot - held_.size()] = response;
+        ++count_;
+    }
+
+    /** Drop the oldest held request. */
+    void
+    release()
+    {
+        first_ = first_ + 1 < held_.size() ? first_ + 1 : 0;
+        --count_;
+    }
+
     Memory &memory_;
     TaggedQueue &addresses_;
     TaggedQueue &responses_;
     unsigned latency_;
-    std::deque<Response> inFlight_;
+    /** Held requests: a ring of maxInFlight() entries from first_. */
+    std::vector<Response> held_;
+    std::size_t first_ = 0;
+    std::size_t count_ = 0;
     FaultInjector *faultInjector_ = nullptr;
     unsigned portId_ = 0;
 };
@@ -250,6 +311,26 @@ class MemoryWritePort
             memory_.write(address.data, value.data);
             ++writesPerformed_;
         }
+    }
+
+    /** The address at the head of the address channel is in bounds. */
+    bool
+    addressInBounds() const
+    {
+        return addresses_.peek()->data < memory_.size();
+    }
+
+    /**
+     * Replay-only: store the head (address, data) pair
+     * (addressInBounds() holds).
+     */
+    void
+    replayStore()
+    {
+        const Token address = addresses_.replayPop();
+        const Token value = data_.replayPop();
+        memory_.write(address.data, value.data);
+        ++writesPerformed_;
     }
 
     /** Functional-mode service: perform one write immediately. */

@@ -15,8 +15,20 @@
  * no allocation. An optional QueueEventLog lets the owning fabric
  * observe pushes and pops for its per-cycle channel upkeep and
  * incremental progress accounting (see uarch/cycle_fabric.hh); the
- * log is a concrete inline structure, not a virtual observer — every
- * push and pop pays for the recording.
+ * log is a concrete inline structure, not a virtual observer, and
+ * every push and pop of step() records into it.
+ *
+ * The fabric control memo's replay (uarch/fabric_memo.hh) moves tokens
+ * through replayPop()/replayPush() instead: no snapshot, no deferred
+ * window, no log. A replayed cycle pops only tokens committed when it
+ * started and pushes only into space that was free then, and each
+ * channel has one producer and one consumer, so the ring ends up with
+ * the same tokens in the same order. Its occupancy passes through the
+ * same values as in the step() of this fabric that recorded it, which
+ * already raised highWater() to each of them, so a replay operation
+ * leaves highWater() alone. The memo counts the cycle's log events in
+ * bulk, and puts back the snapshots and dirty marks step() would have
+ * left (restorePop/restorePush) before anything reads them.
  */
 
 #ifndef TIA_SIM_QUEUE_HH
@@ -53,10 +65,7 @@ class QueueEventLog
     record(unsigned channel)
     {
         ++progressEvents_;
-        if (!dirtyFlag_[channel]) {
-            dirtyFlag_[channel] = 1;
-            dirty_.push_back(channel);
-        }
+        touch(channel);
     }
 
     /** Channels with any activity since the last clearDirty(). */
@@ -64,6 +73,19 @@ class QueueEventLog
 
     /** Pushes + pops ever recorded. */
     std::uint64_t progressEvents() const { return progressEvents_; }
+
+    /** Count @p events pushes and pops made without record(). */
+    void addProgress(std::uint64_t events) { progressEvents_ += events; }
+
+    /** Mark @p channel touched this cycle without counting an event. */
+    void
+    touch(unsigned channel)
+    {
+        if (!dirtyFlag_[channel]) {
+            dirtyFlag_[channel] = 1;
+            dirty_.push_back(channel);
+        }
+    }
 
     void
     clearDirty()
@@ -154,6 +176,53 @@ class TaggedQueue
                 "push to full queue (capacity ", capacity_,
                 ") — a hazard check failed");
         append(delivered);
+    }
+
+    /**
+     * Replay-only pop (see file comment): the head leaves at once,
+     * with no pop count and no log event.
+     */
+    Token
+    replayPop()
+    {
+        Token token = ring_[head_];
+        head_ = wrap(head_ + 1);
+        --committed_;
+        return token;
+    }
+
+    /**
+     * Replay-only push (see file comment): visible at once, with no
+     * deferral, no log event and no highWater() update.
+     */
+    void
+    replayPush(const Token &token)
+    {
+        ring_[wrap(head_ + committed_)] = token;
+        ++committed_;
+    }
+
+    /**
+     * After beginCycle(): count one pop of the replayed cycle that just
+     * ended as step() would have left it, snapshot and pop count
+     * included, and mark the channel touched.
+     */
+    void
+    restorePop()
+    {
+        ++snapshotSize_;
+        ++popsThisCycle_;
+        if (log_)
+            log_->touch(channelId_);
+    }
+
+    /** As restorePop(), for one push of that cycle. */
+    void
+    restorePush()
+    {
+        --snapshotSize_;
+        if (log_)
+            log_->touch(channelId_);
     }
 
     /** Begin a cycle: record the occupancy snapshot. */

@@ -19,7 +19,8 @@
  * Channel upkeep is proportional to activity: the queues record their
  * pushes and pops in a QueueEventLog, and only channels touched this
  * cycle need a commit at its end, and a new snapshot (beginCycle) at
- * the next cycle's start.
+ * the next cycle's start. Replayed cycles skip that upkeep (their
+ * tokens move through the queues' replay operations, sim/queue.hh).
  *
  * The control memo, the fabric's one host-side shortcut: past
  * FabricMemo::kEngageAfter cycles of a run(), run() follows the fabric
@@ -30,7 +31,7 @@
  * and every run() leaves the fabric materialized, so step(), the
  * accessors and a later run() see exactly the state a bare step()
  * loop leaves. stepStats() counts replayed steps as executed ones, and
- * separately.
+ * separately, with the cycles replayed and the lookups that ran them.
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -89,6 +90,13 @@ struct FabricStepStats
      * recorded transition.
      */
     std::uint64_t peStepsReplayed = 0;
+    /** Cycles the control memo replayed. */
+    std::uint64_t cyclesReplayed = 0;
+    /**
+     * Control memo lookups that replayed: each ran one superblock, an
+     * edge and its straight successors (uarch/fabric_memo.hh).
+     */
+    std::uint64_t replayLookups = 0;
 };
 
 /** A full cycle-accurate fabric running one microarchitecture. */
@@ -163,6 +171,22 @@ class CycleFabric
         return *channels_.at(ch);
     }
 
+    unsigned
+    numReadPorts() const
+    {
+        return static_cast<unsigned>(readPorts_.size());
+    }
+
+    /**
+     * Read port access (e.g. its held requests); throws
+     * std::out_of_range for a port past numReadPorts().
+     */
+    const MemoryReadPort &
+    readPort(unsigned port) const
+    {
+        return *readPorts_.at(port);
+    }
+
     /**
      * Install (or clear, with nullptr) a trace sink on the fabric and
      * every PE. The fabric contributes (at Cycles level) end-of-cycle
@@ -189,7 +213,8 @@ class CycleFabric
     FabricStepStats
     stepStats() const
     {
-        return {stepsExecuted_, stepsReplayed_};
+        return {stepsExecuted_, stepsReplayed_, cyclesReplayed_,
+                replayLookups_};
     }
 
   private:
@@ -258,6 +283,8 @@ class CycleFabric
     // Host-side statistics.
     std::uint64_t stepsExecuted_ = 0;
     std::uint64_t stepsReplayed_ = 0;
+    std::uint64_t cyclesReplayed_ = 0;
+    std::uint64_t replayLookups_ = 0;
 
     /** The control memo, made at first engagement (run()). */
     std::unique_ptr<FabricMemo> memo_;

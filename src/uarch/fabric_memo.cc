@@ -1,5 +1,6 @@
 #include "uarch/fabric_memo.hh"
 
+#include <algorithm>
 #include <functional>
 
 #include "core/logging.hh"
@@ -22,8 +23,10 @@ constexpr Word kZero = 0;
 
 FabricMemo::FabricMemo(CycleFabric &fabric) : fabric_(fabric)
 {
-    // Edges name a PE and count steps in 16 bits.
+    // Edges name a PE in 16 bits, and count port actions in 8.
     panicIf(fabric.pes_.size() > 0xffff, "control memo: too many PEs");
+    panicIf(2 * fabric.readPorts_.size() + fabric.writePorts_.size() > 0xff,
+            "control memo: too many memory ports");
     slots_.assign(64, 0);
     for (const auto &pe : fabric.pes_)
         keyBytes_ += 1 + pe->controlKeyBytes();
@@ -105,22 +108,6 @@ FabricMemo::findOrAdd(const std::string &key)
     return id;
 }
 
-bool
-FabricMemo::portsMayAct() const
-{
-    const CycleFabric &f = fabric_;
-    for (std::size_t rp = 0; rp < f.readPorts_.size(); ++rp) {
-        if (f.readPorts_[rp]->inFlight() != 0 ||
-            !f.channels_[f.config_.readPorts[rp].addrChannel]->empty())
-            return true;
-    }
-    for (const auto &port : f.writePorts_) {
-        if (port->busy())
-            return true;
-    }
-    return false;
-}
-
 Word
 FabricMemo::operand(const Action &action, unsigned k) const
 {
@@ -137,103 +124,173 @@ FabricMemo::resume()
     stale_ = false;
 }
 
-[[gnu::always_inline]] inline const FabricMemo::Edge *
-FabricMemo::replayCycle()
+[[gnu::always_inline]] inline std::uint32_t
+FabricMemo::pickEdge() const
 {
     const Node &node = nodes_[current_];
-    if (node.firstEdge == kNone)
-        return nullptr;
+    if (node.firstEdge == kNone || node.firstCheck == kNone)
+        return node.firstEdge;
 
     // The cycle's data-to-control bits and its trap checks, before any
     // action: every edge out of a node has the same writebacks, and each
     // one's operands are already fixed when the cycle starts (captured
     // earlier, or captured by its own PE's first action of the cycle).
     std::uint32_t mask = 0;
-    if (node.firstCheck != kNone) {
-        const Edge &first = edges_[node.firstEdge];
-        const std::uint32_t end = first.firstAction + first.numActions;
-        unsigned bit = 0;
-        for (std::uint32_t i = node.firstCheck; i < end; ++i) {
-            const Action &action = actions_[i];
-            if ((action.flags & kCheck) == 0)
-                continue;
-            const auto &entry = action.pe->entries_[action.entry];
-            const bool capture = (action.flags & kDecode) != 0;
-            const Word a = capture ? operand(action, 0) : entry.operands[0];
-            const Word b = capture ? operand(action, 1) : entry.operands[1];
-            Word result;
-            if (!action.pe->datapathResult(*action.inst, a, b, result))
-                return nullptr;
-            if (action.flags & kBranch)
-                mask |= static_cast<std::uint32_t>(result & 1u) << bit++;
-        }
+    const Edge &first = edges_[node.firstEdge];
+    const std::uint32_t end = first.firstAction + first.numActions;
+    unsigned bit = 0;
+    for (std::uint32_t i = node.firstCheck; i < end; ++i) {
+        const Action &action = actions_[i];
+        if ((action.flags & kCheck) == 0)
+            continue;
+        const auto &entry = action.pe->entries_[action.entry];
+        const bool capture = (action.flags & kDecode) != 0;
+        const Word a = capture ? operand(action, 0) : entry.operands[0];
+        const Word b = capture ? operand(action, 1) : entry.operands[1];
+        Word result;
+        if (!action.pe->datapathResult(*action.inst, a, b, result))
+            return kNone;
+        if (action.flags & kBranch)
+            mask |= static_cast<std::uint32_t>(result & 1u) << bit++;
     }
     std::uint32_t id = node.firstEdge;
-    while (edges_[id].mask != mask) {
+    while (id != kNone && edges_[id].mask != mask)
         id = edges_[id].sibling;
-        if (id == kNone)
-            return nullptr;
-    }
-    Edge &edge = edges_[id];
+    return id;
+}
 
+std::uint32_t
+FabricMemo::buildSuperblock(std::uint32_t id)
+{
+    // The edge, then each straight successor's one edge.
+    Superblock block;
+    block.length = 0;
+    std::vector<PeDelta> &sums = sums_;
+    sums.assign(fabric_.pes_.size(), PeDelta{});
+    for (;;) {
+        const Superblock &cycle = edges_[id].alone;
+        for (std::uint32_t i = 0; i < cycle.numDeltas; ++i) {
+            const PeDelta &delta = deltas_[cycle.firstDelta + i];
+            PeDelta &sum = sums[delta.pe];
+            sum.issued += delta.issued;
+            for (std::size_t c = 0; c < kCounters.size(); ++c)
+                sum.counts[c] += delta.counts[c];
+        }
+        block.steps += cycle.steps;
+        block.retired += cycle.retired;
+        block.events += cycle.events;
+        ++block.length;
+        if (cycle.lastActive != 0)
+            block.lastActive = block.length;
+        if (cycle.events != 0)
+            block.lastEvent = block.length;
+        block.last = id;
+        const Node &next = nodes_[edges_[id].next];
+        if (block.length == kSuperblockCap || next.firstEdge == kNone ||
+            next.firstCheck != kNone)
+            break;
+        id = next.firstEdge;
+    }
+    if (block.length == 1)
+        return block.last | kAlone;
+    block.firstDelta = static_cast<std::uint32_t>(deltas_.size());
+    for (unsigned p = 0; p < sums.size(); ++p) {
+        PeDelta &sum = sums[p];
+        sum.pe = static_cast<std::uint16_t>(p);
+        if (sum.issued != 0 ||
+            std::any_of(sum.counts.begin(), sum.counts.end(),
+                        [](std::uint16_t c) { return c != 0; }))
+            deltas_.push_back(sum);
+    }
+    block.numDeltas =
+        static_cast<std::uint16_t>(deltas_.size() - block.firstDelta);
+    superblocks_.push_back(block);
+    return static_cast<std::uint32_t>(superblocks_.size() - 1);
+}
+
+[[gnu::always_inline]] inline unsigned
+FabricMemo::perform(std::uint32_t id, unsigned length)
+{
     CycleFabric &f = fabric_;
-    // The cycle's start, as step() does it.
-    if (!f.events_.dirtyChannels().empty()) {
-        for (const unsigned ch : f.events_.dirtyChannels())
-            f.channels_[ch]->beginCycle();
-        f.events_.clearDirty();
-    }
-
-    for (std::uint32_t i = 0; i < edge.numActions; ++i) {
-        const Action &action = actions_[edge.firstAction + i];
-        PipelinedPe &pe = *action.pe;
-        auto &entry = pe.entries_[action.entry];
-        const Instruction &inst = *action.inst;
-        if (action.flags & kDecode) {
-            entry.operands = {operand(action, 0), operand(action, 1)};
-            for (const auto q : inst.dequeues)
-                pe.inputs_[q]->pop();
+    for (unsigned cycle = 0; cycle < length; ++cycle) {
+        const Edge &edge = edges_[id];
+        const Action *action = &actions_[edge.firstAction];
+        const Action *ports = action + edge.numActions;
+        const Action *end = ports + edge.numPorts;
+        // A memory access out of bounds traps where step() would; the
+        // cycle is left to step().
+        for (const Action *port = ports; port != end; ++port) {
+            if ((port->flags == kAccept &&
+                 !f.readPorts_[port->entry]->addressInBounds()) ||
+                (port->flags == kWrite &&
+                 !f.writePorts_[port->entry]->addressInBounds()))
+                return cycle;
         }
-        // A branch's result is control only: it already picked the edge.
-        if ((action.flags & (kWriteback | kBranch)) != kWriteback)
-            continue;
-        const Word a = entry.operands[0];
-        const Word b = entry.operands[1];
-        Word result;
-        pe.datapathResult(inst, a, b, result); // bounds checked above
-        if (action.flags & kStore)
-            pe.scratchpad_[a] = b;
-        if (action.flags & kToReg)
-            pe.regs_[inst.dst.index] = result;
-        else if (action.flags & kToQueue)
-            pe.outputs_[inst.dst.index]->push({result, inst.outTag});
-    }
-
-    if (edge.pending++ == 0)
-        unsettled_.push_back(id);
-    f.totalRetired_ += edge.retired;
-    current_ = edge.next;
-    stale_ = true;
-
-    // The memory ports move real tokens. A memory access out of bounds
-    // traps where step() would: every PE has stepped, the clock has
-    // not advanced.
-    if (node.ports) {
-        try {
-            for (auto &port : f.readPorts_)
-                port->step(f.now_);
-            for (auto &port : f.writePorts_)
-                port->step(f.now_);
-        } catch (...) {
-            materialize();
-            current_ = kNone;
-            throw;
+        for (; action != ports; ++action) {
+            PipelinedPe &pe = *action->pe;
+            auto &entry = pe.entries_[action->entry];
+            const Instruction &inst = *action->inst;
+            if (action->flags & kDecode) {
+                entry.operands = {operand(*action, 0), operand(*action, 1)};
+                for (const auto q : inst.dequeues)
+                    pe.inputs_[q]->replayPop();
+            }
+            // A branch's result is control only: it already picked the
+            // edge.
+            if ((action->flags & (kWriteback | kBranch)) != kWriteback)
+                continue;
+            const Word a = entry.operands[0];
+            const Word b = entry.operands[1];
+            Word result;
+            pe.datapathResult(inst, a, b, result); // bounds checked
+            if (action->flags & kStore)
+                pe.scratchpad_[a] = b;
+            if (action->flags & kToReg)
+                pe.regs_[inst.dst.index] = result;
+            else if (action->flags & kToQueue)
+                pe.outputs_[inst.dst.index]->replayPush({result, inst.outTag});
         }
+        for (; action != end; ++action) {
+            switch (action->flags) {
+              case kDeliver:
+                f.readPorts_[action->entry]->replayDeliver();
+                break;
+              case kAccept:
+                f.readPorts_[action->entry]->replayAccept(f.now_ + cycle);
+                break;
+              case kWrite:
+                f.writePorts_[action->entry]->replayStore();
+                break;
+            }
+        }
+        if (cycle + 1 < length)
+            id = nodes_[edge.next].firstEdge;
     }
-    for (const unsigned ch : f.events_.dirtyChannels())
-        f.channels_[ch]->commit();
-    ++f.now_;
-    return &edge;
+    return length;
+}
+
+[[gnu::always_inline]] inline void
+FabricMemo::account(std::uint32_t ref, RunMarks &marks)
+{
+    CycleFabric &f = fabric_;
+    Superblock &block = superblock(ref);
+    if (block.pending++ == 0)
+        unsettled_.push_back(ref);
+    const Cycle start = f.now_;
+    f.now_ += block.length;
+    f.totalRetired_ += block.retired;
+    f.events_.addProgress(block.events);
+    lastEdge_ = block.last;
+    current_ = edges_[block.last].next;
+    // run()'s marks, as its per-cycle checks leave them.
+    if (block.lastEvent != 0) {
+        marks.events = f.events_.progressEvents();
+        marks.progress = start + block.lastEvent;
+    }
+    if (block.lastActive != 0) {
+        marks.retired = f.totalRetired_;
+        marks.activity = start + block.lastActive;
+    }
 }
 
 bool
@@ -241,20 +298,47 @@ FabricMemo::replay(Cycle limit, Cycle window, RunMarks &marks)
 {
     CycleFabric &f = fabric_;
     while (f.now_ < limit) {
-        const Edge *edge = replayCycle();
-        if (!edge)
+        const std::uint32_t id = pickEdge();
+        if (id == kNone)
             return false;
-        // run()'s bookkeeping for the cycle.
-        if (f.events_.progressEvents() != marks.events) {
-            marks.events = f.events_.progressEvents();
-            marks.progress = f.now_;
+        Edge &edge = edges_[id];
+        if (edge.superblock == kNone && ++edge.replays == 2)
+            edge.superblock = buildSuperblock(id);
+        // The superblock, unless the quiescence window could close
+        // inside it: then the edge alone, whose own check below lands
+        // the exit. A budget or stop poll inside it cuts it short.
+        std::uint32_t ref = id | kAlone;
+        unsigned length = 1;
+        if (edge.superblock != kNone && edge.superblock != ref) {
+            const Superblock &whole = superblocks_[edge.superblock];
+            if (f.now_ + whole.length - marks.activity < window) {
+                ref = edge.superblock;
+                length = static_cast<unsigned>(
+                    std::min<Cycle>(whole.length, limit - f.now_));
+            }
         }
-        if (edge->retired != 0 || edge->active) {
-            marks.retired = f.totalRetired_;
-            marks.activity = f.now_;
-        } else if (f.now_ - marks.activity >= window) {
-            return true;
+        const unsigned done = perform(id, length);
+        if (done == 0)
+            return false;
+        stale_ = true;
+        ++f.replayLookups_;
+        const Superblock &block = superblock(ref);
+        if (done == block.length) {
+            account(ref, marks);
+            if (block.lastActive != block.length &&
+                f.now_ - marks.activity >= window)
+                return true;
+            continue;
         }
+        // Cut short by the budget, or before a cycle that traps (left
+        // to step()): account for the cycles performed one by one.
+        std::uint32_t e = id;
+        for (unsigned cycle = 0; cycle < done; ++cycle) {
+            account(e | kAlone, marks);
+            e = nodes_[edges_[e].next].firstEdge;
+        }
+        if (done != length)
+            return false;
     }
     return false;
 }
@@ -281,7 +365,7 @@ FabricMemo::recordDecode(const PipelinedPe &pe,
     action.pe = const_cast<PipelinedPe *>(&pe);
     action.inst = &inst;
     action.srcs = {source(inst.srcs[0]), source(inst.srcs[1])};
-    action.entry = static_cast<std::uint8_t>(&entry - pe.entries_.data());
+    action.entry = static_cast<std::uint16_t>(&entry - pe.entries_.data());
     action.flags = kDecode;
     recorded_.push_back(action);
 }
@@ -290,7 +374,7 @@ void
 FabricMemo::recordWriteback(const PipelinedPe &pe,
                             const PipelinedPe::InFlight &entry, Word result)
 {
-    const auto index = static_cast<std::uint8_t>(&entry - pe.entries_.data());
+    const auto index = static_cast<std::uint16_t>(&entry - pe.entries_.data());
     // A writeback whose capture ran this same cycle is that capture's
     // action (always the PE's first of the cycle).
     if (recorded_.empty() || recorded_.back().pe != &pe ||
@@ -341,10 +425,10 @@ FabricMemo::stepRecorded()
     recorded_.clear();
     recordedMask_ = 0;
     recordedBranches_ = 0;
-    const bool ports = portsMayAct();
     const unsigned halted = f.haltedPes_;
     const std::uint64_t steps = f.stepsExecuted_;
     const std::uint64_t retired = f.totalRetired_;
+    const std::uint64_t events = f.events_.progressEvents();
 
     // If step() traps, the fabric is live and the memo has lost its
     // place.
@@ -372,13 +456,42 @@ FabricMemo::stepRecorded()
         recordedBranches_ > kMaxBranches)
         return;
 
+    // What each memory port did, after the PE actions in step() order:
+    // a read port delivers, then accepts, then the write ports store.
+    // A port is its channels' only producer or consumer, so their
+    // moves this cycle are its own.
+    const std::size_t pe_actions = recorded_.size();
+    auto record_port = [&](std::size_t port, PortMove move) {
+        Action action;
+        action.entry = static_cast<std::uint16_t>(port);
+        action.flags = move;
+        recorded_.push_back(action);
+    };
+    for (std::size_t rp = 0; rp < f.readPorts_.size(); ++rp) {
+        const TaggedQueue &data =
+            *f.channels_[f.config_.readPorts[rp].dataChannel];
+        if (data.size() + data.popsThisCycle() != data.snapshotSize())
+            record_port(rp, kDeliver);
+        if (f.channels_[f.config_.readPorts[rp].addrChannel]
+                ->popsThisCycle() != 0)
+            record_port(rp, kAccept);
+    }
+    for (std::size_t wp = 0; wp < f.writePorts_.size(); ++wp) {
+        if (f.channels_[f.config_.writePorts[wp].addrChannel]
+                ->popsThisCycle() != 0)
+            record_port(wp, kWrite);
+    }
+
     Edge edge;
     edge.next = current_;
     edge.mask = recordedMask_;
     edge.firstAction = static_cast<std::uint32_t>(actions_.size());
-    edge.numActions = static_cast<std::uint16_t>(recorded_.size());
+    edge.numActions = static_cast<std::uint16_t>(pe_actions);
+    edge.numPorts = static_cast<std::uint8_t>(recorded_.size() - pe_actions);
     actions_.insert(actions_.end(), recorded_.begin(), recorded_.end());
-    edge.firstDelta = static_cast<std::uint32_t>(deltas_.size());
+
+    Superblock &alone = edge.alone;
+    alone.firstDelta = static_cast<std::uint32_t>(deltas_.size());
     for (unsigned p = 0; p < f.pes_.size(); ++p) {
         const PipelinedPe &pe = *f.pes_[p];
         PeDelta delta;
@@ -388,25 +501,30 @@ FabricMemo::stepRecorded()
         for (std::size_t c = 0; c < kCounters.size(); ++c) {
             const std::uint64_t d =
                 pe.counters_.*kCounters[c] - before_[p].*kCounters[c];
-            panicIf(d > 0xff, "control memo: a counter delta exceeds a byte");
-            delta.counts[c] = static_cast<std::uint8_t>(d);
+            panicIf(d > kMaxCycleDelta,
+                    "control memo: a counter delta exceeds a byte");
+            delta.counts[c] = static_cast<std::uint16_t>(d);
             moved = moved || d != 0;
         }
         if (moved)
             deltas_.push_back(delta);
     }
-    edge.numDeltas =
-        static_cast<std::uint16_t>(deltas_.size() - edge.firstDelta);
-    edge.steps = static_cast<std::uint16_t>(f.stepsExecuted_ - steps);
-    edge.retired = static_cast<std::uint16_t>(f.totalRetired_ - retired);
-    edge.active = f.anyActivity();
+    alone.numDeltas =
+        static_cast<std::uint16_t>(deltas_.size() - alone.firstDelta);
+    alone.steps = static_cast<std::uint32_t>(f.stepsExecuted_ - steps);
+    alone.retired = static_cast<std::uint32_t>(f.totalRetired_ - retired);
+    alone.events =
+        static_cast<std::uint32_t>(f.events_.progressEvents() - events);
+    alone.lastActive = alone.retired != 0 || f.anyActivity() ? 1 : 0;
+    alone.lastEvent = alone.events != 0 ? 1 : 0;
 
     const auto id = static_cast<std::uint32_t>(edges_.size());
+    panicIf(id >= kAlone, "control memo: too many edges");
+    alone.last = id;
     edges_.push_back(edge);
     Node &node = nodes_[from];
     if (node.firstEdge == kNone) {
         node.firstEdge = id;
-        node.ports = ports;
         for (std::uint32_t i = 0; i < edge.numActions; ++i) {
             if (actions_[edge.firstAction + i].flags & kCheck) {
                 node.firstCheck = edge.firstAction + i;
@@ -435,8 +553,17 @@ FabricMemo::stepRecorded()
     }
     while (match < end && (actions_[match].flags & kCheck) == 0)
         ++match;
-    panicIf(match != end || ports != node.ports,
+    panicIf(match != end,
             "control memo: a control state changed its writebacks");
+    // The ports' moves are control too.
+    panicIf(edge.numPorts != first.numPorts ||
+                !std::equal(recorded_.begin() + pe_actions, recorded_.end(),
+                            actions_.begin() + end,
+                            [](const Action &a, const Action &b) {
+                                return a.entry == b.entry &&
+                                       a.flags == b.flags;
+                            }),
+            "control memo: a control state changed its port moves");
     std::uint32_t *link = &node.firstEdge;
     while (*link != kNone) {
         panicIf(edges_[*link].mask == edge.mask,
@@ -450,20 +577,58 @@ void
 FabricMemo::settle()
 {
     CycleFabric &f = fabric_;
-    for (const std::uint32_t id : unsettled_) {
-        Edge &edge = edges_[id];
-        for (std::uint32_t i = 0; i < edge.numDeltas; ++i) {
-            const PeDelta &delta = deltas_[edge.firstDelta + i];
+    for (const std::uint32_t ref : unsettled_) {
+        Superblock &block = superblock(ref);
+        for (std::uint32_t i = 0; i < block.numDeltas; ++i) {
+            const PeDelta &delta = deltas_[block.firstDelta + i];
             PipelinedPe &pe = *f.pes_[delta.pe];
             for (std::size_t c = 0; c < kCounters.size(); ++c)
-                pe.counters_.*kCounters[c] += edge.pending * delta.counts[c];
-            pe.nextId_ += edge.pending * delta.issued;
+                pe.counters_.*kCounters[c] += block.pending * delta.counts[c];
+            pe.nextId_ += block.pending * delta.issued;
         }
-        f.stepsExecuted_ += edge.pending * edge.steps;
-        f.stepsReplayed_ += edge.pending * edge.steps;
-        edge.pending = 0;
+        f.stepsExecuted_ += block.pending * block.steps;
+        f.stepsReplayed_ += block.pending * block.steps;
+        f.cyclesReplayed_ += block.pending * block.length;
+        block.pending = 0;
     }
     unsettled_.clear();
+}
+
+void
+FabricMemo::restoreChannels()
+{
+    CycleFabric &f = fabric_;
+    for (const auto &channel : f.channels_)
+        channel->beginCycle();
+    f.events_.clearDirty();
+    // The last cycle's moves, each counted back into its channel.
+    const Edge &edge = edges_[lastEdge_];
+    const Action *action = &actions_[edge.firstAction];
+    const Action *ports = action + edge.numActions;
+    const Action *end = ports + edge.numPorts;
+    for (; action != ports; ++action) {
+        const Instruction &inst = *action->inst;
+        if (action->flags & kDecode) {
+            for (const auto q : inst.dequeues)
+                action->pe->inputs_[q]->restorePop();
+        }
+        if ((action->flags & (kWriteback | kToQueue)) ==
+            (kWriteback | kToQueue))
+            action->pe->outputs_[inst.dst.index]->restorePush();
+    }
+    for (; action != end; ++action) {
+        if (action->flags == kWrite) {
+            const WritePortSpec &spec = f.config_.writePorts[action->entry];
+            f.channels_[spec.addrChannel]->restorePop();
+            f.channels_[spec.dataChannel]->restorePop();
+        } else {
+            const ReadPortSpec &spec = f.config_.readPorts[action->entry];
+            if (action->flags == kDeliver)
+                f.channels_[spec.dataChannel]->restorePush();
+            else
+                f.channels_[spec.addrChannel]->restorePop();
+        }
+    }
 }
 
 void
@@ -481,6 +646,7 @@ FabricMemo::materialize()
         if (key.byte() != kHalted)
             pe->unpackControl(key);
     }
+    restoreChannels();
     stale_ = false;
 }
 

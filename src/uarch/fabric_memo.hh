@@ -24,19 +24,34 @@
  *  - An edge is one recorded step(), chosen by the vector of that
  *    cycle's branch bits. It keeps the cycle's data actions in step()
  *    order (operand captures with their dequeues, then writebacks:
- *    ALU and scratchpad work, register writes, enqueues), each PE's
- *    counter deltas, and run()'s per-cycle bookkeeping (retirements,
- *    steps, whether any agent stayed active).
+ *    ALU and scratchpad work, register writes, enqueues), then what
+ *    each memory port did (a read port's delivery and accepted address,
+ *    a write port's store), each PE's counter deltas, and run()'s
+ *    bookkeeping (retirements, steps, queue events, whether any agent
+ *    stayed active).
+ *  - A superblock is an edge plus its straight successors: while the
+ *    next node is straight (no checks, so exactly one edge), its edge
+ *    follows, up to kSuperblockCap cycles. Its figures are summed over
+ *    its cycles, with where its last activity and last queue event
+ *    fall. An edge's superblock is built the second time the edge is
+ *    replayed and never changes: a straight node's one edge is fixed.
+ *    An edge alone is a superblock of one cycle.
  *
- * A replayed cycle evaluates the node's branches and scratchpad bounds
- * first, so a cycle that would trap changes nothing and runs through
- * step() instead. It then performs the actions on the live data, steps
- * the memory ports (which move real tokens and may trap like step()
- * does), commits the channels and advances the clock. Control fields,
- * counters and issue ids lag while the memo replays; materialize()
- * settles the counter deltas in bulk and restores the control fields
- * from the current node before anything reads them. Edges are followed
- * by index; a state is hashed only after a recorded step().
+ * A replay lookup evaluates the node's branches and scratchpad bounds,
+ * picks the edge, and runs the edge's superblock: cut short at the
+ * run's budget or stop poll, and replaced by the edge alone unless the
+ * quiescence window stays open past its end even if none of its cycles
+ * is active, so every exit lands on the cycle where the step loop's
+ * does. Each cycle first checks its memory
+ * ports' addresses, so a cycle that would trap changes nothing and
+ * runs through step() instead. The actions move tokens with the channels'
+ * replay operations (sim/queue.hh), which keep no snapshot, deferred
+ * window or event log. Control fields, counters, issue ids and channel
+ * snapshots lag while the memo replays; materialize() settles the
+ * counter deltas in bulk, restores the control fields from the current
+ * node and puts back the channel snapshots the last replayed cycle
+ * leaves. Edges are followed by index; a state is hashed only after a
+ * recorded step().
  *
  * The memo lives and dies with its fabric and is never shared. It is
  * off under a trace sink and a fault injector; the bare step() loop
@@ -77,6 +92,9 @@ class FabricMemo
      */
     static constexpr std::size_t kNodeCap = 4096;
 
+    /** Most cycles one superblock runs. */
+    static constexpr unsigned kSuperblockCap = 64;
+
     explicit FabricMemo(CycleFabric &fabric);
 
     /** The memo stands at a known state and can try to replay. */
@@ -92,12 +110,12 @@ class FabricMemo
     };
 
     /**
-     * Replay recorded cycles from the current state, each picked by its
-     * branch bits, keeping @p marks as run() does, until the clock
-     * reaches @p limit, the next cycle is not recorded or would trap
-     * before the memory ports (it is left untouched), or a cycle ends
-     * @p window cycles after the last activity. Returns true in the
-     * last case: the fabric has gone quiescent.
+     * Replay recorded cycles from the current state, a superblock per
+     * lookup, keeping @p marks as run() does, until the clock reaches
+     * @p limit, the next cycle is not recorded or would trap (it is
+     * left untouched), or a cycle ends @p window cycles after the last
+     * activity. Returns true in the last case: the fabric has gone
+     * quiescent.
      */
     bool replay(Cycle limit, Cycle window, RunMarks &marks);
 
@@ -147,6 +165,7 @@ class FabricMemo
 
     enum ActionFlags : std::uint8_t
     {
+        // PE actions.
         kDecode = 1,    ///< Capture the operands, then dequeue.
         kWriteback = 2, ///< Compute and commit the result.
         kCheck = 4,     ///< Evaluated before the cycle: may trap or branch.
@@ -156,7 +175,18 @@ class FabricMemo
         kToQueue = 64,  ///< Enqueues its result.
     };
 
-    /** One datapath action of a recorded cycle. */
+    /** The flags of a port action: what the port does. */
+    enum PortMove : std::uint8_t
+    {
+        kDeliver = 1, ///< Read port: deliver the oldest held response.
+        kAccept = 2,  ///< Read port: accept the head address.
+        kWrite = 3,   ///< Write port: store the head pair.
+    };
+
+    /**
+     * One action of a recorded cycle: a PE's datapath work, or (after
+     * every PE action, with pe null) a memory port's move.
+     */
     struct Action
     {
         PipelinedPe *pe = nullptr;
@@ -166,17 +196,54 @@ class FabricMemo
          * immediate or a zero; null for an input queue head.
          */
         std::array<const Word *, 2> srcs = {};
-        std::uint8_t entry = 0; ///< Index into the PE's entries_.
+        /** Index into the PE's entries_, or the port's index. */
+        std::uint16_t entry = 0;
         std::uint8_t flags = 0;
     };
 
-    /** One PE's counter deltas over a recorded cycle. */
+    /** One PE's counter deltas over a superblock. */
     struct PeDelta
     {
         std::uint16_t pe = 0;
-        std::uint8_t issued = 0; ///< Issue ids taken (nextId_ step).
-        std::array<std::uint8_t, kCounters.size()> counts = {};
+        std::uint16_t issued = 0; ///< Issue ids taken (nextId_ step).
+        std::array<std::uint16_t, kCounters.size()> counts = {};
     };
+
+    /** Most a counter moves in one recorded cycle. */
+    static constexpr unsigned kMaxCycleDelta = 0xff;
+    static_assert(kSuperblockCap * kMaxCycleDelta <= 0xffff,
+                  "a superblock's counter sums must fit a PeDelta");
+
+    /**
+     * One or more consecutive recorded cycles replayed as a unit: an
+     * edge alone, or a superblock. Its figures are summed over its
+     * cycles.
+     */
+    struct Superblock
+    {
+        /** Replays not yet added to the counters (settle()). */
+        std::uint64_t pending = 0;
+        std::uint32_t last = 0; ///< Edge of its last cycle.
+        std::uint32_t firstDelta = 0;
+        std::uint32_t steps = 0;   ///< PE steps its cycles executed.
+        std::uint32_t retired = 0; ///< Instructions they retired.
+        std::uint32_t events = 0;  ///< Queue events (pushes and pops).
+        std::uint16_t numDeltas = 0;
+        std::uint16_t length = 1; ///< Cycles.
+        /**
+         * Cycles up to and including the last one that retired or
+         * ended with some agent active (anyActivity()); 0 if none did.
+         */
+        std::uint16_t lastActive = 0;
+        /** Cycles up to and including the last with a queue event. */
+        std::uint16_t lastEvent = 0;
+    };
+
+    /**
+     * Marks a reference to a superblock as an edge id: that edge alone.
+     * Any other reference is an index into superblocks_.
+     */
+    static constexpr std::uint32_t kAlone = std::uint32_t{1} << 31;
 
     /** One recorded cycle out of a node. */
     struct Edge
@@ -185,14 +252,12 @@ class FabricMemo
         std::uint32_t sibling = kNone; ///< Next edge out of the same node.
         std::uint32_t mask = 0;        ///< Branch bits that pick it.
         std::uint32_t firstAction = 0;
-        std::uint32_t firstDelta = 0;
-        std::uint16_t numActions = 0;
-        std::uint16_t numDeltas = 0;
-        std::uint16_t steps = 0;   ///< PE steps the cycle executed.
-        std::uint16_t retired = 0; ///< Instructions it retired.
-        bool active = false;      ///< anyActivity() after the cycle.
-        /** Replays not yet added to the counters (settle()). */
-        std::uint64_t pending = 0;
+        std::uint16_t numActions = 0; ///< PE actions.
+        std::uint8_t numPorts = 0;    ///< Port actions after them.
+        std::uint8_t replays = 0;     ///< Lookups that picked it, to 2.
+        /** Its superblock, kNone until built. */
+        std::uint32_t superblock = kNone;
+        Superblock alone; ///< The edge alone.
     };
 
     /** A packed control state at a cycle boundary. */
@@ -207,15 +272,8 @@ class FabricMemo
          * (every edge out of a node has the same checks), or kNone.
          */
         std::uint32_t firstCheck = kNone;
-        /** Some memory port holds or is offered a request. */
-        bool ports = false;
     };
 
-    /**
-     * Some memory port may act this cycle: a read port holds a request
-     * or has one waiting, or a write port has a pair waiting.
-     */
-    bool portsMayAct() const;
     /** The current state's key, packed from the live fabric. */
     void packState(std::string &key) const;
     /** The node holding @p key, added unless at the cap; or kNone. */
@@ -224,10 +282,29 @@ class FabricMemo
     /** Operand @p k of @p action as a capture at this point reads it. */
     Word operand(const Action &action, unsigned k) const;
     /**
-     * One cycle of replay(): the edge it replayed, or null having
-     * changed nothing.
+     * The edge out of the current node that the node's branch bits
+     * pick, or kNone if none is recorded or a check would trap.
      */
-    const Edge *replayCycle();
+    std::uint32_t pickEdge() const;
+    /** The superblock starting with edge @p id, built now. */
+    std::uint32_t buildSuperblock(std::uint32_t id);
+    /** The superblock @p ref names (kAlone). */
+    Superblock &
+    superblock(std::uint32_t ref)
+    {
+        return ref & kAlone ? edges_[ref & ~kAlone].alone : superblocks_[ref];
+    }
+    /**
+     * Perform the actions of up to @p length cycles from edge @p id on.
+     * Returns the cycles performed: fewer only before a cycle whose
+     * memory port address is out of bounds.
+     */
+    unsigned perform(std::uint32_t id, unsigned length);
+    /**
+     * Account for superblock @p ref, just performed: advance the clock,
+     * the current node and @p marks.
+     */
+    void account(std::uint32_t ref, RunMarks &marks);
     /**
      * Make the fabric's control fields and counters exact: settle the
      * replayed counter deltas and restore the current state's control
@@ -236,22 +313,32 @@ class FabricMemo
     void materialize();
     /** Add the pending replays to the counters, issue ids and steps. */
     void settle();
+    /**
+     * Give every channel the snapshot, pop count and dirty mark a bare
+     * step() loop leaves after the last replayed cycle.
+     */
+    void restoreChannels();
 
     CycleFabric &fabric_;
     std::vector<Node> nodes_;
     std::vector<Edge> edges_;
     std::vector<Action> actions_;
     std::vector<PeDelta> deltas_;
+    /** Every superblock longer than its first edge. */
+    std::vector<Superblock> superblocks_;
     std::string keys_;                 ///< Every node's key, back to back.
     std::vector<std::uint32_t> slots_; ///< Hash table: node id + 1, 0 free.
-    std::vector<std::uint32_t> unsettled_; ///< Edges with pending replays.
+    /** Superblocks with pending replays (kAlone). */
+    std::vector<std::uint32_t> unsettled_;
 
     std::uint32_t current_ = kNone; ///< Node the fabric stands at.
+    std::uint32_t lastEdge_ = kNone; ///< Edge of the last replayed cycle.
     bool stale_ = false;            ///< Control fields lag current_.
 
     // The step() being recorded.
     std::vector<PerfCounters> before_; ///< Each PE's counters before it.
     std::vector<std::uint64_t> ids_;   ///< Each PE's nextId_ before it.
+    std::vector<PeDelta> sums_; ///< Scratch per-PE sums, reused.
     std::vector<Action> recorded_;
     std::uint32_t recordedMask_ = 0;
     unsigned recordedBranches_ = 0;

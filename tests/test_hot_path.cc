@@ -347,6 +347,16 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
 // memo.)
 // ---------------------------------------------------------------------
 
+/** A channel's contents and sizing signals. */
+struct ChannelObservation
+{
+    std::vector<Token> tokens; ///< Head first.
+    unsigned size = 0;
+    unsigned highWater = 0;
+
+    bool operator==(const ChannelObservation &) const = default;
+};
+
 /** Everything observable about a fabric after a run, plus host steps. */
 struct FabricObservation
 {
@@ -356,6 +366,10 @@ struct FabricObservation
     std::vector<std::array<double, 6>> cpiStacks;
     std::vector<std::vector<Word>> regs;
     std::vector<std::uint64_t> preds;
+    std::vector<std::vector<Word>> scratchpads;
+    std::vector<ChannelObservation> channels;
+    /** Per read port, each held request's cycles until due and tag. */
+    std::vector<std::vector<std::pair<Cycle, Tag>>> heldRequests;
     std::vector<Word> memory;
     std::uint64_t stepsExecuted = 0;
 
@@ -375,6 +389,22 @@ observeFabric(const CycleFabric &fabric)
                                  cpi.forbidden, cpi.noTrigger});
         obs.regs.push_back(fabric.pe(pe).regs());
         obs.preds.push_back(fabric.pe(pe).preds());
+        obs.scratchpads.push_back(fabric.pe(pe).scratchpad());
+    }
+    for (unsigned ch = 0; ch < fabric.numChannels(); ++ch) {
+        const TaggedQueue &queue = fabric.channel(ch);
+        ChannelObservation channel;
+        for (unsigned depth = 0; depth < queue.size(); ++depth)
+            channel.tokens.push_back(*queue.peek(depth));
+        channel.size = queue.size();
+        channel.highWater = queue.highWater();
+        obs.channels.push_back(std::move(channel));
+    }
+    for (unsigned rp = 0; rp < fabric.numReadPorts(); ++rp) {
+        const MemoryReadPort &port = fabric.readPort(rp);
+        auto &held = obs.heldRequests.emplace_back();
+        for (std::size_t i = 0; i < port.inFlight(); ++i)
+            held.emplace_back(port.heldWait(i, fabric.now()), port.heldTag(i));
     }
     obs.memory = fabric.memory().snapshot();
     obs.stepsExecuted = fabric.stepStats().peStepsExecuted;
@@ -421,16 +451,24 @@ TEST(RunAhead, WorkloadSuiteMatchesPerCycleStepLoop)
     }
 }
 
+/**
+ * A counted loop that then waits forever on a never-fed input: its last
+ * instruction retires in the cycle the PE first finds no trigger.
+ */
+constexpr const char *kCountThenStarve =
+    "when %p == XXXXXX00: add %r0, %r0, #1; set %p = ZZZZZZZ1;\n"
+    "when %p == XXXXXX01: eq %p1, %r0, #40; set %p = ZZZZZZZ0;\n"
+    "when %p == XXXXXX10: add %r1, %r0, #1; set %p = ZZZZZZ11;\n"
+    "when %p == XXXXXX11 with %i0.0: halt;\n";
+
 TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
 {
-    // 1-PE programs that never halt: an endless register loop, and a
-    // counted loop that then waits forever on a never-fed input (its
-    // last instruction retires in the cycle the PE first finds no
-    // trigger). The control memo replays their active stretches, so
-    // the budget exit — step limit or, once the window elapses without
-    // progress, livelock — and the quiescence exit must land on the
-    // same cycle with the same diagnosis as a traced run (which never
-    // replays), with the same state as a bare step() loop.
+    // 1-PE programs that never halt: an endless register loop, and
+    // kCountThenStarve. The control memo replays their active
+    // stretches, so the budget exit — step limit or, once the window
+    // elapses without progress, livelock — and the quiescence exit must
+    // land on the same cycle with the same diagnosis as a traced run
+    // (which never replays), with the same state as a bare step() loop.
     const ArchParams params;
     const std::vector<std::pair<const char *, Program>> programs = {
         {"loop",
@@ -439,15 +477,7 @@ TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
                   "when %p == XXXXXXX1: add %r1, %r1, %r0; "
                   "set %p = ZZZZZZZ0;\n",
                   params)},
-        {"count then starve",
-         assemble("when %p == XXXXXX00: add %r0, %r0, #1; "
-                  "set %p = ZZZZZZZ1;\n"
-                  "when %p == XXXXXX01: eq %p1, %r0, #40; "
-                  "set %p = ZZZZZZZ0;\n"
-                  "when %p == XXXXXX10: add %r1, %r0, #1; "
-                  "set %p = ZZZZZZ11;\n"
-                  "when %p == XXXXXX11 with %i0.0: halt;\n",
-                  params)},
+        {"count then starve", assemble(kCountThenStarve, params)},
     };
     FabricBuilder builder(params, 1);
     const FabricConfig config = builder.build();
@@ -477,6 +507,77 @@ TEST(RunAhead, BudgetAndQuiescenceExitsMatchPerCycleStep)
                 EXPECT_EQ(observeFabric(ran), observeFabric(stepped))
                     << what;
             }
+        }
+    }
+}
+
+TEST(RunAhead, SuperblockExitsLandOnEveryCycle)
+{
+    // A replay lookup runs a whole superblock only when none of run()'s
+    // exits lands inside it. A budget of every k across six superblock
+    // caps past the memo's engagement ends a run on each cycle of the
+    // superblocks there: in full-size gcd (one PE, no memory ports),
+    // merge (a memory port may act in every replayed cycle) and
+    // dot_product. Each run leaves exactly what a bare step() loop
+    // leaves after k cycles.
+    const std::vector<PeConfig> uarchs = {
+        {allShapes()[0], false, false, false}, // TDX
+        {allShapes()[7], false, false, false}, // T|D|X1|X2
+    };
+    const Cycle first = FabricMemo::kEngageAfter;
+    const Cycle last = first + 6 * FabricMemo::kSuperblockCap;
+    for (const Workload &workload : {makeGcd(WorkloadSizes::full()),
+                                     makeMerge(WorkloadSizes::full()),
+                                     makeDotProduct(WorkloadSizes::full())}) {
+        for (const PeConfig &uarch : uarchs) {
+            const std::string what = workload.name + " / " + uarch.name();
+            CycleFabric stepped(workload.config, workload.program, uarch);
+            workload.preload(stepped.memory());
+            while (stepped.now() < first)
+                stepped.step();
+            FabricStepStats steps;
+            for (Cycle k = first; k <= last; ++k) {
+                ASSERT_FALSE(allHalted(stepped)) << what;
+                CycleFabric ran(workload.config, workload.program, uarch);
+                workload.preload(ran.memory());
+                EXPECT_EQ(ran.run(k), RunStatus::StepLimit)
+                    << what << " / budget " << k;
+                ASSERT_EQ(observeFabric(ran), observeFabric(stepped))
+                    << what << " / budget " << k;
+                steps = ran.stepStats();
+                stepped.step();
+            }
+            // Superblocks ran: some lookups replayed several cycles.
+            EXPECT_GT(steps.cyclesReplayed, 2 * steps.replayLookups) << what;
+        }
+    }
+
+    // Quiescence windows of 1 to 8 cycles: kCountThenStarve ends idling
+    // in a replayed self-loop, and the window closes where that loop's
+    // superblock would otherwise run.
+    const ArchParams params;
+    const Program program = assemble(kCountThenStarve, params);
+    FabricBuilder builder(params, 1);
+    const FabricConfig config = builder.build();
+    for (const PeConfig &uarch : allConfigs()) {
+        for (Cycle window = 1; window <= 8; ++window) {
+            const std::string what =
+                uarch.name() + " / window " + std::to_string(window);
+            const FabricRunOptions options{1'000, window, {}};
+            CycleFabric ran(config, program, uarch);
+            EXPECT_EQ(ran.run(options), RunStatus::Quiescent) << what;
+
+            NullSink sink;
+            CycleFabric traced(config, program, uarch);
+            traced.setTraceSink(&sink);
+            EXPECT_EQ(traced.run(options), RunStatus::Quiescent) << what;
+            EXPECT_EQ(ran.hangReport(), traced.hangReport()) << what;
+
+            CycleFabric stepped(config, program, uarch);
+            while (stepped.now() < ran.now())
+                stepped.step();
+            EXPECT_EQ(observeFabric(ran), observeFabric(stepped)) << what;
+            EXPECT_EQ(observeFabric(ran), observeFabric(traced)) << what;
         }
     }
 }
@@ -910,9 +1011,23 @@ TEST(RunAhead, MemoryPortTrapDuringReplayMatchesPerCycleStepLoop)
     // FabricMemo::kEngageAfter iterations. The access traps in the
     // port, after every PE has stepped the cycle, while run() is
     // replaying: it must leave the message, clock and counters a bare
-    // step() loop leaves.
+    // step() loop leaves. In the branching load, each iteration's
+    // superblock starts at the branch (the only node with a check) and
+    // the port accepts the address some cycles later, so the trapping
+    // cycle falls inside a superblock.
     const ArchParams params;
     const std::vector<std::pair<const char *, Program>> programs = {
+        {"branching load",
+         assemble("when %p == XXXXX000: ult %p7, %r0, #1; "
+                  "set %p = ZZZZZ001;\n"
+                  "when %p == XXXXX001: nop; set %p = ZZZZZ010;\n"
+                  "when %p == XXXXX010: add %o0.0, %r0, #0; "
+                  "set %p = ZZZZZ011;\n"
+                  "when %p == XXXXX011 with %i0.0: mov %r1, %i0; deq %i0; "
+                  "set %p = ZZZZZ100;\n"
+                  "when %p == XXXXX100: add %r0, %r0, #64; "
+                  "set %p = ZZZZZ000;\n",
+                  params)},
         {"load",
          assemble("when %p == XXXXXX00: add %o0.0, %r0, #0; "
                   "set %p = ZZZZZZ01;\n"
@@ -949,9 +1064,10 @@ TEST(RunAhead, MemoryPortTrapDuringReplayMatchesPerCycleStepLoop)
                       std::string::npos)
                 << what << ": " << via_run.message;
             EXPECT_EQ(via_run, via_step) << what;
-            EXPECT_GT(ran.stepStats().peStepsReplayed,
-                      ran.stepStats().peStepsExecuted / 2)
+            const FabricStepStats steps = ran.stepStats();
+            EXPECT_GT(steps.peStepsReplayed, steps.peStepsExecuted / 2)
                 << what;
+            EXPECT_GT(steps.cyclesReplayed, 2 * steps.replayLookups) << what;
         }
     }
 }

@@ -48,10 +48,10 @@
  *                      run entry per swept microarchitecture
  *                      (validate with tia-metrics-check)
  *   --stats            print host-side simulation statistics: wall
- *                      time, simulated cycles per host second, and how
+ *                      time, simulated cycles per host second, how
  *                      many PE steps ran and how many of them the
- *                      control memo replayed (cycle-accurate runs
- *                      only)
+ *                      control memo replayed, and the cycles it
+ *                      replayed per lookup (cycle-accurate runs only)
  *
  * tia-sim always simulates; the result cache (docs/simcache.md) is
  * reached through tia-sweep --cache and tia-serve --cache.
@@ -419,6 +419,15 @@ run(const Options &opt)
                         ? 100.0 *
                               static_cast<double>(steps.peStepsReplayed) /
                               static_cast<double>(steps.peStepsExecuted)
+                        : 0.0);
+            appendf(text,
+                    "  cycles replayed: %llu in %llu lookups "
+                    "(%.2f per lookup)\n",
+                    static_cast<unsigned long long>(steps.cyclesReplayed),
+                    static_cast<unsigned long long>(steps.replayLookups),
+                    steps.replayLookups > 0
+                        ? static_cast<double>(steps.cyclesReplayed) /
+                              static_cast<double>(steps.replayLookups)
                         : 0.0);
         }
         if (chrome) {
