@@ -14,7 +14,9 @@
  * fabric control memo runs for a recorded port cycle (a read port's
  * replayDeliver/replayAccept, a write port's replayStore): the same
  * moves over the channels' replay operations (sim/queue.hh), with the
- * address bounds checked beforehand (addressInBounds).
+ * address bounds checked beforehand (addressInBounds). Each port counts
+ * its moves (a read port's deliveries and accepts, a write port's
+ * stores), which is how the memo reads what a recorded cycle did.
  */
 
 #ifndef TIA_SIM_MEMORY_HH
@@ -138,6 +140,12 @@ class MemoryReadPort
     /** Requests accepted whose responses are not yet delivered. */
     std::size_t inFlight() const { return count_; }
 
+    /** Responses ever delivered. */
+    std::uint64_t delivered() const { return delivered_; }
+
+    /** Requests ever accepted. */
+    std::uint64_t accepted() const { return accepted_; }
+
     /** Cycles from @p now until held request @p i is due (0 once due). */
     Cycle
     heldWait(std::size_t i, Cycle now) const
@@ -258,21 +266,26 @@ class MemoryReadPort
         return held_[slot < held_.size() ? slot : slot - held_.size()];
     }
 
-    /** Hold one more request (fewer than maxInFlight() are held). */
+    /**
+     * Hold one more request, counted accepted (fewer than
+     * maxInFlight() are held).
+     */
     void
     hold(const Response &response)
     {
         const std::size_t slot = first_ + count_;
         held_[slot < held_.size() ? slot : slot - held_.size()] = response;
         ++count_;
+        ++accepted_;
     }
 
-    /** Drop the oldest held request. */
+    /** Drop the oldest held request, counted delivered. */
     void
     release()
     {
         first_ = first_ + 1 < held_.size() ? first_ + 1 : 0;
         --count_;
+        ++delivered_;
     }
 
     Memory &memory_;
@@ -283,6 +296,8 @@ class MemoryReadPort
     std::vector<Response> held_;
     std::size_t first_ = 0;
     std::size_t count_ = 0;
+    std::uint64_t delivered_ = 0;
+    std::uint64_t accepted_ = 0;
     FaultInjector *faultInjector_ = nullptr;
     unsigned portId_ = 0;
 };

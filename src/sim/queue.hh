@@ -4,10 +4,14 @@
  *
  * Each entry carries a data word plus a small programmable tag
  * (Section 2.1). Queues support deep peeking ("head and neck") to serve
- * the effective-queue-status optimization of Section 5.3, and a
- * cycle-start snapshot discipline so that all agents in a cycle observe
- * a consistent, RTL-like view of occupancy: pushes performed during a
- * cycle become visible only at the next cycle boundary.
+ * the effective-queue-status optimization of Section 5.3, and give
+ * every agent in a cycle the occupancy the queue had when the cycle
+ * started, a consistent, RTL-like view: pushes performed during a
+ * cycle become visible only at the next cycle boundary. A queue's
+ * cycle ends at commit(), which leaves no per-cycle state behind; so
+ * the cycle-start occupancy is derived, never stored: within a cycle,
+ * pops lower the committed count by exactly the pops counted, and
+ * pushes wait in the deferred window.
  *
  * Storage is a fixed ring buffer sized once at construction — the
  * committed entries followed by this cycle's deferred pushes occupy one
@@ -19,16 +23,15 @@
  * every push and pop of step() records into it.
  *
  * The fabric control memo's replay (uarch/fabric_memo.hh) moves tokens
- * through replayPop()/replayPush() instead: no snapshot, no deferred
+ * through replayPop()/replayPush() instead: no pop count, no deferred
  * window, no log. A replayed cycle pops only tokens committed when it
  * started and pushes only into space that was free then, and each
  * channel has one producer and one consumer, so the ring ends up with
- * the same tokens in the same order. Its occupancy passes through the
- * same values as in the step() of this fabric that recorded it, which
- * already raised highWater() to each of them, so a replay operation
- * leaves highWater() alone. The memo counts the cycle's log events in
- * bulk, and puts back the snapshots and dirty marks step() would have
- * left (restorePop/restorePush) before anything reads them.
+ * the same tokens in the same order, as commit() leaves them. Its
+ * occupancy passes through the same values as in the step() of this
+ * fabric that recorded it, which already raised highWater() to each of
+ * them, so a replay operation leaves highWater() alone. The memo counts
+ * the cycle's log events in bulk.
  */
 
 #ifndef TIA_SIM_QUEUE_HH
@@ -47,10 +50,10 @@ namespace tia {
  * token accepted into the deferred-push window and once per token
  * popped. Dropped (faulted) tokens do not fire it.
  *
- * The owner drains the dirty channel list between cycles (clearDirty);
- * each channel appears in it at most once per cycle, whether it was
- * pushed, popped or both. progressEvents() accumulates over the whole
- * run.
+ * The owner drains the dirty channel list at the end of each cycle
+ * (clearDirty); each channel appears in it at most once per cycle,
+ * whether it was pushed, popped or both. progressEvents() accumulates
+ * over the whole run.
  */
 class QueueEventLog
 {
@@ -65,7 +68,10 @@ class QueueEventLog
     record(unsigned channel)
     {
         ++progressEvents_;
-        touch(channel);
+        if (!dirtyFlag_[channel]) {
+            dirtyFlag_[channel] = 1;
+            dirty_.push_back(channel);
+        }
     }
 
     /** Channels with any activity since the last clearDirty(). */
@@ -76,16 +82,6 @@ class QueueEventLog
 
     /** Count @p events pushes and pops made without record(). */
     void addProgress(std::uint64_t events) { progressEvents_ += events; }
-
-    /** Mark @p channel touched this cycle without counting an event. */
-    void
-    touch(unsigned channel)
-    {
-        if (!dirtyFlag_[channel]) {
-            dirtyFlag_[channel] = 1;
-            dirty_.push_back(channel);
-        }
-    }
 
     void
     clearDirty()
@@ -103,8 +99,7 @@ class QueueEventLog
 
 /**
  * A bounded FIFO of tagged tokens with single producer and single
- * consumer, deferred-push semantics and cycle-start occupancy
- * snapshots.
+ * consumer, deferred-push semantics and a cycle-start occupancy view.
  */
 class TaggedQueue
 {
@@ -121,8 +116,12 @@ class TaggedQueue
     /** Live occupancy (committed entries only). */
     unsigned size() const { return committed_; }
 
-    /** Occupancy at the start of the current cycle. */
-    unsigned snapshotSize() const { return snapshotSize_; }
+    /**
+     * Occupancy at the start of the current cycle: the committed
+     * entries plus the ones popped since, as pushes wait for commit().
+     * Between cycles it is size().
+     */
+    unsigned snapshotSize() const { return committed_ + popsThisCycle_; }
 
     /** Live emptiness. */
     bool empty() const { return committed_ == 0; }
@@ -152,7 +151,7 @@ class TaggedQueue
         return token;
     }
 
-    /** Pops performed since the last beginCycle(). */
+    /** Pops performed since the last commit(). */
     unsigned popsThisCycle() const { return popsThisCycle_; }
 
     /**
@@ -203,42 +202,15 @@ class TaggedQueue
     }
 
     /**
-     * After beginCycle(): count one pop of the replayed cycle that just
-     * ended as step() would have left it, snapshot and pop count
-     * included, and mark the channel touched.
+     * End a cycle: make this cycle's pushes visible and drop its pop
+     * count, so the next cycle starts from the occupancy it leaves.
      */
-    void
-    restorePop()
-    {
-        ++snapshotSize_;
-        ++popsThisCycle_;
-        if (log_)
-            log_->touch(channelId_);
-    }
-
-    /** As restorePop(), for one push of that cycle. */
-    void
-    restorePush()
-    {
-        --snapshotSize_;
-        if (log_)
-            log_->touch(channelId_);
-    }
-
-    /** Begin a cycle: record the occupancy snapshot. */
-    void
-    beginCycle()
-    {
-        snapshotSize_ = size();
-        popsThisCycle_ = 0;
-    }
-
-    /** End a cycle: make this cycle's pushes visible. */
     void
     commit()
     {
         committed_ += pending_;
         pending_ = 0;
+        popsThisCycle_ = 0;
     }
 
     /** Immediate push for the functional simulator (no deferral). */
@@ -331,8 +303,7 @@ class TaggedQueue
     unsigned head_ = 0;      ///< Ring index of the committed head.
     unsigned committed_ = 0; ///< Committed (visible) occupancy.
     unsigned pending_ = 0;   ///< Deferred pushes awaiting commit().
-    unsigned snapshotSize_ = 0;
-    unsigned popsThisCycle_ = 0;
+    unsigned popsThisCycle_ = 0; ///< Pops since the last commit().
     unsigned highWater_ = 0; ///< Max committed_ + pending_ ever seen.
     FaultInjector *faults_ = nullptr;
     QueueEventLog *log_ = nullptr;

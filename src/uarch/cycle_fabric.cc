@@ -78,7 +78,7 @@ void
 CycleFabric::traceQueueDepths() const
 {
     // One committed-occupancy sample per channel touched this cycle
-    // (the dirty list was cleared at step entry, so it now holds
+    // (the dirty list is cleared at each cycle's end, so it now holds
     // exactly this cycle's activity).
     for (unsigned ch : events_.dirtyChannels()) {
         trace_->record({now_, kChannelAgent, TraceEventKind::QueueDepth, 0,
@@ -101,13 +101,6 @@ CycleFabric::step()
 {
     if (injector_)
         injector_->beginCycle(now_);
-
-    // Channels touched last cycle take a fresh occupancy snapshot.
-    // Untouched channels already satisfy snapshotSize() == size() and
-    // popsThisCycle() == 0.
-    for (unsigned ch : events_.dirtyChannels())
-        channels_[ch]->beginCycle();
-    events_.clearDirty();
 
     activeBusyPes_ = 0;
     for (std::size_t i = 0; i < activePes_.size();) {
@@ -154,14 +147,16 @@ CycleFabric::endCycle()
     for (auto &port : writePorts_)
         port->step(now_);
 
-    // Only channels touched this cycle can hold pushes to commit (a
-    // pop-only channel's commit() is a no-op).
+    // Only channels touched this cycle have pushes to make visible or
+    // pops to drop; every other channel already stands as commit()
+    // leaves it.
     for (unsigned ch : events_.dirtyChannels())
         channels_[ch]->commit();
 
     // Depth tracks (`cycles` level only).
     if (trace_ && traceLevel_ == TraceLevel::Cycles) [[unlikely]]
         traceQueueDepths();
+    events_.clearDirty();
 
     ++now_;
 }

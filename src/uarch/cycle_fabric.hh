@@ -18,9 +18,11 @@
  *
  * Channel upkeep is proportional to activity: the queues record their
  * pushes and pops in a QueueEventLog, and only channels touched this
- * cycle need a commit at its end, and a new snapshot (beginCycle) at
- * the next cycle's start. Replayed cycles skip that upkeep (their
- * tokens move through the queues' replay operations, sim/queue.hh).
+ * cycle need a commit at its end. A commit ends the channel's cycle,
+ * so no channel state outlives it and the next cycle needs no set-up.
+ * Replayed cycles skip that upkeep (their tokens move through the
+ * queues' replay operations, sim/queue.hh) and leave the channels as
+ * a commit does.
  *
  * The control memo, the fabric's one host-side shortcut: past
  * FabricMemo::kEngageAfter cycles of a run(), run() follows the fabric
@@ -270,8 +272,8 @@ class CycleFabric
 
     /**
      * Channel activity, recorded inline by the queues (see queue.hh).
-     * Dirty channels need a commit at this cycle's end, and a
-     * beginCycle at the next cycle's start.
+     * Dirty channels need a commit at this cycle's end, which ends
+     * their cycle; the list is cleared then.
      */
     QueueEventLog events_;
 

@@ -56,9 +56,8 @@ FabricMemo::packState(std::string &key) const
         putByte(out, kRunning);
         pe->packControl(out);
     }
-    // Occupancy and tags only: a channel that moved last cycle takes
-    // its snapshot and drops its pops when the next cycle starts,
-    // before anything reads them.
+    // Occupancy and tags only: a channel's cycle ends at commit(), so
+    // between cycles its cycle-start view is its occupancy.
     for (const auto &channel : f.channels_) {
         putCount(out, channel->size());
         for (unsigned depth = 0; depth < channel->size(); ++depth)
@@ -214,7 +213,9 @@ FabricMemo::perform(std::uint32_t id, unsigned length)
     CycleFabric &f = fabric_;
     for (unsigned cycle = 0; cycle < length; ++cycle) {
         const Edge &edge = edges_[id];
-        const Action *action = &actions_[edge.firstAction];
+        // data(), not operator[]: a memo whose edges have no actions
+        // yet has an empty, null actions_.
+        const Action *action = actions_.data() + edge.firstAction;
         const Action *ports = action + edge.numActions;
         const Action *end = ports + edge.numPorts;
         // A memory access out of bounds traps where step() would; the
@@ -280,7 +281,6 @@ FabricMemo::account(std::uint32_t ref, RunMarks &marks)
     f.now_ += block.length;
     f.totalRetired_ += block.retired;
     f.events_.addProgress(block.events);
-    lastEdge_ = block.last;
     current_ = edges_[block.last].next;
     // run()'s marks, as its per-cycle checks leave them.
     if (block.lastEvent != 0) {
@@ -425,6 +425,13 @@ FabricMemo::stepRecorded()
     recorded_.clear();
     recordedMask_ = 0;
     recordedBranches_ = 0;
+    portCounts_.clear();
+    for (const auto &port : f.readPorts_) {
+        portCounts_.push_back(port->delivered());
+        portCounts_.push_back(port->accepted());
+    }
+    for (const auto &port : f.writePorts_)
+        portCounts_.push_back(port->writesPerformed());
     const unsigned halted = f.haltedPes_;
     const std::uint64_t steps = f.stepsExecuted_;
     const std::uint64_t retired = f.totalRetired_;
@@ -458,8 +465,6 @@ FabricMemo::stepRecorded()
 
     // What each memory port did, after the PE actions in step() order:
     // a read port delivers, then accepts, then the write ports store.
-    // A port is its channels' only producer or consumer, so their
-    // moves this cycle are its own.
     const std::size_t pe_actions = recorded_.size();
     auto record_port = [&](std::size_t port, PortMove move) {
         Action action;
@@ -467,18 +472,15 @@ FabricMemo::stepRecorded()
         action.flags = move;
         recorded_.push_back(action);
     };
+    const std::uint64_t *before = portCounts_.data();
     for (std::size_t rp = 0; rp < f.readPorts_.size(); ++rp) {
-        const TaggedQueue &data =
-            *f.channels_[f.config_.readPorts[rp].dataChannel];
-        if (data.size() + data.popsThisCycle() != data.snapshotSize())
+        if (f.readPorts_[rp]->delivered() != *before++)
             record_port(rp, kDeliver);
-        if (f.channels_[f.config_.readPorts[rp].addrChannel]
-                ->popsThisCycle() != 0)
+        if (f.readPorts_[rp]->accepted() != *before++)
             record_port(rp, kAccept);
     }
     for (std::size_t wp = 0; wp < f.writePorts_.size(); ++wp) {
-        if (f.channels_[f.config_.writePorts[wp].addrChannel]
-                ->popsThisCycle() != 0)
+        if (f.writePorts_[wp]->writesPerformed() != *before++)
             record_port(wp, kWrite);
     }
 
@@ -595,58 +597,21 @@ FabricMemo::settle()
 }
 
 void
-FabricMemo::restoreChannels()
-{
-    CycleFabric &f = fabric_;
-    for (const auto &channel : f.channels_)
-        channel->beginCycle();
-    f.events_.clearDirty();
-    // The last cycle's moves, each counted back into its channel.
-    const Edge &edge = edges_[lastEdge_];
-    const Action *action = &actions_[edge.firstAction];
-    const Action *ports = action + edge.numActions;
-    const Action *end = ports + edge.numPorts;
-    for (; action != ports; ++action) {
-        const Instruction &inst = *action->inst;
-        if (action->flags & kDecode) {
-            for (const auto q : inst.dequeues)
-                action->pe->inputs_[q]->restorePop();
-        }
-        if ((action->flags & (kWriteback | kToQueue)) ==
-            (kWriteback | kToQueue))
-            action->pe->outputs_[inst.dst.index]->restorePush();
-    }
-    for (; action != end; ++action) {
-        if (action->flags == kWrite) {
-            const WritePortSpec &spec = f.config_.writePorts[action->entry];
-            f.channels_[spec.addrChannel]->restorePop();
-            f.channels_[spec.dataChannel]->restorePop();
-        } else {
-            const ReadPortSpec &spec = f.config_.readPorts[action->entry];
-            if (action->flags == kDeliver)
-                f.channels_[spec.dataChannel]->restorePush();
-            else
-                f.channels_[spec.addrChannel]->restorePop();
-        }
-    }
-}
-
-void
 FabricMemo::materialize()
 {
     if (!stale_)
         return;
     CycleFabric &f = fabric_;
     settle();
-    // The inverse of packState's PE part; channels and ports are live.
-    // The stepping order needs no restore: a cycle in which a PE halts
-    // is never recorded, so no replay changes it.
+    // The inverse of packState's PE part; channels and ports are live,
+    // and a replay leaves each channel as commit() does. The stepping
+    // order needs no restore: a cycle in which a PE halts is never
+    // recorded, so no replay changes it.
     KeyReader key(keyOf(nodes_[current_]));
     for (const auto &pe : f.pes_) {
         if (key.byte() != kHalted)
             pe->unpackControl(key);
     }
-    restoreChannels();
     stale_ = false;
 }
 

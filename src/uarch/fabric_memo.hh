@@ -19,14 +19,15 @@
  *    channel's occupancy and tags, and each read port's held requests
  *    (cycles until due, clamped at 0, and tag). Within one memo the
  *    status bytes fix the PEs' stepping order, since each PE halts
- *    once; and a channel that moved last cycle is snapshotted at the
- *    next cycle's start, before anything reads it.
+ *    once; and a channel's cycle ends at its commit(), so nothing else
+ *    of it carries over to the next cycle.
  *  - An edge is one recorded step(), chosen by the vector of that
  *    cycle's branch bits. It keeps the cycle's data actions in step()
  *    order (operand captures with their dequeues, then writebacks:
  *    ALU and scratchpad work, register writes, enqueues), then what
  *    each memory port did (a read port's delivery and accepted address,
- *    a write port's store), each PE's counter deltas, and run()'s
+ *    a write port's store, read off the ports' move counts), each PE's
+ *    counter deltas, and run()'s
  *    bookkeeping (retirements, steps, queue events, whether any agent
  *    stayed active).
  *  - A superblock is an edge plus its straight successors: while the
@@ -42,16 +43,16 @@
  * run's budget or stop poll, and replaced by the edge alone unless the
  * quiescence window stays open past its end even if none of its cycles
  * is active, so every exit lands on the cycle where the step loop's
- * does. Each cycle first checks its memory
- * ports' addresses, so a cycle that would trap changes nothing and
- * runs through step() instead. The actions move tokens with the channels'
- * replay operations (sim/queue.hh), which keep no snapshot, deferred
- * window or event log. Control fields, counters, issue ids and channel
- * snapshots lag while the memo replays; materialize() settles the
- * counter deltas in bulk, restores the control fields from the current
- * node and puts back the channel snapshots the last replayed cycle
- * leaves. Edges are followed by index; a state is hashed only after a
- * recorded step().
+ * does. Each cycle first checks its memory ports' addresses, so a
+ * cycle that would trap changes nothing and runs through step()
+ * instead. The actions move tokens with the channels' replay
+ * operations (sim/queue.hh), which keep no pop count, deferred window
+ * or event log, and leave each channel as its commit() does: a
+ * channel's cycle ends there, so no channel state needs putting back.
+ * Control fields, counters and issue ids lag while the memo replays;
+ * materialize() settles the counter deltas in bulk and restores the
+ * control fields from the current node. Edges are followed by index; a
+ * state is hashed only after a recorded step().
  *
  * The memo lives and dies with its fabric and is never shared. It is
  * off under a trace sink and a fault injector; the bare step() loop
@@ -313,11 +314,6 @@ class FabricMemo
     void materialize();
     /** Add the pending replays to the counters, issue ids and steps. */
     void settle();
-    /**
-     * Give every channel the snapshot, pop count and dirty mark a bare
-     * step() loop leaves after the last replayed cycle.
-     */
-    void restoreChannels();
 
     CycleFabric &fabric_;
     std::vector<Node> nodes_;
@@ -332,12 +328,13 @@ class FabricMemo
     std::vector<std::uint32_t> unsettled_;
 
     std::uint32_t current_ = kNone; ///< Node the fabric stands at.
-    std::uint32_t lastEdge_ = kNone; ///< Edge of the last replayed cycle.
     bool stale_ = false;            ///< Control fields lag current_.
 
     // The step() being recorded.
     std::vector<PerfCounters> before_; ///< Each PE's counters before it.
     std::vector<std::uint64_t> ids_;   ///< Each PE's nextId_ before it.
+    /** Each port's move counts before it, read ports first. */
+    std::vector<std::uint64_t> portCounts_;
     std::vector<PeDelta> sums_; ///< Scratch per-PE sums, reused.
     std::vector<Action> recorded_;
     std::uint32_t recordedMask_ = 0;

@@ -38,8 +38,7 @@ struct DequeModel
     unsigned capacity;
     std::deque<Token> entries;
     std::deque<Token> pending;
-    unsigned snapshot = 0;
-    unsigned pops = 0;
+    unsigned pops = 0; ///< Pops since the last commit.
     std::uint64_t events = 0; ///< Pushes + pops, as QueueEventLog counts.
 
     bool canPush() const { return entries.size() + pending.size() < capacity; }
@@ -62,18 +61,12 @@ struct DequeModel
     }
 
     void
-    beginCycle()
-    {
-        snapshot = static_cast<unsigned>(entries.size());
-        pops = 0;
-    }
-
-    void
     commit()
     {
         for (const auto &t : pending)
             entries.push_back(t);
         pending.clear();
+        pops = 0;
     }
 
     void
@@ -99,7 +92,7 @@ TEST(RingBufferQueue, MatchesDequeModelUnderRandomOps)
         queue.setEventLog(&log, 7);
 
         for (unsigned op = 0; op < 400; ++op) {
-            switch (pick(6)) {
+            switch (pick(5)) {
               case 0: // deferred push
                 if (model.canPush()) {
                     const Token t{static_cast<Word>(rng()),
@@ -115,14 +108,10 @@ TEST(RingBufferQueue, MatchesDequeModelUnderRandomOps)
                 }
                 break;
               case 2:
-                queue.beginCycle();
-                model.beginCycle();
-                break;
-              case 3:
                 queue.commit();
                 model.commit();
                 break;
-              case 4: // immediate push (functional mode: no pending)
+              case 3: // immediate push (functional mode: no pending)
                 if (model.pending.empty() &&
                     model.entries.size() < capacity) {
                     const Token t{static_cast<Word>(rng()),
@@ -145,8 +134,9 @@ TEST(RingBufferQueue, MatchesDequeModelUnderRandomOps)
             }
             ASSERT_EQ(queue.size(), model.entries.size());
             ASSERT_EQ(queue.empty(), model.entries.empty());
-            ASSERT_EQ(queue.snapshotSize(), model.snapshot);
             ASSERT_EQ(queue.popsThisCycle(), model.pops);
+            ASSERT_EQ(queue.snapshotSize(),
+                      queue.size() + queue.popsThisCycle());
             ASSERT_EQ(queue.pendingPushes(), model.pending.size());
         }
         EXPECT_EQ(log.progressEvents(), model.events);
@@ -357,6 +347,17 @@ struct ChannelObservation
     bool operator==(const ChannelObservation &) const = default;
 };
 
+/** A PE's between-cycle queue view, as the hang diagnosis reads it. */
+struct QueueWaitObservation
+{
+    bool predicateEligible = false;
+    bool canFire = false;
+    std::vector<unsigned> waitInputs;
+    std::vector<unsigned> waitOutputs;
+
+    bool operator==(const QueueWaitObservation &) const = default;
+};
+
 /** Everything observable about a fabric after a run, plus host steps. */
 struct FabricObservation
 {
@@ -367,6 +368,7 @@ struct FabricObservation
     std::vector<std::vector<Word>> regs;
     std::vector<std::uint64_t> preds;
     std::vector<std::vector<Word>> scratchpads;
+    std::vector<QueueWaitObservation> queueWaits;
     std::vector<ChannelObservation> channels;
     /** Per read port, each held request's cycles until due and tag. */
     std::vector<std::vector<std::pair<Cycle, Tag>>> heldRequests;
@@ -390,6 +392,9 @@ observeFabric(const CycleFabric &fabric)
         obs.regs.push_back(fabric.pe(pe).regs());
         obs.preds.push_back(fabric.pe(pe).preds());
         obs.scratchpads.push_back(fabric.pe(pe).scratchpad());
+        const PeWaitInfo waits = fabric.pe(pe).queueWaits();
+        obs.queueWaits.push_back({waits.predicateEligible, waits.canFire,
+                                  waits.waitInputs, waits.waitOutputs});
     }
     for (unsigned ch = 0; ch < fabric.numChannels(); ++ch) {
         const TaggedQueue &queue = fabric.channel(ch);
@@ -578,6 +583,87 @@ TEST(RunAhead, SuperblockExitsLandOnEveryCycle)
                 stepped.step();
             EXPECT_EQ(observeFabric(ran), observeFabric(stepped)) << what;
             EXPECT_EQ(observeFabric(ran), observeFabric(traced)) << what;
+        }
+    }
+}
+
+TEST(RunAhead, PortProgramsAtTinyQuiescenceWindowsMatchPerCycleStep)
+{
+    // Programs that stall behind memory ports, at quiescence windows of
+    // 1 to 8 cycles, where the last cycle before the verdict can move a
+    // token while no agent stays active: the diagnosis reads each PE's
+    // between-cycle queue view, which run() must leave as a bare step()
+    // loop does. "loads then stall" replays its load loop from the memo
+    // before the port backs up behind the response channel it stops
+    // draining; the other two are HangDiagnosis fabrics.
+    const ArchParams params;
+    struct PortProgram
+    {
+        const char *name;
+        Program program;
+        FabricConfig config;
+        bool replays = false; ///< The memo replays its loop.
+    };
+    std::vector<PortProgram> programs;
+    {
+        FabricBuilder builder(params, 1);
+        builder.addReadPort(0, 0, 0);
+        programs.push_back(
+            {"read port behind full response channel",
+             assemble("when %p == XXXXXXXX: mov %o0.0, #3;\n", params),
+             builder.build()});
+    }
+    {
+        FabricBuilder builder(params, 1);
+        builder.addReadPort(0, 0, 0);
+        programs.push_back(
+            {"loads then stall",
+             assemble("when %p == XXXXX000: mov %o0.0, #3; "
+                      "set %p = ZZZZZZ01;\n"
+                      "when %p == XXXXX001 with %i0.0: add %r0, %r0, #1; "
+                      "deq %i0; set %p = ZZZZZZ10;\n"
+                      "when %p == XXXXX010: eq %p2, %r0, #40; "
+                      "set %p = ZZZZZZ00;\n"
+                      "when %p == XXXXX1XX: mov %o0.0, #3;\n",
+                      params),
+             builder.build(), true});
+    }
+    {
+        FabricBuilder builder(params, 1);
+        builder.addWritePort(0, 1, 2);
+        programs.push_back({"write port awaiting data",
+                            assemble("when %p == XXXXXXX0: mov %o1.0, #5;\n"
+                                     "when %p == XXXXXXX1: mov %o2.0, #7;\n",
+                                     params),
+                            builder.build()});
+    }
+    for (const PortProgram &p : programs) {
+        for (const PeConfig &uarch : allConfigs()) {
+            for (Cycle window = 1; window <= 8; ++window) {
+                const std::string what = std::string(p.name) + " / " +
+                                         uarch.name() + " / window " +
+                                         std::to_string(window);
+                const FabricRunOptions options{10'000, window, {}};
+                CycleFabric ran(p.config, p.program, uarch);
+                const RunStatus status = ran.run(options);
+                EXPECT_NE(status, RunStatus::Halted) << what;
+                // A one-cycle window closes inside the first load's wait.
+                if (p.replays && window > 1) {
+                    EXPECT_GT(ran.stepStats().cyclesReplayed, 0u) << what;
+                }
+
+                NullSink sink;
+                CycleFabric traced(p.config, p.program, uarch);
+                traced.setTraceSink(&sink);
+                EXPECT_EQ(traced.run(options), status) << what;
+                EXPECT_EQ(ran.hangReport(), traced.hangReport()) << what;
+                EXPECT_EQ(observeFabric(ran), observeFabric(traced)) << what;
+
+                CycleFabric stepped(p.config, p.program, uarch);
+                while (stepped.now() < ran.now())
+                    stepped.step();
+                EXPECT_EQ(observeFabric(ran), observeFabric(stepped)) << what;
+            }
         }
     }
 }

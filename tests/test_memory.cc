@@ -36,8 +36,6 @@ struct ReadHarness
     void
     cycle()
     {
-        addresses.beginCycle();
-        responses.beginCycle();
         port.step(now);
         addresses.commit();
         responses.commit();
@@ -55,8 +53,6 @@ TEST(MemoryPort, EndToEndLoadLatencyIsFourCycles)
     h.memory.write(7, 1234);
 
     // Cycle t = 0: producer pushes the address (commits at end).
-    h.addresses.beginCycle();
-    h.responses.beginCycle();
     h.addresses.push({7, 0});
     h.port.step(h.now);
     h.addresses.commit();
@@ -83,6 +79,8 @@ TEST(MemoryPort, EchoesRequestTag)
     for (int i = 0; i < 12; ++i)
         h.cycle();
     ASSERT_EQ(h.responses.size(), 2u);
+    EXPECT_EQ(h.port.accepted(), 2u);
+    EXPECT_EQ(h.port.delivered(), 2u);
     EXPECT_EQ(h.responses.pop(), (Token{11, 2}));
     EXPECT_EQ(h.responses.pop(), (Token{22, 1}));
 }
@@ -120,8 +118,6 @@ TEST(MemoryPort, RespectsResponseBackpressure)
     addresses.pushImmediate({1, 0});
     Cycle now = 0;
     auto cycle = [&] {
-        addresses.beginCycle();
-        responses.beginCycle();
         port.step(now++);
         addresses.commit();
         responses.commit();
@@ -152,8 +148,6 @@ TEST(MemoryPort, HoldsAtMostLatencyPlusTwoRequests)
         addresses.pushImmediate({a, 0});
     std::size_t peak = 0;
     for (Cycle now = 0; now < 40; ++now) {
-        addresses.beginCycle();
-        responses.beginCycle();
         port.step(now);
         addresses.commit();
         responses.commit();
@@ -169,7 +163,6 @@ TEST(MemoryPort, HoldsAtMostLatencyPlusTwoRequests)
     EXPECT_TRUE(port.blockedOnResponses());
 
     // Draining one response frees one slot a cycle later.
-    responses.beginCycle();
     EXPECT_EQ(responses.pop().data, 0u);
     EXPECT_TRUE(port.busy());
 }
@@ -182,8 +175,6 @@ TEST(MemoryPort, WritePortPairsAddressAndData)
     MemoryWritePort port(memory, addresses, data);
     Cycle now = 0;
     auto cycle = [&] {
-        addresses.beginCycle();
-        data.beginCycle();
         port.step(now++);
         addresses.commit();
         data.commit();

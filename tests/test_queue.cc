@@ -1,12 +1,13 @@
 /**
  * @file
  * TaggedQueue unit tests: FIFO order, deep peek, capacity enforcement,
- * and the cycle-start snapshot / deferred-push discipline the
- * cycle-accurate fabric relies on.
+ * and the cycle-start occupancy / deferred-push discipline the
+ * cycle-accurate fabric relies on, with commit() ending a cycle.
  */
 
 #include <gtest/gtest.h>
 
+#include "sim/fault.hh"
 #include "sim/queue.hh"
 
 namespace tia {
@@ -42,7 +43,6 @@ TEST(Queue, PeekHeadAndNeck)
 TEST(Queue, DeferredPushesBecomeVisibleAtCommit)
 {
     TaggedQueue q(4);
-    q.beginCycle();
     q.push({42, 0});
     EXPECT_EQ(q.size(), 0u); // not yet visible
     EXPECT_EQ(q.pendingPushes(), 1u);
@@ -57,7 +57,6 @@ TEST(Queue, SnapshotFreezesOccupancyAtCycleStart)
     TaggedQueue q(4);
     q.pushImmediate({1, 0});
     q.pushImmediate({2, 0});
-    q.beginCycle();
     EXPECT_EQ(q.snapshotSize(), 2u);
     q.pop();
     EXPECT_EQ(q.size(), 1u);
@@ -65,29 +64,58 @@ TEST(Queue, SnapshotFreezesOccupancyAtCycleStart)
     q.push({3, 0});
     EXPECT_EQ(q.snapshotSize(), 2u);
     q.commit();
-    q.beginCycle();
     EXPECT_EQ(q.snapshotSize(), 2u); // 1 left + 1 committed
 }
 
-TEST(Queue, PopsThisCycleResetAtBeginCycle)
+TEST(Queue, PopsThisCycleResetAtCommit)
 {
     TaggedQueue q(4);
     q.pushImmediate({1, 0});
     q.pushImmediate({2, 0});
-    q.beginCycle();
     EXPECT_EQ(q.popsThisCycle(), 0u);
     q.pop();
     EXPECT_EQ(q.popsThisCycle(), 1u);
     q.pop();
     EXPECT_EQ(q.popsThisCycle(), 2u);
-    q.beginCycle();
+    q.commit();
     EXPECT_EQ(q.popsThisCycle(), 0u);
+}
+
+TEST(Queue, SnapshotIsCommittedPlusPopsThroughACycle)
+{
+    // Every push is delivered twice, capacity permitting: duplicates
+    // wait in the deferred window like the pushes they copy.
+    FaultInjector injector(FaultPlan::parse("seed=7;dup:ch0@p1"));
+    TaggedQueue q(6);
+    q.setFaultInjector(&injector, 0);
+    auto holds = [&] {
+        EXPECT_EQ(q.snapshotSize(), q.size() + q.popsThisCycle());
+    };
+    q.push({1, 0});
+    holds();
+    EXPECT_EQ(q.pendingPushes(), 2u);
+    EXPECT_EQ(q.snapshotSize(), 0u);
+    q.commit();
+    holds();
+    EXPECT_EQ(q.snapshotSize(), 2u);
+    q.pop();
+    holds();
+    q.push({2, 0});
+    holds();
+    q.pop();
+    holds();
+    EXPECT_EQ(q.snapshotSize(), 2u); // the cycle-start occupancy
+    EXPECT_EQ(q.pendingPushes(), 2u);
+    q.commit();
+    holds();
+    EXPECT_EQ(q.popsThisCycle(), 0u);
+    EXPECT_EQ(q.snapshotSize(), 2u); // 0 left + 2 committed
+    EXPECT_EQ(injector.stats().totalFired(), 2u);
 }
 
 TEST(Queue, CapacityIncludesPendingPushes)
 {
     TaggedQueue q(2);
-    q.beginCycle();
     q.push({1, 0});
     q.push({2, 0});
     // A third push would exceed capacity even though nothing is
@@ -118,7 +146,6 @@ TEST(Queue, RingWraparoundKeepsFifoOrder)
     q.pushImmediate({next_in++, 0});
     q.pushImmediate({next_in++, 0});
     for (int round = 0; round < 50; ++round) {
-        q.beginCycle();
         EXPECT_EQ(q.pop().data, next_out++);
         q.push({next_in++, static_cast<Tag>(next_in % 4)});
         ASSERT_NE(q.peek(0), nullptr);
@@ -138,11 +165,9 @@ TEST(Queue, TotalsCountLifetimeTraffic)
     TaggedQueue q(2);
     QueueEventLog log(4);
     q.setEventLog(&log, 3);
-    q.beginCycle();
     for (int round = 0; round < 5; ++round) {
         q.push({static_cast<Word>(round), 0});
         q.commit();
-        q.beginCycle();
         q.pop();
     }
     EXPECT_EQ(log.progressEvents(), 10u);
