@@ -30,10 +30,7 @@ main()
                 "Mispredicts");
 
     const auto suite = allWorkloads(sizes);
-    bench::BenchCache cache;
-    const CycleMatrix matrix = runCycleMatrix(suite, {config},
-                                              cache.options(),
-                                              bench::benchJobs());
+    const CycleMatrix matrix = runCycleMatrix(suite, {config}, {}, 0);
     double freq_sum = 0.0;
     double acc_sum = 0.0;
     unsigned acc_count = 0;

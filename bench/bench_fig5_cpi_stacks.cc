@@ -31,11 +31,8 @@ main()
 
     // The whole uarch x workload product runs on the parallel sweep
     // loop; the per-config CPI stacks accumulate over the finished
-    // matrix. The matrix is bit-identical for any jobs count (and for
-    // any TIA_BENCH_CACHE state).
-    bench::BenchCache cache;
-    const CycleMatrix matrix = runCycleMatrix(
-        suite, configs, cache.options(), bench::benchJobs());
+    // matrix. The matrix is bit-identical for any jobs count.
+    const CycleMatrix matrix = runCycleMatrix(suite, configs, {}, 0);
     std::vector<CpiStack> stacks(configs.size());
     bool failed = false;
     for (std::size_t c = 0; c < configs.size(); ++c) {

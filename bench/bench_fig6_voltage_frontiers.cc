@@ -27,11 +27,7 @@ main()
     const WorkloadSizes sizes = bench::benchSizes();
     std::printf("Measuring suite-average CPI on all 32 "
                 "microarchitectures...\n");
-    const unsigned jobs = bench::benchJobs();
-    bench::BenchCache cache;
-    const DesignSpace dse(
-        suiteAverageCpiTable(sizes, allConfigs(), jobs,
-                             cache.options()));
+    const DesignSpace dse(suiteAverageCpiTable(sizes, allConfigs(), 0));
     const auto points = dse.enumerate();
 
     double min_e = 1e30, max_e = 0.0, min_d = 1e30, max_d = 0.0;

@@ -30,12 +30,8 @@ main()
                   "0.89 pJ/ins; max density 167.6 mW/mm^2");
 
     const WorkloadSizes sizes = bench::benchSizes();
-    const unsigned jobs = bench::benchJobs();
     std::printf("Measuring suite-average CPI...\n\n");
-    bench::BenchCache cache;
-    const DesignSpace dse(
-        suiteAverageCpiTable(sizes, allConfigs(), jobs,
-                             cache.options()));
+    const DesignSpace dse(suiteAverageCpiTable(sizes, allConfigs(), 0));
     const auto points = dse.enumerate();
     const auto frontier = DesignSpace::paretoFrontier(points);
     std::printf("DSE: %zu points -> %zu Pareto designs\n\n",

@@ -43,10 +43,7 @@ main()
     std::printf("%-14s %-12s %-12s\n", "Benchmark", "Min cycles",
                 "Max cycles");
     const auto configs = allConfigs();
-    bench::BenchCache cache;
-    const CycleMatrix matrix = runCycleMatrix(suite, configs,
-                                              cache.options(),
-                                              bench::benchJobs());
+    const CycleMatrix matrix = runCycleMatrix(suite, configs, {}, 0);
     for (std::size_t w = 0; w < suite.size(); ++w) {
         Cycle min_cycles = ~Cycle{0};
         Cycle max_cycles = 0;

@@ -13,13 +13,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <string>
 
-#include "cache/simcache.hh"
-#include "exec/thread_pool.hh"
-#include "workloads/runner.hh"
 #include "workloads/workload.hh"
 
 namespace tia::bench {
@@ -36,75 +32,6 @@ benchSizes()
         return WorkloadSizes::small();
     return WorkloadSizes::full();
 }
-
-/**
- * Sweep worker threads for bench runs: hardware concurrency by
- * default; set TIA_BENCH_JOBS=N to pin (N=1 forces the serial
- * reference loop). Results are identical either way.
- */
-inline unsigned
-benchJobs()
-{
-    const char *jobs = std::getenv("TIA_BENCH_JOBS");
-    if (jobs != nullptr)
-        return ThreadPool::parseJobs(jobs, "TIA_BENCH_JOBS");
-    return 0; // runCycleMatrix: hardware concurrency
-}
-
-/**
- * Optional result cache for bench runs: set TIA_BENCH_CACHE=PATH to
- * load a persistent warm tier from PATH, memoize every cycle run, and
- * save back on destruction (docs/simcache.md). Unset (the default)
- * disables caching entirely. Lets the fig5/fig6/fig8 drivers — which
- * all sweep the same uarch x workload product — share one warm tier
- * instead of each re-simulating it.
- */
-class BenchCache
-{
-  public:
-    BenchCache()
-    {
-        const char *path = std::getenv("TIA_BENCH_CACHE");
-        if (path == nullptr || *path == '\0')
-            return;
-        path_ = path;
-        cache_.emplace();
-        std::string error;
-        if (!cache_->load(path_, &error) || !error.empty())
-            std::fprintf(stderr, "bench cache: %s\n", error.c_str());
-    }
-
-    ~BenchCache()
-    {
-        if (!cache_)
-            return;
-        std::string error;
-        if (!cache_->save(path_, &error))
-            std::fprintf(stderr, "bench cache: cannot save: %s\n",
-                         error.c_str());
-        std::fprintf(stderr, "bench %s\n",
-                     cache_->statsSummary().c_str());
-    }
-
-    BenchCache(const BenchCache &) = delete;
-    BenchCache &operator=(const BenchCache &) = delete;
-
-    /** nullptr when TIA_BENCH_CACHE is unset. */
-    SimCache *get() { return cache_ ? &*cache_ : nullptr; }
-
-    /** Run options with the cache (if any) installed. */
-    CycleRunOptions
-    options()
-    {
-        CycleRunOptions run_options;
-        run_options.cache = get();
-        return run_options;
-    }
-
-  private:
-    std::string path_;
-    std::optional<SimCache> cache_;
-};
 
 #ifdef BENCHMARK_BENCHMARK_H_
 

@@ -118,7 +118,6 @@ CycleFabric::stepPe(unsigned index)
     const std::uint64_t retired_before = pe.counters().retired;
     pe.step();
     totalRetired_ += pe.counters().retired - retired_before;
-    ++stepsExecuted_;
 }
 
 [[gnu::always_inline]] inline bool
@@ -129,7 +128,6 @@ CycleFabric::settleActivePe(std::size_t i)
     // one consumer).
     const PipelinedPe &pe = *pes_[activePes_[i]];
     if (pe.halted()) {
-        ++haltedPes_;
         activePes_[i] = activePes_.back();
         activePes_.pop_back();
         return false;
@@ -225,7 +223,7 @@ CycleFabric::run(const FabricRunOptions &options)
             }
             next_stop_check = now_ + kStopCheckInterval;
         }
-        if (haltedPes_ == pes_.size()) {
+        if (activePes_.empty()) {
             leave_memo();
             report_ = HangReport{};
             report_.classification = RunStatus::Halted;

@@ -60,7 +60,10 @@ namespace tia {
  *  the clock). */
 constexpr Cycle kStopCheckInterval = 4096;
 
-/** Knobs for CycleFabric::run (previously hard-coded defaults). */
+/**
+ * Knobs for CycleFabric::run; every field has a default, so a call
+ * names only the leading ones it sets, as in run({max, window}).
+ */
 struct FabricRunOptions
 {
     /** Simulation budget in cycles (core/types.hh, shared default). */
@@ -78,7 +81,7 @@ struct FabricRunOptions
      * reason, instead of running out the cycle budget. A detached
      * token (the default) costs nothing on the hot path.
      */
-    StopToken stop;
+    StopToken stop = {};
 };
 
 /** Host-side execution statistics (see tools/tia_sim --stats). */
@@ -128,18 +131,7 @@ class CycleFabric
      * of activity without observable progress upgrades StepLimit to
      * Livelock. hangReport() carries the full diagnosis.
      */
-    RunStatus run(const FabricRunOptions &options);
-
-    /** Convenience overload with the historical signature. */
-    RunStatus
-    run(Cycle max_cycles = kDefaultMaxCycles,
-        Cycle quiescence_window = kDefaultQuiescenceWindow)
-    {
-        FabricRunOptions options;
-        options.maxCycles = max_cycles;
-        options.quiescenceWindow = quiescence_window;
-        return run(options);
-    }
+    RunStatus run(const FabricRunOptions &options = {});
 
     /** Diagnosis of how the last run() ended. */
     const HangReport &hangReport() const { return report_; }
@@ -211,12 +203,17 @@ class CycleFabric
         return witness;
     }
 
-    /** Host-side step accounting. */
+    /**
+     * Host-side step accounting. Each PE counts its own steps (one
+     * cycle each), so the executed steps are their sum.
+     */
     FabricStepStats
     stepStats() const
     {
-        return {stepsExecuted_, stepsReplayed_, cyclesReplayed_,
-                replayLookups_};
+        std::uint64_t executed = 0;
+        for (const auto &pe : pes_)
+            executed += pe->counters().cycles;
+        return {executed, stepsReplayed_, cyclesReplayed_, replayLookups_};
     }
 
   private:
@@ -234,7 +231,7 @@ class CycleFabric
      */
     HangReport diagnoseQuiescence() const;
 
-    /** Step PE @p index once, with retire and step accounting. */
+    /** Step PE @p index once, with retire accounting. */
     void stepPe(unsigned index);
 
     /**
@@ -279,11 +276,9 @@ class CycleFabric
 
     // Incremental run() accounting.
     std::uint64_t totalRetired_ = 0; ///< Sum of per-PE retired.
-    unsigned haltedPes_ = 0;
     unsigned activeBusyPes_ = 0;       ///< Busy PEs after the last step.
 
     // Host-side statistics.
-    std::uint64_t stepsExecuted_ = 0;
     std::uint64_t stepsReplayed_ = 0;
     std::uint64_t cyclesReplayed_ = 0;
     std::uint64_t replayLookups_ = 0;

@@ -120,7 +120,6 @@ FabricMemo::resume()
 {
     packState(key_);
     current_ = findOrAdd(key_);
-    stale_ = false;
 }
 
 [[gnu::always_inline]] inline std::uint32_t
@@ -175,7 +174,6 @@ FabricMemo::buildSuperblock(std::uint32_t id)
             for (std::size_t c = 0; c < kCounters.size(); ++c)
                 sum.counts[c] += delta.counts[c];
         }
-        block.steps += cycle.steps;
         block.retired += cycle.retired;
         block.events += cycle.events;
         ++block.length;
@@ -320,7 +318,6 @@ FabricMemo::replay(Cycle limit, Cycle window, RunMarks &marks)
         const unsigned done = perform(id, length);
         if (done == 0)
             return false;
-        stale_ = true;
         ++f.replayLookups_;
         const Superblock &block = superblock(ref);
         if (done == block.length) {
@@ -432,8 +429,7 @@ FabricMemo::stepRecorded()
     }
     for (const auto &port : f.writePorts_)
         portCounts_.push_back(port->writesPerformed());
-    const unsigned halted = f.haltedPes_;
-    const std::uint64_t steps = f.stepsExecuted_;
+    const std::size_t active = f.activePes_.size();
     const std::uint64_t retired = f.totalRetired_;
     const std::uint64_t events = f.events_.progressEvents();
 
@@ -459,7 +455,7 @@ FabricMemo::stepRecorded()
     packState(key_);
     current_ = findOrAdd(key_);
     // A halt happens once per PE, so its cycle is never replayed.
-    if (current_ == kNone || f.haltedPes_ != halted ||
+    if (current_ == kNone || f.activePes_.size() != active ||
         recordedBranches_ > kMaxBranches)
         return;
 
@@ -513,7 +509,6 @@ FabricMemo::stepRecorded()
     }
     alone.numDeltas =
         static_cast<std::uint16_t>(deltas_.size() - alone.firstDelta);
-    alone.steps = static_cast<std::uint32_t>(f.stepsExecuted_ - steps);
     alone.retired = static_cast<std::uint32_t>(f.totalRetired_ - retired);
     alone.events =
         static_cast<std::uint32_t>(f.events_.progressEvents() - events);
@@ -587,9 +582,9 @@ FabricMemo::settle()
             for (std::size_t c = 0; c < kCounters.size(); ++c)
                 pe.counters_.*kCounters[c] += block.pending * delta.counts[c];
             pe.nextId_ += block.pending * delta.issued;
+            static_assert(kCounters[0] == &PerfCounters::cycles);
+            f.stepsReplayed_ += block.pending * delta.counts[0];
         }
-        f.stepsExecuted_ += block.pending * block.steps;
-        f.stepsReplayed_ += block.pending * block.steps;
         f.cyclesReplayed_ += block.pending * block.length;
         block.pending = 0;
     }
@@ -599,7 +594,7 @@ FabricMemo::settle()
 void
 FabricMemo::materialize()
 {
-    if (!stale_)
+    if (unsettled_.empty())
         return;
     CycleFabric &f = fabric_;
     settle();
@@ -612,7 +607,6 @@ FabricMemo::materialize()
         if (key.byte() != kHalted)
             pe->unpackControl(key);
     }
-    stale_ = false;
 }
 
 } // namespace tia

@@ -28,8 +28,8 @@
  *    each memory port did (a read port's delivery and accepted address,
  *    a write port's store, read off the ports' move counts), each PE's
  *    counter deltas, and run()'s
- *    bookkeeping (retirements, steps, queue events, whether any agent
- *    stayed active).
+ *    bookkeeping (retirements, queue events, whether any agent stayed
+ *    active).
  *  - A superblock is an edge plus its straight successors: while the
  *    next node is straight (no checks, so exactly one edge), its edge
  *    follows, up to kSuperblockCap cycles. Its figures are summed over
@@ -226,8 +226,7 @@ class FabricMemo
         std::uint64_t pending = 0;
         std::uint32_t last = 0; ///< Edge of its last cycle.
         std::uint32_t firstDelta = 0;
-        std::uint32_t steps = 0;   ///< PE steps its cycles executed.
-        std::uint32_t retired = 0; ///< Instructions they retired.
+        std::uint32_t retired = 0; ///< Instructions its cycles retired.
         std::uint32_t events = 0;  ///< Queue events (pushes and pops).
         std::uint16_t numDeltas = 0;
         std::uint16_t length = 1; ///< Cycles.
@@ -309,10 +308,15 @@ class FabricMemo
     /**
      * Make the fabric's control fields and counters exact: settle the
      * replayed counter deltas and restore the current state's control
-     * fields. A no-op unless a replay ran since the last call.
+     * fields. A no-op unless a replay ran since the last call (the
+     * control fields lag current_ exactly while some superblock is
+     * unsettled).
      */
     void materialize();
-    /** Add the pending replays to the counters, issue ids and steps. */
+    /**
+     * Add the pending replays to the counters, issue ids and replay
+     * statistics; a PE steps once per cycle it counts.
+     */
     void settle();
 
     CycleFabric &fabric_;
@@ -328,7 +332,6 @@ class FabricMemo
     std::vector<std::uint32_t> unsettled_;
 
     std::uint32_t current_ = kNone; ///< Node the fabric stands at.
-    bool stale_ = false;            ///< Control fields lag current_.
 
     // The step() being recorded.
     std::vector<PerfCounters> before_; ///< Each PE's counters before it.

@@ -1,6 +1,5 @@
 #include "uarch/pipelined_pe.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "core/logging.hh"
@@ -101,8 +100,7 @@ PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
       program_(checkedProgram(params, config, std::move(program))),
       regs_(params.numRegs, 0), scratchpad_(params.scratchpadWords, 0),
       pendingDeq_(params.numInputQueues, 0),
-      pendingEnq_(params.numOutputQueues, 0),
-      pendingPredWrites_(params.numPreds, 0), predictor_(params.numPreds),
+      pendingEnq_(params.numOutputQueues, 0), predictor_(params.numPreds),
       inputs_(params.numInputQueues, nullptr),
       outputs_(params.numOutputQueues, nullptr)
 {}
@@ -255,13 +253,13 @@ PipelinedPe::doDecode(InFlight &entry)
 }
 
 void
-PipelinedPe::flushSpeculative()
+PipelinedPe::flushYounger()
 {
-    for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
+    const std::uint8_t younger =
+        occupied_ & static_cast<std::uint8_t>(~(1u << lastSeg_));
+    for (std::uint8_t rest = younger; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
         const InFlight &entry = slot(s);
-        if (!entry.speculative())
-            continue;
         const Instruction &inst = *entry.inst;
         panicIf(inst.hasPreRetirementSideEffect(),
                 "a side-effecting instruction was issued speculatively");
@@ -274,8 +272,8 @@ PipelinedPe::flushSpeculative()
         if (trace_) [[unlikely]]
             trace(TraceEventKind::Quash, 0,
                   static_cast<std::uint16_t>(entry.index), entry.id);
-        occupied_ &= static_cast<std::uint8_t>(~(1u << s));
     }
+    occupied_ &= static_cast<std::uint8_t>(~younger);
 }
 
 void
@@ -283,8 +281,6 @@ PipelinedPe::doWriteback(InFlight &entry)
 {
     const Instruction &inst = *entry.inst;
     panicIf(!entry.didD, "writeback before decode");
-    panicIf(entry.speculative(),
-            "a speculative instruction reached writeback unresolved");
 
     const Word a = entry.operands[0];
     const Word b = entry.operands[1];
@@ -328,9 +324,9 @@ PipelinedPe::doWriteback(InFlight &entry)
         const std::uint64_t bit = std::uint64_t{1} << inst.dst.index;
         ++counters_.predicateWrites;
         if (entry.isPredictor) {
-            panicIf(specContexts_.empty() ||
-                        specContexts_.front().id != entry.id,
-                    "predictor retired outside its speculation window");
+            // The oldest in flight, so every other entry was issued
+            // under this prediction.
+            entry.isPredictor = false;
             predictor_.train(inst.dst.index, actual);
             if (trace_) [[unlikely]] {
                 const bool mispredicted = actual != entry.predictedValue;
@@ -339,26 +335,14 @@ PipelinedPe::doWriteback(InFlight &entry)
                       (actual ? 1u : 0u) | (mispredicted ? 2u : 0u) |
                           (mispredicted && entry.faultFlipped ? 4u : 0u));
             }
-            if (actual == entry.predictedValue) {
-                // Confirmed: this (oldest) context retires; everything
-                // issued under it sheds one speculation level.
-                specContexts_.erase(specContexts_.begin());
-                for (std::uint8_t rest = occupied_; rest != 0;
-                     rest &= rest - 1) {
-                    InFlight &younger = slot(std::countr_zero(rest));
-                    if (younger.specLevel > 0)
-                        --younger.specLevel;
-                }
-            } else {
+            if (actual != entry.predictedValue) {
                 ++counters_.mispredictions;
                 if (entry.faultFlipped)
                     ++counters_.faultRecoveries;
                 // Everything younger — including any nested
-                // predictions and their contexts — is wrong-path.
-                preds_ = specContexts_.front().fallbackPreds;
-                preds_ = (preds_ & ~bit) | (actual ? bit : 0);
-                flushSpeculative();
-                specContexts_.clear();
+                // predictions — is wrong-path.
+                preds_ = (entry.fallbackPreds & ~bit) | (actual ? bit : 0);
+                flushYounger();
                 // The squash also claims this cycle's issue slot: the
                 // restored predicate state only steers the front end
                 // from the next cycle on.
@@ -387,18 +371,18 @@ PipelinedPe::doWriteback(InFlight &entry)
 }
 
 [[gnu::always_inline]] inline ScheduleResult
-PipelinedPe::resolveTriggers()
+PipelinedPe::resolveTriggers(std::uint64_t pending_preds)
 {
     const bool effective = config_.effectiveQueueStatus;
     const ScheduleResult result =
-        schedule(program_, preds_, pendingPredMask_,
+        schedule(program_, preds_, pending_preds,
                  CycleQueueView(*this, effective));
     // The +Q witness: where the two views can disagree, resolve again
     // under the effective view.
     if (!effective && !witness_.effectiveQueueStatus &&
         queueViewsMayDiffer()) [[unlikely]] {
         const ScheduleResult other =
-            schedule(program_, preds_, pendingPredMask_,
+            schedule(program_, preds_, pending_preds,
                      CycleQueueView(*this, true));
         witness_.effectiveQueueStatus =
             other.outcome != result.outcome || other.index != result.index;
@@ -415,7 +399,24 @@ PipelinedPe::issue()
             trace(TraceEventKind::Quash, kQuashIssueSlot);
         return;
     }
-    if (haltIssued_) {
+    // Read off the entries in flight: a halt draining, the predicate
+    // bits unpredicted writers will write, and the predictions still
+    // unresolved. This PE predicts every predicate writer or none; an
+    // entry that wrote back this cycle is still in flight here, as its
+    // predicate write lands only at the clock edge.
+    const bool predict = config_.predictPredicates && lastSeg_ > 0;
+    bool halt_in_flight = false;
+    std::uint64_t pending_preds = 0;
+    unsigned predictions = 0;
+    for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
+        const InFlight &entry = slot(std::countr_zero(rest));
+        const Instruction &inst = *entry.inst;
+        halt_in_flight = halt_in_flight || opInfo(inst.op).isHalt;
+        if (inst.writesPredicate() && !predict)
+            pending_preds |= std::uint64_t{1} << inst.dst.index;
+        predictions += entry.isPredictor ? 1u : 0u;
+    }
+    if (halt_in_flight) {
         // Scheduler is off while the halt drains.
         ++counters_.noTrigger;
         if (trace_) [[unlikely]]
@@ -431,7 +432,7 @@ PipelinedPe::issue()
         return;
     }
 
-    const ScheduleResult result = resolveTriggers();
+    const ScheduleResult result = resolveTriggers(pending_preds);
     if (result.outcome == ScheduleOutcome::BlockedOnPredicate) {
         ++counters_.predicateHazard;
         if (trace_) [[unlikely]]
@@ -446,13 +447,12 @@ PipelinedPe::issue()
     }
 
     const Instruction &inst = program_[result.index];
-    if (specActive()) {
+    if (predictions > 0) {
         // During unconfirmed speculation, pre-retirement side effects
         // are always barred; a further prediction is barred unless
-        // nested speculation (+N) is on and a context slot remains.
-        const bool nested_ok =
-            config_.nestedSpeculation &&
-            specContexts_.size() < kMaxNestedSpeculation;
+        // nested speculation (+N) is on and below its limit.
+        const bool nested_ok = config_.nestedSpeculation &&
+                               predictions < kMaxNestedSpeculation;
         if (inst.hasPreRetirementSideEffect() || opInfo(inst.op).isHalt ||
             (inst.writesPredicate() && !nested_ok)) {
             ++counters_.forbidden;
@@ -473,18 +473,14 @@ PipelinedPe::issue()
     entry.inst = &inst;
     entry.index = result.index;
     entry.id = nextId_++;
-    entry.specLevel = static_cast<unsigned>(specContexts_.size());
     if (trace_) [[unlikely]]
-        trace(TraceEventKind::Issue,
-              static_cast<std::uint8_t>(entry.specLevel),
+        trace(TraceEventKind::Issue, static_cast<std::uint8_t>(predictions),
               static_cast<std::uint16_t>(entry.index), entry.id);
 
     // Trigger-time predicate update applies at issue.
     preds_ = (preds_ | inst.predSet) & ~inst.predClear;
 
     if (inst.writesPredicate()) {
-        const bool predict =
-            config_.predictPredicates && lastSeg_ > 0;
         if (predict) {
             entry.isPredictor = true;
             bool predicted = predictor_.predict(inst.dst.index);
@@ -494,7 +490,7 @@ PipelinedPe::issue()
                 ++counters_.faultsInjected;
             }
             entry.predictedValue = predicted;
-            specContexts_.push_back({entry.id, preds_});
+            entry.fallbackPreds = preds_;
             const std::uint64_t bit = std::uint64_t{1} << inst.dst.index;
             preds_ = (preds_ & ~bit) | (predicted ? bit : 0);
             ++counters_.predictions;
@@ -507,8 +503,6 @@ PipelinedPe::issue()
             // The one decision +P takes: a writer entering a pipeline.
             witness_.predictPredicates =
                 witness_.predictPredicates || lastSeg_ > 0;
-            ++pendingPredWrites_[inst.dst.index];
-            pendingPredMask_ |= std::uint64_t{1} << inst.dst.index;
         }
     }
 
@@ -516,8 +510,6 @@ PipelinedPe::issue()
         ++pendingDeq_[q];
     if (inst.enqueues())
         ++pendingEnq_[inst.dst.index];
-    if (opInfo(inst.op).isHalt)
-        haltIssued_ = true;
 
     // Segment-0 work happens in the issue cycle.
     if (segD_ == 0) {
@@ -596,10 +588,6 @@ PipelinedPe::step()
         const std::uint64_t bit = std::uint64_t{1}
                                   << pendingPredCommit_->index;
         preds_ = (preds_ & ~bit) | (pendingPredCommit_->value ? bit : 0);
-        panicIf(pendingPredWrites_[pendingPredCommit_->index] == 0,
-                "predicate-write accounting underflow");
-        if (--pendingPredWrites_[pendingPredCommit_->index] == 0)
-            pendingPredMask_ &= ~bit;
         pendingPredCommit_.reset();
     }
     squashIssueThisCycle_ = false;
@@ -613,10 +601,8 @@ std::size_t
 PipelinedPe::controlKeyBytes() const
 {
     const std::size_t pred_bytes = (params_.numPreds + 7) / 8;
-    return 2 + 4 * entries_.size() + 2 * pred_bytes + params_.numPreds +
-           predictor_.size() + 1 +
-           kMaxNestedSpeculation * (1 + pred_bytes) + pendingDeq_.size() +
-           pendingEnq_.size();
+    return 1 + (4 + pred_bytes) * entries_.size() + pred_bytes +
+           predictor_.size() + pendingDeq_.size() + pendingEnq_.size();
 }
 
 void
@@ -626,30 +612,25 @@ PipelinedPe::packControl(char *&out) const
                 squashIssueThisCycle_,
             "control memo: control state packed mid-cycle");
     const unsigned pred_bytes = (params_.numPreds + 7) / 8;
+    // The entries imply the rest of the pipeline's state: a halt in
+    // flight, the pending predicate writes, and each entry's
+    // speculation depth (its older predictors).
     putByte(out, occupied_);
-    putByte(out, haltIssued_ ? 1u : 0u);
     for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
         const InFlight &entry = slot(s);
         putByte(out, stage_[s]);
         putByte(out, entry.index);
         putByte(out, nextId_ - entry.id);
-        putByte(out, entry.specLevel | (entry.didD ? 4u : 0u) |
-                         (entry.isPredictor ? 8u : 0u) |
-                         (entry.predictedValue ? 16u : 0u) |
-                         (entry.faultFlipped ? 32u : 0u));
+        putByte(out, (entry.didD ? 1u : 0u) | (entry.isPredictor ? 2u : 0u) |
+                         (entry.predictedValue ? 4u : 0u) |
+                         (entry.faultFlipped ? 8u : 0u));
+        if (entry.isPredictor)
+            putBytes(out, entry.fallbackPreds, pred_bytes);
     }
     putBytes(out, preds_, pred_bytes);
-    putBytes(out, pendingPredMask_, pred_bytes);
-    for (std::uint64_t rest = pendingPredMask_; rest != 0; rest &= rest - 1)
-        putByte(out, pendingPredWrites_[std::countr_zero(rest)]);
     for (unsigned p = 0; p < predictor_.size(); ++p)
         putByte(out, predictor_.counter(p));
-    putByte(out, specContexts_.size());
-    for (const SpecContext &context : specContexts_) {
-        putByte(out, nextId_ - context.id);
-        putBytes(out, context.fallbackPreds, pred_bytes);
-    }
     for (const unsigned pending : pendingDeq_)
         putByte(out, pending);
     for (const unsigned pending : pendingEnq_)
@@ -662,7 +643,6 @@ PipelinedPe::unpackControl(KeyReader &key)
     // The exact inverse of packControl; operands are data and stay.
     const unsigned pred_bytes = (params_.numPreds + 7) / 8;
     occupied_ = key.byte();
-    haltIssued_ = key.byte() != 0;
     for (std::uint8_t rest = occupied_; rest != 0; rest &= rest - 1) {
         const unsigned s = static_cast<unsigned>(std::countr_zero(rest));
         stage_[s] = key.byte();
@@ -671,24 +651,16 @@ PipelinedPe::unpackControl(KeyReader &key)
         entry.inst = &program_[entry.index];
         entry.id = nextId_ - key.byte();
         const std::uint8_t bits = key.byte();
-        entry.specLevel = bits & 3u;
-        entry.didD = (bits & 4u) != 0;
-        entry.isPredictor = (bits & 8u) != 0;
-        entry.predictedValue = (bits & 16u) != 0;
-        entry.faultFlipped = (bits & 32u) != 0;
+        entry.didD = (bits & 1u) != 0;
+        entry.isPredictor = (bits & 2u) != 0;
+        entry.predictedValue = (bits & 4u) != 0;
+        entry.faultFlipped = (bits & 8u) != 0;
+        if (entry.isPredictor)
+            entry.fallbackPreds = key.bytes(pred_bytes);
     }
     preds_ = key.bytes(pred_bytes);
-    pendingPredMask_ = key.bytes(pred_bytes);
-    std::fill(pendingPredWrites_.begin(), pendingPredWrites_.end(), 0u);
-    for (std::uint64_t rest = pendingPredMask_; rest != 0; rest &= rest - 1)
-        pendingPredWrites_[std::countr_zero(rest)] = key.byte();
     for (unsigned p = 0; p < predictor_.size(); ++p)
         predictor_.setCounter(p, key.byte());
-    specContexts_.resize(key.byte());
-    for (SpecContext &context : specContexts_) {
-        context.id = nextId_ - key.byte();
-        context.fallbackPreds = key.bytes(pred_bytes);
-    }
     for (unsigned &pending : pendingDeq_)
         pending = key.byte();
     for (unsigned &pending : pendingEnq_)

@@ -10,11 +10,11 @@
  *    whenever the highest-priority possibly-eligible trigger depends on
  *    a pending predicate bit.
  *  - With +P, a two-bit-counter prediction resolves the bit at issue;
- *    nested speculation is not supported, and instructions with
+ *    nested speculation is off unless +N, and instructions with
  *    pre-retirement side effects (dequeues, scratchpad stores, halt)
- *    are forbidden while speculation is unconfirmed. Misprediction
- *    flushes the younger in-flight instructions and restores the saved
- *    predicate state.
+ *    are forbidden while a prediction is unresolved. Misprediction
+ *    flushes the younger in-flight instructions and restores the
+ *    predicate state the predictor saved.
  *  - Without +Q, queues with in-flight dequeues are conservatively
  *    treated as empty and queues with in-flight enqueues as full (the
  *    RAW-style discipline cited in Section 5.3). With +Q, the scheduler
@@ -37,7 +37,12 @@
  *
  * In-flight entries stay where issue put them (a slot ring); a
  * stage-to-entry map says which entry each segment holds, so advancing
- * a stage moves a one-byte index, not the entry.
+ * a stage moves a one-byte index, not the entry. The entries are the
+ * pipeline's one record: issue() reads off them whether a halt is
+ * draining, which predicate bits unpredicted writers will write, and
+ * how many predictions are unresolved (each predictor entry keeps the
+ * predicate state to restore), as the paper's trigger stage reads its
+ * hazards off the pipeline registers.
  *
  * Control (trigger resolution, hazards, issue, prediction, flush) reads
  * only control state, queue status and the one datapath predicate
@@ -95,6 +100,8 @@ struct PeWaitInfo
         return predicateEligible && !canFire &&
                (!waitInputs.empty() || !waitOutputs.empty());
     }
+
+    bool operator==(const PeWaitInfo &) const = default;
 };
 
 /**
@@ -211,19 +218,14 @@ class PipelinedPe
         const Instruction *inst = nullptr;
         unsigned index = 0;       ///< Instruction-store index.
         std::uint64_t id = 0;     ///< Issue order id.
-        /**
-         * Number of unconfirmed speculation contexts this instruction
-         * was issued under (0 = non-speculative). With nested
-         * speculation off this is at most 1.
-         */
-        unsigned specLevel = 0;
-        bool isPredictor = false; ///< Carries one of the predictions.
+        /** Carries a prediction not yet resolved (cleared at resolve). */
+        bool isPredictor = false;
         bool predictedValue = false;
         bool faultFlipped = false; ///< Prediction inverted by injection.
         bool didD = false;        ///< Operand capture / dequeue done.
+        /** A predictor's predicate state to restore on mispredict. */
+        std::uint64_t fallbackPreds = 0;
         std::array<Word, 2> operands = {0, 0};
-
-        bool speculative() const { return specLevel > 0; }
     };
 
     /**
@@ -257,9 +259,11 @@ class PipelinedPe
      * Trigger resolution, afresh every cycle like the paper's
      * combinational priority encoder: schedule() on this cycle's view,
      * and while the +Q witness is unset, a second schedule() on the
-     * effective view where the two views can disagree.
+     * effective view where the two views can disagree. Bit p of
+     * @p pending_preds is set while an unpredicted write of p is in
+     * flight.
      */
-    ScheduleResult resolveTriggers();
+    ScheduleResult resolveTriggers(std::uint64_t pending_preds);
 
     /** The entry in flight in segment @p s (occupied_ bit s set). */
     InFlight &slot(unsigned s) { return entries_[stage_[s]]; }
@@ -283,8 +287,11 @@ class PipelinedPe
     /** Issue logic for this cycle (T-phase work + attribution). */
     void issue();
 
-    /** Flush all speculative in-flight instructions. */
-    void flushSpeculative();
+    /**
+     * Flush every in-flight instruction but the mispredicted predictor
+     * in the writeback segment: all were issued under it.
+     */
+    void flushYounger();
 
     Word readSource(const Source &src, Word imm) const;
 
@@ -330,29 +337,15 @@ class PipelinedPe
      */
     std::uint8_t occupied_ = 0;
     std::uint64_t nextId_ = 1;
-    bool haltIssued_ = false;
 
     // Hazard accounting.
     std::vector<unsigned> pendingDeq_; ///< Per input queue.
     std::vector<unsigned> pendingEnq_; ///< Per output queue.
-    std::vector<unsigned> pendingPredWrites_; ///< Per predicate (no +P).
-    /** Bit p set iff pendingPredWrites_[p] > 0 (kept incrementally). */
-    std::uint64_t pendingPredMask_ = 0;
 
-    // Speculation state (+P / +N). Contexts are ordered oldest first;
-    // in-order execution guarantees they resolve front to back.
-    struct SpecContext
-    {
-        std::uint64_t id;            ///< Predicting instruction.
-        std::uint64_t fallbackPreds; ///< State to restore on mispredict.
-    };
     PredicatePredictor predictor_;
-    std::vector<SpecContext> specContexts_;
 
     /** Maximum simultaneous predictions with nested speculation. */
     static constexpr unsigned kMaxNestedSpeculation = 3;
-
-    bool specActive() const { return !specContexts_.empty(); }
 
     /**
      * A datapath predicate write lands at the end of its writeback

@@ -34,21 +34,19 @@ cpiTableOf(const CycleMatrix &matrix, const std::vector<Workload> &workloads,
 
 CpiTable
 measureCpiTable(const WorkloadSizes &sizes,
-                const std::vector<PeConfig> &configs, unsigned jobs,
-                const CycleRunOptions &options)
+                const std::vector<PeConfig> &configs, unsigned jobs)
 {
     const std::vector<Workload> bst = {makeBst(sizes)};
-    return cpiTableOf(runCycleMatrix(bst, configs, options, jobs), bst,
+    return cpiTableOf(runCycleMatrix(bst, configs, {}, jobs), bst,
                       configs, false);
 }
 
 CpiTable
 suiteAverageCpiTable(const WorkloadSizes &sizes,
-                     const std::vector<PeConfig> &configs, unsigned jobs,
-                     const CycleRunOptions &options)
+                     const std::vector<PeConfig> &configs, unsigned jobs)
 {
     const auto suite = allWorkloads(sizes);
-    return cpiTableOf(runCycleMatrix(suite, configs, options, jobs), suite,
+    return cpiTableOf(runCycleMatrix(suite, configs, {}, jobs), suite,
                       configs, true);
 }
 

@@ -36,22 +36,17 @@ CpiTable cpiTableOf(const CycleMatrix &matrix,
  * Worker-PE CPI of bst on each of @p configs.
  * @param jobs sweep worker threads (0 = hardware concurrency,
  *             1 = serial); any value yields identical tables.
- * @param options run options forwarded to every cell — in particular
- *                CycleRunOptions::cache, so DSE seeding and the bench
- *                drivers can reuse memoized runs.
  */
 CpiTable measureCpiTable(const WorkloadSizes &sizes,
                          const std::vector<PeConfig> &configs =
                              allConfigs(),
-                         unsigned jobs = 1,
-                         const CycleRunOptions &options = {});
+                         unsigned jobs = 1);
 
 /** Worker-PE CPI averaged over the full suite (ablation support). */
 CpiTable suiteAverageCpiTable(const WorkloadSizes &sizes,
                               const std::vector<PeConfig> &configs =
                                   allConfigs(),
-                              unsigned jobs = 1,
-                              const CycleRunOptions &options = {});
+                              unsigned jobs = 1);
 
 } // namespace tia
 

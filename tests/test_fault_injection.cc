@@ -106,7 +106,7 @@ pairProgram()
 TEST(FaultInjection, CleanPairRunHalts)
 {
     CycleFabric fabric(pairConfig(), pairProgram(), kUarch);
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Halted);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Halted);
     EXPECT_EQ(fabric.pe(1).regs()[0], 15u);
 }
 
@@ -117,7 +117,7 @@ TEST(FaultInjection, DropStarvesTheConsumer)
 
     // Every push is dropped: the producer happily halts, the consumer
     // starves (no wait cycle: the producer is done, not blocked).
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Quiescent);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Quiescent);
     EXPECT_EQ(fabric.pe(1).regs()[0], 0u);
 
     const FaultStats &stats = injector.stats();
@@ -134,7 +134,7 @@ TEST(FaultInjection, DuplicateSkewsTheStream)
 
     // Each push is delivered twice; the consumer still stops after
     // five tokens, so it sums 1,1,2,2,3 = 9 instead of 15.
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Halted);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Halted);
     EXPECT_EQ(fabric.pe(1).regs()[0], 9u);
     EXPECT_EQ(injector.stats().totalFired(), 5u);
 }
@@ -146,7 +146,7 @@ TEST(FaultInjection, CorruptionBreaksTheSum)
     CycleFabric fabric(pairConfig(), pairProgram(), kUarch, &injector);
 
     // Every token arrives XORed with 0x10: 17+18+19+20+21 = 95.
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Halted);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Halted);
     EXPECT_EQ(fabric.pe(1).regs()[0], 95u);
     EXPECT_EQ(injector.stats().totalFired(), 5u);
 }
@@ -159,7 +159,7 @@ TEST(FaultInjection, StuckEmptyStallsTheConsumer)
         FaultPlan::parse("seed=7;stuckempty:ch0@c0+300"));
     CycleFabric fabric(pairConfig(), pairProgram(), kUarch, &injector);
 
-    EXPECT_EQ(fabric.run(1'000'000), RunStatus::Halted);
+    EXPECT_EQ(fabric.run({1'000'000}), RunStatus::Halted);
     EXPECT_EQ(fabric.pe(1).regs()[0], 15u);
     EXPECT_GE(fabric.now(), 300u);
 }
@@ -170,7 +170,7 @@ TEST(FaultInjection, StuckFullStallsTheProducer)
         FaultPlan::parse("seed=7;stuckfull:ch0@c0+300"));
     CycleFabric fabric(pairConfig(), pairProgram(), kUarch, &injector);
 
-    EXPECT_EQ(fabric.run(1'000'000), RunStatus::Halted);
+    EXPECT_EQ(fabric.run({1'000'000}), RunStatus::Halted);
     EXPECT_EQ(fabric.pe(1).regs()[0], 15u);
     EXPECT_GE(fabric.now(), 300u);
 }

@@ -127,7 +127,7 @@ TEST(HangDiagnosis, PingPongDeadlockIsDiagnosedWithChain)
         "when %p == XXXXXXX1: halt;\n");
     CycleFabric fabric(pingPongConfig(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Deadlock);
     // The chain names the blocked PEs and the queues they wait on.
     expectReport(fabric.hangReport(), RunStatus::Deadlock,
                  "deadlock: 4-agent wait cycle through PE 0",
@@ -158,7 +158,7 @@ TEST(HangDiagnosis, WrongTagHeadsDeadlockWithChain)
         "when %p == XXXXXX10: halt;\n");
     CycleFabric fabric(pingPongConfig(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Deadlock);
     EXPECT_EQ(fabric.channel(0).size(), 1u);
     EXPECT_EQ(fabric.channel(1).size(), 1u);
     expectReport(fabric.hangReport(), RunStatus::Deadlock,
@@ -187,7 +187,7 @@ TEST(HangDiagnosis, FullChannelDeadlockIsDrainedByItsConsumer)
     builder.connect(0, 1, 1, 1);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Deadlock);
     expectReport(fabric.hangReport(), RunStatus::Deadlock,
                  "deadlock: 4-agent wait cycle through PE 0",
                  {"PE 0 --[output %o0 full]--> channel 0",
@@ -207,7 +207,7 @@ TEST(HangDiagnosis, UnrequestedReadDataDeadlocksThroughReadPort)
     builder.addReadPort(0, 0, 0);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Deadlock);
     expectReport(fabric.hangReport(), RunStatus::Deadlock,
                  "deadlock: 4-agent wait cycle through PE 0",
                  {"PE 0 --[input %i0 empty or wrong tag]--> channel 1",
@@ -228,7 +228,7 @@ TEST(HangDiagnosis, ReadPortBehindFullResponseChannelDeadlocks)
     builder.addReadPort(0, 0, 0);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Deadlock);
     expectReport(fabric.hangReport(), RunStatus::Deadlock,
                  "deadlock: 4-agent wait cycle through PE 0",
                  {"PE 0 --[output %o0 full]--> channel 0",
@@ -250,7 +250,7 @@ TEST(HangDiagnosis, WritePortAwaitingDataDeadlocks)
     builder.addWritePort(0, 1, 2);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Deadlock);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Deadlock);
     expectReport(fabric.hangReport(), RunStatus::Deadlock,
                  "deadlock: 4-agent wait cycle through PE 0",
                  {"PE 0 --[output %o1 full]--> channel 0",
@@ -276,7 +276,7 @@ TEST(HangDiagnosis, SeededPingPongHalts)
         "when %p == XXXXXXX1: halt;\n");
     CycleFabric fabric(pingPongConfig(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Halted);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Halted);
     EXPECT_EQ(fabric.hangReport().classification, RunStatus::Halted);
     EXPECT_TRUE(fabric.hangReport().waitChain.empty());
     EXPECT_EQ(fabric.pe(0).regs()[0], 2u);
@@ -296,7 +296,7 @@ TEST(HangDiagnosis, StarvationStaysQuiescent)
     builder.connect(1, 0, 0, 0);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Quiescent);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Quiescent);
     const HangReport &report = fabric.hangReport();
     EXPECT_EQ(report.classification, RunStatus::Quiescent);
     EXPECT_TRUE(report.waitChain.empty());
@@ -314,7 +314,7 @@ TEST(HangDiagnosis, PollingLoopIsLivelock)
     FabricBuilder builder(ArchParams{}, 1);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(4000, 500), RunStatus::Livelock);
+    EXPECT_EQ(fabric.run({4000, 500}), RunStatus::Livelock);
     const HangReport &report = fabric.hangReport();
     EXPECT_EQ(report.classification, RunStatus::Livelock);
     EXPECT_NE(report.summary.find("livelock"), std::string::npos);
@@ -330,7 +330,7 @@ TEST(HangDiagnosis, ShortBudgetStaysStepLimit)
     FabricBuilder builder(ArchParams{}, 1);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(100), RunStatus::StepLimit);
+    EXPECT_EQ(fabric.run({100}), RunStatus::StepLimit);
     EXPECT_EQ(fabric.hangReport().classification, RunStatus::StepLimit);
 }
 

@@ -218,7 +218,7 @@ TEST(IdlePeSleep, QuiescentStarvationIdentical)
         const std::string what = "window " + std::to_string(window);
         CycleFabric ran(config, program, tdx);
         const RunObservation obs =
-            observe(ran, ran.run(kDefaultMaxCycles, window));
+            observe(ran, ran.run({kDefaultMaxCycles, window}));
         EXPECT_EQ(obs.status, RunStatus::Quiescent) << what;
         EXPECT_EQ(obs.report.classification, RunStatus::Quiescent) << what;
         EXPECT_EQ(obs.report.summary,
@@ -234,7 +234,7 @@ TEST(IdlePeSleep, QuiescentStarvationIdentical)
         NullSink sink;
         CycleFabric traced(config, program, tdx);
         traced.setTraceSink(&sink);
-        EXPECT_EQ(observe(traced, traced.run(kDefaultMaxCycles, window)),
+        EXPECT_EQ(observe(traced, traced.run({kDefaultMaxCycles, window})),
                   obs)
             << what;
 
@@ -300,7 +300,7 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
         // run stops mid-flight, before the control memo engages.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
-        ASSERT_EQ(fabric.run(50, 10'000), RunStatus::StepLimit);
+        ASSERT_EQ(fabric.run({50, 10'000}), RunStatus::StepLimit);
         expectBucketIntegrity(fabric, "step-limit");
     }
     {
@@ -308,7 +308,7 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
         // the memo replayed cycles.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
-        ASSERT_EQ(fabric.run(200, 10'000), RunStatus::StepLimit);
+        ASSERT_EQ(fabric.run({200, 10'000}), RunStatus::StepLimit);
         expectBucketIntegrity(fabric, "step-limit-200");
     }
     {
@@ -316,7 +316,7 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
         // starve, and the quiescence window trips.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
-        ASSERT_EQ(fabric.run(kDefaultMaxCycles, 100),
+        ASSERT_EQ(fabric.run({kDefaultMaxCycles, 100}),
                   RunStatus::Quiescent);
         EXPECT_TRUE(fabric.pe(workload.workerPe).halted());
         expectBucketIntegrity(fabric, "quiescent");
@@ -347,17 +347,6 @@ struct ChannelObservation
     bool operator==(const ChannelObservation &) const = default;
 };
 
-/** A PE's between-cycle queue view, as the hang diagnosis reads it. */
-struct QueueWaitObservation
-{
-    bool predicateEligible = false;
-    bool canFire = false;
-    std::vector<unsigned> waitInputs;
-    std::vector<unsigned> waitOutputs;
-
-    bool operator==(const QueueWaitObservation &) const = default;
-};
-
 /** Everything observable about a fabric after a run, plus host steps. */
 struct FabricObservation
 {
@@ -368,7 +357,8 @@ struct FabricObservation
     std::vector<std::vector<Word>> regs;
     std::vector<std::uint64_t> preds;
     std::vector<std::vector<Word>> scratchpads;
-    std::vector<QueueWaitObservation> queueWaits;
+    /** Per PE: the between-cycle queue view the hang diagnosis reads. */
+    std::vector<PeWaitInfo> queueWaits;
     std::vector<ChannelObservation> channels;
     /** Per read port, each held request's cycles until due and tag. */
     std::vector<std::vector<std::pair<Cycle, Tag>>> heldRequests;
@@ -392,9 +382,7 @@ observeFabric(const CycleFabric &fabric)
         obs.regs.push_back(fabric.pe(pe).regs());
         obs.preds.push_back(fabric.pe(pe).preds());
         obs.scratchpads.push_back(fabric.pe(pe).scratchpad());
-        const PeWaitInfo waits = fabric.pe(pe).queueWaits();
-        obs.queueWaits.push_back({waits.predicateEligible, waits.canFire,
-                                  waits.waitInputs, waits.waitOutputs});
+        obs.queueWaits.push_back(fabric.pe(pe).queueWaits());
     }
     for (unsigned ch = 0; ch < fabric.numChannels(); ++ch) {
         const TaggedQueue &queue = fabric.channel(ch);
@@ -545,7 +533,7 @@ TEST(RunAhead, SuperblockExitsLandOnEveryCycle)
                 ASSERT_FALSE(allHalted(stepped)) << what;
                 CycleFabric ran(workload.config, workload.program, uarch);
                 workload.preload(ran.memory());
-                EXPECT_EQ(ran.run(k), RunStatus::StepLimit)
+                EXPECT_EQ(ran.run({k}), RunStatus::StepLimit)
                     << what << " / budget " << k;
                 ASSERT_EQ(observeFabric(ran), observeFabric(stepped))
                     << what << " / budget " << k;

@@ -92,7 +92,7 @@ TEST(Mesh, TokenRelayAroundTheRing)
     const FabricConfig config = builder.build();
     CycleFabric fabric(config, program,
                        {PipelineShape{true, false, false}, true, true});
-    const RunStatus status = fabric.run(100'000);
+    const RunStatus status = fabric.run({100'000});
     // Only PE 0 halts; the ring then starves and the fabric goes
     // quiescent.
     EXPECT_EQ(status, RunStatus::Quiescent);

@@ -95,7 +95,7 @@ TEST(NestedSpeculation, NestedMispredictionRecovers)
     for (bool nested : {false, true}) {
         CycleFabric fabric(config, program,
                            {kDeep, true, false, nested});
-        ASSERT_EQ(fabric.run(100'000), RunStatus::Halted)
+        ASSERT_EQ(fabric.run({100'000}), RunStatus::Halted)
             << (nested ? "+N" : "base");
         EXPECT_EQ(fabric.pe(0).regs(), golden.pe(0).regs())
             << (nested ? "+N" : "base");

@@ -299,7 +299,7 @@ TEST(Pipeline, HaltStopsTheCounterAndDrains)
         "when %p == XXXXXXX1: halt;\n");
     for (const auto &shape : allShapes()) {
         CycleFabric fabric(loneConfig(), program, {shape, false, false});
-        const RunStatus status = fabric.run(10'000);
+        const RunStatus status = fabric.run({10'000});
         EXPECT_EQ(status, RunStatus::Halted) << shape.name();
         const auto &c = fabric.pe(0).counters();
         expectBucketsSumToCycles(fabric.pe(0));

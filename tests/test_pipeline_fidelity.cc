@@ -33,7 +33,7 @@ TEST(PipelineFidelity, PredicateWriteInvisibleToSameCycleTrigger)
         "when %p == XXXX1XXX: halt;\n");
     CycleFabric fabric(loneConfig(), program,
                        {PipelineShape{false, true, false}, false, false});
-    ASSERT_EQ(fabric.run(1'000), RunStatus::Halted);
+    ASSERT_EQ(fabric.run({1'000}), RunStatus::Halted);
     const PerfCounters &c = fabric.pe(0).counters();
     // Exactly one predicate-hazard cycle for the depth-2 window.
     EXPECT_EQ(c.predicateHazard, 1u);
@@ -50,7 +50,7 @@ TEST(PipelineFidelity, SingleCyclePredictionIsInert)
         "when %p == XXXXX101: halt;\n");
     CycleFabric fabric(loneConfig(), program,
                        {PipelineShape{false, false, false}, true, true});
-    ASSERT_EQ(fabric.run(1'000), RunStatus::Halted);
+    ASSERT_EQ(fabric.run({1'000}), RunStatus::Halted);
     EXPECT_EQ(fabric.pe(0).counters().predictions, 0u);
     EXPECT_EQ(fabric.pe(0).counters().quashed, 0u);
     EXPECT_EQ(fabric.pe(0).counters().cycles, 2u); // CPI exactly 1
@@ -82,7 +82,7 @@ TEST(PipelineFidelity, HeadAndNeckTagPeek)
     auto consumer_counters = [&](bool q) {
         CycleFabric fabric(builder.build(), program,
                            {PipelineShape{true, false, false}, false, q});
-        EXPECT_EQ(fabric.run(10'000), RunStatus::Halted);
+        EXPECT_EQ(fabric.run({10'000}), RunStatus::Halted);
         EXPECT_EQ(fabric.pe(1).regs()[0], 22u);
         EXPECT_EQ(fabric.pe(1).regs()[1], 11u);
         return fabric.pe(1).counters();
@@ -133,7 +133,7 @@ TEST(PipelineFidelity, DrainCyclesAreCountedAfterHaltIssue)
     for (const auto &shape : allShapes()) {
         CycleFabric fabric(loneConfig(), program,
                            {shape, false, false});
-        ASSERT_EQ(fabric.run(100), RunStatus::Halted) << shape.name();
+        ASSERT_EQ(fabric.run({100}), RunStatus::Halted) << shape.name();
         const PerfCounters &c = fabric.pe(0).counters();
         EXPECT_EQ(c.retired, 1u);
         EXPECT_EQ(c.cycles, shape.depth()) << shape.name();

@@ -29,6 +29,14 @@
  * stores through a write port. Each chain must leave the functional
  * model's memory image and per-PE instruction counts on all 32 uarchs
  * plus +P+N and +P+N+Q, and run() must match the bare step() loop.
+ *
+ * A hanging variant of the chain never halts: either the loader never
+ * sends the sentinel (every PE starves once the tokens are through) or
+ * the last PE's stores go to channels nobody drains (it blocks on a
+ * full channel and the chain backs up behind it). At quiescence
+ * windows 1-4, run() must end where a traced run (no memo) ends, with
+ * the same diagnosis, and leave the state, each PE's queue waits
+ * included, that a bare step() loop leaves at that cycle.
  */
 
 #include <random>
@@ -37,6 +45,7 @@
 #include <gtest/gtest.h>
 
 #include "core/assembler.hh"
+#include "obs/trace.hh"
 #include "sim/functional.hh"
 #include "uarch/cycle_fabric.hh"
 #include "workloads/runner.hh"
@@ -238,7 +247,7 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
     }
     for (const PeConfig &uarch : configs) {
         CycleFabric fabric(config, program, uarch);
-        ASSERT_EQ(fabric.run(2'000'000), RunStatus::Halted)
+        ASSERT_EQ(fabric.run({2'000'000}), RunStatus::Halted)
             << uarch.name() << "\n"
             << program.toString();
         const PipelinedPe &pe = fabric.pe(0);
@@ -255,7 +264,7 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
 
         // run() (the control memo) against a bare step() loop.
         CycleFabric ran(config, program, uarch);
-        ASSERT_EQ(ran.run(2'000'000), RunStatus::Halted) << uarch.name();
+        ASSERT_EQ(ran.run({2'000'000}), RunStatus::Halted) << uarch.name();
         EXPECT_GT(ran.stepStats().peStepsReplayed, 0u) << uarch.name();
 
         CycleFabric stepped(config, program, uarch);
@@ -302,8 +311,13 @@ struct Chain
     std::vector<Word> inputs;
 };
 
+/**
+ * A random chain; with @p hang, one that never halts: the loader
+ * withholds the sentinel, or the last PE's stores go to channels into
+ * PE 0's unread inputs %i1/%i2 instead of a write port.
+ */
 Chain
-randomChain(std::mt19937 &rng)
+randomChain(std::mt19937 &rng, bool hang = false)
 {
     ArchParams params;
     params.numPreds = 16;
@@ -329,6 +343,8 @@ randomChain(std::mt19937 &rng)
     auto then = [&](const Bits &set) {
         return "; set %p = " + bits('Z', set) + ";\n";
     };
+    const bool withhold_sentinel = hang && pick(2) == 0;
+    const bool undrained_stores = hang && !withhold_sentinel;
 
     const unsigned pes = 2 + pick(2);
     const unsigned tokens = 16 + pick(32);
@@ -384,8 +400,10 @@ randomChain(std::mt19937 &rng)
                   std::to_string(tokens) + then({{8, '1'}});
         source += when({{8, '1'}, {9, '1'}, {10, '0'}}) + ": srl %p12, %r0, #" +
                   std::to_string(pick(3)) + then({{8, '0'}, {9, '0'}});
-        source += when({{10, '1'}, {11, '0'}}) + ": mov %o0.3, #0" +
-                  then({{11, '1'}});
+        if (!withhold_sentinel) {
+            source += when({{10, '1'}, {11, '0'}}) + ": mov %o0.3, #0" +
+                      then({{11, '1'}});
+        }
     }
 
     FabricBuilder builder(params, pes);
@@ -393,7 +411,12 @@ randomChain(std::mt19937 &rng)
     builder.connect(0, 1, 1, 0);
     if (pes == 3)
         builder.connect(1, 0, 2, 0);
-    builder.addWritePort(pes - 1, 1, 2);
+    if (undrained_stores) {
+        builder.connect(pes - 1, 1, 0, 1);
+        builder.connect(pes - 1, 2, 0, 2);
+    } else {
+        builder.addWritePort(pes - 1, 1, 2);
+    }
     Chain chain{assemble(source, params), builder.build(), {}};
     for (unsigned i = 0; i < tokens; ++i)
         chain.inputs.push_back(static_cast<Word>(rng()));
@@ -407,6 +430,7 @@ struct ChainState
     std::vector<PerfCounters> counters;
     std::vector<std::vector<Word>> regs;
     std::vector<std::uint64_t> preds;
+    std::vector<PeWaitInfo> waits;
     std::vector<Word> memory;
     std::uint64_t stepsExecuted = 0;
 
@@ -422,6 +446,7 @@ observeChain(const CycleFabric &fabric)
         state.counters.push_back(fabric.pe(pe).counters());
         state.regs.push_back(fabric.pe(pe).regs());
         state.preds.push_back(fabric.pe(pe).preds());
+        state.waits.push_back(fabric.pe(pe).queueWaits());
     }
     state.memory = fabric.memory().snapshot();
     state.stepsExecuted = fabric.stepStats().peStepsExecuted;
@@ -476,6 +501,62 @@ TEST_P(RandomChainEquivalence, MatchesFunctionalAndStepLoop)
 
 INSTANTIATE_TEST_SUITE_P(Chains, RandomChainEquivalence,
                          ::testing::Range(0u, 8u));
+
+/** A trace sink that drops every event: it turns the memo off. */
+class NullSink : public TraceSink
+{
+  public:
+    void record(const TraceEvent &) override {}
+};
+
+class RandomChainHang : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(RandomChainHang, DiagnosisMatchesTracedRunAndStepLoop)
+{
+    std::mt19937 rng(GetParam() * 7727 + 3);
+    const Chain chain = randomChain(rng, true);
+    auto preload = [&](Memory &memory) {
+        for (std::size_t i = 0; i < chain.inputs.size(); ++i)
+            memory.write(kSourceBase + i, chain.inputs[i]);
+    };
+    FunctionalFabric golden(chain.config, chain.program);
+    preload(golden.memory());
+    ASSERT_NE(golden.run(), RunStatus::Halted) << chain.program.toString();
+
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, false, true}); // +P+N
+    uarchs.push_back({allShapes()[7], true, true, true});  // +P+N+Q
+    NullSink sink;
+    for (const PeConfig &uarch : uarchs) {
+        for (Cycle window = 1; window <= 4; ++window) {
+            const std::string what = uarch.name() + " / window " +
+                                     std::to_string(window) + "\n" +
+                                     chain.program.toString();
+            CycleFabric ran(chain.config, chain.program, uarch);
+            preload(ran.memory());
+            const RunStatus status = ran.run({kDefaultMaxCycles, window});
+            EXPECT_NE(status, RunStatus::Halted) << what;
+
+            CycleFabric traced(chain.config, chain.program, uarch);
+            preload(traced.memory());
+            traced.setTraceSink(&sink);
+            EXPECT_EQ(traced.run({kDefaultMaxCycles, window}), status)
+                << what;
+            EXPECT_EQ(traced.hangReport(), ran.hangReport()) << what;
+            EXPECT_EQ(observeChain(traced), observeChain(ran)) << what;
+
+            CycleFabric stepped(chain.config, chain.program, uarch);
+            preload(stepped.memory());
+            while (stepped.now() < ran.now())
+                stepped.step();
+            EXPECT_EQ(observeChain(ran), observeChain(stepped)) << what;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Chains, RandomChainHang, ::testing::Range(0u, 8u));
 
 } // namespace
 } // namespace tia

@@ -41,7 +41,7 @@ TEST(RuntimeErrors, ScratchpadStoreOutOfBoundsIsFatal)
         "when %p == XXXXXXX0: ssw #999999, %r1; set %p = ZZZZZZZ1;\n");
     CycleFabric fabric(loneConfig(), program,
                        {PipelineShape{true, false, false}, false, false});
-    EXPECT_THROW(fabric.run(10), FatalError);
+    EXPECT_THROW(fabric.run({10}), FatalError);
 }
 
 TEST(RuntimeErrors, MemoryAccessOutOfBoundsIsFatal)
@@ -91,7 +91,7 @@ TEST(RuntimeErrors, StepLimitReported)
         "when %p == XXXXXXX1: add %r0, %r0, #1; set %p = ZZZZZZZ0;\n");
     CycleFabric fabric(loneConfig(), program,
                        {PipelineShape{false, false, false}, false, false});
-    EXPECT_EQ(fabric.run(100), RunStatus::StepLimit);
+    EXPECT_EQ(fabric.run({100}), RunStatus::StepLimit);
     EXPECT_EQ(fabric.now(), 100u);
 }
 
@@ -108,7 +108,7 @@ TEST(RuntimeErrors, QuiescenceDetectedQuickly)
     builder.connect(1, 0, 0, 0);
     CycleFabric fabric(builder.build(), program,
                        {PipelineShape{true, false, false}, true, true});
-    EXPECT_EQ(fabric.run(1'000'000, 500), RunStatus::Quiescent);
+    EXPECT_EQ(fabric.run({1'000'000, 500}), RunStatus::Quiescent);
     EXPECT_LT(fabric.now(), 2'000u);
 }
 
